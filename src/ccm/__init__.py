@@ -5,16 +5,19 @@ online language-model inference: segments of an accumulating context are
 condensed into the attention keys/values of reserved compression tokens
 (shaped by conditional low-rank adapters), stored under concat / merge /
 EMA policies, and consumed by later inference with a fraction of the full
-context's KV entries. Training unrolls the recursive procedure into a
-single masked forward pass, verified against a step-by-step oracle.
+context's KV entries. The model has one layer loop, run over query
+groups: a group is a token range plus the memory it reads at each layer.
+Inference is one group over a fixed layout; training unrolls the
+recursive procedure into t+1 groups in a single forward pass, verified
+against a step-by-step oracle.
 """
 
 from .errors import (CapacityError, CcmError, ContractViolation, DataError,
                      DimensionError, UsageError)
-from .lora import AdapterSet, LoRAPair, comp_flags, conditional_project, trainable_parameters
+from .lora import AdapterSet, LoRAPair, comp_flags, trainable_parameters
 from .memory import (CompressedSlots, ContextMemory, compress_segment,
                      update_concat, update_ema, update_merge)
-from .model import AttentionMask, KVLayout, ModelConfig, ToyLM, causal_mask
+from .model import KVLayout, ModelConfig, ToyLM
 from .optim import Adam, SGD, cosine_lr
 from .tensor import Parameter, Tensor, finite_difference_check
 from .training import (ParallelMask, Recipe, TrainingSequence,
@@ -24,16 +27,15 @@ from .training import (ParallelMask, Recipe, TrainingSequence,
                        training_forward)
 
 __all__ = [
-    "Adam", "AdapterSet", "AttentionMask", "CapacityError", "CcmError",
-    "CompressedSlots", "ContextMemory", "ContractViolation", "DataError",
-    "DimensionError", "KVLayout", "LoRAPair", "ModelConfig", "ParallelMask",
-    "Parameter", "Recipe", "SGD", "Tensor", "ToyLM", "TrainingSequence",
-    "UsageError", "build_parallel_mask", "build_training_sequence",
-    "causal_mask", "comp_flags", "compress_segment", "conditional_project",
-    "cosine_lr", "finite_difference_check", "parallel_memory_update",
-    "pretrain", "recursive_reference_forward", "train_compression",
-    "trainable_parameters", "training_forward", "update_concat", "update_ema",
-    "update_merge",
+    "Adam", "AdapterSet", "CapacityError", "CcmError", "CompressedSlots",
+    "ContextMemory", "ContractViolation", "DataError", "DimensionError",
+    "KVLayout", "LoRAPair", "ModelConfig", "ParallelMask", "Parameter",
+    "Recipe", "SGD", "Tensor", "ToyLM", "TrainingSequence", "UsageError",
+    "build_parallel_mask", "build_training_sequence", "comp_flags",
+    "compress_segment", "cosine_lr", "finite_difference_check",
+    "parallel_memory_update", "pretrain", "recursive_reference_forward",
+    "train_compression", "trainable_parameters", "training_forward",
+    "update_concat", "update_ema", "update_merge",
 ]
 
 __version__ = "0.1.0"

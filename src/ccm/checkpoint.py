@@ -10,6 +10,7 @@ the payload. Arrays are stored row-major.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -21,6 +22,7 @@ MAGIC = b"CCMCKPT\x00"
 FORMAT_VERSION = 1
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+_RECORD_KEYS = {"name", "dtype", "shape", "offset", "nbytes"}
 
 
 def save_arrays(path: str | Path, arrays: dict[str, np.ndarray],
@@ -59,11 +61,18 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     blob = path.read_bytes()
     if blob[:8] != MAGIC:
         raise DataError(f"{path}: not a checkpoint container")
+    if len(blob) < 12:
+        raise DataError(f"{path}: truncated before the header length")
     (header_len,) = struct.unpack("<I", blob[8:12])
+    if 12 + header_len > len(blob):
+        raise DataError(f"{path}: header length {header_len} runs past the file end")
     try:
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("records"), list) \
+            or not isinstance(header.get("meta"), dict):
+        raise DataError(f"{path}: header lacks a records list or a meta dict")
     if header.get("format_version") != FORMAT_VERSION:
         raise DataError(
             f"{path}: format version {header.get('format_version')} "
@@ -71,12 +80,21 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     payload = blob[12 + header_len:]
     arrays: dict[str, np.ndarray] = {}
     for rec in header["records"]:
-        dtype = _DTYPES.get(rec["dtype"])
+        if not isinstance(rec, dict) or not _RECORD_KEYS <= rec.keys():
+            raise DataError(f"{path}: record {rec!r} lacks one of {sorted(_RECORD_KEYS)}")
+        name, shape, lo, nbytes = rec["name"], rec["shape"], rec["offset"], rec["nbytes"]
+        if not isinstance(name, str) or name in arrays:
+            raise DataError(f"{path}: bad or duplicate record name {name!r}")
+        dtype = _DTYPES.get(str(rec["dtype"]))
         if dtype is None:
-            raise DataError(f"{path}: record {rec['name']!r} has bad dtype {rec['dtype']}")
-        lo, hi = rec["offset"], rec["offset"] + rec["nbytes"]
-        if hi > len(payload):
-            raise DataError(f"{path}: record {rec['name']!r} overruns payload")
-        arr = np.frombuffer(payload[lo:hi], dtype=dtype).reshape(rec["shape"]).copy()
-        arrays[rec["name"]] = arr
+            raise DataError(f"{path}: record {name!r} has bad dtype {rec['dtype']}")
+        ints = [lo, nbytes] + (shape if isinstance(shape, list) else [None])
+        if not all(isinstance(x, int) and x >= 0 for x in ints) \
+                or nbytes != math.prod(shape) * np.dtype(dtype).itemsize:
+            raise DataError(f"{path}: record {name!r} has inconsistent shape, "
+                            f"offset or size: {rec!r}")
+        if lo + nbytes > len(payload):
+            raise DataError(f"{path}: record {name!r} overruns payload")
+        raw = np.frombuffer(payload[lo:lo + nbytes], dtype=dtype)
+        arrays[name] = raw.reshape(shape).copy()
     return arrays, header["meta"]

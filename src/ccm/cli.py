@@ -155,7 +155,9 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
               policy: str, max_eval: int | None = None,
               threads: int = 1) -> list[list]:
     """One row per t = 1..T: accuracy and measured KV counts."""
-    samples = ds.test if max_eval is None else ds.test[:max_eval]
+    samples = ds.test if max_eval is None else ds.test[:max(max_eval, 0)]
+    if not samples:
+        raise UsageError("nothing to evaluate: empty test split or --max-eval < 1")
     label_ids = [ds.vocab.label_id(i) for i in range(ds.n_classes)]
     choices = [[lid] for lid in label_ids]
 

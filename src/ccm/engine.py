@@ -26,8 +26,7 @@ from .errors import ContractViolation, UsageError
 from .lora import AdapterSet
 from .memory import (ContextMemory, CompressedSlots, compress_from_kv,
                      compress_segment)
-from .model import (TAG_CONTEXT, TAG_INPUT, TAG_SINK, KVLayout, ToyLM,
-                    causal_mask)
+from .model import TAG_CONTEXT, TAG_SINK, KVLayout, ToyLM
 from .tensor import log_softmax_rows
 
 SESSION_POLICIES = ("concat", "merge", "ema", "independent", "none", "full", "fixed")
@@ -154,9 +153,7 @@ def evaluate_multichoice(session: Session, inputs, choices) -> int:
     for i, choice in enumerate(choices):
         layout, tokens = session._inference_inputs(
             np.concatenate([inputs, choice]))
-        logits, _ = session.model.forward(
-            tokens, layout, causal_mask(layout.n_entries, tokens.size),
-            adapters=session.adapters)
+        logits, _ = session.model.forward(tokens, layout, adapters=session.adapters)
         logp = log_softmax_rows(logits.data)
         rows = np.arange(tokens.size - choice.size - 1, tokens.size - 1)
         scores[i] = logp[rows, tokens[rows + 1]].mean()
@@ -209,7 +206,6 @@ class StreamState:
         self.sink = model.empty_layout()
         self.window = model.empty_layout()
         self.ccm: list[CompressedSlots] = []
-        self.pos = 0
         self.events = 0
 
     @property
@@ -257,15 +253,13 @@ def streaming_step(state: StreamState, token: int) -> tuple[np.ndarray, int, boo
         state._compress_oldest_chunk()
         event = True
     layout = state._full_layout()
-    mask = causal_mask(layout.n_entries, 1)
     logits, (k, v) = state.model.forward(np.array([token], dtype=np.intp), layout,
-                                         mask, adapters=state.adapters)
+                                         adapters=state.adapters)
     kv_total = layout.n_entries + 1
     if state.sink.n_entries < state.caps.n_sink:
         state.sink = state.sink.extended(k, v, [TAG_SINK])
     else:
         state.window = state.window.extended(k, v, [TAG_CONTEXT])
-    state.pos += 1
     return logits.data[0], kv_total, event
 
 
@@ -312,9 +306,8 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
         for tok in stream:
             if last is not None:
                 nll.append(-log_softmax_rows(last[None, :])[0, tok])
-            mask = causal_mask(layout.n_entries, 1)
             logits, (k, v) = model.forward(np.array([tok], dtype=np.intp), layout,
-                                           mask, adapters=adapters)
+                                           adapters=adapters)
             totals.append(layout.n_entries + 1)
             events.append(0)
             layout = layout.extended(k, v, [TAG_CONTEXT])
@@ -323,7 +316,7 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
         layout = model.empty_layout()
         for prev, tok in zip(stream[:-1], stream[1:]):
             logits, _ = model.forward(np.array([prev], dtype=np.intp), layout,
-                                      causal_mask(0, 1), adapters=adapters)
+                                      adapters=adapters)
             nll.append(-log_softmax_rows(logits.data)[0, tok])
             totals.append(1)
             events.append(0)

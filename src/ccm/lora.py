@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_arrays, save_arrays
-from .errors import ContractViolation, DataError, DimensionError
+from .errors import ContractViolation, DataError
 from .tensor import Parameter, Tensor
 
 TARGETS = ("q", "k", "v", "o")
@@ -42,20 +42,6 @@ class LoRAPair:
 def comp_flags(tokens: np.ndarray, comp_token_id: int) -> np.ndarray:
     """Per-token gate m (spec: m = 1 iff the token is the compression token)."""
     return np.asarray(tokens) == comp_token_id
-
-
-def conditional_project(w: Tensor, lora: LoRAPair | None, x_h: Tensor, m: bool) -> Tensor:
-    """Project a single hidden vector, adding the low-rank delta only when gated.
-
-    ``x_h`` is a [d] vector; weights act on row vectors (y = x @ w).
-    """
-    if x_h.data.ndim != 1:
-        raise DimensionError("conditional_project expects a single hidden vector")
-    row = T.reshape(x_h, (1, x_h.shape[0]))
-    out = T.matmul(row, w)
-    if m and lora is not None:
-        out = T.add(out, lora.delta(row))
-    return T.reshape(out, (out.shape[1],))
 
 
 class AdapterSet:

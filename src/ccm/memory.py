@@ -23,8 +23,7 @@ import numpy as np
 from .checkpoint import load_arrays, save_arrays
 from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet
-from .model import (TAG_CONTEXT, TAG_MEMORY, AttentionMask, KVLayout, ToyLM,
-                    causal_mask)
+from .model import TAG_CONTEXT, TAG_MEMORY, KVLayout, ToyLM
 
 POLICIES = ("concat", "merge", "ema", "independent", "none")
 GROWING_POLICIES = ("concat", "independent")
@@ -190,17 +189,6 @@ def update_ema(mem: ContextMemory, h: CompressedSlots, a: float) -> ContextMemor
 # compression
 
 
-def compression_mask(n_mem: int, n_segment: int, s: int) -> AttentionMask:
-    """Mask for one compression call over layout [memory | segment | comps].
-
-    Segment tokens attend the memory plus causal self; compression tokens
-    additionally attend the whole segment and causally among themselves.
-    That is exactly full causal attention over the token block with all
-    memory entries visible.
-    """
-    return causal_mask(n_mem, n_segment + s)
-
-
 def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
                      segment) -> CompressedSlots:
     """Condense one segment into the compression tokens' unrotated KV.
@@ -216,8 +204,7 @@ def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
     layout = (model.empty_layout() if mem.policy in ("independent", "none")
               else mem.layout(model))
     tokens = np.concatenate([segment, np.full(s, cfg.comp_token_id, dtype=np.intp)])
-    mask = compression_mask(layout.n_entries, segment.size, s)
-    _, (new_k, new_v) = model.forward(tokens, layout, mask, adapters=adapters)
+    _, (new_k, new_v) = model.forward(tokens, layout, adapters=adapters)
     return CompressedSlots(new_k[:, segment.size:, :].copy(),
                            new_v[:, segment.size:, :].copy(),
                            produced_at=mem.count + 1)
@@ -236,6 +223,5 @@ def compress_from_kv(model: ToyLM, adapters: AdapterSet, mem_layout: KVLayout,
     layout = mem_layout.extended(chunk_keys, chunk_values,
                                  [TAG_CONTEXT] * chunk_keys.shape[1])
     tokens = np.full(s, cfg.comp_token_id, dtype=np.intp)
-    mask = causal_mask(layout.n_entries, s)
-    _, (new_k, new_v) = model.forward(tokens, layout, mask, adapters=adapters)
+    _, (new_k, new_v) = model.forward(tokens, layout, adapters=adapters)
     return CompressedSlots(new_k.copy(), new_v.copy(), produced_at)

@@ -2,12 +2,16 @@
 
 The attention cache is explicit: callers hand ``forward`` a KVLayout whose
 entries may come from anywhere (raw tokens, compressed memory slots, a
-streaming window) and a boolean mask saying which entries each query may
-read. Keys are stored UNROTATED; rotary position encoding is applied at
-attention time with sequential position ids 0..n-1 assigned over the
-current layout order [memory entries | current tokens]. This makes memory
-entries position-free: averaging them stays well defined and streaming
+streaming window). Keys are stored UNROTATED; rotary position encoding is
+applied at attention time with sequential position ids 0..m-1 assigned
+over [memory entries | current tokens]. This makes memory entries
+position-free: averaging them stays well defined and streaming
 reassignment of positions is a no-op.
+
+The one layer loop, ``forward_groups``, runs tokens as query groups: a
+token range plus the memory it reads at each layer. A group sees all of
+its memory and its own tokens causally, so ``attend`` derives the pattern
+from shapes. Inference is one group over a layout; training is t+1 groups.
 
 Blocks are pre-norm with RMS normalization, a SiLU-gated feed-forward and
 an untied output head.
@@ -16,7 +20,7 @@ an untied output head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -112,33 +116,8 @@ class KVLayout:
         return self.extended(other.keys, other.values, other.tags)
 
 
-@dataclass
-class AttentionMask:
-    """Boolean [n_queries, n_layout_entries] matrix; True marks an allowed read."""
-
-    allowed: np.ndarray
-
-    def validate(self, n_mem: int, n_tokens: int) -> None:
-        if self.allowed.shape != (n_tokens, n_mem + n_tokens):
-            raise DimensionError(
-                f"mask shape {self.allowed.shape} != ({n_tokens}, {n_mem + n_tokens})")
-        if not self.allowed.any(axis=1).all():
-            raise ContractViolation("mask row with no allowed entries")
-        if not self.allowed[np.arange(n_tokens), n_mem + np.arange(n_tokens)].all():
-            raise ContractViolation("mask must allow self-attention for every query")
-
-
-def causal_mask(n_mem: int, n_tokens: int, mem_visible: bool = True) -> AttentionMask:
-    """Memory columns fully visible (optionally), causal among the tokens."""
-    allowed = np.zeros((n_tokens, n_mem + n_tokens), dtype=bool)
-    if mem_visible:
-        allowed[:, :n_mem] = True
-    allowed[:, n_mem:] = np.tril(np.ones((n_tokens, n_tokens), dtype=bool))
-    return AttentionMask(allowed)
-
-
 # ---------------------------------------------------------------------------
-# shared building blocks (also used by the parallel training forward)
+# building blocks of one layer
 
 
 def rmsnorm(x: Tensor, gain: Parameter, eps: float = 1e-6) -> Tensor:
@@ -155,24 +134,23 @@ def project_rows(x: Tensor, w: Parameter, lora, comp_idx: np.ndarray) -> Tensor:
     return out
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray,
-           q_positions: np.ndarray, k_positions: np.ndarray,
-           config: ModelConfig) -> Tensor:
+def attend(q: Tensor, k: Tensor, v: Tensor, config: ModelConfig) -> Tensor:
     """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values.
 
-    Rotary rotation is applied here using the caller's position frames.
+    Keys take positions 0..m-1 and the queries are the last n of them: the
+    first m-n keys are memory, visible to every query, and the last n are
+    the queries' own tokens, visible causally.
     """
     n, m = q.shape[0], k.shape[0]
     h, dh = config.n_heads, config.head_dim
-    dtype = q.data.dtype
     qh = T.transpose(T.reshape(q, (n, h, dh)), (1, 0, 2))
     kh = T.transpose(T.reshape(k, (m, h, dh)), (1, 0, 2))
     vh = T.transpose(T.reshape(v, (m, h, dh)), (1, 0, 2))
-    cos_q, sin_q = T.rope_angles(q_positions, dh, config.rope_base, dtype)
-    cos_k, sin_k = T.rope_angles(k_positions, dh, config.rope_base, dtype)
-    qh = T.rope(qh, cos_q, sin_q)
-    kh = T.rope(kh, cos_k, sin_k)
+    cos, sin = T.rope_angles(np.arange(m), dh, config.rope_base, q.data.dtype)
+    qh = T.rope(qh, cos[m - n:], sin[m - n:])
+    kh = T.rope(kh, cos, sin)
     scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
+    allowed = np.tril(np.ones((n, m), dtype=bool), m - n)
     weights = T.softmax_rows(scores, np.broadcast_to(allowed, (h, n, m)))
     ctx = T.matmul(weights, vh)
     return T.reshape(T.transpose(ctx, (1, 0, 2)), (n, h * dh))
@@ -192,6 +170,63 @@ def embed_tokens(model: "ToyLM", tokens: np.ndarray,
                            np.zeros(comp_idx.size, dtype=np.intp))
         x = T.set_rows(x, comp_idx, rows)
     return x
+
+
+def forward_groups(model: "ToyLM", tokens: np.ndarray,
+                   ranges: Sequence[tuple[int, int]], memory: Callable,
+                   adapters: AdapterSet | None = None,
+                   ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+    """The layer loop: ``tokens`` run as query groups, one per ``ranges`` entry.
+
+    The [lo, hi) ranges tile the tokens in order. At every layer,
+    ``memory(layer, k, v)`` gets that layer's keys and values of all tokens
+    and returns, per group, the (keys, values) it reads before its own
+    tokens, or None. Returns per-token logits and the unrotated per-layer
+    KV the tokens produced ([n_layers, n, d] each). The conditional adapter
+    fires only on compression tokens.
+    """
+    cfg = model.config
+    n = tokens.shape[0]
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
+        bad = tokens[(tokens < 0) | (tokens >= cfg.vocab_size)][0]
+        raise DataError(f"token id {bad} outside vocabulary [0, {cfg.vocab_size})")
+    comp_idx = np.flatnonzero(comp_flags(tokens, cfg.comp_token_id))
+    whole = len(ranges) == 1  # one group reads q, k, v without narrowing them
+
+    x = embed_tokens(model, tokens, adapters, comp_idx)
+    new_k = np.empty((cfg.n_layers, n, cfg.d_model), dtype=model.dtype)
+    new_v = np.empty_like(new_k)
+    for layer in range(cfg.n_layers):
+        p = f"layers.{layer}."
+        xa = rmsnorm(x, model.params[p + "attn_norm"])
+        lq = adapters.lora(layer, "q") if adapters else None
+        lk = adapters.lora(layer, "k") if adapters else None
+        lv = adapters.lora(layer, "v") if adapters else None
+        q = project_rows(xa, model.params[p + "wq"], lq, comp_idx)
+        k = project_rows(xa, model.params[p + "wk"], lk, comp_idx)
+        v = project_rows(xa, model.params[p + "wv"], lv, comp_idx)
+        new_k[layer] = k.data
+        new_v[layer] = v.data
+        outs = []
+        for (start, stop), mem in zip(ranges, memory(layer, k, v)):
+            if whole:
+                q_g, k_g, v_g = q, k, v
+            else:
+                q_g, k_g, v_g = (T.narrow(a, 0, start, stop - start) for a in (q, k, v))
+            if mem is not None:
+                k_g = T.concat([mem[0], k_g], axis=0)
+                v_g = T.concat([mem[1], v_g], axis=0)
+            outs.append(attend(q_g, k_g, v_g, cfg))
+        ctx = outs[0] if whole else T.concat(outs, axis=0)
+        lo = adapters.lora(layer, "o") if adapters else None
+        ctx = project_rows(ctx, model.params[p + "wo"], lo, comp_idx)
+        x = T.add(x, ctx)
+        xf = rmsnorm(x, model.params[p + "ffn_norm"])
+        x = T.add(x, mlp(xf, model.params[p + "w_gate"], model.params[p + "w_up"],
+                         model.params[p + "w_down"]))
+    xo = rmsnorm(x, model.params["final_norm"])
+    logits = T.matmul(xo, model.params["head"].tensor)
+    return logits, (new_k, new_v)
 
 
 # ---------------------------------------------------------------------------
@@ -286,61 +321,24 @@ class ToyLM:
 
     # -- forward -------------------------------------------------------------------
 
-    def forward(self, tokens, layout: KVLayout, mask: AttentionMask,
-                comp_mask: np.ndarray | None = None,
-                adapters: AdapterSet | None = None,
+    def forward(self, tokens, layout: KVLayout, adapters: AdapterSet | None = None,
                 ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
-        """One call over new tokens appended (for attention) after ``layout``.
+        """One group: new tokens appended (for attention) after ``layout``.
 
         Returns per-token logits and the unrotated per-layer KV the tokens
-        produced (shape [n_layers, n, d] each). The input layout is not
-        mutated. The conditional adapter fires only on compression-flagged
-        tokens.
+        produced (shape [n_layers, n, d] each). The layout is not mutated.
         """
-        cfg = self.config
         tokens = np.asarray(tokens, dtype=np.intp)
-        n = tokens.shape[0]
         n_mem = layout.n_entries
-        if n_mem + n > cfg.max_layout:
-            raise CapacityError(
-                f"layout would hold {n_mem + n} entries > max_layout {cfg.max_layout}")
-        mask.validate(n_mem, n)
-        if comp_mask is None:
-            comp_mask = comp_flags(tokens, cfg.comp_token_id)
-        comp_idx = np.flatnonzero(comp_mask)
+        if n_mem + tokens.size > self.config.max_layout:
+            raise CapacityError(f"layout would hold {n_mem + tokens.size} entries "
+                                f"> max_layout {self.config.max_layout}")
 
-        k_pos = np.arange(n_mem + n)
-        q_pos = np.arange(n_mem, n_mem + n)
+        def memory(layer, k, v):
+            return [(Tensor(layout.keys[layer]), Tensor(layout.values[layer]))
+                    if n_mem else None]
 
-        x = embed_tokens(self, tokens, adapters, comp_idx)
-        new_k = np.empty((cfg.n_layers, n, cfg.d_model), dtype=self.dtype)
-        new_v = np.empty_like(new_k)
-        for layer in range(cfg.n_layers):
-            p = f"layers.{layer}."
-            xa = rmsnorm(x, self.params[p + "attn_norm"])
-            lq = adapters.lora(layer, "q") if adapters else None
-            lk = adapters.lora(layer, "k") if adapters else None
-            lv = adapters.lora(layer, "v") if adapters else None
-            q = project_rows(xa, self.params[p + "wq"], lq, comp_idx)
-            k = project_rows(xa, self.params[p + "wk"], lk, comp_idx)
-            v = project_rows(xa, self.params[p + "wv"], lv, comp_idx)
-            new_k[layer] = k.data
-            new_v[layer] = v.data
-            if n_mem:
-                k_all = T.concat([Tensor(layout.keys[layer]), k], axis=0)
-                v_all = T.concat([Tensor(layout.values[layer]), v], axis=0)
-            else:
-                k_all, v_all = k, v
-            ctx = attend(q, k_all, v_all, mask.allowed, q_pos, k_pos, cfg)
-            lo = adapters.lora(layer, "o") if adapters else None
-            ctx = project_rows(ctx, self.params[p + "wo"], lo, comp_idx)
-            x = T.add(x, ctx)
-            xf = rmsnorm(x, self.params[p + "ffn_norm"])
-            x = T.add(x, mlp(xf, self.params[p + "w_gate"], self.params[p + "w_up"],
-                             self.params[p + "w_down"]))
-        xo = rmsnorm(x, self.params["final_norm"])
-        logits = T.matmul(xo, self.params["head"].tensor)
-        return logits, (new_k, new_v)
+        return forward_groups(self, tokens, [(0, tokens.size)], memory, adapters)
 
     # -- decoding ---------------------------------------------------------------
 
@@ -357,33 +355,16 @@ class ToyLM:
         input_tokens = np.asarray(input_tokens, dtype=np.intp)
         if input_tokens.size == 0:
             raise ContractViolation("greedy_decode needs at least one input token")
-        work = layout
-        mask = causal_mask(work.n_entries, input_tokens.size)
-        logits, (k, v) = self.forward(input_tokens, work, mask, adapters=adapters)
-        work = work.extended(k, v, [TAG_INPUT] * input_tokens.size)
+        logits, (k, v) = self.forward(input_tokens, layout, adapters=adapters)
+        work = layout.extended(k, v, [TAG_INPUT] * input_tokens.size)
         out: list[int] = []
         last_logits = logits.data[-1]
         for _ in range(max_new):
             nxt = int(np.argmax(last_logits))
             out.append(nxt)
-            step_mask = causal_mask(work.n_entries, 1)
-            logits, (k, v) = self.forward(np.array([nxt]), work, step_mask,
-                                          adapters=adapters)
+            logits, (k, v) = self.forward(np.array([nxt]), work, adapters=adapters)
             work = work.extended(k, v, [TAG_INPUT])
             last_logits = logits.data[-1]
             if stop_token is not None and nxt == stop_token:
                 break
         return np.asarray(out, dtype=np.intp), work.n_entries
-
-    def score_tokens(self, layout: KVLayout, tokens,
-                     adapters: AdapterSet | None = None) -> np.ndarray:
-        """Teacher-forced per-position log-probabilities log p(tokens[i+1] | ...).
-
-        Returns an array of length len(tokens)-1 (next-token scores), plus the
-        final row's full distribution is available via ``forward`` if needed.
-        """
-        tokens = np.asarray(tokens, dtype=np.intp)
-        mask = causal_mask(layout.n_entries, tokens.size)
-        logits, _ = self.forward(tokens, layout, mask, adapters=adapters)
-        logp = T.log_softmax_rows(logits.data)
-        return logp[np.arange(tokens.size - 1), tokens[1:]]

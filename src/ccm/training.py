@@ -1,23 +1,22 @@
 """Parallelized compression training and its recursive reference oracle.
 
 The online compress-update-infer loop is unrolled into one forward pass
-over the interleaved sequence [c(1), comps, ..., c(t), comps, I(t), O(t)].
-Within every layer the memory states for all time steps are produced from
-the compression blocks' keys/values (``parallel_memory_update``), and the
-attention mask confines each query to exactly what it would see in the
-recursive execution:
+over the interleaved sequence [c(1), comps, ..., c(t), comps, I(t), O(t)],
+run as t+1 query groups of the model's layer loop. Each group reads the
+memory it would read in the recursive execution:
 
-* tokens of c(j):    causal self within c(j), plus all of Mem(j-1);
-* compression block j: causal self within the block, plus c(j), plus Mem(j-1);
-* I(t) and O(t):     causal self within [I, O], plus Mem(t) only.
+* group j = [c(j) | compression block j] reads Mem(j-1) (none for j = 1);
+* the last group [I(t) | O(t)] reads Mem(t).
 
-Position ids mirror the recursive layouts: each query group lives in its
-own frame [Mem | own tokens] numbered from zero, which is what makes the
-single-pass logits match the step-by-step oracle to float precision.
+Within every layer ``parallel_memory_update`` builds Mem(1..t) from the
+compression blocks' keys/values. Each group sees its memory in full and
+its own tokens causally, in its own position frame [Mem | own tokens]
+numbered from zero, which is what makes the single-pass logits match the
+step-by-step oracle to float precision.
 
 With the ``independent`` policy each segment is compressed without seeing
 the memory (the online variant of fixed-context compression); only the
-final inference block reads the concatenated results.
+final inference group reads the concatenated results.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from . import tensor as T
 from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
 from .memory import CompressedSlots, ContextMemory, compress_segment
-from .model import (ToyLM, attend, causal_mask, embed_tokens, mlp,
-                    project_rows, rmsnorm)
+from .model import ToyLM, forward_groups
 from .optim import Adam, cosine_lr
 from .seeding import derive_seed
 from .tensor import Tensor
@@ -131,6 +129,8 @@ class ParallelMask:
 
 
 def build_parallel_mask(seq: TrainingSequence, policy: str) -> ParallelMask:
+    """The paper's attention mask over the whole sequence (the tests check
+    that it equals the group plan of ``training_forward``)."""
     if policy not in TRAIN_POLICIES:
         raise UsageError(f"unknown training policy {policy!r}")
     n, t, s = seq.n_tokens, seq.t, seq.s
@@ -218,114 +218,27 @@ def parallel_memory_update(comp_kvs: Sequence[tuple[Tensor, Tensor]], policy: st
 # single-pass forward
 
 
-def _query_groups(seq: TrainingSequence) -> list[tuple[str, int, int, int]]:
-    """(kind, j, lo, hi) per group: t context+comp groups then the I/O group."""
-    groups = []
-    for j in range(1, seq.t + 1):
-        groups.append(("ctx", j, seq.ctx_ranges[j - 1][0], seq.comp_ranges[j - 1][1]))
-    groups.append(("io", seq.t, *seq.io_range))
-    return groups
-
-
-def _group_mem_cols(mask: ParallelMask, seq: TrainingSequence,
-                    kind: str, j: int) -> list[int]:
-    """Mask column indices of the memory visible to one query group.
-
-    For merged policies these land in the dedicated memory-column region;
-    for growing policies they are the aliased compression-token columns
-    (the token region starts at column 0 because n_mem_cols is 0).
-    """
-    merged = mask.n_mem_cols > 0
-    s = seq.s
-    if kind == "ctx":
-        if j == 1 or mask.policy == "independent":
-            return []
-        if merged:
-            return list(range((j - 2) * s, (j - 1) * s))
-        return [c for b in range(j - 1)
-                for c in range(seq.comp_ranges[b][0], seq.comp_ranges[b][1])]
-    if merged:
-        return list(range((seq.t - 1) * s, seq.t * s))
-    return [c for b in range(seq.t)
-            for c in range(seq.comp_ranges[b][0], seq.comp_ranges[b][1])]
-
-
-def check_mask_decomposition(mask: ParallelMask, seq: TrainingSequence) -> None:
-    """Every allowed mask entry must be reachable through the group plan."""
-    covered = 0
-    for kind, j, lo, hi in _query_groups(seq):
-        mem_cols = _group_mem_cols(mask, seq, kind, j)
-        cols = mem_cols + list(range(mask.n_mem_cols + lo, mask.n_mem_cols + hi))
-        sub = mask.allowed[np.ix_(range(lo, hi), cols)]
-        if sub.sum() != mask.allowed[lo:hi].sum():
-            raise ContractViolation("mask has allowed entries outside the group plan")
-        covered += int(sub.sum())
-    if covered != int(mask.allowed.sum()):
-        raise ContractViolation("group plan does not cover the parallel mask")
-
-
 def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence,
                      policy: str, ema_a: float = 0.5,
                      ) -> tuple[Tensor, Tensor]:
-    """One masked forward over the interleaved sequence; loss on O(t) positions.
+    """One forward over the interleaved sequence; loss on O(t) positions.
 
     Gradients reach every token of every time step through the memory
-    states and the attention mask.
+    states each group reads.
     """
-    cfg = model.config
-    mask = build_parallel_mask(seq, policy)
-    groups = _query_groups(seq)
-    comp_idx = np.flatnonzero(seq.kind == ROLE_COMP)
-    s = seq.s
+    t, s = seq.t, seq.s
+    ranges = [(c[0], comp[1]) for c, comp in zip(seq.ctx_ranges, seq.comp_ranges)]
+    ranges.append(seq.io_range)
 
-    x = embed_tokens(model, seq.tokens, adapters, comp_idx)
-    for layer in range(cfg.n_layers):
-        p = f"layers.{layer}."
-        xa = rmsnorm(x, model.params[p + "attn_norm"])
-        q = project_rows(xa, model.params[p + "wq"], adapters.lora(layer, "q"), comp_idx)
-        k = project_rows(xa, model.params[p + "wk"], adapters.lora(layer, "k"), comp_idx)
-        v = project_rows(xa, model.params[p + "wv"], adapters.lora(layer, "v"), comp_idx)
-
+    def memory(layer, k, v):
         comp_kvs = [(T.narrow(k, 0, lo, s), T.narrow(v, 0, lo, s))
                     for lo, _ in seq.comp_ranges]
-        if policy in ("merge", "ema"):
-            mems = parallel_memory_update(comp_kvs, policy, ema_a)
-        else:
-            mems = parallel_memory_update(comp_kvs, policy)
+        mems = parallel_memory_update(comp_kvs, policy, ema_a)
+        if policy == "independent":
+            return [None] * t + [mems[t - 1]]
+        return [None] + mems[:t - 1] + [mems[t - 1]]
 
-        outs = []
-        for kind, j, lo, hi in groups:
-            n_g = hi - lo
-            if kind == "ctx":
-                mem_kv = None if (j == 1 or policy == "independent") else mems[j - 2]
-            else:
-                mem_kv = mems[seq.t - 1]
-            q_g = T.narrow(q, 0, lo, n_g)
-            if mem_kv is None:
-                k_g = T.narrow(k, 0, lo, n_g)
-                v_g = T.narrow(v, 0, lo, n_g)
-                n_mem_g = 0
-            else:
-                k_g = T.concat([mem_kv[0], T.narrow(k, 0, lo, n_g)], axis=0)
-                v_g = T.concat([mem_kv[1], T.narrow(v, 0, lo, n_g)], axis=0)
-                n_mem_g = mem_kv[0].shape[0]
-            mem_cols = _group_mem_cols(mask, seq, kind, j)
-            if len(mem_cols) != n_mem_g:
-                raise ContractViolation("group memory width inconsistent with mask")
-            cols = mem_cols + list(range(mask.n_mem_cols + lo, mask.n_mem_cols + hi))
-            sub_mask = mask.allowed[np.ix_(range(lo, hi), cols)]
-            k_pos = np.arange(n_mem_g + n_g)
-            q_pos = np.arange(n_mem_g, n_mem_g + n_g)
-            outs.append(attend(q_g, k_g, v_g, sub_mask, q_pos, k_pos, cfg))
-        ctx = T.concat(outs, axis=0) if len(outs) > 1 else outs[0]
-        ctx = project_rows(ctx, model.params[p + "wo"], adapters.lora(layer, "o"),
-                           comp_idx)
-        x = T.add(x, ctx)
-        xf = rmsnorm(x, model.params[p + "ffn_norm"])
-        x = T.add(x, mlp(xf, model.params[p + "w_gate"], model.params[p + "w_up"],
-                         model.params[p + "w_down"]))
-    xo = rmsnorm(x, model.params["final_norm"])
-    logits = T.matmul(xo, model.params["head"].tensor)
+    logits, _ = forward_groups(model, seq.tokens, ranges, memory, adapters)
     loss = T.cross_entropy_next_token(logits, seq.targets, seq.target_weights)
     return loss, logits
 
@@ -357,16 +270,8 @@ def recursive_reference_forward(model: ToyLM, adapters: AdapterSet,
         mem = mem.updated(h)
     tokens = np.concatenate([np.asarray(inputs, dtype=np.intp),
                              np.asarray(outputs, dtype=np.intp)])
-    layout = mem.layout(model)
-    mask = causal_mask(layout.n_entries, tokens.size)
-    logits, _ = model.forward(tokens, layout, mask, adapters=adapters)
+    logits, _ = model.forward(tokens, mem.layout(model), adapters=adapters)
     return RecursiveResult(logits.data.copy(), slots, mem)
-
-
-def io_logits_from_training_forward(seq: TrainingSequence,
-                                    logits: Tensor) -> np.ndarray:
-    lo, hi = seq.io_range
-    return logits.data[lo:hi].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +309,16 @@ class Recipe:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise DataError(f"{path}:{lineno}: unknown recipe key {key!r}")
-            if key in ("steps", "batch", "T", "s", "seed"):
-                kwargs[key] = int(value)
-            elif key in ("lr", "min_lr", "ema_a"):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+            try:
+                if key in ("steps", "batch", "T", "s", "seed"):
+                    kwargs[key] = int(value)
+                elif key in ("lr", "min_lr", "ema_a"):
+                    kwargs[key] = float(value)
+                else:
+                    kwargs[key] = value
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: bad value for {key}: {value!r}") from None
         return cls(**kwargs)
 
 
@@ -449,9 +358,7 @@ def pretrain(model: ToyLM, sampler: Callable[[np.random.Generator], np.ndarray],
                 tokens = np.asarray(drawn, dtype=np.intp)
                 weights = np.ones(tokens.size, dtype=np.int8)
             weights[-1] = 0  # final position has no next token
-            layout = model.empty_layout()
-            mask = causal_mask(0, tokens.size)
-            logits, _ = model.forward(tokens, layout, mask)
+            logits, _ = model.forward(tokens, model.empty_layout())
             targets = np.zeros(tokens.size, dtype=np.intp)
             targets[:-1] = tokens[1:]
             loss = T.cross_entropy_next_token(logits, targets, weights)

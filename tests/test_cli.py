@@ -144,3 +144,21 @@ def test_exit_code_contract_violation(tiny_pipeline, tmp_path):
 
 def test_no_subcommand_is_usage_error():
     assert main([]) == 1
+
+@pytest.mark.parametrize("line", ["steps=abc", "lr=x"])
+def test_bad_recipe_value_is_data_error(tmp_path, icl_data, capsys, line):
+    recipe = tmp_path / "recipe.txt"
+    recipe.write_text(f"# recipe\n{line}\n")
+    metrics = tmp_path / "m.csv"
+    assert run("pretrain", "--data", icl_data, "--config", recipe,
+               "--out", tmp_path / "m.ckpt", "--metrics", metrics) == 2
+    assert f"{recipe}:2" in capsys.readouterr().err
+    assert not metrics.exists()
+
+
+def test_eval_without_samples_is_usage_error(tiny_pipeline, tmp_path):
+    icl_data, model, adapters = tiny_pipeline
+    out = tmp_path / "e.csv"
+    assert run("eval", "--data", icl_data, "--model", model, "--adapters", adapters,
+               "--policy", "concat", "--max-eval", "0", "--out", out) == 1
+    assert not out.exists()

@@ -9,7 +9,7 @@ from ccm.engine import (Session, StreamCaps, StreamState, evaluate_multichoice,
 from ccm.errors import ContractViolation, UsageError
 from ccm.lora import AdapterSet
 from ccm.memory import ContextMemory
-from ccm.model import ModelConfig, ToyLM, causal_mask
+from ccm.model import ModelConfig, ToyLM
 from ccm.training import recursive_reference_forward
 from conftest import TINY, random_sample
 
@@ -140,8 +140,7 @@ def test_multichoice_single_tokens_reduce_to_argmax(model, adapters):
     session = Session(model, adapters, "none")
     session.ingest([1, 2, 3])
     inputs = np.array([4, 5])
-    logits, _ = model.forward(inputs, model.empty_layout(), causal_mask(0, 2),
-                              adapters=adapters)
+    logits, _ = model.forward(inputs, model.empty_layout(), adapters=adapters)
     choices = [[6], [8], [11]]
     by_logit = int(np.argmax([logits.data[-1, c[0]] for c in choices]))
     assert evaluate_multichoice(session, inputs, choices) == by_logit

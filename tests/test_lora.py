@@ -5,8 +5,8 @@ import pytest
 
 import ccm.tensor as T
 from ccm.errors import ContractViolation
-from ccm.lora import AdapterSet, LoRAPair, comp_flags, conditional_project, trainable_parameters
-from ccm.model import ModelConfig, ToyLM, causal_mask
+from ccm.lora import AdapterSet, LoRAPair, comp_flags, trainable_parameters
+from ccm.model import ModelConfig, ToyLM, project_rows
 from ccm.optim import Adam
 from ccm.tensor import Parameter, Tensor
 from ccm.training import Recipe, build_training_sequence, train_compression, training_forward
@@ -17,6 +17,16 @@ def make_pair(a, b, alpha, rank):
     return LoRAPair(Parameter("a", Tensor(np.asarray(a, dtype=np.float64))),
                     Parameter("b", Tensor(np.asarray(b, dtype=np.float64))),
                     alpha, rank, layer=0, target="q")
+
+
+def conditional_project(w: Tensor, lora: LoRAPair | None, x_h: Tensor, m: bool) -> Tensor:
+    """Single-vector oracle for ``project_rows``: project one [d] hidden
+    vector, adding the low-rank delta only when the gate m is set."""
+    row = T.reshape(x_h, (1, x_h.shape[0]))
+    out = T.matmul(row, w)
+    if m and lora is not None:
+        out = T.add(out, lora.delta(row))
+    return T.reshape(out, (out.shape[1],))
 
 
 def test_gate_closed_is_base_projection():
@@ -43,6 +53,18 @@ def test_rank_one_hand_arithmetic():
     w = Tensor(np.eye(2))
     out = conditional_project(w, pair, Tensor(np.array([2.0, 3.0])), m=True)
     np.testing.assert_allclose(out.data, [5.0, 3.0])
+
+
+def test_project_rows_matches_single_vector_oracle():
+    rng = np.random.default_rng(2)
+    w = Parameter("w", Tensor(rng.standard_normal((4, 4))))
+    pair = make_pair(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), 16, 2)
+    x = Tensor(rng.standard_normal((6, 4)))
+    gates = np.array([True, False, False, True, True, False])
+    out = project_rows(x, w, pair, np.flatnonzero(gates))
+    for i, m in enumerate(gates):
+        row = conditional_project(w.tensor, pair, Tensor(x.data[i]), m=bool(m))
+        np.testing.assert_allclose(out.data[i], row.data, rtol=1e-12, atol=1e-12)
 
 
 def test_comp_flags_derived_from_ids():
@@ -77,9 +99,8 @@ def test_fresh_adapters_identity_on_all_inputs(tiny_model64):
     adapters = AdapterSet.init(tiny_model64, comp_len=1, seed=3)
     tokens = np.array([1, 2, TINY.comp_token_id, 5])
     layout = tiny_model64.empty_layout()
-    with_a, _ = tiny_model64.forward(tokens, layout, causal_mask(0, 4),
-                                     adapters=adapters)
-    without, _ = tiny_model64.forward(tokens, layout, causal_mask(0, 4))
+    with_a, _ = tiny_model64.forward(tokens, layout, adapters=adapters)
+    without, _ = tiny_model64.forward(tokens, layout)
     assert np.array_equal(with_a.data, without.data)
 
 
@@ -92,9 +113,8 @@ def test_conditional_noop_on_comp_free_sequences(tiny_model64):
     adapters.comp_embedding.data[...] += 1.0
     tokens = rng.integers(0, TINY.comp_token_id, size=9)  # excludes comp id
     layout = tiny_model64.empty_layout()
-    with_a, _ = tiny_model64.forward(tokens, layout, causal_mask(0, 9),
-                                     adapters=adapters)
-    without, _ = tiny_model64.forward(tokens, layout, causal_mask(0, 9))
+    with_a, _ = tiny_model64.forward(tokens, layout, adapters=adapters)
+    without, _ = tiny_model64.forward(tokens, layout)
     assert np.array_equal(with_a.data, without.data)
 
 

@@ -1,11 +1,11 @@
-"""Model contracts: layout-based forward, mask exactness, positions, and
+"""Model contracts: layout-based forward, token-id checks, positions, and
 equivalence with an independent plain-numpy transformer reference."""
 
 import numpy as np
 import pytest
 
-from ccm.errors import CapacityError, ContractViolation
-from ccm.model import KVLayout, ModelConfig, ToyLM, causal_mask
+from ccm.errors import CapacityError, DataError
+from ccm.model import KVLayout, ModelConfig, ToyLM
 from conftest import TINY
 
 
@@ -58,7 +58,7 @@ def test_forward_matches_reference_transformer(tiny_model64):
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, TINY.vocab_size, size=12)
     layout = tiny_model64.empty_layout()
-    logits, _ = tiny_model64.forward(tokens, layout, causal_mask(0, 12))
+    logits, _ = tiny_model64.forward(tokens, layout)
     ref = reference_forward(tiny_model64, tokens)
     assert np.abs(logits.data - ref).max() < 1e-6
 
@@ -69,7 +69,7 @@ def test_forward_matches_reference_transformer(tiny_model64):
 
 def test_forward_shape_contract(tiny_model64):
     layout = tiny_model64.empty_layout()
-    logits, (k, v) = tiny_model64.forward([3], layout, causal_mask(0, 1))
+    logits, (k, v) = tiny_model64.forward([3], layout)
     assert logits.shape == (1, TINY.vocab_size)
     assert k.shape == (TINY.n_layers, 1, TINY.d_model)
     assert v.shape == (TINY.n_layers, 1, TINY.d_model)
@@ -78,8 +78,8 @@ def test_forward_shape_contract(tiny_model64):
 def test_forward_deterministic(tiny_model64):
     tokens = [1, 2, 3, 4]
     layout = tiny_model64.empty_layout()
-    a, _ = tiny_model64.forward(tokens, layout, causal_mask(0, 4))
-    b, _ = tiny_model64.forward(tokens, layout, causal_mask(0, 4))
+    a, _ = tiny_model64.forward(tokens, layout)
+    b, _ = tiny_model64.forward(tokens, layout)
     assert np.array_equal(a.data, b.data)
 
 
@@ -89,7 +89,7 @@ def test_forward_does_not_mutate_layout(tiny_model64):
     vals = rng.standard_normal((TINY.n_layers, 3, TINY.d_model))
     layout = tiny_model64.empty_layout().extended(keys, vals, ["memory-slot"] * 3)
     before = layout.keys.copy()
-    tiny_model64.forward([5, 6], layout, causal_mask(3, 2))
+    tiny_model64.forward([5, 6], layout)
     assert np.array_equal(layout.keys, before)
 
 
@@ -98,18 +98,18 @@ def test_layout_capacity_error():
                       max_layout=4)
     model = ToyLM.init(cfg, seed=0, dtype=np.float64)
     with pytest.raises(CapacityError):
-        model.forward([1, 2, 3, 4, 5], model.empty_layout(), causal_mask(0, 5))
+        model.forward([1, 2, 3, 4, 5], model.empty_layout())
 
 
-def test_mask_must_allow_self(tiny_model64):
-    mask = causal_mask(0, 3)
-    mask.allowed[1, 1] = False
-    with pytest.raises(ContractViolation):
-        tiny_model64.forward([1, 2, 3], tiny_model64.empty_layout(), mask)
+@pytest.mark.parametrize("bad", [-1, TINY.vocab_size])
+def test_token_ids_outside_vocabulary_rejected(tiny_model64, bad):
+    # -1 would otherwise read the pad row; vocab_size would index past the table
+    with pytest.raises(DataError):
+        tiny_model64.forward([1, bad, 2], tiny_model64.empty_layout())
 
 
 # ---------------------------------------------------------------------------
-# mask exactness and position binding
+# position binding
 
 
 def _random_layout(model, n, seed):
@@ -119,47 +119,32 @@ def _random_layout(model, n, seed):
     return KVLayout(keys, vals, ["memory-slot"] * n)
 
 
-def test_blocked_entries_contribute_nothing(tiny_model64):
-    layout = _random_layout(tiny_model64, 4, seed=2)
-    mask = causal_mask(4, 3)
-    mask.allowed[:, 1] = False  # block one memory entry for every query
-    logits, _ = tiny_model64.forward([7, 8, 9], layout, mask)
-
-    perturbed = KVLayout(layout.keys.copy(), layout.values.copy(), list(layout.tags))
-    perturbed.keys[:, 1, :] += 100.0
-    perturbed.values[:, 1, :] -= 50.0
-    logits2, _ = tiny_model64.forward([7, 8, 9], perturbed, mask)
-    assert np.array_equal(logits.data, logits2.data)
-
-
 def test_swapping_identical_entries_is_noop(tiny_model64):
     layout = _random_layout(tiny_model64, 3, seed=3)
     layout.keys[:, 2] = layout.keys[:, 0]
     layout.values[:, 2] = layout.values[:, 0]
-    mask = causal_mask(3, 2)
-    base, _ = tiny_model64.forward([4, 5], layout, mask)
+    base, _ = tiny_model64.forward([4, 5], layout)
 
     swapped = KVLayout(layout.keys[:, [2, 1, 0], :], layout.values[:, [2, 1, 0], :],
                        list(layout.tags))
-    out, _ = tiny_model64.forward([4, 5], swapped, mask)
+    out, _ = tiny_model64.forward([4, 5], swapped)
     assert np.array_equal(base.data, out.data)
 
 
 def test_swapping_distinct_entries_changes_output(tiny_model64):
     # positions are bound to layout order, so moving content moves meaning
     layout = _random_layout(tiny_model64, 3, seed=4)
-    mask = causal_mask(3, 2)
-    base, _ = tiny_model64.forward([4, 5], layout, mask)
+    base, _ = tiny_model64.forward([4, 5], layout)
     swapped = KVLayout(layout.keys[:, [1, 0, 2], :], layout.values[:, [1, 0, 2], :],
                        list(layout.tags))
-    out, _ = tiny_model64.forward([4, 5], swapped, mask)
+    out, _ = tiny_model64.forward([4, 5], swapped)
     assert not np.allclose(base.data, out.data)
 
 
 def test_kv_causality_within_call(tiny_model64):
     layout = tiny_model64.empty_layout()
-    _, (k3, v3) = tiny_model64.forward([1, 2, 3], layout, causal_mask(0, 3))
-    _, (k2, v2) = tiny_model64.forward([1, 2], layout, causal_mask(0, 2))
+    _, (k3, v3) = tiny_model64.forward([1, 2, 3], layout)
+    _, (k2, v2) = tiny_model64.forward([1, 2], layout)
     assert np.allclose(k3[:, :2], k2, atol=1e-12)
     assert np.allclose(v3[:, :2], v2, atol=1e-12)
 
@@ -182,8 +167,7 @@ def test_greedy_decode_deterministic(tiny_model64):
 def test_greedy_decode_matches_teacher_forcing(tiny_model64):
     out, peak = tiny_model64.greedy_decode(tiny_model64.empty_layout(), [1, 2], 4)
     tokens = np.concatenate([[1, 2], out])
-    logits, _ = tiny_model64.forward(tokens, tiny_model64.empty_layout(),
-                                     causal_mask(0, tokens.size))
+    logits, _ = tiny_model64.forward(tokens, tiny_model64.empty_layout())
     # row i predicts tokens[i+1]; rows 1..4 must reproduce the decode
     assert np.array_equal(logits.data[1:5].argmax(axis=1), out)
     assert peak == 2 + 4
@@ -195,6 +179,6 @@ def test_checkpoint_roundtrip(tmp_path, tiny_model64):
     loaded = ToyLM.load(path)
     assert loaded.config == tiny_model64.config
     tokens = [1, 2, 3]
-    a, _ = tiny_model64.forward(tokens, tiny_model64.empty_layout(), causal_mask(0, 3))
-    b, _ = loaded.forward(tokens, loaded.empty_layout(), causal_mask(0, 3))
+    a, _ = tiny_model64.forward(tokens, tiny_model64.empty_layout())
+    b, _ = loaded.forward(tokens, loaded.empty_layout())
     assert np.array_equal(a.data, b.data)
