@@ -15,8 +15,8 @@ against a step-by-step oracle.
 from .errors import (CapacityError, CcmError, ContractViolation, DataError,
                      DimensionError, UsageError)
 from .lora import AdapterSet, LoRAPair, comp_flags, trainable_parameters
-from .memory import (CompressedSlots, ContextMemory, compress_segment,
-                     update_concat, update_ema, update_merge)
+from .memory import (ContextMemory, compress_segment, update_concat, update_ema,
+                     update_merge)
 from .model import KVLayout, ModelConfig, ToyLM
 from .optim import Adam, SGD, cosine_lr
 from .tensor import Parameter, Tensor, finite_difference_check
@@ -27,15 +27,14 @@ from .training import (ParallelMask, Recipe, TrainingSequence,
                        training_forward)
 
 __all__ = [
-    "Adam", "AdapterSet", "CapacityError", "CcmError", "CompressedSlots",
-    "ContextMemory", "ContractViolation", "DataError", "DimensionError",
-    "KVLayout", "LoRAPair", "ModelConfig", "ParallelMask", "Parameter",
-    "Recipe", "SGD", "Tensor", "ToyLM", "TrainingSequence", "UsageError",
-    "build_parallel_mask", "build_training_sequence", "comp_flags",
-    "compress_segment", "cosine_lr", "finite_difference_check",
-    "parallel_memory_update", "pretrain", "recursive_reference_forward",
-    "train_compression", "trainable_parameters", "training_forward",
-    "update_concat", "update_ema", "update_merge",
+    "Adam", "AdapterSet", "CapacityError", "CcmError", "ContextMemory",
+    "ContractViolation", "DataError", "DimensionError", "KVLayout", "LoRAPair",
+    "ModelConfig", "ParallelMask", "Parameter", "Recipe", "SGD", "Tensor", "ToyLM",
+    "TrainingSequence", "UsageError", "build_parallel_mask",
+    "build_training_sequence", "comp_flags", "compress_segment", "cosine_lr",
+    "finite_difference_check", "parallel_memory_update", "pretrain",
+    "recursive_reference_forward", "train_compression", "trainable_parameters",
+    "training_forward", "update_concat", "update_ema", "update_merge",
 ]
 
 __version__ = "0.1.0"

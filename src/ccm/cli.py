@@ -3,16 +3,13 @@ session evaluation, streaming, and complexity sweeps.
 
 Every command is deterministic under its flags and seed: reruns produce
 byte-identical CSV artifacts. Exit codes: 0 ok, 1 usage error, 2 data
-error, 3 numeric contract violation. ``CCM_THREADS`` caps evaluation
-parallelism.
+error, 3 numeric contract violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +18,7 @@ from .complexity import ComplexityParams, llama_7b_params, sweep_rows
 from .engine import Session, StreamCaps, evaluate_multichoice, evaluate_perplexity
 from .errors import CcmError, ContractViolation, DataError, UsageError
 from .lora import AdapterSet
+from .memory import MEMORY_POLICIES
 from .model import ToyLM
 from .seeding import derive_seed
 from .taskgen import (ICLDataset, VocabSpec, gen_icl_dataset, gen_iid_stream,
@@ -30,7 +28,7 @@ from .taskgen import (ICLDataset, VocabSpec, gen_icl_dataset, gen_iid_stream,
                       write_stream_dataset, StreamVocab)
 from .training import Recipe, pretrain, train_compression, write_metrics_csv
 
-EVAL_POLICIES = ("concat", "merge", "ema", "independent", "full", "none")
+EVAL_POLICIES = MEMORY_POLICIES + ("full", "none")
 STREAM_POLICIES = ("concat", "sliding")
 
 
@@ -127,10 +125,9 @@ def cmd_pretrain(args) -> int:
 def cmd_train_compress(args) -> int:
     data = read_dataset(args.data)
     model = ToyLM.load(args.model)
-    model.freeze()
     recipe = _load_recipe(args, steps=args.steps, batch=args.batch, lr=args.lr,
                           seed=args.seed, policy=args.policy, s=args.slots)
-    if recipe.policy not in ("concat", "merge", "ema", "independent"):
+    if recipe.policy not in MEMORY_POLICIES:
         raise UsageError(f"--policy {recipe.policy!r} is not a training policy")
     if isinstance(data, ICLDataset):
         recipe.T = data.T
@@ -152,8 +149,7 @@ def cmd_train_compress(args) -> int:
 
 
 def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
-              policy: str, max_eval: int | None = None,
-              threads: int = 1) -> list[list]:
+              policy: str, max_eval: int | None = None) -> list[list]:
     """One row per t = 1..T: accuracy and measured KV counts."""
     samples = ds.test if max_eval is None else ds.test[:max(max_eval, 0)]
     if not samples:
@@ -174,11 +170,7 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
                           max(comp_peak, infer_peak)))
         return per_t
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_identity, samples))
-    else:
-        results = [run_identity(s) for s in samples]
+    results = [run_identity(s) for s in samples]
 
     rows = []
     for t in range(1, ds.T + 1):
@@ -193,15 +185,12 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
 def cmd_eval(args) -> int:
     if args.policy not in EVAL_POLICIES:
         raise UsageError(f"--policy must be one of {EVAL_POLICIES}")
-    if args.policy in ("concat", "merge", "ema", "independent") \
-            and args.adapters is None:
+    if args.policy in MEMORY_POLICIES and args.adapters is None:
         raise UsageError(f"policy {args.policy!r} needs --adapters")
     ds = _require_icl(read_dataset(args.data))
     model = ToyLM.load(args.model)
-    model.freeze()
     adapters = AdapterSet.load(args.adapters, model) if args.adapters else None
-    threads = int(os.environ.get("CCM_THREADS", "1"))
-    rows = eval_rows(model, adapters, ds, args.policy, args.max_eval, threads)
+    rows = eval_rows(model, adapters, ds, args.policy, args.max_eval)
     _write_csv(args.out, ["policy", "t", "accuracy", "context_kv_entries",
                           "peak_kv_entries"], rows)
     print(f"wrote {args.out}")
@@ -219,7 +208,6 @@ def cmd_stream(args) -> int:
     if args.stream_index >= len(streams):
         raise DataError(f"stream index {args.stream_index} out of range")
     model = ToyLM.load(args.model)
-    model.freeze()
     adapters = AdapterSet.load(args.adapters, model) if args.adapters else None
     tokens = np.asarray(streams[args.stream_index].tokens, dtype=np.intp)
     if args.length:

@@ -7,13 +7,14 @@ prompt, ``fixed`` recompresses the whole accumulated context every step,
 ``none`` ignores context entirely.
 
 Streaming processes tokens one at a time inside a hard entry budget
-[sink | compressed region | sliding window]; when the window fills, the
-oldest chunk of raw KV is compressed into slots appended to the
-compressed region (whose own oldest slot group is evicted at capacity).
-Position ids are reassigned sequentially over the layout at every step,
-which is free because stored keys are unrotated. Setting the compressed
-region's capacity to zero turns the stream into the plain
-attention-sink + sliding-window baseline with the same budget.
+[sink | compressed region | sliding window], held as one KVLayout; when
+the window fills, the oldest chunk of raw KV is compressed into slots
+appended to the compressed region (whose own oldest slot group is evicted
+at capacity). Position ids are reassigned sequentially over the layout at
+every step, which is free because stored keys are unrotated. Setting the
+compressed region's capacity to zero turns the stream into the plain
+attention-sink + sliding-window baseline with the same budget; a window as
+long as the stream is the unbounded ``full`` cache.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import numpy as np
 
 from .errors import ContractViolation, UsageError
 from .lora import AdapterSet
-from .memory import (ContextMemory, CompressedSlots, compress_from_kv,
+from .memory import (MEMORY_POLICIES, ContextMemory, compress_from_kv,
                      compress_segment)
-from .model import TAG_CONTEXT, TAG_SINK, KVLayout, ToyLM
+from .model import KVLayout, ToyLM
 from .tensor import log_softmax_rows
 
-SESSION_POLICIES = ("concat", "merge", "ema", "independent", "none", "full", "fixed")
-MEMORY_POLICIES = ("concat", "merge", "ema", "independent")
+SESSION_POLICIES = MEMORY_POLICIES + ("none", "full", "fixed")
 
 
 @dataclass
@@ -64,7 +64,7 @@ class Session:
         self.memory = (ContextMemory(policy, ema_a=ema_a)
                        if policy in MEMORY_POLICIES else None)
         self.raw_segments: list[np.ndarray] = []   # full / fixed
-        self.fixed_slots: CompressedSlots | None = None
+        self.fixed_slots: KVLayout | None = None
 
     # -- context ingestion -------------------------------------------------------
 
@@ -101,7 +101,7 @@ class Session:
         if self.policy == "full":
             return int(sum(seg.size for seg in self.raw_segments))
         if self.policy == "fixed":
-            return 0 if self.fixed_slots is None else self.fixed_slots.n_slots
+            return 0 if self.fixed_slots is None else self.fixed_slots.n_entries
         return 0
 
     def _inference_inputs(self, inputs: np.ndarray) -> tuple[KVLayout, np.ndarray]:
@@ -112,10 +112,7 @@ class Session:
             parts = self.raw_segments + [inputs]
             return self.model.empty_layout(), np.concatenate(parts)
         if self.policy == "fixed" and self.fixed_slots is not None:
-            layout = self.model.empty_layout().extended(
-                self.fixed_slots.keys, self.fixed_slots.values,
-                ["memory-slot"] * self.fixed_slots.n_slots)
-            return layout, inputs
+            return self.fixed_slots, inputs
         return self.model.empty_layout(), inputs
 
     # -- prediction -----------------------------------------------------------------
@@ -177,7 +174,9 @@ class StreamCaps:
     def __post_init__(self):
         if self.chunk > self.window:
             raise UsageError(f"chunk {self.chunk} exceeds window {self.window}")
-        if min(self.n_sink, self.window, self.chunk, self.comp_len) < 0:
+        if self.chunk < 1:
+            raise UsageError(f"chunk {self.chunk} must be at least 1")
+        if min(self.n_sink, self.ccm_entries, self.window, self.comp_len) < 0:
             raise UsageError("stream caps must be non-negative")
 
     @property
@@ -191,7 +190,12 @@ class StreamCaps:
 
 
 class StreamState:
-    """KV bookkeeping for one token stream under a fixed budget."""
+    """KV bookkeeping for one token stream under a fixed budget.
+
+    ``layout`` is [sink | compressed region | window]: the first ``n_sink``
+    entries are the sink, the next ``ccm_entry_count`` the compressed
+    region, and the rest the window.
+    """
 
     def __init__(self, model: ToyLM, adapters: AdapterSet | None, caps: StreamCaps):
         if caps.ccm_entries > 0 and adapters is None:
@@ -203,41 +207,32 @@ class StreamState:
         self.model = model
         self.adapters = adapters
         self.caps = caps
-        self.sink = model.empty_layout()
-        self.window = model.empty_layout()
-        self.ccm: list[CompressedSlots] = []
+        self.layout = model.empty_layout()
+        self.n_sink = 0
+        self.ccm_entry_count = 0
         self.events = 0
 
     @property
-    def ccm_entry_count(self) -> int:
-        return sum(s.n_slots for s in self.ccm)
-
-    @property
-    def kv_total(self) -> int:
-        return self.sink.n_entries + self.ccm_entry_count + self.window.n_entries
-
-    def _ccm_layout(self) -> KVLayout:
-        out = self.model.empty_layout()
-        for s in self.ccm:
-            out = out.extended(s.keys, s.values, ["memory-slot"] * s.n_slots)
-        return out
-
-    def _full_layout(self) -> KVLayout:
-        return self.sink.concat(self._ccm_layout()).concat(self.window)
+    def window_entries(self) -> int:
+        return self.layout.n_entries - self.n_sink - self.ccm_entry_count
 
     def _compress_oldest_chunk(self) -> None:
-        b = self.caps.chunk
-        chunk_k = self.window.keys[:, :b, :]
-        chunk_v = self.window.values[:, :b, :]
+        lo = self.n_sink
+        hi = lo + self.ccm_entry_count
+        rest = hi + self.caps.chunk
+        region = []
         if self.caps.ccm_entries > 0:
-            slots = compress_from_kv(self.model, self.adapters, self._ccm_layout(),
-                                     chunk_k, chunk_v, produced_at=self.events + 1)
-            self.ccm.append(slots)
-            while self.ccm_entry_count > self.caps.ccm_entries:
-                self.ccm.pop(0)  # emit the oldest compressed slot group
-        self.window = KVLayout(self.window.keys[:, b:, :],
-                               self.window.values[:, b:, :],
-                               self.window.tags[b:])
+            # the new slot group sees the whole region, then the oldest go
+            slots = compress_from_kv(self.model, self.adapters,
+                                     self.layout.entries(lo, rest))
+            n = self.ccm_entry_count + slots.n_entries
+            while n > self.caps.ccm_entries:
+                n -= slots.n_entries  # emit the oldest compressed slot group
+            if n:
+                region = [self.layout.entries(hi - n + slots.n_entries, hi), slots]
+            self.ccm_entry_count = n
+        self.layout = self.layout.entries(0, lo).extended(
+            *region, self.layout.entries(rest))
         self.events += 1
 
 
@@ -249,18 +244,15 @@ def streaming_step(state: StreamState, token: int) -> tuple[np.ndarray, int, boo
     then in the window. The window triggers chunk compression when full.
     """
     event = False
-    if state.window.n_entries >= state.caps.window:
+    if state.window_entries >= state.caps.window:
         state._compress_oldest_chunk()
         event = True
-    layout = state._full_layout()
-    logits, (k, v) = state.model.forward(np.array([token], dtype=np.intp), layout,
-                                         adapters=state.adapters)
-    kv_total = layout.n_entries + 1
-    if state.sink.n_entries < state.caps.n_sink:
-        state.sink = state.sink.extended(k, v, [TAG_SINK])
-    else:
-        state.window = state.window.extended(k, v, [TAG_CONTEXT])
-    return logits.data[0], kv_total, event
+    logits, (k, v) = state.model.forward(np.array([token], dtype=np.intp),
+                                         state.layout, adapters=state.adapters)
+    state.layout = state.layout.extended(KVLayout(k, v))
+    if state.n_sink < state.caps.n_sink:
+        state.n_sink += 1
+    return logits.data[0], state.layout.n_entries, event
 
 
 @dataclass
@@ -280,39 +272,16 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
     """Per-token perplexity of a stream under a KV constraint.
 
     Policies: ``concat`` (compressed streaming), ``sliding`` (equal-budget
-    attention-sink window), ``full`` (unbounded cache), ``none`` (each
-    token predicted from the previous token alone).
+    attention-sink window), ``full`` (unbounded cache: a window as long as
+    the stream), ``none`` (each token predicted from the previous token
+    alone).
     """
     stream = np.asarray(stream, dtype=np.intp)
     if stream.size < 2:
         raise ContractViolation("stream too short to evaluate")
     nll, totals, events = [], [], []
 
-    if policy in ("concat", "sliding"):
-        if caps is None:
-            raise UsageError(f"policy {policy!r} needs stream caps")
-        use = caps if policy == "concat" else caps.sliding_only()
-        state = StreamState(model, adapters if policy == "concat" else None, use)
-        last = None
-        for tok in stream:
-            if last is not None:
-                nll.append(-log_softmax_rows(last[None, :])[0, tok])
-            last, kv_total, event = streaming_step(state, int(tok))
-            totals.append(kv_total)
-            events.append(int(event))
-    elif policy == "full":
-        layout = model.empty_layout()
-        last = None
-        for tok in stream:
-            if last is not None:
-                nll.append(-log_softmax_rows(last[None, :])[0, tok])
-            logits, (k, v) = model.forward(np.array([tok], dtype=np.intp), layout,
-                                           adapters=adapters)
-            totals.append(layout.n_entries + 1)
-            events.append(0)
-            layout = layout.extended(k, v, [TAG_CONTEXT])
-            last = logits.data[0]
-    elif policy == "none":
+    if policy == "none":
         layout = model.empty_layout()
         for prev, tok in zip(stream[:-1], stream[1:]):
             logits, _ = model.forward(np.array([prev], dtype=np.intp), layout,
@@ -321,7 +290,24 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
             totals.append(1)
             events.append(0)
     else:
-        raise UsageError(f"unknown streaming policy {policy!r}")
+        if policy == "full":
+            state = StreamState(model, adapters, StreamCaps(
+                n_sink=0, ccm_entries=0, window=stream.size, chunk=1))
+        elif policy not in ("concat", "sliding"):
+            raise UsageError(f"unknown streaming policy {policy!r}")
+        elif caps is None:
+            raise UsageError(f"policy {policy!r} needs stream caps")
+        elif policy == "concat":
+            state = StreamState(model, adapters, caps)
+        else:
+            state = StreamState(model, None, caps.sliding_only())
+        last = None
+        for tok in stream:
+            if last is not None:
+                nll.append(-log_softmax_rows(last[None, :])[0, tok])
+            last, kv_total, event = streaming_step(state, int(tok))
+            totals.append(kv_total)
+            events.append(int(event))
 
     nll = np.asarray(nll)
     return StreamResult(nll, np.asarray(totals, dtype=np.intp),

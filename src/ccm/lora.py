@@ -103,6 +103,7 @@ class AdapterSet:
 
     @classmethod
     def load(cls, path, model) -> "AdapterSet":
+        """Adapters from a checkpoint, frozen: inference records no tape."""
         arrays, meta = load_arrays(path)
         if meta.get("kind") != "adapters":
             raise DataError(f"{path}: not an adapter checkpoint")
@@ -114,15 +115,19 @@ class AdapterSet:
             if arrays[p.name].shape != p.data.shape:
                 raise DataError(f"{path}: shape mismatch for {p.name!r}")
             p.data[...] = arrays[p.name].astype(p.data.dtype)
+            p.freeze()
         return adapters
 
 
 def trainable_parameters(model, adapters: AdapterSet) -> list[Parameter]:
     """Exactly the compression-stage trainables: LoRA tensors + shared embedding row.
 
-    The base model must already be frozen.
+    The base model must already be frozen; the adapter parameters are thawed.
     """
     thawed = [p.name for p in model.parameters() if p.trainable]
     if thawed:
         raise ContractViolation(f"base model not frozen: {thawed[:3]}...")
-    return adapters.parameters()
+    params = adapters.parameters()
+    for p in params:
+        p.thaw()
+    return params

@@ -1,12 +1,12 @@
 """Decoder-only transformer with an externally managed KV layout.
 
-The attention cache is explicit: callers hand ``forward`` a KVLayout whose
-entries may come from anywhere (raw tokens, compressed memory slots, a
-streaming window). Keys are stored UNROTATED; rotary position encoding is
-applied at attention time with sequential position ids 0..m-1 assigned
-over [memory entries | current tokens]. This makes memory entries
-position-free: averaging them stays well defined and streaming
-reassignment of positions is a no-op.
+The attention cache is explicit: callers hand ``forward`` a KVLayout, the
+library's one KV type, whose entries may come from anywhere (raw tokens,
+compressed memory slots, a streaming window). Keys are stored UNROTATED;
+rotary position encoding is applied at attention time with sequential
+position ids 0..m-1 assigned over [memory entries | current tokens]. This
+makes memory entries position-free: averaging them stays well defined and
+streaming reassignment of positions is a no-op.
 
 The one layer loop, ``forward_groups``, runs tokens as query groups: a
 token range plus the memory it reads at each layer. A group sees all of
@@ -19,7 +19,7 @@ an untied output head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,46 +74,42 @@ class ModelConfig:
         return cls(**d)
 
 
-# tags recording where a layout entry came from
-TAG_MEMORY = "memory-slot"
-TAG_CONTEXT = "context-token"
-TAG_INPUT = "input-token"
-TAG_SINK = "sink-token"
-
-
 @dataclass
 class KVLayout:
     """Per-layer unrotated key/value entries visible to attention.
 
     ``keys`` and ``values`` have shape [n_layers, n, d_model]; every layer
-    holds the same entry count. ``tags`` records per-entry provenance.
+    holds the same entry count. Layouts are built by ``extended``, the one
+    place that concatenates KV entries.
     """
 
     keys: np.ndarray
     values: np.ndarray
-    tags: list[str] = field(default_factory=list)
 
     @classmethod
     def empty(cls, n_layers: int, d_model: int, dtype) -> "KVLayout":
         z = np.zeros((n_layers, 0, d_model), dtype=dtype)
-        return cls(z, z.copy(), [])
+        return cls(z, z.copy())
 
     @property
     def n_entries(self) -> int:
         return self.keys.shape[1]
 
-    def extended(self, keys: np.ndarray, values: np.ndarray,
-                 tags: Sequence[str]) -> "KVLayout":
-        if keys.shape != values.shape or keys.shape[0] != self.keys.shape[0]:
-            raise DimensionError("layout extension shape mismatch")
-        if keys.shape[1] != len(tags):
-            raise DimensionError("one tag per new entry required")
-        return KVLayout(np.concatenate([self.keys, keys], axis=1),
-                        np.concatenate([self.values, values], axis=1),
-                        self.tags + list(tags))
+    def entries(self, start: int, stop: int | None = None) -> "KVLayout":
+        """Entries [start, stop) as a view (no copy)."""
+        return KVLayout(self.keys[:, start:stop], self.values[:, start:stop])
 
-    def concat(self, other: "KVLayout") -> "KVLayout":
-        return self.extended(other.keys, other.values, other.tags)
+    def extended(self, *parts: "KVLayout") -> "KVLayout":
+        """Self followed by ``parts``, made in one copy in self's dtype."""
+        for part in parts:
+            if part.keys.shape != part.values.shape \
+                    or part.keys.shape[::2] != self.keys.shape[::2]:
+                raise DimensionError("layout extension shape mismatch")
+        dtype = self.keys.dtype
+        return KVLayout(
+            np.concatenate([self.keys] + [p.keys for p in parts], axis=1, dtype=dtype),
+            np.concatenate([self.values] + [p.values for p in parts], axis=1,
+                           dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +285,7 @@ class ToyLM:
 
     def thaw(self) -> None:
         for p in self.parameters():
-            p.trainable = True
-            p.tensor.requires_grad = True
+            p.thaw()
 
     def empty_layout(self) -> KVLayout:
         return KVLayout.empty(self.config.n_layers, self.config.d_model, self.dtype)
@@ -308,6 +303,7 @@ class ToyLM:
 
     @classmethod
     def load(cls, path, dtype=None) -> "ToyLM":
+        """A model from a checkpoint, frozen: inference records no tape."""
         arrays, meta = load_arrays(path)
         if meta.get("kind") != "model":
             raise DataError(f"{path}: not a model checkpoint")
@@ -316,7 +312,7 @@ class ToyLM:
         for name, arr in arrays.items():
             if dtype is not None:
                 arr = arr.astype(dtype)
-            params[name] = Parameter(name, Tensor(arr))
+            params[name] = Parameter(name, Tensor(arr), trainable=False)
         return cls(config, params)
 
     # -- forward -------------------------------------------------------------------
@@ -356,14 +352,14 @@ class ToyLM:
         if input_tokens.size == 0:
             raise ContractViolation("greedy_decode needs at least one input token")
         logits, (k, v) = self.forward(input_tokens, layout, adapters=adapters)
-        work = layout.extended(k, v, [TAG_INPUT] * input_tokens.size)
+        work = layout.extended(KVLayout(k, v))
         out: list[int] = []
         last_logits = logits.data[-1]
         for _ in range(max_new):
             nxt = int(np.argmax(last_logits))
             out.append(nxt)
             logits, (k, v) = self.forward(np.array([nxt]), work, adapters=adapters)
-            work = work.extended(k, v, [TAG_INPUT])
+            work = work.extended(KVLayout(k, v))
             last_logits = logits.data[-1]
             if stop_token is not None and nxt == stop_token:
                 break

@@ -24,12 +24,6 @@ Array = np.ndarray
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
-def _check_float(a: Array) -> Array:
-    if a.dtype.type not in _FLOAT_DTYPES:
-        raise DimensionError(f"expected float32/float64 array, got {a.dtype}")
-    return a
-
-
 class Tensor:
     """A numpy array plus an optional gradient accumulator and tape entry."""
 
@@ -84,23 +78,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar (thin wrappers over module-level ops) -----------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS: training graphs routinely exceed the recursion limit.
@@ -137,6 +114,10 @@ class Parameter:
     def freeze(self) -> None:
         self.trainable = False
         self.tensor.requires_grad = False
+
+    def thaw(self) -> None:
+        self.trainable = True
+        self.tensor.requires_grad = True
 
     @property
     def data(self) -> Array:

@@ -30,15 +30,13 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
-from .memory import CompressedSlots, ContextMemory, compress_segment
-from .model import ToyLM, forward_groups
+from .memory import MEMORY_POLICIES, ContextMemory, compress_segment
+from .model import KVLayout, ToyLM, forward_groups
 from .optim import Adam, cosine_lr
 from .seeding import derive_seed
 from .tensor import Tensor
 
 ROLE_CONTEXT, ROLE_COMP, ROLE_INPUT, ROLE_OUTPUT = 0, 1, 2, 3
-
-TRAIN_POLICIES = ("concat", "merge", "ema", "independent")
 
 
 @dataclass
@@ -131,7 +129,7 @@ class ParallelMask:
 def build_parallel_mask(seq: TrainingSequence, policy: str) -> ParallelMask:
     """The paper's attention mask over the whole sequence (the tests check
     that it equals the group plan of ``training_forward``)."""
-    if policy not in TRAIN_POLICIES:
+    if policy not in MEMORY_POLICIES:
         raise UsageError(f"unknown training policy {policy!r}")
     n, t, s = seq.n_tokens, seq.t, seq.s
     merged = policy in ("merge", "ema")
@@ -250,7 +248,7 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence,
 @dataclass
 class RecursiveResult:
     io_logits: np.ndarray               # [|I| + |O|, vocab]
-    slots: list[CompressedSlots]        # h(1..t)
+    slots: list[KVLayout]               # h(1..t)
     memory: ContextMemory               # Mem(t)
 
 
@@ -259,7 +257,7 @@ def recursive_reference_forward(model: ToyLM, adapters: AdapterSet,
                                 policy: str, t: int,
                                 ema_a: float = 0.5) -> RecursiveResult:
     """Literal sequential execution: compress, update, then infer on Mem(t)."""
-    if policy not in TRAIN_POLICIES:
+    if policy not in MEMORY_POLICIES:
         raise UsageError(f"unknown policy {policy!r}")
     segments, inputs, outputs = sample
     mem = ContextMemory(policy, ema_a=ema_a)

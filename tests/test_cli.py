@@ -106,6 +106,18 @@ def test_stream_command_budget(tiny_pipeline, stream_data, tmp_path):
     assert max(kv) <= 25  # sink + window
 
 
+@pytest.mark.parametrize("chunk", ["0", "-3"])
+def test_stream_chunk_below_one_is_usage_error(tiny_pipeline, stream_data, tmp_path,
+                                               chunk):
+    # a zero chunk used to drain nothing and let the cache outgrow its budget
+    _, model, adapters = tiny_pipeline
+    out = tmp_path / "stream.csv"
+    assert run("stream", "--data", stream_data, "--model", model, "--adapters",
+               adapters, "--policy", "concat", "--out", out, "--chunk", chunk,
+               "--slots", "1", "--length", "200") == 1
+    assert not out.exists()
+
+
 def test_complexity_sweep_values(tmp_path):
     out = tmp_path / "cx.csv"
     assert run("complexity", "--out", out, "--t-max", "16", "--lc", "50",

@@ -3,7 +3,10 @@ snapshot resume, budget caps, and the equal-budget sliding baseline."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccm import engine
 from ccm.engine import (Session, StreamCaps, StreamState, evaluate_multichoice,
                         evaluate_perplexity, streaming_step)
 from ccm.errors import ContractViolation, UsageError
@@ -126,6 +129,30 @@ def test_session_resume_from_snapshot(tmp_path, model, adapters):
     assert np.array_equal(a, b)
 
 
+def test_inference_from_checkpoints_records_no_tape(tmp_path, monkeypatch,
+                                                    model, adapters):
+    model.save(tmp_path / "model.ckpt")
+    adapters.save(tmp_path / "adapters.ckpt")
+    model = ToyLM.load(tmp_path / "model.ckpt")
+    loaded = AdapterSet.load(tmp_path / "adapters.ckpt", model)
+    logits = []
+    forward = ToyLM.forward
+
+    def recording(self, *args, **kwargs):
+        out = forward(self, *args, **kwargs)
+        logits.append(out[0])
+        return out
+
+    monkeypatch.setattr(ToyLM, "forward", recording)
+    session = Session(model, loaded, "concat")
+    for seg in ([1, 2, 3], [4, 5]):
+        session.ingest(seg)
+        evaluate_multichoice(session, [6, 7], [[8], [9]])
+    evaluate_perplexity(model, loaded, "concat", np.arange(40) % 20, SMALL_CAPS)
+    assert len(logits) > 40
+    assert not any(x.requires_grad or x._backward for x in logits)
+
+
 # ---------------------------------------------------------------------------
 # multichoice
 
@@ -171,33 +198,106 @@ def test_stream_caps_reject_chunk_over_window():
         StreamCaps(n_sink=1, ccm_entries=4, window=4, chunk=8, comp_len=2)
 
 
+class RecordCompressions:
+    """Collects the context and the slot group of every ``compress_from_kv``
+    call the engine makes."""
+
+    def __enter__(self):
+        self.contexts, self.groups = [], []
+        self.orig = engine.compress_from_kv
+
+        def recording(model, adapters, context):
+            out = self.orig(model, adapters, context)
+            self.contexts.append(context)
+            self.groups.append(out)
+            return out
+
+        engine.compress_from_kv = recording
+        return self
+
+    def __exit__(self, *exc):
+        engine.compress_from_kv = self.orig
+
+
+def stream_checked(model, adapters, caps, tokens) -> StreamState:
+    """Stream ``tokens``, checking the layout's three regions after every step.
+
+    The sink holds the first ``n_sink`` tokens' KV, the compressed region the
+    newest whole slot groups ``compress_from_kv`` returned (as many as fit),
+    and the window the newest tokens' KV; the total stays within the budget.
+    Each compression reads [compressed region | oldest window chunk].
+    """
+    state = StreamState(model, adapters, caps)
+    token_kv = []  # each token's KV is the last layout entry after its step
+    with RecordCompressions() as rec:
+        for tok in tokens:
+            before, lo = state.layout, state.n_sink
+            n_read = state.ccm_entry_count + caps.chunk
+            _, kv_total, event = streaming_step(state, int(tok))
+            if event and caps.ccm_entries:
+                read = rec.contexts[-1]
+                np.testing.assert_array_equal(read.keys, before.keys[:, lo:lo + n_read])
+                np.testing.assert_array_equal(read.values,
+                                              before.values[:, lo:lo + n_read])
+            layout = state.layout
+            token_kv.append((layout.keys[:, -1], layout.values[:, -1]))
+            assert kv_total == layout.n_entries <= caps.total
+            n_sink, n_ccm, n_win = (state.n_sink, state.ccm_entry_count,
+                                    state.window_entries)
+            assert n_sink == min(len(token_kv), caps.n_sink)
+            assert n_win <= caps.window
+            n_groups = min(len(rec.groups), caps.ccm_entries // caps.comp_len)
+            groups = rec.groups[len(rec.groups) - n_groups:] if n_groups else []
+            assert n_ccm == n_groups * caps.comp_len
+            sink = token_kv[:n_sink]
+            window = token_kv[len(token_kv) - n_win:]
+            want_k = [k[:, None] for k, _ in sink] + [g.keys for g in groups] \
+                + [k[:, None] for k, _ in window]
+            want_v = [v[:, None] for _, v in sink] + [g.values for g in groups] \
+                + [v[:, None] for _, v in window]
+            np.testing.assert_array_equal(layout.keys, np.concatenate(want_k, axis=1))
+            np.testing.assert_array_equal(layout.values, np.concatenate(want_v, axis=1))
+        assert len(rec.groups) == (state.events if caps.ccm_entries else 0)
+    return state
+
+
 def test_stream_budget_and_layout_order(model, adapters):
     rng = np.random.default_rng(6)
-    state = StreamState(model, adapters, SMALL_CAPS)
-    saw_event = False
-    for tok in rng.integers(0, 20, size=200):
-        _, kv_total, event = streaming_step(state, int(tok))
-        assert kv_total <= SMALL_CAPS.total
-        saw_event = saw_event or event
-        layout = state._full_layout()
-        tags = layout.tags
-        # strict region order: sink entries, then memory slots, then window
-        order = {"sink-token": 0, "memory-slot": 1, "context-token": 2}
-        codes = [order[t] for t in tags]
-        assert codes == sorted(codes)
-    assert saw_event
-    assert state.ccm_entry_count <= SMALL_CAPS.ccm_entries
-    assert state.sink.n_entries == SMALL_CAPS.n_sink
+    state = stream_checked(model, adapters, SMALL_CAPS, rng.integers(0, 20, size=200))
+    assert state.events > 0
+    assert state.n_sink == SMALL_CAPS.n_sink
 
 
 def test_stream_eviction_emits_oldest(model, adapters):
     rng = np.random.default_rng(7)
-    state = StreamState(model, adapters, SMALL_CAPS)
-    for tok in rng.integers(0, 20, size=120):
-        streaming_step(state, int(tok))
-    stamps = [s.produced_at for s in state.ccm]
-    assert stamps == sorted(stamps)
-    assert state.events > len(stamps)  # older groups were evicted
+    state = stream_checked(model, adapters, SMALL_CAPS, rng.integers(0, 20, size=120))
+    # older groups were evicted: the region keeps fewer groups than events
+    assert state.events > state.ccm_entry_count // SMALL_CAPS.comp_len > 0
+
+
+_PROPERTY_MODEL = ToyLM.init(TINY, seed=7, dtype=np.float64)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_sink=st.integers(0, 3), ccm_entries=st.integers(0, 6),
+       window=st.integers(1, 12), chunk_frac=st.floats(0.0, 1.0),
+       s=st.integers(1, 3), n_tokens=st.integers(1, 40), seed=st.integers(0, 99))
+def test_stream_regions_property(n_sink, ccm_entries, window, chunk_frac, s,
+                                 n_tokens, seed):
+    chunk = 1 + int(chunk_frac * (window - 1))
+    caps = StreamCaps(n_sink=n_sink, ccm_entries=ccm_entries, window=window,
+                      chunk=chunk, comp_len=s)
+    adapters = AdapterSet.init(_PROPERTY_MODEL, rank=2, alpha=4.0, comp_len=s, seed=seed)
+    rng = np.random.default_rng(seed)
+    stream_checked(_PROPERTY_MODEL, adapters, caps, rng.integers(0, 20, size=n_tokens))
+
+
+@pytest.mark.parametrize("bad", [{"chunk": 0}, {"chunk": -1}, {"ccm_entries": -1}])
+def test_stream_caps_reject_values_that_break_the_budget(bad):
+    # chunk 0 never drains the window; a negative region shrinks only the total
+    with pytest.raises(UsageError):
+        StreamCaps(**{"n_sink": 1, "ccm_entries": 4, "window": 8, "chunk": 4,
+                      "comp_len": 2, **bad})
 
 
 def test_sliding_only_has_no_compression(model):

@@ -5,21 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccm.errors import ContractViolation
+from ccm.checkpoint import save_arrays
+from ccm.errors import ContractViolation, DataError
 from ccm.lora import AdapterSet
-from ccm.memory import (CompressedSlots, ContextMemory, compress_segment,
-                        update_concat, update_ema, update_merge)
+from ccm.memory import (ContextMemory, compress_segment, update_concat, update_ema,
+                        update_merge)
+from ccm.model import KVLayout
 from conftest import TINY
 
 
-def slots(rng, L=2, s=1, d=4, at=0):
-    return CompressedSlots(rng.standard_normal((L, s, d)),
-                           rng.standard_normal((L, s, d)), at)
+def slots(rng, L=2, s=1, d=4):
+    return KVLayout(rng.standard_normal((L, s, d)), rng.standard_normal((L, s, d)))
 
 
-def scalar_slots(value, at=0):
+def scalar_slots(value):
     arr = np.full((1, 1, 1), float(value))
-    return CompressedSlots(arr.copy(), arr.copy(), at)
+    return KVLayout(arr.copy(), arr.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,7 @@ def test_concat_base_case():
 def test_concat_preserves_order_and_counts():
     rng = np.random.default_rng(1)
     mem = ContextMemory("concat")
-    h1, h2 = slots(rng, s=2, at=1), slots(rng, s=2, at=2)
+    h1, h2 = slots(rng, s=2), slots(rng, s=2)
     mem = update_concat(update_concat(mem, h1), h2)
     assert mem.entry_count == 4  # 2 slots per update
     np.testing.assert_array_equal(mem.slots[0].keys, h1.keys)
@@ -50,7 +51,7 @@ def test_concat_sixteen_updates_with_eight_slots():
     rng = np.random.default_rng(2)
     mem = ContextMemory("concat")
     for t in range(16):
-        mem = update_concat(mem, slots(rng, s=8, at=t + 1))
+        mem = update_concat(mem, slots(rng, s=8))
     assert mem.entry_count == 128
 
 
@@ -76,7 +77,7 @@ def test_merge_entry_count_fixed():
     rng = np.random.default_rng(4)
     mem = ContextMemory("merge")
     for t in range(16):
-        mem = update_merge(mem, slots(rng, s=8, at=t + 1))
+        mem = update_merge(mem, slots(rng, s=8))
     assert mem.entry_count == 8
 
 
@@ -84,7 +85,7 @@ def test_merge_entry_count_fixed():
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2 ** 31))
 def test_merge_equals_elementwise_mean(n, seed):
     rng = np.random.default_rng(seed)
-    hs = [slots(rng, at=j + 1) for j in range(n)]
+    hs = [slots(rng) for j in range(n)]
     mem = ContextMemory("merge")
     for h in hs:
         mem = update_merge(mem, h)
@@ -118,7 +119,7 @@ def test_ema_a_one_keeps_latest():
     mem = ContextMemory("ema", ema_a=1.0)
     last = None
     for j in range(5):
-        last = slots(rng, at=j + 1)
+        last = slots(rng)
         mem = update_ema(mem, last, 1.0)
     np.testing.assert_array_equal(mem.running.keys, last.keys)
 
@@ -136,7 +137,7 @@ def test_ema_rejects_bad_coefficient():
        st.integers(min_value=0, max_value=2 ** 31))
 def test_ema_matches_closed_form(n, a, seed):
     rng = np.random.default_rng(seed)
-    hs = [slots(rng, at=j + 1) for j in range(n)]
+    hs = [slots(rng) for j in range(n)]
     mem = ContextMemory("ema", ema_a=a)
     for h in hs:
         mem = update_ema(mem, h, a)
@@ -157,13 +158,12 @@ def test_merge_layout_fixed_size(tiny_model64):
         mem = update_merge(mem, slots(rng, L=TINY.n_layers, s=2, d=TINY.d_model))
     layout = mem.layout(tiny_model64)
     assert layout.n_entries == 2
-    assert all(tag == "memory-slot" for tag in layout.tags)
 
 
 def test_concat_layout_chronological(tiny_model64):
     rng = np.random.default_rng(8)
     mem = ContextMemory("concat")
-    hs = [slots(rng, L=TINY.n_layers, s=2, d=TINY.d_model, at=j + 1) for j in range(3)]
+    hs = [slots(rng, L=TINY.n_layers, s=2, d=TINY.d_model) for j in range(3)]
     for h in hs:
         mem = update_concat(mem, h)
     layout = mem.layout(tiny_model64)
@@ -235,14 +235,15 @@ def test_memory_snapshot_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     mem = ContextMemory("concat")
     for j in range(3):
-        mem = update_concat(mem, slots(rng, at=j + 1))
+        mem = update_concat(mem, slots(rng))
     path = tmp_path / "mem.ckpt"
     mem.save(path)
     loaded = ContextMemory.load(path)
     assert loaded.policy == "concat" and loaded.count == 3
+    assert len(loaded.slots) == 3
     for a, b in zip(loaded.slots, mem.slots):
         np.testing.assert_array_equal(a.keys, b.keys)
-        assert a.produced_at == b.produced_at
+        np.testing.assert_array_equal(a.values, b.values)
 
     mem2 = ContextMemory("merge")
     for j in range(3):
@@ -251,3 +252,29 @@ def test_memory_snapshot_roundtrip(tmp_path):
     loaded2 = ContextMemory.load(path)
     np.testing.assert_array_equal(loaded2.running.keys, mem2.running.keys)
     assert loaded2.count == 3
+
+
+def test_memory_load_accepts_files_with_stamps(tmp_path):
+    # files written before the slot stamps were dropped still carry them
+    rng = np.random.default_rng(12)
+    hs = [slots(rng) for _ in range(2)]
+    arrays = {}
+    for i, h in enumerate(hs):
+        arrays[f"mem/{i}.k"], arrays[f"mem/{i}.v"] = h.keys, h.values
+    save_arrays(tmp_path / "old.ckpt", arrays, meta={
+        "kind": "memory", "policy": "concat", "ema_a": 0.5, "count": 2,
+        "produced_at": [1, 2]})
+    loaded = ContextMemory.load(tmp_path / "old.ckpt")
+    assert loaded.count == 2 and loaded.entry_count == 2
+    np.testing.assert_array_equal(loaded.slots[1].values, hs[1].values)
+
+
+@pytest.mark.parametrize("policy", ["concat", "merge"])
+def test_memory_load_rejects_missing_record(tmp_path, policy):
+    rng = np.random.default_rng(13)
+    h = slots(rng)
+    name = "mem/0" if policy == "concat" else "mem/run"
+    save_arrays(tmp_path / "mem.ckpt", {name + ".k": h.keys}, meta={
+        "kind": "memory", "policy": policy, "ema_a": 0.5, "count": 1})
+    with pytest.raises(DataError):
+        ContextMemory.load(tmp_path / "mem.ckpt")

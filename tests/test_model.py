@@ -4,7 +4,7 @@ equivalence with an independent plain-numpy transformer reference."""
 import numpy as np
 import pytest
 
-from ccm.errors import CapacityError, DataError
+from ccm.errors import CapacityError, DataError, DimensionError
 from ccm.model import KVLayout, ModelConfig, ToyLM
 from conftest import TINY
 
@@ -87,10 +87,23 @@ def test_forward_does_not_mutate_layout(tiny_model64):
     rng = np.random.default_rng(1)
     keys = rng.standard_normal((TINY.n_layers, 3, TINY.d_model))
     vals = rng.standard_normal((TINY.n_layers, 3, TINY.d_model))
-    layout = tiny_model64.empty_layout().extended(keys, vals, ["memory-slot"] * 3)
+    layout = tiny_model64.empty_layout().extended(KVLayout(keys, vals))
     before = layout.keys.copy()
     tiny_model64.forward([5, 6], layout)
     assert np.array_equal(layout.keys, before)
+
+
+def test_extended_joins_parts_in_order(tiny_model64):
+    parts = [_random_layout(tiny_model64, n, seed=n) for n in (2, 0, 3)]
+    joined = tiny_model64.empty_layout().extended(*parts)
+    assert joined.n_entries == 5
+    np.testing.assert_array_equal(joined.keys[:, 2:], parts[2].keys)
+    np.testing.assert_array_equal(joined.entries(0, 2).values, parts[0].values)
+    assert tiny_model64.astype(np.float32).empty_layout().extended(
+        parts[0]).keys.dtype == np.float32
+    bad = KVLayout(parts[0].keys[:, :, :4], parts[0].values[:, :, :4])
+    with pytest.raises(DimensionError):
+        joined.extended(bad)
 
 
 def test_layout_capacity_error():
@@ -116,7 +129,7 @@ def _random_layout(model, n, seed):
     rng = np.random.default_rng(seed)
     keys = rng.standard_normal((model.config.n_layers, n, model.config.d_model))
     vals = rng.standard_normal((model.config.n_layers, n, model.config.d_model))
-    return KVLayout(keys, vals, ["memory-slot"] * n)
+    return KVLayout(keys, vals)
 
 
 def test_swapping_identical_entries_is_noop(tiny_model64):
@@ -125,8 +138,7 @@ def test_swapping_identical_entries_is_noop(tiny_model64):
     layout.values[:, 2] = layout.values[:, 0]
     base, _ = tiny_model64.forward([4, 5], layout)
 
-    swapped = KVLayout(layout.keys[:, [2, 1, 0], :], layout.values[:, [2, 1, 0], :],
-                       list(layout.tags))
+    swapped = KVLayout(layout.keys[:, [2, 1, 0], :], layout.values[:, [2, 1, 0], :])
     out, _ = tiny_model64.forward([4, 5], swapped)
     assert np.array_equal(base.data, out.data)
 
@@ -135,8 +147,7 @@ def test_swapping_distinct_entries_changes_output(tiny_model64):
     # positions are bound to layout order, so moving content moves meaning
     layout = _random_layout(tiny_model64, 3, seed=4)
     base, _ = tiny_model64.forward([4, 5], layout)
-    swapped = KVLayout(layout.keys[:, [1, 0, 2], :], layout.values[:, [1, 0, 2], :],
-                       list(layout.tags))
+    swapped = KVLayout(layout.keys[:, [1, 0, 2], :], layout.values[:, [1, 0, 2], :])
     out, _ = tiny_model64.forward([4, 5], swapped)
     assert not np.allclose(base.data, out.data)
 

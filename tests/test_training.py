@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 import ccm.tensor as T
 from ccm.errors import DataError
 from ccm.lora import AdapterSet, trainable_parameters
+from ccm.memory import MEMORY_POLICIES
 from ccm.model import ModelConfig, ToyLM
 from ccm.tensor import finite_difference_check
 from ccm.training import (ROLE_COMP, ROLE_CONTEXT, ROLE_INPUT, ROLE_OUTPUT,
-                          TRAIN_POLICIES, Recipe, build_parallel_mask,
+                          Recipe, build_parallel_mask,
                           build_training_sequence, parallel_memory_update, pretrain,
                           recursive_reference_forward, train_compression,
                           training_forward)
@@ -62,7 +63,7 @@ def test_sequence_rejects_empty_segment():
 @st.composite
 def training_cases(draw):
     """(policy, t, s, sample): t in 1..5, s in 1..3, segments of 1..6 ids."""
-    policy = draw(st.sampled_from(TRAIN_POLICIES))
+    policy = draw(st.sampled_from(MEMORY_POLICIES))
     t = draw(st.integers(1, 5))
     s = draw(st.integers(1, 3))
     ids = st.integers(0, TINY.comp_token_id - 1)
@@ -195,7 +196,8 @@ def test_parallel_update_concat_widths():
 
 
 def test_parallel_update_matches_online_merge():
-    from ccm.memory import CompressedSlots, ContextMemory, update_merge
+    from ccm.memory import ContextMemory, update_merge
+    from ccm.model import KVLayout
     rng = np.random.default_rng(4)
     raw = [rng.standard_normal((1, 2, 3)) for _ in range(5)]
     tensors = [(T.Tensor(r.reshape(2, 3)), T.Tensor(r.reshape(2, 3))) for r in raw]
@@ -203,7 +205,7 @@ def test_parallel_update_matches_online_merge():
 
     online = ContextMemory("merge")
     for r in raw:
-        online = update_merge(online, CompressedSlots(r.copy(), r.copy()))
+        online = update_merge(online, KVLayout(r.copy(), r.copy()))
     np.testing.assert_allclose(mems[-1][0].data, online.running.keys.reshape(2, 3),
                                atol=1e-6)
 
@@ -385,6 +387,26 @@ def test_train_compression_decreases_loss_and_freezes_base():
     assert last < first
     for name, before in base_before.items():
         np.testing.assert_array_equal(model.params[name].data, before)
+
+
+def test_train_compression_updates_loaded_adapters(tmp_path, tiny_model64):
+    # loaded adapters come back frozen; training must thaw what it optimizes,
+    # so they train exactly like the trainable adapters they were saved from
+    tiny_model64.freeze()
+    fresh = make_adapters(tiny_model64, s=1, seed=3)
+    fresh.save(tmp_path / "adapters.ckpt")
+    loaded = AdapterSet.load(tmp_path / "adapters.ckpt", tiny_model64)
+    assert not any(p.tensor.requires_grad for p in loaded.parameters())
+    before = {p.name: p.data.copy() for p in loaded.parameters()}
+    recipe = Recipe(steps=1, batch=2, lr=1e-2, T=2, s=1, policy="concat", seed=4)
+    for adapters in (fresh, loaded):
+        train_compression(tiny_model64, adapters, _const_sampler(20, 2), recipe)
+    for a, b in zip(fresh.parameters(), loaded.parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
+    assert not np.array_equal(loaded.comp_embedding.data,
+                              before[loaded.comp_embedding.name])
+    assert not np.array_equal(loaded.pairs[(0, "k")].a.data,
+                              before[loaded.pairs[(0, "k")].a.name])
 
 
 def test_pretrain_runs_and_improves():
