@@ -23,14 +23,14 @@ def main():
     for t in range(1, 6):
         mem = update_concat(mem, slot(t))
         print(f"t={t}: entries={mem.entry_count}  "
-              f"slot values={[float(s.keys[0, 0, 0]) for s in mem.slots]}")
+              f"slot values={[float(k) for k in mem.entries.keys[0, :, 0]]}")
 
     print("\n=== merge: fixed size, running arithmetic mean ===")
     mem = ContextMemory("merge")
     values = [3.0, 6.0, 9.0, 2.0]
     for t, v in enumerate(values, start=1):
         mem = update_merge(mem, slot(v))
-        state = mem.running.keys[0, 0, 0]
+        state = mem.entries.keys[0, 0, 0]
         print(f"t={t}: entries={mem.entry_count}  state={state:.3f}  "
               f"(mean of {values[:t]} = {np.mean(values[:t]):.3f})")
 
@@ -38,7 +38,7 @@ def main():
     mem = ContextMemory("ema", ema_a=0.5)
     for t, v in enumerate([4.0, 0.0, 8.0], start=1):
         mem = update_ema(mem, slot(v), 0.5)
-        print(f"t={t}: state={mem.running.keys[0, 0, 0]:.3f}")
+        print(f"t={t}: state={mem.entries.keys[0, 0, 0]:.3f}")
     print("closed form: 0.25*4 + 0.25*0 + 0.5*8 =",
           0.25 * 4 + 0.25 * 0 + 0.5 * 8)
 

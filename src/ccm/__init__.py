@@ -18,7 +18,7 @@ from .lora import AdapterSet, LoRAPair, comp_flags, trainable_parameters
 from .memory import (ContextMemory, compress_segment, update_concat, update_ema,
                      update_merge)
 from .model import KVLayout, ModelConfig, ToyLM
-from .optim import Adam, SGD, cosine_lr
+from .optim import Adam, cosine_lr
 from .tensor import Parameter, Tensor, finite_difference_check
 from .training import (ParallelMask, Recipe, TrainingSequence,
                        build_parallel_mask, build_training_sequence,
@@ -29,7 +29,7 @@ from .training import (ParallelMask, Recipe, TrainingSequence,
 __all__ = [
     "Adam", "AdapterSet", "CapacityError", "CcmError", "ContextMemory",
     "ContractViolation", "DataError", "DimensionError", "KVLayout", "LoRAPair",
-    "ModelConfig", "ParallelMask", "Parameter", "Recipe", "SGD", "Tensor", "ToyLM",
+    "ModelConfig", "ParallelMask", "Parameter", "Recipe", "Tensor", "ToyLM",
     "TrainingSequence", "UsageError", "build_parallel_mask",
     "build_training_sequence", "comp_flags", "compress_segment", "cosine_lr",
     "finite_difference_check", "parallel_memory_update", "pretrain",

@@ -64,6 +64,15 @@ def _require_stream(data):
     return data
 
 
+def _require_vocab(model: ToyLM, vocab) -> None:
+    """The model must have been built for the dataset's vocabulary."""
+    want = vocab.model_config()
+    for key in ("vocab_size", "comp_token_id", "pad_token_id"):
+        have, need = getattr(model.config, key), getattr(want, key)
+        if have != need:
+            raise DataError(f"model {key} {have} != dataset vocabulary's {need}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -130,10 +139,12 @@ def cmd_train_compress(args) -> int:
     if recipe.policy not in MEMORY_POLICIES:
         raise UsageError(f"--policy {recipe.policy!r} is not a training policy")
     if isinstance(data, ICLDataset):
+        _require_vocab(model, data.vocab)
         recipe.T = data.T
         sampler = icl_compression_sampler(data.train)
     else:
-        streams, _, _ = data
+        streams, vocab, _ = data
+        _require_vocab(model, vocab)
         sampler = stream_compression_sampler(streams, chunk=args.chunk,
                                              io_len=args.io_len)
     adapters = AdapterSet.init(model, rank=args.rank, alpha=args.alpha,
@@ -189,6 +200,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"policy {args.policy!r} needs --adapters")
     ds = _require_icl(read_dataset(args.data))
     model = ToyLM.load(args.model)
+    _require_vocab(model, ds.vocab)
     adapters = AdapterSet.load(args.adapters, model) if args.adapters else None
     rows = eval_rows(model, adapters, ds, args.policy, args.max_eval)
     _write_csv(args.out, ["policy", "t", "accuracy", "context_kv_entries",
@@ -204,10 +216,11 @@ def cmd_stream(args) -> int:
         raise UsageError("policy 'concat' needs --adapters")
     caps = StreamCaps(n_sink=args.sink, ccm_entries=args.ccm_entries,
                       window=args.window, chunk=args.chunk, comp_len=args.slots)
-    streams, _, _ = _require_stream(read_dataset(args.data))
+    streams, vocab, _ = _require_stream(read_dataset(args.data))
     if args.stream_index >= len(streams):
         raise DataError(f"stream index {args.stream_index} out of range")
     model = ToyLM.load(args.model)
+    _require_vocab(model, vocab)
     adapters = AdapterSet.load(args.adapters, model) if args.adapters else None
     tokens = np.asarray(streams[args.stream_index].tokens, dtype=np.intp)
     if args.length:

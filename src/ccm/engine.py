@@ -1,10 +1,11 @@
 """Online sessions and token streaming under a fixed KV budget.
 
-A session receives one context segment per step, folds it into memory
-according to its policy, and answers queries against [memory | input].
-Baselines share the same interface: ``full`` re-feeds the raw context as a
-prompt, ``fixed`` recompresses the whole accumulated context every step,
-``none`` ignores context entirely.
+A session receives one context segment per step, folds it into its
+memory according to its policy, and answers queries against
+[memory | prompt | input]. Only ``full`` has a prompt: it re-feeds the raw
+context and keeps an empty memory, as ``none`` does, which ignores context
+entirely. ``fixed`` recompresses the whole accumulated context into a
+fresh ``independent`` memory every step.
 
 Streaming processes tokens one at a time inside a hard entry budget
 [sink | compressed region | sliding window], held as one KVLayout; when
@@ -14,7 +15,8 @@ at capacity). Position ids are reassigned sequentially over the layout at
 every step, which is free because stored keys are unrotated. Setting the
 compressed region's capacity to zero turns the stream into the plain
 attention-sink + sliding-window baseline with the same budget; a window as
-long as the stream is the unbounded ``full`` cache.
+long as the stream is the unbounded ``full`` cache, and a one-token window
+the no-context ``none`` baseline.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .model import KVLayout, ToyLM
 from .tensor import log_softmax_rows
 
 SESSION_POLICIES = MEMORY_POLICIES + ("none", "full", "fixed")
+_MEMORY_POLICY = {"full": "none", "fixed": "independent"}  # session -> memory
 
 
 @dataclass
@@ -61,10 +64,8 @@ class Session:
         self.policy = policy
         self.t = 0
         self.log: list[StepReport] = []
-        self.memory = (ContextMemory(policy, ema_a=ema_a)
-                       if policy in MEMORY_POLICIES else None)
+        self.memory = ContextMemory(_MEMORY_POLICY.get(policy, policy), ema_a=ema_a)
         self.raw_segments: list[np.ndarray] = []   # full / fixed
-        self.fixed_slots: KVLayout | None = None
 
     # -- context ingestion -------------------------------------------------------
 
@@ -80,14 +81,11 @@ class Session:
             self.raw_segments.append(segment)
             return 0
         if self.policy == "fixed":
-            # recompress the entire accumulated context
+            # recompress the entire accumulated context into a fresh memory
             self.raw_segments.append(segment)
-            whole = np.concatenate(self.raw_segments)
-            peak = whole.size + self.adapters.comp_len
-            mem = ContextMemory("independent")
-            self.fixed_slots = compress_segment(self.model, self.adapters, mem, whole)
-            return peak
-        peak = (self.memory.entry_count + segment.size + self.adapters.comp_len)
+            segment = np.concatenate(self.raw_segments)
+            self.memory = ContextMemory("independent")
+        peak = self.memory.entry_count + segment.size + self.adapters.comp_len
         h = compress_segment(self.model, self.adapters, self.memory, segment)
         self.memory = self.memory.updated(h)
         return peak
@@ -95,25 +93,17 @@ class Session:
     # -- views --------------------------------------------------------------------
 
     @property
+    def _prompt(self) -> list[np.ndarray]:
+        """Raw context fed ahead of the inputs: only ``full`` re-feeds it."""
+        return self.raw_segments if self.policy == "full" else []
+
+    @property
     def context_entries(self) -> int:
-        if self.policy in MEMORY_POLICIES:
-            return self.memory.entry_count
-        if self.policy == "full":
-            return int(sum(seg.size for seg in self.raw_segments))
-        if self.policy == "fixed":
-            return 0 if self.fixed_slots is None else self.fixed_slots.n_entries
-        return 0
+        return self.memory.entry_count + sum(seg.size for seg in self._prompt)
 
     def _inference_inputs(self, inputs: np.ndarray) -> tuple[KVLayout, np.ndarray]:
         """(layout, tokens) the model sees when answering ``inputs``."""
-        if self.policy in MEMORY_POLICIES:
-            return self.memory.layout(self.model), inputs
-        if self.policy == "full":
-            parts = self.raw_segments + [inputs]
-            return self.model.empty_layout(), np.concatenate(parts)
-        if self.policy == "fixed" and self.fixed_slots is not None:
-            return self.fixed_slots, inputs
-        return self.model.empty_layout(), inputs
+        return self.memory.layout(self.model), np.concatenate(self._prompt + [inputs])
 
     # -- prediction -----------------------------------------------------------------
 
@@ -178,6 +168,10 @@ class StreamCaps:
             raise UsageError(f"chunk {self.chunk} must be at least 1")
         if min(self.n_sink, self.ccm_entries, self.window, self.comp_len) < 0:
             raise UsageError("stream caps must be non-negative")
+        if 0 < self.ccm_entries < self.comp_len:
+            # the region could never hold a slot group: every compression wasted
+            raise UsageError(f"ccm_entries {self.ccm_entries} holds no group of "
+                             f"{self.comp_len} slots")
 
     @property
     def total(self) -> int:
@@ -273,41 +267,30 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
 
     Policies: ``concat`` (compressed streaming), ``sliding`` (equal-budget
     attention-sink window), ``full`` (unbounded cache: a window as long as
-    the stream), ``none`` (each token predicted from the previous token
-    alone).
+    the stream), ``none`` (a one-token window: each token predicted from
+    the previous token alone).
     """
     stream = np.asarray(stream, dtype=np.intp)
     if stream.size < 2:
         raise ContractViolation("stream too short to evaluate")
+    if policy in ("full", "none"):
+        caps = StreamCaps(n_sink=0, ccm_entries=0, chunk=1,
+                          window=stream.size if policy == "full" else 1)
+    elif policy not in ("concat", "sliding"):
+        raise UsageError(f"unknown streaming policy {policy!r}")
+    elif caps is None:
+        raise UsageError(f"policy {policy!r} needs stream caps")
+    elif policy == "sliding":
+        caps, adapters = caps.sliding_only(), None
+    state = StreamState(model, adapters, caps)
     nll, totals, events = [], [], []
-
-    if policy == "none":
-        layout = model.empty_layout()
-        for prev, tok in zip(stream[:-1], stream[1:]):
-            logits, _ = model.forward(np.array([prev], dtype=np.intp), layout,
-                                      adapters=adapters)
-            nll.append(-log_softmax_rows(logits.data)[0, tok])
-            totals.append(1)
-            events.append(0)
-    else:
-        if policy == "full":
-            state = StreamState(model, adapters, StreamCaps(
-                n_sink=0, ccm_entries=0, window=stream.size, chunk=1))
-        elif policy not in ("concat", "sliding"):
-            raise UsageError(f"unknown streaming policy {policy!r}")
-        elif caps is None:
-            raise UsageError(f"policy {policy!r} needs stream caps")
-        elif policy == "concat":
-            state = StreamState(model, adapters, caps)
-        else:
-            state = StreamState(model, None, caps.sliding_only())
-        last = None
-        for tok in stream:
-            if last is not None:
-                nll.append(-log_softmax_rows(last[None, :])[0, tok])
-            last, kv_total, event = streaming_step(state, int(tok))
-            totals.append(kv_total)
-            events.append(int(event))
+    last = None
+    for tok in stream:
+        if last is not None:
+            nll.append(-log_softmax_rows(last[None, :])[0, tok])
+        last, kv_total, event = streaming_step(state, int(tok))
+        totals.append(kv_total)
+        events.append(int(event))
 
     nll = np.asarray(nll)
     return StreamResult(nll, np.asarray(totals, dtype=np.intp),

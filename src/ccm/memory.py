@@ -2,7 +2,8 @@
 
 One segment is condensed into the unrotated key/value pairs of its
 compression tokens: a KVLayout of s slots, 2 x n_layers x d_model numbers
-per slot. The memory then evolves under one of four policies:
+per slot. The memory Mem(t) is one read-only KVLayout, and an update
+returns a new memory Mem(t+1) under one of four policies:
 
 * ``concat``       append every slot group; entries grow linearly in t.
 * ``merge``        running arithmetic mean; entries fixed at s.
@@ -11,12 +12,14 @@ per slot. The memory then evolves under one of four policies:
                    seeing the previous memory (the online variant of
                    fixed-context compression).
 
-Policy ``none`` keeps no memory at all (the no-context baseline).
+Policy ``none`` keeps no memory at all (the no-context baseline). Since
+layouts are immutable, a memory is a value: an update shares nothing it
+could change, and reading the layout copies nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,14 +33,13 @@ POLICIES = MEMORY_POLICIES + ("none",)
 GROWING_POLICIES = ("concat", "independent")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContextMemory:
-    """Policy-dependent store of compressed KV: one layout per slot group."""
+    """Policy-dependent compressed KV Mem(t): one layout, chronological."""
 
     policy: str
     ema_a: float = 0.5
-    slots: list[KVLayout] = field(default_factory=list)  # concat/independent
-    running: KVLayout | None = None                      # merge/ema
+    entries: KVLayout | None = None  # None until the first update
     count: int = 0
 
     def __post_init__(self):
@@ -60,33 +62,24 @@ class ContextMemory:
     # -- views -----------------------------------------------------------------
 
     @property
-    def groups(self) -> list[KVLayout]:
-        """Stored slot groups, chronological (merge/ema: the running state)."""
-        return self.slots + ([self.running] if self.running is not None else [])
-
-    @property
     def entry_count(self) -> int:
-        return sum(g.n_entries for g in self.groups)
+        return 0 if self.entries is None else self.entries.n_entries
 
     def layout(self, model: ToyLM) -> KVLayout:
         """Memory entries as a KV layout fragment, chronological order."""
-        return model.empty_layout().extended(*self.groups)
+        return model.empty_layout() if self.entries is None else self.entries
 
     def snapshot(self) -> "ContextMemory":
-        slots = [_copy(s) for s in self.slots]
-        running = None if self.running is None else _copy(self.running)
-        return ContextMemory(self.policy, self.ema_a, slots, running, self.count)
+        """The memory itself: a value needs no copy to be kept."""
+        return self
 
     # -- persistence --------------------------------------------------------------
 
     def save(self, path) -> None:
         arrays: dict[str, np.ndarray] = {}
-        for i, s in enumerate(self.slots):
-            arrays[f"mem/{i}.k"] = s.keys
-            arrays[f"mem/{i}.v"] = s.values
-        if self.running is not None:
-            arrays["mem/run.k"] = self.running.keys
-            arrays["mem/run.v"] = self.running.values
+        if self.entries is not None:
+            arrays["mem/run.k"] = self.entries.keys
+            arrays["mem/run.v"] = self.entries.values
         save_arrays(path, arrays, meta={
             "kind": "memory", "policy": self.policy, "ema_a": self.ema_a,
             "count": self.count,
@@ -97,23 +90,21 @@ class ContextMemory:
         arrays, meta = load_arrays(path)
         if meta.get("kind") != "memory":
             raise DataError(f"{path}: not a memory snapshot")
-        mem = cls(meta["policy"], float(meta["ema_a"]))
-        mem.count = int(meta["count"])
+        policy, count = meta["policy"], int(meta["count"])
 
         def record(name: str) -> KVLayout:
             if name + ".k" not in arrays or name + ".v" not in arrays:
                 raise DataError(f"{path}: missing memory record {name!r}")
             return KVLayout(arrays[name + ".k"], arrays[name + ".v"])
 
-        if mem.policy in GROWING_POLICIES:
-            mem.slots = [record(f"mem/{i}") for i in range(mem.count)]
-        elif mem.count:
-            mem.running = record("mem/run")
-        return mem
-
-
-def _copy(layout: KVLayout) -> KVLayout:
-    return KVLayout(layout.keys.copy(), layout.values.copy())
+        entries = None
+        if count and policy in GROWING_POLICIES and "mem/run.k" not in arrays:
+            # older concat files store one record per slot group
+            groups = [record(f"mem/{i}") for i in range(count)]
+            entries = groups[0].extended(*groups[1:])
+        elif count:
+            entries = record("mem/run")
+        return cls(policy, float(meta["ema_a"]), entries, count)
 
 
 # ---------------------------------------------------------------------------
@@ -122,23 +113,17 @@ def _copy(layout: KVLayout) -> KVLayout:
 
 def update_concat(mem: ContextMemory, h: KVLayout) -> ContextMemory:
     """Append the new slot group; order preserved."""
-    out = mem.snapshot()
-    out.slots.append(_copy(h))
-    out.count = mem.count + 1
-    return out
+    entries = h if mem.entries is None else mem.entries.extended(h)
+    return replace(mem, entries=entries, count=mem.count + 1)
 
 
 def _combined(mem: ContextMemory, h: KVLayout, w_old: float,
               w_new: float) -> ContextMemory:
     """Running state w_old * prev + w_new * h; the first h is taken as is."""
-    out = mem.snapshot()
-    if mem.running is None:
-        out.running = _copy(h)
-    else:
-        out.running = KVLayout(w_old * mem.running.keys + w_new * h.keys,
-                               w_old * mem.running.values + w_new * h.values)
-    out.count = mem.count + 1
-    return out
+    prev = mem.entries
+    entries = h if prev is None else KVLayout(w_old * prev.keys + w_new * h.keys,
+                                              w_old * prev.values + w_new * h.values)
+    return replace(mem, entries=entries, count=mem.count + 1)
 
 
 def update_merge(mem: ContextMemory, h: KVLayout) -> ContextMemory:
@@ -174,7 +159,7 @@ def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
               else mem.layout(model))
     tokens = np.concatenate([segment, np.full(s, cfg.comp_token_id, dtype=np.intp)])
     _, (new_k, new_v) = model.forward(tokens, layout, adapters=adapters)
-    return _copy(KVLayout(new_k, new_v).entries(segment.size))
+    return KVLayout(new_k, new_v).entries(segment.size)
 
 
 def compress_from_kv(model: ToyLM, adapters: AdapterSet, context: KVLayout) -> KVLayout:

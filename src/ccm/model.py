@@ -74,22 +74,29 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KVLayout:
     """Per-layer unrotated key/value entries visible to attention.
 
     ``keys`` and ``values`` have shape [n_layers, n, d_model]; every layer
     holds the same entry count. Layouts are built by ``extended``, the one
-    place that concatenates KV entries.
+    place that concatenates KV entries. A layout is a value: it keeps
+    read-only views of its arrays, so holders share it without copying.
     """
 
     keys: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        for name in ("keys", "values"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
     @classmethod
     def empty(cls, n_layers: int, d_model: int, dtype) -> "KVLayout":
         z = np.zeros((n_layers, 0, d_model), dtype=dtype)
-        return cls(z, z.copy())
+        return cls(z, z)
 
     @property
     def n_entries(self) -> int:

@@ -1,4 +1,4 @@
-"""Gradient-descent steppers and the cosine learning-rate schedule.
+"""The Adam stepper and the cosine learning-rate schedule.
 
 Only trainable parameters move; frozen parameters are never touched even
 if a gradient buffer is present. Adam keeps per-parameter moment buffers
@@ -13,23 +13,6 @@ from typing import Iterable
 import numpy as np
 
 from .tensor import Parameter
-
-
-class SGD:
-    """Plain gradient descent: w <- w - lr * g."""
-
-    def __init__(self, params: Iterable[Parameter]):
-        self.params = list(params)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.tensor.zero_grad()
-
-    def step(self, lr: float) -> None:
-        for p in self.params:
-            if not p.trainable or p.grad is None:
-                continue
-            p.data[...] = p.data - lr * p.grad
 
 
 class Adam:

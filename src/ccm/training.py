@@ -45,7 +45,6 @@ class TrainingSequence:
 
     tokens: np.ndarray          # [N] token ids
     kind: np.ndarray            # [N] role codes (ROLE_*)
-    step: np.ndarray            # [N] 1-based segment index (t for I/O tokens)
     t: int
     s: int
     ctx_ranges: list[tuple[int, int]]
@@ -75,35 +74,31 @@ def build_training_sequence(sample: tuple[Sequence, Sequence, Sequence],
     if inputs.size == 0 or outputs.size == 0:
         raise DataError("empty input or output")
 
-    parts, kinds, steps = [], [], []
+    parts, kinds = [], []
     ctx_ranges, comp_ranges = [], []
     pos = 0
-    for j, seg in enumerate(segments, start=1):
+    for seg in segments:
         ctx_ranges.append((pos, pos + seg.size))
         parts.append(seg)
         kinds.append(np.full(seg.size, ROLE_CONTEXT, dtype=np.int8))
-        steps.append(np.full(seg.size, j, dtype=np.intp))
         pos += seg.size
         comp_ranges.append((pos, pos + s))
         parts.append(np.full(s, comp_token_id, dtype=np.intp))
         kinds.append(np.full(s, ROLE_COMP, dtype=np.int8))
-        steps.append(np.full(s, j, dtype=np.intp))
         pos += s
     io_range = (pos, pos + inputs.size + outputs.size)
     parts.extend([inputs, outputs])
     kinds.append(np.full(inputs.size, ROLE_INPUT, dtype=np.int8))
     kinds.append(np.full(outputs.size, ROLE_OUTPUT, dtype=np.int8))
-    steps.append(np.full(inputs.size + outputs.size, t, dtype=np.intp))
 
     tokens = np.concatenate(parts)
     kind = np.concatenate(kinds)
-    step = np.concatenate(steps)
     n = tokens.shape[0]
     weights = np.zeros(n, dtype=np.int8)
     weights[:-1] = kind[1:] == ROLE_OUTPUT
     targets = np.zeros(n, dtype=np.intp)
     targets[:-1] = tokens[1:]
-    return TrainingSequence(tokens, kind, step, t, s, ctx_ranges, comp_ranges,
+    return TrainingSequence(tokens, kind, t, s, ctx_ranges, comp_ranges,
                             io_range, weights, targets)
 
 

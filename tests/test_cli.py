@@ -41,6 +41,16 @@ def tiny_pipeline(tmp_path, icl_data):
     return icl_data, model, adapters
 
 
+@pytest.fixture
+def stream_model(tmp_path, stream_data):
+    model = tmp_path / "stream_model.ckpt"
+    assert run("pretrain", "--data", stream_data, "--out", model, "--steps", "2",
+               "--batch", "2", "--lr", "1e-3", "--seed", "5", "--window", "32",
+               "--layers", "2", "--d-model", "32", "--heads", "4",
+               "--d-ff", "64") == 0
+    return model
+
+
 def test_gen_data_deterministic(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     run("gen-data", "--identities", "20", "--out", a, "--seed", "7")
@@ -93,10 +103,9 @@ def test_eval_csv_rows_and_determinism(tiny_pipeline, tmp_path):
         assert all(line.startswith(f"{policy},") for line in lines[1:])
 
 
-def test_stream_command_budget(tiny_pipeline, stream_data, tmp_path):
-    _, model, adapters = tiny_pipeline
+def test_stream_command_budget(stream_model, stream_data, tmp_path):
     out = tmp_path / "stream.csv"
-    assert run("stream", "--data", stream_data, "--model", model, "--policy",
+    assert run("stream", "--data", stream_data, "--model", stream_model, "--policy",
                "sliding", "--out", out, "--sink", "1", "--ccm-entries", "0",
                "--window", "24", "--chunk", "8", "--slots", "1",
                "--length", "120", "--seed", "0") == 0
@@ -115,6 +124,36 @@ def test_stream_chunk_below_one_is_usage_error(tiny_pipeline, stream_data, tmp_p
     assert run("stream", "--data", stream_data, "--model", model, "--adapters",
                adapters, "--policy", "concat", "--out", out, "--chunk", chunk,
                "--slots", "1", "--length", "200") == 1
+    assert not out.exists()
+
+
+def test_stream_region_below_one_slot_group_is_usage_error(stream_model, stream_data,
+                                                          tmp_path):
+    # such a region evicts every group it compresses; the caps are rejected
+    # whichever policy streams under them
+    out = tmp_path / "stream.csv"
+    assert run("stream", "--data", stream_data, "--model", stream_model, "--policy",
+               "sliding", "--out", out, "--ccm-entries", "1", "--slots", "2",
+               "--length", "100") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,model_data", [
+    ("train-compress", "icl-stream"), ("train-compress", "stream-icl"),
+    ("eval", "stream-icl"), ("stream", "icl-stream")])
+def test_model_of_another_vocabulary_is_data_error(tiny_pipeline, stream_model,
+                                                   stream_data, tmp_path, capsys,
+                                                   command, model_data):
+    icl_data, icl_model, _ = tiny_pipeline
+    model, data = ((icl_model, stream_data) if model_data == "icl-stream"
+                   else (stream_model, icl_data))
+    extra = {"train-compress": ["--steps", "1", "--batch", "1", "--slots", "1"],
+             "eval": ["--policy", "none"],
+             "stream": ["--policy", "sliding", "--ccm-entries", "0",
+                        "--length", "20"]}[command]
+    out = tmp_path / "out"
+    assert run(command, "--data", data, "--model", model, "--out", out, *extra) == 2
+    assert "vocab_size" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -144,12 +183,11 @@ def test_exit_code_missing_file(tmp_path):
                "--out", tmp_path / "m.ckpt") == 2
 
 
-def test_exit_code_contract_violation(tiny_pipeline, tmp_path):
-    icl_data, model, adapters = tiny_pipeline
+def test_exit_code_contract_violation(stream_model, tmp_path):
     short = tmp_path / "short.jsonl"
     run("gen-data", "--kind", "stream", "--length", "1", "--streams", "1",
         "--out", short, "--seed", "0")
-    assert run("stream", "--data", short, "--model", model, "--policy", "sliding",
+    assert run("stream", "--data", short, "--model", stream_model, "--policy", "sliding",
                "--out", tmp_path / "s.csv", "--window", "8", "--chunk", "2",
                "--ccm-entries", "0", "--slots", "1") == 3
 

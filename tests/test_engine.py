@@ -13,6 +13,7 @@ from ccm.errors import ContractViolation, UsageError
 from ccm.lora import AdapterSet
 from ccm.memory import ContextMemory
 from ccm.model import ModelConfig, ToyLM
+from ccm.tensor import log_softmax_rows
 from ccm.training import recursive_reference_forward
 from conftest import TINY, random_sample
 
@@ -279,11 +280,13 @@ _PROPERTY_MODEL = ToyLM.init(TINY, seed=7, dtype=np.float64)
 
 
 @settings(max_examples=20, deadline=None)
-@given(n_sink=st.integers(0, 3), ccm_entries=st.integers(0, 6),
-       window=st.integers(1, 12), chunk_frac=st.floats(0.0, 1.0),
-       s=st.integers(1, 3), n_tokens=st.integers(1, 40), seed=st.integers(0, 99))
-def test_stream_regions_property(n_sink, ccm_entries, window, chunk_frac, s,
-                                 n_tokens, seed):
+@given(n_sink=st.integers(0, 3), window=st.integers(1, 12),
+       chunk_frac=st.floats(0.0, 1.0), s=st.integers(1, 3),
+       n_tokens=st.integers(1, 40), seed=st.integers(0, 99), data=st.data())
+def test_stream_regions_property(n_sink, window, chunk_frac, s, n_tokens, seed,
+                                 data):
+    # a region cap below one slot group is rejected by StreamCaps
+    ccm_entries = data.draw(st.one_of(st.just(0), st.integers(s, 6)))
     chunk = 1 + int(chunk_frac * (window - 1))
     caps = StreamCaps(n_sink=n_sink, ccm_entries=ccm_entries, window=window,
                       chunk=chunk, comp_len=s)
@@ -292,9 +295,11 @@ def test_stream_regions_property(n_sink, ccm_entries, window, chunk_frac, s,
     stream_checked(_PROPERTY_MODEL, adapters, caps, rng.integers(0, 20, size=n_tokens))
 
 
-@pytest.mark.parametrize("bad", [{"chunk": 0}, {"chunk": -1}, {"ccm_entries": -1}])
+@pytest.mark.parametrize("bad", [{"chunk": 0}, {"chunk": -1}, {"ccm_entries": -1},
+                                 {"ccm_entries": 1}])
 def test_stream_caps_reject_values_that_break_the_budget(bad):
-    # chunk 0 never drains the window; a negative region shrinks only the total
+    # chunk 0 never drains the window; a negative region shrinks only the total;
+    # a region smaller than one slot group evicts every group it compresses
     with pytest.raises(UsageError):
         StreamCaps(**{"n_sink": 1, "ccm_entries": 4, "window": 8, "chunk": 4,
                       "comp_len": 2, **bad})
@@ -320,6 +325,17 @@ def test_uniform_model_perplexity_is_vocab_size():
     stream = rng.integers(0, 20, size=40)
     result = evaluate_perplexity(model, None, "none", stream)
     assert result.perplexity == pytest.approx(24.0, rel=0.05)
+
+
+def test_none_policy_predicts_from_the_previous_token_alone(model, adapters):
+    rng = np.random.default_rng(11)
+    stream = rng.integers(0, 20, size=30)
+    result = evaluate_perplexity(model, adapters, "none", stream)
+    want = [-log_softmax_rows(model.forward([prev], model.empty_layout(),
+                                            adapters=adapters)[0].data)[0, tok]
+            for prev, tok in zip(stream[:-1], stream[1:])]
+    np.testing.assert_array_equal(result.nll, want)
+    assert result.kv_totals.tolist() == [1] * stream.size
 
 
 def test_perplexity_deterministic(model, adapters):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from ccm.checkpoint import save_arrays
 from ccm.errors import ContractViolation, DataError
 from ccm.lora import AdapterSet
-from ccm.memory import (ContextMemory, compress_segment, update_concat, update_ema,
-                        update_merge)
-from ccm.model import KVLayout
+from ccm.memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
+                        compress_segment, update_concat, update_ema, update_merge)
+from ccm.model import KVLayout, ToyLM
 from conftest import TINY
 
 
@@ -32,8 +32,8 @@ def test_concat_base_case():
     mem = ContextMemory("concat")
     h = slots(rng)
     mem = update_concat(mem, h)
-    assert len(mem.slots) == 1 and mem.count == 1
-    np.testing.assert_array_equal(mem.slots[0].keys, h.keys)
+    assert mem.entry_count == h.n_entries and mem.count == 1
+    np.testing.assert_array_equal(mem.entries.keys, h.keys)
 
 
 def test_concat_preserves_order_and_counts():
@@ -42,8 +42,8 @@ def test_concat_preserves_order_and_counts():
     h1, h2 = slots(rng, s=2), slots(rng, s=2)
     mem = update_concat(update_concat(mem, h1), h2)
     assert mem.entry_count == 4  # 2 slots per update
-    np.testing.assert_array_equal(mem.slots[0].keys, h1.keys)
-    np.testing.assert_array_equal(mem.slots[1].keys, h2.keys)
+    np.testing.assert_array_equal(mem.entries.keys[:, 0:2], h1.keys)
+    np.testing.assert_array_equal(mem.entries.keys[:, 2:4], h2.keys)
 
 
 def test_concat_sixteen_updates_with_eight_slots():
@@ -63,14 +63,14 @@ def test_merge_first_update_is_identity():
     rng = np.random.default_rng(3)
     h = slots(rng)
     mem = update_merge(ContextMemory("merge"), h)
-    np.testing.assert_array_equal(mem.running.keys, h.keys)
+    np.testing.assert_array_equal(mem.entries.keys, h.keys)
 
 
 def test_merge_mean_of_two():
     z = scalar_slots(0.0)
     two = scalar_slots(2.0)
     mem = update_merge(update_merge(ContextMemory("merge"), z), two)
-    assert mem.running.keys.item() == pytest.approx(1.0)
+    assert mem.entries.keys.item() == pytest.approx(1.0)
 
 
 def test_merge_entry_count_fixed():
@@ -89,9 +89,9 @@ def test_merge_equals_elementwise_mean(n, seed):
     mem = ContextMemory("merge")
     for h in hs:
         mem = update_merge(mem, h)
-    np.testing.assert_allclose(mem.running.keys,
+    np.testing.assert_allclose(mem.entries.keys,
                                np.mean([h.keys for h in hs], axis=0), atol=1e-6)
-    np.testing.assert_allclose(mem.running.values,
+    np.testing.assert_allclose(mem.entries.values,
                                np.mean([h.values for h in hs], axis=0), atol=1e-6)
 
 
@@ -104,14 +104,14 @@ def test_ema_first_update_is_identity_any_a():
     h = slots(rng)
     for a in (0.1, 0.5, 1.0):
         mem = update_ema(ContextMemory("ema", ema_a=a), h, a)
-        np.testing.assert_array_equal(mem.running.keys, h.keys)
+        np.testing.assert_array_equal(mem.entries.keys, h.keys)
 
 
 def test_ema_hand_arithmetic():
     mem = ContextMemory("ema", ema_a=0.5)
     mem = update_ema(mem, scalar_slots(4.0), 0.5)
     mem = update_ema(mem, scalar_slots(0.0), 0.5)
-    assert mem.running.keys.item() == pytest.approx(2.0)
+    assert mem.entries.keys.item() == pytest.approx(2.0)
 
 
 def test_ema_a_one_keeps_latest():
@@ -121,7 +121,7 @@ def test_ema_a_one_keeps_latest():
     for j in range(5):
         last = slots(rng)
         mem = update_ema(mem, last, 1.0)
-    np.testing.assert_array_equal(mem.running.keys, last.keys)
+    np.testing.assert_array_equal(mem.entries.keys, last.keys)
 
 
 def test_ema_rejects_bad_coefficient():
@@ -144,7 +144,7 @@ def test_ema_matches_closed_form(n, a, seed):
     # closed form sum_j a_j prod_{k>j} (1 - a_k) h(j) with a_1 = 1
     coeff = [(1.0 if j == 0 else a) * (1.0 - a) ** (n - 1 - j) for j in range(n)]
     expected = sum(c * h.keys for c, h in zip(coeff, hs))
-    np.testing.assert_allclose(mem.running.keys, expected, atol=1e-6)
+    np.testing.assert_allclose(mem.entries.keys, expected, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +170,36 @@ def test_concat_layout_chronological(tiny_model64):
     assert layout.n_entries == 6
     np.testing.assert_allclose(layout.keys[:, 0:2], hs[0].keys)
     np.testing.assert_allclose(layout.keys[:, 4:6], hs[2].keys)
+
+
+_PROPERTY_MODEL = ToyLM.init(TINY, seed=7, dtype=np.float64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(MEMORY_POLICIES), st.integers(1, 8),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_memory_is_a_value(policy, n, seed):
+    rng = np.random.default_rng(seed)
+    hs = [slots(rng, L=TINY.n_layers, s=2, d=TINY.d_model) for _ in range(n)]
+    mems, seen = [ContextMemory(policy)], []
+    for h in hs:
+        mems.append(mems[-1].updated(h))
+        e = mems[-1].entries
+        seen.append((mems[-1].count, e.keys.copy(), e.values.copy()))
+    assert mems[0].entries is None and mems[0].count == 0
+    for mem, (count, keys, values) in zip(mems[1:], seen):
+        # later updates left this memory as it was made
+        assert mem.count == count
+        np.testing.assert_array_equal(mem.entries.keys, keys)
+        np.testing.assert_array_equal(mem.entries.values, values)
+        layout = mem.layout(_PROPERTY_MODEL)
+        assert np.shares_memory(layout.keys, mem.entries.keys)
+        assert np.shares_memory(layout.values, mem.entries.values)
+    if policy in GROWING_POLICIES:
+        last = mems[-1].layout(_PROPERTY_MODEL)
+        np.testing.assert_array_equal(last.keys, np.concatenate([h.keys for h in hs], 1))
+        np.testing.assert_array_equal(last.values,
+                                      np.concatenate([h.values for h in hs], 1))
 
 
 def test_none_policy_layout_empty(tiny_model64):
@@ -240,17 +270,16 @@ def test_memory_snapshot_roundtrip(tmp_path):
     mem.save(path)
     loaded = ContextMemory.load(path)
     assert loaded.policy == "concat" and loaded.count == 3
-    assert len(loaded.slots) == 3
-    for a, b in zip(loaded.slots, mem.slots):
-        np.testing.assert_array_equal(a.keys, b.keys)
-        np.testing.assert_array_equal(a.values, b.values)
+    assert loaded.entry_count == 3
+    np.testing.assert_array_equal(loaded.entries.keys, mem.entries.keys)
+    np.testing.assert_array_equal(loaded.entries.values, mem.entries.values)
 
     mem2 = ContextMemory("merge")
     for j in range(3):
         mem2 = update_merge(mem2, slots(rng))
     mem2.save(path)
     loaded2 = ContextMemory.load(path)
-    np.testing.assert_array_equal(loaded2.running.keys, mem2.running.keys)
+    np.testing.assert_array_equal(loaded2.entries.keys, mem2.entries.keys)
     assert loaded2.count == 3
 
 
@@ -266,7 +295,7 @@ def test_memory_load_accepts_files_with_stamps(tmp_path):
         "produced_at": [1, 2]})
     loaded = ContextMemory.load(tmp_path / "old.ckpt")
     assert loaded.count == 2 and loaded.entry_count == 2
-    np.testing.assert_array_equal(loaded.slots[1].values, hs[1].values)
+    np.testing.assert_array_equal(loaded.entries.values[:, 1:2], hs[1].values)
 
 
 @pytest.mark.parametrize("policy", ["concat", "merge"])

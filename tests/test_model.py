@@ -93,6 +93,18 @@ def test_forward_does_not_mutate_layout(tiny_model64):
     assert np.array_equal(layout.keys, before)
 
 
+def test_layouts_are_read_only(tiny_model64):
+    # a layout is a value: every way of making one hands out read-only arrays
+    drawn = _random_layout(tiny_model64, 3, seed=5)
+    _, (k, v) = tiny_model64.forward([1, 2], drawn)
+    made = [drawn, KVLayout(k, v), tiny_model64.empty_layout(), drawn.entries(1, 3),
+            drawn.extended(KVLayout(k, v))]
+    for layout in made:
+        for arr in (layout.keys, layout.values):
+            with pytest.raises(ValueError):
+                arr[:, :1] = 0.0
+
+
 def test_extended_joins_parts_in_order(tiny_model64):
     parts = [_random_layout(tiny_model64, n, seed=n) for n in (2, 0, 3)]
     joined = tiny_model64.empty_layout().extended(*parts)
@@ -133,9 +145,9 @@ def _random_layout(model, n, seed):
 
 
 def test_swapping_identical_entries_is_noop(tiny_model64):
-    layout = _random_layout(tiny_model64, 3, seed=3)
-    layout.keys[:, 2] = layout.keys[:, 0]
-    layout.values[:, 2] = layout.values[:, 0]
+    drawn = _random_layout(tiny_model64, 3, seed=3)
+    # entry 2 repeats entry 0
+    layout = KVLayout(drawn.keys[:, [0, 1, 0]], drawn.values[:, [0, 1, 0]])
     base, _ = tiny_model64.forward([4, 5], layout)
 
     swapped = KVLayout(layout.keys[:, [2, 1, 0], :], layout.values[:, [2, 1, 0], :])

@@ -6,7 +6,7 @@ import pytest
 
 import ccm.tensor as T
 from ccm.errors import ContractViolation, DimensionError
-from ccm.optim import SGD, Adam, cosine_lr
+from ccm.optim import Adam, cosine_lr
 from ccm.tensor import Parameter, Tensor, finite_difference_check
 
 
@@ -258,16 +258,8 @@ def test_cross_entropy_gradient_only_on_weighted_rows():
 def test_frozen_parameter_unchanged():
     p = Parameter("w", Tensor(np.array([1.0])), trainable=False)
     p.tensor.grad = np.array([5.0])
-    SGD([p]).step(0.1)
     Adam([p]).step(0.1)
     assert p.data[0] == 1.0
-
-
-def test_sgd_definition():
-    p = Parameter("w", Tensor(np.array([1.0])))
-    p.tensor.grad = np.array([2.0])
-    SGD([p]).step(0.1)
-    assert abs(p.data[0] - 0.8) < 1e-15
 
 
 def test_adam_single_step_matches_hand_formula():

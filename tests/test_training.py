@@ -206,7 +206,7 @@ def test_parallel_update_matches_online_merge():
     online = ContextMemory("merge")
     for r in raw:
         online = update_merge(online, KVLayout(r.copy(), r.copy()))
-    np.testing.assert_allclose(mems[-1][0].data, online.running.keys.reshape(2, 3),
+    np.testing.assert_allclose(mems[-1][0].data, online.entries.keys.reshape(2, 3),
                                atol=1e-6)
 
 
