@@ -8,7 +8,7 @@ growth laws and the update algebra with small hand-checkable tensors.
 
 import numpy as np
 
-from ccm.memory import ContextMemory, update_concat, update_ema, update_merge
+from ccm.memory import ContextMemory
 from ccm.model import KVLayout
 
 
@@ -21,7 +21,7 @@ def main():
     print("=== concat: linear growth, order preserved ===")
     mem = ContextMemory("concat")
     for t in range(1, 6):
-        mem = update_concat(mem, slot(t))
+        mem = mem.updated(slot(t))
         print(f"t={t}: entries={mem.entry_count}  "
               f"slot values={[float(k) for k in mem.entries.keys[0, :, 0]]}")
 
@@ -29,7 +29,7 @@ def main():
     mem = ContextMemory("merge")
     values = [3.0, 6.0, 9.0, 2.0]
     for t, v in enumerate(values, start=1):
-        mem = update_merge(mem, slot(v))
+        mem = mem.updated(slot(v))
         state = mem.entries.keys[0, 0, 0]
         print(f"t={t}: entries={mem.entry_count}  state={state:.3f}  "
               f"(mean of {values[:t]} = {np.mean(values[:t]):.3f})")
@@ -37,7 +37,7 @@ def main():
     print("\n=== ema(a=0.5): recency-weighted, a_1 = 1 ===")
     mem = ContextMemory("ema", ema_a=0.5)
     for t, v in enumerate([4.0, 0.0, 8.0], start=1):
-        mem = update_ema(mem, slot(v), 0.5)
+        mem = mem.updated(slot(v))
         print(f"t={t}: state={mem.entries.keys[0, 0, 0]:.3f}")
     print("closed form: 0.25*4 + 0.25*0 + 0.5*8 =",
           0.25 * 4 + 0.25 * 0 + 0.5 * 8)

@@ -15,8 +15,7 @@ against a step-by-step oracle.
 from .errors import (CapacityError, CcmError, ContractViolation, DataError,
                      DimensionError, UsageError)
 from .lora import AdapterSet, LoRAPair, comp_flags, trainable_parameters
-from .memory import (ContextMemory, compress_segment, update_concat, update_ema,
-                     update_merge)
+from .memory import ContextMemory, compress_segment
 from .model import KVLayout, ModelConfig, ToyLM
 from .optim import Adam, cosine_lr
 from .tensor import Parameter, Tensor, finite_difference_check
@@ -34,7 +33,7 @@ __all__ = [
     "build_training_sequence", "comp_flags", "compress_segment", "cosine_lr",
     "finite_difference_check", "parallel_memory_update", "pretrain",
     "recursive_reference_forward", "train_compression", "trainable_parameters",
-    "training_forward", "update_concat", "update_ema", "update_merge",
+    "training_forward",
 ]
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ContractViolation, UsageError
 from .lora import AdapterSet
 from .memory import (MEMORY_POLICIES, ContextMemory, compress_from_kv,
-                     compress_segment)
+                     compress_segment, reads_memory)
 from .model import KVLayout, ToyLM
 from .tensor import log_softmax_rows
 
@@ -85,7 +85,8 @@ class Session:
             self.raw_segments.append(segment)
             segment = np.concatenate(self.raw_segments)
             self.memory = ContextMemory("independent")
-        peak = self.memory.entry_count + segment.size + self.adapters.comp_len
+        read = self.memory.entry_count if reads_memory(self.memory.policy) else 0
+        peak = read + segment.size + self.adapters.comp_len
         h = compress_segment(self.model, self.adapters, self.memory, segment)
         self.memory = self.memory.updated(h)
         return peak

@@ -1,20 +1,27 @@
-"""Compressed context memory: slot production and update policies.
+"""Compressed context memory: slot production and the two policy rules.
 
 One segment is condensed into the unrotated key/value pairs of its
-compression tokens: a KVLayout of s slots, 2 x n_layers x d_model numbers
-per slot. The memory Mem(t) is one read-only KVLayout, and an update
-returns a new memory Mem(t+1) under one of four policies:
+compression tokens: a KVLayout h(t) of s slots, 2 x n_layers x d_model
+numbers per slot. The memory Mem(t) is one read-only KVLayout. This module
+alone holds the two decisions a policy makes, and every other module asks
+it: the online update (``ContextMemory.updated``), the parallel training
+pass (``training.parallel_memory_update``) and the sessions.
 
-* ``concat``       append every slot group; entries grow linearly in t.
-* ``merge``        running arithmetic mean; entries fixed at s.
-* ``ema``          exponential moving average with coefficient a (a_1 = 1).
-* ``independent``  like concat, but each segment is compressed without
-                   seeing the previous memory (the online variant of
-                   fixed-context compression).
+* ``fold_weights`` is the update rule Mem(t) = fold(Mem(t-1), h(t)):
 
-Policy ``none`` keeps no memory at all (the no-context baseline). Since
-layouts are immutable, a memory is a value: an update shares nothing it
-could change, and reading the layout copies nothing.
+  - ``concat``       append every slot group; entries grow linearly in t.
+  - ``merge``        running arithmetic mean; entries fixed at s.
+  - ``ema``          exponential moving average with coefficient a.
+  - ``independent``  like concat.
+
+  Under every policy Mem(1) = h(1).
+* ``reads_memory`` says whether a compression reads the memory built so
+  far. ``independent`` compresses each segment without it (the online
+  variant of fixed-context compression), and ``none`` keeps no memory at
+  all (the no-context baseline).
+
+Since layouts are immutable, a memory is a value: an update shares nothing
+it could change, and reading the layout copies nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .lora import AdapterSet
 from .model import KVLayout, ToyLM
 
 MEMORY_POLICIES = ("concat", "merge", "ema", "independent")
-POLICIES = MEMORY_POLICIES + ("none",)
 GROWING_POLICIES = ("concat", "independent")
 
 
@@ -43,21 +49,20 @@ class ContextMemory:
     count: int = 0
 
     def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise UsageError(f"unknown memory policy {self.policy!r}")
-        if self.policy == "ema" and not 0.0 < self.ema_a <= 1.0:
-            raise ContractViolation(f"ema coefficient {self.ema_a} outside (0, 1]")
+        if self.policy != "none":  # an unknown policy or a bad ema_a raises
+            fold_weights(self.policy, 1, self.ema_a)
 
     # -- update ----------------------------------------------------------------
 
     def updated(self, h: KVLayout) -> "ContextMemory":
-        if self.policy in GROWING_POLICIES:
-            return update_concat(self, h)
-        if self.policy == "merge":
-            return update_merge(self, h)
-        if self.policy == "ema":
-            return update_ema(self, h, self.ema_a)
-        raise UsageError(f"policy {self.policy!r} does not accept updates")
+        """Mem(t+1) from this Mem(t) and the new slot group h(t+1)."""
+        prev, w = self.entries, fold_weights(self.policy, self.count + 1, self.ema_a)
+        if w is None:
+            entries = h if prev is None else prev.extended(h)
+        else:
+            entries = KVLayout(w[0] * prev.keys + w[1] * h.keys,
+                               w[0] * prev.values + w[1] * h.values)
+        return replace(self, entries=entries, count=self.count + 1)
 
     # -- views -----------------------------------------------------------------
 
@@ -108,35 +113,31 @@ class ContextMemory:
 
 
 # ---------------------------------------------------------------------------
-# update functions (pure: return a new memory)
+# the policy rules
 
 
-def update_concat(mem: ContextMemory, h: KVLayout) -> ContextMemory:
-    """Append the new slot group; order preserved."""
-    entries = h if mem.entries is None else mem.entries.extended(h)
-    return replace(mem, entries=entries, count=mem.count + 1)
+def fold_weights(policy: str, t: int, ema_a: float = 0.5) -> tuple[float, float] | None:
+    """How step t >= 1 folds h(t) into Mem(t-1).
+
+    None means append: Mem(t) = [Mem(t-1) | h(t)], which is h(1) at t = 1
+    under every policy. Otherwise the weights (w_old, w_new) of
+    Mem(t) = w_old * Mem(t-1) + w_new * h(t): ((t-1)/t, 1/t) for merge and
+    (1-a, a) for ema.
+    """
+    if policy not in MEMORY_POLICIES:
+        raise UsageError(f"policy {policy!r} has no memory update rule")
+    if policy == "ema" and not 0.0 < ema_a <= 1.0:
+        raise ContractViolation(f"ema coefficient {ema_a} outside (0, 1]")
+    if t == 1 or policy in GROWING_POLICIES:
+        return None
+    if policy == "merge":
+        return (t - 1) / t, 1.0 / t
+    return 1.0 - ema_a, ema_a
 
 
-def _combined(mem: ContextMemory, h: KVLayout, w_old: float,
-              w_new: float) -> ContextMemory:
-    """Running state w_old * prev + w_new * h; the first h is taken as is."""
-    prev = mem.entries
-    entries = h if prev is None else KVLayout(w_old * prev.keys + w_new * h.keys,
-                                              w_old * prev.values + w_new * h.values)
-    return replace(mem, entries=entries, count=mem.count + 1)
-
-
-def update_merge(mem: ContextMemory, h: KVLayout) -> ContextMemory:
-    """Running arithmetic mean: state = ((t-1) * prev + h) / t."""
-    t = mem.count + 1
-    return _combined(mem, h, (t - 1) / t, 1.0 / t)
-
-
-def update_ema(mem: ContextMemory, h: KVLayout, a: float) -> ContextMemory:
-    """Exponential moving average with a_1 = 1: state = (1-a) * prev + a * h."""
-    if not 0.0 < a <= 1.0:
-        raise ContractViolation(f"ema coefficient {a} outside (0, 1]")
-    return _combined(mem, h, 1.0 - a, a)
+def reads_memory(policy: str) -> bool:
+    """Whether a compression under ``policy`` reads the memory built so far."""
+    return policy not in ("independent", "none")
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +148,15 @@ def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
                      segment) -> KVLayout:
     """Condense one segment into the compression tokens' unrotated KV.
 
-    The forward runs over [memory entries | segment | s comp tokens]; with
-    policy ``independent`` the memory is hidden from the compressor.
+    The forward runs over [memory entries | segment | s comp tokens], the
+    memory left out where the policy does not read it (``reads_memory``).
     """
     segment = np.asarray(segment, dtype=np.intp)
     if segment.size == 0:
         raise ContractViolation("cannot compress an empty segment")
     s = adapters.comp_len
     cfg = model.config
-    layout = (model.empty_layout() if mem.policy in ("independent", "none")
-              else mem.layout(model))
+    layout = mem.layout(model) if reads_memory(mem.policy) else model.empty_layout()
     tokens = np.concatenate([segment, np.full(s, cfg.comp_token_id, dtype=np.intp)])
     _, (new_k, new_v) = model.forward(tokens, layout, adapters=adapters)
     return KVLayout(new_k, new_v).entries(segment.size)

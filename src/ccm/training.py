@@ -9,42 +9,39 @@ memory it would read in the recursive execution:
 * the last group [I(t) | O(t)] reads Mem(t).
 
 Within every layer ``parallel_memory_update`` builds Mem(1..t) from the
-compression blocks' keys/values. Each group sees its memory in full and
-its own tokens causally, in its own position frame [Mem | own tokens]
-numbered from zero, which is what makes the single-pass logits match the
-step-by-step oracle to float precision.
-
-With the ``independent`` policy each segment is compressed without seeing
-the memory (the online variant of fixed-context compression); only the
-final inference group reads the concatenated results.
+compression blocks' keys/values by the same fold rule the online update
+applies (``memory.fold_weights``), and a compression group reads its
+memory only where ``memory.reads_memory`` says the policy does (not for
+``independent``, whose final inference group alone reads the results).
+Each group sees its memory in full and its own tokens causally, in its own
+position frame [Mem | own tokens] numbered from zero, which is what makes
+the single-pass logits match the step-by-step oracle to float precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
-from .memory import MEMORY_POLICIES, ContextMemory, compress_segment
+from .memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
+                     compress_segment, fold_weights, reads_memory)
 from .model import KVLayout, ToyLM, forward_groups
 from .optim import Adam, cosine_lr
 from .seeding import derive_seed
 from .tensor import Tensor
 
-ROLE_CONTEXT, ROLE_COMP, ROLE_INPUT, ROLE_OUTPUT = 0, 1, 2, 3
-
 
 @dataclass
 class TrainingSequence:
-    """Interleaved tokens with per-token roles and loss positions."""
+    """Interleaved tokens with their step ranges and loss positions."""
 
     tokens: np.ndarray          # [N] token ids
-    kind: np.ndarray            # [N] role codes (ROLE_*)
     t: int
     s: int
     ctx_ranges: list[tuple[int, int]]
@@ -56,6 +53,12 @@ class TrainingSequence:
     @property
     def n_tokens(self) -> int:
         return self.tokens.shape[0]
+
+    @property
+    def groups(self) -> list[tuple[int, int]]:
+        """Token ranges of the t+1 query groups: [c(j) | comps j], then [I | O]."""
+        return ([(c[0], comp[1]) for c, comp in zip(self.ctx_ranges, self.comp_ranges)]
+                + [self.io_range])
 
 
 def build_training_sequence(sample: tuple[Sequence, Sequence, Sequence],
@@ -74,31 +77,26 @@ def build_training_sequence(sample: tuple[Sequence, Sequence, Sequence],
     if inputs.size == 0 or outputs.size == 0:
         raise DataError("empty input or output")
 
-    parts, kinds = [], []
+    parts = []
     ctx_ranges, comp_ranges = [], []
     pos = 0
     for seg in segments:
         ctx_ranges.append((pos, pos + seg.size))
         parts.append(seg)
-        kinds.append(np.full(seg.size, ROLE_CONTEXT, dtype=np.int8))
         pos += seg.size
         comp_ranges.append((pos, pos + s))
         parts.append(np.full(s, comp_token_id, dtype=np.intp))
-        kinds.append(np.full(s, ROLE_COMP, dtype=np.int8))
         pos += s
     io_range = (pos, pos + inputs.size + outputs.size)
     parts.extend([inputs, outputs])
-    kinds.append(np.full(inputs.size, ROLE_INPUT, dtype=np.int8))
-    kinds.append(np.full(outputs.size, ROLE_OUTPUT, dtype=np.int8))
 
     tokens = np.concatenate(parts)
-    kind = np.concatenate(kinds)
     n = tokens.shape[0]
     weights = np.zeros(n, dtype=np.int8)
-    weights[:-1] = kind[1:] == ROLE_OUTPUT
+    weights[n - outputs.size - 1:n - 1] = 1  # the positions predicting O(t)
     targets = np.zeros(n, dtype=np.intp)
     targets[:-1] = tokens[1:]
-    return TrainingSequence(tokens, kind, t, s, ctx_ranges, comp_ranges,
+    return TrainingSequence(tokens, t, s, ctx_ranges, comp_ranges,
                             io_range, weights, targets)
 
 
@@ -127,38 +125,21 @@ def build_parallel_mask(seq: TrainingSequence, policy: str) -> ParallelMask:
     if policy not in MEMORY_POLICIES:
         raise UsageError(f"unknown training policy {policy!r}")
     n, t, s = seq.n_tokens, seq.t, seq.s
-    merged = policy in ("merge", "ema")
+    merged = policy not in GROWING_POLICIES
     m = t * s if merged else 0
     allowed = np.zeros((n, m + n), dtype=bool)
 
-    def causal_block(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            allowed[r, m + lo:m + r + 1] = True
+    def mem_cols(j: int) -> list[int]:  # the columns of Mem(j), j >= 1
+        if merged:
+            return list(range((j - 1) * s, j * s))
+        return [m + c for lo, hi in seq.comp_ranges[:j] for c in range(lo, hi)]
 
-    # within-step attention: [c(j) | comp block j] is causal, [I | O] is causal
-    for (clo, _), (_, phi) in zip(seq.ctx_ranges, seq.comp_ranges):
-        causal_block(clo, phi)
-    causal_block(*seq.io_range)
-
-    # cross-step attention through the memory
-    io_lo, io_hi = seq.io_range
-    if merged:
-        for j in range(2, t + 1):
-            glo = seq.ctx_ranges[j - 1][0]
-            ghi = seq.comp_ranges[j - 1][1]
-            allowed[glo:ghi, (j - 2) * s:(j - 1) * s] = True
-        allowed[io_lo:io_hi, (t - 1) * s:t * s] = True
-    else:
-        for j in range(2, t + 1):
-            glo = seq.ctx_ranges[j - 1][0]
-            ghi = seq.comp_ranges[j - 1][1]
-            if policy == "concat":
-                for b in range(j - 1):
-                    blo, bhi = seq.comp_ranges[b]
-                    allowed[glo:ghi, m + blo:m + bhi] = True
-        for b in range(t):
-            blo, bhi = seq.comp_ranges[b]
-            allowed[io_lo:io_hi, m + blo:m + bhi] = True
+    # group j reads Mem(j) (compression group j+1 only if the policy reads
+    # memory, Mem(0) is empty) and its own tokens causally
+    for j, (lo, hi) in enumerate(seq.groups):
+        allowed[lo:hi, m + lo:m + hi] = np.tril(np.ones((hi - lo, hi - lo), dtype=bool))
+        if j == t or (j and reads_memory(policy)):
+            allowed[lo:hi, mem_cols(j)] = True
     return ParallelMask(allowed, m, policy)
 
 
@@ -170,41 +151,23 @@ def parallel_memory_update(comp_kvs: Sequence[tuple[Tensor, Tensor]], policy: st
                            ema_a: float = 0.5) -> list[tuple[Tensor, Tensor]]:
     """Memory states Mem(1..t) from the compression blocks of one layer.
 
-    ``comp_kvs[j]`` holds block j+1's (keys, values), each [s, d]. For
-    ``concat`` the states alias the inputs (Mem(j) = blocks 1..j
-    concatenated); for ``merge`` they are cumulative means; for ``ema`` the
-    recurrence (1-a) * prev + a * h with a_1 = 1.
+    ``comp_kvs[j]`` holds block j+1's (keys, values), each [s, d]. Each
+    state folds in its block by ``memory.fold_weights``: an appended state
+    is one concatenation of blocks 1..j (block 1 itself for j = 1), a
+    weighted one w_old * Mem(j-1) + w_new * h(j).
     """
-    if policy in ("concat", "independent"):
-        out: list[tuple[Tensor, Tensor]] = []
-        for j in range(1, len(comp_kvs) + 1):
-            ks = [kv[0] for kv in comp_kvs[:j]]
-            vs = [kv[1] for kv in comp_kvs[:j]]
-            out.append((T.concat(ks, axis=0) if j > 1 else ks[0],
-                        T.concat(vs, axis=0) if j > 1 else vs[0]))
-        return out
-    if policy == "merge":
-        out = []
-        run_k, run_v = None, None
-        for j, (k, v) in enumerate(comp_kvs, start=1):
-            run_k = k if run_k is None else T.add(run_k, k)
-            run_v = v if run_v is None else T.add(run_v, v)
-            out.append((T.mul(run_k, 1.0 / j), T.mul(run_v, 1.0 / j)))
-        return out
-    if policy == "ema":
-        if not 0.0 < ema_a <= 1.0:
-            raise ContractViolation(f"ema coefficient {ema_a} outside (0, 1]")
-        out = []
-        prev_k, prev_v = None, None
-        for k, v in comp_kvs:
-            if prev_k is None:
-                prev_k, prev_v = k, v
-            else:
-                prev_k = T.add(T.mul(prev_k, 1.0 - ema_a), T.mul(k, ema_a))
-                prev_v = T.add(T.mul(prev_v, 1.0 - ema_a), T.mul(v, ema_a))
-            out.append((prev_k, prev_v))
-        return out
-    raise UsageError(f"unknown policy {policy!r}")
+    out: list[tuple[Tensor, Tensor]] = []
+    for j in range(1, len(comp_kvs) + 1):
+        w = fold_weights(policy, j, ema_a)
+        if w is None:
+            ks, vs = zip(*comp_kvs[:j])
+            out.append((T.concat(ks, axis=0), T.concat(vs, axis=0)) if j > 1
+                       else comp_kvs[0])
+        else:
+            (prev_k, prev_v), (k, v) = out[-1], comp_kvs[j - 1]
+            out.append((T.add(T.mul(prev_k, w[0]), T.mul(k, w[1])),
+                        T.add(T.mul(prev_v, w[0]), T.mul(v, w[1]))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +183,15 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence,
     states each group reads.
     """
     t, s = seq.t, seq.s
-    ranges = [(c[0], comp[1]) for c, comp in zip(seq.ctx_ranges, seq.comp_ranges)]
-    ranges.append(seq.io_range)
 
     def memory(layer, k, v):
         comp_kvs = [(T.narrow(k, 0, lo, s), T.narrow(v, 0, lo, s))
                     for lo, _ in seq.comp_ranges]
         mems = parallel_memory_update(comp_kvs, policy, ema_a)
-        if policy == "independent":
-            return [None] * t + [mems[t - 1]]
-        return [None] + mems[:t - 1] + [mems[t - 1]]
+        reads = [None] + mems[:t - 1] if reads_memory(policy) else [None] * t
+        return reads + [mems[t - 1]]
 
-    logits, _ = forward_groups(model, seq.tokens, ranges, memory, adapters)
+    logits, _ = forward_groups(model, seq.tokens, seq.groups, memory, adapters)
     loss = T.cross_entropy_next_token(logits, seq.targets, seq.target_weights)
     return loss, logits
 
@@ -291,7 +251,7 @@ class Recipe:
 
     @classmethod
     def load(cls, path) -> "Recipe":
-        known = {f.name: f.type for f in fields(cls)}
+        known = get_type_hints(cls)  # key -> the type its value converts to
         kwargs: dict = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -303,12 +263,7 @@ class Recipe:
             if key not in known:
                 raise DataError(f"{path}:{lineno}: unknown recipe key {key!r}")
             try:
-                if key in ("steps", "batch", "T", "s", "seed"):
-                    kwargs[key] = int(value)
-                elif key in ("lr", "min_lr", "ema_a"):
-                    kwargs[key] = float(value)
-                else:
-                    kwargs[key] = value
+                kwargs[key] = known[key](value)
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: bad value for {key}: {value!r}") from None
@@ -318,11 +273,29 @@ class Recipe:
 MetricsRow = dict  # step, loss, lr, wall_ms
 
 
-def _finite_or_raise(loss: float, step: int) -> None:
-    if not np.isfinite(loss):
-        raise ContractViolation(
-            f"training diverged at step {step}: loss={loss!r}; "
-            "lower the learning rate or check the data")
+def _train_steps(params, order: str, recipe: Recipe,
+                 sample_loss: Callable[[np.random.Generator], Tensor]) -> list[MetricsRow]:
+    """Adam over ``params``: per step, the batch-mean loss of ``recipe.batch``
+    draws of ``sample_loss`` from the rng seeded by ``order``."""
+    opt = Adam(params)
+    rng = np.random.default_rng(derive_seed(recipe.seed, order))
+    rows: list[MetricsRow] = []
+    for step in range(recipe.steps):
+        lr = cosine_lr(step, recipe.steps, recipe.lr, recipe.min_lr)
+        opt.zero_grad()
+        total = 0.0
+        for _ in range(recipe.batch):
+            loss = sample_loss(rng)
+            T.mul(loss, 1.0 / recipe.batch).backward()
+            total += loss.item()
+        mean_loss = total / recipe.batch
+        if not np.isfinite(mean_loss):
+            raise ContractViolation(
+                f"training diverged at step {step}: loss={mean_loss!r}; "
+                "lower the learning rate or check the data")
+        opt.step(lr)
+        rows.append({"step": step, "loss": mean_loss, "lr": lr, "wall_ms": 0})
+    return rows
 
 
 def pretrain(model: ToyLM, sampler: Callable[[np.random.Generator], np.ndarray],
@@ -334,34 +307,23 @@ def pretrain(model: ToyLM, sampler: Callable[[np.random.Generator], np.ndarray],
     focus the loss. Trains all model parameters.
     """
     model.thaw()
-    opt = Adam(model.parameters())
-    rng = np.random.default_rng(derive_seed(recipe.seed, "pretrain-order"))
-    rows: list[MetricsRow] = []
-    for step in range(recipe.steps):
-        lr = cosine_lr(step, recipe.steps, recipe.lr, recipe.min_lr)
-        opt.zero_grad()
-        total = 0.0
-        for _ in range(recipe.batch):
-            drawn = sampler(rng)
-            if isinstance(drawn, tuple):
-                tokens, weights = drawn
-                tokens = np.asarray(tokens, dtype=np.intp)
-                weights = np.asarray(weights, dtype=np.int8).copy()
-            else:
-                tokens = np.asarray(drawn, dtype=np.intp)
-                weights = np.ones(tokens.size, dtype=np.int8)
-            weights[-1] = 0  # final position has no next token
-            logits, _ = model.forward(tokens, model.empty_layout())
-            targets = np.zeros(tokens.size, dtype=np.intp)
-            targets[:-1] = tokens[1:]
-            loss = T.cross_entropy_next_token(logits, targets, weights)
-            T.mul(loss, 1.0 / recipe.batch).backward()
-            total += loss.item()
-        mean_loss = total / recipe.batch
-        _finite_or_raise(mean_loss, step)
-        opt.step(lr)
-        rows.append({"step": step, "loss": mean_loss, "lr": lr, "wall_ms": 0})
-    return rows
+
+    def sample_loss(rng):
+        drawn = sampler(rng)
+        if isinstance(drawn, tuple):
+            tokens, weights = drawn
+            tokens = np.asarray(tokens, dtype=np.intp)
+            weights = np.asarray(weights, dtype=np.int8).copy()
+        else:
+            tokens = np.asarray(drawn, dtype=np.intp)
+            weights = np.ones(tokens.size, dtype=np.int8)
+        weights[-1] = 0  # final position has no next token
+        logits, _ = model.forward(tokens, model.empty_layout())
+        targets = np.zeros(tokens.size, dtype=np.intp)
+        targets[:-1] = tokens[1:]
+        return T.cross_entropy_next_token(logits, targets, weights)
+
+    return _train_steps(model.parameters(), "pretrain-order", recipe, sample_loss)
 
 
 def train_compression(model: ToyLM, adapters: AdapterSet,
@@ -373,28 +335,15 @@ def train_compression(model: ToyLM, adapters: AdapterSet,
     ``sampler(rng, t)`` returns one (segments, inputs, outputs) triple with
     at least t segments; t is drawn uniformly from 1..T per sample.
     """
-    params = trainable_parameters(model, adapters)
-    opt = Adam(params)
-    rng = np.random.default_rng(derive_seed(recipe.seed, "compress-order"))
-    rows: list[MetricsRow] = []
-    for step in range(recipe.steps):
-        lr = cosine_lr(step, recipe.steps, recipe.lr, recipe.min_lr)
-        opt.zero_grad()
-        total = 0.0
-        for _ in range(recipe.batch):
-            t = int(rng.integers(1, recipe.T + 1))
-            sample = sampler(rng, t)
-            seq = build_training_sequence(sample, recipe.s, t,
-                                          model.config.comp_token_id)
-            loss, _ = training_forward(model, adapters, seq, recipe.policy,
-                                       recipe.ema_a)
-            T.mul(loss, 1.0 / recipe.batch).backward()
-            total += loss.item()
-        mean_loss = total / recipe.batch
-        _finite_or_raise(mean_loss, step)
-        opt.step(lr)
-        rows.append({"step": step, "loss": mean_loss, "lr": lr, "wall_ms": 0})
-    return rows
+    def sample_loss(rng):
+        t = int(rng.integers(1, recipe.T + 1))
+        seq = build_training_sequence(sampler(rng, t), recipe.s, t,
+                                      model.config.comp_token_id)
+        loss, _ = training_forward(model, adapters, seq, recipe.policy, recipe.ema_a)
+        return loss
+
+    return _train_steps(trainable_parameters(model, adapters), "compress-order",
+                        recipe, sample_loss)
 
 
 def write_metrics_csv(path, rows: list[MetricsRow]) -> None:

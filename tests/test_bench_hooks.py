@@ -1,12 +1,18 @@
 """The traced benchmark wraps `ccm` functions by name; a refactor that
-renames or deletes one of them must fail here, not in the benchmark."""
+renames or deletes one of them, or routes around it, must fail here, not
+in the benchmark."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import ccm
 import ccm.cli  # noqa: F401  (the tracer wraps functions in every module)
+import ccm.engine
 import ccm.model
+import ccm.training
+from conftest import random_sample
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
@@ -27,6 +33,31 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert ccm.model.attend is attend
+
+
+def test_traced_spans_record_calls(tiny_model64):
+    # one session step and one training step reach every traced phase
+    tiny_model64.freeze()
+    adapters = ccm.AdapterSet.init(tiny_model64, comp_len=1, seed=0)
+    sample = random_sample(np.random.default_rng(0), 2, 20)
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install(ccm)
+        # called through the modules, where the tracer patched them
+        session = ccm.engine.Session(tiny_model64, adapters, "concat")
+        session.ingest([1, 2, 3])
+        ccm.engine.evaluate_multichoice(session, [4, 5], [[6], [7]])
+        ccm.training.train_compression(
+            tiny_model64, adapters, lambda rng, t: sample,
+            ccm.Recipe(steps=1, batch=1, T=2, s=1, policy="concat"))
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.span_table().items()}
+    for name in ("memory.update", "memory.compress_segment", "engine.session_ingest",
+                 "training.parallel_memory_update"):
+        assert calls.get(name, 0) > 0, name
+    assert any(name.startswith("training.training_forward.t") and n > 0
+               for name, n in calls.items())
 
 
 def test_public_names_resolve():

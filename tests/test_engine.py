@@ -83,6 +83,26 @@ def test_measured_counts_match_analytic(model, adapters):
                                                           "inference"), (policy, t)
 
 
+@pytest.mark.parametrize("policy", engine.SESSION_POLICIES)
+def test_ingest_peak_is_what_its_forwards_hold(monkeypatch, model, adapters, policy):
+    # the reported compression peak counts only the entries a forward reads:
+    # an independent compressor does not read the memory
+    held = []
+    forward = ToyLM.forward
+
+    def recording(self, tokens, layout, adapters=None):
+        held.append(layout.n_entries + len(tokens))
+        return forward(self, tokens, layout, adapters=adapters)
+
+    monkeypatch.setattr(ToyLM, "forward", recording)
+    rng = np.random.default_rng(6)
+    session = Session(model, adapters, policy)
+    for _ in range(4):
+        held.clear()
+        peak = session.ingest(rng.integers(0, 20, size=5))
+        assert peak == max(held, default=0)
+
+
 def test_none_policy_ignores_context(model, adapters):
     rng = np.random.default_rng(3)
     inputs = rng.integers(0, 20, size=3)

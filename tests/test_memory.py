@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccm.tensor as T
 from ccm.checkpoint import save_arrays
 from ccm.errors import ContractViolation, DataError
 from ccm.lora import AdapterSet
 from ccm.memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
-                        compress_segment, update_concat, update_ema, update_merge)
+                        compress_segment)
 from ccm.model import KVLayout, ToyLM
+from ccm.training import parallel_memory_update
 from conftest import TINY
 
 
@@ -31,7 +33,7 @@ def test_concat_base_case():
     rng = np.random.default_rng(0)
     mem = ContextMemory("concat")
     h = slots(rng)
-    mem = update_concat(mem, h)
+    mem = mem.updated(h)
     assert mem.entry_count == h.n_entries and mem.count == 1
     np.testing.assert_array_equal(mem.entries.keys, h.keys)
 
@@ -40,7 +42,7 @@ def test_concat_preserves_order_and_counts():
     rng = np.random.default_rng(1)
     mem = ContextMemory("concat")
     h1, h2 = slots(rng, s=2), slots(rng, s=2)
-    mem = update_concat(update_concat(mem, h1), h2)
+    mem = mem.updated(h1).updated(h2)
     assert mem.entry_count == 4  # 2 slots per update
     np.testing.assert_array_equal(mem.entries.keys[:, 0:2], h1.keys)
     np.testing.assert_array_equal(mem.entries.keys[:, 2:4], h2.keys)
@@ -51,7 +53,7 @@ def test_concat_sixteen_updates_with_eight_slots():
     rng = np.random.default_rng(2)
     mem = ContextMemory("concat")
     for t in range(16):
-        mem = update_concat(mem, slots(rng, s=8))
+        mem = mem.updated(slots(rng, s=8))
     assert mem.entry_count == 128
 
 
@@ -62,14 +64,14 @@ def test_concat_sixteen_updates_with_eight_slots():
 def test_merge_first_update_is_identity():
     rng = np.random.default_rng(3)
     h = slots(rng)
-    mem = update_merge(ContextMemory("merge"), h)
+    mem = ContextMemory("merge").updated(h)
     np.testing.assert_array_equal(mem.entries.keys, h.keys)
 
 
 def test_merge_mean_of_two():
     z = scalar_slots(0.0)
     two = scalar_slots(2.0)
-    mem = update_merge(update_merge(ContextMemory("merge"), z), two)
+    mem = ContextMemory("merge").updated(z).updated(two)
     assert mem.entries.keys.item() == pytest.approx(1.0)
 
 
@@ -77,7 +79,7 @@ def test_merge_entry_count_fixed():
     rng = np.random.default_rng(4)
     mem = ContextMemory("merge")
     for t in range(16):
-        mem = update_merge(mem, slots(rng, s=8))
+        mem = mem.updated(slots(rng, s=8))
     assert mem.entry_count == 8
 
 
@@ -88,7 +90,7 @@ def test_merge_equals_elementwise_mean(n, seed):
     hs = [slots(rng) for j in range(n)]
     mem = ContextMemory("merge")
     for h in hs:
-        mem = update_merge(mem, h)
+        mem = mem.updated(h)
     np.testing.assert_allclose(mem.entries.keys,
                                np.mean([h.keys for h in hs], axis=0), atol=1e-6)
     np.testing.assert_allclose(mem.entries.values,
@@ -103,14 +105,14 @@ def test_ema_first_update_is_identity_any_a():
     rng = np.random.default_rng(5)
     h = slots(rng)
     for a in (0.1, 0.5, 1.0):
-        mem = update_ema(ContextMemory("ema", ema_a=a), h, a)
+        mem = ContextMemory("ema", ema_a=a).updated(h)
         np.testing.assert_array_equal(mem.entries.keys, h.keys)
 
 
 def test_ema_hand_arithmetic():
     mem = ContextMemory("ema", ema_a=0.5)
-    mem = update_ema(mem, scalar_slots(4.0), 0.5)
-    mem = update_ema(mem, scalar_slots(0.0), 0.5)
+    mem = mem.updated(scalar_slots(4.0))
+    mem = mem.updated(scalar_slots(0.0))
     assert mem.entries.keys.item() == pytest.approx(2.0)
 
 
@@ -120,15 +122,17 @@ def test_ema_a_one_keeps_latest():
     last = None
     for j in range(5):
         last = slots(rng)
-        mem = update_ema(mem, last, 1.0)
+        mem = mem.updated(last)
     np.testing.assert_array_equal(mem.entries.keys, last.keys)
 
 
 def test_ema_rejects_bad_coefficient():
+    for a in (0.0, 1.5):
+        with pytest.raises(ContractViolation):
+            ContextMemory("ema", ema_a=a)
+    h = scalar_slots(1.0)
     with pytest.raises(ContractViolation):
-        update_ema(ContextMemory("merge"), scalar_slots(1.0), 0.0)
-    with pytest.raises(ContractViolation):
-        update_ema(ContextMemory("merge"), scalar_slots(1.0), 1.5)
+        parallel_memory_update([(T.Tensor(h.keys[0]), T.Tensor(h.values[0]))], "ema", 0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -140,7 +144,7 @@ def test_ema_matches_closed_form(n, a, seed):
     hs = [slots(rng) for j in range(n)]
     mem = ContextMemory("ema", ema_a=a)
     for h in hs:
-        mem = update_ema(mem, h, a)
+        mem = mem.updated(h)
     # closed form sum_j a_j prod_{k>j} (1 - a_k) h(j) with a_1 = 1
     coeff = [(1.0 if j == 0 else a) * (1.0 - a) ** (n - 1 - j) for j in range(n)]
     expected = sum(c * h.keys for c, h in zip(coeff, hs))
@@ -155,7 +159,7 @@ def test_merge_layout_fixed_size(tiny_model64):
     rng = np.random.default_rng(7)
     mem = ContextMemory("merge")
     for t in range(7):
-        mem = update_merge(mem, slots(rng, L=TINY.n_layers, s=2, d=TINY.d_model))
+        mem = mem.updated(slots(rng, L=TINY.n_layers, s=2, d=TINY.d_model))
     layout = mem.layout(tiny_model64)
     assert layout.n_entries == 2
 
@@ -165,7 +169,7 @@ def test_concat_layout_chronological(tiny_model64):
     mem = ContextMemory("concat")
     hs = [slots(rng, L=TINY.n_layers, s=2, d=TINY.d_model) for j in range(3)]
     for h in hs:
-        mem = update_concat(mem, h)
+        mem = mem.updated(h)
     layout = mem.layout(tiny_model64)
     assert layout.n_entries == 6
     np.testing.assert_allclose(layout.keys[:, 0:2], hs[0].keys)
@@ -241,10 +245,10 @@ def test_compression_is_memory_conditioned(tiny_model64):
     """Changing Mem(t-1) changes h(t): attention reaches the memory."""
     adapters = AdapterSet.init(tiny_model64, comp_len=1, seed=2)
     rng = np.random.default_rng(9)
-    mem1 = update_concat(ContextMemory("concat"),
-                         slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
-    mem2 = update_concat(ContextMemory("concat"),
-                         slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
+    mem1 = ContextMemory("concat").updated(
+        slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
+    mem2 = ContextMemory("concat").updated(
+        slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
     h1 = compress_segment(tiny_model64, adapters, mem1, [1, 2, 3])
     h2 = compress_segment(tiny_model64, adapters, mem2, [1, 2, 3])
     assert not np.allclose(h1.keys, h2.keys)
@@ -254,8 +258,8 @@ def test_independent_policy_ignores_memory(tiny_model64):
     adapters = AdapterSet.init(tiny_model64, comp_len=1, seed=3)
     rng = np.random.default_rng(10)
     empty = ContextMemory("independent")
-    filled = update_concat(ContextMemory("independent"),
-                           slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
+    filled = ContextMemory("independent").updated(
+        slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
     h1 = compress_segment(tiny_model64, adapters, empty, [1, 2, 3])
     h2 = compress_segment(tiny_model64, adapters, filled, [1, 2, 3])
     np.testing.assert_array_equal(h1.keys, h2.keys)
@@ -265,7 +269,7 @@ def test_memory_snapshot_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     mem = ContextMemory("concat")
     for j in range(3):
-        mem = update_concat(mem, slots(rng))
+        mem = mem.updated(slots(rng))
     path = tmp_path / "mem.ckpt"
     mem.save(path)
     loaded = ContextMemory.load(path)
@@ -276,7 +280,7 @@ def test_memory_snapshot_roundtrip(tmp_path):
 
     mem2 = ContextMemory("merge")
     for j in range(3):
-        mem2 = update_merge(mem2, slots(rng))
+        mem2 = mem2.updated(slots(rng))
     mem2.save(path)
     loaded2 = ContextMemory.load(path)
     np.testing.assert_array_equal(loaded2.entries.keys, mem2.entries.keys)

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 import ccm.tensor as T
 from ccm.errors import DataError
 from ccm.lora import AdapterSet, trainable_parameters
-from ccm.memory import MEMORY_POLICIES
-from ccm.model import ModelConfig, ToyLM
+from ccm.memory import MEMORY_POLICIES, ContextMemory
+from ccm.model import KVLayout, ModelConfig, ToyLM
 from ccm.tensor import finite_difference_check
-from ccm.training import (ROLE_COMP, ROLE_CONTEXT, ROLE_INPUT, ROLE_OUTPUT,
-                          Recipe, build_parallel_mask,
-                          build_training_sequence, parallel_memory_update, pretrain,
+from ccm.training import (Recipe, build_parallel_mask, build_training_sequence,
+                          parallel_memory_update, pretrain,
                           recursive_reference_forward, train_compression,
                           training_forward)
 from conftest import TINY, random_sample
@@ -42,11 +41,15 @@ def test_sequence_layout_t1():
     seq = build_training_sequence(([[10, 11]], [12], [13]), s=1, t=1,
                                   comp_token_id=99)
     np.testing.assert_array_equal(seq.tokens, [10, 11, 99, 12, 13])
-    np.testing.assert_array_equal(seq.kind, [ROLE_CONTEXT, ROLE_CONTEXT, ROLE_COMP,
-                                             ROLE_INPUT, ROLE_OUTPUT])
+    assert seq.ctx_ranges == [(0, 2)] and seq.comp_ranges == [(2, 3)]
+    assert seq.io_range == (3, 5)
     # only the position predicting the output token carries loss weight
     np.testing.assert_array_equal(seq.target_weights, [0, 0, 0, 1, 0])
     assert seq.targets[3] == 13
+    # with |O| = 2 both positions predicting O(t) carry weight
+    seq2 = build_training_sequence(([[10]], [12, 13], [14, 15]), s=1, t=1,
+                                   comp_token_id=99)
+    np.testing.assert_array_equal(seq2.target_weights, [0, 0, 0, 1, 1, 0])
 
 
 def test_sequence_total_length():
@@ -195,19 +198,23 @@ def test_parallel_update_concat_widths():
     np.testing.assert_array_equal(mems[2][0].data[1], hs[1][0].data[0])
 
 
-def test_parallel_update_matches_online_merge():
-    from ccm.memory import ContextMemory, update_merge
-    from ccm.model import KVLayout
+@pytest.mark.parametrize("policy", MEMORY_POLICIES)
+def test_parallel_update_matches_online(policy):
+    # the parallel pass and the online update apply one fold rule: every
+    # Mem(j), keys and values, agrees in float64
     rng = np.random.default_rng(4)
-    raw = [rng.standard_normal((1, 2, 3)) for _ in range(5)]
-    tensors = [(T.Tensor(r.reshape(2, 3)), T.Tensor(r.reshape(2, 3))) for r in raw]
-    mems = parallel_memory_update(tensors, "merge")
+    raw = [(rng.standard_normal((1, 2, 3)), rng.standard_normal((1, 2, 3)))
+           for _ in range(5)]
+    mems = parallel_memory_update(
+        [(T.Tensor(k[0]), T.Tensor(v[0])) for k, v in raw], policy, ema_a=0.3)
 
-    online = ContextMemory("merge")
-    for r in raw:
-        online = update_merge(online, KVLayout(r.copy(), r.copy()))
-    np.testing.assert_allclose(mems[-1][0].data, online.entries.keys.reshape(2, 3),
-                               atol=1e-6)
+    assert len(mems) == len(raw)
+    online = ContextMemory(policy, ema_a=0.3)
+    for (k, v), (par_k, par_v) in zip(raw, mems):
+        online = online.updated(KVLayout(k, v))
+        np.testing.assert_allclose(par_k.data, online.entries.keys[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(par_v.data, online.entries.values[0], rtol=0,
+                                   atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
