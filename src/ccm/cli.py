@@ -1,24 +1,34 @@
 """Operator entry point: data generation, the two training stages,
 session evaluation, streaming, and complexity sweeps.
 
-Every command is deterministic under its flags and seed: reruns produce
+Every command is deterministic under its flags: reruns produce
 byte-identical CSV artifacts. Exit codes: 0 ok, 1 usage error, 2 data
 error, 3 numeric contract violation.
+
+Each command takes only the flags it reads. ``gen-data`` takes
+``--seed``. ``pretrain`` and ``train-compress`` take ``--config``, a
+key=value recipe whose values their recipe flags (``--seed`` among them)
+override. ``eval`` takes ``--config`` for the recipe's ``ema_a``.
+``stream`` and ``complexity`` take neither. Trained adapters carry their
+slot count: ``--slots`` sizes fresh adapters in ``train-compress`` and the
+sweep in ``complexity``. ``eval`` accepts every session policy and
+``stream`` every streaming policy.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .complexity import ComplexityParams, llama_7b_params, sweep_rows
-from .engine import Session, StreamCaps, evaluate_multichoice, evaluate_perplexity
+from .engine import (SESSION_POLICIES, STREAM_POLICIES, Session, StreamCaps,
+                     evaluate_multichoice, evaluate_perplexity)
 from .errors import CcmError, ContractViolation, DataError, UsageError
 from .lora import AdapterSet
-from .memory import MEMORY_POLICIES
 from .model import ToyLM
 from .seeding import derive_seed
 from .taskgen import (ICLDataset, VocabSpec, gen_icl_dataset, gen_iid_stream,
@@ -26,10 +36,7 @@ from .taskgen import (ICLDataset, VocabSpec, gen_icl_dataset, gen_iid_stream,
                       read_dataset, stream_compression_sampler,
                       stream_pretrain_sampler, write_icl_dataset,
                       write_stream_dataset, StreamVocab)
-from .training import Recipe, pretrain, train_compression, write_metrics_csv
-
-EVAL_POLICIES = MEMORY_POLICIES + ("full", "none")
-STREAM_POLICIES = ("concat", "sliding")
+from .training import Recipe, pretrain, train_compression
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,12 +51,22 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _load_recipe(args, **overrides) -> Recipe:
+def _write_metrics(path, rows: list[dict]) -> None:
+    """Loss log; wall_ms is pinned to 0 so reruns are byte-identical."""
+    _write_csv(path, ["step", "loss", "lr", "wall_ms"],
+               [[r["step"], f"{r['loss']:.8f}", f"{r['lr']:.8g}", r["wall_ms"]]
+                for r in rows])
+
+
+def _load_recipe(args, **flags) -> Recipe:
+    """The --config recipe (or the defaults), with the given flags on top."""
     recipe = Recipe.load(args.config) if args.config else Recipe()
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(recipe, key, value)
-    return recipe
+    return replace(recipe, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _check_policy(policy: str, policies: tuple[str, ...]) -> None:
+    if policy not in policies:
+        raise UsageError(f"--policy must be one of {policies}")
 
 
 def _require_icl(data) -> ICLDataset:
@@ -95,7 +112,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _model_from_flags(args, vocab) -> ToyLM:
+def _model_from_flags(args, vocab, seed: int) -> ToyLM:
     overrides = {}
     if args.layers:
         overrides["n_layers"] = args.layers
@@ -106,41 +123,39 @@ def _model_from_flags(args, vocab) -> ToyLM:
     if args.d_ff:
         overrides["d_ff"] = args.d_ff
     config = vocab.model_config(**overrides)
-    return ToyLM.init(config, seed=derive_seed(args.seed, "model-init"),
+    return ToyLM.init(config, seed=derive_seed(seed, "model-init"),
                       dtype=np.float32)
 
 
 def cmd_pretrain(args) -> int:
-    data = read_dataset(args.data)
     recipe = _load_recipe(args, steps=args.steps, batch=args.batch, lr=args.lr,
                           seed=args.seed)
+    data = read_dataset(args.data)
     if isinstance(data, ICLDataset):
-        recipe.T = data.T
-        model = _model_from_flags(args, data.vocab)
+        recipe = replace(recipe, T=data.T)
+        model = _model_from_flags(args, data.vocab, recipe.seed)
         sampler = icl_pretrain_sampler(data.train, T=data.T, vocab=data.vocab)
     else:
         streams, vocab, _ = data
-        model = _model_from_flags(args, vocab)
+        model = _model_from_flags(args, vocab, recipe.seed)
         sampler = stream_pretrain_sampler(streams, window=args.window)
     rows = pretrain(model, sampler, recipe)
     model.save(args.out)
     if args.metrics:
-        write_metrics_csv(args.metrics, rows)
+        _write_metrics(args.metrics, rows)
     print(f"pretrained {recipe.steps} steps, final loss {rows[-1]['loss']:.4f}; "
           f"wrote {args.out}")
     return 0
 
 
 def cmd_train_compress(args) -> int:
-    data = read_dataset(args.data)
-    model = ToyLM.load(args.model)
     recipe = _load_recipe(args, steps=args.steps, batch=args.batch, lr=args.lr,
                           seed=args.seed, policy=args.policy, s=args.slots)
-    if recipe.policy not in MEMORY_POLICIES:
-        raise UsageError(f"--policy {recipe.policy!r} is not a training policy")
+    data = read_dataset(args.data)
+    model = ToyLM.load(args.model)
     if isinstance(data, ICLDataset):
         _require_vocab(model, data.vocab)
-        recipe.T = data.T
+        recipe = replace(recipe, T=data.T)
         sampler = icl_compression_sampler(data.train)
     else:
         streams, vocab, _ = data
@@ -153,14 +168,15 @@ def cmd_train_compress(args) -> int:
     rows = train_compression(model, adapters, sampler, recipe)
     adapters.save(args.out)
     if args.metrics:
-        write_metrics_csv(args.metrics, rows)
+        _write_metrics(args.metrics, rows)
     print(f"trained adapters ({recipe.policy}, s={recipe.s}) "
           f"final loss {rows[-1]['loss']:.4f}; wrote {args.out}")
     return 0
 
 
 def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
-              policy: str, max_eval: int | None = None) -> list[list]:
+              policy: str, max_eval: int | None = None,
+              ema_a: float = 0.5) -> list[list]:
     """One row per t = 1..T: accuracy and measured KV counts."""
     samples = ds.test if max_eval is None else ds.test[:max(max_eval, 0)]
     if not samples:
@@ -169,7 +185,7 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
     choices = [[lid] for lid in label_ids]
 
     def run_identity(sample):
-        session = Session(model, adapters, policy)
+        session = Session(model, adapters, policy, ema_a=ema_a)
         per_t = []
         for t in range(1, ds.T + 1):
             comp_peak = session.ingest(sample.segments[t - 1])
@@ -194,15 +210,13 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
 
 
 def cmd_eval(args) -> int:
-    if args.policy not in EVAL_POLICIES:
-        raise UsageError(f"--policy must be one of {EVAL_POLICIES}")
-    if args.policy in MEMORY_POLICIES and args.adapters is None:
-        raise UsageError(f"policy {args.policy!r} needs --adapters")
+    _check_policy(args.policy, SESSION_POLICIES)
+    ema_a = _load_recipe(args).ema_a
     ds = _require_icl(read_dataset(args.data))
     model = ToyLM.load(args.model)
     _require_vocab(model, ds.vocab)
     adapters = AdapterSet.load(args.adapters, model) if args.adapters else None
-    rows = eval_rows(model, adapters, ds, args.policy, args.max_eval)
+    rows = eval_rows(model, adapters, ds, args.policy, args.max_eval, ema_a=ema_a)
     _write_csv(args.out, ["policy", "t", "accuracy", "context_kv_entries",
                           "peak_kv_entries"], rows)
     print(f"wrote {args.out}")
@@ -210,12 +224,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    if args.policy not in STREAM_POLICIES:
-        raise UsageError(f"--policy must be one of {STREAM_POLICIES}")
-    if args.policy == "concat" and args.adapters is None:
-        raise UsageError("policy 'concat' needs --adapters")
+    _check_policy(args.policy, STREAM_POLICIES)
     caps = StreamCaps(n_sink=args.sink, ccm_entries=args.ccm_entries,
-                      window=args.window, chunk=args.chunk, comp_len=args.slots)
+                      window=args.window, chunk=args.chunk)
     streams, vocab, _ = _require_stream(read_dataset(args.data))
     if args.stream_index >= len(streams):
         raise DataError(f"stream index {args.stream_index} out of range")
@@ -243,8 +254,7 @@ def cmd_complexity(args) -> int:
     else:
         base = ComplexityParams(t=1, l_c=args.lc, l_i=args.li, s=1,
                                 n_layers=args.layers or 4,
-                                d_model=args.d_model or 128,
-                                n_params=args.params)
+                                d_model=args.d_model or 128)
     t_values = list(range(1, args.t_max + 1))
     s_values = [int(x) for x in args.slots.split(",")]
     rows = sweep_rows(base, t_values, s_values)
@@ -264,13 +274,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ccm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="recipe file (key=value)")
-        p.add_argument("--seed", type=int, default=0)
+    def command(name, help, config=False, seed=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", required=True)
+        if config:
+            p.add_argument("--config", default=None, help="recipe file (key=value)")
+        if seed:  # a recipe command's seed defaults to its recipe's
+            p.add_argument("--seed", type=int, default=None if config else 0)
+        return p
 
-    g = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    common(g)
+    g = command("gen-data", "generate a synthetic dataset", seed=True)
     g.add_argument("--kind", choices=("icl", "stream", "stream-iid"), default="icl")
     g.add_argument("--identities", type=int, default=2200)
     g.add_argument("--t-max", type=int, default=8, dest="t_max")
@@ -281,8 +294,7 @@ def build_parser() -> _Parser:
     g.add_argument("--length", type=int, default=10000)
     g.add_argument("--streams", type=int, default=3)
 
-    p = sub.add_parser("pretrain", help="stage 1: train the base model")
-    common(p)
+    p = command("pretrain", "stage 1: train the base model", config=True, seed=True)
     p.add_argument("--data", required=True)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
@@ -294,8 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--heads", type=int, default=None)
     p.add_argument("--d-ff", type=int, default=None, dest="d_ff")
 
-    c = sub.add_parser("train-compress", help="stage 2: train the adapters")
-    common(c)
+    c = command("train-compress", "stage 2: train the adapters", config=True, seed=True)
     c.add_argument("--data", required=True)
     c.add_argument("--model", required=True)
     c.add_argument("--policy", default=None)
@@ -309,16 +320,14 @@ def build_parser() -> _Parser:
     c.add_argument("--chunk", type=int, default=64)
     c.add_argument("--io-len", type=int, default=16, dest="io_len")
 
-    e = sub.add_parser("eval", help="per-time-step accuracy and KV counts")
-    common(e)
+    e = command("eval", "per-time-step accuracy and KV counts", config=True)
     e.add_argument("--data", required=True)
     e.add_argument("--model", required=True)
     e.add_argument("--adapters", default=None)
     e.add_argument("--policy", required=True)
     e.add_argument("--max-eval", type=int, default=None, dest="max_eval")
 
-    s = sub.add_parser("stream", help="streaming perplexity under a KV budget")
-    common(s)
+    s = command("stream", "streaming perplexity under a KV budget")
     s.add_argument("--data", required=True)
     s.add_argument("--model", required=True)
     s.add_argument("--adapters", default=None)
@@ -327,12 +336,10 @@ def build_parser() -> _Parser:
     s.add_argument("--ccm-entries", type=int, default=8, dest="ccm_entries")
     s.add_argument("--window", type=int, default=151)
     s.add_argument("--chunk", type=int, default=64)
-    s.add_argument("--slots", type=int, default=2)
     s.add_argument("--stream-index", type=int, default=0, dest="stream_index")
     s.add_argument("--length", type=int, default=None)
 
-    x = sub.add_parser("complexity", help="analytic KV / FLOPS sweep")
-    common(x)
+    x = command("complexity", "analytic KV / FLOPS sweep")
     x.add_argument("--t-max", type=int, default=16, dest="t_max")
     x.add_argument("--lc", type=int, default=50)
     x.add_argument("--li", type=int, default=10)
@@ -340,7 +347,6 @@ def build_parser() -> _Parser:
     x.add_argument("--llama7b", action="store_true")
     x.add_argument("--layers", type=int, default=None)
     x.add_argument("--d-model", type=int, default=None, dest="d_model")
-    x.add_argument("--params", type=float, default=0.0)
     return parser
 
 

@@ -11,7 +11,7 @@ context outweigh the forward-pass overhead of the compression tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import UsageError
 
@@ -27,8 +27,6 @@ class ComplexityParams:
     s: int            # compression token (slot) length
     n_layers: int
     d_model: int
-    d_ff: int = 0
-    vocab_size: int = 0
     n_params: float = 0.0
 
     def __post_init__(self):
@@ -42,7 +40,7 @@ def llama_7b_params(t: int = 16, l_c: int = 50, l_i: int = 10, s: int = 1,
                     ) -> ComplexityParams:
     """Dimensions of a 7B-parameter decoder (32 layers, width 4096)."""
     return ComplexityParams(t=t, l_c=l_c, l_i=l_i, s=s, n_layers=32, d_model=4096,
-                            d_ff=11008, vocab_size=32000, n_params=6.7e9)
+                            n_params=6.7e9)
 
 
 def kv_entries(params: ComplexityParams, method: str, phase: str) -> int:
@@ -115,42 +113,26 @@ def break_even_inference_tokens(params: ComplexityParams) -> float:
     return float(math.floor(overhead / savings) + 1)
 
 
-@dataclass
-class ComplexityReport:
+def report_rows(params: ComplexityParams) -> list[dict]:
     """Per-method entry counts, byte sizes and FLOPS at one (t, s)."""
-
-    params: ComplexityParams
-    rows: list[dict]
-
-    @classmethod
-    def build(cls, params: ComplexityParams) -> "ComplexityReport":
-        rows = []
-        for method in METHODS:
-            for phase in PHASES:
-                entries = kv_entries(params, method, phase)
-                rows.append({
-                    "method": method,
-                    "phase": phase,
-                    "t": params.t,
-                    "s": params.s,
-                    "kv_entries": entries,
-                    "kv_bytes_fp16": kv_bytes(entries, params.n_layers,
-                                              params.d_model, 2),
-                    "kv_bytes_fp32": kv_bytes(entries, params.n_layers,
-                                              params.d_model, 4),
-                    "attn_flops": attn_flops(params, method, phase),
-                })
-        return cls(params, rows)
+    rows = []
+    for method in METHODS:
+        for phase in PHASES:
+            entries = kv_entries(params, method, phase)
+            rows.append({
+                "method": method,
+                "phase": phase,
+                "t": params.t,
+                "s": params.s,
+                "kv_entries": entries,
+                "kv_bytes_fp16": kv_bytes(entries, params.n_layers, params.d_model, 2),
+                "kv_bytes_fp32": kv_bytes(entries, params.n_layers, params.d_model, 4),
+                "attn_flops": attn_flops(params, method, phase),
+            })
+    return rows
 
 
 def sweep_rows(base: ComplexityParams, t_values, s_values) -> list[dict]:
     """One CSV row per (method, phase, t, s)."""
-    rows = []
-    for t in t_values:
-        for s in s_values:
-            params = ComplexityParams(t=t, l_c=base.l_c, l_i=base.l_i, s=s,
-                                      n_layers=base.n_layers, d_model=base.d_model,
-                                      d_ff=base.d_ff, vocab_size=base.vocab_size,
-                                      n_params=base.n_params)
-            rows.extend(ComplexityReport.build(params).rows)
-    return rows
+    return [row for t in t_values for s in s_values
+            for row in report_rows(replace(base, t=t, s=s))]

@@ -33,6 +33,7 @@ from .model import KVLayout, ToyLM
 from .tensor import log_softmax_rows
 
 SESSION_POLICIES = MEMORY_POLICIES + ("none", "full", "fixed")
+STREAM_POLICIES = ("concat", "sliding", "full", "none")
 _MEMORY_POLICY = {"full": "none", "fixed": "independent"}  # session -> memory
 
 
@@ -160,19 +161,14 @@ class StreamCaps:
     ccm_entries: int = 8
     window: int = 151
     chunk: int = 64
-    comp_len: int = 2
 
     def __post_init__(self):
         if self.chunk > self.window:
             raise UsageError(f"chunk {self.chunk} exceeds window {self.window}")
         if self.chunk < 1:
             raise UsageError(f"chunk {self.chunk} must be at least 1")
-        if min(self.n_sink, self.ccm_entries, self.window, self.comp_len) < 0:
+        if min(self.n_sink, self.ccm_entries, self.window) < 0:
             raise UsageError("stream caps must be non-negative")
-        if 0 < self.ccm_entries < self.comp_len:
-            # the region could never hold a slot group: every compression wasted
-            raise UsageError(f"ccm_entries {self.ccm_entries} holds no group of "
-                             f"{self.comp_len} slots")
 
     @property
     def total(self) -> int:
@@ -180,8 +176,7 @@ class StreamCaps:
 
     def sliding_only(self) -> "StreamCaps":
         """Same total budget, no compressed region (the baseline control)."""
-        return StreamCaps(self.n_sink, 0, self.window + self.ccm_entries,
-                          self.chunk, self.comp_len)
+        return StreamCaps(self.n_sink, 0, self.window + self.ccm_entries, self.chunk)
 
 
 class StreamState:
@@ -189,16 +184,16 @@ class StreamState:
 
     ``layout`` is [sink | compressed region | window]: the first ``n_sink``
     entries are the sink, the next ``ccm_entry_count`` the compressed
-    region, and the rest the window.
+    region, and the rest the window. The adapters set the slot group size.
     """
 
     def __init__(self, model: ToyLM, adapters: AdapterSet | None, caps: StreamCaps):
         if caps.ccm_entries > 0 and adapters is None:
             raise UsageError("compressed streaming needs trained adapters")
-        if adapters is not None and caps.ccm_entries > 0 \
-                and adapters.comp_len != caps.comp_len:
-            raise UsageError(
-                f"caps.comp_len {caps.comp_len} != adapters.comp_len {adapters.comp_len}")
+        if 0 < caps.ccm_entries < adapters.comp_len:
+            # the region could never hold a slot group: every compression wasted
+            raise UsageError(f"ccm_entries {caps.ccm_entries} holds no group of "
+                             f"{adapters.comp_len} slots")
         self.model = model
         self.adapters = adapters
         self.caps = caps
@@ -274,11 +269,11 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
     stream = np.asarray(stream, dtype=np.intp)
     if stream.size < 2:
         raise ContractViolation("stream too short to evaluate")
+    if policy not in STREAM_POLICIES:
+        raise UsageError(f"unknown streaming policy {policy!r}")
     if policy in ("full", "none"):
         caps = StreamCaps(n_sink=0, ccm_entries=0, chunk=1,
                           window=stream.size if policy == "full" else 1)
-    elif policy not in ("concat", "sliding"):
-        raise UsageError(f"unknown streaming policy {policy!r}")
     elif caps is None:
         raise UsageError(f"policy {policy!r} needs stream caps")
     elif policy == "sliding":

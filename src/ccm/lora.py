@@ -62,14 +62,14 @@ class AdapterSet:
 
     @classmethod
     def init(cls, model, rank: int = 8, alpha: float = 16.0, comp_len: int = 1,
-             seed: int = 0, targets: tuple[str, ...] = TARGETS) -> "AdapterSet":
+             seed: int = 0) -> "AdapterSet":
         """Fresh adapters: A random normal, B zero (so the initial delta is zero)."""
         cfg = model.config
         dtype = model.dtype
         rng = np.random.default_rng(seed)
         pairs: dict[tuple[int, str], LoRAPair] = {}
         for layer in range(cfg.n_layers):
-            for tgt in targets:
+            for tgt in TARGETS:
                 a = Parameter(f"adapter/layers.{layer}.{tgt}.a",
                               Tensor((rng.standard_normal((rank, cfg.d_model))
                                       / np.sqrt(cfg.d_model)).astype(dtype)))

@@ -19,7 +19,7 @@ an untied output head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,19 +59,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers, "d_model": self.d_model,
-            "n_heads": self.n_heads, "d_ff": self.d_ff,
-            "vocab_size": self.vocab_size, "rope_base": self.rope_base,
-            "max_layout": self.max_layout, "comp_token_id": self.comp_token_id,
-            "pad_token_id": self.pad_token_id,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -306,7 +293,7 @@ class ToyLM:
 
     def save(self, path) -> None:
         save_arrays(path, {name: p.data for name, p in self.params.items()},
-                    meta={"kind": "model", "config": self.config.to_dict()})
+                    meta={"kind": "model", "config": asdict(self.config)})
 
     @classmethod
     def load(cls, path, dtype=None) -> "ToyLM":
@@ -314,7 +301,7 @@ class ToyLM:
         arrays, meta = load_arrays(path)
         if meta.get("kind") != "model":
             raise DataError(f"{path}: not a model checkpoint")
-        config = ModelConfig.from_dict(meta["config"])
+        config = ModelConfig(**meta["config"])
         params = {}
         for name, arr in arrays.items():
             if dtype is not None:

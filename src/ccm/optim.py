@@ -14,16 +14,14 @@ import numpy as np
 
 from .tensor import Parameter
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction (``BETA1``, ``BETA2``, ``EPS``)."""
 
-    def __init__(self, params: Iterable[Parameter], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Iterable[Parameter]):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -34,7 +32,7 @@ class Adam:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for p in self.params:
             if not p.trainable or p.grad is None:
                 continue
@@ -45,7 +43,7 @@ class Adam:
             v[...] = b2 * v + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1 ** self.t)
             v_hat = v / (1.0 - b2 ** self.t)
-            p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float = 0.0) -> float:

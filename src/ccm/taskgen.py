@@ -16,7 +16,7 @@ perplexity; an i.i.d. control stream is available where memory cannot help.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,10 @@ from .model import ModelConfig
 from .seeding import derive_seed
 
 FORMAT_VERSION = 1
+
+N_MOTIFS, MOTIF_LEN = 20, 10
+# reuse gaps straddle the 151-token window: only memory recalls a long-gap motif
+SHORT_GAP, LONG_GAP = (20, 100), (170, 400)
 
 
 @dataclass(frozen=True)
@@ -60,9 +64,6 @@ class VocabSpec:
                         comp_token_id=self.comp_id, pad_token_id=self.pad_id)
         defaults.update(overrides)
         return ModelConfig(**defaults)
-
-    def to_dict(self) -> dict:
-        return {"n_pattern": self.n_pattern, "n_labels": self.n_labels}
 
 
 @dataclass
@@ -179,9 +180,6 @@ class StreamVocab:
         defaults.update(overrides)
         return ModelConfig(**defaults)
 
-    def to_dict(self) -> dict:
-        return {"n_content": self.n_content, "n_noise": self.n_noise}
-
 
 @dataclass
 class StreamSample:
@@ -200,25 +198,22 @@ class StreamSample:
 
 
 def gen_stream(length: int, seed: int, vocab: StreamVocab | None = None,
-               n_motifs: int = 20, motif_len: int = 10,
-               short_gap: tuple[int, int] = (20, 100),
-               long_gap: tuple[int, int] = (170, 400),
                identity: int = 0) -> StreamSample:
     """Motif stream: recurring n-grams at short and beyond-window distances."""
     if length <= 0:
         raise UsageError("stream length must be positive")
     vocab = vocab or StreamVocab()
     rng = np.random.default_rng(derive_seed(seed, f"stream-{identity}"))
-    motifs = [rng.integers(0, vocab.n_content, size=motif_len).tolist()
-              for _ in range(n_motifs)]
+    motifs = [rng.integers(0, vocab.n_content, size=MOTIF_LEN).tolist()
+              for _ in range(N_MOTIFS)]
     last_seen: dict[int, int] = {}
     tokens: list[int] = []
     positions: list[tuple[int, int]] = []
-    fresh = list(rng.permutation(n_motifs))
+    fresh = list(rng.permutation(N_MOTIFS))
     while len(tokens) < length:
         pos = len(tokens)
-        recent = [m for m, p in last_seen.items() if short_gap[0] <= pos - p <= short_gap[1]]
-        old = [m for m, p in last_seen.items() if long_gap[0] <= pos - p <= long_gap[1]]
+        recent = [m for m, p in last_seen.items() if SHORT_GAP[0] <= pos - p <= SHORT_GAP[1]]
+        old = [m for m, p in last_seen.items() if LONG_GAP[0] <= pos - p <= LONG_GAP[1]]
         r = rng.random()
         if r < 0.35 and recent:
             motif = int(recent[rng.integers(len(recent))])
@@ -331,7 +326,7 @@ def write_icl_dataset(path, ds: ICLDataset) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps({
             "format_version": FORMAT_VERSION, "kind": "icl", "seed": ds.seed,
-            "vocab": ds.vocab.to_dict(), "n_classes": ds.n_classes, "T": ds.T,
+            "vocab": asdict(ds.vocab), "n_classes": ds.n_classes, "T": ds.T,
             "pattern_len": ds.pattern_len,
         }, sort_keys=True) + "\n")
         for split, samples in (("train", ds.train), ("test", ds.test)):
@@ -347,7 +342,7 @@ def write_stream_dataset(path, streams: list[StreamSample], vocab: StreamVocab,
     with open(path, "w") as fh:
         fh.write(json.dumps({
             "format_version": FORMAT_VERSION, "kind": "stream", "seed": seed,
-            "vocab": vocab.to_dict(), "note": kind_note,
+            "vocab": asdict(vocab), "note": kind_note,
         }, sort_keys=True) + "\n")
         for s in streams:
             fh.write(json.dumps({

@@ -27,7 +27,7 @@ from typing import Callable, Sequence, get_type_hints
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractViolation, DataError, UsageError
+from .errors import CcmError, ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
 from .memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
                      compress_segment, fold_weights, reads_memory)
@@ -233,7 +233,12 @@ def recursive_reference_forward(model: ToyLM, adapters: AdapterSet,
 
 @dataclass
 class Recipe:
-    """Key-value training recipe (steps, batch, lr, T, s, policy, seed)."""
+    """Key-value training recipe (steps, batch, lr, T, s, policy, seed).
+
+    ``s`` sizes fresh adapters; training reads the slot count from the
+    adapters it trains. Every value is checked on its own, so a recipe file
+    can name the line of a bad one.
+    """
 
     steps: int = 300
     batch: int = 8
@@ -244,6 +249,15 @@ class Recipe:
     seed: int = 0
     min_lr: float = 0.0
     ema_a: float = 0.5
+
+    def __post_init__(self):
+        for key in ("steps", "batch", "T", "s"):
+            if getattr(self, key) < 1:
+                raise UsageError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not self.lr > 0:
+            raise UsageError(f"lr must be positive, got {self.lr}")
+        fold_weights(self.policy, 1, self.ema_a)  # a training policy
+        fold_weights("ema", 1, self.ema_a)        # a coefficient in (0, 1]
 
     def save(self, path) -> None:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
@@ -264,9 +278,12 @@ class Recipe:
                 raise DataError(f"{path}:{lineno}: unknown recipe key {key!r}")
             try:
                 kwargs[key] = known[key](value)
+                cls(**{key: kwargs[key]})
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+            except CcmError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
         return cls(**kwargs)
 
 
@@ -337,18 +354,10 @@ def train_compression(model: ToyLM, adapters: AdapterSet,
     """
     def sample_loss(rng):
         t = int(rng.integers(1, recipe.T + 1))
-        seq = build_training_sequence(sampler(rng, t), recipe.s, t,
+        seq = build_training_sequence(sampler(rng, t), adapters.comp_len, t,
                                       model.config.comp_token_id)
         loss, _ = training_forward(model, adapters, seq, recipe.policy, recipe.ema_a)
         return loss
 
     return _train_steps(trainable_parameters(model, adapters), "compress-order",
                         recipe, sample_loss)
-
-
-def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
-    """Loss log; wall_ms is pinned to 0 so reruns are byte-identical."""
-    lines = ["step,loss,lr,wall_ms"]
-    for r in rows:
-        lines.append(f"{r['step']},{r['loss']:.8f},{r['lr']:.8g},{r['wall_ms']}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,8 +1,11 @@
 """CLI contracts: artifacts exist, reruns are byte-identical, exit codes map."""
 
+import argparse
+
 import numpy as np
 import pytest
 
+from ccm import cli, engine
 from ccm.cli import main
 from ccm.taskgen import read_dataset
 
@@ -51,6 +54,15 @@ def stream_model(tmp_path, stream_data):
     return model
 
 
+def train_stream_adapters(tmp_path, stream_data, stream_model, slots):
+    adapters = tmp_path / f"stream_adapters{slots}.ckpt"
+    assert run("train-compress", "--data", stream_data, "--model", stream_model,
+               "--out", adapters, "--policy", "concat", "--slots", slots,
+               "--steps", "1", "--batch", "1", "--seed", "6", "--chunk", "16",
+               "--io-len", "8") == 0
+    return adapters
+
+
 def test_gen_data_deterministic(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     run("gen-data", "--identities", "20", "--out", a, "--seed", "7")
@@ -94,7 +106,7 @@ def test_eval_csv_rows_and_determinism(tiny_pipeline, tmp_path):
         a, b = tmp_path / f"{policy}_a.csv", tmp_path / f"{policy}_b.csv"
         for out in (a, b):
             assert run("eval", "--data", icl_data, "--model", model, "--policy",
-                       policy, "--out", out, "--seed", "1", "--max-eval", "2",
+                       policy, "--out", out, "--max-eval", "2",
                        *extra) == 0
         assert a.read_bytes() == b.read_bytes()
         lines = a.read_text().splitlines()
@@ -107,34 +119,59 @@ def test_stream_command_budget(stream_model, stream_data, tmp_path):
     out = tmp_path / "stream.csv"
     assert run("stream", "--data", stream_data, "--model", stream_model, "--policy",
                "sliding", "--out", out, "--sink", "1", "--ccm-entries", "0",
-               "--window", "24", "--chunk", "8", "--slots", "1",
-               "--length", "120", "--seed", "0") == 0
+               "--window", "24", "--chunk", "8", "--length", "120") == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "pos,kv_total,ppl_cum,compression_event"
     kv = [int(line.split(",")[1]) for line in lines[1:]]
     assert max(kv) <= 25  # sink + window
 
 
+def test_stream_full_holds_every_token(stream_model, stream_data, tmp_path):
+    out = tmp_path / "stream.csv"
+    assert run("stream", "--data", stream_data, "--model", stream_model, "--policy",
+               "full", "--out", out, "--length", "60") == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    # one row per predicted token: the cache never drops an entry
+    assert [int(r[1]) for r in rows] == list(range(1, 60))
+    assert all(r[3] == "0" for r in rows)
+
+
+def test_stream_concat_takes_the_adapters_slot_count(stream_model, stream_data,
+                                                     tmp_path):
+    # s=1 adapters stream under the default caps with no slot flag
+    adapters = train_stream_adapters(tmp_path, stream_data, stream_model, 1)
+    out = tmp_path / "stream.csv"
+    assert run("stream", "--data", stream_data, "--model", stream_model, "--adapters",
+               adapters, "--policy", "concat", "--out", out, "--window", "24",
+               "--chunk", "8", "--ccm-entries", "3", "--length", "100") == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert max(int(r[1]) for r in rows) == 1 + 3 + 24
+    assert sum(int(r[3]) for r in rows) > 3  # the region filled and evicted
+
+
 @pytest.mark.parametrize("chunk", ["0", "-3"])
 def test_stream_chunk_below_one_is_usage_error(tiny_pipeline, stream_data, tmp_path,
-                                               chunk):
+                                               capsys, chunk):
     # a zero chunk used to drain nothing and let the cache outgrow its budget
     _, model, adapters = tiny_pipeline
     out = tmp_path / "stream.csv"
     assert run("stream", "--data", stream_data, "--model", model, "--adapters",
                adapters, "--policy", "concat", "--out", out, "--chunk", chunk,
-               "--slots", "1", "--length", "200") == 1
+               "--length", "200") == 1
+    assert f"usage error: chunk {chunk} must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_stream_region_below_one_slot_group_is_usage_error(stream_model, stream_data,
-                                                          tmp_path):
-    # such a region evicts every group it compresses; the caps are rejected
-    # whichever policy streams under them
+                                                          tmp_path, capsys):
+    # such a region evicts every group it compresses: s=2 adapters need two entries
+    adapters = train_stream_adapters(tmp_path, stream_data, stream_model, 2)
     out = tmp_path / "stream.csv"
-    assert run("stream", "--data", stream_data, "--model", stream_model, "--policy",
-               "sliding", "--out", out, "--ccm-entries", "1", "--slots", "2",
+    assert run("stream", "--data", stream_data, "--model", stream_model, "--adapters",
+               adapters, "--policy", "concat", "--out", out, "--ccm-entries", "1",
                "--length", "100") == 1
+    assert "usage error: ccm_entries 1 holds no group of 2 slots" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
@@ -160,7 +197,7 @@ def test_model_of_another_vocabulary_is_data_error(tiny_pipeline, stream_model,
 def test_complexity_sweep_values(tmp_path):
     out = tmp_path / "cx.csv"
     assert run("complexity", "--out", out, "--t-max", "16", "--lc", "50",
-               "--li", "10", "--slots", "1", "--llama7b", "--seed", "0") == 0
+               "--li", "10", "--slots", "1", "--llama7b") == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     full_t16 = [r for r in rows if r[0] == "full" and r[1] == "inference"
                 and r[2] == "16" and r[3] == "1"]
@@ -169,13 +206,57 @@ def test_complexity_sweep_values(tmp_path):
 
     out2 = tmp_path / "cx2.csv"
     run("complexity", "--out", out2, "--t-max", "16", "--lc", "50", "--li", "10",
-        "--slots", "1", "--llama7b", "--seed", "0")
+        "--slots", "1", "--llama7b")
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_exit_code_usage_error(tmp_path, icl_data):
+def test_eval_fixed_peaks_match_complexity(tiny_pipeline, tmp_path):
+    # fixed recompresses the whole context each step: complexity's fixed_comp
+    icl_data, model, adapters = tiny_pipeline
+    sample = read_dataset(icl_data).test[0]
+    l_c, l_i = len(sample.segments[0]), len(sample.inputs[0]) + 1
+    out, cx = tmp_path / "fixed.csv", tmp_path / "cx.csv"
+    assert run("eval", "--data", icl_data, "--model", model, "--adapters", adapters,
+               "--policy", "fixed", "--out", out) == 0
+    assert run("complexity", "--out", cx, "--t-max", "4", "--lc", l_c, "--li", l_i,
+               "--slots", "1") == 0
+    fixed = [r.split(",") for r in cx.read_text().splitlines()[1:]
+             if r.startswith("fixed_comp,")]
+    for row in out.read_text().splitlines()[1:]:
+        _, t, _, context, peak = row.split(",")
+        want = max(int(r[4]) for r in fixed if r[2] == t)
+        assert (float(context), float(peak)) == (1.0, float(want))
+
+
+def test_eval_config_sets_ema_coefficient(tiny_pipeline, tmp_path, monkeypatch):
+    icl_data, model, _ = tiny_pipeline
+    recipe = tmp_path / "recipe.txt"
+    recipe.write_text("policy=ema\nema_a=0.3\n")
+    adapters = tmp_path / "ema.ckpt"
+    assert run("train-compress", "--data", icl_data, "--model", model, "--config",
+               recipe, "--out", adapters, "--steps", "1", "--batch", "1") == 0
+    built = []
+    real = engine.ContextMemory
+
+    def recording(policy, ema_a=0.5):
+        built.append((policy, ema_a))
+        return real(policy, ema_a=ema_a)
+
+    monkeypatch.setattr(engine, "ContextMemory", recording)
+    argv = ["eval", "--data", icl_data, "--model", model, "--adapters", adapters,
+            "--policy", "ema", "--max-eval", "1", "--out", tmp_path / "e.csv"]
+    assert run(*argv, "--config", recipe) == 0
+    assert set(built) == {("ema", 0.3)}
+    built.clear()
+    assert run(*argv) == 0
+    assert set(built) == {("ema", 0.5)}
+    assert run(*argv, "--config", tmp_path / "missing.txt") == 2
+
+
+def test_exit_code_usage_error(tmp_path, icl_data, capsys):
     assert run("eval", "--data", icl_data, "--model", "nope.ckpt",
                "--policy", "bogus", "--out", tmp_path / "x.csv") == 1
+    assert "usage error: --policy must be one of" in capsys.readouterr().err
 
 
 def test_exit_code_missing_file(tmp_path):
@@ -189,13 +270,14 @@ def test_exit_code_contract_violation(stream_model, tmp_path):
         "--out", short, "--seed", "0")
     assert run("stream", "--data", short, "--model", stream_model, "--policy", "sliding",
                "--out", tmp_path / "s.csv", "--window", "8", "--chunk", "2",
-               "--ccm-entries", "0", "--slots", "1") == 3
+               "--ccm-entries", "0") == 3
 
 
 def test_no_subcommand_is_usage_error():
     assert main([]) == 1
 
-@pytest.mark.parametrize("line", ["steps=abc", "lr=x"])
+@pytest.mark.parametrize("line", ["steps=abc", "lr=x", "steps=0", "batch=0", "lr=0",
+                                  "ema_a=0", "ema_a=1.5", "policy=none"])
 def test_bad_recipe_value_is_data_error(tmp_path, icl_data, capsys, line):
     recipe = tmp_path / "recipe.txt"
     recipe.write_text(f"# recipe\n{line}\n")
@@ -206,9 +288,71 @@ def test_bad_recipe_value_is_data_error(tmp_path, icl_data, capsys, line):
     assert not metrics.exists()
 
 
+def test_recipe_seed_counts_without_seed_flag(tmp_path, icl_data):
+    # --seed overrides the recipe's seed; left out, it must not reset it to 0
+    recipe = tmp_path / "recipe.txt"
+    recipe.write_text("seed=9\nsteps=1\nbatch=1\n")
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    assert run("pretrain", "--data", icl_data, "--config", recipe, "--out", a) == 0
+    assert run("pretrain", "--data", icl_data, "--steps", "1", "--batch", "1",
+               "--seed", "9", "--out", b) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_eval_without_samples_is_usage_error(tiny_pipeline, tmp_path):
     icl_data, model, adapters = tiny_pipeline
     out = tmp_path / "e.csv"
     assert run("eval", "--data", icl_data, "--model", model, "--adapters", adapters,
                "--policy", "concat", "--max-eval", "0", "--out", out) == 1
     assert not out.exists()
+
+
+def test_train_compress_zero_steps_is_usage_error(tiny_pipeline, tmp_path, capsys):
+    icl_data, model, _ = tiny_pipeline
+    out, metrics = tmp_path / "a.ckpt", tmp_path / "m.csv"
+    assert run("train-compress", "--data", icl_data, "--model", model, "--out", out,
+               "--steps", "0", "--metrics", metrics) == 1
+    assert "usage error: steps must be at least 1" in capsys.readouterr().err
+    assert not out.exists() and not metrics.exists()
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records every attribute read once ``_reads`` exists."""
+
+    def __getattribute__(self, name):
+        attrs = object.__getattribute__(self, "__dict__")
+        if "_reads" in attrs:
+            attrs["_reads"].add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_flag_is_read(tiny_pipeline, stream_model, stream_data, tmp_path):
+    # each command must read every flag it takes, on some run of it
+    icl_data, model, adapters = tiny_pipeline
+    out = tmp_path / "out"
+    train = ["--steps", "1", "--batch", "1"]
+    runs = [
+        ["gen-data", "--kind", "icl", "--identities", "4", "--t-max", "2"],
+        ["gen-data", "--kind", "stream", "--length", "30", "--streams", "1"],
+        ["pretrain", "--data", icl_data, *train],
+        ["pretrain", "--data", stream_data, "--window", "16", *train],
+        ["train-compress", "--data", icl_data, "--model", model, *train],
+        ["train-compress", "--data", stream_data, "--model", stream_model,
+         "--chunk", "16", "--io-len", "8", *train],
+        ["eval", "--data", icl_data, "--model", model, "--adapters", adapters,
+         "--policy", "concat", "--max-eval", "1"],
+        ["stream", "--data", stream_data, "--model", stream_model, "--policy",
+         "sliding", "--length", "20"],
+        ["complexity"],
+        ["complexity", "--llama7b"],
+    ]
+    unread: dict[str, set] = {}
+    for argv in runs:
+        ns = cli.build_parser().parse_args([str(a) for a in argv] + ["--out", str(out)],
+                                           namespace=ReadRecorder())
+        dests = set(vars(ns))
+        ns._reads = set()
+        assert cli.COMMANDS[ns.command](ns) == 0
+        reads = ns._reads
+        unread[argv[0]] = unread.get(argv[0], dests) & (dests - reads)
+    assert {cmd: flags for cmd, flags in unread.items() if flags} == {}

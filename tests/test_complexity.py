@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ccm.complexity import (ComplexityParams, ComplexityReport,
-                            break_even_inference_tokens, compression_factor,
-                            kv_bytes, kv_entries, llama_7b_params, sweep_rows)
+from ccm.complexity import (ComplexityParams, break_even_inference_tokens,
+                            compression_factor, kv_bytes, kv_entries,
+                            llama_7b_params, report_rows, sweep_rows)
 from ccm.errors import UsageError
 
 
@@ -81,8 +81,7 @@ def test_bytes_model():
 
 
 def test_report_and_sweep_shape():
-    report = ComplexityReport.build(params())
-    assert len(report.rows) == 8  # 4 methods x 2 phases
+    assert len(report_rows(params())) == 8  # 4 methods x 2 phases
     rows = sweep_rows(params(), t_values=[1, 2], s_values=[1, 2])
     assert len(rows) == 32
     cols = {"method", "phase", "t", "s", "kv_entries", "kv_bytes_fp16",

@@ -1,6 +1,8 @@
 """Session and streaming contracts: KV accounting, policy growth laws,
 snapshot resume, budget caps, and the equal-budget sliding baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,17 +208,17 @@ def test_multichoice_contracts(model, adapters):
 # streaming
 
 
-SMALL_CAPS = StreamCaps(n_sink=1, ccm_entries=4, window=21, chunk=8, comp_len=2)
+SMALL_CAPS = StreamCaps(n_sink=1, ccm_entries=4, window=21, chunk=8)
 
 
 def test_stream_caps_paper_setting():
-    caps = StreamCaps(n_sink=1, ccm_entries=8, window=151, chunk=64, comp_len=2)
+    caps = StreamCaps(n_sink=1, ccm_entries=8, window=151, chunk=64)
     assert caps.total == 160
 
 
 def test_stream_caps_reject_chunk_over_window():
     with pytest.raises(UsageError):
-        StreamCaps(n_sink=1, ccm_entries=4, window=4, chunk=8, comp_len=2)
+        StreamCaps(n_sink=1, ccm_entries=4, window=4, chunk=8)
 
 
 class RecordCompressions:
@@ -267,9 +269,9 @@ def stream_checked(model, adapters, caps, tokens) -> StreamState:
                                     state.window_entries)
             assert n_sink == min(len(token_kv), caps.n_sink)
             assert n_win <= caps.window
-            n_groups = min(len(rec.groups), caps.ccm_entries // caps.comp_len)
+            n_groups = min(len(rec.groups), caps.ccm_entries // adapters.comp_len)
             groups = rec.groups[len(rec.groups) - n_groups:] if n_groups else []
-            assert n_ccm == n_groups * caps.comp_len
+            assert n_ccm == n_groups * adapters.comp_len
             sink = token_kv[:n_sink]
             window = token_kv[len(token_kv) - n_win:]
             want_k = [k[:, None] for k, _ in sink] + [g.keys for g in groups] \
@@ -293,7 +295,7 @@ def test_stream_eviction_emits_oldest(model, adapters):
     rng = np.random.default_rng(7)
     state = stream_checked(model, adapters, SMALL_CAPS, rng.integers(0, 20, size=120))
     # older groups were evicted: the region keeps fewer groups than events
-    assert state.events > state.ccm_entry_count // SMALL_CAPS.comp_len > 0
+    assert state.events > state.ccm_entry_count // adapters.comp_len > 0
 
 
 _PROPERTY_MODEL = ToyLM.init(TINY, seed=7, dtype=np.float64)
@@ -305,24 +307,33 @@ _PROPERTY_MODEL = ToyLM.init(TINY, seed=7, dtype=np.float64)
        n_tokens=st.integers(1, 40), seed=st.integers(0, 99), data=st.data())
 def test_stream_regions_property(n_sink, window, chunk_frac, s, n_tokens, seed,
                                  data):
-    # a region cap below one slot group is rejected by StreamCaps
+    # a region cap below one slot group is rejected by StreamState
     ccm_entries = data.draw(st.one_of(st.just(0), st.integers(s, 6)))
     chunk = 1 + int(chunk_frac * (window - 1))
     caps = StreamCaps(n_sink=n_sink, ccm_entries=ccm_entries, window=window,
-                      chunk=chunk, comp_len=s)
+                      chunk=chunk)
     adapters = AdapterSet.init(_PROPERTY_MODEL, rank=2, alpha=4.0, comp_len=s, seed=seed)
     rng = np.random.default_rng(seed)
     stream_checked(_PROPERTY_MODEL, adapters, caps, rng.integers(0, 20, size=n_tokens))
 
 
-@pytest.mark.parametrize("bad", [{"chunk": 0}, {"chunk": -1}, {"ccm_entries": -1},
-                                 {"ccm_entries": 1}])
+@pytest.mark.parametrize("bad", [{"chunk": 0}, {"chunk": -1}, {"ccm_entries": -1}])
 def test_stream_caps_reject_values_that_break_the_budget(bad):
-    # chunk 0 never drains the window; a negative region shrinks only the total;
-    # a region smaller than one slot group evicts every group it compresses
+    # chunk 0 never drains the window; a negative region shrinks only the total
     with pytest.raises(UsageError):
-        StreamCaps(**{"n_sink": 1, "ccm_entries": 4, "window": 8, "chunk": 4,
-                      "comp_len": 2, **bad})
+        StreamCaps(**{"n_sink": 1, "ccm_entries": 4, "window": 8, "chunk": 4, **bad})
+
+
+def test_stream_region_below_one_slot_group_is_rejected(model, adapters):
+    # such a region evicts every group it compresses; the adapters' slot
+    # count decides, and a region of zero is the sliding baseline
+    caps = StreamCaps(n_sink=1, ccm_entries=adapters.comp_len - 1, window=8, chunk=4)
+    with pytest.raises(UsageError, match="holds no group of 2 slots"):
+        StreamState(model, adapters, caps)
+    with pytest.raises(UsageError, match="needs trained adapters"):
+        StreamState(model, None, SMALL_CAPS)
+    StreamState(model, adapters, replace(caps, ccm_entries=adapters.comp_len))
+    StreamState(model, None, replace(caps, ccm_entries=0))
 
 
 def test_sliding_only_has_no_compression(model):
