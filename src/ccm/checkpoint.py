@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import CcmError, DataError
 
 MAGIC = b"CCMCKPT\x00"
 FORMAT_VERSION = 1
@@ -98,3 +99,12 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raw = np.frombuffer(payload[lo:lo + nbytes], dtype=dtype)
         arrays[name] = raw.reshape(shape).copy()
     return arrays, header["meta"]
+
+
+@contextmanager
+def malformed_is_data_error(path, kind: str):
+    """A missing or bad value read from a ``kind`` checkpoint is a DataError."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, ArithmeticError, CcmError) as exc:
+        raise DataError(f"{path}: malformed {kind} checkpoint ({exc!r})") from None

@@ -12,7 +12,10 @@ override. ``eval`` takes ``--config`` for the recipe's ``ema_a``.
 ``stream`` and ``complexity`` take neither. Trained adapters carry their
 slot count: ``--slots`` sizes fresh adapters in ``train-compress`` and the
 sweep in ``complexity``. ``eval`` accepts every session policy and
-``stream`` every streaming policy.
+``stream`` every streaming policy, with only the flags that policy reads:
+``concat`` takes ``--adapters`` and the caps ``--sink``, ``--ccm-entries``,
+``--window`` and ``--chunk``; ``sliding`` takes the caps; ``full`` and
+``none`` take ``--adapters``. Any other stream flag is a usage error.
 """
 
 from __future__ import annotations
@@ -223,10 +226,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# cap flag -> the StreamCaps field it sets; StreamCaps owns the defaults
+_CAPS = {"sink": "n_sink", "ccm_entries": "ccm_entries", "window": "window",
+         "chunk": "chunk"}
+# the optional flags each streaming policy reads: full and none build their
+# own caps, and sliding has no compressed region for adapters to fill
+_STREAM_FLAGS = {"concat": {"adapters", *_CAPS}, "sliding": set(_CAPS),
+                 "full": {"adapters"}, "none": {"adapters"}}
+
+
 def cmd_stream(args) -> int:
     _check_policy(args.policy, STREAM_POLICIES)
-    caps = StreamCaps(n_sink=args.sink, ccm_entries=args.ccm_entries,
-                      window=args.window, chunk=args.chunk)
+    given = {f for f in ("adapters", *_CAPS) if getattr(args, f) is not None}
+    ignored = sorted(given - _STREAM_FLAGS[args.policy])
+    if ignored:
+        flag = ignored[0].replace("_", "-")
+        raise UsageError(f"--policy {args.policy} takes no --{flag}")
+    caps = StreamCaps(**{_CAPS[f]: getattr(args, f) for f in given & _CAPS.keys()})
     streams, vocab, _ = _require_stream(read_dataset(args.data))
     if args.stream_index >= len(streams):
         raise DataError(f"stream index {args.stream_index} out of range")
@@ -332,10 +348,10 @@ def build_parser() -> _Parser:
     s.add_argument("--model", required=True)
     s.add_argument("--adapters", default=None)
     s.add_argument("--policy", required=True)
-    s.add_argument("--sink", type=int, default=1)
-    s.add_argument("--ccm-entries", type=int, default=8, dest="ccm_entries")
-    s.add_argument("--window", type=int, default=151)
-    s.add_argument("--chunk", type=int, default=64)
+    s.add_argument("--sink", type=int, default=None)
+    s.add_argument("--ccm-entries", type=int, default=None, dest="ccm_entries")
+    s.add_argument("--window", type=int, default=None)
+    s.add_argument("--chunk", type=int, default=None)
     s.add_argument("--stream-index", type=int, default=0, dest="stream_index")
     s.add_argument("--length", type=int, default=None)
 

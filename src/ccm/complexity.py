@@ -126,7 +126,6 @@ def report_rows(params: ComplexityParams) -> list[dict]:
                 "s": params.s,
                 "kv_entries": entries,
                 "kv_bytes_fp16": kv_bytes(entries, params.n_layers, params.d_model, 2),
-                "kv_bytes_fp32": kv_bytes(entries, params.n_layers, params.d_model, 4),
                 "attn_flops": attn_flops(params, method, phase),
             })
     return rows

@@ -1,11 +1,12 @@
 """Online sessions and token streaming under a fixed KV budget.
 
-A session receives one context segment per step, folds it into its
-memory according to its policy, and answers queries against
-[memory | prompt | input]. Only ``full`` has a prompt: it re-feeds the raw
-context and keeps an empty memory, as ``none`` does, which ignores context
-entirely. ``fixed`` recompresses the whole accumulated context into a
-fresh ``independent`` memory every step.
+A session folds each context segment it ``ingest``s into its memory
+according to its policy, and answers queries against
+[memory | prompt | input]: ``predict`` decodes greedily and
+``multichoice_scores`` scores answer choices. Only ``full`` has a prompt:
+it re-feeds the raw context and keeps an empty memory, as ``none`` does,
+which ignores context entirely. ``fixed`` recompresses the whole
+accumulated context into a fresh ``independent`` memory every step.
 
 Streaming processes tokens one at a time inside a hard entry budget
 [sink | compressed region | sliding window], held as one KVLayout; when
@@ -21,7 +22,7 @@ the no-context ``none`` baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,19 +38,6 @@ STREAM_POLICIES = ("concat", "sliding", "full", "none")
 _MEMORY_POLICY = {"full": "none", "fixed": "independent"}  # session -> memory
 
 
-@dataclass
-class StepReport:
-    """KV accounting for one session step (entry counts, not bytes)."""
-
-    step: int
-    policy: str
-    compression_entries: int
-    inference_entries: int
-    context_entries: int
-    pred_tokens: list[int] = field(default_factory=list)
-    correct: bool | None = None
-
-
 class Session:
     """One online interaction: context arrives step by step, queries follow."""
 
@@ -63,8 +51,6 @@ class Session:
         self.model = model
         self.adapters = adapters
         self.policy = policy
-        self.t = 0
-        self.log: list[StepReport] = []
         self.memory = ContextMemory(_MEMORY_POLICY.get(policy, policy), ema_a=ema_a)
         self.raw_segments: list[np.ndarray] = []   # full / fixed
 
@@ -75,7 +61,6 @@ class Session:
         segment = np.asarray(segment, dtype=np.intp)
         if segment.size == 0:
             raise ContractViolation("session step needs a non-empty segment")
-        self.t += 1
         if self.policy == "none":
             return 0
         if self.policy == "full":
@@ -117,21 +102,9 @@ class Session:
                                              adapters=self.adapters)
         return out, peak
 
-    def step(self, segment, inputs, max_new: int) -> tuple[np.ndarray, StepReport]:
-        """Ingest one segment then answer: the online loop body."""
-        comp_peak = self.ingest(segment)
-        pred, infer_peak = self.predict(inputs, max_new)
-        report = StepReport(self.t, self.policy, comp_peak, infer_peak,
-                            self.context_entries, [int(x) for x in pred])
-        self.log.append(report)
-        return pred, report
 
-
-def evaluate_multichoice(session: Session, inputs, choices) -> int:
-    """Pick the choice with the highest mean token log-likelihood.
-
-    Ties break toward the lowest index.
-    """
+def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
+    """Mean log-likelihood of each choice's tokens following ``inputs``."""
     choices = [np.asarray(c, dtype=np.intp) for c in choices]
     if len(choices) < 2:
         raise ContractViolation("multichoice needs at least two choices")
@@ -146,7 +119,12 @@ def evaluate_multichoice(session: Session, inputs, choices) -> int:
         logp = log_softmax_rows(logits.data)
         rows = np.arange(tokens.size - choice.size - 1, tokens.size - 1)
         scores[i] = logp[rows, tokens[rows + 1]].mean()
-    return int(np.argmax(scores))
+    return scores
+
+
+def evaluate_multichoice(session: Session, inputs, choices) -> int:
+    """The choice with the highest score; ties break toward the lowest index."""
+    return int(np.argmax(multichoice_scores(session, inputs, choices)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +178,6 @@ class StreamState:
         self.layout = model.empty_layout()
         self.n_sink = 0
         self.ccm_entry_count = 0
-        self.events = 0
 
     @property
     def window_entries(self) -> int:
@@ -223,7 +200,6 @@ class StreamState:
             self.ccm_entry_count = n
         self.layout = self.layout.entries(0, lo).extended(
             *region, self.layout.entries(rest))
-        self.events += 1
 
 
 def streaming_step(state: StreamState, token: int) -> tuple[np.ndarray, int, bool]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import load_arrays, malformed_is_data_error, save_arrays
 from .errors import ContractViolation, DataError
 from .tensor import Parameter, Tensor
 
@@ -30,8 +30,6 @@ class LoRAPair:
     b: Parameter  # [rank, d]
     alpha: float
     rank: int
-    layer: int
-    target: str
 
     def delta(self, x: Tensor) -> Tensor:
         """Apply the low-rank update to row vectors: (x B^T) A * alpha/rank."""
@@ -75,7 +73,7 @@ class AdapterSet:
                                       / np.sqrt(cfg.d_model)).astype(dtype)))
                 b = Parameter(f"adapter/layers.{layer}.{tgt}.b",
                               Tensor(np.zeros((rank, cfg.d_model), dtype=dtype)))
-                pairs[(layer, tgt)] = LoRAPair(a, b, alpha, rank, layer, tgt)
+                pairs[(layer, tgt)] = LoRAPair(a, b, alpha, rank)
         comp_row = model.params["embed"].data[cfg.comp_token_id].copy()
         comp_embedding = Parameter("adapter/comp_embedding",
                                    Tensor(comp_row.reshape(1, -1)))
@@ -107,8 +105,12 @@ class AdapterSet:
         arrays, meta = load_arrays(path)
         if meta.get("kind") != "adapters":
             raise DataError(f"{path}: not an adapter checkpoint")
-        adapters = cls.init(model, rank=int(meta["rank"]), alpha=float(meta["alpha"]),
-                            comp_len=int(meta["comp_len"]))
+        with malformed_is_data_error(path, "adapter"):
+            rank, alpha, comp_len = (int(meta["rank"]), float(meta["alpha"]),
+                                     int(meta["comp_len"]))
+        if min(rank, comp_len) < 1:
+            raise DataError(f"{path}: rank {rank} and comp_len {comp_len} must be >= 1")
+        adapters = cls.init(model, rank=rank, alpha=alpha, comp_len=comp_len)
         for p in adapters.parameters():
             if p.name not in arrays:
                 raise DataError(f"{path}: missing adapter record {p.name!r}")

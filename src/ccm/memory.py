@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import load_arrays, malformed_is_data_error, save_arrays
 from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet
 from .model import KVLayout, ToyLM
@@ -95,21 +95,11 @@ class ContextMemory:
         arrays, meta = load_arrays(path)
         if meta.get("kind") != "memory":
             raise DataError(f"{path}: not a memory snapshot")
-        policy, count = meta["policy"], int(meta["count"])
-
-        def record(name: str) -> KVLayout:
-            if name + ".k" not in arrays or name + ".v" not in arrays:
-                raise DataError(f"{path}: missing memory record {name!r}")
-            return KVLayout(arrays[name + ".k"], arrays[name + ".v"])
-
-        entries = None
-        if count and policy in GROWING_POLICIES and "mem/run.k" not in arrays:
-            # older concat files store one record per slot group
-            groups = [record(f"mem/{i}") for i in range(count)]
-            entries = groups[0].extended(*groups[1:])
-        elif count:
-            entries = record("mem/run")
-        return cls(policy, float(meta["ema_a"]), entries, count)
+        with malformed_is_data_error(path, "memory"):
+            count, entries = int(meta["count"]), None
+            if count:
+                entries = KVLayout(arrays["mem/run.k"], arrays["mem/run.v"])
+            return cls(meta["policy"], float(meta["ema_a"]), entries, count)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ an untied output head.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import load_arrays, malformed_is_data_error, save_arrays
 from .errors import CapacityError, ContractViolation, DataError, DimensionError
 from .lora import AdapterSet, comp_flags
 from .tensor import Parameter, Tensor
@@ -44,6 +44,9 @@ class ModelConfig:
     pad_token_id: int = -1   # -1: last vocab id
 
     def __post_init__(self):
+        if not all(isinstance(getattr(self, f.name), int) for f in fields(self)
+                   if f.type == "int"):
+            raise DimensionError(f"model sizes and token ids must be integers: {self}")
         if self.d_model % self.n_heads != 0:
             raise DimensionError("d_model must be divisible by n_heads")
         if self.comp_token_id == -1:
@@ -154,7 +157,7 @@ def mlp(x: Tensor, w_gate: Parameter, w_up: Parameter, w_down: Parameter) -> Ten
 def embed_tokens(model: "ToyLM", tokens: np.ndarray,
                  adapters: AdapterSet | None, comp_idx: np.ndarray) -> Tensor:
     """Token embeddings, with compression rows taken from the adapter's row."""
-    x = T.embedding(model.params["embed"].tensor, tokens)
+    x = T.take_rows(model.params["embed"].tensor, tokens)
     if adapters is not None and comp_idx.size:
         rows = T.take_rows(adapters.comp_embedding.tensor,
                            np.zeros(comp_idx.size, dtype=np.intp))
@@ -222,6 +225,16 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter the config defines, in init order."""
+    d, dff, v = config.d_model, config.d_ff, config.vocab_size
+    layer = {"attn_norm": (d,), "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+             "ffn_norm": (d,), "w_gate": (d, dff), "w_up": (d, dff), "w_down": (dff, d)}
+    blocks = {f"layers.{i}.{name}": shape for i in range(config.n_layers)
+              for name, shape in layer.items()}
+    return {"embed": (v, d), **blocks, "final_norm": (d,), "head": (d, v)}
+
+
 class ToyLM:
     """Config + parameters, with layout-based forward and greedy decoding."""
 
@@ -234,36 +247,20 @@ class ToyLM:
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0, dtype=np.float32) -> "ToyLM":
         rng = np.random.default_rng(seed)
-        d, dff, v = config.d_model, config.d_ff, config.vocab_size
-
-        def normal(shape, scale):
-            return (rng.standard_normal(shape) * scale).astype(dtype)
-
-        params: dict[str, Parameter] = {}
-
-        def add(name, arr):
-            params[name] = Parameter(name, Tensor(arr))
-
-        embed = normal((v, d), 0.02)
-        # keep the reserved compression row in-distribution
-        others = np.delete(embed, config.comp_token_id, axis=0)
-        embed[config.comp_token_id] = others.mean(axis=0)
-        add("embed", embed)
         # residual-output projections start small so token identity is not
         # drowned by layer noise at init
         resid_scale = 0.02 / np.sqrt(2 * config.n_layers)
-        for layer in range(config.n_layers):
-            p = f"layers.{layer}."
-            add(p + "attn_norm", np.ones(d, dtype=dtype))
-            for tgt in ("wq", "wk", "wv"):
-                add(p + tgt, normal((d, d), 0.02))
-            add(p + "wo", normal((d, d), resid_scale))
-            add(p + "ffn_norm", np.ones(d, dtype=dtype))
-            add(p + "w_gate", normal((d, dff), 0.02))
-            add(p + "w_up", normal((d, dff), 0.02))
-            add(p + "w_down", normal((dff, d), resid_scale))
-        add("final_norm", np.ones(d, dtype=dtype))
-        add("head", normal((d, v), 0.02))
+        params: dict[str, Parameter] = {}
+        for name, shape in param_shapes(config).items():
+            if name.endswith("norm"):
+                arr = np.ones(shape, dtype=dtype)
+            else:
+                scale = resid_scale if name.endswith(("wo", "w_down")) else 0.02
+                arr = (rng.standard_normal(shape) * scale).astype(dtype)
+            if name == "embed":  # keep the reserved compression row in-distribution
+                others = np.delete(arr, config.comp_token_id, axis=0)
+                arr[config.comp_token_id] = others.mean(axis=0)
+            params[name] = Parameter(name, Tensor(arr))
         return cls(config, params)
 
     @property
@@ -296,17 +293,22 @@ class ToyLM:
                     meta={"kind": "model", "config": asdict(self.config)})
 
     @classmethod
-    def load(cls, path, dtype=None) -> "ToyLM":
+    def load(cls, path) -> "ToyLM":
         """A model from a checkpoint, frozen: inference records no tape."""
         arrays, meta = load_arrays(path)
         if meta.get("kind") != "model":
             raise DataError(f"{path}: not a model checkpoint")
-        config = ModelConfig(**meta["config"])
-        params = {}
-        for name, arr in arrays.items():
-            if dtype is not None:
-                arr = arr.astype(dtype)
-            params[name] = Parameter(name, Tensor(arr), trainable=False)
+        with malformed_is_data_error(path, "model"):
+            config = ModelConfig(**meta["config"])
+            shapes = param_shapes(config)
+        # the records must be exactly the parameters the config defines
+        bad = sorted(n for n in arrays.keys() | shapes.keys()
+                     if n not in arrays or arrays[n].shape != shapes.get(n))
+        if bad:
+            raise DataError(f"{path}: records missing, unexpected or misshapen "
+                            f"for its config: {bad[:4]}")
+        params = {name: Parameter(name, Tensor(arrays[name]), trainable=False)
+                  for name in shapes}
         return cls(config, params)
 
     # -- forward -------------------------------------------------------------------
@@ -334,7 +336,6 @@ class ToyLM:
 
     def greedy_decode(self, layout: KVLayout, input_tokens, max_new: int,
                       adapters: AdapterSet | None = None,
-                      stop_token: int | None = None,
                       ) -> tuple[np.ndarray, int]:
         """Argmax continuation of ``input_tokens`` over the given layout.
 
@@ -355,6 +356,4 @@ class ToyLM:
             logits, (k, v) = self.forward(np.array([nxt]), work, adapters=adapters)
             work = work.extended(KVLayout(k, v))
             last_logits = logits.data[-1]
-            if stop_token is not None and nxt == stop_token:
-                break
         return np.asarray(out, dtype=np.intp), work.n_entries

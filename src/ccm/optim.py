@@ -46,9 +46,9 @@ class Adam:
             p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
-def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float = 0.0) -> float:
-    """Cosine decay from ``base_lr`` to ``min_lr`` over ``total_steps``."""
+def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
+    """Cosine decay from ``base_lr`` to zero over ``total_steps``."""
     if total_steps <= 1:
         return base_lr
     frac = min(max(step / (total_steps - 1), 0.0), 1.0)
-    return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + math.cos(math.pi * frac))
+    return 0.5 * base_lr * (1.0 + math.cos(math.pi * frac))

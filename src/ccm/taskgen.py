@@ -187,15 +187,6 @@ class StreamSample:
     tokens: list[int]
     motif_positions: list[tuple[int, int]] = field(default_factory=list)  # (motif, pos)
 
-    def recurrence_distances(self) -> np.ndarray:
-        last: dict[int, int] = {}
-        gaps = []
-        for motif, pos in self.motif_positions:
-            if motif in last:
-                gaps.append(pos - last[motif])
-            last[motif] = pos
-        return np.asarray(gaps, dtype=np.intp)
-
 
 def gen_stream(length: int, seed: int, vocab: StreamVocab | None = None,
                identity: int = 0) -> StreamSample:

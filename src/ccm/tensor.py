@@ -1,8 +1,8 @@
 """Dense-tensor math with reverse-mode differentiation on numpy arrays.
 
 Small by design: exactly the primitives a decoder-only transformer needs
-(matmul, masked softmax, rotary rotation, SiLU, embedding lookup, row
-scatter/gather for conditional adapters) plus a cross-entropy head and a
+(matmul, masked softmax, rotary rotation, SiLU, row scatter/gather for
+embeddings and conditional adapters) plus a cross-entropy head and a
 finite-difference oracle. Tensors wrap a numpy array; when any input of an
 op requires gradients, the op records a backward closure on the tape.
 Gradients accumulate (add into ``grad``), never overwrite.
@@ -101,23 +101,24 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 class Parameter:
-    """A named, optionally trainable tensor."""
+    """A named tensor; it trains while its tensor requires gradients."""
 
-    __slots__ = ("name", "tensor", "trainable")
+    __slots__ = ("name", "tensor")
 
     def __init__(self, name: str, tensor: Tensor, trainable: bool = True):
         self.name = name
         self.tensor = tensor
         self.tensor.requires_grad = bool(trainable)
-        self.trainable = bool(trainable)
 
     def freeze(self) -> None:
-        self.trainable = False
         self.tensor.requires_grad = False
 
     def thaw(self) -> None:
-        self.trainable = True
         self.tensor.requires_grad = True
+
+    @property
+    def trainable(self) -> bool:
+        return self.tensor.requires_grad
 
     @property
     def data(self) -> Array:
@@ -207,16 +208,6 @@ def mean_last(a: Tensor) -> Tensor:
     def bw(g: Array) -> None:
         if a.requires_grad:
             a.accumulate_grad(np.broadcast_to(g / n, a.shape).copy())
-
-    return _make(out_data, (a,), bw)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out_data = np.asarray(a.data.sum(), dtype=a.data.dtype)
-
-    def bw(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, g))
 
     return _make(out_data, (a,), bw)
 
@@ -340,11 +331,6 @@ def set_rows(base: Tensor, index: Array, rows: Tensor) -> Tensor:
             rows.accumulate_grad(g[index])
 
     return _make(out_data, (base, rows), bw)
-
-
-def embedding(table: Tensor, ids: Array) -> Tensor:
-    """Row lookup into an embedding table; gradient scatter-adds."""
-    return take_rows(table, np.asarray(ids, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ the single-pass logits match the step-by-step oracle to float precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, get_type_hints
 
@@ -31,7 +31,7 @@ from .errors import CcmError, ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
 from .memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
                      compress_segment, fold_weights, reads_memory)
-from .model import KVLayout, ToyLM, forward_groups
+from .model import ToyLM, forward_groups
 from .optim import Adam, cosine_lr
 from .seeding import derive_seed
 from .tensor import Tensor
@@ -203,7 +203,6 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence,
 @dataclass
 class RecursiveResult:
     io_logits: np.ndarray               # [|I| + |O|, vocab]
-    slots: list[KVLayout]               # h(1..t)
     memory: ContextMemory               # Mem(t)
 
 
@@ -216,15 +215,12 @@ def recursive_reference_forward(model: ToyLM, adapters: AdapterSet,
         raise UsageError(f"unknown policy {policy!r}")
     segments, inputs, outputs = sample
     mem = ContextMemory(policy, ema_a=ema_a)
-    slots = []
     for seg in segments[:t]:
-        h = compress_segment(model, adapters, mem, seg)
-        slots.append(h)
-        mem = mem.updated(h)
+        mem = mem.updated(compress_segment(model, adapters, mem, seg))
     tokens = np.concatenate([np.asarray(inputs, dtype=np.intp),
                              np.asarray(outputs, dtype=np.intp)])
     logits, _ = model.forward(tokens, mem.layout(model), adapters=adapters)
-    return RecursiveResult(logits.data.copy(), slots, mem)
+    return RecursiveResult(logits.data.copy(), mem)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +243,6 @@ class Recipe:
     s: int = 2
     policy: str = "concat"
     seed: int = 0
-    min_lr: float = 0.0
     ema_a: float = 0.5
 
     def __post_init__(self):
@@ -258,10 +253,6 @@ class Recipe:
             raise UsageError(f"lr must be positive, got {self.lr}")
         fold_weights(self.policy, 1, self.ema_a)  # a training policy
         fold_weights("ema", 1, self.ema_a)        # a coefficient in (0, 1]
-
-    def save(self, path) -> None:
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "Recipe":
@@ -298,7 +289,7 @@ def _train_steps(params, order: str, recipe: Recipe,
     rng = np.random.default_rng(derive_seed(recipe.seed, order))
     rows: list[MetricsRow] = []
     for step in range(recipe.steps):
-        lr = cosine_lr(step, recipe.steps, recipe.lr, recipe.min_lr)
+        lr = cosine_lr(step, recipe.steps, recipe.lr)
         opt.zero_grad()
         total = 0.0
         for _ in range(recipe.batch):

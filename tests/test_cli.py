@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from ccm import cli, engine
+from ccm.checkpoint import load_arrays, save_arrays
 from ccm.cli import main
+from ccm.lora import AdapterSet
+from ccm.model import ToyLM
 from ccm.taskgen import read_dataset
 
 
@@ -80,8 +83,6 @@ def test_gen_data_parses(icl_data):
 
 def test_pipeline_artifacts(tiny_pipeline, tmp_path):
     icl_data, model, adapters = tiny_pipeline
-    from ccm.model import ToyLM
-    from ccm.lora import AdapterSet
     m = ToyLM.load(model)
     AdapterSet.load(adapters, m)
 
@@ -172,6 +173,60 @@ def test_stream_region_below_one_slot_group_is_usage_error(stream_model, stream_
                "--length", "100") == 1
     assert "usage error: ccm_entries 1 holds no group of 2 slots" in \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy,flag", [
+    *((policy, flag) for policy in ("full", "none")
+      for flag in ("--sink", "--ccm-entries", "--window", "--chunk")),
+    ("sliding", "--adapters")])
+def test_stream_flag_the_policy_ignores_is_usage_error(stream_model, stream_data,
+                                                       tmp_path, capsys, policy, flag):
+    # full and none build their own caps; sliding compresses nothing
+    value = tmp_path / "adapters.ckpt" if flag == "--adapters" else "4"
+    out = tmp_path / "stream.csv"
+    assert run("stream", "--data", stream_data, "--model", stream_model, "--policy",
+               policy, flag, value, "--out", out, "--length", "20") == 1
+    assert f"usage error: --policy {policy} takes no {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def rewrite_checkpoint(src, dst, edit):
+    arrays, meta = load_arrays(src)
+    edit(arrays, meta)
+    save_arrays(dst, arrays, meta)
+
+
+BAD_CHECKPOINTS = {
+    "config-unknown-key": ("model", lambda a, m: m["config"].update(n_experts=2)),
+    "config-bad-heads": ("model", lambda a, m: m["config"].update(n_heads=3)),
+    "config-float-size": ("model", lambda a, m: m["config"].update(d_model=64.0)),
+    "config-missing": ("model", lambda a, m: m.pop("config")),
+    "record-missing": ("model", lambda a, m: a.pop("head")),
+    "record-unexpected": ("model", lambda a, m: a.update(extra=a["head"])),
+    "record-misshapen": ("model", lambda a, m: a.update(head=a["head"][:, 1:])),
+    "adapter-rank-missing": ("adapters", lambda a, m: m.pop("rank")),
+    "adapter-no-slots": ("adapters", lambda a, m: m.update(comp_len=0)),
+    "adapter-alpha-text": ("adapters", lambda a, m: m.update(alpha="big")),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CHECKPOINTS)
+def test_bad_checkpoint_metadata_is_data_error(stream_model, stream_data, tmp_path,
+                                               capsys, case):
+    kind, edit = BAD_CHECKPOINTS[case]
+    model = ToyLM.load(stream_model)
+    adapters = tmp_path / "adapters.ckpt"
+    AdapterSet.init(model, comp_len=1).save(adapters)
+    files = {"model": stream_model, "adapters": adapters}
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint(files[kind], bad, edit)
+    files[kind] = bad
+    out = tmp_path / "stream.csv"
+    assert run("stream", "--data", stream_data, "--model", files["model"],
+               "--adapters", files["adapters"], "--policy", "concat",
+               "--length", "20", "--out", out) == 2
+    assert f"data error: {bad}" in capsys.readouterr().err
     assert not out.exists()
 
 

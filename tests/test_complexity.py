@@ -84,9 +84,8 @@ def test_report_and_sweep_shape():
     assert len(report_rows(params())) == 8  # 4 methods x 2 phases
     rows = sweep_rows(params(), t_values=[1, 2], s_values=[1, 2])
     assert len(rows) == 32
-    cols = {"method", "phase", "t", "s", "kv_entries", "kv_bytes_fp16",
-            "kv_bytes_fp32", "attn_flops"}
-    assert cols.issubset(rows[0].keys())
+    cols = {"method", "phase", "t", "s", "kv_entries", "kv_bytes_fp16", "attn_flops"}
+    assert cols == rows[0].keys()
 
 
 def test_rejects_bad_params():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ccm import engine
 from ccm.engine import (Session, StreamCaps, StreamState, evaluate_multichoice,
-                        evaluate_perplexity, streaming_step)
+                        evaluate_perplexity, multichoice_scores, streaming_step)
 from ccm.errors import ContractViolation, UsageError
 from ccm.lora import AdapterSet
 from ccm.memory import ContextMemory
@@ -34,13 +34,19 @@ def adapters(model):
     return a
 
 
+_PROPERTY_MODEL = ToyLM.init(TINY, seed=7, dtype=np.float64)
+
+
 def run_session(model, adapters, policy, segments, inputs, max_new=2):
+    """Ingest each segment, then answer ``inputs``: the online loop. Returns
+    the session and, per step, (prediction, compression peak, inference peak)."""
     session = Session(model, adapters, policy)
-    reports = []
+    steps = []
     for seg in segments:
-        _, report = session.step(seg, inputs, max_new)
-        reports.append(report)
-    return session, reports
+        comp_peak = session.ingest(seg)
+        pred, infer_peak = session.predict(inputs, max_new)
+        steps.append((pred, comp_peak, infer_peak))
+    return session, steps
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +81,12 @@ def test_measured_counts_match_analytic(model, adapters):
     method_for = {"concat": "ccm_concat", "merge": "ccm_merge",
                   "full": "full", "fixed": "fixed_comp"}
     for policy, method in method_for.items():
-        _, reports = run_session(model, adapters, policy, segments, inputs, max_new)
-        for t, report in enumerate(reports, start=1):
+        _, steps = run_session(model, adapters, policy, segments, inputs, max_new)
+        for t, (_, comp_peak, infer_peak) in enumerate(steps, start=1):
             params = ComplexityParams(t=t, l_c=l_c, l_i=l_i, s=s,
                                       n_layers=TINY.n_layers, d_model=TINY.d_model)
-            assert report.compression_entries == kv_entries(params, method,
-                                                            "compression"), (policy, t)
-            assert report.inference_entries == kv_entries(params, method,
-                                                          "inference"), (policy, t)
+            assert comp_peak == kv_entries(params, method, "compression"), (policy, t)
+            assert infer_peak == kv_entries(params, method, "inference"), (policy, t)
 
 
 @pytest.mark.parametrize("policy", engine.SESSION_POLICIES)
@@ -110,9 +114,9 @@ def test_none_policy_ignores_context(model, adapters):
     inputs = rng.integers(0, 20, size=3)
     segs_a = [rng.integers(0, 20, size=4) for _ in range(3)]
     segs_b = [rng.integers(0, 20, size=4) for _ in range(3)]
-    a, _ = run_session(model, adapters, "none", segs_a, inputs)
-    b, _ = run_session(model, adapters, "none", segs_b, inputs)
-    assert [r.pred_tokens for r in a.log] == [r.pred_tokens for r in b.log]
+    a, steps_a = run_session(model, adapters, "none", segs_a, inputs)
+    _, steps_b = run_session(model, adapters, "none", segs_b, inputs)
+    assert [x[0].tolist() for x in steps_a] == [x[0].tolist() for x in steps_b]
     assert a.context_entries == 0
 
 
@@ -145,10 +149,11 @@ def test_session_resume_from_snapshot(tmp_path, model, adapters):
 
     resumed = Session(model, adapters, "merge")
     resumed.memory = ContextMemory.load(tmp_path / "mem.ckpt")
-    resumed.t = 3
 
-    a, _ = session.step(segments[3], inputs, 2)
-    b, _ = resumed.step(segments[3], inputs, 2)
+    for s in (session, resumed):
+        s.ingest(segments[3])
+    a, _ = session.predict(inputs, 2)
+    b, _ = resumed.predict(inputs, 2)
     assert np.array_equal(a, b)
 
 
@@ -194,6 +199,52 @@ def test_multichoice_single_tokens_reduce_to_argmax(model, adapters):
     choices = [[6], [8], [11]]
     by_logit = int(np.argmax([logits.data[-1, c[0]] for c in choices]))
     assert evaluate_multichoice(session, inputs, choices) == by_logit
+
+
+def test_multichoice_scores_are_the_oracle_log_probs(model, adapters):
+    # single-token choices: the oracle's last input row scores every choice
+    rng = np.random.default_rng(12)
+    segments, inputs, _ = random_sample(rng, 4, 20, n_inputs=3)
+    choices = [6, 8, 11, 13]
+    session = Session(model, adapters, "concat")
+    for t, seg in enumerate(segments, start=1):
+        session.ingest(seg)
+        scores = multichoice_scores(session, inputs, [[c] for c in choices])
+        ref = recursive_reference_forward(model, adapters,
+                                          (segments[:t], inputs, [choices[0]]),
+                                          "concat", t)
+        want = log_softmax_rows(ref.io_logits)[len(inputs) - 1, choices]
+        np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
+        assert evaluate_multichoice(session, inputs, [[c] for c in choices]) \
+            == int(np.argmax(want))
+
+
+@settings(max_examples=15, deadline=None)
+@given(policy=st.sampled_from(engine.SESSION_POLICIES), t=st.integers(0, 3),
+       lengths=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+       seed=st.integers(0, 99))
+def test_multichoice_scores_property(policy, t, lengths, seed):
+    # each choice token's log-prob from its own prefix forward, then the mean
+    adapters = AdapterSet.init(_PROPERTY_MODEL, rank=2, alpha=4.0, comp_len=2,
+                               seed=seed)
+    rng = np.random.default_rng(seed)
+    session = Session(_PROPERTY_MODEL, adapters, policy)
+    for _ in range(t):
+        session.ingest(rng.integers(0, 20, size=3))
+    inputs = rng.integers(0, 20, size=2)
+    choices = [rng.integers(0, 20, size=n) for n in lengths]
+    prompt = np.concatenate(session._prompt + [inputs])
+    layout = session.memory.layout(_PROPERTY_MODEL)
+    want = []
+    for choice in choices:
+        logps = []
+        for j, tok in enumerate(choice):
+            logits, _ = _PROPERTY_MODEL.forward(np.concatenate([prompt, choice[:j]]),
+                                                layout, adapters=adapters)
+            logps.append(log_softmax_rows(logits.data)[-1, tok])
+        want.append(np.mean(logps))
+    np.testing.assert_allclose(multichoice_scores(session, inputs, choices), want,
+                               rtol=0, atol=1e-10)
 
 
 def test_multichoice_contracts(model, adapters):
@@ -242,8 +293,9 @@ class RecordCompressions:
         engine.compress_from_kv = self.orig
 
 
-def stream_checked(model, adapters, caps, tokens) -> StreamState:
-    """Stream ``tokens``, checking the layout's three regions after every step.
+def stream_checked(model, adapters, caps, tokens) -> tuple[StreamState, int]:
+    """Stream ``tokens``, checking the layout's three regions after every step;
+    returns the state and the number of compression events.
 
     The sink holds the first ``n_sink`` tokens' KV, the compressed region the
     newest whole slot groups ``compress_from_kv`` returned (as many as fit),
@@ -251,12 +303,14 @@ def stream_checked(model, adapters, caps, tokens) -> StreamState:
     Each compression reads [compressed region | oldest window chunk].
     """
     state = StreamState(model, adapters, caps)
+    n_events = 0
     token_kv = []  # each token's KV is the last layout entry after its step
     with RecordCompressions() as rec:
         for tok in tokens:
             before, lo = state.layout, state.n_sink
             n_read = state.ccm_entry_count + caps.chunk
             _, kv_total, event = streaming_step(state, int(tok))
+            n_events += event
             if event and caps.ccm_entries:
                 read = rec.contexts[-1]
                 np.testing.assert_array_equal(read.keys, before.keys[:, lo:lo + n_read])
@@ -280,25 +334,24 @@ def stream_checked(model, adapters, caps, tokens) -> StreamState:
                 + [v[:, None] for _, v in window]
             np.testing.assert_array_equal(layout.keys, np.concatenate(want_k, axis=1))
             np.testing.assert_array_equal(layout.values, np.concatenate(want_v, axis=1))
-        assert len(rec.groups) == (state.events if caps.ccm_entries else 0)
-    return state
+        assert len(rec.groups) == (n_events if caps.ccm_entries else 0)
+    return state, n_events
 
 
 def test_stream_budget_and_layout_order(model, adapters):
     rng = np.random.default_rng(6)
-    state = stream_checked(model, adapters, SMALL_CAPS, rng.integers(0, 20, size=200))
-    assert state.events > 0
+    state, n_events = stream_checked(model, adapters, SMALL_CAPS,
+                                     rng.integers(0, 20, size=200))
+    assert n_events > 0
     assert state.n_sink == SMALL_CAPS.n_sink
 
 
 def test_stream_eviction_emits_oldest(model, adapters):
     rng = np.random.default_rng(7)
-    state = stream_checked(model, adapters, SMALL_CAPS, rng.integers(0, 20, size=120))
+    state, n_events = stream_checked(model, adapters, SMALL_CAPS,
+                                     rng.integers(0, 20, size=120))
     # older groups were evicted: the region keeps fewer groups than events
-    assert state.events > state.ccm_entry_count // adapters.comp_len > 0
-
-
-_PROPERTY_MODEL = ToyLM.init(TINY, seed=7, dtype=np.float64)
+    assert n_events > state.ccm_entry_count // adapters.comp_len > 0
 
 
 @settings(max_examples=20, deadline=None)

@@ -16,7 +16,7 @@ from conftest import TINY, random_sample
 def make_pair(a, b, alpha, rank):
     return LoRAPair(Parameter("a", Tensor(np.asarray(a, dtype=np.float64))),
                     Parameter("b", Tensor(np.asarray(b, dtype=np.float64))),
-                    alpha, rank, layer=0, target="q")
+                    alpha, rank)
 
 
 def conditional_project(w: Tensor, lora: LoRAPair | None, x_h: Tensor, m: bool) -> Tensor:

@@ -287,27 +287,24 @@ def test_memory_snapshot_roundtrip(tmp_path):
     assert loaded2.count == 3
 
 
-def test_memory_load_accepts_files_with_stamps(tmp_path):
-    # files written before the slot stamps were dropped still carry them
-    rng = np.random.default_rng(12)
-    hs = [slots(rng) for _ in range(2)]
-    arrays = {}
-    for i, h in enumerate(hs):
-        arrays[f"mem/{i}.k"], arrays[f"mem/{i}.v"] = h.keys, h.values
-    save_arrays(tmp_path / "old.ckpt", arrays, meta={
-        "kind": "memory", "policy": "concat", "ema_a": 0.5, "count": 2,
-        "produced_at": [1, 2]})
-    loaded = ContextMemory.load(tmp_path / "old.ckpt")
-    assert loaded.count == 2 and loaded.entry_count == 2
-    np.testing.assert_array_equal(loaded.entries.values[:, 1:2], hs[1].values)
-
-
 @pytest.mark.parametrize("policy", ["concat", "merge"])
 def test_memory_load_rejects_missing_record(tmp_path, policy):
     rng = np.random.default_rng(13)
     h = slots(rng)
-    name = "mem/0" if policy == "concat" else "mem/run"
-    save_arrays(tmp_path / "mem.ckpt", {name + ".k": h.keys}, meta={
+    save_arrays(tmp_path / "mem.ckpt", {"mem/run.k": h.keys}, meta={
         "kind": "memory", "policy": policy, "ema_a": 0.5, "count": 1})
     with pytest.raises(DataError):
         ContextMemory.load(tmp_path / "mem.ckpt")
+
+
+@pytest.mark.parametrize("meta", [
+    {"ema_a": 0.5, "count": 1}, {"policy": "bogus", "ema_a": 0.5, "count": 1},
+    {"policy": "ema", "ema_a": 2.0, "count": 1}, {"policy": "concat", "count": 1},
+    {"policy": "concat", "ema_a": 0.5, "count": "one"}])
+def test_memory_load_rejects_bad_metadata(tmp_path, meta):
+    h = slots(np.random.default_rng(14))
+    path = tmp_path / "mem.ckpt"
+    save_arrays(path, {"mem/run.k": h.keys, "mem/run.v": h.values},
+                meta={"kind": "memory", **meta})
+    with pytest.raises(DataError, match=str(path)):
+        ContextMemory.load(path)

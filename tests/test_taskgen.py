@@ -94,9 +94,20 @@ def test_stream_deterministic_and_sized():
     assert len(a.tokens) == 2000
 
 
+def recurrence_distances(sample) -> np.ndarray:
+    """Token gaps between consecutive occurrences of the same motif."""
+    last: dict[int, int] = {}
+    gaps = []
+    for motif, pos in sample.motif_positions:
+        if motif in last:
+            gaps.append(pos - last[motif])
+        last[motif] = pos
+    return np.asarray(gaps, dtype=np.intp)
+
+
 def test_stream_recurrence_beyond_window():
     sample = gen_stream(8000, seed=6)
-    gaps = sample.recurrence_distances()
+    gaps = recurrence_distances(sample)
     assert gaps.size > 20
     frac_long = (gaps > 151).mean()
     assert frac_long >= 0.30

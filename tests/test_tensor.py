@@ -10,6 +10,18 @@ from ccm.optim import Adam, cosine_lr
 from ccm.tensor import Parameter, Tensor, finite_difference_check
 
 
+def sum_all(a: Tensor) -> Tensor:
+    """The sum of every element, as a scalar op on the tape: the loss the
+    gradient checks below differentiate."""
+    out_data = np.asarray(a.data.sum(), dtype=a.data.dtype)
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate_grad(np.full_like(a.data, g))
+
+    return T._make(out_data, (a,), bw)
+
+
 def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Central finite differences of scalar-valued f at x (float64)."""
     g = np.zeros_like(x)
@@ -37,7 +49,7 @@ def check_op_grad(make_out, inputs, rtol=1e-3, seed=0):
     def scalar():
         return float((make_out().data * w).sum())
 
-    loss = T.sum_all(T.mul(make_out(), w))
+    loss = sum_all(T.mul(make_out(), w))
     loss.backward()
     for x in inputs:
         analytic = x.grad
@@ -54,14 +66,14 @@ def test_tensor_shape_data_invariant():
     x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
     assert int(np.prod(x.shape)) == x.data.size
     x.requires_grad = True
-    T.sum_all(x).backward()
+    sum_all(x).backward()
     assert x.grad.shape == x.data.shape
 
 
 def test_backward_accumulates_grad():
     x = Tensor(np.ones(3), requires_grad=True)
-    T.sum_all(x).backward()
-    T.sum_all(T.mul(x, 2.0)).backward()
+    sum_all(x).backward()
+    sum_all(T.mul(x, 2.0)).backward()
     np.testing.assert_allclose(x.grad, 3.0 * np.ones(3))
 
 
@@ -104,7 +116,7 @@ def test_matmul_gradient_vs_fd():
     def scalar():
         return float((a.data @ b.data).sum())
 
-    loss = T.sum_all(T.matmul(a, b))
+    loss = sum_all(T.matmul(a, b))
     loss.backward()
     for x in (a, b):
         numeric = fd_grad(scalar, x.data)
@@ -262,6 +274,16 @@ def test_frozen_parameter_unchanged():
     assert p.data[0] == 1.0
 
 
+def test_trainable_is_the_tensors_requires_grad():
+    # one flag: freezing a parameter or its tensor is the same act
+    p = Parameter("w", Tensor(np.array([1.0])), trainable=False)
+    assert not p.trainable and not p.tensor.requires_grad
+    p.tensor.requires_grad = True
+    assert p.trainable
+    p.freeze()
+    assert not p.tensor.requires_grad
+
+
 def test_adam_single_step_matches_hand_formula():
     w0, g, lr = 1.0, 2.0, 0.1
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -292,7 +314,7 @@ def test_fd_check_quadratic():
     p = Parameter("w", Tensor(np.array([3.0])))
 
     def f():
-        return T.sum_all(T.mul(p.tensor, p.tensor))
+        return sum_all(T.mul(p.tensor, p.tensor))
 
     # analytic gradient 2w = 6
     err = finite_difference_check(f, [p], n_samples=3, seed=0)
@@ -303,6 +325,6 @@ def test_fd_check_constant_function():
     p = Parameter("w", Tensor(np.array([3.0])))
 
     def f():
-        return T.sum_all(T.mul(p.tensor, 0.0))
+        return sum_all(T.mul(p.tensor, 0.0))
 
     assert finite_difference_check(f, [p], n_samples=3) == 0.0

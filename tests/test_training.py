@@ -6,6 +6,8 @@ segment by segment and then inferring on the final memory. Everything else
 about training hangs off that equivalence.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -432,9 +434,12 @@ def test_pretrain_runs_and_improves():
 
 
 def test_recipe_roundtrip(tmp_path):
-    recipe = Recipe(steps=12, batch=3, lr=0.01, T=4, s=2, policy="merge", seed=9)
+    # a file naming every key, as key=value lines, loads back field for field
+    recipe = Recipe(steps=12, batch=3, lr=0.01, T=4, s=2, policy="merge", seed=9,
+                    ema_a=0.25)
     path = tmp_path / "recipe.txt"
-    recipe.save(path)
+    path.write_text("".join(f"{f.name}={getattr(recipe, f.name)}\n"
+                            for f in dataclasses.fields(recipe)))
     assert Recipe.load(path) == recipe
 
 
