@@ -102,9 +102,19 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 @contextmanager
-def malformed_is_data_error(path, kind: str):
-    """A missing or bad value read from a ``kind`` checkpoint is a DataError."""
+def read_checkpoint(path, kind: str):
+    """(arrays, meta) of a ``kind`` checkpoint; bad values read in it are DataErrors."""
+    arrays, meta = load_arrays(path)
+    if meta.get("kind") != kind:
+        raise DataError(f"{path}: not a {kind} checkpoint")
     try:
-        yield
+        yield arrays, meta
     except (LookupError, TypeError, ValueError, ArithmeticError, CcmError) as exc:
         raise DataError(f"{path}: malformed {kind} checkpoint ({exc!r})") from None
+
+
+def check_records(path, arrays: dict, shapes: dict[str, tuple[int, ...]]) -> None:
+    """The records must be exactly the name -> shape table ``shapes``."""
+    bad = sorted({name: a.shape for name, a in arrays.items()}.items() ^ shapes.items())
+    if bad:
+        raise DataError(f"{path}: records missing, unexpected or misshapen: {bad[:4]}")

@@ -5,17 +5,22 @@ Every command is deterministic under its flags: reruns produce
 byte-identical CSV artifacts. Exit codes: 0 ok, 1 usage error, 2 data
 error, 3 numeric contract violation.
 
-Each command takes only the flags it reads. ``gen-data`` takes
-``--seed``. ``pretrain`` and ``train-compress`` take ``--config``, a
-key=value recipe whose values their recipe flags (``--seed`` among them)
-override. ``eval`` takes ``--config`` for the recipe's ``ema_a``.
-``stream`` and ``complexity`` take neither. Trained adapters carry their
-slot count: ``--slots`` sizes fresh adapters in ``train-compress`` and the
-sweep in ``complexity``. ``eval`` accepts every session policy and
-``stream`` every streaming policy, with only the flags that policy reads:
-``concat`` takes ``--adapters`` and the caps ``--sink``, ``--ccm-entries``,
-``--window`` and ``--chunk``; ``sliding`` takes the caps; ``full`` and
-``none`` take ``--adapters``. Any other stream flag is a usage error.
+Each command takes only the flags it reads, and a flag a run would not
+read is a usage error. ``gen-data`` takes ``--seed``. ``pretrain`` and
+``train-compress`` take ``--config``, a key=value recipe whose values
+their recipe flags (``--seed`` among them) override. ``eval`` takes
+``--config`` for the recipe's ``ema_a``. ``stream`` and ``complexity``
+take neither. The data kind decides the sample flags: on stream data
+``pretrain`` takes ``--window`` and ``train-compress`` takes ``--chunk``
+and ``--io-len``; on ICL data, whose samples are its time steps, they take
+none of them. Trained adapters carry their slot count: ``--slots`` sizes
+fresh adapters in ``train-compress`` and the sweep in ``complexity``.
+``complexity --llama7b`` fixes the model, so it takes no ``--layers`` or
+``--d-model``. ``eval`` accepts every session policy and ``stream`` every
+streaming policy, with only the flags that policy reads: ``concat`` takes
+``--adapters`` and the caps ``--sink``, ``--ccm-entries``, ``--window``
+and ``--chunk``; ``sliding`` takes the caps; ``full`` and ``none`` take
+``--adapters``.
 """
 
 from __future__ import annotations
@@ -65,6 +70,18 @@ def _load_recipe(args, **flags) -> Recipe:
     """The --config recipe (or the defaults), with the given flags on top."""
     recipe = Recipe.load(args.config) if args.config else Recipe()
     return replace(recipe, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _given(args, flags) -> dict:
+    """The named flags the command line set (each defaults to None)."""
+    return {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+
+
+def _refuse(args, flags, reader: str) -> None:
+    """A flag the run will not read is a usage error naming it."""
+    given = sorted(_given(args, flags))
+    if given:
+        raise UsageError(f"{reader} takes no --{given[0].replace('_', '-')}")
 
 
 def _check_policy(policy: str, policies: tuple[str, ...]) -> None:
@@ -135,13 +152,13 @@ def cmd_pretrain(args) -> int:
                           seed=args.seed)
     data = read_dataset(args.data)
     if isinstance(data, ICLDataset):
-        recipe = replace(recipe, T=data.T)
+        _refuse(args, ["window"], "an ICL dataset")
         model = _model_from_flags(args, data.vocab, recipe.seed)
-        sampler = icl_pretrain_sampler(data.train, T=data.T, vocab=data.vocab)
+        sampler = icl_pretrain_sampler(data.train, T=data.T)
     else:
         streams, vocab, _ = data
         model = _model_from_flags(args, vocab, recipe.seed)
-        sampler = stream_pretrain_sampler(streams, window=args.window)
+        sampler = stream_pretrain_sampler(streams, **_given(args, ["window"]))
     rows = pretrain(model, sampler, recipe)
     model.save(args.out)
     if args.metrics:
@@ -157,14 +174,15 @@ def cmd_train_compress(args) -> int:
     data = read_dataset(args.data)
     model = ToyLM.load(args.model)
     if isinstance(data, ICLDataset):
+        _refuse(args, ["chunk", "io_len"], "an ICL dataset")
         _require_vocab(model, data.vocab)
         recipe = replace(recipe, T=data.T)
         sampler = icl_compression_sampler(data.train)
     else:
         streams, vocab, _ = data
         _require_vocab(model, vocab)
-        sampler = stream_compression_sampler(streams, chunk=args.chunk,
-                                             io_len=args.io_len)
+        sampler = stream_compression_sampler(streams,
+                                             **_given(args, ["chunk", "io_len"]))
     adapters = AdapterSet.init(model, rank=args.rank, alpha=args.alpha,
                                comp_len=recipe.s,
                                seed=derive_seed(recipe.seed, "adapter-init"))
@@ -237,21 +255,20 @@ _STREAM_FLAGS = {"concat": {"adapters", *_CAPS}, "sliding": set(_CAPS),
 
 def cmd_stream(args) -> int:
     _check_policy(args.policy, STREAM_POLICIES)
-    given = {f for f in ("adapters", *_CAPS) if getattr(args, f) is not None}
-    ignored = sorted(given - _STREAM_FLAGS[args.policy])
-    if ignored:
-        flag = ignored[0].replace("_", "-")
-        raise UsageError(f"--policy {args.policy} takes no --{flag}")
-    caps = StreamCaps(**{_CAPS[f]: getattr(args, f) for f in given & _CAPS.keys()})
+    _refuse(args, {"adapters", *_CAPS} - _STREAM_FLAGS[args.policy],
+            f"--policy {args.policy}")
+    caps = StreamCaps(**{_CAPS[f]: v for f, v in _given(args, _CAPS).items()})
+    if args.length is not None and args.length < 2:
+        raise UsageError(f"--length {args.length} must be at least 2")
+    if args.stream_index < 0:
+        raise UsageError(f"--stream-index {args.stream_index} must be >= 0")
     streams, vocab, _ = _require_stream(read_dataset(args.data))
     if args.stream_index >= len(streams):
         raise DataError(f"stream index {args.stream_index} out of range")
     model = ToyLM.load(args.model)
     _require_vocab(model, vocab)
     adapters = AdapterSet.load(args.adapters, model) if args.adapters else None
-    tokens = np.asarray(streams[args.stream_index].tokens, dtype=np.intp)
-    if args.length:
-        tokens = tokens[:args.length]
+    tokens = np.asarray(streams[args.stream_index].tokens, dtype=np.intp)[:args.length]
     result = evaluate_perplexity(model, adapters, args.policy, tokens, caps)
     ppl_cum = result.cumulative_perplexity()
     rows = []
@@ -266,14 +283,14 @@ def cmd_stream(args) -> int:
 
 def cmd_complexity(args) -> int:
     if args.llama7b:
+        _refuse(args, ["layers", "d_model"], "--llama7b")
         base = llama_7b_params(l_c=args.lc, l_i=args.li)
     else:
         base = ComplexityParams(t=1, l_c=args.lc, l_i=args.li, s=1,
                                 n_layers=args.layers or 4,
                                 d_model=args.d_model or 128)
     t_values = list(range(1, args.t_max + 1))
-    s_values = [int(x) for x in args.slots.split(",")]
-    rows = sweep_rows(base, t_values, s_values)
+    rows = sweep_rows(base, t_values, args.slots)
     out_rows = [[r["method"], r["phase"], r["t"], r["s"], r["kv_entries"],
                  r["kv_bytes_fp16"], f"{r['attn_flops']:.6g}"] for r in rows]
     _write_csv(args.out, ["method", "phase", "t", "s", "kv_entries",
@@ -284,6 +301,11 @@ def cmd_complexity(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument wiring
+
+
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; argparse makes a bad one a usage error."""
+    return [int(x) for x in text.split(",")]
 
 
 def build_parser() -> _Parser:
@@ -316,7 +338,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--metrics", default=None)
-    p.add_argument("--window", type=int, default=192, help="stream sample length")
+    p.add_argument("--window", type=int, default=None, help="stream sample length")
     p.add_argument("--layers", type=int, default=None)
     p.add_argument("--d-model", type=int, default=None, dest="d_model")
     p.add_argument("--heads", type=int, default=None)
@@ -333,8 +355,8 @@ def build_parser() -> _Parser:
     c.add_argument("--rank", type=int, default=8)
     c.add_argument("--alpha", type=float, default=16.0)
     c.add_argument("--metrics", default=None)
-    c.add_argument("--chunk", type=int, default=64)
-    c.add_argument("--io-len", type=int, default=16, dest="io_len")
+    c.add_argument("--chunk", type=int, default=None)
+    c.add_argument("--io-len", type=int, default=None, dest="io_len")
 
     e = command("eval", "per-time-step accuracy and KV counts", config=True)
     e.add_argument("--data", required=True)
@@ -359,7 +381,7 @@ def build_parser() -> _Parser:
     x.add_argument("--t-max", type=int, default=16, dest="t_max")
     x.add_argument("--lc", type=int, default=50)
     x.add_argument("--li", type=int, default=10)
-    x.add_argument("--slots", default="1,2,4,8")
+    x.add_argument("--slots", type=_int_list, default="1,2,4,8")
     x.add_argument("--llama7b", action="store_true")
     x.add_argument("--layers", type=int, default=None)
     x.add_argument("--d-model", type=int, default=None, dest="d_model")

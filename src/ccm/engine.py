@@ -213,9 +213,9 @@ def streaming_step(state: StreamState, token: int) -> tuple[np.ndarray, int, boo
     if state.window_entries >= state.caps.window:
         state._compress_oldest_chunk()
         event = True
-    logits, (k, v) = state.model.forward(np.array([token], dtype=np.intp),
-                                         state.layout, adapters=state.adapters)
-    state.layout = state.layout.extended(KVLayout(k, v))
+    logits, kv = state.model.forward(np.array([token], dtype=np.intp),
+                                     state.layout, adapters=state.adapters)
+    state.layout = state.layout.extended(kv)
     if state.n_sink < state.caps.n_sink:
         state.n_sink += 1
     return logits.data[0], state.layout.n_entries, event

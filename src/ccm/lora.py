@@ -11,11 +11,12 @@ jointly with the adapters and shared across all time steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_arrays, malformed_is_data_error, save_arrays
+from .checkpoint import check_records, read_checkpoint, save_arrays
 from .errors import ContractViolation, DataError
 from .tensor import Parameter, Tensor
 
@@ -35,6 +36,14 @@ class LoRAPair:
         """Apply the low-rank update to row vectors: (x B^T) A * alpha/rank."""
         down = T.matmul(x, T.transpose(self.b.tensor, (1, 0)))
         return T.mul(T.matmul(down, self.a.tensor), self.alpha / self.rank)
+
+
+def adapter_shapes(config, rank: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every adapter tensor, in ``AdapterSet.parameters`` order."""
+    pairs = [f"adapter/layers.{layer}.{tgt}.{ab}" for layer in range(config.n_layers)
+             for tgt in TARGETS for ab in "ab"]
+    return {**dict.fromkeys(pairs, (rank, config.d_model)),
+            "adapter/comp_embedding": (1, config.d_model)}
 
 
 def comp_flags(tokens: np.ndarray, comp_token_id: int) -> np.ndarray:
@@ -63,20 +72,19 @@ class AdapterSet:
              seed: int = 0) -> "AdapterSet":
         """Fresh adapters: A random normal, B zero (so the initial delta is zero)."""
         cfg = model.config
-        dtype = model.dtype
         rng = np.random.default_rng(seed)
-        pairs: dict[tuple[int, str], LoRAPair] = {}
-        for layer in range(cfg.n_layers):
-            for tgt in TARGETS:
-                a = Parameter(f"adapter/layers.{layer}.{tgt}.a",
-                              Tensor((rng.standard_normal((rank, cfg.d_model))
-                                      / np.sqrt(cfg.d_model)).astype(dtype)))
-                b = Parameter(f"adapter/layers.{layer}.{tgt}.b",
-                              Tensor(np.zeros((rank, cfg.d_model), dtype=dtype)))
-                pairs[(layer, tgt)] = LoRAPair(a, b, alpha, rank)
-        comp_row = model.params["embed"].data[cfg.comp_token_id].copy()
-        comp_embedding = Parameter("adapter/comp_embedding",
-                                   Tensor(comp_row.reshape(1, -1)))
+        params = []
+        for name, shape in adapter_shapes(cfg, rank).items():
+            if name.endswith(".a"):
+                data = rng.standard_normal(shape) / np.sqrt(cfg.d_model)
+            elif name.endswith(".b"):
+                data = np.zeros(shape)
+            else:  # the compression row starts as the model's
+                data = model.params["embed"].data[cfg.comp_token_id].reshape(shape)
+            params.append(Parameter(name, Tensor(data.astype(model.dtype))))
+        *ab, comp_embedding = params
+        pairs = {key: LoRAPair(a, b, alpha, rank) for key, a, b in zip(
+            product(range(cfg.n_layers), TARGETS), ab[::2], ab[1::2])}
         return cls(pairs, comp_embedding, rank, alpha, comp_len)
 
     def lora(self, layer: int, target: str) -> LoRAPair | None:
@@ -102,20 +110,14 @@ class AdapterSet:
     @classmethod
     def load(cls, path, model) -> "AdapterSet":
         """Adapters from a checkpoint, frozen: inference records no tape."""
-        arrays, meta = load_arrays(path)
-        if meta.get("kind") != "adapters":
-            raise DataError(f"{path}: not an adapter checkpoint")
-        with malformed_is_data_error(path, "adapter"):
+        with read_checkpoint(path, "adapters") as (arrays, meta):
             rank, alpha, comp_len = (int(meta["rank"]), float(meta["alpha"]),
                                      int(meta["comp_len"]))
         if min(rank, comp_len) < 1:
             raise DataError(f"{path}: rank {rank} and comp_len {comp_len} must be >= 1")
+        check_records(path, arrays, adapter_shapes(model.config, rank))
         adapters = cls.init(model, rank=rank, alpha=alpha, comp_len=comp_len)
         for p in adapters.parameters():
-            if p.name not in arrays:
-                raise DataError(f"{path}: missing adapter record {p.name!r}")
-            if arrays[p.name].shape != p.data.shape:
-                raise DataError(f"{path}: shape mismatch for {p.name!r}")
             p.data[...] = arrays[p.name].astype(p.data.dtype)
             p.freeze()
         return adapters

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import load_arrays, malformed_is_data_error, save_arrays
-from .errors import ContractViolation, DataError, UsageError
+from .checkpoint import check_records, read_checkpoint, save_arrays
+from .errors import ContractViolation, UsageError
 from .lora import AdapterSet
 from .model import KVLayout, ToyLM
 
@@ -91,15 +91,19 @@ class ContextMemory:
         })
 
     @classmethod
-    def load(cls, path) -> "ContextMemory":
-        arrays, meta = load_arrays(path)
-        if meta.get("kind") != "memory":
-            raise DataError(f"{path}: not a memory snapshot")
-        with malformed_is_data_error(path, "memory"):
-            count, entries = int(meta["count"]), None
-            if count:
-                entries = KVLayout(arrays["mem/run.k"], arrays["mem/run.v"])
-            return cls(meta["policy"], float(meta["ema_a"]), entries, count)
+    def load(cls, path, model: ToyLM) -> "ContextMemory":
+        """A memory of ``model``'s KV shape; n >= 1 entries at count >= 1, else none."""
+        cfg, shapes = model.config, {}
+        with read_checkpoint(path, "memory") as (arrays, meta):
+            memory = cls(meta["policy"], float(meta["ema_a"]), None, int(meta["count"]))
+            if memory.count < 0:
+                raise ValueError(f"negative count {memory.count}")
+            if memory.count:  # max: a keys record of no entries is misshapen
+                shape = (cfg.n_layers, max(1, arrays["mem/run.k"].shape[1]), cfg.d_model)
+                shapes = {"mem/run.k": shape, "mem/run.v": shape}
+        check_records(path, arrays, shapes)
+        entries = KVLayout(arrays["mem/run.k"], arrays["mem/run.v"]) if shapes else None
+        return replace(memory, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +152,7 @@ def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
     cfg = model.config
     layout = mem.layout(model) if reads_memory(mem.policy) else model.empty_layout()
     tokens = np.concatenate([segment, np.full(s, cfg.comp_token_id, dtype=np.intp)])
-    _, (new_k, new_v) = model.forward(tokens, layout, adapters=adapters)
-    return KVLayout(new_k, new_v).entries(segment.size)
+    return model.forward(tokens, layout, adapters=adapters)[1].entries(segment.size)
 
 
 def compress_from_kv(model: ToyLM, adapters: AdapterSet, context: KVLayout) -> KVLayout:
@@ -159,5 +162,4 @@ def compress_from_kv(model: ToyLM, adapters: AdapterSet, context: KVLayout) -> K
     tokens attend all of it plus causally among themselves.
     """
     tokens = np.full(adapters.comp_len, model.config.comp_token_id, dtype=np.intp)
-    _, (new_k, new_v) = model.forward(tokens, context, adapters=adapters)
-    return KVLayout(new_k, new_v)
+    return model.forward(tokens, context, adapters=adapters)[1]

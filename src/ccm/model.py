@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_arrays, malformed_is_data_error, save_arrays
+from .checkpoint import check_records, read_checkpoint, save_arrays
 from .errors import CapacityError, ContractViolation, DataError, DimensionError
 from .lora import AdapterSet, comp_flags
 from .tensor import Parameter, Tensor
@@ -112,9 +112,11 @@ class KVLayout:
 # ---------------------------------------------------------------------------
 # building blocks of one layer
 
+RMS_EPS = 1e-6
 
-def rmsnorm(x: Tensor, gain: Parameter, eps: float = 1e-6) -> Tensor:
-    ms = T.add(T.mean_last(T.mul(x, x)), eps)
+
+def rmsnorm(x: Tensor, gain: Parameter) -> Tensor:
+    ms = T.add(T.mean_last(T.mul(x, x)), RMS_EPS)
     return T.mul(T.mul(x, T.pow_scalar(ms, -0.5)), gain.tensor)
 
 
@@ -167,16 +169,15 @@ def embed_tokens(model: "ToyLM", tokens: np.ndarray,
 
 def forward_groups(model: "ToyLM", tokens: np.ndarray,
                    ranges: Sequence[tuple[int, int]], memory: Callable,
-                   adapters: AdapterSet | None = None,
-                   ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+                   adapters: AdapterSet | None = None) -> tuple[Tensor, KVLayout]:
     """The layer loop: ``tokens`` run as query groups, one per ``ranges`` entry.
 
     The [lo, hi) ranges tile the tokens in order. At every layer,
     ``memory(layer, k, v)`` gets that layer's keys and values of all tokens
     and returns, per group, the (keys, values) it reads before its own
-    tokens, or None. Returns per-token logits and the unrotated per-layer
-    KV the tokens produced ([n_layers, n, d] each). The conditional adapter
-    fires only on compression tokens.
+    tokens, or None. Returns per-token logits and the layout of the
+    unrotated KV the tokens produced. The conditional adapter fires only on
+    compression tokens.
     """
     cfg = model.config
     n = tokens.shape[0]
@@ -219,7 +220,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
                          model.params[p + "w_down"]))
     xo = rmsnorm(x, model.params["final_norm"])
     logits = T.matmul(xo, model.params["head"].tensor)
-    return logits, (new_k, new_v)
+    return logits, KVLayout(new_k, new_v)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +296,10 @@ class ToyLM:
     @classmethod
     def load(cls, path) -> "ToyLM":
         """A model from a checkpoint, frozen: inference records no tape."""
-        arrays, meta = load_arrays(path)
-        if meta.get("kind") != "model":
-            raise DataError(f"{path}: not a model checkpoint")
-        with malformed_is_data_error(path, "model"):
+        with read_checkpoint(path, "model") as (arrays, meta):
             config = ModelConfig(**meta["config"])
-            shapes = param_shapes(config)
-        # the records must be exactly the parameters the config defines
-        bad = sorted(n for n in arrays.keys() | shapes.keys()
-                     if n not in arrays or arrays[n].shape != shapes.get(n))
-        if bad:
-            raise DataError(f"{path}: records missing, unexpected or misshapen "
-                            f"for its config: {bad[:4]}")
+        shapes = param_shapes(config)
+        check_records(path, arrays, shapes)
         params = {name: Parameter(name, Tensor(arrays[name]), trainable=False)
                   for name in shapes}
         return cls(config, params)
@@ -314,11 +307,11 @@ class ToyLM:
     # -- forward -------------------------------------------------------------------
 
     def forward(self, tokens, layout: KVLayout, adapters: AdapterSet | None = None,
-                ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+                ) -> tuple[Tensor, KVLayout]:
         """One group: new tokens appended (for attention) after ``layout``.
 
-        Returns per-token logits and the unrotated per-layer KV the tokens
-        produced (shape [n_layers, n, d] each). The layout is not mutated.
+        Returns per-token logits and the layout of the KV entries the tokens
+        produced, to extend ``layout`` with. ``layout`` is not mutated.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         n_mem = layout.n_entries
@@ -346,14 +339,14 @@ class ToyLM:
         input_tokens = np.asarray(input_tokens, dtype=np.intp)
         if input_tokens.size == 0:
             raise ContractViolation("greedy_decode needs at least one input token")
-        logits, (k, v) = self.forward(input_tokens, layout, adapters=adapters)
-        work = layout.extended(KVLayout(k, v))
+        logits, kv = self.forward(input_tokens, layout, adapters=adapters)
+        work = layout.extended(kv)
         out: list[int] = []
         last_logits = logits.data[-1]
         for _ in range(max_new):
             nxt = int(np.argmax(last_logits))
             out.append(nxt)
-            logits, (k, v) = self.forward(np.array([nxt]), work, adapters=adapters)
-            work = work.extended(KVLayout(k, v))
+            logits, kv = self.forward(np.array([nxt]), work, adapters=adapters)
+            work = work.extended(kv)
             last_logits = logits.data[-1]
         return np.asarray(out, dtype=np.intp), work.n_entries

@@ -32,9 +32,34 @@ N_MOTIFS, MOTIF_LEN = 20, 10
 SHORT_GAP, LONG_GAP = (20, 100), (170, 400)
 
 
+class VocabLayout:
+    """Ids [0, n_plain) for data, then comp and pad; subclasses define n_plain."""
+
+    max_layout = 1024  # the layout cap of the models built for this data
+
+    @property
+    def comp_id(self) -> int:
+        return self.n_plain
+
+    @property
+    def pad_id(self) -> int:
+        return self.n_plain + 1
+
+    @property
+    def size(self) -> int:
+        return self.n_plain + 2
+
+    def model_config(self, **overrides) -> ModelConfig:
+        defaults = dict(n_layers=3, d_model=64, n_heads=4, d_ff=256,
+                        vocab_size=self.size, max_layout=self.max_layout,
+                        comp_token_id=self.comp_id, pad_token_id=self.pad_id)
+        defaults.update(overrides)
+        return ModelConfig(**defaults)
+
+
 @dataclass(frozen=True)
-class VocabSpec:
-    """Fixed vocabulary regions: patterns, labels, then sep/comp/pad."""
+class VocabSpec(VocabLayout):
+    """ICL vocabulary regions: patterns, labels, then sep/comp/pad."""
 
     n_pattern: int = 32
     n_labels: int = 8
@@ -44,26 +69,11 @@ class VocabSpec:
         return self.n_pattern + self.n_labels
 
     @property
-    def comp_id(self) -> int:
+    def n_plain(self) -> int:
         return self.sep_id + 1
-
-    @property
-    def pad_id(self) -> int:
-        return self.sep_id + 2
-
-    @property
-    def size(self) -> int:
-        return self.sep_id + 3
 
     def label_id(self, label: int) -> int:
         return self.n_pattern + label
-
-    def model_config(self, **overrides) -> ModelConfig:
-        defaults = dict(n_layers=3, d_model=64, n_heads=4, d_ff=256,
-                        vocab_size=self.size, max_layout=1024,
-                        comp_token_id=self.comp_id, pad_token_id=self.pad_id)
-        defaults.update(overrides)
-        return ModelConfig(**defaults)
 
 
 @dataclass
@@ -144,8 +154,16 @@ def gen_icl_dataset(n_identities: int, T: int, n_classes: int, seed: int,
     vocab = vocab or VocabSpec(n_labels=max(8, n_classes))
     if n_classes > vocab.n_labels:
         raise UsageError(f"{n_classes} classes exceed {vocab.n_labels} label tokens")
-    ds = ICLDataset(vocab, n_classes, T, pattern_len, seed)
+    if min(T, pattern_len, n_classes, vocab.n_pattern) < 1:
+        raise UsageError("T, pattern length, classes and pattern tokens must be >= 1")
+    if vocab.n_pattern ** pattern_len < n_classes:  # patterns must be distinct
+        raise UsageError(f"{vocab.n_pattern} pattern tokens make fewer than "
+                         f"{n_classes} distinct patterns of length {pattern_len}")
     n_test = max(1, int(round(n_identities * test_fraction)))
+    if n_test >= n_identities:
+        raise UsageError(f"{n_identities} identities leave the train or test split "
+                         f"empty at test fraction {test_fraction}")
+    ds = ICLDataset(vocab, n_classes, T, pattern_len, seed)
     for identity in range(n_identities):
         sample = _gen_identity(identity, seed, vocab, n_classes, T, pattern_len)
         (ds.test if identity >= n_identities - n_test else ds.train).append(sample)
@@ -157,28 +175,14 @@ def gen_icl_dataset(n_identities: int, T: int, n_classes: int, seed: int,
 
 
 @dataclass(frozen=True)
-class StreamVocab:
+class StreamVocab(VocabLayout):
     n_content: int = 48
     n_noise: int = 8
+    max_layout = 2048
 
     @property
-    def comp_id(self) -> int:
+    def n_plain(self) -> int:
         return self.n_content + self.n_noise
-
-    @property
-    def pad_id(self) -> int:
-        return self.comp_id + 1
-
-    @property
-    def size(self) -> int:
-        return self.comp_id + 2
-
-    def model_config(self, **overrides) -> ModelConfig:
-        defaults = dict(n_layers=3, d_model=64, n_heads=4, d_ff=256,
-                        vocab_size=self.size, max_layout=2048,
-                        comp_token_id=self.comp_id, pad_token_id=self.pad_id)
-        defaults.update(overrides)
-        return ModelConfig(**defaults)
 
 
 @dataclass
@@ -239,16 +243,21 @@ def gen_iid_stream(length: int, seed: int, vocab: StreamVocab | None = None,
 # training samplers
 
 
-def icl_pretrain_sampler(samples: list[OnlineSample], T: int,
-                         vocab: VocabSpec | None = None):
+def _require_samples(samples: list) -> None:
+    if not samples:
+        raise DataError("the dataset holds no training samples")
+
+
+def icl_pretrain_sampler(samples: list[OnlineSample], T: int):
     """Full-context sequences [c(1..t), I(t), O(t)], t biased toward T.
 
-    When a vocabulary is given, the loss is focused on the positions that
-    are actually predictable from earlier context: labels of repeated
-    demonstrations and the output. First occurrences are uniform noise and
-    pattern tokens are identity-specific noise; both would swamp the
-    in-context signal at this scale.
+    The loss weights mark the positions that are actually predictable from
+    earlier context: labels of repeated demonstrations and the output.
+    First occurrences are uniform noise and pattern tokens are
+    identity-specific noise; both would swamp the in-context signal at this
+    scale.
     """
+    _require_samples(samples)
 
     def sampler(rng: np.random.Generator):
         sample = samples[int(rng.integers(len(samples)))]
@@ -256,8 +265,6 @@ def icl_pretrain_sampler(samples: list[OnlineSample], T: int,
         segments, inputs, outputs = sample.step_sample(t)
         parts = [tok for seg in segments for tok in seg] + list(inputs) + list(outputs)
         tokens = np.asarray(parts, dtype=np.intp)
-        if vocab is None:
-            return tokens
         weights = np.zeros(tokens.size, dtype=np.int8)
         seen_labels: set[int] = set()
         pos = 0
@@ -274,6 +281,8 @@ def icl_pretrain_sampler(samples: list[OnlineSample], T: int,
 
 
 def icl_compression_sampler(samples: list[OnlineSample]):
+    _require_samples(samples)
+
     def sampler(rng: np.random.Generator, t: int):
         sample = samples[int(rng.integers(len(samples)))]
         return sample.step_sample(t)
@@ -282,11 +291,17 @@ def icl_compression_sampler(samples: list[OnlineSample]):
 
 
 def stream_pretrain_sampler(streams: list[StreamSample], window: int = 192):
-    def sampler(rng: np.random.Generator) -> np.ndarray:
+    """Windows of ``window`` tokens (fewer at a stream's end), loss on each."""
+    if window < 2:
+        raise UsageError(f"window {window} must be at least 2 tokens")
+    _require_samples(streams)
+
+    def sampler(rng: np.random.Generator):
         stream = streams[int(rng.integers(len(streams)))]
         tokens = np.asarray(stream.tokens, dtype=np.intp)
         lo = int(rng.integers(0, max(1, tokens.size - window)))
-        return tokens[lo:lo + window]
+        drawn = tokens[lo:lo + window]
+        return drawn, np.ones(drawn.size, dtype=np.int8)
 
     return sampler
 
@@ -294,6 +309,7 @@ def stream_pretrain_sampler(streams: list[StreamSample], window: int = 192):
 def stream_compression_sampler(streams: list[StreamSample], chunk: int = 64,
                                io_len: int = 16):
     """(C(t), I, O) built from consecutive chunks of a stream."""
+    _require_samples(streams)
 
     def sampler(rng: np.random.Generator, t: int):
         stream = streams[int(rng.integers(len(streams)))]

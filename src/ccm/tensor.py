@@ -448,9 +448,7 @@ def cross_entropy_next_token(logits: Tensor, targets: Array, weights: Array) -> 
     if wsum <= 0:
         raise ContractViolation("cross entropy with all-zero weights")
 
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
+    logp = log_softmax_rows(logits.data)
     rows = np.arange(logits.shape[0])
     nll = -logp[rows, targets]
     out_data = np.asarray((weights * nll).sum() / wsum, dtype=logits.data.dtype)

@@ -306,25 +306,19 @@ def _train_steps(params, order: str, recipe: Recipe,
     return rows
 
 
-def pretrain(model: ToyLM, sampler: Callable[[np.random.Generator], np.ndarray],
+def pretrain(model: ToyLM, sampler: Callable[[np.random.Generator], tuple],
              recipe: Recipe) -> list[MetricsRow]:
     """Stage 1: full-context language modelling from scratch (no comp tokens).
 
-    ``sampler`` draws one token sequence per call, either a plain id array
-    (loss on every next-token position) or a (tokens, weights) pair to
-    focus the loss. Trains all model parameters.
+    ``sampler`` draws one (tokens, weights) pair per call; the loss counts
+    the next-token positions whose weight is 1. Trains all model parameters.
     """
     model.thaw()
 
     def sample_loss(rng):
-        drawn = sampler(rng)
-        if isinstance(drawn, tuple):
-            tokens, weights = drawn
-            tokens = np.asarray(tokens, dtype=np.intp)
-            weights = np.asarray(weights, dtype=np.int8).copy()
-        else:
-            tokens = np.asarray(drawn, dtype=np.intp)
-            weights = np.ones(tokens.size, dtype=np.int8)
+        tokens, weights = sampler(rng)
+        tokens = np.asarray(tokens, dtype=np.intp)
+        weights = np.asarray(weights, dtype=np.int8).copy()
         weights[-1] = 0  # final position has no next token
         logits, _ = model.forward(tokens, model.empty_layout())
         targets = np.zeros(tokens.size, dtype=np.intp)

@@ -1,10 +1,15 @@
 """CLI contracts: artifacts exist, reruns are byte-identical, exit codes map."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ccm
 from ccm import cli, engine
 from ccm.checkpoint import load_arrays, save_arrays
 from ccm.cli import main
@@ -79,6 +84,38 @@ def test_gen_data_deterministic(tmp_path):
 def test_gen_data_parses(icl_data):
     ds = read_dataset(icl_data)
     assert len(ds.train) + len(ds.test) == 30
+
+
+@pytest.mark.parametrize("flags", [
+    ["--classes", "0"], ["--identities", "1"], ["--pattern-len", "0"],
+    ["--pattern-tokens", "2", "--pattern-len", "1", "--classes", "8"]])
+def test_gen_data_without_distinct_patterns_or_a_split_is_usage_error(tmp_path, flags):
+    # the last two looped forever drawing distinct patterns: run in a child
+    # process, so a regression fails here instead of hanging the suite
+    out = tmp_path / "icl.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(ccm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccm.cli", "gen-data", "--kind", "icl",
+         "--identities", "30", *flags, "--out", str(out)],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage error:") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train-compress"])
+def test_empty_train_split_is_data_error(tiny_pipeline, tmp_path, capsys, command):
+    icl_data, model, _ = tiny_pipeline
+    test_only = tmp_path / "test_only.jsonl"
+    test_only.write_text("".join(line for line in icl_data.read_text().splitlines(True)
+                                 if '"split": "train"' not in line))
+    out = tmp_path / "out.ckpt"
+    extra = ["--model", model] if command == "train-compress" else []
+    assert run(command, "--data", test_only, *extra, "--out", out,
+               "--steps", "1", "--batch", "1") == 2
+    assert "data error: the dataset holds no training samples" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_artifacts(tiny_pipeline, tmp_path):
@@ -191,6 +228,41 @@ def test_stream_flag_the_policy_ignores_is_usage_error(stream_model, stream_data
     assert not out.exists()
 
 
+STREAM_RUN = ["stream", "--data", "{stream}", "--model", "{stream_model}",
+              "--policy", "full"]
+
+
+@pytest.mark.parametrize("argv,says", [
+    # a length or index that silently scored other tokens, or none
+    ([*STREAM_RUN, "--length", "0"], "--length 0 must be at least 2"),
+    ([*STREAM_RUN, "--length", "-395"], "--length -395 must be at least 2"),
+    ([*STREAM_RUN, "--length", "1"], "--length 1 must be at least 2"),
+    ([*STREAM_RUN, "--stream-index", "-1"], "--stream-index -1 must be >= 0"),
+    # values that ended in a traceback
+    (["complexity", "--slots", "a"], "argument --slots"),
+    (["complexity", "--slots", ""], "argument --slots"),
+    (["pretrain", "--data", "{stream}", "--window", "0"], "window 0 must be at least 2"),
+    (["pretrain", "--data", "{stream}", "--window", "1"], "window 1 must be at least 2"),
+    # flags the run ignored
+    (["complexity", "--llama7b", "--layers", "2"], "--llama7b takes no --layers"),
+    (["complexity", "--llama7b", "--d-model", "64"], "--llama7b takes no --d-model"),
+    (["pretrain", "--data", "{icl}", "--window", "16"],
+     "an ICL dataset takes no --window"),
+    (["train-compress", "--data", "{icl}", "--model", "{icl_model}", "--chunk", "16"],
+     "an ICL dataset takes no --chunk"),
+    (["train-compress", "--data", "{icl}", "--model", "{icl_model}", "--io-len", "8"],
+     "an ICL dataset takes no --io-len"),
+])
+def test_bad_or_ignored_flag_is_usage_error(tiny_pipeline, stream_data, stream_model,
+                                            tmp_path, capsys, argv, says):
+    files = {"{icl}": tiny_pipeline[0], "{icl_model}": tiny_pipeline[1],
+             "{stream}": stream_data, "{stream_model}": stream_model}
+    out = tmp_path / "out"
+    assert run(*(files.get(a, a) for a in argv), "--out", out) == 1
+    assert f"usage error: {says}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def rewrite_checkpoint(src, dst, edit):
     arrays, meta = load_arrays(src)
     edit(arrays, meta)
@@ -208,6 +280,8 @@ BAD_CHECKPOINTS = {
     "adapter-rank-missing": ("adapters", lambda a, m: m.pop("rank")),
     "adapter-no-slots": ("adapters", lambda a, m: m.update(comp_len=0)),
     "adapter-alpha-text": ("adapters", lambda a, m: m.update(alpha="big")),
+    "adapter-record-unexpected": ("adapters", lambda a, m: a.update(
+        extra=a["adapter/comp_embedding"])),
 }
 
 

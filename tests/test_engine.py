@@ -148,7 +148,7 @@ def test_session_resume_from_snapshot(tmp_path, model, adapters):
     session.memory.save(tmp_path / "mem.ckpt")
 
     resumed = Session(model, adapters, "merge")
-    resumed.memory = ContextMemory.load(tmp_path / "mem.ckpt")
+    resumed.memory = ContextMemory.load(tmp_path / "mem.ckpt", model)
 
     for s in (session, resumed):
         s.ingest(segments[3])
@@ -442,7 +442,7 @@ def test_full_vs_none_ordering_after_memorization():
 
     def sampler(rng):
         lo = int(rng.integers(0, long.size - 24))
-        return long[lo:lo + 24]
+        return long[lo:lo + 24], np.ones(24)
 
     pretrain(model, sampler, Recipe(steps=60, batch=2, lr=3e-3, seed=2))
     stream = np.tile(motif, 6)

@@ -265,14 +265,14 @@ def test_independent_policy_ignores_memory(tiny_model64):
     np.testing.assert_array_equal(h1.keys, h2.keys)
 
 
-def test_memory_snapshot_roundtrip(tmp_path):
+def test_memory_snapshot_roundtrip(tmp_path, tiny_model64):
     rng = np.random.default_rng(11)
     mem = ContextMemory("concat")
     for j in range(3):
-        mem = mem.updated(slots(rng))
+        mem = mem.updated(slots(rng, d=TINY.d_model))
     path = tmp_path / "mem.ckpt"
     mem.save(path)
-    loaded = ContextMemory.load(path)
+    loaded = ContextMemory.load(path, tiny_model64)
     assert loaded.policy == "concat" and loaded.count == 3
     assert loaded.entry_count == 3
     np.testing.assert_array_equal(loaded.entries.keys, mem.entries.keys)
@@ -280,31 +280,57 @@ def test_memory_snapshot_roundtrip(tmp_path):
 
     mem2 = ContextMemory("merge")
     for j in range(3):
-        mem2 = mem2.updated(slots(rng))
+        mem2 = mem2.updated(slots(rng, d=TINY.d_model))
     mem2.save(path)
-    loaded2 = ContextMemory.load(path)
+    loaded2 = ContextMemory.load(path, tiny_model64)
     np.testing.assert_array_equal(loaded2.entries.keys, mem2.entries.keys)
     assert loaded2.count == 3
 
+    ContextMemory("ema").save(path)  # no update yet: no records
+    assert ContextMemory.load(path, tiny_model64).entries is None
+
 
 @pytest.mark.parametrize("policy", ["concat", "merge"])
-def test_memory_load_rejects_missing_record(tmp_path, policy):
+def test_memory_load_rejects_missing_record(tmp_path, tiny_model64, policy):
     rng = np.random.default_rng(13)
-    h = slots(rng)
+    h = slots(rng, d=TINY.d_model)
     save_arrays(tmp_path / "mem.ckpt", {"mem/run.k": h.keys}, meta={
         "kind": "memory", "policy": policy, "ema_a": 0.5, "count": 1})
     with pytest.raises(DataError):
-        ContextMemory.load(tmp_path / "mem.ckpt")
+        ContextMemory.load(tmp_path / "mem.ckpt", tiny_model64)
 
 
 @pytest.mark.parametrize("meta", [
     {"ema_a": 0.5, "count": 1}, {"policy": "bogus", "ema_a": 0.5, "count": 1},
     {"policy": "ema", "ema_a": 2.0, "count": 1}, {"policy": "concat", "count": 1},
     {"policy": "concat", "ema_a": 0.5, "count": "one"}])
-def test_memory_load_rejects_bad_metadata(tmp_path, meta):
-    h = slots(np.random.default_rng(14))
+def test_memory_load_rejects_bad_metadata(tmp_path, tiny_model64, meta):
+    h = slots(np.random.default_rng(14), d=TINY.d_model)
     path = tmp_path / "mem.ckpt"
     save_arrays(path, {"mem/run.k": h.keys, "mem/run.v": h.values},
                 meta={"kind": "memory", **meta})
     with pytest.raises(DataError, match=str(path)):
-        ContextMemory.load(path)
+        ContextMemory.load(path, tiny_model64)
+
+
+L, D = TINY.n_layers, TINY.d_model
+
+
+@pytest.mark.parametrize("keys,values,count", [
+    ((L, 1, D), (L, 3, D), 4),      # keys and values disagree
+    ((L, 3, 4), (L, 3, 4), 1),      # not the model's width
+    ((L + 1, 2, D), (L + 1, 2, D), 2),  # not the model's depth
+    ((L, 0, D), (L, 0, D), 1),      # a counted memory with no entries
+    ((L, 2, D), (L, 2, D), 0),      # records at count 0
+    ((L, 2, D), (L, 2, D), -1)])
+def test_memory_load_rejects_records_that_fit_no_memory_of_the_model(
+        tmp_path, tiny_model64, keys, values, count):
+    # such a file used to load and fail at the first forward over it
+    rng = np.random.default_rng(15)
+    arrays = {"mem/run.k": rng.standard_normal(keys),
+              "mem/run.v": rng.standard_normal(values)}
+    path = tmp_path / "mem.ckpt"
+    save_arrays(path, arrays, meta={"kind": "memory", "policy": "merge",
+                                    "ema_a": 0.5, "count": count})
+    with pytest.raises(DataError, match=str(path)):
+        ContextMemory.load(path, tiny_model64)

@@ -69,10 +69,10 @@ def test_forward_matches_reference_transformer(tiny_model64):
 
 def test_forward_shape_contract(tiny_model64):
     layout = tiny_model64.empty_layout()
-    logits, (k, v) = tiny_model64.forward([3], layout)
+    logits, kv = tiny_model64.forward([3], layout)
     assert logits.shape == (1, TINY.vocab_size)
-    assert k.shape == (TINY.n_layers, 1, TINY.d_model)
-    assert v.shape == (TINY.n_layers, 1, TINY.d_model)
+    assert kv.keys.shape == (TINY.n_layers, 1, TINY.d_model)
+    assert kv.values.shape == (TINY.n_layers, 1, TINY.d_model)
 
 
 def test_forward_deterministic(tiny_model64):
@@ -96,9 +96,9 @@ def test_forward_does_not_mutate_layout(tiny_model64):
 def test_layouts_are_read_only(tiny_model64):
     # a layout is a value: every way of making one hands out read-only arrays
     drawn = _random_layout(tiny_model64, 3, seed=5)
-    _, (k, v) = tiny_model64.forward([1, 2], drawn)
-    made = [drawn, KVLayout(k, v), tiny_model64.empty_layout(), drawn.entries(1, 3),
-            drawn.extended(KVLayout(k, v))]
+    _, kv = tiny_model64.forward([1, 2], drawn)
+    made = [drawn, kv, tiny_model64.empty_layout(), drawn.entries(1, 3),
+            drawn.extended(kv)]
     for layout in made:
         for arr in (layout.keys, layout.values):
             with pytest.raises(ValueError):
@@ -166,10 +166,10 @@ def test_swapping_distinct_entries_changes_output(tiny_model64):
 
 def test_kv_causality_within_call(tiny_model64):
     layout = tiny_model64.empty_layout()
-    _, (k3, v3) = tiny_model64.forward([1, 2, 3], layout)
-    _, (k2, v2) = tiny_model64.forward([1, 2], layout)
-    assert np.allclose(k3[:, :2], k2, atol=1e-12)
-    assert np.allclose(v3[:, :2], v2, atol=1e-12)
+    _, kv3 = tiny_model64.forward([1, 2, 3], layout)
+    _, kv2 = tiny_model64.forward([1, 2], layout)
+    assert np.allclose(kv3.keys[:, :2], kv2.keys, atol=1e-12)
+    assert np.allclose(kv3.values[:, :2], kv2.values, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -426,7 +426,7 @@ def test_pretrain_runs_and_improves():
     fixed = rng_data.integers(0, 8, size=12)
 
     def sampler(rng):
-        return fixed  # a memorizable sequence
+        return fixed, np.ones(fixed.size)  # a memorizable sequence
 
     recipe = Recipe(steps=40, batch=2, lr=3e-3, seed=6)
     rows = pretrain(model, sampler, recipe)
