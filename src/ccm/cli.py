@@ -6,7 +6,11 @@ byte-identical CSV artifacts. Exit codes: 0 ok, 1 usage error, 2 data
 error, 3 numeric contract violation.
 
 Each command takes only the flags it reads, and a flag a run would not
-read is a usage error. ``gen-data`` takes ``--seed``. ``pretrain`` and
+read is a usage error. ``gen-data`` takes ``--seed``, and its kind
+decides the sample flags: ``icl`` takes ``--identities``, ``--t-max``,
+``--classes``, ``--pattern-len``, ``--pattern-tokens`` and
+``--test-fraction``; ``stream`` and ``stream-iid`` take ``--length`` and
+``--streams``. ``pretrain`` and
 ``train-compress`` take ``--config``, a key=value recipe whose values
 their recipe flags (``--seed`` among them) override. ``eval`` takes
 ``--config`` for the recipe's ``ema_a``. ``stream`` and ``complexity``
@@ -37,7 +41,7 @@ from .engine import (SESSION_POLICIES, STREAM_POLICIES, Session, StreamCaps,
                      evaluate_multichoice, evaluate_perplexity)
 from .errors import CcmError, ContractViolation, DataError, UsageError
 from .lora import AdapterSet
-from .model import ToyLM
+from .model import ModelConfig, ToyLM
 from .seeding import derive_seed
 from .taskgen import (ICLDataset, VocabSpec, gen_icl_dataset, gen_iid_stream,
                       gen_stream, icl_compression_sampler, icl_pretrain_sampler,
@@ -114,35 +118,41 @@ def _require_vocab(model: ToyLM, vocab) -> None:
 # commands
 
 
+# gen-data's sample flags -> their defaults; each kind reads only its own
+_ICL_GEN = {"identities": 2200, "t_max": 8, "classes": 8, "pattern_len": 4,
+            "pattern_tokens": 64, "test_fraction": 0.1}
+_STREAM_GEN = {"length": 10000, "streams": 3}
+
+
 def cmd_gen_data(args) -> int:
-    if args.kind == "icl":
-        vocab = VocabSpec(n_pattern=args.pattern_tokens, n_labels=max(8, args.classes))
-        ds = gen_icl_dataset(args.identities, T=args.t_max, n_classes=args.classes,
-                             seed=args.seed, pattern_len=args.pattern_len,
-                             vocab=vocab, test_fraction=args.test_fraction)
+    icl = args.kind == "icl"
+    _refuse(args, _STREAM_GEN if icl else _ICL_GEN, f"--kind {args.kind}")
+    own = _ICL_GEN if icl else _STREAM_GEN
+    f = {**own, **_given(args, own)}
+    if icl:
+        vocab = VocabSpec(n_pattern=f["pattern_tokens"], n_labels=max(8, f["classes"]))
+        ds = gen_icl_dataset(f["identities"], T=f["t_max"], n_classes=f["classes"],
+                             seed=args.seed, pattern_len=f["pattern_len"],
+                             vocab=vocab, test_fraction=f["test_fraction"])
         write_icl_dataset(args.out, ds)
     else:
         vocab = StreamVocab()
         gen = gen_iid_stream if args.kind == "stream-iid" else gen_stream
-        streams = [gen(args.length, seed=args.seed, vocab=vocab, identity=i)
-                   for i in range(args.streams)]
+        streams = [gen(f["length"], seed=args.seed, vocab=vocab, identity=i)
+                   for i in range(f["streams"])]
         write_stream_dataset(args.out, streams, vocab, seed=args.seed,
                              kind_note=args.kind)
     print(f"wrote {args.out}")
     return 0
 
 
+# model-size flag -> the ModelConfig field it sets
+_SIZES = {"layers": "n_layers", "d_model": "d_model", "heads": "n_heads",
+          "d_ff": "d_ff"}
+
+
 def _model_from_flags(args, vocab, seed: int) -> ToyLM:
-    overrides = {}
-    if args.layers:
-        overrides["n_layers"] = args.layers
-    if args.d_model:
-        overrides["d_model"] = args.d_model
-    if args.heads:
-        overrides["n_heads"] = args.heads
-    if args.d_ff:
-        overrides["d_ff"] = args.d_ff
-    config = vocab.model_config(**overrides)
+    config = vocab.model_config(**{_SIZES[f]: v for f, v in _given(args, _SIZES).items()})
     return ToyLM.init(config, seed=derive_seed(seed, "model-init"),
                       dtype=np.float32)
 
@@ -286,9 +296,10 @@ def cmd_complexity(args) -> int:
         _refuse(args, ["layers", "d_model"], "--llama7b")
         base = llama_7b_params(l_c=args.lc, l_i=args.li)
     else:
-        base = ComplexityParams(t=1, l_c=args.lc, l_i=args.li, s=1,
-                                n_layers=args.layers or 4,
-                                d_model=args.d_model or 128)
+        base = ComplexityParams(
+            t=1, l_c=args.lc, l_i=args.li, s=1,
+            n_layers=ModelConfig.n_layers if args.layers is None else args.layers,
+            d_model=ModelConfig.d_model if args.d_model is None else args.d_model)
     t_values = list(range(1, args.t_max + 1))
     rows = sweep_rows(base, t_values, args.slots)
     out_rows = [[r["method"], r["phase"], r["t"], r["s"], r["kv_entries"],
@@ -323,14 +334,14 @@ def build_parser() -> _Parser:
 
     g = command("gen-data", "generate a synthetic dataset", seed=True)
     g.add_argument("--kind", choices=("icl", "stream", "stream-iid"), default="icl")
-    g.add_argument("--identities", type=int, default=2200)
-    g.add_argument("--t-max", type=int, default=8, dest="t_max")
-    g.add_argument("--classes", type=int, default=8)
-    g.add_argument("--pattern-len", type=int, default=4, dest="pattern_len")
-    g.add_argument("--pattern-tokens", type=int, default=64, dest="pattern_tokens")
-    g.add_argument("--test-fraction", type=float, default=0.1, dest="test_fraction")
-    g.add_argument("--length", type=int, default=10000)
-    g.add_argument("--streams", type=int, default=3)
+    g.add_argument("--identities", type=int, default=None)
+    g.add_argument("--t-max", type=int, default=None, dest="t_max")
+    g.add_argument("--classes", type=int, default=None)
+    g.add_argument("--pattern-len", type=int, default=None, dest="pattern_len")
+    g.add_argument("--pattern-tokens", type=int, default=None, dest="pattern_tokens")
+    g.add_argument("--test-fraction", type=float, default=None, dest="test_fraction")
+    g.add_argument("--length", type=int, default=None)
+    g.add_argument("--streams", type=int, default=None)
 
     p = command("pretrain", "stage 1: train the base model", config=True, seed=True)
     p.add_argument("--data", required=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import check_records, read_checkpoint, save_arrays
-from .errors import ContractViolation, DataError
+from .errors import ContractViolation, UsageError
 from .tensor import Parameter, Tensor
 
 TARGETS = ("q", "k", "v", "o")
@@ -71,6 +71,9 @@ class AdapterSet:
     def init(cls, model, rank: int = 8, alpha: float = 16.0, comp_len: int = 1,
              seed: int = 0) -> "AdapterSet":
         """Fresh adapters: A random normal, B zero (so the initial delta is zero)."""
+        if min(rank, comp_len) < 1:
+            raise UsageError(f"adapter rank {rank} and comp_len {comp_len} "
+                             "must be at least 1")
         cfg = model.config
         rng = np.random.default_rng(seed)
         params = []
@@ -111,12 +114,9 @@ class AdapterSet:
     def load(cls, path, model) -> "AdapterSet":
         """Adapters from a checkpoint, frozen: inference records no tape."""
         with read_checkpoint(path, "adapters") as (arrays, meta):
-            rank, alpha, comp_len = (int(meta["rank"]), float(meta["alpha"]),
-                                     int(meta["comp_len"]))
-        if min(rank, comp_len) < 1:
-            raise DataError(f"{path}: rank {rank} and comp_len {comp_len} must be >= 1")
-        check_records(path, arrays, adapter_shapes(model.config, rank))
-        adapters = cls.init(model, rank=rank, alpha=alpha, comp_len=comp_len)
+            adapters = cls.init(model, rank=int(meta["rank"]), alpha=float(meta["alpha"]),
+                                comp_len=int(meta["comp_len"]))
+            check_records(path, arrays, adapter_shapes(model.config, adapters.rank))
         for p in adapters.parameters():
             p.data[...] = arrays[p.name].astype(p.data.dtype)
             p.freeze()

@@ -47,8 +47,13 @@ class ModelConfig:
         if not all(isinstance(getattr(self, f.name), int) for f in fields(self)
                    if f.type == "int"):
             raise DimensionError(f"model sizes and token ids must be integers: {self}")
-        if self.d_model % self.n_heads != 0:
-            raise DimensionError("d_model must be divisible by n_heads")
+        for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size",
+                     "max_layout"):
+            if getattr(self, name) < 1:
+                raise DimensionError(f"model size {name}={getattr(self, name)} "
+                                     "must be at least 1")
+        if self.d_model % (2 * self.n_heads) != 0:
+            raise DimensionError("d_model must split into n_heads heads of even width")
         if self.comp_token_id == -1:
             object.__setattr__(self, "comp_token_id", self.vocab_size - 2)
         if self.pad_token_id == -1:
@@ -112,12 +117,8 @@ class KVLayout:
 # ---------------------------------------------------------------------------
 # building blocks of one layer
 
-RMS_EPS = 1e-6
-
-
 def rmsnorm(x: Tensor, gain: Parameter) -> Tensor:
-    ms = T.add(T.mean_last(T.mul(x, x)), RMS_EPS)
-    return T.mul(T.mul(x, T.pow_scalar(ms, -0.5)), gain.tensor)
+    return T.rmsnorm(x, gain.tensor)
 
 
 def project_rows(x: Tensor, w: Parameter, lora, comp_idx: np.ndarray) -> Tensor:
@@ -136,19 +137,9 @@ def attend(q: Tensor, k: Tensor, v: Tensor, config: ModelConfig) -> Tensor:
     first m-n keys are memory, visible to every query, and the last n are
     the queries' own tokens, visible causally.
     """
-    n, m = q.shape[0], k.shape[0]
-    h, dh = config.n_heads, config.head_dim
-    qh = T.transpose(T.reshape(q, (n, h, dh)), (1, 0, 2))
-    kh = T.transpose(T.reshape(k, (m, h, dh)), (1, 0, 2))
-    vh = T.transpose(T.reshape(v, (m, h, dh)), (1, 0, 2))
-    cos, sin = T.rope_angles(np.arange(m), dh, config.rope_base, q.data.dtype)
-    qh = T.rope(qh, cos[m - n:], sin[m - n:])
-    kh = T.rope(kh, cos, sin)
-    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    allowed = np.tril(np.ones((n, m), dtype=bool), m - n)
-    weights = T.softmax_rows(scores, np.broadcast_to(allowed, (h, n, m)))
-    ctx = T.matmul(weights, vh)
-    return T.reshape(T.transpose(ctx, (1, 0, 2)), (n, h * dh))
+    cos, sin = T.rope_angles(k.shape[0], config.head_dim, config.rope_base,
+                             q.data.dtype)
+    return T.attention(q, k, v, config.n_heads, cos, sin)
 
 
 def mlp(x: Tensor, w_gate: Parameter, w_up: Parameter, w_down: Parameter) -> Tensor:

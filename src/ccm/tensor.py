@@ -1,11 +1,12 @@
 """Dense-tensor math with reverse-mode differentiation on numpy arrays.
 
 Small by design: exactly the primitives a decoder-only transformer needs
-(matmul, masked softmax, rotary rotation, SiLU, row scatter/gather for
-embeddings and conditional adapters) plus a cross-entropy head and a
-finite-difference oracle. Tensors wrap a numpy array; when any input of an
-op requires gradients, the op records a backward closure on the tape.
-Gradients accumulate (add into ``grad``), never overwrite.
+(matmul, SiLU, row scatter/gather for embeddings and conditional adapters;
+fused ``attention`` and ``rmsnorm``, one tape node each, over the
+plain-array kernels ``rope``, ``rope_angles`` and ``softmax_rows``) plus a
+cross-entropy head and a finite-difference oracle. Tensors wrap a numpy
+array; when any input of an op requires gradients, the op records a
+backward closure on the tape. Gradients accumulate, never overwrite.
 
 Precision follows the wrapped array: float32 for training speed, float64
 when a test or oracle needs tight tolerances.
@@ -190,28 +191,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(out_data, (a, b), bw)
 
 
-def pow_scalar(a: Tensor, exponent: float) -> Tensor:
-    out_data = a.data ** exponent
-
-    def bw(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * exponent * a.data ** (exponent - 1.0))
-
-    return _make(out_data, (a,), bw)
-
-
-def mean_last(a: Tensor) -> Tensor:
-    """Mean over the last axis, keepdims (used by RMS normalization)."""
-    n = a.shape[-1]
-    out_data = a.data.mean(axis=-1, keepdims=True)
-
-    def bw(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g / n, a.shape).copy())
-
-    return _make(out_data, (a,), bw)
-
-
 def silu(a: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-a.data))
     out_data = a.data * sig
@@ -225,16 +204,6 @@ def silu(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape manipulation
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    out_data = a.data.reshape(shape)
-
-    def bw(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.shape))
-
-    return _make(out_data, (a,), bw)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -358,72 +327,106 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# rotary rotation
+# plain-array kernels (no tape) and the fused ops, one tape node each
 
 
-def rope(x: Tensor, cos: Array, sin: Array) -> Tensor:
-    """Rotate the last axis of ``x`` by per-position angles.
+def rope(x: Array, cos: Array, sin: Array) -> Array:
+    """Rotate the last axis of [..., n, d] ``x`` by [n, d//2] angles, pairing
+    dimension i with i + d//2; ``rope(g, cos, -sin)`` is the transpose."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
-    ``x`` has shape [..., n, d] with even d; ``cos``/``sin`` have shape
-    [n, d//2] and broadcast over leading axes. The rotation pairs dimension
-    i with i + d//2.
+
+_ROPE_TABLES: dict[tuple, tuple[Array, Array]] = {}  # (head_dim, base, dtype) -> cos, sin
+
+
+def rope_angles(m: int, head_dim: int, base: float, dtype) -> tuple[Array, Array]:
+    """Read-only cos/sin [m, head_dim//2] of positions 0..m-1: slices of one
+    cached table, each entry equal to a fresh build's bit for bit."""
+    key = (head_dim, base, np.dtype(dtype))
+    table = _ROPE_TABLES.get(key)
+    if table is None or table[0].shape[0] < m:
+        half = head_dim // 2
+        inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
+        size = max(m, 2 * table[0].shape[0]) if table else m  # grow by doubling
+        ang = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
+        table = _ROPE_TABLES[key] = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+        for arr in table:
+            arr.flags.writeable = False
+    return table[0][:m], table[1][:m]
+
+
+def softmax_rows(x: Array, mask: Array) -> Array:
+    """Softmax over the last axis where the broadcast ``mask`` is True, exactly
+    0 elsewhere. Every row must allow at least one entry."""
+    shifted = np.where(mask, x, np.array(-np.inf, dtype=x.dtype))
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    e = np.exp(shifted, where=mask, out=np.zeros_like(x))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              cos: Array, sin: Array) -> Tensor:
+    """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values.
+
+    Keys take positions 0..m-1 (angles ``cos``/``sin``) and the queries are
+    the last n: the first m-n keys (memory) are visible to every query, the
+    last n causally. The backward is written by hand.
     """
-    d = x.shape[-1]
-    if d % 2 != 0:
-        raise DimensionError("rotary rotation needs an even last dimension")
-    half = d // 2
-    extra = x.data.ndim - 2
-    c = cos.reshape((1,) * extra + cos.shape)
-    s = sin.reshape((1,) * extra + sin.shape)
-    x1 = x.data[..., :half]
-    x2 = x.data[..., half:]
-    out_data = np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+    (n, d), m = q.shape, k.shape[0]
+    dh = d // n_heads
+    if k.shape != (m, d) or v.shape != (m, d) or n > m or d % (2 * n_heads):
+        raise DimensionError(f"attention of q {q.shape} over k {k.shape}, v {v.shape} "
+                             f"in {n_heads} heads of even width")
+    cq, sq = cos[m - n:], sin[m - n:]
+    qh = rope(q.data.reshape(n, n_heads, dh).transpose(1, 0, 2), cq, sq)
+    kh = rope(k.data.reshape(m, n_heads, dh).transpose(1, 0, 2), cos, sin)
+    vh = v.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
+    w = softmax_rows((qh @ kh.swapaxes(1, 2)) * scale,
+                     np.tril(np.ones((n, m), dtype=bool), m - n))
+    out_data = (w @ vh).transpose(1, 0, 2).reshape(n, d)
 
     def bw(g: Array) -> None:
+        gh = g.reshape(n, n_heads, dh).transpose(1, 0, 2)
+        if v.requires_grad:
+            v.accumulate_grad((w.swapaxes(1, 2) @ gh).transpose(1, 0, 2).reshape(m, d))
+        if q.requires_grad or k.requires_grad:
+            gy = (gh @ vh.swapaxes(1, 2)) * w
+            gs = (gy - w * gy.sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q.accumulate_grad(rope(gs @ kh, cq, -sq).transpose(1, 0, 2).reshape(n, d))
+        if k.requires_grad:
+            dk = rope((qh.swapaxes(1, 2) @ gs).swapaxes(1, 2), cos, -sin)
+            k.accumulate_grad(dk.transpose(1, 0, 2).reshape(m, d))
+
+    return _make(out_data, (q, k, v), bw)
+
+
+RMS_EPS = 1e-6
+
+
+def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
+    """x / sqrt(mean(x**2) + RMS_EPS) * gain over the last axis."""
+    r = ((x.data * x.data).mean(axis=-1, keepdims=True)
+         + np.asarray(RMS_EPS, dtype=x.data.dtype)) ** -0.5
+    y = x.data * r
+    out_data = y * gain.data
+
+    def bw(g: Array) -> None:
+        if gain.requires_grad:
+            gain.accumulate_grad(_unbroadcast(g * y, gain.shape))
         if x.requires_grad:
-            g1 = g[..., :half]
-            g2 = g[..., half:]
-            dx = np.concatenate([g1 * c + g2 * s, -g1 * s + g2 * c], axis=-1)
-            x.accumulate_grad(dx)
+            gy = g * gain.data
+            dr = r * r * (gy * x.data).mean(axis=-1, keepdims=True)
+            x.accumulate_grad(r * (gy - x.data * dr))
 
-    return _make(out_data, (x,), bw)
-
-
-def rope_angles(positions: Array, head_dim: int, base: float, dtype) -> tuple[Array, Array]:
-    """cos/sin tables for ``positions`` (shape [n]) -> two [n, head_dim//2] arrays."""
-    half = head_dim // 2
-    inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
-    ang = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    return _make(out_data, (x, gain), bw)
 
 
 # ---------------------------------------------------------------------------
-# masked softmax and the loss head
-
-
-def softmax_rows(x: Tensor, mask: Array) -> Tensor:
-    """Row-wise softmax over allowed entries; masked entries are exactly 0.
-
-    ``mask`` is boolean with the same shape as ``x``; True marks an allowed
-    entry. Every row must allow at least one entry.
-    """
-    mask = np.asarray(mask)
-    if mask.shape != x.shape:
-        raise DimensionError(f"mask shape {mask.shape} != input shape {x.shape}")
-    if not mask.any(axis=-1).all():
-        raise ContractViolation("softmax row with all entries masked")
-    neg_inf = np.array(-np.inf, dtype=x.data.dtype)
-    shifted = np.where(mask, x.data, neg_inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted, where=mask, out=np.zeros_like(x.data))
-    out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g: Array) -> None:
-        if x.requires_grad:
-            gy = g * out_data
-            x.accumulate_grad(gy - out_data * gy.sum(axis=-1, keepdims=True))
-
-    return _make(out_data, (x,), bw)
+# the loss head
 
 
 def log_softmax_rows(data: Array) -> Array:

@@ -60,6 +60,37 @@ def test_traced_spans_record_calls(tiny_model64):
                for name, n in calls.items())
 
 
+def test_traced_stream_reaches_the_per_layer_names(tiny_model64, monkeypatch):
+    # the per-layer metrics read these spans: a forward that routes around
+    # one of them would leave its metric at 0 instead of failing
+    tiny_model64.freeze()
+    adapters = ccm.AdapterSet.init(tiny_model64, comp_len=1, seed=0)
+    entries_read = []
+    forward = ccm.model.ToyLM.forward
+
+    def counted_forward(self, tokens, layout, adapters=None):
+        entries_read.append(layout.n_entries + len(tokens))
+        return forward(self, tokens, layout, adapters)
+
+    monkeypatch.setattr(ccm.model.ToyLM, "forward", counted_forward)
+    caps = ccm.engine.StreamCaps(n_sink=1, ccm_entries=2, window=6, chunk=3)
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install(ccm)
+        result = ccm.engine.evaluate_perplexity(tiny_model64, adapters, "concat",
+                                                np.arange(20) % 16, caps)
+    finally:
+        tracer.uninstall()
+    assert result.events.sum() > 0  # the pass compressed, so it ran both kinds of forward
+    calls = {name: row["calls"] for name, row in tracer.span_table().items()}
+    for name in ("tensor.rope", "tensor.rope_angles", "tensor.softmax_rows",
+                 "model.attend", "model.rmsnorm"):
+        assert calls.get(name, 0) > 0, name
+    # every forward reads its layout and its own tokens at every layer
+    assert tracer.counts["model.attend.key_rows"] == \
+        sum(entries_read) * tiny_model64.config.n_layers
+
+
 def test_public_names_resolve():
     missing = [name for name in ccm.__all__ if not hasattr(ccm, name)]
     assert not missing

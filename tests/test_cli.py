@@ -252,6 +252,23 @@ STREAM_RUN = ["stream", "--data", "{stream}", "--model", "{stream_model}",
      "an ICL dataset takes no --chunk"),
     (["train-compress", "--data", "{icl}", "--model", "{icl_model}", "--io-len", "8"],
      "an ICL dataset takes no --io-len"),
+    # sizes that ended in a traceback
+    (["train-compress", "--data", "{icl}", "--model", "{icl_model}", "--rank", "0"],
+     "adapter rank 0 and comp_len"),
+    (["train-compress", "--data", "{icl}", "--model", "{icl_model}", "--rank", "-1"],
+     "adapter rank -1 and comp_len"),
+    (["complexity", "--layers", "0"], "complexity parameters must be positive"),
+    (["complexity", "--d-model", "0"], "complexity parameters must be positive"),
+    # sample flags the data kind ignored
+    (["gen-data", "--kind", "icl", "--length", "50"], "--kind icl takes no --length"),
+    (["gen-data", "--kind", "icl", "--streams", "2"], "--kind icl takes no --streams"),
+    (["gen-data", "--kind", "stream", "--identities", "5"],
+     "--kind stream takes no --identities"),
+    (["gen-data", "--kind", "stream-iid", "--t-max", "3", "--test-fraction", "0.5"],
+     "--kind stream-iid takes no --t-max"),
+    (["gen-data", "--kind", "stream", "--classes", "4"], "--kind stream takes no --classes"),
+    (["gen-data", "--kind", "stream", "--pattern-len", "2", "--pattern-tokens", "8"],
+     "--kind stream takes no --pattern-len"),
 ])
 def test_bad_or_ignored_flag_is_usage_error(tiny_pipeline, stream_data, stream_model,
                                             tmp_path, capsys, argv, says):
@@ -260,6 +277,19 @@ def test_bad_or_ignored_flag_is_usage_error(tiny_pipeline, stream_data, stream_m
     out = tmp_path / "out"
     assert run(*(files.get(a, a) for a in argv), "--out", out) == 1
     assert f"usage error: {says}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--layers", "0"], ["--d-model", "0"], ["--heads", "0"], ["--d-ff", "0"],
+    ["--heads", "-2"], ["--layers", "-1"]])
+def test_model_size_below_one_is_rejected(icl_data, tmp_path, capsys, flags):
+    # zero sizes used to build the default model; negative ones ended in a traceback
+    out = tmp_path / "model.ckpt"
+    assert run("pretrain", "--data", icl_data, *flags, "--steps", "1", "--batch", "1",
+               "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model size") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -273,6 +303,7 @@ BAD_CHECKPOINTS = {
     "config-unknown-key": ("model", lambda a, m: m["config"].update(n_experts=2)),
     "config-bad-heads": ("model", lambda a, m: m["config"].update(n_heads=3)),
     "config-float-size": ("model", lambda a, m: m["config"].update(d_model=64.0)),
+    "config-odd-head-width": ("model", lambda a, m: m["config"].update(n_heads=32)),
     "config-missing": ("model", lambda a, m: m.pop("config")),
     "record-missing": ("model", lambda a, m: a.pop("head")),
     "record-unexpected": ("model", lambda a, m: a.update(extra=a["head"])),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ccm.tensor as T
-from ccm.errors import ContractViolation
+from ccm.errors import ContractViolation, UsageError
 from ccm.lora import AdapterSet, LoRAPair, comp_flags, trainable_parameters
 from ccm.model import ModelConfig, ToyLM, project_rows
 from ccm.optim import Adam
@@ -19,21 +19,20 @@ def make_pair(a, b, alpha, rank):
                     alpha, rank)
 
 
-def conditional_project(w: Tensor, lora: LoRAPair | None, x_h: Tensor, m: bool) -> Tensor:
-    """Single-vector oracle for ``project_rows``: project one [d] hidden
-    vector, adding the low-rank delta only when the gate m is set."""
-    row = T.reshape(x_h, (1, x_h.shape[0]))
+def conditional_project(w: Tensor, lora: LoRAPair | None, row: Tensor, m: bool) -> Tensor:
+    """Single-row oracle for ``project_rows``: project one [1, d] hidden
+    row, adding the low-rank delta only when the gate m is set."""
     out = T.matmul(row, w)
     if m and lora is not None:
         out = T.add(out, lora.delta(row))
-    return T.reshape(out, (out.shape[1],))
+    return out
 
 
 def test_gate_closed_is_base_projection():
     rng = np.random.default_rng(0)
     w = Tensor(rng.standard_normal((4, 4)))
     pair = make_pair(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), 16, 2)
-    x = Tensor(rng.standard_normal(4))
+    x = Tensor(rng.standard_normal((1, 4)))
     out = conditional_project(w, pair, x, m=False)
     np.testing.assert_array_equal(out.data, x.data @ w.data)
 
@@ -42,7 +41,7 @@ def test_zero_init_b_is_identity():
     rng = np.random.default_rng(1)
     w = Tensor(rng.standard_normal((4, 4)))
     pair = make_pair(rng.standard_normal((2, 4)), np.zeros((2, 4)), 16, 2)
-    x = Tensor(rng.standard_normal(4))
+    x = Tensor(rng.standard_normal((1, 4)))
     out = conditional_project(w, pair, x, m=True)
     np.testing.assert_array_equal(out.data, x.data @ w.data)
 
@@ -51,8 +50,8 @@ def test_rank_one_hand_arithmetic():
     # k=1, A=[[1,0]], B=[[0,1]], alpha=k, W=I, x=[2,3] -> [5,3]
     pair = make_pair([[1.0, 0.0]], [[0.0, 1.0]], alpha=1, rank=1)
     w = Tensor(np.eye(2))
-    out = conditional_project(w, pair, Tensor(np.array([2.0, 3.0])), m=True)
-    np.testing.assert_allclose(out.data, [5.0, 3.0])
+    out = conditional_project(w, pair, Tensor(np.array([[2.0, 3.0]])), m=True)
+    np.testing.assert_allclose(out.data, [[5.0, 3.0]])
 
 
 def test_project_rows_matches_single_vector_oracle():
@@ -63,8 +62,8 @@ def test_project_rows_matches_single_vector_oracle():
     gates = np.array([True, False, False, True, True, False])
     out = project_rows(x, w, pair, np.flatnonzero(gates))
     for i, m in enumerate(gates):
-        row = conditional_project(w.tensor, pair, Tensor(x.data[i]), m=bool(m))
-        np.testing.assert_allclose(out.data[i], row.data, rtol=1e-12, atol=1e-12)
+        row = conditional_project(w.tensor, pair, Tensor(x.data[i:i + 1]), m=bool(m))
+        np.testing.assert_allclose(out.data[i], row.data[0], rtol=1e-12, atol=1e-12)
 
 
 def test_comp_flags_derived_from_ids():
@@ -91,6 +90,12 @@ def test_trainable_requires_frozen_base(tiny_model64):
     adapters = AdapterSet.init(tiny_model64)
     with pytest.raises(ContractViolation):
         trainable_parameters(tiny_model64, adapters)
+
+
+@pytest.mark.parametrize("sizes", [{"rank": 0}, {"rank": -1}, {"comp_len": 0}])
+def test_adapter_sizes_below_one_are_usage_errors(tiny_model64, sizes):
+    with pytest.raises(UsageError):
+        AdapterSet.init(tiny_model64, **sizes)
 
 
 def test_fresh_adapters_identity_on_all_inputs(tiny_model64):

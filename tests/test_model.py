@@ -118,6 +118,22 @@ def test_extended_joins_parts_in_order(tiny_model64):
         joined.extended(bad)
 
 
+@pytest.mark.parametrize("size", ["n_layers", "d_model", "n_heads", "d_ff",
+                                  "vocab_size", "max_layout"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_model_size_below_one_rejected(size, value):
+    # a zero or negative size divided by zero or built negative arrays
+    with pytest.raises(DimensionError, match=f"{size}={value}"):
+        ModelConfig(**{size: value})
+
+
+@pytest.mark.parametrize("d_model,n_heads", [(6, 2), (32, 32), (8, 3)])
+def test_model_head_width_must_be_even(d_model, n_heads):
+    # rotary attention pairs the channels of each head
+    with pytest.raises(DimensionError, match="heads of even width"):
+        ModelConfig(d_model=d_model, n_heads=n_heads)
+
+
 def test_layout_capacity_error():
     cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16, vocab_size=16,
                       max_layout=4)

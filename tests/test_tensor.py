@@ -1,8 +1,12 @@
 """Tensor-core contracts: gradients against finite differences, masked
-softmax semantics, the cross-entropy head, and optimizer behaviour."""
+softmax semantics, the fused attention and RMSNorm against their composed
+forms, the cached rotary table, the cross-entropy head, and optimizer
+behaviour."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccm.tensor as T
 from ccm.errors import ContractViolation, DimensionError
@@ -20,6 +24,93 @@ def sum_all(a: Tensor) -> Tensor:
             a.accumulate_grad(np.full_like(a.data, g))
 
     return T._make(out_data, (a,), bw)
+
+
+# ---------------------------------------------------------------------------
+# composed oracles: the tape ops the fused attention and RMSNorm replace
+
+
+def pow_scalar(a: Tensor, exponent: float) -> Tensor:
+    out_data = a.data ** exponent
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * exponent * a.data ** (exponent - 1.0))
+
+    return T._make(out_data, (a,), bw)
+
+
+def mean_last(a: Tensor) -> Tensor:
+    """Mean over the last axis, keepdims."""
+    n = a.shape[-1]
+    out_data = a.data.mean(axis=-1, keepdims=True)
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate_grad(np.broadcast_to(g / n, a.shape).copy())
+
+    return T._make(out_data, (a,), bw)
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    out_data = a.data.reshape(shape)
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate_grad(g.reshape(a.shape))
+
+    return T._make(out_data, (a,), bw)
+
+
+def tape_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotate the last axis of [..., n, d] ``x`` by [n, d//2] angles."""
+    half = x.shape[-1] // 2
+    x1, x2 = x.data[..., :half], x.data[..., half:]
+    out_data = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+    def bw(g):
+        if x.requires_grad:
+            g1, g2 = g[..., :half], g[..., half:]
+            x.accumulate_grad(np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos],
+                                             axis=-1))
+
+    return T._make(out_data, (x,), bw)
+
+
+def tape_softmax_rows(x: Tensor, mask: np.ndarray) -> Tensor:
+    """``T.softmax_rows`` on the tape; a row that allows nothing is rejected."""
+    if not np.asarray(mask).any(axis=-1).all():
+        raise ContractViolation("softmax row with all entries masked")
+    out_data = T.softmax_rows(x.data, mask)
+
+    def bw(g):
+        if x.requires_grad:
+            gy = g * out_data
+            x.accumulate_grad(gy - out_data * gy.sum(axis=-1, keepdims=True))
+
+    return T._make(out_data, (x,), bw)
+
+
+def composed_rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
+    ms = T.add(mean_last(T.mul(x, x)), T.RMS_EPS)
+    return T.mul(T.mul(x, pow_scalar(ms, -0.5)), gain)
+
+
+def composed_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                       cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """``T.attention`` as 15 tape ops: n queries are the last n of m keys."""
+    n, m = q.shape[0], k.shape[0]
+    h, dh = n_heads, q.shape[1] // n_heads
+    qh = T.transpose(reshape(q, (n, h, dh)), (1, 0, 2))
+    kh = T.transpose(reshape(k, (m, h, dh)), (1, 0, 2))
+    vh = T.transpose(reshape(v, (m, h, dh)), (1, 0, 2))
+    qh = tape_rope(qh, cos[m - n:], sin[m - n:])
+    kh = tape_rope(kh, cos, sin)
+    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
+    allowed = np.tril(np.ones((n, m), dtype=bool), m - n)
+    weights = tape_softmax_rows(scores, np.broadcast_to(allowed, (h, n, m)))
+    ctx = T.matmul(weights, vh)
+    return reshape(T.transpose(ctx, (1, 0, 2)), (n, h * dh))
 
 
 def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -141,10 +232,10 @@ def test_primitive_gradients(instance):
     check_op_grad(lambda: T.mul(a, gain), [a, gain], seed=instance)
     check_op_grad(lambda: T.matmul(a, c), [a, c], seed=instance)
     check_op_grad(lambda: T.silu(a), [a], seed=instance)
-    check_op_grad(lambda: T.mean_last(a), [a], seed=instance)
-    check_op_grad(lambda: T.pow_scalar(T.add(T.mul(a, a), 1.0), -0.5), [a],
+    check_op_grad(lambda: mean_last(a), [a], seed=instance)
+    check_op_grad(lambda: pow_scalar(T.add(T.mul(a, a), 1.0), -0.5), [a],
                   seed=instance)
-    check_op_grad(lambda: T.reshape(a, (6, 4)), [a], seed=instance)
+    check_op_grad(lambda: reshape(a, (6, 4)), [a], seed=instance)
     check_op_grad(lambda: T.transpose(a, (1, 0)), [a], seed=instance)
     check_op_grad(lambda: T.concat([a, b], axis=0), [a, b], seed=instance)
     check_op_grad(lambda: T.narrow(a, 0, 1, 2), [a], seed=instance)
@@ -162,13 +253,140 @@ def test_structured_op_gradients(instance):
     check_op_grad(lambda: T.set_rows(base, idx, rows), [base, rows], seed=instance)
 
     x = Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True)
-    cos, sin = T.rope_angles(np.arange(4), 8, 10000.0, np.float64)
-    check_op_grad(lambda: T.rope(x, cos, sin), [x], seed=instance)
+    cos, sin = T.rope_angles(4, 8, 10000.0, np.float64)
+    check_op_grad(lambda: tape_rope(x, cos, sin), [x], seed=instance)
 
     logits = Tensor(rng.standard_normal((3, 7)), requires_grad=True)
     mask = rng.random((3, 7)) > 0.3
     mask[:, 0] = True
-    check_op_grad(lambda: T.softmax_rows(logits, mask), [logits], seed=instance)
+    check_op_grad(lambda: tape_softmax_rows(logits, mask), [logits], seed=instance)
+
+
+# ---------------------------------------------------------------------------
+# fused attention and RMSNorm against their composed forms
+
+
+def attention_inputs(rng, n, n_mem, n_heads, head_dim):
+    """Float64 q [n, d] and k, v [n_mem + n, d] leaves, with their angles."""
+    m, d = n_mem + n, n_heads * head_dim
+    q, k, v = (Tensor(rng.standard_normal((rows, d)), requires_grad=True)
+               for rows in (n, m, m))
+    cos, sin = T.rope_angles(m, head_dim, 10000.0, np.float64)
+    return q, k, v, cos, sin
+
+
+def output_and_grads(op, inputs, w):
+    """op()'s output and the gradients of sum(w * op()) in ``inputs``."""
+    for x in inputs:
+        x.zero_grad()
+    out = op()
+    sum_all(T.mul(out, w)).backward()
+    return [out.data] + [x.grad for x in inputs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), n_mem=st.integers(0, 8), n_heads=st.integers(1, 4),
+       half=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_fused_attention_equals_composed(n, n_mem, n_heads, half, seed):
+    rng = np.random.default_rng(seed)
+    q, k, v, cos, sin = attention_inputs(rng, n, n_mem, n_heads, 2 * half)
+    w = rng.standard_normal(q.shape)
+    fused = output_and_grads(lambda: T.attention(q, k, v, n_heads, cos, sin),
+                             [q, k, v], w)
+    composed = output_and_grads(lambda: composed_attention(q, k, v, n_heads, cos, sin),
+                                [q, k, v], w)
+    for got, want in zip(fused, composed):  # output, dq, dk, dv
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.integers(1, 6), d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_fused_rmsnorm_equals_composed(rows, d, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((rows, d)), requires_grad=True)
+    gain = Tensor(rng.standard_normal(d), requires_grad=True)
+    w = rng.standard_normal((rows, d))
+    fused = output_and_grads(lambda: T.rmsnorm(x, gain), [x, gain], w)
+    composed = output_and_grads(lambda: composed_rmsnorm(x, gain), [x, gain], w)
+    for got, want in zip(fused, composed):  # output, dx, dgain
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_fused_attention_grads_reach_only_inputs_that_require_them():
+    rng = np.random.default_rng(4)
+    q, k, v, cos, sin = attention_inputs(rng, 3, 2, 2, 4)
+    w = rng.standard_normal(q.shape)
+    want = output_and_grads(lambda: composed_attention(q, k, v, 2, cos, sin),
+                            [q, k, v], w)
+    q.requires_grad = k.requires_grad = False
+    got = output_and_grads(lambda: T.attention(q, k, v, 2, cos, sin), [q, k, v], w)
+    assert got[1] is None and got[2] is None
+    np.testing.assert_allclose(got[3], want[3], rtol=0, atol=1e-12)
+
+
+def test_attention_passes_finite_difference_check():
+    rng = np.random.default_rng(1)
+    q, k, v, cos, sin = attention_inputs(rng, 3, 4, 2, 4)
+    params = [Parameter(name, t) for name, t in zip("qkv", (q, k, v))]
+    w = rng.standard_normal(q.shape)
+    err = finite_difference_check(
+        lambda: sum_all(T.mul(T.attention(q, k, v, 2, cos, sin), w)), params,
+        n_samples=80)
+    assert err < 1e-5
+
+
+def test_rmsnorm_passes_finite_difference_check():
+    rng = np.random.default_rng(2)
+    x = Parameter("x", Tensor(rng.standard_normal((5, 6))))
+    gain = Parameter("gain", Tensor(rng.standard_normal(6)))
+    w = rng.standard_normal((5, 6))
+    err = finite_difference_check(
+        lambda: sum_all(T.mul(T.rmsnorm(x.tensor, gain.tensor), w)), [x, gain],
+        n_samples=60)
+    assert err < 1e-5
+
+
+@pytest.mark.parametrize("q_rows,kv_rows,width,n_heads", [
+    (2, 3, 6, 2),   # odd head dim: no rotation pairs
+    (4, 3, 8, 2),   # more queries than keys
+    (2, 3, 8, 3),   # width not divisible by the heads
+])
+def test_attention_rejects_bad_shapes(q_rows, kv_rows, width, n_heads):
+    q = Tensor(np.zeros((q_rows, width)))
+    kv = Tensor(np.zeros((kv_rows, width)))
+    cos, sin = T.rope_angles(kv_rows, max(2, width // n_heads), 10000.0, np.float64)
+    with pytest.raises(DimensionError):
+        T.attention(q, kv, kv, n_heads, cos, sin)
+
+
+def test_rope_kernel_inverse_is_negative_sine():
+    rng = np.random.default_rng(6)
+    x, g = rng.standard_normal((2, 3, 5, 8))
+    cos, sin = T.rope_angles(5, 8, 10000.0, np.float64)
+    np.testing.assert_array_equal(T.rope(x, cos, sin), tape_rope(Tensor(x), cos, sin).data)
+    # a rotation's transpose is its inverse
+    np.testing.assert_allclose(T.rope(T.rope(x, cos, sin), cos, -sin), x, atol=1e-12)
+    assert np.isclose((T.rope(x, cos, sin) * g).sum(), (x * T.rope(g, cos, -sin)).sum())
+
+
+def test_rope_angles_slices_equal_a_fresh_build():
+    def fresh(m, head_dim, base, dtype):
+        half = head_dim // 2
+        inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
+        ang = np.arange(m).astype(np.float64)[:, None] * inv_freq[None, :]
+        return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+
+    for dtype in (np.float32, np.float64):
+        # a base no other test uses: the first call sizes the table, later
+        # calls ask below and above it
+        for m in (5, 3, 5, 6, 40, 1, 11):
+            cos, sin = T.rope_angles(m, 6, 777.0, dtype)
+            want_cos, want_sin = fresh(m, 6, 777.0, dtype)
+            assert cos.dtype == want_cos.dtype and cos.shape == (m, 3)
+            assert np.array_equal(cos, want_cos) and np.array_equal(sin, want_sin)
+            assert not cos.flags.writeable and not sin.flags.writeable
+        with pytest.raises(ValueError):
+            cos[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +394,12 @@ def test_structured_op_gradients(instance):
 
 
 def test_softmax_symmetry():
-    out = T.softmax_rows(Tensor(np.array([[0.0, 0.0]])), np.array([[True, True]]))
+    out = tape_softmax_rows(Tensor(np.array([[0.0, 0.0]])), np.array([[True, True]]))
     np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
 
 def test_softmax_single_allowed_entry():
-    out = T.softmax_rows(Tensor(np.array([[5.0, 5.0, 5.0]])),
+    out = tape_softmax_rows(Tensor(np.array([[5.0, 5.0, 5.0]])),
                          np.array([[True, False, False]]))
     np.testing.assert_array_equal(out.data, [[1.0, 0.0, 0.0]])
 
@@ -190,7 +408,7 @@ def test_softmax_matches_reference_formula():
     # independent high-precision evaluation: direct exp/sum without max shift
     x = np.array([[1.0, 2.0, 3.0]])
     ref = np.exp(x) / np.exp(x).sum()
-    out = T.softmax_rows(Tensor(x), np.ones_like(x, dtype=bool))
+    out = tape_softmax_rows(Tensor(x), np.ones_like(x, dtype=bool))
     np.testing.assert_allclose(out.data, ref, atol=1e-9)
 
 
@@ -199,14 +417,14 @@ def test_softmax_rows_sum_to_one_and_masked_zero():
     x = rng.standard_normal((20, 9))
     mask = rng.random((20, 9)) > 0.4
     mask[:, 3] = True
-    out = T.softmax_rows(Tensor(x), mask).data
+    out = tape_softmax_rows(Tensor(x), mask).data
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
     assert (out[~mask] == 0.0).all()
 
 
 def test_softmax_fully_masked_row_rejected():
     with pytest.raises(ContractViolation):
-        T.softmax_rows(Tensor(np.zeros((2, 3))),
+        tape_softmax_rows(Tensor(np.zeros((2, 3))),
                        np.array([[True, True, True], [False, False, False]]))
 
 
