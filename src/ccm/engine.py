@@ -13,7 +13,8 @@ Streaming processes tokens one at a time inside a hard entry budget
 the window fills, the oldest chunk of raw KV is compressed into slots
 appended to the compressed region (whose own oldest slot group is evicted
 at capacity). Position ids are reassigned sequentially over the layout at
-every step, which is free because stored keys are unrotated. Setting the
+every step; stored keys are unrotated, so a shift costs one rebuild of the
+rotated keys per compression event. Setting the
 compressed region's capacity to zero turns the stream into the plain
 attention-sink + sliding-window baseline with the same budget; a window as
 long as the stream is the unbounded ``full`` cache, and a one-token window
@@ -30,7 +31,7 @@ from .errors import ContractViolation, UsageError
 from .lora import AdapterSet
 from .memory import (MEMORY_POLICIES, ContextMemory, compress_from_kv,
                      compress_segment, reads_memory)
-from .model import KVLayout, ToyLM
+from .model import KVLayout, ToyLM, rotate_keys
 from .tensor import log_softmax_rows
 
 SESSION_POLICIES = MEMORY_POLICIES + ("none", "full", "fixed")
@@ -198,8 +199,9 @@ class StreamState:
             if n:
                 region = [self.layout.entries(hi - n + slots.n_entries, hi), slots]
             self.ccm_entry_count = n
-        self.layout = self.layout.entries(0, lo).extended(
-            *region, self.layout.entries(rest))
+        layout = self.layout.entries(0, lo).extended(*region, self.layout.entries(rest))
+        self.layout = KVLayout(layout.keys, layout.values,
+                               rotate_keys(layout.keys, 0, self.model.config))
 
 
 def streaming_step(state: StreamState, token: int) -> tuple[np.ndarray, int, bool]:
@@ -254,6 +256,10 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
         raise UsageError(f"policy {policy!r} needs stream caps")
     elif policy == "sliding":
         caps, adapters = caps.sliding_only(), None
+    if min(stream.size, caps.total) > model.config.max_layout:
+        raise UsageError(f"policy {policy!r} on a {stream.size}-token stream holds up "
+                         f"to {min(stream.size, caps.total)} entries, above the model's "
+                         f"max_layout {model.config.max_layout}")
     state = StreamState(model, adapters, caps)
     nll, totals, events = [], [], []
     last = None

@@ -5,8 +5,11 @@ library's one KV type, whose entries may come from anywhere (raw tokens,
 compressed memory slots, a streaming window). Keys are stored UNROTATED;
 rotary position encoding is applied at attention time with sequential
 position ids 0..m-1 assigned over [memory entries | current tokens]. This
-makes memory entries position-free: averaging them stays well defined and
-streaming reassignment of positions is a no-op.
+makes memory entries position-free: averaging and saving them stay well
+defined, and a shift of positions changes no stored key. A layout may carry
+a derived, read-only rotated copy of its keys, never saved: a forward over
+one that starts at position 0 rotates only its own tokens' keys and returns
+them as its KV's copy, so a cache that only grows rotates each key once.
 
 The one layer loop, ``forward_groups``, runs tokens as query groups: a
 token range plus the memory it reads at each layer. A group sees all of
@@ -71,27 +74,35 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class KVLayout:
-    """Per-layer unrotated key/value entries visible to attention.
+    """Per-layer key/value entries visible to attention.
 
     ``keys`` and ``values`` have shape [n_layers, n, d_model]; every layer
-    holds the same entry count. Layouts are built by ``extended``, the one
-    place that concatenates KV entries. A layout is a value: it keeps
+    holds the same entry count. Keys are stored unrotated, the truth that
+    memory updates average and files save. ``rotated`` is None or a derived
+    copy of the keys, each head rotated at positions ``rotated_at``,
+    ``rotated_at`` + 1, ...; it is never saved. ``entries`` slices it and
+    shifts ``rotated_at``. ``extended``, the one place that concatenates KV
+    entries, keeps it only if self and every part carry one in self's dtype
+    that starts where the part lands. A layout is a value: it keeps
     read-only views of its arrays, so holders share it without copying.
     """
 
     keys: np.ndarray
     values: np.ndarray
+    rotated: np.ndarray | None = None
+    rotated_at: int = 0
 
     def __post_init__(self):
-        for name in ("keys", "values"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        for name in ("keys", "values", "rotated"):
+            if getattr(self, name) is not None:
+                view = getattr(self, name).view()
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
 
     @classmethod
     def empty(cls, n_layers: int, d_model: int, dtype) -> "KVLayout":
         z = np.zeros((n_layers, 0, d_model), dtype=dtype)
-        return cls(z, z)
+        return cls(z, z, z)
 
     @property
     def n_entries(self) -> int:
@@ -99,7 +110,9 @@ class KVLayout:
 
     def entries(self, start: int, stop: int | None = None) -> "KVLayout":
         """Entries [start, stop) as a view (no copy)."""
-        return KVLayout(self.keys[:, start:stop], self.values[:, start:stop])
+        rotated = None if self.rotated is None else self.rotated[:, start:stop]
+        return KVLayout(self.keys[:, start:stop], self.values[:, start:stop], rotated,
+                        self.rotated_at + start)
 
     def extended(self, *parts: "KVLayout") -> "KVLayout":
         """Self followed by ``parts``, made in one copy in self's dtype."""
@@ -107,11 +120,28 @@ class KVLayout:
             if part.keys.shape != part.values.shape \
                     or part.keys.shape[::2] != self.keys.shape[::2]:
                 raise DimensionError("layout extension shape mismatch")
-        dtype = self.keys.dtype
-        return KVLayout(
-            np.concatenate([self.keys] + [p.keys for p in parts], axis=1, dtype=dtype),
-            np.concatenate([self.values] + [p.values for p in parts], axis=1,
-                           dtype=dtype))
+        dtype, layouts = self.keys.dtype, (self,) + parts
+        lands = self.rotated_at + np.cumsum([0] + [p.n_entries for p in layouts[:-1]])
+        keep = all(p.rotated is not None and p.rotated.dtype == dtype and p.rotated_at == at
+                   for p, at in zip(layouts, lands))
+
+        def join(name):
+            return np.concatenate([getattr(p, name) for p in layouts], axis=1, dtype=dtype)
+        return KVLayout(join("keys"), join("values"), join("rotated") if keep else None,
+                        self.rotated_at)
+
+
+def split_heads(x: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """[..., m, d_model] as a [..., n_heads, m, head_dim] view."""
+    return np.swapaxes(x.reshape(*x.shape[:-1], config.n_heads, config.head_dim), -2, -3)
+
+
+def rotate_keys(keys: np.ndarray, start: int, config: ModelConfig) -> np.ndarray:
+    """[..., n, d_model] keys, each head rotated at positions start..start+n-1."""
+    cos, sin = T.rope_angles(start + keys.shape[-2], config.head_dim, config.rope_base,
+                             keys.dtype)
+    rot = T.rope(split_heads(keys, config), cos[start:], sin[start:])
+    return np.swapaxes(rot, -2, -3).reshape(keys.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +160,17 @@ def project_rows(x: Tensor, w: Parameter, lora, comp_idx: np.ndarray) -> Tensor:
     return out
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, config: ModelConfig) -> Tensor:
+def attend(q: Tensor, k: Tensor, v: Tensor, config: ModelConfig,
+           rotated: np.ndarray | None = None) -> Tensor:
     """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values.
 
     Keys take positions 0..m-1 and the queries are the last n of them: the
     first m-n keys are memory, visible to every query, and the last n are
-    the queries' own tokens, visible causally.
+    the queries' own tokens, visible causally. ``rotated`` as in T.attention.
     """
     cos, sin = T.rope_angles(k.shape[0], config.head_dim, config.rope_base,
                              q.data.dtype)
-    return T.attention(q, k, v, config.n_heads, cos, sin)
+    return T.attention(q, k, v, config.n_heads, cos, sin, rotated)
 
 
 def mlp(x: Tensor, w_gate: Parameter, w_up: Parameter, w_down: Parameter) -> Tensor:
@@ -160,7 +191,8 @@ def embed_tokens(model: "ToyLM", tokens: np.ndarray,
 
 def forward_groups(model: "ToyLM", tokens: np.ndarray,
                    ranges: Sequence[tuple[int, int]], memory: Callable,
-                   adapters: AdapterSet | None = None) -> tuple[Tensor, KVLayout]:
+                   adapters: AdapterSet | None = None,
+                   rotated: np.ndarray | None = None) -> tuple[Tensor, KVLayout]:
     """The layer loop: ``tokens`` run as query groups, one per ``ranges`` entry.
 
     The [lo, hi) ranges tile the tokens in order. At every layer,
@@ -168,7 +200,8 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
     and returns, per group, the (keys, values) it reads before its own
     tokens, or None. Returns per-token logits and the layout of the
     unrotated KV the tokens produced. The conditional adapter fires only on
-    compression tokens.
+    compression tokens. Given ``rotated``, one group's memory keys rotated at
+    0.., only the tokens' own keys are rotated and the layout carries them.
     """
     cfg = model.config
     n = tokens.shape[0]
@@ -181,6 +214,8 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
     x = embed_tokens(model, tokens, adapters, comp_idx)
     new_k = np.empty((cfg.n_layers, n, cfg.d_model), dtype=model.dtype)
     new_v = np.empty_like(new_k)
+    new_rot = None if rotated is None else np.empty_like(new_k)
+    n_mem = 0 if rotated is None else rotated.shape[1]
     for layer in range(cfg.n_layers):
         p = f"layers.{layer}."
         xa = rmsnorm(x, model.params[p + "attn_norm"])
@@ -192,6 +227,11 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
         v = project_rows(xa, model.params[p + "wv"], lv, comp_idx)
         new_k[layer] = k.data
         new_v[layer] = v.data
+        kh = None
+        if rotated is not None:
+            own = new_rot[layer] = rotate_keys(k.data, n_mem, cfg)
+            kh = np.concatenate([split_heads(rotated[layer], cfg), split_heads(own, cfg)],
+                                axis=1)
         outs = []
         for (start, stop), mem in zip(ranges, memory(layer, k, v)):
             if whole:
@@ -201,7 +241,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
             if mem is not None:
                 k_g = T.concat([mem[0], k_g], axis=0)
                 v_g = T.concat([mem[1], v_g], axis=0)
-            outs.append(attend(q_g, k_g, v_g, cfg))
+            outs.append(attend(q_g, k_g, v_g, cfg, kh))
         ctx = outs[0] if whole else T.concat(outs, axis=0)
         lo = adapters.lora(layer, "o") if adapters else None
         ctx = project_rows(ctx, model.params[p + "wo"], lo, comp_idx)
@@ -211,7 +251,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
                          model.params[p + "w_down"]))
     xo = rmsnorm(x, model.params["final_norm"])
     logits = T.matmul(xo, model.params["head"].tensor)
-    return logits, KVLayout(new_k, new_v)
+    return logits, KVLayout(new_k, new_v, new_rot, n_mem)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +354,9 @@ class ToyLM:
             return [(Tensor(layout.keys[layer]), Tensor(layout.values[layer]))
                     if n_mem else None]
 
-        return forward_groups(self, tokens, [(0, tokens.size)], memory, adapters)
+        usable = layout.rotated_at == 0 and layout.keys.dtype == self.dtype
+        rotated = layout.rotated if usable else None
+        return forward_groups(self, tokens, [(0, tokens.size)], memory, adapters, rotated)
 
     # -- decoding ---------------------------------------------------------------
 

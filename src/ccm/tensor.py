@@ -367,21 +367,24 @@ def softmax_rows(x: Array, mask: Array) -> Array:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              cos: Array, sin: Array) -> Tensor:
+              cos: Array, sin: Array, rotated: Array | None = None) -> Tensor:
     """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values.
 
     Keys take positions 0..m-1 (angles ``cos``/``sin``) and the queries are
     the last n: the first m-n keys (memory) are visible to every query, the
-    last n causally. The backward is written by hand.
+    last n causally. ``rotated`` may give the keys already rotated, as
+    [n_heads, m, d//n_heads]. The backward is written by hand.
     """
     (n, d), m = q.shape, k.shape[0]
     dh = d // n_heads
-    if k.shape != (m, d) or v.shape != (m, d) or n > m or d % (2 * n_heads):
+    if k.shape != (m, d) or v.shape != (m, d) or n > m or d % (2 * n_heads) \
+            or rotated is not None and rotated.shape != (n_heads, m, dh):
         raise DimensionError(f"attention of q {q.shape} over k {k.shape}, v {v.shape} "
                              f"in {n_heads} heads of even width")
     cq, sq = cos[m - n:], sin[m - n:]
     qh = rope(q.data.reshape(n, n_heads, dh).transpose(1, 0, 2), cq, sq)
-    kh = rope(k.data.reshape(m, n_heads, dh).transpose(1, 0, 2), cos, sin)
+    kh = rope(k.data.reshape(m, n_heads, dh).transpose(1, 0, 2), cos, sin) \
+        if rotated is None else rotated
     vh = v.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
     w = softmax_rows((qh @ kh.swapaxes(1, 2)) * scale,

@@ -213,6 +213,23 @@ def test_stream_region_below_one_slot_group_is_usage_error(stream_model, stream_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policy,flags", [("full", []),
+                                          ("sliding", ["--window", "300"])])
+def test_stream_longer_than_the_model_layout_is_usage_error(stream_data, tmp_path,
+                                                            capsys, policy, flags):
+    # such a run used to forward every token it could hold, then exit 3
+    _, vocab, _ = read_dataset(stream_data)
+    model = tmp_path / "short.ckpt"
+    ToyLM.init(vocab.model_config(n_layers=1, d_model=16, n_heads=2, d_ff=32,
+                                  max_layout=64)).save(model)
+    out = tmp_path / "stream.csv"
+    assert run("stream", "--data", stream_data, "--model", model, "--policy", policy,
+               *flags, "--out", out, "--length", "100") == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and "100 entries" in err and "max_layout 64" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policy,flag", [
     *((policy, flag) for policy in ("full", "none")
       for flag in ("--sink", "--ccm-entries", "--window", "--chunk")),

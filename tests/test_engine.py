@@ -400,6 +400,27 @@ def test_sliding_only_has_no_compression(model):
     assert state.ccm_entry_count == 0
 
 
+def test_stream_longer_than_the_model_layout_is_rejected_up_front(monkeypatch):
+    # the layout a policy would hold is checked before the first forward
+    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32, vocab_size=24,
+                      max_layout=32)
+    model = ToyLM.init(cfg, seed=0, dtype=np.float64)
+    stream = np.random.default_rng(12).integers(0, 20, size=40)
+    forwards = []
+    monkeypatch.setattr(ToyLM, "forward", lambda *a, **k: forwards.append(a))
+    with pytest.raises(UsageError, match="holds up to 40 entries.*max_layout 32"):
+        evaluate_perplexity(model, None, "full", stream)
+    caps = StreamCaps(n_sink=1, ccm_entries=0, window=100, chunk=8)
+    with pytest.raises(UsageError, match="holds up to 40 entries.*max_layout 32"):
+        evaluate_perplexity(model, None, "sliding", stream, caps)
+    assert forwards == []
+    monkeypatch.undo()
+    # a budget within the layout streams any length; so does a full stream that fits
+    caps = StreamCaps(n_sink=1, ccm_entries=0, window=31, chunk=8)
+    assert evaluate_perplexity(model, None, "sliding", stream, caps).kv_totals.max() == 32
+    assert evaluate_perplexity(model, None, "full", stream[:32]).kv_totals.max() == 32
+
+
 def test_uniform_model_perplexity_is_vocab_size():
     cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32, vocab_size=24,
                       max_layout=64)

@@ -299,6 +299,21 @@ def test_fused_attention_equals_composed(n, n_mem, n_heads, half, seed):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_attention_over_keys_already_rotated_is_the_same_op():
+    # the rotated keys stand in for attention's own rotation, bit for bit,
+    # in the output and every gradient; a misshapen rotation is rejected
+    rng = np.random.default_rng(5)
+    q, k, v, cos, sin = attention_inputs(rng, 3, 4, 2, 8)
+    w = rng.standard_normal(q.shape)
+    kh = T.rope(k.data.reshape(7, 2, 8).transpose(1, 0, 2), cos, sin)
+    got = output_and_grads(lambda: T.attention(q, k, v, 2, cos, sin, kh), [q, k, v], w)
+    want = output_and_grads(lambda: T.attention(q, k, v, 2, cos, sin), [q, k, v], w)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(DimensionError):
+        T.attention(q, k, v, 2, cos, sin, kh[:, 1:])
+
+
 @settings(max_examples=50, deadline=None)
 @given(rows=st.integers(1, 6), d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
 def test_fused_rmsnorm_equals_composed(rows, d, seed):
