@@ -157,6 +157,9 @@ def _model_from_flags(args, vocab, seed: int) -> ToyLM:
                       dtype=np.float32)
 
 
+_PRETRAIN_WINDOW = 192  # tokens per stream pretraining sample
+
+
 def cmd_pretrain(args) -> int:
     recipe = _load_recipe(args, steps=args.steps, batch=args.batch, lr=args.lr,
                           seed=args.seed)
@@ -165,10 +168,15 @@ def cmd_pretrain(args) -> int:
         _refuse(args, ["window"], "an ICL dataset")
         model = _model_from_flags(args, data.vocab, recipe.seed)
         sampler = icl_pretrain_sampler(data.train, T=data.T)
+        longest = max(sum(map(len, [*c, i, o]))  # [c(1..T), I(T), O(T)]
+                      for c, i, o in (s.step_sample(data.T) for s in data.train))
     else:
         streams, vocab, _ = data
         model = _model_from_flags(args, vocab, recipe.seed)
-        sampler = stream_pretrain_sampler(streams, **_given(args, ["window"]))
+        window = _PRETRAIN_WINDOW if args.window is None else args.window
+        sampler = stream_pretrain_sampler(streams, window)
+        longest = min(window, max(len(s.tokens) for s in streams))
+    model.check_fits(longest, "the longest pretraining sample")
     rows = pretrain(model, sampler, recipe)
     model.save(args.out)
     if args.metrics:
@@ -214,6 +222,14 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
         raise UsageError("nothing to evaluate: empty test split or --max-eval < 1")
     label_ids = [ds.vocab.label_id(i) for i in range(ds.n_classes)]
     choices = [[lid] for lid in label_ids]
+    if policy in ("full", "fixed"):
+        # both re-read the raw context c(1..t), followed by the input and one
+        # choice token (full) or by the slots (fixed): check the longest now
+        slots = adapters.comp_len if adapters else 0
+        longest = max(sum(map(len, s.segments[:t]))
+                      + (len(s.inputs[t - 1]) + 1 if policy == "full" else slots)
+                      for s in samples for t in range(1, ds.T + 1))
+        model.check_fits(longest, f"policy {policy!r} over {ds.T} steps")
 
     def run_identity(sample):
         session = Session(model, adapters, policy, ema_a=ema_a)

@@ -1,16 +1,12 @@
 """Analytic KV-memory and attention-FLOPS accounting for online inference.
 
 Entry counts are exact (they must equal what a live session measures);
-FLOPS use the standard dense estimates: 2 * n_params per processed token
-for a forward pass, and 4 * d_model * n_layers reads per (query, KV entry)
-pair for attention (QK plus AV). The break-even token length is the
-smallest inference length at which the attention savings from a shorter
-context outweigh the forward-pass overhead of the compression tokens.
+attention FLOPS use the standard dense estimate of 4 * d_model * n_layers
+reads per (query, KV entry) pair (QK plus AV).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import UsageError
@@ -27,7 +23,6 @@ class ComplexityParams:
     s: int            # compression token (slot) length
     n_layers: int
     d_model: int
-    n_params: float = 0.0
 
     def __post_init__(self):
         if min(self.t, self.l_c, self.l_i, self.s, self.n_layers, self.d_model) <= 0:
@@ -39,8 +34,7 @@ class ComplexityParams:
 def llama_7b_params(t: int = 16, l_c: int = 50, l_i: int = 10, s: int = 1,
                     ) -> ComplexityParams:
     """Dimensions of a 7B-parameter decoder (32 layers, width 4096)."""
-    return ComplexityParams(t=t, l_c=l_c, l_i=l_i, s=s, n_layers=32, d_model=4096,
-                            n_params=6.7e9)
+    return ComplexityParams(t=t, l_c=l_c, l_i=l_i, s=s, n_layers=32, d_model=4096)
 
 
 def kv_entries(params: ComplexityParams, method: str, phase: str) -> int:
@@ -88,29 +82,6 @@ def attn_flops(params: ComplexityParams, method: str, phase: str) -> float:
 def kv_bytes(entries: int, n_layers: int, d_model: int, bytes_per_value: int) -> int:
     """Entries are per-layer sequence positions: each holds 2*L*d numbers."""
     return entries * 2 * n_layers * d_model * bytes_per_value
-
-
-def compression_factor(l_c: int, s: int) -> int:
-    """Context length over slot length, rounded half up."""
-    if s > l_c:
-        raise UsageError("slot length exceeds segment length")
-    return int(math.floor(l_c / s + 0.5))
-
-
-def break_even_inference_tokens(params: ComplexityParams) -> float:
-    """Smallest inference token count where attention savings beat overhead.
-
-    Overhead: forward-computing s compression tokens costs ~2 * n_params * s.
-    Savings: every inference token reads l_c - s fewer KV entries, i.e.
-    4 * d * L * (l_c - s) fewer FLOPS.
-    """
-    if params.n_params <= 0:
-        raise UsageError("break-even needs the parameter count")
-    if params.s >= params.l_c:
-        return math.inf
-    overhead = 2.0 * params.n_params * params.s
-    savings = 4.0 * params.d_model * params.n_layers * (params.l_c - params.s)
-    return float(math.floor(overhead / savings) + 1)
 
 
 def report_rows(params: ComplexityParams) -> list[dict]:

@@ -1,12 +1,12 @@
 """Online sessions and token streaming under a fixed KV budget.
 
 A session folds each context segment it ``ingest``s into its memory
-according to its policy, and answers queries against
-[memory | prompt | input]: ``predict`` decodes greedily and
-``multichoice_scores`` scores answer choices. Only ``full`` has a prompt:
-it re-feeds the raw context and keeps an empty memory, as ``none`` does,
-which ignores context entirely. ``fixed`` recompresses the whole
-accumulated context into a fresh ``independent`` memory every step.
+according to its policy, and answers a query by likelihood:
+``multichoice_scores`` scores each answer choice against
+[memory | prompt | input]. Only ``full`` has a prompt: it re-feeds the
+raw context and keeps an empty memory, as ``none`` does, which ignores
+context entirely. ``fixed`` recompresses the whole accumulated context
+into a fresh ``independent`` memory every step.
 
 Streaming processes tokens one at a time inside a hard entry budget
 [sink | compressed region | sliding window], held as one KVLayout; when
@@ -92,16 +92,6 @@ class Session:
     def _inference_inputs(self, inputs: np.ndarray) -> tuple[KVLayout, np.ndarray]:
         """(layout, tokens) the model sees when answering ``inputs``."""
         return self.memory.layout(self.model), np.concatenate(self._prompt + [inputs])
-
-    # -- prediction -----------------------------------------------------------------
-
-    def predict(self, inputs, max_new: int) -> tuple[np.ndarray, int]:
-        """Greedy continuation; returns (tokens, peak inference KV entries)."""
-        inputs = np.asarray(inputs, dtype=np.intp)
-        layout, tokens = self._inference_inputs(inputs)
-        out, peak = self.model.greedy_decode(layout, tokens, max_new,
-                                             adapters=self.adapters)
-        return out, peak
 
 
 def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
@@ -256,10 +246,8 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
         raise UsageError(f"policy {policy!r} needs stream caps")
     elif policy == "sliding":
         caps, adapters = caps.sliding_only(), None
-    if min(stream.size, caps.total) > model.config.max_layout:
-        raise UsageError(f"policy {policy!r} on a {stream.size}-token stream holds up "
-                         f"to {min(stream.size, caps.total)} entries, above the model's "
-                         f"max_layout {model.config.max_layout}")
+    model.check_fits(min(stream.size, caps.total),
+                     f"policy {policy!r} on a {stream.size}-token stream")
     state = StreamState(model, adapters, caps)
     nll, totals, events = [], [], []
     last = None

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import check_records, read_checkpoint, save_arrays
-from .errors import CapacityError, ContractViolation, DataError, DimensionError
+from .errors import CapacityError, DataError, DimensionError, UsageError
 from .lora import AdapterSet, comp_flags
 from .tensor import Parameter, Tensor
 
@@ -268,7 +268,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 class ToyLM:
-    """Config + parameters, with layout-based forward and greedy decoding."""
+    """Config + parameters, with a layout-based forward."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Parameter]):
         self.config = config
@@ -337,6 +337,13 @@ class ToyLM:
 
     # -- forward -------------------------------------------------------------------
 
+    def check_fits(self, entries: int, what: str) -> None:
+        """Input that would overflow the layout is a usage error before any
+        forward runs; ``forward``'s CapacityError stays the backstop."""
+        if entries > self.config.max_layout:
+            raise UsageError(f"{what} holds up to {entries} entries, above the "
+                             f"model's max_layout {self.config.max_layout}")
+
     def forward(self, tokens, layout: KVLayout, adapters: AdapterSet | None = None,
                 ) -> tuple[Tensor, KVLayout]:
         """One group: new tokens appended (for attention) after ``layout``.
@@ -357,29 +364,3 @@ class ToyLM:
         usable = layout.rotated_at == 0 and layout.keys.dtype == self.dtype
         rotated = layout.rotated if usable else None
         return forward_groups(self, tokens, [(0, tokens.size)], memory, adapters, rotated)
-
-    # -- decoding ---------------------------------------------------------------
-
-    def greedy_decode(self, layout: KVLayout, input_tokens, max_new: int,
-                      adapters: AdapterSet | None = None,
-                      ) -> tuple[np.ndarray, int]:
-        """Argmax continuation of ``input_tokens`` over the given layout.
-
-        New tokens attend the memory plus prior input/output tokens only.
-        Every accepted token's KV is cached, so the returned peak entry
-        count is exactly layout entries + inputs + generated tokens.
-        """
-        input_tokens = np.asarray(input_tokens, dtype=np.intp)
-        if input_tokens.size == 0:
-            raise ContractViolation("greedy_decode needs at least one input token")
-        logits, kv = self.forward(input_tokens, layout, adapters=adapters)
-        work = layout.extended(kv)
-        out: list[int] = []
-        last_logits = logits.data[-1]
-        for _ in range(max_new):
-            nxt = int(np.argmax(last_logits))
-            out.append(nxt)
-            logits, kv = self.forward(np.array([nxt]), work, adapters=adapters)
-            work = work.extended(kv)
-            last_logits = logits.data[-1]
-        return np.asarray(out, dtype=np.intp), work.n_entries

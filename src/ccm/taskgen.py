@@ -290,7 +290,7 @@ def icl_compression_sampler(samples: list[OnlineSample]):
     return sampler
 
 
-def stream_pretrain_sampler(streams: list[StreamSample], window: int = 192):
+def stream_pretrain_sampler(streams: list[StreamSample], window: int):
     """Windows of ``window`` tokens (fewer at a stream's end), loss on each."""
     if window < 2:
         raise UsageError(f"window {window} must be at least 2 tokens")

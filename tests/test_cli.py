@@ -230,6 +230,45 @@ def test_stream_longer_than_the_model_layout_is_usage_error(stream_data, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,flags,entries", [
+    ("icl", ["--identities", "12", "--classes", "4", "--t-max", "200"], 1206),
+    ("stream", ["--length", "3100", "--streams", "1"], 3000)])
+def test_pretrain_sample_longer_than_the_model_layout_is_usage_error(
+        tmp_path, capsys, kind, flags, entries):
+    # such a run used to stop at its first over-long sample with exit 3
+    data, out = tmp_path / "data.jsonl", tmp_path / "model.ckpt"
+    assert run("gen-data", "--kind", kind, *flags, "--out", data) == 0
+    window = ["--window", "3000"] if kind == "stream" else []
+    assert run("pretrain", "--data", data, *window, "--out", out, "--steps", "1",
+               "--batch", "1", "--layers", "1", "--d-model", "16", "--heads", "2",
+               "--d-ff", "32") == 1
+    err = capsys.readouterr().err
+    assert f"usage error: the longest pretraining sample holds up to {entries} " \
+        "entries" in err and f"max_layout {1024 if kind == 'icl' else 2048}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy,code", [("full", 1), ("fixed", 1), ("concat", 0)])
+def test_eval_context_longer_than_the_model_layout_is_usage_error(
+        icl_data, tmp_path, capsys, policy, code):
+    # full and fixed re-read the raw context (here up to 30 and 25 entries);
+    # concat holds its compressed memory and runs on the same model
+    vocab = read_dataset(icl_data).vocab
+    model, adapters = tmp_path / "short.ckpt", tmp_path / "adapters.ckpt"
+    lm = ToyLM.init(vocab.model_config(n_layers=1, d_model=16, n_heads=2, d_ff=32,
+                                       max_layout=24))
+    lm.save(model)
+    AdapterSet.init(lm, rank=2, alpha=4.0, comp_len=1, seed=0).save(adapters)
+    out = tmp_path / "eval.csv"
+    assert run("eval", "--data", icl_data, "--model", model, "--adapters", adapters,
+               "--policy", policy, "--out", out) == code
+    if code:
+        err = capsys.readouterr().err
+        assert f"usage error: policy '{policy}' over 4 steps holds up to " \
+            f"{30 if policy == 'full' else 25} entries" in err and "max_layout 24" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("policy,flag", [
     *((policy, flag) for policy in ("full", "none")
       for flag in ("--sink", "--ccm-entries", "--window", "--chunk")),

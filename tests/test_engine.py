@@ -37,16 +37,31 @@ def adapters(model):
 _PROPERTY_MODEL = ToyLM.init(TINY, seed=7, dtype=np.float64)
 
 
-def run_session(model, adapters, policy, segments, inputs, max_new=2):
-    """Ingest each segment, then answer ``inputs``: the online loop. Returns
-    the session and, per step, (prediction, compression peak, inference peak)."""
+CHOICES = [[6], [8], [11]]
+
+
+def run_session(model, adapters, policy, segments, inputs):
+    """Ingest each segment, then score ``CHOICES`` after ``inputs``: the online
+    loop. Returns the session and, per step, (scores, compression peak)."""
     session = Session(model, adapters, policy)
     steps = []
     for seg in segments:
         comp_peak = session.ingest(seg)
-        pred, infer_peak = session.predict(inputs, max_new)
-        steps.append((pred, comp_peak, infer_peak))
+        steps.append((multichoice_scores(session, inputs, CHOICES), comp_peak))
     return session, steps
+
+
+def record_forwards(monkeypatch) -> list[int]:
+    """Entries every later ``ToyLM.forward`` call holds: layout plus tokens."""
+    held = []
+    forward = ToyLM.forward
+
+    def recording(self, tokens, layout, adapters=None):
+        held.append(layout.n_entries + len(tokens))
+        return forward(self, tokens, layout, adapters=adapters)
+
+    monkeypatch.setattr(ToyLM, "forward", recording)
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -69,38 +84,36 @@ def test_session_growth_laws(model, adapters):
     assert full.context_entries == sum(len(x) for x in segments)
 
 
-def test_measured_counts_match_analytic(model, adapters):
+def test_measured_counts_match_analytic(monkeypatch, model, adapters):
+    # every scoring forward of a one-token choice holds l_i = inputs + 1
     from ccm.complexity import ComplexityParams, kv_entries
     rng = np.random.default_rng(2)
-    l_c, n_in, max_new = 5, 2, 2
-    l_i = n_in + max_new
+    l_c, n_in = 5, 2
     segments = [rng.integers(0, 20, size=l_c) for _ in range(3)]
     inputs = rng.integers(0, 20, size=n_in)
     s = adapters.comp_len
+    held = record_forwards(monkeypatch)
 
     method_for = {"concat": "ccm_concat", "merge": "ccm_merge",
                   "full": "full", "fixed": "fixed_comp"}
     for policy, method in method_for.items():
-        _, steps = run_session(model, adapters, policy, segments, inputs, max_new)
-        for t, (_, comp_peak, infer_peak) in enumerate(steps, start=1):
-            params = ComplexityParams(t=t, l_c=l_c, l_i=l_i, s=s,
+        session = Session(model, adapters, policy)
+        for t, seg in enumerate(segments, start=1):
+            comp_peak = session.ingest(seg)
+            held.clear()
+            multichoice_scores(session, inputs, CHOICES)
+            params = ComplexityParams(t=t, l_c=l_c, l_i=n_in + 1, s=s,
                                       n_layers=TINY.n_layers, d_model=TINY.d_model)
             assert comp_peak == kv_entries(params, method, "compression"), (policy, t)
-            assert infer_peak == kv_entries(params, method, "inference"), (policy, t)
+            assert held == [kv_entries(params, method, "inference")] * len(CHOICES), \
+                (policy, t)
 
 
 @pytest.mark.parametrize("policy", engine.SESSION_POLICIES)
 def test_ingest_peak_is_what_its_forwards_hold(monkeypatch, model, adapters, policy):
     # the reported compression peak counts only the entries a forward reads:
     # an independent compressor does not read the memory
-    held = []
-    forward = ToyLM.forward
-
-    def recording(self, tokens, layout, adapters=None):
-        held.append(layout.n_entries + len(tokens))
-        return forward(self, tokens, layout, adapters=adapters)
-
-    monkeypatch.setattr(ToyLM, "forward", recording)
+    held = record_forwards(monkeypatch)
     rng = np.random.default_rng(6)
     session = Session(model, adapters, policy)
     for _ in range(4):
@@ -116,7 +129,8 @@ def test_none_policy_ignores_context(model, adapters):
     segs_b = [rng.integers(0, 20, size=4) for _ in range(3)]
     a, steps_a = run_session(model, adapters, "none", segs_a, inputs)
     _, steps_b = run_session(model, adapters, "none", segs_b, inputs)
-    assert [x[0].tolist() for x in steps_a] == [x[0].tolist() for x in steps_b]
+    for (scores_a, _), (scores_b, _) in zip(steps_a, steps_b):
+        np.testing.assert_array_equal(scores_a, scores_b)
     assert a.context_entries == 0
 
 
@@ -126,12 +140,12 @@ def test_session_matches_recursive_oracle(model, adapters):
     session = Session(model, adapters, "concat")
     for seg in segments:
         session.ingest(seg)
-    pred, _ = session.predict(inputs, max_new=1)
+    pred = evaluate_multichoice(session, inputs, [[c] for c in range(TINY.vocab_size)])
 
     rec = recursive_reference_forward(model, adapters, (segments, inputs, outputs),
                                       "concat", 3)
     # the oracle's row for the last input token predicts the first output token
-    assert int(rec.io_logits[len(inputs) - 1].argmax()) == int(pred[0])
+    assert int(rec.io_logits[len(inputs) - 1].argmax()) == pred
     # and the session memory equals the oracle memory exactly
     np.testing.assert_array_equal(session.memory.layout(model).keys,
                                   rec.memory.layout(model).keys)
@@ -152,9 +166,8 @@ def test_session_resume_from_snapshot(tmp_path, model, adapters):
 
     for s in (session, resumed):
         s.ingest(segments[3])
-    a, _ = session.predict(inputs, 2)
-    b, _ = resumed.predict(inputs, 2)
-    assert np.array_equal(a, b)
+    np.testing.assert_array_equal(multichoice_scores(session, inputs, CHOICES),
+                                  multichoice_scores(resumed, inputs, CHOICES))
 
 
 def test_inference_from_checkpoints_records_no_tape(tmp_path, monkeypatch,
@@ -419,6 +432,17 @@ def test_stream_longer_than_the_model_layout_is_rejected_up_front(monkeypatch):
     caps = StreamCaps(n_sink=1, ccm_entries=0, window=31, chunk=8)
     assert evaluate_perplexity(model, None, "sliding", stream, caps).kv_totals.max() == 32
     assert evaluate_perplexity(model, None, "full", stream[:32]).kv_totals.max() == 32
+
+
+def test_full_stream_matches_one_shot_forward(tiny_model64, tiny_model32):
+    # token-by-token over a growing cache, with its rotated-key copy, equals
+    # teacher forcing in one forward
+    stream = np.random.default_rng(13).integers(0, 20, size=60)
+    for model, tol in ((tiny_model64, 1e-10), (tiny_model32, 1e-5)):
+        logits, _ = model.forward(stream, model.empty_layout())
+        want = -log_softmax_rows(logits.data)[np.arange(59), stream[1:]]
+        nll = evaluate_perplexity(model, None, "full", stream).nll
+        np.testing.assert_allclose(nll, want, rtol=0, atol=tol)
 
 
 def test_uniform_model_perplexity_is_vocab_size():

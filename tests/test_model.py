@@ -193,30 +193,6 @@ def test_kv_causality_within_call(tiny_model64):
     assert np.allclose(kv3.values[:, :2], kv2.values, atol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# decoding
-
-
-def test_greedy_decode_empty(tiny_model64):
-    out, _ = tiny_model64.greedy_decode(tiny_model64.empty_layout(), [1, 2], 0)
-    assert out.size == 0
-
-
-def test_greedy_decode_deterministic(tiny_model64):
-    a, _ = tiny_model64.greedy_decode(tiny_model64.empty_layout(), [1, 2], 5)
-    b, _ = tiny_model64.greedy_decode(tiny_model64.empty_layout(), [1, 2], 5)
-    assert np.array_equal(a, b)
-
-
-def test_greedy_decode_matches_teacher_forcing(tiny_model64):
-    out, peak = tiny_model64.greedy_decode(tiny_model64.empty_layout(), [1, 2], 4)
-    tokens = np.concatenate([[1, 2], out])
-    logits, _ = tiny_model64.forward(tokens, tiny_model64.empty_layout())
-    # row i predicts tokens[i+1]; rows 1..4 must reproduce the decode
-    assert np.array_equal(logits.data[1:5].argmax(axis=1), out)
-    assert peak == 2 + 4
-
-
 def test_checkpoint_roundtrip(tmp_path, tiny_model64):
     path = tmp_path / "model.ckpt"
     tiny_model64.save(path)
