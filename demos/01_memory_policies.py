@@ -8,7 +8,7 @@ growth laws and the update algebra with small hand-checkable tensors.
 
 import numpy as np
 
-from ccm.memory import ContextMemory
+from ccm.memory import EMA_A, ContextMemory
 from ccm.model import KVLayout
 
 
@@ -34,8 +34,8 @@ def main():
         print(f"t={t}: entries={mem.entry_count}  state={state:.3f}  "
               f"(mean of {values[:t]} = {np.mean(values[:t]):.3f})")
 
-    print("\n=== ema(a=0.5): recency-weighted, a_1 = 1 ===")
-    mem = ContextMemory("ema", ema_a=0.5)
+    print(f"\n=== ema(a={EMA_A}): recency-weighted, a_1 = 1 ===")
+    mem = ContextMemory("ema")
     for t, v in enumerate([4.0, 0.0, 8.0], start=1):
         mem = mem.updated(slot(v))
         print(f"t={t}: state={mem.entries.keys[0, 0, 0]:.3f}")

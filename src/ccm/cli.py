@@ -11,10 +11,9 @@ decides the sample flags: ``icl`` takes ``--identities``, ``--t-max``,
 ``--classes``, ``--pattern-len``, ``--pattern-tokens`` and
 ``--test-fraction``; ``stream`` and ``stream-iid`` take ``--length`` and
 ``--streams``. ``pretrain`` and
-``train-compress`` take ``--config``, a key=value recipe whose values
-their recipe flags (``--seed`` among them) override. ``eval`` takes
-``--config`` for the recipe's ``ema_a``. ``stream`` and ``complexity``
-take neither. The data kind decides the sample flags: on stream data
+``train-compress`` build their training recipe from their flags
+(``--seed`` among them); a flag left out keeps ``Recipe``'s default. The
+data kind decides the sample flags: on stream data
 ``pretrain`` takes ``--window`` and ``train-compress`` takes ``--chunk``
 and ``--io-len``; on ICL data, whose samples are its time steps, they take
 none of them. Trained adapters carry their slot count: ``--slots`` sizes
@@ -23,8 +22,9 @@ fresh adapters in ``train-compress`` and the sweep in ``complexity``.
 ``--d-model``. ``eval`` accepts every session policy and ``stream`` every
 streaming policy, with only the flags that policy reads: ``concat`` takes
 ``--adapters`` and the caps ``--sink``, ``--ccm-entries``, ``--window``
-and ``--chunk``; ``sliding`` takes the caps; ``full`` and ``none`` take
-``--adapters``.
+and ``--chunk``; ``sliding`` takes the caps; ``full`` and ``none``, which
+compress nothing, take neither, and ``eval`` takes ``--adapters`` under
+every other policy.
 """
 
 from __future__ import annotations
@@ -70,10 +70,9 @@ def _write_metrics(path, rows: list[dict]) -> None:
                 for r in rows])
 
 
-def _load_recipe(args, **flags) -> Recipe:
-    """The --config recipe (or the defaults), with the given flags on top."""
-    recipe = Recipe.load(args.config) if args.config else Recipe()
-    return replace(recipe, **{k: v for k, v in flags.items() if v is not None})
+def _recipe(**flags) -> Recipe:
+    """The recipe the given flags set; Recipe owns the default of the rest."""
+    return Recipe(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _given(args, flags) -> dict:
@@ -136,6 +135,8 @@ def cmd_gen_data(args) -> int:
                              vocab=vocab, test_fraction=f["test_fraction"])
         write_icl_dataset(args.out, ds)
     else:
+        if f["streams"] < 1:
+            raise UsageError(f"--streams {f['streams']} must be at least 1")
         vocab = StreamVocab()
         gen = gen_iid_stream if args.kind == "stream-iid" else gen_stream
         streams = [gen(f["length"], seed=args.seed, vocab=vocab, identity=i)
@@ -161,8 +162,7 @@ _PRETRAIN_WINDOW = 192  # tokens per stream pretraining sample
 
 
 def cmd_pretrain(args) -> int:
-    recipe = _load_recipe(args, steps=args.steps, batch=args.batch, lr=args.lr,
-                          seed=args.seed)
+    recipe = _recipe(steps=args.steps, batch=args.batch, lr=args.lr, seed=args.seed)
     data = read_dataset(args.data)
     if isinstance(data, ICLDataset):
         _refuse(args, ["window"], "an ICL dataset")
@@ -187,8 +187,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train_compress(args) -> int:
-    recipe = _load_recipe(args, steps=args.steps, batch=args.batch, lr=args.lr,
-                          seed=args.seed, policy=args.policy, s=args.slots)
+    recipe = _recipe(steps=args.steps, batch=args.batch, lr=args.lr, seed=args.seed,
+                     policy=args.policy, s=args.slots)
     data = read_dataset(args.data)
     model = ToyLM.load(args.model)
     if isinstance(data, ICLDataset):
@@ -214,8 +214,7 @@ def cmd_train_compress(args) -> int:
 
 
 def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
-              policy: str, max_eval: int | None = None,
-              ema_a: float = 0.5) -> list[list]:
+              policy: str, max_eval: int | None = None) -> list[list]:
     """One row per t = 1..T: accuracy and measured KV counts."""
     samples = ds.test if max_eval is None else ds.test[:max(max_eval, 0)]
     if not samples:
@@ -232,7 +231,7 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
         model.check_fits(longest, f"policy {policy!r} over {ds.T} steps")
 
     def run_identity(sample):
-        session = Session(model, adapters, policy, ema_a=ema_a)
+        session = Session(model, adapters, policy)
         per_t = []
         for t in range(1, ds.T + 1):
             comp_peak = session.ingest(sample.segments[t - 1])
@@ -258,12 +257,13 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
 
 def cmd_eval(args) -> int:
     _check_policy(args.policy, SESSION_POLICIES)
-    ema_a = _load_recipe(args).ema_a
+    if args.policy in ("full", "none"):  # no compression for adapters to run
+        _refuse(args, ["adapters"], f"--policy {args.policy}")
     ds = _require_icl(read_dataset(args.data))
     model = ToyLM.load(args.model)
     _require_vocab(model, ds.vocab)
     adapters = AdapterSet.load(args.adapters, model) if args.adapters else None
-    rows = eval_rows(model, adapters, ds, args.policy, args.max_eval, ema_a=ema_a)
+    rows = eval_rows(model, adapters, ds, args.policy, args.max_eval)
     _write_csv(args.out, ["policy", "t", "accuracy", "context_kv_entries",
                           "peak_kv_entries"], rows)
     print(f"wrote {args.out}")
@@ -274,9 +274,9 @@ def cmd_eval(args) -> int:
 _CAPS = {"sink": "n_sink", "ccm_entries": "ccm_entries", "window": "window",
          "chunk": "chunk"}
 # the optional flags each streaming policy reads: full and none build their
-# own caps, and sliding has no compressed region for adapters to fill
+# own caps and compress nothing, and sliding has no compressed region
 _STREAM_FLAGS = {"concat": {"adapters", *_CAPS}, "sliding": set(_CAPS),
-                 "full": {"adapters"}, "none": {"adapters"}}
+                 "full": set(), "none": set()}
 
 
 def cmd_stream(args) -> int:
@@ -316,6 +316,8 @@ def cmd_complexity(args) -> int:
             t=1, l_c=args.lc, l_i=args.li, s=1,
             n_layers=ModelConfig.n_layers if args.layers is None else args.layers,
             d_model=ModelConfig.d_model if args.d_model is None else args.d_model)
+    if args.t_max < 1:
+        raise UsageError(f"--t-max {args.t_max} must be at least 1")
     t_values = list(range(1, args.t_max + 1))
     rows = sweep_rows(base, t_values, args.slots)
     out_rows = [[r["method"], r["phase"], r["t"], r["s"], r["kv_entries"],
@@ -339,16 +341,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ccm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, config=False, seed=False):
+    def command(name, help, recipe=False):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", required=True)
-        if config:
-            p.add_argument("--config", default=None, help="recipe file (key=value)")
-        if seed:  # a recipe command's seed defaults to its recipe's
-            p.add_argument("--seed", type=int, default=None if config else 0)
+        if recipe:  # the training recipe's flags; Recipe owns their defaults
+            p.add_argument("--data", required=True)
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--steps", type=int, default=None)
+            p.add_argument("--batch", type=int, default=None)
+            p.add_argument("--lr", type=float, default=None)
+            p.add_argument("--metrics", default=None)
         return p
 
-    g = command("gen-data", "generate a synthetic dataset", seed=True)
+    g = command("gen-data", "generate a synthetic dataset")
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--kind", choices=("icl", "stream", "stream-iid"), default="icl")
     g.add_argument("--identities", type=int, default=None)
     g.add_argument("--t-max", type=int, default=None, dest="t_max")
@@ -359,33 +365,23 @@ def build_parser() -> _Parser:
     g.add_argument("--length", type=int, default=None)
     g.add_argument("--streams", type=int, default=None)
 
-    p = command("pretrain", "stage 1: train the base model", config=True, seed=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--metrics", default=None)
+    p = command("pretrain", "stage 1: train the base model", recipe=True)
     p.add_argument("--window", type=int, default=None, help="stream sample length")
     p.add_argument("--layers", type=int, default=None)
     p.add_argument("--d-model", type=int, default=None, dest="d_model")
     p.add_argument("--heads", type=int, default=None)
     p.add_argument("--d-ff", type=int, default=None, dest="d_ff")
 
-    c = command("train-compress", "stage 2: train the adapters", config=True, seed=True)
-    c.add_argument("--data", required=True)
+    c = command("train-compress", "stage 2: train the adapters", recipe=True)
     c.add_argument("--model", required=True)
     c.add_argument("--policy", default=None)
     c.add_argument("--slots", type=int, default=None)
-    c.add_argument("--steps", type=int, default=None)
-    c.add_argument("--batch", type=int, default=None)
-    c.add_argument("--lr", type=float, default=None)
     c.add_argument("--rank", type=int, default=8)
     c.add_argument("--alpha", type=float, default=16.0)
-    c.add_argument("--metrics", default=None)
     c.add_argument("--chunk", type=int, default=None)
     c.add_argument("--io-len", type=int, default=None, dest="io_len")
 
-    e = command("eval", "per-time-step accuracy and KV counts", config=True)
+    e = command("eval", "per-time-step accuracy and KV counts")
     e.add_argument("--data", required=True)
     e.add_argument("--model", required=True)
     e.add_argument("--adapters", default=None)

@@ -42,8 +42,7 @@ _MEMORY_POLICY = {"full": "none", "fixed": "independent"}  # session -> memory
 class Session:
     """One online interaction: context arrives step by step, queries follow."""
 
-    def __init__(self, model: ToyLM, adapters: AdapterSet | None, policy: str,
-                 ema_a: float = 0.5):
+    def __init__(self, model: ToyLM, adapters: AdapterSet | None, policy: str):
         if policy not in SESSION_POLICIES:
             raise UsageError(f"unknown session policy {policy!r}")
         if policy in MEMORY_POLICIES or policy == "fixed":
@@ -52,7 +51,7 @@ class Session:
         self.model = model
         self.adapters = adapters
         self.policy = policy
-        self.memory = ContextMemory(_MEMORY_POLICY.get(policy, policy), ema_a=ema_a)
+        self.memory = ContextMemory(_MEMORY_POLICY.get(policy, policy))
         self.raw_segments: list[np.ndarray] = []   # full / fixed
 
     # -- context ingestion -------------------------------------------------------

@@ -11,7 +11,7 @@ pass (``training.parallel_memory_update``) and the sessions.
 
   - ``concat``       append every slot group; entries grow linearly in t.
   - ``merge``        running arithmetic mean; entries fixed at s.
-  - ``ema``          exponential moving average with coefficient a.
+  - ``ema``          moving average (1-a) Mem(t-1) + a h(t), a = ``EMA_A``.
   - ``independent``  like concat.
 
   Under every policy Mem(1) = h(1).
@@ -37,6 +37,7 @@ from .model import KVLayout, ToyLM
 
 MEMORY_POLICIES = ("concat", "merge", "ema", "independent")
 GROWING_POLICIES = ("concat", "independent")
+EMA_A = 0.5  # the ema policy's a_t for t > 1
 
 
 @dataclass(frozen=True)
@@ -44,19 +45,18 @@ class ContextMemory:
     """Policy-dependent compressed KV Mem(t): one layout, chronological."""
 
     policy: str
-    ema_a: float = 0.5
     entries: KVLayout | None = None  # None until the first update
     count: int = 0
 
     def __post_init__(self):
-        if self.policy != "none":  # an unknown policy or a bad ema_a raises
-            fold_weights(self.policy, 1, self.ema_a)
+        if self.policy != "none":  # an unknown policy raises
+            fold_weights(self.policy, 1)
 
     # -- update ----------------------------------------------------------------
 
     def updated(self, h: KVLayout) -> "ContextMemory":
         """Mem(t+1) from this Mem(t) and the new slot group h(t+1)."""
-        prev, w = self.entries, fold_weights(self.policy, self.count + 1, self.ema_a)
+        prev, w = self.entries, fold_weights(self.policy, self.count + 1)
         if w is None:
             entries = h if prev is None else prev.extended(h)
         else:
@@ -86,16 +86,16 @@ class ContextMemory:
             arrays["mem/run.k"] = self.entries.keys
             arrays["mem/run.v"] = self.entries.values
         save_arrays(path, arrays, meta={
-            "kind": "memory", "policy": self.policy, "ema_a": self.ema_a,
-            "count": self.count,
-        })
+            "kind": "memory", "policy": self.policy, "count": self.count})
 
     @classmethod
     def load(cls, path, model: ToyLM) -> "ContextMemory":
         """A memory of ``model``'s KV shape; n >= 1 entries at count >= 1, else none."""
         cfg, shapes = model.config, {}
         with read_checkpoint(path, "memory") as (arrays, meta):
-            memory = cls(meta["policy"], float(meta["ema_a"]), None, int(meta["count"]))
+            if meta.get("ema_a", EMA_A) != EMA_A:  # older files record the coefficient
+                raise ValueError(f"ema coefficient {meta['ema_a']!r} != {EMA_A}")
+            memory = cls(meta["policy"], None, int(meta["count"]))
             if memory.count < 0:
                 raise ValueError(f"negative count {memory.count}")
             if memory.count:  # max: a keys record of no entries is misshapen
@@ -110,23 +110,21 @@ class ContextMemory:
 # the policy rules
 
 
-def fold_weights(policy: str, t: int, ema_a: float = 0.5) -> tuple[float, float] | None:
+def fold_weights(policy: str, t: int) -> tuple[float, float] | None:
     """How step t >= 1 folds h(t) into Mem(t-1).
 
     None means append: Mem(t) = [Mem(t-1) | h(t)], which is h(1) at t = 1
     under every policy. Otherwise the weights (w_old, w_new) of
     Mem(t) = w_old * Mem(t-1) + w_new * h(t): ((t-1)/t, 1/t) for merge and
-    (1-a, a) for ema.
+    (1 - EMA_A, EMA_A) for ema.
     """
     if policy not in MEMORY_POLICIES:
         raise UsageError(f"policy {policy!r} has no memory update rule")
-    if policy == "ema" and not 0.0 < ema_a <= 1.0:
-        raise ContractViolation(f"ema coefficient {ema_a} outside (0, 1]")
     if t == 1 or policy in GROWING_POLICIES:
         return None
     if policy == "merge":
         return (t - 1) / t, 1.0 / t
-    return 1.0 - ema_a, ema_a
+    return 1.0 - EMA_A, EMA_A
 
 
 def reads_memory(policy: str) -> bool:

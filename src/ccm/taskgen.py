@@ -375,13 +375,21 @@ def read_dataset(path):
     if not lines:
         raise DataError(f"{path}: empty file")
     header = _parse_line(path, 1, lines[0])
-    if header.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"{path}: format version {header.get('format_version')} "
-                        f"!= supported {FORMAT_VERSION}")
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise DataError(f"{path}: format version {version} != supported {FORMAT_VERSION}")
     kind = header.get("kind")
+    if kind not in ("icl", "stream"):
+        raise DataError(f"{path}: unknown dataset kind {kind!r}")
+    try:  # a missing, unknown or mistyped header field
+        if kind == "icl":
+            ds = ICLDataset(VocabSpec(**header["vocab"]), header["n_classes"],
+                            header["T"], header["pattern_len"], header["seed"])
+        else:
+            vocab = StreamVocab(**header["vocab"])
+    except (LookupError, TypeError) as exc:
+        raise DataError(f"{path}: malformed {kind} header ({exc!r})") from None
     if kind == "icl":
-        ds = ICLDataset(VocabSpec(**header["vocab"]), header["n_classes"],
-                        header["T"], header["pattern_len"], header["seed"])
         for lineno, raw in enumerate(lines[1:], start=2):
             rec = _parse_line(path, lineno, raw)
             try:
@@ -392,15 +400,12 @@ def read_dataset(path):
                 raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
             (ds.train if split == "train" else ds.test).append(sample)
         return ds
-    if kind == "stream":
-        vocab = StreamVocab(**header["vocab"])
-        streams = []
-        for lineno, raw in enumerate(lines[1:], start=2):
-            rec = _parse_line(path, lineno, raw)
-            try:
-                streams.append(StreamSample(rec["identity"], rec["tokens"],
-                                            [tuple(x) for x in rec["motif_positions"]]))
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-        return streams, vocab, header
-    raise DataError(f"{path}: unknown dataset kind {kind!r}")
+    streams = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        rec = _parse_line(path, lineno, raw)
+        try:
+            streams.append(StreamSample(rec["identity"], rec["tokens"],
+                                        [tuple(x) for x in rec["motif_positions"]]))
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
+    return streams, vocab, header

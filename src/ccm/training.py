@@ -21,13 +21,12 @@ the single-pass logits match the step-by-step oracle to float precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .errors import CcmError, ContractViolation, DataError, UsageError
+from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
 from .memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
                      compress_segment, fold_weights, reads_memory)
@@ -147,8 +146,8 @@ def build_parallel_mask(seq: TrainingSequence, policy: str) -> ParallelMask:
 # per-layer memory materialization
 
 
-def parallel_memory_update(comp_kvs: Sequence[tuple[Tensor, Tensor]], policy: str,
-                           ema_a: float = 0.5) -> list[tuple[Tensor, Tensor]]:
+def parallel_memory_update(comp_kvs: Sequence[tuple[Tensor, Tensor]],
+                           policy: str) -> list[tuple[Tensor, Tensor]]:
     """Memory states Mem(1..t) from the compression blocks of one layer.
 
     ``comp_kvs[j]`` holds block j+1's (keys, values), each [s, d]. Each
@@ -158,7 +157,7 @@ def parallel_memory_update(comp_kvs: Sequence[tuple[Tensor, Tensor]], policy: st
     """
     out: list[tuple[Tensor, Tensor]] = []
     for j in range(1, len(comp_kvs) + 1):
-        w = fold_weights(policy, j, ema_a)
+        w = fold_weights(policy, j)
         if w is None:
             ks, vs = zip(*comp_kvs[:j])
             out.append((T.concat(ks, axis=0), T.concat(vs, axis=0)) if j > 1
@@ -175,8 +174,7 @@ def parallel_memory_update(comp_kvs: Sequence[tuple[Tensor, Tensor]], policy: st
 
 
 def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence,
-                     policy: str, ema_a: float = 0.5,
-                     ) -> tuple[Tensor, Tensor]:
+                     policy: str) -> tuple[Tensor, Tensor]:
     """One forward over the interleaved sequence; loss on O(t) positions.
 
     Gradients reach every token of every time step through the memory
@@ -187,7 +185,7 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence,
     def memory(layer, k, v):
         comp_kvs = [(T.narrow(k, 0, lo, s), T.narrow(v, 0, lo, s))
                     for lo, _ in seq.comp_ranges]
-        mems = parallel_memory_update(comp_kvs, policy, ema_a)
+        mems = parallel_memory_update(comp_kvs, policy)
         reads = [None] + mems[:t - 1] if reads_memory(policy) else [None] * t
         return reads + [mems[t - 1]]
 
@@ -208,13 +206,12 @@ class RecursiveResult:
 
 def recursive_reference_forward(model: ToyLM, adapters: AdapterSet,
                                 sample: tuple[Sequence, Sequence, Sequence],
-                                policy: str, t: int,
-                                ema_a: float = 0.5) -> RecursiveResult:
+                                policy: str, t: int) -> RecursiveResult:
     """Literal sequential execution: compress, update, then infer on Mem(t)."""
     if policy not in MEMORY_POLICIES:
         raise UsageError(f"unknown policy {policy!r}")
     segments, inputs, outputs = sample
-    mem = ContextMemory(policy, ema_a=ema_a)
+    mem = ContextMemory(policy)
     for seg in segments[:t]:
         mem = mem.updated(compress_segment(model, adapters, mem, seg))
     tokens = np.concatenate([np.asarray(inputs, dtype=np.intp),
@@ -229,11 +226,10 @@ def recursive_reference_forward(model: ToyLM, adapters: AdapterSet,
 
 @dataclass
 class Recipe:
-    """Key-value training recipe (steps, batch, lr, T, s, policy, seed).
+    """Training settings (steps, batch, lr, T, s, policy, seed), each checked.
 
     ``s`` sizes fresh adapters; training reads the slot count from the
-    adapters it trains. Every value is checked on its own, so a recipe file
-    can name the line of a bad one.
+    adapters it trains. ``T`` is an ICL dataset's; stream data keeps 8.
     """
 
     steps: int = 300
@@ -243,7 +239,6 @@ class Recipe:
     s: int = 2
     policy: str = "concat"
     seed: int = 0
-    ema_a: float = 0.5
 
     def __post_init__(self):
         for key in ("steps", "batch", "T", "s"):
@@ -251,31 +246,7 @@ class Recipe:
                 raise UsageError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not self.lr > 0:
             raise UsageError(f"lr must be positive, got {self.lr}")
-        fold_weights(self.policy, 1, self.ema_a)  # a training policy
-        fold_weights("ema", 1, self.ema_a)        # a coefficient in (0, 1]
-
-    @classmethod
-    def load(cls, path) -> "Recipe":
-        known = get_type_hints(cls)  # key -> the type its value converts to
-        kwargs: dict = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise DataError(f"{path}:{lineno}: unknown recipe key {key!r}")
-            try:
-                kwargs[key] = known[key](value)
-                cls(**{key: kwargs[key]})
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: bad value for {key}: {value!r}") from None
-            except CcmError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-        return cls(**kwargs)
+        fold_weights(self.policy, 1)  # a training policy
 
 
 MetricsRow = dict  # step, loss, lr, wall_ms
@@ -341,7 +312,7 @@ def train_compression(model: ToyLM, adapters: AdapterSet,
         t = int(rng.integers(1, recipe.T + 1))
         seq = build_training_sequence(sampler(rng, t), adapters.comp_len, t,
                                       model.config.comp_token_id)
-        loss, _ = training_forward(model, adapters, seq, recipe.policy, recipe.ema_a)
+        loss, _ = training_forward(model, adapters, seq, recipe.policy)
         return loss
 
     return _train_steps(trainable_parameters(model, adapters), "compress-order",

@@ -1,6 +1,7 @@
 """CLI contracts: artifacts exist, reruns are byte-identical, exit codes map."""
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from ccm.cli import main
 from ccm.lora import AdapterSet
 from ccm.model import ToyLM
 from ccm.taskgen import read_dataset
+from ccm.training import Recipe
 
 
 def run(*argv):
@@ -260,7 +262,8 @@ def test_eval_context_longer_than_the_model_layout_is_usage_error(
     lm.save(model)
     AdapterSet.init(lm, rank=2, alpha=4.0, comp_len=1, seed=0).save(adapters)
     out = tmp_path / "eval.csv"
-    assert run("eval", "--data", icl_data, "--model", model, "--adapters", adapters,
+    given = [] if policy == "full" else ["--adapters", adapters]
+    assert run("eval", "--data", icl_data, "--model", model, *given,
                "--policy", policy, "--out", out) == code
     if code:
         err = capsys.readouterr().err
@@ -281,6 +284,25 @@ def test_stream_flag_the_policy_ignores_is_usage_error(stream_model, stream_data
     assert run("stream", "--data", stream_data, "--model", stream_model, "--policy",
                policy, flag, value, "--out", out, "--length", "20") == 1
     assert f"usage error: --policy {policy} takes no {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,policy", [
+    ("eval", "full"), ("eval", "none"), ("stream", "full"), ("stream", "none")])
+def test_adapters_under_a_policy_that_compresses_nothing_is_usage_error(
+        tiny_pipeline, stream_data, stream_model, tmp_path, capsys, command, policy):
+    # the adapters fire only on compression tokens, which these never forward;
+    # the run used to load them and write the CSV it writes without them
+    if command == "eval":
+        data, model, adapters = tiny_pipeline
+    else:
+        data, model = stream_data, stream_model
+        adapters = train_stream_adapters(tmp_path, stream_data, stream_model, 1)
+    out = tmp_path / "out.csv"
+    assert run(command, "--data", data, "--model", model, "--adapters", adapters,
+               "--policy", policy, "--out", out) == 1
+    assert f"usage error: --policy {policy} takes no --adapters" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
@@ -325,6 +347,12 @@ STREAM_RUN = ["stream", "--data", "{stream}", "--model", "{stream_model}",
     (["gen-data", "--kind", "stream", "--classes", "4"], "--kind stream takes no --classes"),
     (["gen-data", "--kind", "stream", "--pattern-len", "2", "--pattern-tokens", "8"],
      "--kind stream takes no --pattern-len"),
+    # empty outputs that exited 0
+    (["complexity", "--t-max", "0"], "--t-max 0 must be at least 1"),
+    (["complexity", "--t-max", "-2"], "--t-max -2 must be at least 1"),
+    (["gen-data", "--kind", "stream", "--streams", "0"], "--streams 0 must be at least 1"),
+    (["gen-data", "--kind", "stream-iid", "--streams", "-1"],
+     "--streams -1 must be at least 1"),
 ])
 def test_bad_or_ignored_flag_is_usage_error(tiny_pipeline, stream_data, stream_model,
                                             tmp_path, capsys, argv, says):
@@ -444,29 +472,31 @@ def test_eval_fixed_peaks_match_complexity(tiny_pipeline, tmp_path):
         assert (float(context), float(peak)) == (1.0, float(want))
 
 
-def test_eval_config_sets_ema_coefficient(tiny_pipeline, tmp_path, monkeypatch):
-    icl_data, model, _ = tiny_pipeline
-    recipe = tmp_path / "recipe.txt"
-    recipe.write_text("policy=ema\nema_a=0.3\n")
-    adapters = tmp_path / "ema.ckpt"
-    assert run("train-compress", "--data", icl_data, "--model", model, "--config",
-               recipe, "--out", adapters, "--steps", "1", "--batch", "1") == 0
-    built = []
-    real = engine.ContextMemory
-
-    def recording(policy, ema_a=0.5):
-        built.append((policy, ema_a))
-        return real(policy, ema_a=ema_a)
-
-    monkeypatch.setattr(engine, "ContextMemory", recording)
-    argv = ["eval", "--data", icl_data, "--model", model, "--adapters", adapters,
-            "--policy", "ema", "--max-eval", "1", "--out", tmp_path / "e.csv"]
-    assert run(*argv, "--config", recipe) == 0
-    assert set(built) == {("ema", 0.3)}
-    built.clear()
-    assert run(*argv) == 0
-    assert set(built) == {("ema", 0.5)}
-    assert run(*argv, "--config", tmp_path / "missing.txt") == 2
+@pytest.mark.parametrize("kind,edit", [
+    ("stream", lambda h: h.pop("vocab")),
+    ("stream", lambda h: h["vocab"].update(n_bogus=3)),
+    ("stream", lambda h: h.update(vocab=[48, 8])),
+    ("icl", lambda h: h.pop("T"))], ids=["no-vocab", "vocab-unknown-key",
+                                         "vocab-not-a-dict", "icl-no-T"])
+def test_malformed_dataset_header_is_data_error(tiny_pipeline, stream_data,
+                                                stream_model, tmp_path, capsys,
+                                                kind, edit):
+    # each header used to end the run in a KeyError or TypeError traceback
+    icl_data, icl_model, adapters = tiny_pipeline
+    data = icl_data if kind == "icl" else stream_data
+    lines = data.read_text().splitlines(True)
+    header = json.loads(lines[0])
+    edit(header)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    out = tmp_path / "out.csv"
+    if kind == "icl":
+        argv = ["eval", "--model", icl_model, "--adapters", adapters, "--policy", "concat"]
+    else:
+        argv = ["stream", "--model", stream_model, "--policy", "full"]
+    assert run(*argv, "--data", bad, "--out", out) == 2
+    assert f"data error: {bad}: malformed {kind} header" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_usage_error(tmp_path, icl_data, capsys):
@@ -492,26 +522,39 @@ def test_exit_code_contract_violation(stream_model, tmp_path):
 def test_no_subcommand_is_usage_error():
     assert main([]) == 1
 
-@pytest.mark.parametrize("line", ["steps=abc", "lr=x", "steps=0", "batch=0", "lr=0",
-                                  "ema_a=0", "ema_a=1.5", "policy=none"])
-def test_bad_recipe_value_is_data_error(tmp_path, icl_data, capsys, line):
-    recipe = tmp_path / "recipe.txt"
-    recipe.write_text(f"# recipe\n{line}\n")
-    metrics = tmp_path / "m.csv"
-    assert run("pretrain", "--data", icl_data, "--config", recipe,
-               "--out", tmp_path / "m.ckpt", "--metrics", metrics) == 2
-    assert f"{recipe}:2" in capsys.readouterr().err
-    assert not metrics.exists()
+RECIPE_RUN = {"pretrain": ["pretrain", "--data", "{icl}"],
+              "train-compress": ["train-compress", "--data", "{icl}",
+                                 "--model", "{icl_model}"]}
+BAD_RECIPE_FLAGS = [
+    *((command, flag, value, says) for command in RECIPE_RUN
+      for flag, value, says in [
+          ("--steps", "abc", "argument --steps"), ("--lr", "x", "argument --lr"),
+          ("--steps", "0", "steps must be at least 1"),
+          ("--batch", "0", "batch must be at least 1"),
+          ("--lr", "0", "lr must be positive")]),
+    ("train-compress", "--policy", "none", "policy 'none' has no memory update rule")]
+
+
+@pytest.mark.parametrize("command,flag,value,says", BAD_RECIPE_FLAGS,
+                         ids=[f"{c}-{f[2:]}={v}" for c, f, v, _ in BAD_RECIPE_FLAGS])
+def test_bad_recipe_flag_is_usage_error(tiny_pipeline, tmp_path, capsys, command,
+                                        flag, value, says):
+    # Recipe checks every value before the run reads its data or writes a file
+    files = {"{icl}": tiny_pipeline[0], "{icl_model}": tiny_pipeline[1]}
+    out, metrics = tmp_path / "out.ckpt", tmp_path / "m.csv"
+    assert run(*(files.get(a, a) for a in RECIPE_RUN[command]), flag, value,
+               "--out", out, "--metrics", metrics) == 1
+    assert f"usage error: {says}" in capsys.readouterr().err
+    assert not out.exists() and not metrics.exists()
 
 
 def test_recipe_seed_counts_without_seed_flag(tmp_path, icl_data):
-    # --seed overrides the recipe's seed; left out, it must not reset it to 0
-    recipe = tmp_path / "recipe.txt"
-    recipe.write_text("seed=9\nsteps=1\nbatch=1\n")
+    # a recipe flag left out takes Recipe's default, not a second one of its own
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    assert run("pretrain", "--data", icl_data, "--config", recipe, "--out", a) == 0
-    assert run("pretrain", "--data", icl_data, "--steps", "1", "--batch", "1",
-               "--seed", "9", "--out", b) == 0
+    train = ["--steps", "1", "--batch", "1"]
+    assert run("pretrain", "--data", icl_data, *train, "--out", a) == 0
+    assert run("pretrain", "--data", icl_data, *train, "--seed", Recipe.seed,
+               "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -572,3 +615,30 @@ def test_every_flag_is_read(tiny_pipeline, stream_model, stream_data, tmp_path):
         reads = ns._reads
         unread[argv[0]] = unread.get(argv[0], dests) & (dests - reads)
     assert {cmd: flags for cmd, flags in unread.items() if flags} == {}
+
+
+# every command's flags: adding or removing one is an edit to this table
+FLAGS = {
+    "gen-data": {"--out", "--seed", "--kind", "--identities", "--t-max", "--classes",
+                 "--pattern-len", "--pattern-tokens", "--test-fraction", "--length",
+                 "--streams"},
+    "pretrain": {"--out", "--data", "--seed", "--steps", "--batch", "--lr",
+                 "--metrics", "--window", "--layers", "--d-model", "--heads", "--d-ff"},
+    "train-compress": {"--out", "--data", "--seed", "--steps", "--batch", "--lr",
+                       "--metrics", "--model", "--policy", "--slots", "--rank",
+                       "--alpha", "--chunk", "--io-len"},
+    "eval": {"--out", "--data", "--model", "--adapters", "--policy", "--max-eval"},
+    "stream": {"--out", "--data", "--model", "--adapters", "--policy", "--sink",
+               "--ccm-entries", "--window", "--chunk", "--stream-index", "--length"},
+    "complexity": {"--out", "--t-max", "--lc", "--li", "--slots", "--llama7b",
+                   "--layers", "--d-model"},
+}
+
+
+def test_flag_table():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, p in commands.items()}
+    assert flags == FLAGS
+    assert sum(map(len, flags.values())) == 62

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ccm.tensor as T
 from ccm.checkpoint import save_arrays
 from ccm.errors import ContractViolation, DataError
 from ccm.lora import AdapterSet
-from ccm.memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
+from ccm.memory import (EMA_A, GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
                         compress_segment)
 from ccm.model import KVLayout, ToyLM
-from ccm.training import parallel_memory_update
 from conftest import TINY
 
 
@@ -101,50 +99,47 @@ def test_merge_equals_elementwise_mean(n, seed):
 # ema
 
 
-def test_ema_first_update_is_identity_any_a():
+def test_ema_first_update_is_identity():
     rng = np.random.default_rng(5)
     h = slots(rng)
-    for a in (0.1, 0.5, 1.0):
-        mem = ContextMemory("ema", ema_a=a).updated(h)
-        np.testing.assert_array_equal(mem.entries.keys, h.keys)
+    mem = ContextMemory("ema").updated(h)
+    np.testing.assert_array_equal(mem.entries.keys, h.keys)
 
 
 def test_ema_hand_arithmetic():
-    mem = ContextMemory("ema", ema_a=0.5)
+    mem = ContextMemory("ema")
     mem = mem.updated(scalar_slots(4.0))
     mem = mem.updated(scalar_slots(0.0))
     assert mem.entries.keys.item() == pytest.approx(2.0)
 
 
-def test_ema_a_one_keeps_latest():
-    rng = np.random.default_rng(6)
-    mem = ContextMemory("ema", ema_a=1.0)
-    last = None
-    for j in range(5):
-        last = slots(rng)
-        mem = mem.updated(last)
-    np.testing.assert_array_equal(mem.entries.keys, last.keys)
-
-
-def test_ema_rejects_bad_coefficient():
-    for a in (0.0, 1.5):
-        with pytest.raises(ContractViolation):
-            ContextMemory("ema", ema_a=a)
-    h = scalar_slots(1.0)
-    with pytest.raises(ContractViolation):
-        parallel_memory_update([(T.Tensor(h.keys[0]), T.Tensor(h.values[0]))], "ema", 0.0)
+def test_ema_rejects_bad_coefficient(tmp_path, tiny_model64):
+    # the coefficient is fixed: a memory file recording another one would
+    # fold differently once resumed, so it does not load; older files
+    # record EMA_A itself
+    h = slots(np.random.default_rng(7), d=TINY.d_model)
+    path = tmp_path / "mem.ckpt"
+    for recorded in ({}, {"ema_a": EMA_A}, {"ema_a": 0.3}, {"ema_a": 1.0}):
+        save_arrays(path, {"mem/run.k": h.keys, "mem/run.v": h.values},
+                    meta={"kind": "memory", "policy": "ema", "count": 1, **recorded})
+        if recorded.get("ema_a", EMA_A) == EMA_A:
+            loaded = ContextMemory.load(path, tiny_model64)
+            np.testing.assert_array_equal(loaded.entries.keys, h.keys)
+        else:
+            with pytest.raises(DataError, match="ema coefficient"):
+                ContextMemory.load(path, tiny_model64)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=8),
-       st.floats(min_value=0.05, max_value=1.0),
        st.integers(min_value=0, max_value=2 ** 31))
-def test_ema_matches_closed_form(n, a, seed):
+def test_ema_matches_closed_form(n, seed):
     rng = np.random.default_rng(seed)
     hs = [slots(rng) for j in range(n)]
-    mem = ContextMemory("ema", ema_a=a)
+    mem = ContextMemory("ema")
     for h in hs:
         mem = mem.updated(h)
+    a = EMA_A
     # closed form sum_j a_j prod_{k>j} (1 - a_k) h(j) with a_1 = 1
     coeff = [(1.0 if j == 0 else a) * (1.0 - a) ** (n - 1 - j) for j in range(n)]
     expected = sum(c * h.keys for c, h in zip(coeff, hs))
@@ -295,15 +290,16 @@ def test_memory_load_rejects_missing_record(tmp_path, tiny_model64, policy):
     rng = np.random.default_rng(13)
     h = slots(rng, d=TINY.d_model)
     save_arrays(tmp_path / "mem.ckpt", {"mem/run.k": h.keys}, meta={
-        "kind": "memory", "policy": policy, "ema_a": 0.5, "count": 1})
+        "kind": "memory", "policy": policy, "count": 1})
     with pytest.raises(DataError):
         ContextMemory.load(tmp_path / "mem.ckpt", tiny_model64)
 
 
 @pytest.mark.parametrize("meta", [
-    {"ema_a": 0.5, "count": 1}, {"policy": "bogus", "ema_a": 0.5, "count": 1},
-    {"policy": "ema", "ema_a": 2.0, "count": 1}, {"policy": "concat", "count": 1},
-    {"policy": "concat", "ema_a": 0.5, "count": "one"}])
+    {"count": 1}, {"policy": "bogus", "count": 1},
+    {"policy": "ema", "ema_a": 2.0, "count": 1},
+    {"policy": "concat", "ema_a": 0.3, "count": 1},
+    {"policy": "concat", "count": "one"}])
 def test_memory_load_rejects_bad_metadata(tmp_path, tiny_model64, meta):
     h = slots(np.random.default_rng(14), d=TINY.d_model)
     path = tmp_path / "mem.ckpt"
@@ -331,6 +327,6 @@ def test_memory_load_rejects_records_that_fit_no_memory_of_the_model(
               "mem/run.v": rng.standard_normal(values)}
     path = tmp_path / "mem.ckpt"
     save_arrays(path, arrays, meta={"kind": "memory", "policy": "merge",
-                                    "ema_a": 0.5, "count": count})
+                                    "count": count})
     with pytest.raises(DataError, match=str(path)):
         ContextMemory.load(path, tiny_model64)

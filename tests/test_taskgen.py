@@ -167,6 +167,15 @@ def test_version_mismatch_rejected(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("header", ["[1]", "5", '"icl"'])
+def test_header_that_is_not_an_object_rejected(tmp_path, header):
+    # such a header used to end in an AttributeError traceback
+    path = tmp_path / "bad.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(DataError, match="format version None"):
+        read_dataset(path)
+
+
 def test_vocab_reserved_ids():
     v = VocabSpec(n_pattern=32, n_labels=8)
     cfg = v.model_config()

@@ -6,8 +6,6 @@ segment by segment and then inferring on the final memory. Everything else
 about training hangs off that equivalence.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,10 +206,10 @@ def test_parallel_update_matches_online(policy):
     raw = [(rng.standard_normal((1, 2, 3)), rng.standard_normal((1, 2, 3)))
            for _ in range(5)]
     mems = parallel_memory_update(
-        [(T.Tensor(k[0]), T.Tensor(v[0])) for k, v in raw], policy, ema_a=0.3)
+        [(T.Tensor(k[0]), T.Tensor(v[0])) for k, v in raw], policy)
 
     assert len(mems) == len(raw)
-    online = ContextMemory(policy, ema_a=0.3)
+    online = ContextMemory(policy)
     for (k, v), (par_k, par_v) in zip(raw, mems):
         online = online.updated(KVLayout(k, v))
         np.testing.assert_allclose(par_k.data, online.entries.keys[0], rtol=0, atol=1e-12)
@@ -231,10 +229,9 @@ def test_parallel_equals_recursive(policy, t, s, tiny_model64):
     sample = random_sample(rng, t, TINY.comp_token_id)
     seq = build_training_sequence(sample, s=s, t=t,
                                   comp_token_id=TINY.comp_token_id)
-    _, logits = training_forward(tiny_model64, adapters, seq, policy, ema_a=0.5)
+    _, logits = training_forward(tiny_model64, adapters, seq, policy)
     lo, hi = seq.io_range
-    rec = recursive_reference_forward(tiny_model64, adapters, sample, policy, t,
-                                      ema_a=0.5)
+    rec = recursive_reference_forward(tiny_model64, adapters, sample, policy, t)
     assert np.abs(logits.data[lo:hi] - rec.io_logits).max() < 1e-8
 
 
@@ -247,9 +244,8 @@ def test_parallel_equals_recursive_property(drawn):
     policy, t, s, sample = drawn
     adapters = make_adapters(_PROPERTY_MODEL, s, seed=t * 7 + s)
     seq = build_training_sequence(sample, s=s, t=t, comp_token_id=TINY.comp_token_id)
-    _, logits = training_forward(_PROPERTY_MODEL, adapters, seq, policy, ema_a=0.5)
-    rec = recursive_reference_forward(_PROPERTY_MODEL, adapters, sample, policy, t,
-                                      ema_a=0.5)
+    _, logits = training_forward(_PROPERTY_MODEL, adapters, seq, policy)
+    rec = recursive_reference_forward(_PROPERTY_MODEL, adapters, sample, policy, t)
     lo, hi = seq.io_range
     assert np.abs(logits.data[lo:hi] - rec.io_logits).max() < 1e-8
 
@@ -431,20 +427,3 @@ def test_pretrain_runs_and_improves():
     recipe = Recipe(steps=40, batch=2, lr=3e-3, seed=6)
     rows = pretrain(model, sampler, recipe)
     assert rows[-1]["loss"] < rows[0]["loss"] * 0.7
-
-
-def test_recipe_roundtrip(tmp_path):
-    # a file naming every key, as key=value lines, loads back field for field
-    recipe = Recipe(steps=12, batch=3, lr=0.01, T=4, s=2, policy="merge", seed=9,
-                    ema_a=0.25)
-    path = tmp_path / "recipe.txt"
-    path.write_text("".join(f"{f.name}={getattr(recipe, f.name)}\n"
-                            for f in dataclasses.fields(recipe)))
-    assert Recipe.load(path) == recipe
-
-
-def test_recipe_rejects_unknown_key(tmp_path):
-    path = tmp_path / "recipe.txt"
-    path.write_text("steps=5\nbogus=1\n")
-    with pytest.raises(DataError):
-        Recipe.load(path)
