@@ -135,8 +135,9 @@ def cmd_gen_data(args) -> int:
                              vocab=vocab, test_fraction=f["test_fraction"])
         write_icl_dataset(args.out, ds)
     else:
-        if f["streams"] < 1:
-            raise UsageError(f"--streams {f['streams']} must be at least 1")
+        for flag, least in (("streams", 1), ("length", 2)):
+            if f[flag] < least:
+                raise UsageError(f"--{flag} {f[flag]} must be at least {least}")
         vocab = StreamVocab()
         gen = gen_iid_stream if args.kind == "stream-iid" else gen_stream
         streams = [gen(f["length"], seed=args.seed, vocab=vocab, identity=i)

@@ -13,12 +13,13 @@ Streaming processes tokens one at a time inside a hard entry budget
 the window fills, the oldest chunk of raw KV is compressed into slots
 appended to the compressed region (whose own oldest slot group is evicted
 at capacity). Position ids are reassigned sequentially over the layout at
-every step; stored keys are unrotated, so a shift costs one rebuild of the
-rotated keys per compression event. Setting the
-compressed region's capacity to zero turns the stream into the plain
-attention-sink + sliding-window baseline with the same budget; a window as
-long as the stream is the unbounded ``full`` cache, and a one-token window
-the no-context ``none`` baseline.
+every step. Stored keys are unrotated; the stream keeps its own buffer of
+the layout's keys rotated at their positions, into which each step rotates
+only its token's key, and which a compression event, the only shift,
+rebuilds. Setting the compressed region's capacity to zero turns the stream
+into the plain attention-sink + sliding-window baseline with the same
+budget; a window as long as the stream is the unbounded ``full`` cache, and
+a one-token window the no-context ``none`` baseline.
 """
 
 from __future__ import annotations
@@ -153,6 +154,7 @@ class StreamState:
     ``layout`` is [sink | compressed region | window]: the first ``n_sink``
     entries are the sink, the next ``ccm_entry_count`` the compressed
     region, and the rest the window. The adapters set the slot group size.
+    ``rotated[:, :, i]`` holds layout key i rotated at position i, per head.
     """
 
     def __init__(self, model: ToyLM, adapters: AdapterSet | None, caps: StreamCaps):
@@ -165,7 +167,11 @@ class StreamState:
         self.model = model
         self.adapters = adapters
         self.caps = caps
+        cfg = model.config
         self.layout = model.empty_layout()
+        rows = min(caps.total, cfg.max_layout)  # no forward holds more
+        self.rotated = np.empty((cfg.n_layers, cfg.n_heads, rows, cfg.head_dim),
+                                dtype=model.dtype)
         self.n_sink = 0
         self.ccm_entry_count = 0
 
@@ -188,9 +194,10 @@ class StreamState:
             if n:
                 region = [self.layout.entries(hi - n + slots.n_entries, hi), slots]
             self.ccm_entry_count = n
-        layout = self.layout.entries(0, lo).extended(*region, self.layout.entries(rest))
-        self.layout = KVLayout(layout.keys, layout.values,
-                               rotate_keys(layout.keys, 0, self.model.config))
+        self.layout = self.layout.entries(0, lo).extended(
+            *region, self.layout.entries(rest))
+        self.rotated[:, :, :self.layout.n_entries] = rotate_keys(
+            self.layout.keys, 0, self.model.config)
 
 
 def streaming_step(state: StreamState, token: int) -> tuple[np.ndarray, int, bool]:
@@ -204,8 +211,8 @@ def streaming_step(state: StreamState, token: int) -> tuple[np.ndarray, int, boo
     if state.window_entries >= state.caps.window:
         state._compress_oldest_chunk()
         event = True
-    logits, kv = state.model.forward(np.array([token], dtype=np.intp),
-                                     state.layout, adapters=state.adapters)
+    logits, kv = state.model.forward(np.array([token], dtype=np.intp), state.layout,
+                                     adapters=state.adapters, rotated=state.rotated)
     state.layout = state.layout.extended(kv)
     if state.n_sink < state.caps.n_sink:
         state.n_sink += 1

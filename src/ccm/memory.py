@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import check_records, read_checkpoint, save_arrays
 from .errors import ContractViolation, UsageError
 from .lora import AdapterSet
 from .model import KVLayout, ToyLM
@@ -77,33 +76,6 @@ class ContextMemory:
     def snapshot(self) -> "ContextMemory":
         """The memory itself: a value needs no copy to be kept."""
         return self
-
-    # -- persistence --------------------------------------------------------------
-
-    def save(self, path) -> None:
-        arrays: dict[str, np.ndarray] = {}
-        if self.entries is not None:
-            arrays["mem/run.k"] = self.entries.keys
-            arrays["mem/run.v"] = self.entries.values
-        save_arrays(path, arrays, meta={
-            "kind": "memory", "policy": self.policy, "count": self.count})
-
-    @classmethod
-    def load(cls, path, model: ToyLM) -> "ContextMemory":
-        """A memory of ``model``'s KV shape; n >= 1 entries at count >= 1, else none."""
-        cfg, shapes = model.config, {}
-        with read_checkpoint(path, "memory") as (arrays, meta):
-            if meta.get("ema_a", EMA_A) != EMA_A:  # older files record the coefficient
-                raise ValueError(f"ema coefficient {meta['ema_a']!r} != {EMA_A}")
-            memory = cls(meta["policy"], None, int(meta["count"]))
-            if memory.count < 0:
-                raise ValueError(f"negative count {memory.count}")
-            if memory.count:  # max: a keys record of no entries is misshapen
-                shape = (cfg.n_layers, max(1, arrays["mem/run.k"].shape[1]), cfg.d_model)
-                shapes = {"mem/run.k": shape, "mem/run.v": shape}
-        check_records(path, arrays, shapes)
-        entries = KVLayout(arrays["mem/run.k"], arrays["mem/run.v"]) if shapes else None
-        return replace(memory, entries=entries)
 
 
 # ---------------------------------------------------------------------------

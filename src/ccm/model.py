@@ -5,11 +5,11 @@ library's one KV type, whose entries may come from anywhere (raw tokens,
 compressed memory slots, a streaming window). Keys are stored UNROTATED;
 rotary position encoding is applied at attention time with sequential
 position ids 0..m-1 assigned over [memory entries | current tokens]. This
-makes memory entries position-free: averaging and saving them stay well
-defined, and a shift of positions changes no stored key. A layout may carry
-a derived, read-only rotated copy of its keys, never saved: a forward over
-one that starts at position 0 rotates only its own tokens' keys and returns
-them as its KV's copy, so a cache that only grows rotates each key once.
+makes memory entries position-free: averaging them stays well defined, and
+a shift of positions changes no stored key. A caller that keeps its own
+buffer of the layout's keys already rotated (the stream) hands it to
+``forward``, which then rotates only the new tokens' keys, into the rows
+after the layout, so a cache that only grows rotates each key once.
 
 The one layer loop, ``forward_groups``, runs tokens as query groups: a
 token range plus the memory it reads at each layer. A group sees all of
@@ -74,35 +74,27 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class KVLayout:
-    """Per-layer key/value entries visible to attention.
+    """Per-layer unrotated key/value entries visible to attention.
 
     ``keys`` and ``values`` have shape [n_layers, n, d_model]; every layer
-    holds the same entry count. Keys are stored unrotated, the truth that
-    memory updates average and files save. ``rotated`` is None or a derived
-    copy of the keys, each head rotated at positions ``rotated_at``,
-    ``rotated_at`` + 1, ...; it is never saved. ``entries`` slices it and
-    shifts ``rotated_at``. ``extended``, the one place that concatenates KV
-    entries, keeps it only if self and every part carry one in self's dtype
-    that starts where the part lands. A layout is a value: it keeps
+    holds the same entry count. Layouts are built by ``extended``, the one
+    place that concatenates KV entries. A layout is a value: it keeps
     read-only views of its arrays, so holders share it without copying.
     """
 
     keys: np.ndarray
     values: np.ndarray
-    rotated: np.ndarray | None = None
-    rotated_at: int = 0
 
     def __post_init__(self):
-        for name in ("keys", "values", "rotated"):
-            if getattr(self, name) is not None:
-                view = getattr(self, name).view()
-                view.flags.writeable = False
-                object.__setattr__(self, name, view)
+        for name in ("keys", "values"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @classmethod
     def empty(cls, n_layers: int, d_model: int, dtype) -> "KVLayout":
         z = np.zeros((n_layers, 0, d_model), dtype=dtype)
-        return cls(z, z, z)
+        return cls(z, z)
 
     @property
     def n_entries(self) -> int:
@@ -110,9 +102,7 @@ class KVLayout:
 
     def entries(self, start: int, stop: int | None = None) -> "KVLayout":
         """Entries [start, stop) as a view (no copy)."""
-        rotated = None if self.rotated is None else self.rotated[:, start:stop]
-        return KVLayout(self.keys[:, start:stop], self.values[:, start:stop], rotated,
-                        self.rotated_at + start)
+        return KVLayout(self.keys[:, start:stop], self.values[:, start:stop])
 
     def extended(self, *parts: "KVLayout") -> "KVLayout":
         """Self followed by ``parts``, made in one copy in self's dtype."""
@@ -120,28 +110,20 @@ class KVLayout:
             if part.keys.shape != part.values.shape \
                     or part.keys.shape[::2] != self.keys.shape[::2]:
                 raise DimensionError("layout extension shape mismatch")
-        dtype, layouts = self.keys.dtype, (self,) + parts
-        lands = self.rotated_at + np.cumsum([0] + [p.n_entries for p in layouts[:-1]])
-        keep = all(p.rotated is not None and p.rotated.dtype == dtype and p.rotated_at == at
-                   for p, at in zip(layouts, lands))
-
-        def join(name):
-            return np.concatenate([getattr(p, name) for p in layouts], axis=1, dtype=dtype)
-        return KVLayout(join("keys"), join("values"), join("rotated") if keep else None,
-                        self.rotated_at)
-
-
-def split_heads(x: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """[..., m, d_model] as a [..., n_heads, m, head_dim] view."""
-    return np.swapaxes(x.reshape(*x.shape[:-1], config.n_heads, config.head_dim), -2, -3)
+        dtype = self.keys.dtype
+        return KVLayout(
+            np.concatenate([self.keys] + [p.keys for p in parts], axis=1, dtype=dtype),
+            np.concatenate([self.values] + [p.values for p in parts], axis=1,
+                           dtype=dtype))
 
 
 def rotate_keys(keys: np.ndarray, start: int, config: ModelConfig) -> np.ndarray:
-    """[..., n, d_model] keys, each head rotated at positions start..start+n-1."""
+    """[..., n, d_model] keys as [..., n_heads, n, head_dim], each head rotated
+    at positions start..start+n-1 as attention rotates them."""
     cos, sin = T.rope_angles(start + keys.shape[-2], config.head_dim, config.rope_base,
                              keys.dtype)
-    rot = T.rope(split_heads(keys, config), cos[start:], sin[start:])
-    return np.swapaxes(rot, -2, -3).reshape(keys.shape)
+    heads = keys.reshape(*keys.shape[:-1], config.n_heads, config.head_dim)
+    return T.rope(np.swapaxes(heads, -2, -3), cos[start:], sin[start:])
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +182,10 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
     and returns, per group, the (keys, values) it reads before its own
     tokens, or None. Returns per-token logits and the layout of the
     unrotated KV the tokens produced. The conditional adapter fires only on
-    compression tokens. Given ``rotated``, one group's memory keys rotated at
-    0.., only the tokens' own keys are rotated and the layout carries them.
+    compression tokens. ``rotated``, for one group only, is a writable
+    [n_layers, n_heads, m, head_dim] buffer whose first m - n rows hold the
+    memory keys rotated at 0..: the tokens' own keys are rotated into its
+    last n rows, and attention reads it instead of rotating every key.
     """
     cfg = model.config
     n = tokens.shape[0]
@@ -214,8 +198,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
     x = embed_tokens(model, tokens, adapters, comp_idx)
     new_k = np.empty((cfg.n_layers, n, cfg.d_model), dtype=model.dtype)
     new_v = np.empty_like(new_k)
-    new_rot = None if rotated is None else np.empty_like(new_k)
-    n_mem = 0 if rotated is None else rotated.shape[1]
+    n_mem = 0 if rotated is None else rotated.shape[2] - n
     for layer in range(cfg.n_layers):
         p = f"layers.{layer}."
         xa = rmsnorm(x, model.params[p + "attn_norm"])
@@ -228,10 +211,9 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
         new_k[layer] = k.data
         new_v[layer] = v.data
         kh = None
-        if rotated is not None:
-            own = new_rot[layer] = rotate_keys(k.data, n_mem, cfg)
-            kh = np.concatenate([split_heads(rotated[layer], cfg), split_heads(own, cfg)],
-                                axis=1)
+        if rotated is not None:  # rotate only the tokens' own keys
+            kh = rotated[layer]
+            kh[:, n_mem:] = rotate_keys(k.data, n_mem, cfg)
         outs = []
         for (start, stop), mem in zip(ranges, memory(layer, k, v)):
             if whole:
@@ -251,7 +233,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
                          model.params[p + "w_down"]))
     xo = rmsnorm(x, model.params["final_norm"])
     logits = T.matmul(xo, model.params["head"].tensor)
-    return logits, KVLayout(new_k, new_v, new_rot, n_mem)
+    return logits, KVLayout(new_k, new_v)
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +327,31 @@ class ToyLM:
                              f"model's max_layout {self.config.max_layout}")
 
     def forward(self, tokens, layout: KVLayout, adapters: AdapterSet | None = None,
-                ) -> tuple[Tensor, KVLayout]:
+                rotated: np.ndarray | None = None) -> tuple[Tensor, KVLayout]:
         """One group: new tokens appended (for attention) after ``layout``.
 
         Returns per-token logits and the layout of the KV entries the tokens
         produced, to extend ``layout`` with. ``layout`` is not mutated.
+        ``rotated`` is None or the caller's [n_layers, n_heads, rows,
+        head_dim] buffer of the model's dtype whose first rows hold
+        ``layout``'s keys rotated at 0..; the tokens' rotated keys are
+        written into the rows after them.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
-        n_mem = layout.n_entries
-        if n_mem + tokens.size > self.config.max_layout:
-            raise CapacityError(f"layout would hold {n_mem + tokens.size} entries "
-                                f"> max_layout {self.config.max_layout}")
+        cfg, n_mem = self.config, layout.n_entries
+        m = n_mem + tokens.size
+        if m > cfg.max_layout:
+            raise CapacityError(f"layout would hold {m} entries "
+                                f"> max_layout {cfg.max_layout}")
+        if rotated is not None:
+            if rotated.dtype != self.dtype or rotated.shape[:2] + rotated.shape[3:] \
+                    != (cfg.n_layers, cfg.n_heads, cfg.head_dim) or rotated.shape[2] < m:
+                raise DimensionError(f"rotated key buffer {rotated.shape} {rotated.dtype} "
+                                     f"holds no {m} rotated keys of this {self.dtype} model")
+            rotated = rotated[:, :, :m]
 
         def memory(layer, k, v):
             return [(Tensor(layout.keys[layer]), Tensor(layout.values[layer]))
                     if n_mem else None]
 
-        usable = layout.rotated_at == 0 and layout.keys.dtype == self.dtype
-        rotated = layout.rotated if usable else None
         return forward_groups(self, tokens, [(0, tokens.size)], memory, adapters, rotated)

@@ -16,7 +16,7 @@ perplexity; an i.i.d. control stream is available where memory cannot help.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -385,10 +385,15 @@ def read_dataset(path):
         if kind == "icl":
             ds = ICLDataset(VocabSpec(**header["vocab"]), header["n_classes"],
                             header["T"], header["pattern_len"], header["seed"])
+            sizes = [*astuple(ds.vocab), ds.n_classes, ds.T, ds.pattern_len]
         else:
             vocab = StreamVocab(**header["vocab"])
+            sizes = astuple(vocab)
     except (LookupError, TypeError) as exc:
         raise DataError(f"{path}: malformed {kind} header ({exc!r})") from None
+    if not all(type(size) is int and size >= 1 for size in sizes):
+        raise DataError(f"{path}: malformed {kind} header (sizes {sizes} must be "
+                        "integers >= 1)")
     if kind == "icl":
         for lineno, raw in enumerate(lines[1:], start=2):
             rec = _parse_line(path, lineno, raw)
@@ -408,4 +413,6 @@ def read_dataset(path):
                                         [tuple(x) for x in rec["motif_positions"]]))
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
+        if len(streams[-1].tokens) < 2:  # no token to predict
+            raise DataError(f"{path}:{lineno}: a stream needs at least 2 tokens")
     return streams, vocab, header

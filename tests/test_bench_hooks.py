@@ -68,9 +68,9 @@ def test_traced_stream_reaches_the_per_layer_names(tiny_model64, monkeypatch):
     entries_read = []
     forward = ccm.model.ToyLM.forward
 
-    def counted_forward(self, tokens, layout, adapters=None):
+    def counted_forward(self, tokens, layout, *args, **kwargs):
         entries_read.append(layout.n_entries + len(tokens))
-        return forward(self, tokens, layout, adapters)
+        return forward(self, tokens, layout, *args, **kwargs)
 
     monkeypatch.setattr(ccm.model.ToyLM, "forward", counted_forward)
     caps = ccm.engine.StreamCaps(n_sink=1, ccm_entries=2, window=6, chunk=3)

@@ -353,6 +353,10 @@ STREAM_RUN = ["stream", "--data", "{stream}", "--model", "{stream_model}",
     (["gen-data", "--kind", "stream", "--streams", "0"], "--streams 0 must be at least 1"),
     (["gen-data", "--kind", "stream-iid", "--streams", "-1"],
      "--streams -1 must be at least 1"),
+    # a one-token stream, which every later command rejected
+    (["gen-data", "--kind", "stream", "--length", "1"], "--length 1 must be at least 2"),
+    (["gen-data", "--kind", "stream-iid", "--length", "1"],
+     "--length 1 must be at least 2"),
 ])
 def test_bad_or_ignored_flag_is_usage_error(tiny_pipeline, stream_data, stream_model,
                                             tmp_path, capsys, argv, says):
@@ -499,6 +503,47 @@ def test_malformed_dataset_header_is_data_error(tiny_pipeline, stream_data,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "train-compress"])
+@pytest.mark.parametrize("field,value", [
+    ("T", 0), ("T", "4"), ("T", 4.0), ("n_classes", 0), ("pattern_len", -1),
+    ("n_pattern", 0), ("n_labels", True)])
+def test_icl_header_size_that_is_no_integer_of_at_least_one_is_data_error(
+        tiny_pipeline, tmp_path, capsys, command, field, value):
+    # such headers used to end in a ValueError or TypeError traceback, run on,
+    # or exit 1 as if a flag were wrong
+    icl_data, model, _ = tiny_pipeline
+    lines = icl_data.read_text().splitlines(True)
+    header = json.loads(lines[0])
+    (header["vocab"] if field in header["vocab"] else header)[field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    out = tmp_path / "out"
+    argv = {"eval": ["--policy", "full"],
+            "train-compress": ["--steps", "1", "--batch", "1"]}[command]
+    assert run(command, "--data", bad, "--model", model, *argv, "--out", out) == 2
+    assert f"data error: {bad}: malformed icl header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "stream"])
+def test_one_token_stream_in_a_dataset_is_data_error(stream_data, stream_model, tmp_path,
+                                                     capsys, command):
+    # pretrain and stream used to exit 3, a numeric contract code, for it
+    lines = stream_data.read_text().splitlines(True)
+    rec = json.loads(lines[2])
+    rec["tokens"] = rec["tokens"][:1]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(lines[0] + lines[1] + json.dumps(rec) + "\n")
+    out = tmp_path / "out"
+    argv = {"pretrain": ["--steps", "1", "--batch", "1", "--window", "8"],
+            "stream": ["--model", stream_model, "--policy", "full",
+                       "--stream-index", "1"]}[command]
+    assert run(command, "--data", bad, *argv, "--out", out) == 2
+    assert f"data error: {bad}:3: a stream needs at least 2 tokens" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_usage_error(tmp_path, icl_data, capsys):
     assert run("eval", "--data", icl_data, "--model", "nope.ckpt",
                "--policy", "bogus", "--out", tmp_path / "x.csv") == 1
@@ -510,13 +555,15 @@ def test_exit_code_missing_file(tmp_path):
                "--out", tmp_path / "m.ckpt") == 2
 
 
-def test_exit_code_contract_violation(stream_model, tmp_path):
-    short = tmp_path / "short.jsonl"
-    run("gen-data", "--kind", "stream", "--length", "1", "--streams", "1",
-        "--out", short, "--seed", "0")
-    assert run("stream", "--data", short, "--model", stream_model, "--policy", "sliding",
-               "--out", tmp_path / "s.csv", "--window", "8", "--chunk", "2",
-               "--ccm-entries", "0") == 3
+def test_exit_code_contract_violation(icl_data, tmp_path, capsys):
+    # a learning rate this large drives the loss to nan by the second step
+    out = tmp_path / "m.ckpt"
+    with np.errstate(all="ignore"):
+        assert run("pretrain", "--data", icl_data, "--out", out, "--steps", "3",
+                   "--batch", "1", "--lr", "1e30", "--layers", "1", "--d-model", "8",
+                   "--heads", "2", "--d-ff", "8") == 3
+    assert "numeric contract violation: training diverged" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_no_subcommand_is_usage_error():
