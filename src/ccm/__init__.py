@@ -16,7 +16,7 @@ from .errors import (CapacityError, CcmError, ContractViolation, DataError,
                      DimensionError, UsageError)
 from .lora import AdapterSet, LoRAPair, comp_flags, trainable_parameters
 from .memory import ContextMemory, compress_segment
-from .model import KVLayout, ModelConfig, ToyLM
+from .model import KVCache, KVLayout, ModelConfig, ToyLM
 from .optim import Adam, cosine_lr
 from .tensor import Parameter, Tensor, finite_difference_check
 from .training import (ParallelMask, Recipe, TrainingSequence,
@@ -27,9 +27,9 @@ from .training import (ParallelMask, Recipe, TrainingSequence,
 
 __all__ = [
     "Adam", "AdapterSet", "CapacityError", "CcmError", "ContextMemory",
-    "ContractViolation", "DataError", "DimensionError", "KVLayout", "LoRAPair",
-    "ModelConfig", "ParallelMask", "Parameter", "Recipe", "Tensor", "ToyLM",
-    "TrainingSequence", "UsageError", "build_parallel_mask",
+    "ContractViolation", "DataError", "DimensionError", "KVCache", "KVLayout",
+    "LoRAPair", "ModelConfig", "ParallelMask", "Parameter", "Recipe", "Tensor",
+    "ToyLM", "TrainingSequence", "UsageError", "build_parallel_mask",
     "build_training_sequence", "comp_flags", "compress_segment", "cosine_lr",
     "finite_difference_check", "parallel_memory_update", "pretrain",
     "recursive_reference_forward", "train_compression", "trainable_parameters",

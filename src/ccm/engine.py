@@ -13,10 +13,12 @@ Streaming processes tokens one at a time inside a hard entry budget
 the window fills, the oldest chunk of raw KV is compressed into slots
 appended to the compressed region (whose own oldest slot group is evicted
 at capacity). Position ids are reassigned sequentially over the layout at
-every step. Stored keys are unrotated; the stream keeps its own buffer of
-the layout's keys rotated at their positions, into which each step rotates
-only its token's key, and which a compression event, the only shift,
-rebuilds. Setting the compressed region's capacity to zero turns the stream
+every step. The stream owns the layout's storage, a KVCache: each step's
+forward writes its token's key, value and rotated key into the next row
+and the layout becomes a view of one more row, so no step copies the
+cache. A compression event, the only shift, writes the kept layout into
+fresh cache arrays, leaving every earlier layout's rows as they were.
+Setting the compressed region's capacity to zero turns the stream
 into the plain attention-sink + sliding-window baseline with the same
 budget; a window as long as the stream is the unbounded ``full`` cache, and
 a one-token window the no-context ``none`` baseline.
@@ -32,7 +34,7 @@ from .errors import ContractViolation, UsageError
 from .lora import AdapterSet
 from .memory import (MEMORY_POLICIES, ContextMemory, compress_from_kv,
                      compress_segment, reads_memory)
-from .model import KVLayout, ToyLM, rotate_keys
+from .model import KVCache, KVLayout, ToyLM, check_token_ids
 from .tensor import log_softmax_rows
 
 SESSION_POLICIES = MEMORY_POLICIES + ("none", "full", "fixed")
@@ -154,7 +156,7 @@ class StreamState:
     ``layout`` is [sink | compressed region | window]: the first ``n_sink``
     entries are the sink, the next ``ccm_entry_count`` the compressed
     region, and the rest the window. The adapters set the slot group size.
-    ``rotated[:, :, i]`` holds layout key i rotated at position i, per head.
+    ``cache`` owns the storage: ``layout`` is a view of its first rows.
     """
 
     def __init__(self, model: ToyLM, adapters: AdapterSet | None, caps: StreamCaps):
@@ -167,17 +169,19 @@ class StreamState:
         self.model = model
         self.adapters = adapters
         self.caps = caps
-        cfg = model.config
-        self.layout = model.empty_layout()
-        rows = min(caps.total, cfg.max_layout)  # no forward holds more
-        self.rotated = np.empty((cfg.n_layers, cfg.n_heads, rows, cfg.head_dim),
-                                dtype=model.dtype)
+        self._hold(model.empty_layout())
         self.n_sink = 0
         self.ccm_entry_count = 0
 
     @property
     def window_entries(self) -> int:
         return self.layout.n_entries - self.n_sink - self.ccm_entry_count
+
+    def _hold(self, layout: KVLayout) -> None:
+        """``layout``, written into fresh cache arrays, as the stream's layout."""
+        rows = min(self.caps.total, self.model.config.max_layout)  # no forward holds more
+        self.cache = KVCache.holding(layout, rows, self.model.config)
+        self.layout = self.cache.layout(layout.n_entries)
 
     def _compress_oldest_chunk(self) -> None:
         lo = self.n_sink
@@ -194,10 +198,8 @@ class StreamState:
             if n:
                 region = [self.layout.entries(hi - n + slots.n_entries, hi), slots]
             self.ccm_entry_count = n
-        self.layout = self.layout.entries(0, lo).extended(
-            *region, self.layout.entries(rest))
-        self.rotated[:, :, :self.layout.n_entries] = rotate_keys(
-            self.layout.keys, 0, self.model.config)
+        self._hold(self.layout.entries(0, lo).extended(*region,
+                                                       self.layout.entries(rest)))
 
 
 def streaming_step(state: StreamState, token: int) -> tuple[np.ndarray, int, bool]:
@@ -211,9 +213,9 @@ def streaming_step(state: StreamState, token: int) -> tuple[np.ndarray, int, boo
     if state.window_entries >= state.caps.window:
         state._compress_oldest_chunk()
         event = True
-    logits, kv = state.model.forward(np.array([token], dtype=np.intp), state.layout,
-                                     adapters=state.adapters, rotated=state.rotated)
-    state.layout = state.layout.extended(kv)
+    logits, _ = state.model.forward(np.array([token], dtype=np.intp), state.layout,
+                                    adapters=state.adapters, cache=state.cache)
+    state.layout = state.cache.layout(state.layout.n_entries + 1)
     if state.n_sink < state.caps.n_sink:
         state.n_sink += 1
     return logits.data[0], state.layout.n_entries, event
@@ -245,6 +247,7 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
         raise ContractViolation("stream too short to evaluate")
     if policy not in STREAM_POLICIES:
         raise UsageError(f"unknown streaming policy {policy!r}")
+    check_token_ids(stream, model.config.vocab_size)
     if policy in ("full", "none"):
         caps = StreamCaps(n_sink=0, ccm_entries=0, chunk=1,
                           window=stream.size if policy == "full" else 1)

@@ -6,10 +6,12 @@ compressed memory slots, a streaming window). Keys are stored UNROTATED;
 rotary position encoding is applied at attention time with sequential
 position ids 0..m-1 assigned over [memory entries | current tokens]. This
 makes memory entries position-free: averaging them stays well defined, and
-a shift of positions changes no stored key. A caller that keeps its own
-buffer of the layout's keys already rotated (the stream) hands it to
-``forward``, which then rotates only the new tokens' keys, into the rows
-after the layout, so a cache that only grows rotates each key once.
+a shift of positions changes no stored key. A caller whose layout only
+grows (the stream) owns a KVCache, storage holding the layout in its first
+rows with each key also kept rotated at its position, and hands it to
+``forward``: the new tokens' keys, values and rotated keys are written
+once into the rows after the layout, and attention reads the cache in
+place, so no step copies the cache or rotates a key twice.
 
 The one layer loop, ``forward_groups``, runs tokens as query groups: a
 token range plus the memory it reads at each layer. A group sees all of
@@ -77,9 +79,11 @@ class KVLayout:
     """Per-layer unrotated key/value entries visible to attention.
 
     ``keys`` and ``values`` have shape [n_layers, n, d_model]; every layer
-    holds the same entry count. Layouts are built by ``extended``, the one
-    place that concatenates KV entries. A layout is a value: it keeps
-    read-only views of its arrays, so holders share it without copying.
+    holds the same entry count. Layouts are joined by ``extended``, the one
+    place that concatenates KV entries; a stream's layout is instead a view
+    of the first rows of the KVCache it owns. A layout is a value: it keeps
+    read-only views of its arrays, whose rows no one writes again, so
+    holders share it without copying.
     """
 
     keys: np.ndarray
@@ -124,6 +128,40 @@ def rotate_keys(keys: np.ndarray, start: int, config: ModelConfig) -> np.ndarray
                              keys.dtype)
     heads = keys.reshape(*keys.shape[:-1], config.n_heads, config.head_dim)
     return T.rope(np.swapaxes(heads, -2, -3), cos[start:], sin[start:])
+
+
+@dataclass(frozen=True)
+class KVCache:
+    """Storage a caller owns for a layout that only grows.
+
+    ``keys`` and ``values`` are [n_layers, rows, d_model] and ``rotated``
+    [n_layers, n_heads, rows, head_dim], all writable: row i holds layout
+    entry i, its key also rotated at position i. ``forward`` writes the new
+    tokens' rows after the layout's and never rewrites a row below, so the
+    layouts viewing the cache stay values.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+    rotated: np.ndarray
+
+    @classmethod
+    def holding(cls, layout: KVLayout, rows: int, config: ModelConfig) -> "KVCache":
+        """Fresh arrays of ``rows`` rows whose first rows hold ``layout``."""
+        n_layers, n, d_model = layout.keys.shape
+        dtype = layout.keys.dtype
+        cache = cls(np.empty((n_layers, rows, d_model), dtype=dtype),
+                    np.empty((n_layers, rows, d_model), dtype=dtype),
+                    np.empty((n_layers, config.n_heads, rows, config.head_dim),
+                             dtype=dtype))
+        cache.keys[:, :n] = layout.keys
+        cache.values[:, :n] = layout.values
+        cache.rotated[:, :, :n] = rotate_keys(layout.keys, 0, config)
+        return cache
+
+    def layout(self, n: int) -> KVLayout:
+        """The first ``n`` rows as a layout (a view, no copy)."""
+        return KVLayout(self.keys[:, :n], self.values[:, :n])
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +209,17 @@ def embed_tokens(model: "ToyLM", tokens: np.ndarray,
     return x
 
 
+def check_token_ids(tokens: np.ndarray, vocab_size: int) -> None:
+    """A token id outside [0, vocab_size) is a data error."""
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
+        bad = tokens[(tokens < 0) | (tokens >= vocab_size)][0]
+        raise DataError(f"token id {bad} outside vocabulary [0, {vocab_size})")
+
+
 def forward_groups(model: "ToyLM", tokens: np.ndarray,
-                   ranges: Sequence[tuple[int, int]], memory: Callable,
+                   ranges: Sequence[tuple[int, int]], memory: Callable | None,
                    adapters: AdapterSet | None = None,
-                   rotated: np.ndarray | None = None) -> tuple[Tensor, KVLayout]:
+                   cache: KVCache | None = None) -> tuple[Tensor, KVLayout]:
     """The layer loop: ``tokens`` run as query groups, one per ``ranges`` entry.
 
     The [lo, hi) ranges tile the tokens in order. At every layer,
@@ -182,23 +227,26 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
     and returns, per group, the (keys, values) it reads before its own
     tokens, or None. Returns per-token logits and the layout of the
     unrotated KV the tokens produced. The conditional adapter fires only on
-    compression tokens. ``rotated``, for one group only, is a writable
-    [n_layers, n_heads, m, head_dim] buffer whose first m - n rows hold the
-    memory keys rotated at 0..: the tokens' own keys are rotated into its
-    last n rows, and attention reads it instead of rotating every key.
+    compression tokens. ``cache``, for one group only and in place of
+    ``memory``, is a KVCache of exactly m rows whose first m - n hold the
+    memory: the tokens' keys, values and rotated keys are written into its
+    last n rows, attention reads all m in place, and the returned layout is
+    a view of those n rows. No gradient reaches the keys and values through
+    it, so it serves inference only.
     """
     cfg = model.config
     n = tokens.shape[0]
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
-        bad = tokens[(tokens < 0) | (tokens >= cfg.vocab_size)][0]
-        raise DataError(f"token id {bad} outside vocabulary [0, {cfg.vocab_size})")
+    check_token_ids(tokens, cfg.vocab_size)
     comp_idx = np.flatnonzero(comp_flags(tokens, cfg.comp_token_id))
     whole = len(ranges) == 1  # one group reads q, k, v without narrowing them
 
     x = embed_tokens(model, tokens, adapters, comp_idx)
-    new_k = np.empty((cfg.n_layers, n, cfg.d_model), dtype=model.dtype)
-    new_v = np.empty_like(new_k)
-    n_mem = 0 if rotated is None else rotated.shape[2] - n
+    if cache is None:
+        new_k = np.empty((cfg.n_layers, n, cfg.d_model), dtype=model.dtype)
+        new_v = np.empty_like(new_k)
+    else:
+        n_mem = cache.keys.shape[1] - n
+        new_k, new_v = cache.keys[:, n_mem:], cache.values[:, n_mem:]
     for layer in range(cfg.n_layers):
         p = f"layers.{layer}."
         xa = rmsnorm(x, model.params[p + "attn_norm"])
@@ -210,21 +258,23 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
         v = project_rows(xa, model.params[p + "wv"], lv, comp_idx)
         new_k[layer] = k.data
         new_v[layer] = v.data
-        kh = None
-        if rotated is not None:  # rotate only the tokens' own keys
-            kh = rotated[layer]
-            kh[:, n_mem:] = rotate_keys(k.data, n_mem, cfg)
-        outs = []
-        for (start, stop), mem in zip(ranges, memory(layer, k, v)):
-            if whole:
-                q_g, k_g, v_g = q, k, v
-            else:
-                q_g, k_g, v_g = (T.narrow(a, 0, start, stop - start) for a in (q, k, v))
-            if mem is not None:
-                k_g = T.concat([mem[0], k_g], axis=0)
-                v_g = T.concat([mem[1], v_g], axis=0)
-            outs.append(attend(q_g, k_g, v_g, cfg, kh))
-        ctx = outs[0] if whole else T.concat(outs, axis=0)
+        if cache is not None:  # rotate only the tokens' own keys
+            cache.rotated[layer, :, n_mem:] = rotate_keys(k.data, n_mem, cfg)
+            ctx = attend(q, Tensor(cache.keys[layer]), Tensor(cache.values[layer]), cfg,
+                         cache.rotated[layer])
+        else:
+            outs = []
+            for (start, stop), mem in zip(ranges, memory(layer, k, v)):
+                if whole:
+                    q_g, k_g, v_g = q, k, v
+                else:
+                    q_g, k_g, v_g = (T.narrow(a, 0, start, stop - start)
+                                     for a in (q, k, v))
+                if mem is not None:
+                    k_g = T.concat([mem[0], k_g], axis=0)
+                    v_g = T.concat([mem[1], v_g], axis=0)
+                outs.append(attend(q_g, k_g, v_g, cfg))
+            ctx = outs[0] if whole else T.concat(outs, axis=0)
         lo = adapters.lora(layer, "o") if adapters else None
         ctx = project_rows(ctx, model.params[p + "wo"], lo, comp_idx)
         x = T.add(x, ctx)
@@ -327,15 +377,14 @@ class ToyLM:
                              f"model's max_layout {self.config.max_layout}")
 
     def forward(self, tokens, layout: KVLayout, adapters: AdapterSet | None = None,
-                rotated: np.ndarray | None = None) -> tuple[Tensor, KVLayout]:
+                cache: KVCache | None = None) -> tuple[Tensor, KVLayout]:
         """One group: new tokens appended (for attention) after ``layout``.
 
         Returns per-token logits and the layout of the KV entries the tokens
         produced, to extend ``layout`` with. ``layout`` is not mutated.
-        ``rotated`` is None or the caller's [n_layers, n_heads, rows,
-        head_dim] buffer of the model's dtype whose first rows hold
-        ``layout``'s keys rotated at 0..; the tokens' rotated keys are
-        written into the rows after them.
+        ``cache`` is None or the caller's KVCache of the model's dtype whose
+        first rows hold ``layout``: the tokens' entries are then written into
+        the rows after them and the returned layout views those rows.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         cfg, n_mem = self.config, layout.n_entries
@@ -343,15 +392,20 @@ class ToyLM:
         if m > cfg.max_layout:
             raise CapacityError(f"layout would hold {m} entries "
                                 f"> max_layout {cfg.max_layout}")
-        if rotated is not None:
-            if rotated.dtype != self.dtype or rotated.shape[:2] + rotated.shape[3:] \
-                    != (cfg.n_layers, cfg.n_heads, cfg.head_dim) or rotated.shape[2] < m:
-                raise DimensionError(f"rotated key buffer {rotated.shape} {rotated.dtype} "
-                                     f"holds no {m} rotated keys of this {self.dtype} model")
-            rotated = rotated[:, :, :m]
+        if cache is None:
+            def memory(layer, k, v):
+                return [(Tensor(layout.keys[layer]), Tensor(layout.values[layer]))
+                        if n_mem else None]
 
-        def memory(layer, k, v):
-            return [(Tensor(layout.keys[layer]), Tensor(layout.values[layer]))
-                    if n_mem else None]
-
-        return forward_groups(self, tokens, [(0, tokens.size)], memory, adapters, rotated)
+            return forward_groups(self, tokens, [(0, tokens.size)], memory, adapters)
+        # rows are the next-to-last axis of all three arrays
+        for name, want in (("keys", (cfg.n_layers, cfg.d_model)),
+                           ("values", (cfg.n_layers, cfg.d_model)),
+                           ("rotated", (cfg.n_layers, cfg.n_heads, cfg.head_dim))):
+            arr = getattr(cache, name)
+            if arr.dtype != self.dtype or arr.shape[:-2] + arr.shape[-1:] != want \
+                    or arr.shape[-2] < m:
+                raise DimensionError(f"KV cache {name} {arr.shape} {arr.dtype} holds "
+                                     f"no {m} entries of this {self.dtype} model")
+        cache = KVCache(cache.keys[:, :m], cache.values[:, :m], cache.rotated[:, :, :m])
+        return forward_groups(self, tokens, [(0, tokens.size)], None, adapters, cache)

@@ -405,7 +405,7 @@ def read_dataset(path):
                 raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
             (ds.train if split == "train" else ds.test).append(sample)
         return ds
-    streams = []
+    streams, size = [], vocab.size
     for lineno, raw in enumerate(lines[1:], start=2):
         rec = _parse_line(path, lineno, raw)
         try:
@@ -413,6 +413,11 @@ def read_dataset(path):
                                         [tuple(x) for x in rec["motif_positions"]]))
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-        if len(streams[-1].tokens) < 2:  # no token to predict
+        tokens = streams[-1].tokens
+        if not isinstance(tokens, list) or not all(
+                type(t) is int and 0 <= t < size for t in tokens):
+            raise DataError(f"{path}:{lineno}: stream tokens must be a list of token "
+                            f"ids in [0, {size})")
+        if len(tokens) < 2:  # no token to predict
             raise DataError(f"{path}:{lineno}: a stream needs at least 2 tokens")
     return streams, vocab, header

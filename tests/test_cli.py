@@ -544,6 +544,28 @@ def test_one_token_stream_in_a_dataset_is_data_error(stream_data, stream_model, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "stream"])
+@pytest.mark.parametrize("edit", [
+    lambda t: t + [99999], lambda t: t + [-1], lambda t: t + [2.5], lambda t: t + [True],
+    lambda t: 5, lambda t: ["a"] + t], ids=["past-vocab", "negative", "float", "bool",
+                                           "not-a-list", "text"])
+def test_stream_token_that_is_no_vocabulary_id_is_data_error(
+        stream_data, stream_model, tmp_path, capsys, command, edit):
+    # such tokens used to end in an IndexError, TypeError or ValueError traceback
+    lines = stream_data.read_text().splitlines(True)
+    rec = json.loads(lines[1])
+    rec["tokens"] = edit(rec["tokens"])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(lines[0] + json.dumps(rec) + "\n")
+    out = tmp_path / "out"
+    argv = {"pretrain": ["--steps", "1", "--batch", "1", "--window", "8"],
+            "stream": ["--model", stream_model, "--policy", "full"]}[command]
+    assert run(command, "--data", bad, *argv, "--out", out) == 2
+    assert f"data error: {bad}:2: stream tokens must be a list of token ids in [0, 58)" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_usage_error(tmp_path, icl_data, capsys):
     assert run("eval", "--data", icl_data, "--model", "nope.ckpt",
                "--policy", "bogus", "--out", tmp_path / "x.csv") == 1

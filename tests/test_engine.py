@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccm import engine
-from ccm.engine import (Session, StreamCaps, StreamState, evaluate_multichoice,
-                        evaluate_perplexity, multichoice_scores, streaming_step)
-from ccm.errors import ContractViolation, UsageError
+from ccm.engine import (STREAM_POLICIES, Session, StreamCaps, StreamState,
+                        evaluate_multichoice, evaluate_perplexity, multichoice_scores,
+                        streaming_step)
+from ccm.errors import ContractViolation, DataError, UsageError
 from ccm.lora import AdapterSet
 from ccm.model import ModelConfig, ToyLM
 from ccm.tensor import log_softmax_rows
@@ -412,6 +413,20 @@ def test_stream_longer_than_the_model_layout_is_rejected_up_front(monkeypatch):
     caps = StreamCaps(n_sink=1, ccm_entries=0, window=31, chunk=8)
     assert evaluate_perplexity(model, None, "sliding", stream, caps).kv_totals.max() == 32
     assert evaluate_perplexity(model, None, "full", stream[:32]).kv_totals.max() == 32
+
+
+@pytest.mark.parametrize("bad", [-1, 24, 99999])
+def test_stream_token_outside_the_vocabulary_is_rejected_up_front(monkeypatch, bad):
+    # the last token used to index the logits before any forward checked it
+    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32, vocab_size=24)
+    model = ToyLM.init(cfg, seed=0, dtype=np.float64)
+    stream = np.append(np.random.default_rng(14).integers(0, 20, size=10), bad)
+    forwards = []
+    monkeypatch.setattr(ToyLM, "forward", lambda *a, **k: forwards.append(a))
+    for policy in STREAM_POLICIES:
+        with pytest.raises(DataError, match=f"token id {bad} outside vocabulary"):
+            evaluate_perplexity(model, None, policy, stream, SMALL_CAPS)
+    assert forwards == []
 
 
 def test_full_stream_matches_one_shot_forward(tiny_model64, tiny_model32):

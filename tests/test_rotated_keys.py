@@ -1,16 +1,21 @@
-"""The rotated keys a stream keeps: always equal to a fresh rotation of its
-layout's keys, never changing an output, and rotating each cached key once."""
+"""The KV cache a stream owns: its rotated keys always equal a fresh rotation
+of its layout's keys, it never changes an output, each step writes only its
+token's row, and every layout it hands out stays a value."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccm import engine
 from ccm import tensor as T
-from ccm.engine import StreamCaps, StreamState, evaluate_perplexity, streaming_step
+from ccm.engine import (STREAM_POLICIES, StreamCaps, StreamState, evaluate_perplexity,
+                        streaming_step)
 from ccm.errors import DimensionError
 from ccm.lora import AdapterSet
-from ccm.model import KVLayout, ModelConfig, ToyLM
+from ccm.model import KVCache, KVLayout, ModelConfig, ToyLM
 from conftest import TINY
 
 _MODEL = ToyLM.init(TINY, seed=7, dtype=np.float64)
@@ -36,16 +41,18 @@ def fresh_rotation(keys: np.ndarray, config: ModelConfig) -> np.ndarray:
        n_tokens=st.integers(1, 30))
 def test_rotated_copy_stays_a_fresh_rotation(n_sink, ccm_entries, window, chunk, seed,
                                              n_tokens):
-    # after every step, events included, the stream's buffer holds its
-    # layout's keys freshly rotated, and the step's logits and KV are those
-    # of a forward over the bare layout, bit for bit
+    # after every step, events included, the layout views the cache, whose
+    # rotated keys are the layout's keys freshly rotated, and the step's
+    # logits and KV are those of a forward over the bare layout, bit for bit
     model = _MODEL
     caps = StreamCaps(n_sink, ccm_entries, window, min(chunk, window))
     state = StreamState(model, _ADAPTERS if ccm_entries else None, caps)
     for tok in np.random.default_rng(seed).integers(0, 40, size=n_tokens):
         logits, _, _ = streaming_step(state, int(tok))
         after, n = state.layout, state.layout.n_entries
-        np.testing.assert_array_equal(state.rotated[:, :, :n],
+        assert np.shares_memory(after.keys, state.cache.keys)
+        assert np.shares_memory(after.values, state.cache.values)
+        np.testing.assert_array_equal(state.cache.rotated[:, :, :n],
                                       fresh_rotation(after.keys, TINY))
         prior = KVLayout(after.keys[:, :-1], after.values[:, :-1])
         want, want_kv = model.forward([tok], prior, adapters=state.adapters)
@@ -54,32 +61,110 @@ def test_rotated_copy_stays_a_fresh_rotation(n_sink, ccm_entries, window, chunk,
         np.testing.assert_array_equal(after.values[:, -1:], want_kv.values)
 
 
-_H, _DH = TINY.n_heads, TINY.head_dim
+@settings(max_examples=40, deadline=None)
+@given(policy=st.sampled_from(STREAM_POLICIES), n_sink=st.integers(0, 2),
+       ccm_entries=st.sampled_from([2, 4]), window=st.integers(1, 8),
+       chunk=st.integers(1, 8), seed=st.integers(0, 99), n_tokens=st.integers(2, 30))
+def test_every_layout_a_stream_hands_out_stays_a_value(policy, n_sink, ccm_entries,
+                                                       window, chunk, seed, n_tokens):
+    # later steps and compression events write no row an earlier layout views
+    caps = StreamCaps(n_sink, ccm_entries, window, min(chunk, window))
+    held, step = [], streaming_step
+
+    def holding(state, token):
+        out = step(state, token)
+        layout = state.layout
+        held.append((layout, layout.keys.copy(), layout.values.copy()))
+        return out
+
+    stream = np.random.default_rng(seed).integers(0, 40, size=n_tokens)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "streaming_step", holding)
+        evaluate_perplexity(_MODEL, _ADAPTERS, policy, stream, caps)
+    assert len(held) == n_tokens
+    for layout, keys, values in held:
+        np.testing.assert_array_equal(layout.keys, keys)
+        np.testing.assert_array_equal(layout.values, values)
+
+
+_H, _DH, _D, _L = TINY.n_heads, TINY.head_dim, TINY.d_model, TINY.n_layers
 
 
 @pytest.mark.parametrize("shape,dtype", [
-    ((TINY.n_layers + 1, _H, 5, _DH), np.float64),   # not the model's depth
-    ((TINY.n_layers, _H // 2, 5, 2 * _DH), np.float64),  # not its heads
-    ((TINY.n_layers, _H, 5, _DH // 2), np.float64),  # not its head width
-    ((TINY.n_layers, _H * 5, _DH), np.float64),      # not head-major
-    ((TINY.n_layers, _H, 4, _DH), np.float64),       # no row for the last token
-    ((TINY.n_layers, _H, 5, _DH), np.float32)])      # not the model's dtype
+    ((_L + 1, _H, 5, _DH), np.float64),   # not the model's depth
+    ((_L, _H // 2, 5, 2 * _DH), np.float64),  # not its heads
+    ((_L, _H, 5, _DH // 2), np.float64),  # not its head width
+    ((_L, _H * 5, _DH), np.float64),      # not head-major
+    ((_L, _H, 4, _DH), np.float64),       # no row for the last token
+    ((_L, _H, 5, _DH), np.float32)])      # not the model's dtype
 def test_forward_rejects_a_rotated_buffer_that_does_not_fit(shape, dtype):
     _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
-    with pytest.raises(DimensionError, match="rotated key buffer"):
-        _MODEL.forward([4, 5], layout, rotated=np.zeros(shape, dtype=dtype))
+    cache = replace(KVCache.holding(layout, 5, TINY), rotated=np.zeros(shape, dtype))
+    with pytest.raises(DimensionError, match="KV cache rotated "):
+        _MODEL.forward([4, 5], layout, cache=cache)
+
+
+@pytest.mark.parametrize("name", ["keys", "values"])
+@pytest.mark.parametrize("shape,dtype", [
+    ((_L + 1, 5, _D), np.float64),   # not the model's depth
+    ((_L, 5, _D // 2), np.float64),  # not its width
+    ((_L, 4, _D), np.float64),       # no row for the last token
+    ((_L, 5, _D), np.float32)])      # not the model's dtype
+def test_forward_rejects_keys_or_values_that_do_not_fit(name, shape, dtype):
+    _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
+    cache = replace(KVCache.holding(layout, 5, TINY), **{name: np.zeros(shape, dtype)})
+    with pytest.raises(DimensionError, match=f"KV cache {name} "):
+        _MODEL.forward([4, 5], layout, cache=cache)
 
 
 def test_forward_writes_only_the_rows_after_the_layout():
     _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
-    buffer = np.full((TINY.n_layers, _H, 8, _DH), 7.0)
-    buffer[:, :, :3] = fresh_rotation(layout.keys, TINY)
-    logits, kv = _MODEL.forward([4, 5], layout, rotated=buffer)
-    want, _ = _MODEL.forward([4, 5], layout)
+    cache = KVCache.holding(layout, 8, TINY)
+    arrays = (cache.keys, cache.values, cache.rotated)
+    for arr in arrays:  # rows are the next-to-last axis
+        arr[..., 3:, :] = 7.0
+    before = [arr.copy() for arr in arrays]
+    logits, kv = _MODEL.forward([4, 5], layout, cache=cache)
+    want, want_kv = _MODEL.forward([4, 5], layout)
     np.testing.assert_array_equal(logits.data, want.data)
-    np.testing.assert_array_equal(buffer[:, :, :5],
+    assert np.shares_memory(kv.keys, cache.keys) and np.shares_memory(kv.values,
+                                                                      cache.values)
+    np.testing.assert_array_equal(kv.keys, want_kv.keys)
+    np.testing.assert_array_equal(kv.values, want_kv.values)
+    np.testing.assert_array_equal(cache.rotated[:, :, :5],
                                   fresh_rotation(layout.extended(kv).keys, TINY))
-    assert (buffer[:, :, 5:] == 7.0).all()
+    for arr, old in zip(arrays, before):
+        np.testing.assert_array_equal(np.delete(arr, [3, 4], axis=-2),
+                                      np.delete(old, [3, 4], axis=-2))
+
+
+def _calls(monkeypatch, owner, name: str) -> list[int]:
+    """Count of calls to ``owner.name``."""
+    calls, orig = [0], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_full_stream_step_copies_no_kv(monkeypatch, n):
+    # each step writes its token's row in place: nothing joins KV entries
+    extends = _calls(monkeypatch, KVLayout, "extended")
+    concats = _calls(monkeypatch, T, "concat")
+    evaluate_perplexity(_MODEL, None, "full", np.random.default_rng(n).integers(0, 40, n))
+    assert extends[0] == concats[0] == 0
+
+
+def test_concat_stream_copies_kv_once_per_event(monkeypatch):
+    caps = StreamCaps(n_sink=1, ccm_entries=4, window=24, chunk=12)
+    extends = _calls(monkeypatch, KVLayout, "extended")
+    stream = np.random.default_rng(5).integers(0, 40, 100)
+    res = evaluate_perplexity(_MODEL, _ADAPTERS, "concat", stream, caps)
+    assert res.events.sum() > 0 and extends[0] == res.events.sum()
 
 
 def _rotated_rows(monkeypatch) -> list[int]:
