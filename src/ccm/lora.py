@@ -74,6 +74,8 @@ class AdapterSet:
         if min(rank, comp_len) < 1:
             raise UsageError(f"adapter rank {rank} and comp_len {comp_len} "
                              "must be at least 1")
+        if not np.isfinite(alpha):
+            raise UsageError(f"adapter alpha {alpha} must be finite")
         cfg = model.config
         rng = np.random.default_rng(seed)
         params = []

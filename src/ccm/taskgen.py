@@ -11,12 +11,27 @@ Identities split disjointly into train and test.
 The stream generator emits recurring token motifs whose reuse distances
 straddle a sliding window's reach, so retained memory measurably lowers
 perplexity; an i.i.d. control stream is available where memory cannot help.
+
+A dataset file is JSONL: a header, then one object per record. Header sizes
+are ints >= 1, and a data id lies in [0, n_plain), below the comp and pad ids.
+- icl header: format_version, kind, seed, vocab {n_pattern, n_labels},
+  n_classes <= n_labels, T, pattern_len; n_plain = n_pattern + n_labels + 1
+  (the separator). Record: identity (int), split ("train" or "test"),
+  segments and inputs (T non-empty lists of data ids), outputs (T lists of
+  one label id in [n_pattern, n_pattern + n_classes)).
+- stream header: format_version, kind, seed, note, vocab {n_content,
+  n_noise}; n_plain = n_content + n_noise. Record: identity (int), tokens
+  (at least 2 data ids), motif_positions ([motif, pos] int pairs with
+  motif >= 0 and 0 <= pos < len(tokens)).
+``VocabSpec``, ``StreamVocab`` and ``ICLDataset`` hold the header rules, and
+one field table per kind holds the record rules.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +47,18 @@ N_MOTIFS, MOTIF_LEN = 20, 10
 SHORT_GAP, LONG_GAP = (20, 100), (170, 400)
 
 
+def _check_sizes(**sizes) -> None:
+    if not all(type(v) is int and v >= 1 for v in sizes.values()):
+        raise UsageError(f"sizes {sizes} must be integers >= 1")
+
+
 class VocabLayout:
     """Ids [0, n_plain) for data, then comp and pad; subclasses define n_plain."""
 
     max_layout = 1024  # the layout cap of the models built for this data
+
+    def __post_init__(self):
+        _check_sizes(**asdict(self))
 
     @property
     def comp_id(self) -> int:
@@ -100,6 +123,12 @@ class ICLDataset:
     train: list[OnlineSample] = field(default_factory=list)
     test: list[OnlineSample] = field(default_factory=list)
 
+    def __post_init__(self):
+        _check_sizes(n_classes=self.n_classes, T=self.T, pattern_len=self.pattern_len)
+        if self.n_classes > self.vocab.n_labels:
+            raise UsageError(f"n_classes {self.n_classes} exceeds n_labels "
+                             f"{self.vocab.n_labels}")
+
 
 def _identity_patterns(rng: np.random.Generator, vocab: VocabSpec, n_classes: int,
                        pattern_len: int) -> np.ndarray:
@@ -152,10 +181,9 @@ def gen_icl_dataset(n_identities: int, T: int, n_classes: int, seed: int,
                     test_fraction: float = 0.1) -> ICLDataset:
     """Deterministic corpus with a disjoint train/test identity split."""
     vocab = vocab or VocabSpec(n_labels=max(8, n_classes))
-    if n_classes > vocab.n_labels:
-        raise UsageError(f"{n_classes} classes exceed {vocab.n_labels} label tokens")
-    if min(T, pattern_len, n_classes, vocab.n_pattern) < 1:
-        raise UsageError("T, pattern length, classes and pattern tokens must be >= 1")
+    ds = ICLDataset(vocab, n_classes, T, pattern_len, seed)  # checks the sizes
+    if not 0 < test_fraction < 1:
+        raise UsageError(f"test fraction {test_fraction} must lie in (0, 1)")
     if vocab.n_pattern ** pattern_len < n_classes:  # patterns must be distinct
         raise UsageError(f"{vocab.n_pattern} pattern tokens make fewer than "
                          f"{n_classes} distinct patterns of length {pattern_len}")
@@ -163,7 +191,6 @@ def gen_icl_dataset(n_identities: int, T: int, n_classes: int, seed: int,
     if n_test >= n_identities:
         raise UsageError(f"{n_identities} identities leave the train or test split "
                          f"empty at test fraction {test_fraction}")
-    ds = ICLDataset(vocab, n_classes, T, pattern_len, seed)
     for identity in range(n_identities):
         sample = _gen_identity(identity, seed, vocab, n_classes, T, pattern_len)
         (ds.test if identity >= n_identities - n_test else ds.train).append(sample)
@@ -195,8 +222,8 @@ class StreamSample:
 def gen_stream(length: int, seed: int, vocab: StreamVocab | None = None,
                identity: int = 0) -> StreamSample:
     """Motif stream: recurring n-grams at short and beyond-window distances."""
-    if length <= 0:
-        raise UsageError("stream length must be positive")
+    if length < 2:  # a file of it would hold no token to predict
+        raise UsageError(f"stream length {length} must be at least 2")
     vocab = vocab or StreamVocab()
     rng = np.random.default_rng(derive_seed(seed, f"stream-{identity}"))
     motifs = [rng.integers(0, vocab.n_content, size=MOTIF_LEN).tolist()
@@ -231,8 +258,8 @@ def gen_stream(length: int, seed: int, vocab: StreamVocab | None = None,
 def gen_iid_stream(length: int, seed: int, vocab: StreamVocab | None = None,
                    identity: int = 0) -> StreamSample:
     """Control stream: i.i.d. uniform tokens; memory cannot help."""
-    if length <= 0:
-        raise UsageError("stream length must be positive")
+    if length < 2:  # a file of it would hold no token to predict
+        raise UsageError(f"stream length {length} must be at least 2")
     vocab = vocab or StreamVocab()
     rng = np.random.default_rng(derive_seed(seed, f"iid-stream-{identity}"))
     tokens = rng.integers(0, vocab.n_content + vocab.n_noise, size=length)
@@ -329,40 +356,76 @@ def stream_compression_sampler(streams: list[StreamSample], chunk: int = 64,
 # serialization: line-delimited records with a version header
 
 
-def write_icl_dataset(path, ds: ICLDataset) -> None:
+def _write_jsonl(path, header: dict, records) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps({
-            "format_version": FORMAT_VERSION, "kind": "icl", "seed": ds.seed,
-            "vocab": asdict(ds.vocab), "n_classes": ds.n_classes, "T": ds.T,
-            "pattern_len": ds.pattern_len,
-        }, sort_keys=True) + "\n")
-        for split, samples in (("train", ds.train), ("test", ds.test)):
-            for s in samples:
-                fh.write(json.dumps({
-                    "identity": s.identity, "split": split, "segments": s.segments,
-                    "inputs": s.inputs, "outputs": s.outputs,
-                }, sort_keys=True) + "\n")
+        for obj in ({"format_version": FORMAT_VERSION, **header}, *records):
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def write_icl_dataset(path, ds: ICLDataset) -> None:
+    _write_jsonl(path, {"kind": "icl", "seed": ds.seed, "vocab": asdict(ds.vocab),
+                        "n_classes": ds.n_classes, "T": ds.T,
+                        "pattern_len": ds.pattern_len},
+                 ({"identity": s.identity, "split": split, "segments": s.segments,
+                   "inputs": s.inputs, "outputs": s.outputs}
+                  for split, samples in (("train", ds.train), ("test", ds.test))
+                  for s in samples))
 
 
 def write_stream_dataset(path, streams: list[StreamSample], vocab: StreamVocab,
                          seed: int, kind_note: str = "motif") -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps({
-            "format_version": FORMAT_VERSION, "kind": "stream", "seed": seed,
-            "vocab": asdict(vocab), "note": kind_note,
-        }, sort_keys=True) + "\n")
-        for s in streams:
-            fh.write(json.dumps({
-                "identity": s.identity, "tokens": s.tokens,
-                "motif_positions": [[m, p] for m, p in s.motif_positions],
-            }, sort_keys=True) + "\n")
+    _write_jsonl(path, {"kind": "stream", "seed": seed, "vocab": asdict(vocab),
+                        "note": kind_note},
+                 ({"identity": s.identity, "tokens": s.tokens,
+                   "motif_positions": [[m, p] for m, p in s.motif_positions]}
+                  for s in streams))
 
 
-def _parse_line(path, lineno: int, raw: str) -> dict:
+def _parse_line(path, lineno: int, raw: str):
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
+
+
+def _ids(values: list, lo, hi) -> bool:
+    """Ints in [lo, hi): one pass for the types, then min and max."""
+    return (set(map(type, values)) <= {int}
+            and (not values or lo <= min(values) and max(values) < hi))
+
+
+def _id_lists(v, lo, hi, n=None, length=None) -> bool:
+    """``n`` lists (any number if None) of ids in [lo, hi), each non-empty or
+    exactly ``length`` long."""
+    return (type(v) is list and n in (None, len(v)) and set(map(type, v)) <= {list}
+            and (set(map(len, v)) <= {length} if length else all(v))
+            and _ids(list(chain.from_iterable(v)), lo, hi))
+
+
+def _icl_fields(ds: ICLDataset) -> list:
+    """The ICL field table: (field, rule(value, record), what a failure says)."""
+    T, n, lo = ds.T, ds.vocab.n_plain, ds.vocab.label_id(0)
+    hi, ids = lo + ds.n_classes, f"{T} non-empty lists of data ids in [0, {n})"
+    return [("identity", lambda v, r: type(v) is int, "identity must be an integer"),
+            ("split", lambda v, r: v in ("train", "test"),
+             'split must be "train" or "test"'),
+            ("segments", lambda v, r: _id_lists(v, 0, n, T), f"segments must be {ids}"),
+            ("inputs", lambda v, r: _id_lists(v, 0, n, T), f"inputs must be {ids}"),
+            ("outputs", lambda v, r: _id_lists(v, lo, hi, T, length=1),
+             f"outputs must be {T} lists of one label id in [{lo}, {hi})")]
+
+
+def _stream_fields(vocab: StreamVocab) -> list:
+    """The stream field table; a field's rules run in order."""
+    n = vocab.n_plain
+    return [("identity", lambda v, r: type(v) is int, "identity must be an integer"),
+            ("tokens", lambda v, r: type(v) is list and _ids(v, 0, n),
+             f"stream tokens must be a list of token ids in [0, {n})"),
+            ("tokens", lambda v, r: len(v) >= 2, "a stream needs at least 2 tokens"),
+            ("motif_positions", lambda v, r: _id_lists(v, 0, float("inf"), length=2)
+             and _ids([pos for _, pos in v], 0, len(r["tokens"])),
+             "motif_positions must be [motif, pos] int pairs with motif >= 0 and "
+             "0 <= pos < len(tokens)")]
 
 
 def read_dataset(path):
@@ -381,43 +444,30 @@ def read_dataset(path):
     kind = header.get("kind")
     if kind not in ("icl", "stream"):
         raise DataError(f"{path}: unknown dataset kind {kind!r}")
-    try:  # a missing, unknown or mistyped header field
+    try:  # a missing, unknown, mistyped or out-of-range header field
         if kind == "icl":
-            ds = ICLDataset(VocabSpec(**header["vocab"]), header["n_classes"],
-                            header["T"], header["pattern_len"], header["seed"])
-            sizes = [*astuple(ds.vocab), ds.n_classes, ds.T, ds.pattern_len]
+            data = ICLDataset(VocabSpec(**header["vocab"]), header["n_classes"],
+                              header["T"], header["pattern_len"], header["seed"])
         else:
-            vocab = StreamVocab(**header["vocab"])
-            sizes = astuple(vocab)
-    except (LookupError, TypeError) as exc:
+            data = StreamVocab(**header["vocab"])
+    except (LookupError, TypeError, UsageError) as exc:
         raise DataError(f"{path}: malformed {kind} header ({exc!r})") from None
-    if not all(type(size) is int and size >= 1 for size in sizes):
-        raise DataError(f"{path}: malformed {kind} header (sizes {sizes} must be "
-                        "integers >= 1)")
-    if kind == "icl":
-        for lineno, raw in enumerate(lines[1:], start=2):
-            rec = _parse_line(path, lineno, raw)
-            try:
-                sample = OnlineSample(rec["identity"], rec["segments"],
-                                      rec["inputs"], rec["outputs"])
-                split = rec["split"]
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-            (ds.train if split == "train" else ds.test).append(sample)
-        return ds
-    streams, size = [], vocab.size
+    table = _icl_fields(data) if kind == "icl" else _stream_fields(data)
+    names, records = {name for name, _, _ in table}, []
     for lineno, raw in enumerate(lines[1:], start=2):
         rec = _parse_line(path, lineno, raw)
-        try:
-            streams.append(StreamSample(rec["identity"], rec["tokens"],
-                                        [tuple(x) for x in rec["motif_positions"]]))
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-        tokens = streams[-1].tokens
-        if not isinstance(tokens, list) or not all(
-                type(t) is int and 0 <= t < size for t in tokens):
-            raise DataError(f"{path}:{lineno}: stream tokens must be a list of token "
-                            f"ids in [0, {size})")
-        if len(tokens) < 2:  # no token to predict
-            raise DataError(f"{path}:{lineno}: a stream needs at least 2 tokens")
-    return streams, vocab, header
+        if not isinstance(rec, dict) or rec.keys() != names:
+            raise DataError(f"{path}:{lineno}: a record must be an object of the "
+                            f"fields {sorted(names)}")
+        for name, rule, says in table:
+            if not rule(rec[name], rec):
+                raise DataError(f"{path}:{lineno}: {says}")
+        records.append(rec)
+    if kind == "stream":
+        return [StreamSample(rec["identity"], rec["tokens"],
+                             [tuple(x) for x in rec["motif_positions"]])
+                for rec in records], data, header
+    for rec in records:
+        (data.train if rec["split"] == "train" else data.test).append(OnlineSample(
+            rec["identity"], rec["segments"], rec["inputs"], rec["outputs"]))
+    return data

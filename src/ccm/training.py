@@ -244,8 +244,8 @@ class Recipe:
         for key in ("steps", "batch", "T", "s"):
             if getattr(self, key) < 1:
                 raise UsageError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if not self.lr > 0:
-            raise UsageError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < float("inf"):
+            raise UsageError(f"lr must be positive and finite, got {self.lr}")
         fold_weights(self.policy, 1)  # a training policy
 
 

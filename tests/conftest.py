@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ccm.model import ModelConfig, ToyLM
+
+# every property draws the same examples on every run (derandomize implies no
+# example database), so a checkout passes or fails its properties the same way
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 TINY = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64, vocab_size=64,

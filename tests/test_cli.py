@@ -16,7 +16,7 @@ from ccm.checkpoint import load_arrays, save_arrays
 from ccm.cli import main
 from ccm.lora import AdapterSet
 from ccm.model import ToyLM
-from ccm.taskgen import read_dataset
+from ccm.taskgen import StreamVocab, read_dataset
 from ccm.training import Recipe
 
 
@@ -90,7 +90,8 @@ def test_gen_data_parses(icl_data):
 
 @pytest.mark.parametrize("flags", [
     ["--classes", "0"], ["--identities", "1"], ["--pattern-len", "0"],
-    ["--pattern-tokens", "2", "--pattern-len", "1", "--classes", "8"]])
+    ["--pattern-tokens", "2", "--pattern-len", "1", "--classes", "8"],
+    *(["--test-fraction", f] for f in ("nan", "inf", "-0.5", "0", "1"))])
 def test_gen_data_without_distinct_patterns_or_a_split_is_usage_error(tmp_path, flags):
     # the last two looped forever drawing distinct patterns: run in a child
     # process, so a regression fails here instead of hanging the suite
@@ -561,9 +562,75 @@ def test_stream_token_that_is_no_vocabulary_id_is_data_error(
     argv = {"pretrain": ["--steps", "1", "--batch", "1", "--window", "8"],
             "stream": ["--model", stream_model, "--policy", "full"]}[command]
     assert run(command, "--data", bad, *argv, "--out", out) == 2
-    assert f"data error: {bad}:2: stream tokens must be a list of token ids in [0, 58)" \
+    assert f"data error: {bad}:2: stream tokens must be a list of token ids in [0, 56)" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def _set(field, value):
+    return lambda header, rec: (header, {**rec, field: value})
+
+
+def _first_step(field, edit):  # edit maps the first step's id list to a new one
+    return lambda header, rec: (header, {**rec, field: [edit(rec[field][0]),
+                                                        *rec[field][1:]]})
+
+
+# (kind, edit of (header, last record), the message after "path:line: " or, for
+# the header, "path: "); each used to end in a traceback, exit 0 on a wrong or
+# silently changed result, or exit 3
+BAD_RECORDS = {
+    "icl-inputs-int": ("icl", _set("inputs", 5), "inputs"),
+    "icl-segments-text": ("icl", _set("segments", "abc"), "segments"),
+    "icl-2-of-4-segments": ("icl", lambda h, r: (h, {**r, "segments": r["segments"][:2]}),
+                            "segments"),
+    "icl-empty-output": ("icl", _first_step("outputs", lambda ids: []),
+                         "outputs"),
+    "icl-record-list": ("icl", lambda h, r: (h, list(r.values())), "a record"),
+    "icl-float-input": ("icl", _first_step("inputs", lambda ids: [2.5, *ids[1:]]),
+                        "inputs"),
+    "icl-output-no-label": ("icl", _first_step("outputs", lambda ids: [0]),
+                            "outputs"),
+    "icl-split-tset": ("icl", _set("split", "tset"), "split"),
+    "icl-classes-past-labels": ("icl", lambda h, r: ({**h, "n_classes": 10}, r),
+                                "malformed icl header (UsageError('n_classes 10 exceeds n_labels 8')"),
+    "icl-empty-segment": ("icl", _first_step("segments", lambda ids: []),
+                          "segments"),
+    "stream-motifs-int": ("stream", _set("motif_positions", 5), "motif_positions"),
+    "stream-record-list": ("stream", lambda h, r: (h, [r]), "a record"),
+    "stream-comp-token": ("stream", lambda h, r: (h, {**r, "tokens": [StreamVocab().comp_id,
+                                                                      *r["tokens"]]}),
+                          "stream tokens"),
+    "stream-identity-text": ("stream", _set("identity", "x"), "identity"),
+    "stream-motif-pair-of-one": ("stream", _set("motif_positions", [[1]]),
+                                 "motif_positions"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RECORDS)
+def test_invalid_dataset_file_is_data_error_for_every_reader(request, tmp_path, capsys,
+                                                              case):
+    kind, edit, says = BAD_RECORDS[case]
+    if kind == "icl":
+        data, model, adapters = request.getfixturevalue("tiny_pipeline")
+        runs = [["eval", "--model", model, "--policy", "full"],
+                ["eval", "--model", model, "--adapters", adapters, "--policy", "concat"],
+                ["train-compress", "--model", model, "--steps", "1", "--batch", "1"]]
+    else:
+        data = request.getfixturevalue("stream_data")
+        runs = [["pretrain", "--steps", "1", "--batch", "1", "--window", "8"],
+                ["stream", "--model", request.getfixturevalue("stream_model"),
+                 "--policy", "full"]]
+    lines = data.read_text().splitlines()
+    header, rec = edit(json.loads(lines[0]), json.loads(lines[-1]))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(header), *lines[1:-1], json.dumps(rec)]) + "\n")
+    where = f"{bad}: " if says.startswith("malformed") else f"{bad}:{len(lines)}: "
+    out = tmp_path / "out"
+    for argv in runs:
+        assert run(*argv, "--data", bad, "--out", out) == 2, argv
+        assert capsys.readouterr().err.startswith(f"data error: {where}{says}"), argv
+        assert not out.exists()
 
 
 def test_exit_code_usage_error(tmp_path, icl_data, capsys):
@@ -600,8 +667,12 @@ BAD_RECIPE_FLAGS = [
           ("--steps", "abc", "argument --steps"), ("--lr", "x", "argument --lr"),
           ("--steps", "0", "steps must be at least 1"),
           ("--batch", "0", "batch must be at least 1"),
-          ("--lr", "0", "lr must be positive")]),
-    ("train-compress", "--policy", "none", "policy 'none' has no memory update rule")]
+          ("--lr", "0", "lr must be positive"),
+          ("--lr", "inf", "lr must be positive and finite")]),
+    ("train-compress", "--policy", "none", "policy 'none' has no memory update rule"),
+    # a non-finite alpha used to train (inf) or fail only after a step (nan)
+    ("train-compress", "--alpha", "nan", "adapter alpha nan must be finite"),
+    ("train-compress", "--alpha", "inf", "adapter alpha inf must be finite")]
 
 
 @pytest.mark.parametrize("command,flag,value,says", BAD_RECIPE_FLAGS,

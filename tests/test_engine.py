@@ -1,5 +1,5 @@
 """Session and streaming contracts: KV accounting, policy growth laws,
-snapshot resume, budget caps, and the equal-budget sliding baseline."""
+budget caps, and the equal-budget sliding baseline."""
 
 from dataclasses import replace
 

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccm.errors import DataError, UsageError
 from ccm.taskgen import (ICLDataset, OnlineSample, StreamVocab, VocabSpec,
@@ -121,6 +123,13 @@ def test_iid_control_stream():
     assert max(sample.tokens) < vocab.n_content + vocab.n_noise
 
 
+@pytest.mark.parametrize("gen", [gen_stream, gen_iid_stream])
+def test_one_token_stream_is_not_generated(gen):
+    # it used to be written to a file that read_dataset rejects
+    with pytest.raises(UsageError, match="stream length 1 must be at least 2"):
+        gen(1, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -174,6 +183,117 @@ def test_header_that_is_not_an_object_rejected(tmp_path, header):
     path.write_text(header + "\n")
     with pytest.raises(DataError, match="format version None"):
         read_dataset(path)
+
+
+# the small datasets whose written files the fuzz below edits
+FUZZ_ICL = gen_icl_dataset(4, T=3, n_classes=3, seed=12, pattern_len=2,
+                           vocab=VocabSpec(n_pattern=6, n_labels=4))
+FUZZ_STREAMS = [gen_stream(60, seed=13, identity=i) for i in range(2)]
+
+
+def icl_record_ok(rec, ds: ICLDataset) -> bool:
+    """The ICL record rules, token by token."""
+    v = ds.vocab
+
+    def lists(value, lo, hi, length=None):
+        return type(value) is list and len(value) == ds.T and all(
+            type(ids) is list and len(ids) >= 1 and length in (None, len(ids))
+            and all(type(i) is int and lo <= i < hi for i in ids) for ids in value)
+
+    return (type(rec) is dict
+            and set(rec) == {"identity", "split", "segments", "inputs", "outputs"}
+            and type(rec["identity"]) is int and rec["split"] in ("train", "test")
+            and lists(rec["segments"], 0, v.n_plain) and lists(rec["inputs"], 0, v.n_plain)
+            and lists(rec["outputs"], v.n_pattern, v.n_pattern + ds.n_classes, 1))
+
+
+def stream_record_ok(rec, vocab: StreamVocab) -> bool:
+    """The stream record rules, token by token."""
+    if type(rec) is not dict or set(rec) != {"identity", "tokens", "motif_positions"}:
+        return False
+    tokens, motifs = rec["tokens"], rec["motif_positions"]
+    return (type(rec["identity"]) is int and type(tokens) is list and len(tokens) >= 2
+            and all(type(t) is int and 0 <= t < vocab.n_plain for t in tokens)
+            and type(motifs) is list
+            and all(type(p) is list and len(p) == 2 and all(type(x) is int for x in p)
+                    and p[0] >= 0 and 0 <= p[1] < len(tokens) for p in motifs))
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 80),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        st.text("ab", max_size=3), st.lists(st.integers(-1, 80), max_size=3),
+                        st.dictionaries(st.text("ab", max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def edited_record(draw, rec: dict, id_fields: list[str], ids: list):
+    """``rec`` with one field dropped, added, retyped or truncated, one id
+    rewritten, or the whole record replaced by a non-object."""
+    rec = json.loads(json.dumps(rec))
+    how = draw(st.sampled_from(["drop", "add", "retype", "truncate", "id", "not-object"]))
+    name = draw(st.sampled_from(sorted(rec)))
+    if how == "drop":
+        del rec[name]
+    elif how == "add":
+        rec[draw(st.sampled_from(["extra", name]))] = draw(JSON_VALUES)
+    elif how == "retype":
+        rec[name] = draw(JSON_VALUES)
+    elif how == "truncate" and isinstance(rec[name], list):
+        rec[name] = rec[name][:draw(st.integers(0, max(len(rec[name]) - 1, 0)))]
+    elif how == "id":
+        field = draw(st.sampled_from(id_fields))
+        target = rec[field]
+        if target and isinstance(target[0], list):  # one step's (or pair's) list
+            target = target[draw(st.integers(0, len(target) - 1))]
+        if target:
+            target[draw(st.integers(0, len(target) - 1))] = draw(st.sampled_from(ids))
+    elif how == "not-object":
+        return draw(st.one_of(st.lists(st.integers(), max_size=2), st.integers(),
+                              st.text("ab", max_size=3), st.none()))
+    return rec
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "data.jsonl"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_edited_dataset_file_reads_only_when_valid(fuzz_path, data):
+    kind = data.draw(st.sampled_from(["icl", "stream"]))
+    if kind == "icl":
+        write_icl_dataset(fuzz_path, FUZZ_ICL)
+        v = FUZZ_ICL.vocab
+        fields, ok = ["segments", "inputs", "outputs"], lambda r: icl_record_ok(r, FUZZ_ICL)
+    else:
+        v = StreamVocab()
+        write_stream_dataset(fuzz_path, FUZZ_STREAMS, v, seed=13)
+        fields, ok = ["tokens", "motif_positions"], lambda r: stream_record_ok(r, v)
+    # reserved, out-of-range (1000 also past every stream's end), float and
+    # bool ids, and valid ones
+    ids = [v.comp_id, v.pad_id, v.size, 1000, -1, 2.5, 3.0, True, 0, v.n_plain - 1,
+           getattr(v, "n_pattern", 1)]
+    lines = fuzz_path.read_text().splitlines()
+    at = data.draw(st.integers(1, len(lines) - 1))
+    rec = data.draw(edited_record(json.loads(lines[at]), fields, ids))
+    lines[at] = json.dumps(rec)
+    fuzz_path.write_text("\n".join(lines) + "\n")
+    try:
+        loaded = read_dataset(fuzz_path)
+    except DataError as exc:
+        assert str(exc).startswith(f"{fuzz_path}:{at + 1}: ")
+        assert not ok(rec)
+        return
+    assert ok(rec)
+    if kind == "icl":
+        sample = next(s for s in loaded.train + loaded.test
+                      if s.segments == rec["segments"] and s.inputs == rec["inputs"])
+        assert (sample.identity, sample.outputs) == (rec["identity"], rec["outputs"])
+    else:
+        sample = loaded[0][at - 1]
+        assert (sample.identity, sample.tokens) == (rec["identity"], rec["tokens"])
+        assert sample.motif_positions == [tuple(p) for p in rec["motif_positions"]]
 
 
 def test_vocab_reserved_ids():
