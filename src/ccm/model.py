@@ -24,6 +24,7 @@ an untied output head.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
@@ -57,6 +58,9 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise DimensionError(f"model size {name}={getattr(self, name)} "
                                      "must be at least 1")
+        if not isinstance(self.rope_base, (int, float)) \
+                or not 0 < self.rope_base < math.inf:
+            raise DimensionError(f"rope_base {self.rope_base!r} must be finite and > 0")
         if self.d_model % (2 * self.n_heads) != 0:
             raise DimensionError("d_model must split into n_heads heads of even width")
         if self.comp_token_id == -1:
@@ -121,15 +125,6 @@ class KVLayout:
                            dtype=dtype))
 
 
-def rotate_keys(keys: np.ndarray, start: int, config: ModelConfig) -> np.ndarray:
-    """[..., n, d_model] keys as [..., n_heads, n, head_dim], each head rotated
-    at positions start..start+n-1 as attention rotates them."""
-    cos, sin = T.rope_angles(start + keys.shape[-2], config.head_dim, config.rope_base,
-                             keys.dtype)
-    heads = keys.reshape(*keys.shape[:-1], config.n_heads, config.head_dim)
-    return T.rope(np.swapaxes(heads, -2, -3), cos[start:], sin[start:])
-
-
 @dataclass(frozen=True)
 class KVCache:
     """Storage a caller owns for a layout that only grows.
@@ -156,7 +151,9 @@ class KVCache:
                              dtype=dtype))
         cache.keys[:, :n] = layout.keys
         cache.values[:, :n] = layout.values
-        cache.rotated[:, :, :n] = rotate_keys(layout.keys, 0, config)
+        cos, sin = T.rope_angles(n, config.head_dim, config.rope_base, dtype)
+        heads = layout.keys.reshape(n_layers, n, config.n_heads, config.head_dim)
+        cache.rotated[:, :, :n] = T.rope(heads.swapaxes(1, 2), cos, sin)
         return cache
 
     def layout(self, n: int) -> KVLayout:
@@ -219,7 +216,7 @@ def check_token_ids(tokens: np.ndarray, vocab_size: int) -> None:
 def forward_groups(model: "ToyLM", tokens: np.ndarray,
                    ranges: Sequence[tuple[int, int]], memory: Callable | None,
                    adapters: AdapterSet | None = None,
-                   cache: KVCache | None = None) -> tuple[Tensor, KVLayout]:
+                   cache: KVCache | None = None, n_mem: int = 0) -> tuple[Tensor, KVLayout]:
     """The layer loop: ``tokens`` run as query groups, one per ``ranges`` entry.
 
     The [lo, hi) ranges tile the tokens in order. At every layer,
@@ -228,11 +225,11 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
     tokens, or None. Returns per-token logits and the layout of the
     unrotated KV the tokens produced. The conditional adapter fires only on
     compression tokens. ``cache``, for one group only and in place of
-    ``memory``, is a KVCache of exactly m rows whose first m - n hold the
-    memory: the tokens' keys, values and rotated keys are written into its
-    last n rows, attention reads all m in place, and the returned layout is
-    a view of those n rows. No gradient reaches the keys and values through
-    it, so it serves inference only.
+    ``memory``, is a KVCache whose first ``n_mem`` rows hold the memory: the
+    tokens' keys, values and rotated keys go into the n rows after them,
+    attention reads those m = n_mem + n rows in place and no row past them,
+    and the returned layout views the tokens' rows. No gradient reaches the
+    keys and values through it, so it serves inference only.
     """
     cfg = model.config
     n = tokens.shape[0]
@@ -241,27 +238,27 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
     whole = len(ranges) == 1  # one group reads q, k, v without narrowing them
 
     x = embed_tokens(model, tokens, adapters, comp_idx)
+    gated = adapters if comp_idx.size else None  # LoRA acts on compression rows only
+    m = n_mem + n
     if cache is None:
         new_k = np.empty((cfg.n_layers, n, cfg.d_model), dtype=model.dtype)
         new_v = np.empty_like(new_k)
     else:
-        n_mem = cache.keys.shape[1] - n
-        new_k, new_v = cache.keys[:, n_mem:], cache.values[:, n_mem:]
+        new_k, new_v = cache.keys[:, n_mem:m], cache.values[:, n_mem:m]
     for layer in range(cfg.n_layers):
         p = f"layers.{layer}."
         xa = rmsnorm(x, model.params[p + "attn_norm"])
-        lq = adapters.lora(layer, "q") if adapters else None
-        lk = adapters.lora(layer, "k") if adapters else None
-        lv = adapters.lora(layer, "v") if adapters else None
+        lq = gated.lora(layer, "q") if gated else None
+        lk = gated.lora(layer, "k") if gated else None
+        lv = gated.lora(layer, "v") if gated else None
         q = project_rows(xa, model.params[p + "wq"], lq, comp_idx)
         k = project_rows(xa, model.params[p + "wk"], lk, comp_idx)
         v = project_rows(xa, model.params[p + "wv"], lv, comp_idx)
         new_k[layer] = k.data
         new_v[layer] = v.data
-        if cache is not None:  # rotate only the tokens' own keys
-            cache.rotated[layer, :, n_mem:] = rotate_keys(k.data, n_mem, cfg)
-            ctx = attend(q, Tensor(cache.keys[layer]), Tensor(cache.values[layer]), cfg,
-                         cache.rotated[layer])
+        if cache is not None:  # attention rotates only the tokens' own keys
+            ctx = attend(q, Tensor(cache.keys[layer, :m]),
+                         Tensor(cache.values[layer, :m]), cfg, cache.rotated[layer, :, :m])
         else:
             outs = []
             for (start, stop), mem in zip(ranges, memory(layer, k, v)):
@@ -275,7 +272,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
                     v_g = T.concat([mem[1], v_g], axis=0)
                 outs.append(attend(q_g, k_g, v_g, cfg))
             ctx = outs[0] if whole else T.concat(outs, axis=0)
-        lo = adapters.lora(layer, "o") if adapters else None
+        lo = gated.lora(layer, "o") if gated else None
         ctx = project_rows(ctx, model.params[p + "wo"], lo, comp_idx)
         x = T.add(x, ctx)
         xf = rmsnorm(x, model.params[p + "ffn_norm"])
@@ -383,8 +380,8 @@ class ToyLM:
         Returns per-token logits and the layout of the KV entries the tokens
         produced, to extend ``layout`` with. ``layout`` is not mutated.
         ``cache`` is None or the caller's KVCache of the model's dtype whose
-        first rows hold ``layout``: the tokens' entries are then written into
-        the rows after them and the returned layout views those rows.
+        first rows hold ``layout``: the tokens' entries go into the rows after
+        them, the returned layout views those, and no row past them is read.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         cfg, n_mem = self.config, layout.n_entries
@@ -407,5 +404,4 @@ class ToyLM:
                     or arr.shape[-2] < m:
                 raise DimensionError(f"KV cache {name} {arr.shape} {arr.dtype} holds "
                                      f"no {m} entries of this {self.dtype} model")
-        cache = KVCache(cache.keys[:, :m], cache.values[:, :m], cache.rotated[:, :, :m])
-        return forward_groups(self, tokens, [(0, tokens.size)], None, adapters, cache)
+        return forward_groups(self, tokens, [(0, tokens.size)], None, adapters, cache, n_mem)

@@ -2,9 +2,9 @@
 
 Small by design: exactly the primitives a decoder-only transformer needs
 (matmul, SiLU, row scatter/gather for embeddings and conditional adapters;
-fused ``attention`` and ``rmsnorm``, one tape node each, over the
-plain-array kernels ``rope``, ``rope_angles`` and ``softmax_rows``) plus a
-cross-entropy head and a finite-difference oracle. Tensors wrap a numpy
+fused ``attention`` and ``rmsnorm``, one tape node each, over the plain-array
+kernels ``rope``, ``rope_angles``, ``causal_mask`` and ``softmax_rows``) plus
+a cross-entropy head and a finite-difference oracle. Tensors wrap a numpy
 array; when any input of an op requires gradients, the op records a
 backward closure on the tape. Gradients accumulate, never overwrite.
 
@@ -156,8 +156,9 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 def _make(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
     return Tensor(data)
 
 
@@ -307,13 +308,16 @@ def set_rows(base: Tensor, index: Array, rows: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if not isinstance(b, Tensor):
-        raise DimensionError("matmul expects two tensors")
-    if a.data.dtype != b.data.dtype:
-        raise DimensionError(f"dtype mismatch: {a.data.dtype} vs {b.data.dtype}")
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.ndim != b.data.ndim:
-        raise DimensionError(f"matmul rank mismatch: {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
+    sa, sb = a.data.shape, b.data.shape if isinstance(b, Tensor) else ()
+    # one test on the hot path; the checks under it only name what failed
+    if len(sa) != len(sb) or len(sa) < 2 or sa[-1] != sb[-2] or sa[:-2] != sb[:-2] \
+            or a.data.dtype != b.data.dtype:
+        if not isinstance(b, Tensor):
+            raise DimensionError("matmul expects two tensors")
+        if a.data.dtype != b.data.dtype:
+            raise DimensionError(f"dtype mismatch: {a.data.dtype} vs {b.data.dtype}")
+        if len(sa) < 2 or len(sa) != len(sb):
+            raise DimensionError(f"matmul rank mismatch: {a.shape} x {b.shape}")
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out_data = a.data @ b.data
 
@@ -357,12 +361,28 @@ def rope_angles(m: int, head_dim: int, base: float, dtype) -> tuple[Array, Array
     return table[0][:m], table[1][:m]
 
 
-def softmax_rows(x: Array, mask: Array) -> Array:
+_CAUSAL = [np.ones((0, 0), dtype=bool)]  # one read-only lower triangle, grown by doubling
+
+
+def causal_mask(n: int, m: int) -> Array:
+    """Read-only [n, m] mask of the last n of m positions: row i allows keys
+    0..m-n+i. A view of one cached triangle, equal to a fresh ``np.tril``."""
+    if _CAUSAL[0].shape[0] < m:
+        _CAUSAL[0] = np.tri(max(m, 2 * _CAUSAL[0].shape[0]), dtype=bool)
+        _CAUSAL[0].flags.writeable = False
+    return _CAUSAL[0][m - n:m, :m]
+
+
+def softmax_rows(x: Array, mask: Array | None) -> Array:
     """Softmax over the last axis where the broadcast ``mask`` is True, exactly
-    0 elsewhere. Every row must allow at least one entry."""
-    shifted = np.where(mask, x, np.array(-np.inf, dtype=x.dtype))
-    shifted -= shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted, where=mask, out=np.zeros_like(x))
+    0 elsewhere. Every row must allow at least one entry. A None mask allows
+    every entry, as an all-True one would, bit for bit."""
+    if mask is None:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    else:
+        shifted = np.where(mask, x, np.array(-np.inf, dtype=x.dtype))
+        shifted -= shifted.max(axis=-1, keepdims=True)
+        e = np.exp(shifted, where=mask, out=np.zeros_like(x))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -372,8 +392,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
     Keys take positions 0..m-1 (angles ``cos``/``sin``) and the queries are
     the last n: the first m-n keys (memory) are visible to every query, the
-    last n causally. ``rotated`` may give the keys already rotated, as
-    [n_heads, m, d//n_heads]. The backward is written by hand.
+    last n causally (the cached ``causal_mask``; one query needs no mask).
+    ``rotated`` may give the keys already rotated, as [n_heads, m, d//n_heads],
+    but for the last n, the queries' own: attention rotates those with the
+    queries and writes them into it. The backward is written by hand.
     """
     (n, d), m = q.shape, k.shape[0]
     dh = d // n_heads
@@ -382,13 +404,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         raise DimensionError(f"attention of q {q.shape} over k {k.shape}, v {v.shape} "
                              f"in {n_heads} heads of even width")
     cq, sq = cos[m - n:], sin[m - n:]
-    qh = rope(q.data.reshape(n, n_heads, dh).transpose(1, 0, 2), cq, sq)
-    kh = rope(k.data.reshape(m, n_heads, dh).transpose(1, 0, 2), cos, sin) \
-        if rotated is None else rotated
+    qh = q.data.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    kh = k.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
+    if rotated is None:
+        qh, kh = rope(qh, cq, sq), rope(kh, cos, sin)
+    else:  # the queries' own keys rotate with them, in one call
+        both = rope(np.concatenate((qh[None], kh[None, :, m - n:])), cq, sq)
+        qh, kh = both[0], rotated
+        kh[:, m - n:] = both[1]
     vh = v.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
-    w = softmax_rows((qh @ kh.swapaxes(1, 2)) * scale,
-                     np.tril(np.ones((n, m), dtype=bool), m - n))
+    w = softmax_rows((qh @ kh.swapaxes(1, 2)) * scale,  # one query sees every key
+                     causal_mask(n, m) if n > 1 else None)
     out_data = (w @ vh).transpose(1, 0, 2).reshape(n, d)
 
     def bw(g: Array) -> None:
@@ -412,7 +439,7 @@ RMS_EPS = 1e-6
 
 def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     """x / sqrt(mean(x**2) + RMS_EPS) * gain over the last axis."""
-    r = ((x.data * x.data).mean(axis=-1, keepdims=True)
+    r = (np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / x.data.shape[-1]
          + np.asarray(RMS_EPS, dtype=x.data.dtype)) ** -0.5
     y = x.data * r
     out_data = y * gain.data

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +422,26 @@ def test_bad_checkpoint_metadata_is_data_error(stream_model, stream_data, tmp_pa
                "--adapters", files["adapters"], "--policy", "concat",
                "--length", "20", "--out", out) == 2
     assert f"data error: {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rope_base", [0.0, -1.0, float("nan"), float("inf"), "x"])
+def test_checkpoint_rope_base_must_be_finite_and_positive(tiny_pipeline, tmp_path,
+                                                          capsys, rope_base):
+    # 0 and -1 ran with numpy RuntimeWarnings and exited 0 with a wrong CSV;
+    # "x" ended in a TypeError traceback
+    icl_data, model, _ = tiny_pipeline
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint(model, bad, lambda a, m: m["config"].update(rope_base=rope_base))
+    out = tmp_path / "eval.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("eval", "--data", icl_data, "--model", bad, "--policy", "full",
+                   "--out", out, "--max-eval", "2")
+    err = capsys.readouterr().err
+    assert code == 2 and f"data error: {bad}" in err and "rope_base" in err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -167,6 +167,20 @@ def test_concat_stream_copies_kv_once_per_event(monkeypatch):
     assert res.events.sum() > 0 and extends[0] == res.events.sum()
 
 
+def test_one_token_cached_forward_makes_a_pinned_count_of_tensors_and_rotations(
+        monkeypatch):
+    # a guard on the decode step that needs no timing: per layer one Tensor
+    # each for the two norms, four projections, two cache views, attention,
+    # two residual adds and five MLP ops, plus the embedding, final norm and
+    # head; per layer one rope call rotates the query and the new key together
+    _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
+    cache = KVCache.holding(layout, 8, TINY)
+    tensors = _calls(monkeypatch, T.Tensor, "__init__")
+    ropes = _calls(monkeypatch, T, "rope")
+    _MODEL.forward([4], layout, adapters=_ADAPTERS, cache=cache)
+    assert (tensors[0], ropes[0]) == (16 * TINY.n_layers + 3, TINY.n_layers)
+
+
 def _rotated_rows(monkeypatch) -> list[int]:
     """Count of key and query rows (per head) every ``tensor.rope`` call rotates."""
     rows, orig = [0], T.rope

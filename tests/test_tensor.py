@@ -199,6 +199,25 @@ def test_matmul_shape_mismatch():
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def zeros(*shape, dtype=np.float64) -> Tensor:
+    return Tensor(np.zeros(shape, dtype))
+
+
+@pytest.mark.parametrize("a,b,message", [
+    (zeros(2, 3), np.zeros((3, 2)), "matmul expects two tensors"),
+    (zeros(2, 3), zeros(3, 2, dtype=np.float32), "dtype mismatch: float64 vs float32"),
+    (zeros(3), zeros(3, 2), r"matmul rank mismatch: \(3,\) x \(3, 2\)"),
+    (zeros(2, 3), zeros(1, 3, 2), r"matmul rank mismatch: \(2, 3\) x \(1, 3, 2\)"),
+    (zeros(2, 3), zeros(2, 3), r"matmul shape mismatch: \(2, 3\) x \(2, 3\)"),
+    (zeros(2, 2, 3), zeros(3, 3, 2),
+     r"matmul shape mismatch: \(2, 2, 3\) x \(3, 3, 2\)")],
+    ids=["not-a-tensor", "dtype", "rank-1", "ranks-differ", "inner", "batch"])
+def test_matmul_errors_name_what_failed(a, b, message):
+    # one combined test guards the hot path; each failure keeps its message
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        T.matmul(a, b)
+
+
 def test_matmul_gradient_vs_fd():
     rng = np.random.default_rng(0)
     a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -404,8 +423,34 @@ def test_rope_angles_slices_equal_a_fresh_build():
             cos[0, 0] = 0.0
 
 
+def test_causal_mask_equals_a_fresh_tril_and_is_read_only():
+    # the first calls size the triangle, later ones ask below and above it
+    for n, m in ((1, 1), (3, 5), (5, 5), (2, 40), (40, 40), (7, 9), (64, 300)):
+        mask = T.causal_mask(n, m)
+        assert mask.dtype == bool and mask.shape == (n, m)
+        assert np.array_equal(mask, np.tril(np.ones((n, m), dtype=bool), m - n))
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
+
+
 # ---------------------------------------------------------------------------
 # softmax
+
+
+@settings(max_examples=60, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       lead=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       width=st.integers(1, 9), scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+       seed=st.integers(0, 2**32 - 1))
+def test_softmax_rows_without_a_mask_equals_an_all_true_mask(dtype, lead, width, scale,
+                                                            seed):
+    # a one-query attention passes no mask: it must change no bit
+    x = (np.random.default_rng(seed).standard_normal((*lead, width)) * scale).astype(dtype)
+    got = T.softmax_rows(x, None)
+    want = T.softmax_rows(x, np.ones((*lead, width), dtype=bool))
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want)
 
 
 def test_softmax_symmetry():
