@@ -5,11 +5,10 @@ online language-model inference: segments of an accumulating context are
 condensed into the attention keys/values of reserved compression tokens
 (shaped by conditional low-rank adapters), stored under concat / merge /
 EMA policies, and consumed by later inference with a fraction of the full
-context's KV entries. The model has one layer loop, run over query
-groups: a group is a token range plus the memory it reads at each layer.
-Inference is one group over a fixed layout; training unrolls the
-recursive procedure into t+1 groups in a single forward pass, verified
-against a step-by-step oracle.
+context's KV entries. The model has one layer loop, one masked attention
+per layer over [memory columns | tokens]. Inference reads a fixed layout
+causally; training unrolls the recursive procedure into a single forward
+pass under the paper's mask, verified against a step-by-step oracle.
 """
 
 from .errors import (CapacityError, CcmError, ContractViolation, DataError,
@@ -19,17 +18,16 @@ from .memory import ContextMemory, compress_segment
 from .model import KVCache, KVLayout, ModelConfig, ToyLM
 from .optim import Adam, cosine_lr
 from .tensor import Parameter, Tensor, finite_difference_check
-from .training import (ParallelMask, Recipe, TrainingSequence,
-                       build_parallel_mask, build_training_sequence,
-                       parallel_memory_update, pretrain,
+from .training import (Recipe, TrainingSequence, build_parallel_mask,
+                       build_training_sequence, parallel_memory_update, pretrain,
                        recursive_reference_forward, train_compression,
                        training_forward)
 
 __all__ = [
     "Adam", "AdapterSet", "CapacityError", "CcmError", "ContextMemory",
     "ContractViolation", "DataError", "DimensionError", "KVCache", "KVLayout",
-    "LoRAPair", "ModelConfig", "ParallelMask", "Parameter", "Recipe", "Tensor",
-    "ToyLM", "TrainingSequence", "UsageError", "build_parallel_mask",
+    "LoRAPair", "ModelConfig", "Parameter", "Recipe", "Tensor", "ToyLM",
+    "TrainingSequence", "UsageError", "build_parallel_mask",
     "build_training_sequence", "comp_flags", "compress_segment", "cosine_lr",
     "finite_difference_check", "parallel_memory_update", "pretrain",
     "recursive_reference_forward", "train_compression", "trainable_parameters",

@@ -13,10 +13,11 @@ rows with each key also kept rotated at its position, and hands it to
 once into the rows after the layout, and attention reads the cache in
 place, so no step copies the cache or rotates a key twice.
 
-The one layer loop, ``forward_groups``, runs tokens as query groups: a
-token range plus the memory it reads at each layer. A group sees all of
-its memory and its own tokens causally, so ``attend`` derives the pattern
-from shapes. Inference is one group over a layout; training is t+1 groups.
+The one layer loop, ``forward_groups``, runs one masked attention per
+layer over [memory columns | tokens]. By default the keys take positions
+0..m-1 and every token sees all memory and its own tokens causally: the
+inference forward over a layout. Compression training passes the paper's
+mask and key positions instead, so its t+1 steps share one attention.
 
 Blocks are pre-norm with RMS normalization, a SiLU-gated feed-forward and
 an untied output head.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -177,17 +178,13 @@ def project_rows(x: Tensor, w: Parameter, lora, comp_idx: np.ndarray) -> Tensor:
     return out
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, config: ModelConfig,
-           rotated: np.ndarray | None = None) -> Tensor:
-    """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values.
-
-    Keys take positions 0..m-1 and the queries are the last n of them: the
-    first m-n keys are memory, visible to every query, and the last n are
-    the queries' own tokens, visible causally. ``rotated`` as in T.attention.
-    """
-    cos, sin = T.rope_angles(k.shape[0], config.head_dim, config.rope_base,
-                             q.data.dtype)
-    return T.attention(q, k, v, config.n_heads, cos, sin, rotated)
+def attend(q: Tensor, k: Tensor, v: Tensor, config: ModelConfig, cos: np.ndarray,
+           sin: np.ndarray, rotated: np.ndarray | None = None,
+           allowed: np.ndarray | None = None) -> Tensor:
+    """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values
+    at the keys' angle rows ``cos``/``sin``; ``rotated`` and ``allowed`` as
+    in T.attention."""
+    return T.attention(q, k, v, config.n_heads, cos, sin, rotated, allowed)
 
 
 def mlp(x: Tensor, w_gate: Parameter, w_up: Parameter, w_down: Parameter) -> Tensor:
@@ -213,33 +210,40 @@ def check_token_ids(tokens: np.ndarray, vocab_size: int) -> None:
         raise DataError(f"token id {bad} outside vocabulary [0, {vocab_size})")
 
 
-def forward_groups(model: "ToyLM", tokens: np.ndarray,
-                   ranges: Sequence[tuple[int, int]], memory: Callable | None,
-                   adapters: AdapterSet | None = None,
-                   cache: KVCache | None = None, n_mem: int = 0) -> tuple[Tensor, KVLayout]:
-    """The layer loop: ``tokens`` run as query groups, one per ``ranges`` entry.
+def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
+                   adapters: AdapterSet | None = None, cache: KVCache | None = None,
+                   n_mem: int = 0, positions: np.ndarray | None = None,
+                   allowed: np.ndarray | None = None) -> tuple[Tensor, KVLayout]:
+    """The layer loop: ``tokens`` attend over [n_mem memory columns | tokens].
 
-    The [lo, hi) ranges tile the tokens in order. At every layer,
-    ``memory(layer, k, v)`` gets that layer's keys and values of all tokens
-    and returns, per group, the (keys, values) it reads before its own
-    tokens, or None. Returns per-token logits and the layout of the
+    At every layer, ``memory(layer, k, v)`` gets that layer's keys and values
+    of all tokens and returns the (keys, values) of the n_mem memory columns,
+    or None when there are none. The m = n_mem + n keys sit at ``positions``
+    (default 0..m-1), the tokens at the last n, and token i reads key j where
+    ``allowed[i, j]`` (default: all memory, own tokens causally), so one
+    masked attention per layer serves inference and the paper's parallel
+    training pass alike. Returns per-token logits and the layout of the
     unrotated KV the tokens produced. The conditional adapter fires only on
-    compression tokens. ``cache``, for one group only and in place of
-    ``memory``, is a KVCache whose first ``n_mem`` rows hold the memory: the
-    tokens' keys, values and rotated keys go into the n rows after them,
-    attention reads those m = n_mem + n rows in place and no row past them,
-    and the returned layout views the tokens' rows. No gradient reaches the
-    keys and values through it, so it serves inference only.
+    compression tokens. ``cache``, in place of ``memory``, is a KVCache
+    whose first ``n_mem`` rows hold the memory: the tokens' keys, values and
+    rotated keys go into the n rows after them, attention reads those m rows
+    in place and no row past them, and the returned layout views the tokens'
+    rows. No gradient reaches the keys and values through it, so it serves
+    inference only.
     """
     cfg = model.config
     n = tokens.shape[0]
     check_token_ids(tokens, cfg.vocab_size)
     comp_idx = np.flatnonzero(comp_flags(tokens, cfg.comp_token_id))
-    whole = len(ranges) == 1  # one group reads q, k, v without narrowing them
 
     x = embed_tokens(model, tokens, adapters, comp_idx)
     gated = adapters if comp_idx.size else None  # LoRA acts on compression rows only
     m = n_mem + n
+    if positions is None:
+        cos, sin = T.rope_angles(m, cfg.head_dim, cfg.rope_base, model.dtype)
+    else:
+        cos, sin = (a[positions] for a in T.rope_angles(
+            int(positions.max()) + 1, cfg.head_dim, cfg.rope_base, model.dtype))
     if cache is None:
         new_k = np.empty((cfg.n_layers, n, cfg.d_model), dtype=model.dtype)
         new_v = np.empty_like(new_k)
@@ -257,21 +261,13 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray,
         new_k[layer] = k.data
         new_v[layer] = v.data
         if cache is not None:  # attention rotates only the tokens' own keys
-            ctx = attend(q, Tensor(cache.keys[layer, :m]),
-                         Tensor(cache.values[layer, :m]), cfg, cache.rotated[layer, :, :m])
+            ctx = attend(q, Tensor(cache.keys[layer, :m]), Tensor(cache.values[layer, :m]),
+                         cfg, cos, sin, cache.rotated[layer, :, :m])
         else:
-            outs = []
-            for (start, stop), mem in zip(ranges, memory(layer, k, v)):
-                if whole:
-                    q_g, k_g, v_g = q, k, v
-                else:
-                    q_g, k_g, v_g = (T.narrow(a, 0, start, stop - start)
-                                     for a in (q, k, v))
-                if mem is not None:
-                    k_g = T.concat([mem[0], k_g], axis=0)
-                    v_g = T.concat([mem[1], v_g], axis=0)
-                outs.append(attend(q_g, k_g, v_g, cfg))
-            ctx = outs[0] if whole else T.concat(outs, axis=0)
+            mem = memory(layer, k, v)
+            if mem is not None:
+                k, v = T.concat([mem[0], k], axis=0), T.concat([mem[1], v], axis=0)
+            ctx = attend(q, k, v, cfg, cos, sin, allowed=allowed)
         lo = gated.lora(layer, "o") if gated else None
         ctx = project_rows(ctx, model.params[p + "wo"], lo, comp_idx)
         x = T.add(x, ctx)
@@ -375,7 +371,7 @@ class ToyLM:
 
     def forward(self, tokens, layout: KVLayout, adapters: AdapterSet | None = None,
                 cache: KVCache | None = None) -> tuple[Tensor, KVLayout]:
-        """One group: new tokens appended (for attention) after ``layout``.
+        """New tokens appended (for attention) after ``layout``.
 
         Returns per-token logits and the layout of the KV entries the tokens
         produced, to extend ``layout`` with. ``layout`` is not mutated.
@@ -391,10 +387,10 @@ class ToyLM:
                                 f"> max_layout {cfg.max_layout}")
         if cache is None:
             def memory(layer, k, v):
-                return [(Tensor(layout.keys[layer]), Tensor(layout.values[layer]))
-                        if n_mem else None]
+                return ((Tensor(layout.keys[layer]), Tensor(layout.values[layer]))
+                        if n_mem else None)
 
-            return forward_groups(self, tokens, [(0, tokens.size)], memory, adapters)
+            return forward_groups(self, tokens, memory, adapters, n_mem=n_mem)
         # rows are the next-to-last axis of all three arrays
         for name, want in (("keys", (cfg.n_layers, cfg.d_model)),
                            ("values", (cfg.n_layers, cfg.d_model)),
@@ -404,4 +400,4 @@ class ToyLM:
                     or arr.shape[-2] < m:
                 raise DimensionError(f"KV cache {name} {arr.shape} {arr.dtype} holds "
                                      f"no {m} entries of this {self.dtype} model")
-        return forward_groups(self, tokens, [(0, tokens.size)], None, adapters, cache, n_mem)
+        return forward_groups(self, tokens, None, adapters, cache, n_mem)

@@ -237,22 +237,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, tuple(parts), bw)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out_data = a.data[idx]
-
-    def bw(g: Array) -> None:
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            a.accumulate_grad(full)
-
-    return _make(out_data, (a,), bw)
-
-
 def take_rows(a: Tensor, index: Array) -> Tensor:
     """Gather rows along axis 0 by integer index."""
     index = np.asarray(index, dtype=np.intp)
@@ -386,23 +370,28 @@ def softmax_rows(x: Array, mask: Array | None) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              cos: Array, sin: Array, rotated: Array | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Array,
+              rotated: Array | None = None, allowed: Array | None = None) -> Tensor:
     """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values.
 
-    Keys take positions 0..m-1 (angles ``cos``/``sin``) and the queries are
-    the last n: the first m-n keys (memory) are visible to every query, the
-    last n causally (the cached ``causal_mask``; one query needs no mask).
-    ``rotated`` may give the keys already rotated, as [n_heads, m, d//n_heads],
-    but for the last n, the queries' own: attention rotates those with the
-    queries and writes them into it. The backward is written by hand.
+    ``cos``/``sin`` hold one angle row per key, [m, d//(2 n_heads)], and the
+    queries are the last n keys, so they take the last n rows. Query i reads
+    key j where the [n, m] bool ``allowed[i, j]`` holds; None allows the
+    first m-n keys (memory) to every query and the last n causally (the
+    cached ``causal_mask``; one query needs no mask). ``rotated`` may give
+    the keys already rotated, as [n_heads, m, d//n_heads], but for the last
+    n, the queries' own: attention rotates those with the queries and writes
+    them into it. The backward is written by hand; a masked weight is 0.
     """
     (n, d), m = q.shape, k.shape[0]
     dh = d // n_heads
     if k.shape != (m, d) or v.shape != (m, d) or n > m or d % (2 * n_heads) \
-            or rotated is not None and rotated.shape != (n_heads, m, dh):
+            or rotated is not None and rotated.shape != (n_heads, m, dh) \
+            or allowed is not None and allowed.shape != (n, m):
         raise DimensionError(f"attention of q {q.shape} over k {k.shape}, v {v.shape} "
                              f"in {n_heads} heads of even width")
+    if allowed is None and n > 1:
+        allowed = causal_mask(n, m)
     cq, sq = cos[m - n:], sin[m - n:]
     qh = q.data.reshape(n, n_heads, dh).transpose(1, 0, 2)
     kh = k.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
@@ -414,8 +403,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         kh[:, m - n:] = both[1]
     vh = v.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
-    w = softmax_rows((qh @ kh.swapaxes(1, 2)) * scale,  # one query sees every key
-                     causal_mask(n, m) if n > 1 else None)
+    w = softmax_rows((qh @ kh.swapaxes(1, 2)) * scale, allowed)
     out_data = (w @ vh).transpose(1, 0, 2).reshape(n, d)
 
     def bw(g: Array) -> None:

@@ -1,20 +1,21 @@
 """Parallelized compression training and its recursive reference oracle.
 
 The online compress-update-infer loop is unrolled into one forward pass
-over the interleaved sequence [c(1), comps, ..., c(t), comps, I(t), O(t)],
-run as t+1 query groups of the model's layer loop. Each group reads the
-memory it would read in the recursive execution:
+over the interleaved sequence [c(1), comps, ..., c(t), comps, I(t), O(t)]
+(paper section 3.3). Every layer runs one attention over [t*s memory
+columns | tokens] under the paper's mask (``build_parallel_mask``), in
+which each step reads the memory it would read in the recursive execution:
 
-* group j = [c(j) | compression block j] reads Mem(j-1) (none for j = 1);
-* the last group [I(t) | O(t)] reads Mem(t).
+* step j = [c(j) | compression block j] reads Mem(j-1) (none for j = 1);
+* the last step [I(t) | O(t)] reads Mem(t).
 
-Within every layer ``parallel_memory_update`` builds Mem(1..t) from the
-compression blocks' keys/values by the same fold rule the online update
-applies (``memory.fold_weights``), and a compression group reads its
-memory only where ``memory.reads_memory`` says the policy does (not for
-``independent``, whose final inference group alone reads the results).
-Each group sees its memory in full and its own tokens causally, in its own
-position frame [Mem | own tokens] numbered from zero, which is what makes
+Within every layer ``parallel_memory_update`` turns the compression rows
+h(1..t) into the memory columns by the fold rule the online update applies
+(``memory.fold_weights``), and a compression step reads its memory only
+where ``memory.reads_memory`` says the policy does (not for
+``independent``, whose inference step alone reads the results). Each step
+sees its memory in full and its own tokens causally, at the positions of
+its own frame [Mem | own tokens] numbered from zero, which is what makes
 the single-pass logits match the step-by-step oracle to float precision.
 """
 
@@ -55,7 +56,7 @@ class TrainingSequence:
 
     @property
     def groups(self) -> list[tuple[int, int]]:
-        """Token ranges of the t+1 query groups: [c(j) | comps j], then [I | O]."""
+        """Token ranges of the t+1 steps: [c(j) | comps j], then [I | O]."""
         return ([(c[0], comp[1]) for c, comp in zip(self.ctx_ranges, self.comp_ranges)]
                 + [self.io_range])
 
@@ -100,73 +101,58 @@ def build_training_sequence(sample: tuple[Sequence, Sequence, Sequence],
 
 
 # ---------------------------------------------------------------------------
-# the parallel mask
+# the parallel mask and memory columns
 
 
-@dataclass
-class ParallelMask:
-    """Boolean matrix over (queries = tokens, keys = memory columns + tokens).
+def build_parallel_mask(seq: TrainingSequence,
+                        policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's attention mask: ``allowed`` [n, t*s + n] over [t*s memory
+    columns | n tokens], and the rope position of each of those keys.
 
-    For growing policies (concat / independent) the memory columns alias
-    the compression-token columns, so ``n_mem_cols`` is zero and cross-step
-    attention is carried by the token part. For merge / ema there are
-    t * s dedicated columns: block j (columns [(j-1)s, js)) is Mem(j).
+    Growing policies (concat / independent) hold h(1..t) in the memory
+    columns, column e at position e, so Mem(j) is the first j*s. Under
+    merge / ema column block j is Mem(j), at positions 0..s-1. A step's own
+    tokens sit after the memory it reads, at |Mem| + offset.
     """
-
-    allowed: np.ndarray
-    n_mem_cols: int
-    policy: str
-
-
-def build_parallel_mask(seq: TrainingSequence, policy: str) -> ParallelMask:
-    """The paper's attention mask over the whole sequence (the tests check
-    that it equals the group plan of ``training_forward``)."""
     if policy not in MEMORY_POLICIES:
         raise UsageError(f"unknown training policy {policy!r}")
     n, t, s = seq.n_tokens, seq.t, seq.s
-    merged = policy not in GROWING_POLICIES
-    m = t * s if merged else 0
+    m = t * s
+    grows = policy in GROWING_POLICIES
     allowed = np.zeros((n, m + n), dtype=bool)
-
-    def mem_cols(j: int) -> list[int]:  # the columns of Mem(j), j >= 1
-        if merged:
-            return list(range((j - 1) * s, j * s))
-        return [m + c for lo, hi in seq.comp_ranges[:j] for c in range(lo, hi)]
-
-    # group j reads Mem(j) (compression group j+1 only if the policy reads
-    # memory, Mem(0) is empty) and its own tokens causally
+    positions = np.empty(m + n, dtype=np.intp)
+    positions[:m] = np.arange(m) if grows else np.tile(np.arange(s), t)
     for j, (lo, hi) in enumerate(seq.groups):
-        allowed[lo:hi, m + lo:m + hi] = np.tril(np.ones((hi - lo, hi - lo), dtype=bool))
-        if j == t or (j and reads_memory(policy)):
-            allowed[lo:hi, mem_cols(j)] = True
-    return ParallelMask(allowed, m, policy)
+        # step j + 1 reads Mem(j), whose columns end at j*s: Mem(0) is empty,
+        # and a compression step reads memory only if the policy does
+        width = 0
+        if j == t or j and reads_memory(policy):
+            width = j * s if grows else s
+            allowed[lo:hi, j * s - width:j * s] = True
+        allowed[lo:hi, m + lo:m + hi] = T.causal_mask(hi - lo, hi - lo)
+        positions[m + lo:m + hi] = np.arange(width, width + hi - lo)
+    return allowed, positions
 
 
-# ---------------------------------------------------------------------------
-# per-layer memory materialization
+def parallel_memory_update(comp_k: Tensor, comp_v: Tensor, s: int,
+                           policy: str) -> tuple[Tensor, Tensor]:
+    """The [t*s, d] memory keys and values of one layer from the [t*s, d]
+    compression rows h(1..t).
 
-
-def parallel_memory_update(comp_kvs: Sequence[tuple[Tensor, Tensor]],
-                           policy: str) -> list[tuple[Tensor, Tensor]]:
-    """Memory states Mem(1..t) from the compression blocks of one layer.
-
-    ``comp_kvs[j]`` holds block j+1's (keys, values), each [s, d]. Each
-    state folds in its block by ``memory.fold_weights``: an appended state
-    is one concatenation of blocks 1..j (block 1 itself for j = 1), a
-    weighted one w_old * Mem(j-1) + w_new * h(j).
+    Appended states are the rows themselves: Mem(j) is the first j*s. A
+    weighted state w_old * Mem(j-1) + w_new * h(j) (``memory.fold_weights``)
+    is a fixed mix of h(1..j), so block j of the columns, Mem(j), comes
+    from one matmul of all rows.
     """
-    out: list[tuple[Tensor, Tensor]] = []
-    for j in range(1, len(comp_kvs) + 1):
-        w = fold_weights(policy, j)
-        if w is None:
-            ks, vs = zip(*comp_kvs[:j])
-            out.append((T.concat(ks, axis=0), T.concat(vs, axis=0)) if j > 1
-                       else comp_kvs[0])
-        else:
-            (prev_k, prev_v), (k, v) = out[-1], comp_kvs[j - 1]
-            out.append((T.add(T.mul(prev_k, w[0]), T.mul(k, w[1])),
-                        T.add(T.mul(prev_v, w[0]), T.mul(v, w[1]))))
-    return out
+    t = comp_k.shape[0] // s
+    if t == 1 or fold_weights(policy, 2) is None:
+        return comp_k, comp_v
+    fold = np.eye(t)
+    for j in range(1, t):
+        w_old, w_new = fold_weights(policy, j + 1)
+        fold[j] = w_old * fold[j - 1] + w_new * fold[j]
+    mix = Tensor(np.kron(fold, np.eye(s)).astype(comp_k.dtype))
+    return T.matmul(mix, comp_k), T.matmul(mix, comp_v)
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +163,18 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence,
                      policy: str) -> tuple[Tensor, Tensor]:
     """One forward over the interleaved sequence; loss on O(t) positions.
 
-    Gradients reach every token of every time step through the memory
-    states each group reads.
+    Gradients reach every token of every step through the memory columns
+    the later steps read.
     """
-    t, s = seq.t, seq.s
+    allowed, positions = build_parallel_mask(seq, policy)
+    comp = np.concatenate([np.arange(lo, hi) for lo, hi in seq.comp_ranges])
 
     def memory(layer, k, v):
-        comp_kvs = [(T.narrow(k, 0, lo, s), T.narrow(v, 0, lo, s))
-                    for lo, _ in seq.comp_ranges]
-        mems = parallel_memory_update(comp_kvs, policy)
-        reads = [None] + mems[:t - 1] if reads_memory(policy) else [None] * t
-        return reads + [mems[t - 1]]
+        return parallel_memory_update(T.take_rows(k, comp), T.take_rows(v, comp),
+                                      seq.s, policy)
 
-    logits, _ = forward_groups(model, seq.tokens, seq.groups, memory, adapters)
+    logits, _ = forward_groups(model, seq.tokens, memory, adapters, n_mem=comp.size,
+                               positions=positions, allowed=allowed)
     loss = T.cross_entropy_next_token(logits, seq.targets, seq.target_weights)
     return loss, logits
 

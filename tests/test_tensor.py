@@ -97,8 +97,10 @@ def composed_rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
 
 
 def composed_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                       cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """``T.attention`` as 15 tape ops: n queries are the last n of m keys."""
+                       cos: np.ndarray, sin: np.ndarray,
+                       allowed: np.ndarray | None = None) -> Tensor:
+    """``T.attention`` as 15 tape ops: n queries are the last n of m keys, at
+    the last n of the keys' angle rows; ``allowed`` [n, m] defaults to causal."""
     n, m = q.shape[0], k.shape[0]
     h, dh = n_heads, q.shape[1] // n_heads
     qh = T.transpose(reshape(q, (n, h, dh)), (1, 0, 2))
@@ -107,7 +109,8 @@ def composed_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     qh = tape_rope(qh, cos[m - n:], sin[m - n:])
     kh = tape_rope(kh, cos, sin)
     scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    allowed = np.tril(np.ones((n, m), dtype=bool), m - n)
+    if allowed is None:
+        allowed = np.tril(np.ones((n, m), dtype=bool), m - n)
     weights = tape_softmax_rows(scores, np.broadcast_to(allowed, (h, n, m)))
     ctx = T.matmul(weights, vh)
     return reshape(T.transpose(ctx, (1, 0, 2)), (n, h * dh))
@@ -257,7 +260,6 @@ def test_primitive_gradients(instance):
     check_op_grad(lambda: reshape(a, (6, 4)), [a], seed=instance)
     check_op_grad(lambda: T.transpose(a, (1, 0)), [a], seed=instance)
     check_op_grad(lambda: T.concat([a, b], axis=0), [a, b], seed=instance)
-    check_op_grad(lambda: T.narrow(a, 0, 1, 2), [a], seed=instance)
     check_op_grad(lambda: T.take_rows(a, np.array([0, 2, 2, 1])), [a], seed=instance)
 
 
@@ -316,6 +318,46 @@ def test_fused_attention_equals_composed(n, n_mem, n_heads, half, seed):
                                 [q, k, v], w)
     for got, want in zip(fused, composed):  # output, dq, dk, dv
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def masked_attention_cases(draw):
+    """(n, m, n_heads, half, seed, allowed, positions): a random [n, m] mask
+    with at least one key per row, and key positions drawn with repeats and
+    in any order, as the parallel training pass gives its memory columns."""
+    n, n_mem = draw(st.integers(1, 6)), draw(st.integers(0, 8))
+    m = n + n_mem
+    n_heads, half = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    allowed = rng.random((n, m)) < draw(st.floats(0.05, 1.0))
+    allowed[np.arange(n), rng.integers(0, m, n)] = True
+    positions = np.array(draw(st.lists(st.integers(0, 12), min_size=m, max_size=m)))
+    return n, m, n_heads, half, seed, allowed, positions
+
+
+@settings(max_examples=80, deadline=None)
+@given(masked_attention_cases())
+def test_masked_attention_equals_composed(case):
+    n, m, n_heads, half, seed, allowed, positions = case
+    rng = np.random.default_rng(seed)
+    q, k, v, cos, sin = attention_inputs(rng, n, m - n, n_heads, 2 * half)
+    cos, sin = (a[positions] for a in T.rope_angles(13, 2 * half, 10000.0, np.float64))
+    w = rng.standard_normal(q.shape)
+    fused = output_and_grads(lambda: T.attention(q, k, v, n_heads, cos, sin,
+                                                 allowed=allowed), [q, k, v], w)
+    composed = output_and_grads(
+        lambda: composed_attention(q, k, v, n_heads, cos, sin, allowed), [q, k, v], w)
+    for got, want in zip(fused, composed):  # output, dq, dk, dv
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 6), (2, 7), (3, 7, 1), (7,)])
+def test_attention_rejects_a_mask_of_another_shape(shape):
+    rng = np.random.default_rng(8)
+    q, k, v, cos, sin = attention_inputs(rng, 3, 4, 2, 4)
+    with pytest.raises(DimensionError):
+        T.attention(q, k, v, 2, cos, sin, allowed=np.ones(shape, dtype=bool))
 
 
 def test_attention_over_keys_already_rotated_is_the_same_op():

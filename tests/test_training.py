@@ -1,7 +1,7 @@
 """The parallelized training pass and its recursive reference oracle.
 
-The core claim: one forward over the interleaved sequence, run as t+1
-query groups, produces the same I/O logits as literally compressing
+The core claim: one forward over the interleaved sequence, one masked
+attention per layer, produces the same I/O logits as literally compressing
 segment by segment and then inferring on the final memory. Everything else
 about training hangs off that equivalence.
 """
@@ -82,19 +82,17 @@ def training_cases(draw):
 
 
 def group_plan(seq, policy):
-    """(lo, hi, memory columns) of each query group in the parallel mask.
+    """(lo, hi, memory columns) of each step in the parallel mask: its token
+    range and the columns of the Mem it reads in the recursive execution.
 
-    For merged policies the memory columns are the dedicated Mem(j) region
-    at the front; for growing policies they alias the compression-token
-    columns (the token region starts at column 0).
+    Growing policies hold h(1..t) in the t*s memory columns, so Mem(j) is the
+    first j*s of them; merged policies hold Mem(j) as column block j.
     """
     merged = policy in ("merge", "ema")
-    s, m = seq.s, (seq.t * seq.s if merged else 0)
+    s = seq.s
 
     def mem_cols(j):  # columns of Mem(j), j >= 1
-        if merged:
-            return list(range((j - 1) * s, j * s))
-        return [m + c for lo, hi in seq.comp_ranges[:j] for c in range(lo, hi)]
+        return list(range((j - 1) * s, j * s)) if merged else list(range(j * s))
 
     plan = []
     for j in range(1, seq.t + 1):
@@ -106,34 +104,40 @@ def group_plan(seq, policy):
 
 
 def assert_mask_is_group_plan(seq, policy):
-    """Each group's rows are [all of its memory | causal over its own tokens]
-    and False elsewhere: the pattern ``attend`` derives from shapes."""
-    mask = build_parallel_mask(seq, policy)
+    """Each step's rows allow [all of its memory | its own tokens causally]
+    and nothing else, and each row's allowed keys sit at positions 0, 1, ...
+    in column order: the oracle's frame [Mem | own tokens]."""
+    allowed, positions = build_parallel_mask(seq, policy)
     plan = group_plan(seq, policy)
-    m = mask.n_mem_cols
+    n, m = seq.n_tokens, seq.t * seq.s
+    assert allowed.shape == (n, m + n) and positions.shape == (m + n,)
     assert [lo for lo, _, _ in plan] == [0] + [hi for _, hi, _ in plan[:-1]]
-    assert plan[-1][1] == seq.n_tokens
+    assert plan[-1][1] == n
     for lo, hi, cols in plan:
-        expected = np.zeros((hi - lo, mask.allowed.shape[1]), dtype=bool)
+        expected = np.zeros((hi - lo, m + n), dtype=bool)
         expected[:, cols] = True
         expected[:, m + lo:m + hi] = np.tril(np.ones((hi - lo, hi - lo), dtype=bool))
-        np.testing.assert_array_equal(mask.allowed[lo:hi], expected)
+        np.testing.assert_array_equal(allowed[lo:hi], expected)
+        for i in range(lo, hi):
+            np.testing.assert_array_equal(positions[allowed[i]],
+                                          np.arange(len(cols) + i - lo + 1))
 
 
 def test_mask_t1_exact_pairs():
     seq = build_training_sequence(([[10, 11]], [12], [13]), s=1, t=1,
                                   comp_token_id=99)
-    mask = build_parallel_mask(seq, "concat")
-    assert mask.n_mem_cols == 0
-    # tokens: a b COMP q y  (q's row attends COMP (= Mem(1)) and itself)
+    allowed, positions = build_parallel_mask(seq, "concat")
+    # keys: h(1) | a b COMP q y; q and y read h(1), the memory column, and
+    # themselves, never the COMP token's own column
     expected = np.array([
-        [1, 0, 0, 0, 0],
-        [1, 1, 0, 0, 0],
-        [1, 1, 1, 0, 0],
-        [0, 0, 1, 1, 0],
-        [0, 0, 1, 1, 1],
+        [0, 1, 0, 0, 0, 0],
+        [0, 1, 1, 0, 0, 0],
+        [0, 1, 1, 1, 0, 0],
+        [1, 0, 0, 0, 1, 0],
+        [1, 0, 0, 0, 1, 1],
     ], dtype=bool)
-    np.testing.assert_array_equal(mask.allowed, expected)
+    np.testing.assert_array_equal(allowed, expected)
+    np.testing.assert_array_equal(positions, [0, 0, 1, 2, 1, 2])
 
 
 def test_mask_rows_nonempty_and_self_allowed():
@@ -141,11 +145,11 @@ def test_mask_rows_nonempty_and_self_allowed():
     for policy in ("concat", "merge", "ema", "independent"):
         sample = random_sample(rng, 3, 40)
         seq = build_training_sequence(sample, s=2, t=3, comp_token_id=99)
-        mask = build_parallel_mask(seq, policy)
+        allowed, _ = build_parallel_mask(seq, policy)
         n = seq.n_tokens
-        assert mask.allowed.any(axis=1).all()
+        assert allowed.any(axis=1).all()
         rows = np.arange(n)
-        assert mask.allowed[rows, mask.n_mem_cols + rows].all()
+        assert allowed[rows, seq.t * seq.s + rows].all()
         assert_mask_is_group_plan(seq, policy)
 
 
@@ -160,21 +164,21 @@ def test_parallel_mask_rows_are_group_plan(drawn):
 def test_mask_independent_equals_concat_at_t1():
     seq = build_training_sequence(([[10, 11]], [12], [13]), s=1, t=1,
                                   comp_token_id=99)
-    a = build_parallel_mask(seq, "concat")
-    b = build_parallel_mask(seq, "independent")
-    np.testing.assert_array_equal(a.allowed, b.allowed)
+    for a, b in zip(build_parallel_mask(seq, "concat"),
+                    build_parallel_mask(seq, "independent")):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_mask_no_raw_cross_segment_attention():
-    # tokens: [c1 c1 COMP1 c2 c2 COMP2 I O]
+    # keys: h(1) h(2) | c1 c1 COMP1 c2 c2 COMP2 I O
     seq = build_training_sequence(([[1, 2], [3, 4]], [5], [6]), s=1, t=2,
                                   comp_token_id=99)
-    mask = build_parallel_mask(seq, "concat")
-    # c(2) tokens (rows 3,4) must not read raw c(1) tokens (cols 0,1)
-    assert not mask.allowed[3:5, 0:2].any()
-    # I/O rows (6,7) read only comp columns among earlier entries
-    assert not mask.allowed[6:8, [0, 1, 3, 4]].any()
-    assert mask.allowed[6:8, 2].all() and mask.allowed[6:8, 5].all()
+    allowed, _ = build_parallel_mask(seq, "concat")
+    # c(2) tokens (rows 3,4) read Mem(1) = h(1) and no column of step 1
+    assert allowed[3:5, 0].all() and not allowed[3:5, 1].any()
+    assert not allowed[3:5, 2:5].any()
+    # I/O rows (6,7) read both memory columns and no token before them
+    assert allowed[6:8, 0:2].all() and not allowed[6:8, 2:8].any()
 
 
 # ---------------------------------------------------------------------------
@@ -182,38 +186,47 @@ def test_mask_no_raw_cross_segment_attention():
 
 
 def test_parallel_update_merge_cumulative_means():
-    hs = [(T.Tensor(np.full((1, 1), v)), T.Tensor(np.full((1, 1), v)))
-          for v in (3.0, 6.0, 9.0)]
-    mems = parallel_memory_update(hs, "merge")
-    got = [m[0].data.item() for m in mems]
-    assert got == pytest.approx([3.0, 4.5, 6.0])
+    h = T.Tensor(np.array([[3.0], [6.0], [9.0]]))
+    keys, values = parallel_memory_update(h, h, 1, "merge")
+    assert keys.data[:, 0] == pytest.approx([3.0, 4.5, 6.0])
+    assert values.data[:, 0] == pytest.approx([3.0, 4.5, 6.0])
 
 
 def test_parallel_update_concat_widths():
+    # growing policies read Mem(j) as the first j*s rows: the columns are the
+    # compression rows themselves, with no op on the tape
     rng = np.random.default_rng(3)
-    hs = [(T.Tensor(rng.standard_normal((1, 4))), T.Tensor(rng.standard_normal((1, 4))))
-          for _ in range(3)]
-    mems = parallel_memory_update(hs, "concat")
-    assert [m[0].shape[0] for m in mems] == [1, 2, 3]
-    np.testing.assert_array_equal(mems[2][0].data[1], hs[1][0].data[0])
+    k, v = (T.Tensor(rng.standard_normal((6, 4))) for _ in range(2))
+    for policy in ("concat", "independent"):
+        keys, values = parallel_memory_update(k, v, 2, policy)
+        assert keys is k and values is v
+    for policy in ("merge", "ema"):
+        keys, values = parallel_memory_update(k, v, 2, policy)
+        assert keys.shape == values.shape == (6, 4)
 
 
 @pytest.mark.parametrize("policy", MEMORY_POLICIES)
 def test_parallel_update_matches_online(policy):
     # the parallel pass and the online update apply one fold rule: every
-    # Mem(j), keys and values, agrees in float64
+    # Mem(j), keys and values, agrees in float64 (the first j*s columns of a
+    # growing policy, column block j of a merged one)
     rng = np.random.default_rng(4)
-    raw = [(rng.standard_normal((1, 2, 3)), rng.standard_normal((1, 2, 3)))
-           for _ in range(5)]
-    mems = parallel_memory_update(
-        [(T.Tensor(k[0]), T.Tensor(v[0])) for k, v in raw], policy)
+    t, s, d = 5, 2, 3
+    raw = [(rng.standard_normal((1, s, d)), rng.standard_normal((1, s, d)))
+           for _ in range(t)]
+    keys, values = parallel_memory_update(
+        T.Tensor(np.concatenate([k[0] for k, _ in raw])),
+        T.Tensor(np.concatenate([v[0] for _, v in raw])), s, policy)
 
-    assert len(mems) == len(raw)
+    assert keys.shape == values.shape == (t * s, d)
+    grows = policy in ("concat", "independent")
     online = ContextMemory(policy)
-    for (k, v), (par_k, par_v) in zip(raw, mems):
+    for j, (k, v) in enumerate(raw, start=1):
         online = online.updated(KVLayout(k, v))
-        np.testing.assert_allclose(par_k.data, online.entries.keys[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(par_v.data, online.entries.values[0], rtol=0,
+        cols = slice(0, j * s) if grows else slice((j - 1) * s, j * s)
+        np.testing.assert_allclose(keys.data[cols], online.entries.keys[0], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(values.data[cols], online.entries.values[0], rtol=0,
                                    atol=1e-12)
 
 
@@ -345,7 +358,8 @@ def test_loss_positive_and_zero_init_identity(tiny_model64):
 
 
 def test_adapter_gradient_vs_finite_differences(tiny_model64):
-    t, s = 2, 1
+    # t=3, s=2: later steps read weighted memory columns that share positions
+    t, s = 3, 2
     rng = np.random.default_rng(14)
     tiny_model64.freeze()
     adapters = make_adapters(tiny_model64, s, seed=14)
@@ -353,13 +367,36 @@ def test_adapter_gradient_vs_finite_differences(tiny_model64):
     seq = build_training_sequence(sample, s=s, t=t,
                                   comp_token_id=TINY.comp_token_id)
     params = trainable_parameters(tiny_model64, adapters)
+    for policy in MEMORY_POLICIES:
+        def f():
+            loss, _ = training_forward(tiny_model64, adapters, seq, policy)
+            return loss
 
-    def f():
-        loss, _ = training_forward(tiny_model64, adapters, seq, "concat")
-        return loss
+        err = finite_difference_check(f, params, n_samples=24, eps=1e-5, seed=0)
+        assert err < 1e-3, policy
 
-    err = finite_difference_check(f, params, n_samples=24, eps=1e-5, seed=0)
-    assert err < 1e-3
+
+def test_training_forward_tape_does_not_grow_with_t(tiny_model64, monkeypatch):
+    # one masked attention per layer: the tape of a concat forward has the
+    # same node count at t=2 and t=12 when every segment is equally long
+    tiny_model64.freeze()
+    adapters = make_adapters(tiny_model64, 2, seed=15)
+    init = T.Tensor.__init__
+    nodes = []
+
+    def counting_init(obj, data, requires_grad=False, _parents=(), _backward=None):
+        init(obj, data, requires_grad, _parents, _backward)
+        nodes[-1] += _backward is not None
+
+    monkeypatch.setattr(T.Tensor, "__init__", counting_init)
+    for t in (2, 12):
+        sample = random_sample(np.random.default_rng(t), t, TINY.comp_token_id,
+                               seg_lens=(4, 5))
+        seq = build_training_sequence(sample, s=2, t=t,
+                                      comp_token_id=TINY.comp_token_id)
+        nodes.append(0)
+        training_forward(tiny_model64, adapters, seq, "concat")
+    assert nodes[0] == nodes[1] > 0
 
 
 # ---------------------------------------------------------------------------
