@@ -2,9 +2,10 @@
 
 Layout: 8-byte magic, uint32 little-endian header length, UTF-8 JSON
 header, raw little-endian payload. The header carries a format-version
-integer, an arbitrary ``meta`` dict (model config, adapter hyperparams,
-...) and one record per array: name, dtype, shape and byte offset into
-the payload. Arrays are stored row-major.
+integer, the payload's ``zlib.crc32`` (checked when present), an arbitrary
+``meta`` dict (model config, adapter hyperparams, ...) and one record per
+array: name, dtype, shape and byte offset into the payload. Arrays are
+stored row-major.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -44,6 +46,7 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray],
         payload.extend(raw)
     header = json.dumps({
         "format_version": FORMAT_VERSION,
+        "crc32": zlib.crc32(payload),
         "meta": meta or {},
         "records": records,
     }, sort_keys=True).encode("utf-8")
@@ -79,6 +82,8 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             f"{path}: format version {header.get('format_version')} "
             f"!= supported {FORMAT_VERSION}")
     payload = blob[12 + header_len:]
+    if "crc32" in header and header["crc32"] != zlib.crc32(payload):
+        raise DataError(f"{path}: payload fails its checksum {header['crc32']!r}")
     arrays: dict[str, np.ndarray] = {}
     for rec in header["records"]:
         if not isinstance(rec, dict) or not _RECORD_KEYS <= rec.keys():

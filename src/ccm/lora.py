@@ -116,9 +116,9 @@ class AdapterSet:
     def load(cls, path, model) -> "AdapterSet":
         """Adapters from a checkpoint, frozen: inference records no tape."""
         with read_checkpoint(path, "adapters") as (arrays, meta):
+            check_records(path, arrays, adapter_shapes(model.config, int(meta["rank"])))
             adapters = cls.init(model, rank=int(meta["rank"]), alpha=float(meta["alpha"]),
                                 comp_len=int(meta["comp_len"]))
-            check_records(path, arrays, adapter_shapes(model.config, adapters.rank))
         for p in adapters.parameters():
             p.data[...] = arrays[p.name].astype(p.data.dtype)
             p.freeze()

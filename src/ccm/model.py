@@ -13,11 +13,11 @@ rows with each key also kept rotated at its position, and hands it to
 once into the rows after the layout, and attention reads the cache in
 place, so no step copies the cache or rotates a key twice.
 
-The one layer loop, ``forward_groups``, runs one masked attention per
-layer over [memory columns | tokens]. By default the keys take positions
-0..m-1 and every token sees all memory and its own tokens causally: the
-inference forward over a layout. Compression training passes the paper's
-mask and key positions instead, so its t+1 steps share one attention.
+The one layer loop, ``forward_groups``, runs one attention per layer over
+[memory columns | tokens]. By default the keys take positions 0..m-1 and
+every token sees all memory and its own tokens causally: the inference
+forward over a layout. Compression training passes key positions and
+``T.Blocks`` instead, a pack of sequences each under the paper's mask.
 
 Blocks are pre-norm with RMS normalization, a SiLU-gated feed-forward and
 an untied output head.
@@ -180,11 +180,11 @@ def project_rows(x: Tensor, w: Parameter, lora, comp_idx: np.ndarray) -> Tensor:
 
 def attend(q: Tensor, k: Tensor, v: Tensor, config: ModelConfig, cos: np.ndarray,
            sin: np.ndarray, rotated: np.ndarray | None = None,
-           allowed: np.ndarray | None = None) -> Tensor:
+           blocks: T.Blocks | None = None) -> Tensor:
     """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values
-    at the keys' angle rows ``cos``/``sin``; ``rotated`` and ``allowed`` as
+    at the keys' angle rows ``cos``/``sin``; ``rotated`` and ``blocks`` as
     in T.attention."""
-    return T.attention(q, k, v, config.n_heads, cos, sin, rotated, allowed)
+    return T.attention(q, k, v, config.n_heads, cos, sin, rotated, blocks)
 
 
 def mlp(x: Tensor, w_gate: Parameter, w_up: Parameter, w_down: Parameter) -> Tensor:
@@ -213,23 +213,23 @@ def check_token_ids(tokens: np.ndarray, vocab_size: int) -> None:
 def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
                    adapters: AdapterSet | None = None, cache: KVCache | None = None,
                    n_mem: int = 0, positions: np.ndarray | None = None,
-                   allowed: np.ndarray | None = None) -> tuple[Tensor, KVLayout]:
+                   blocks: T.Blocks | None = None) -> tuple[Tensor, KVLayout]:
     """The layer loop: ``tokens`` attend over [n_mem memory columns | tokens].
 
     At every layer, ``memory(layer, k, v)`` gets that layer's keys and values
     of all tokens and returns the (keys, values) of the n_mem memory columns,
     or None when there are none. The m = n_mem + n keys sit at ``positions``
-    (default 0..m-1), the tokens at the last n, and token i reads key j where
-    ``allowed[i, j]`` (default: all memory, own tokens causally), so one
-    masked attention per layer serves inference and the paper's parallel
-    training pass alike. Returns per-token logits and the layout of the
-    unrotated KV the tokens produced. The conditional adapter fires only on
-    compression tokens. ``cache``, in place of ``memory``, is a KVCache
-    whose first ``n_mem`` rows hold the memory: the tokens' keys, values and
-    rotated keys go into the n rows after them, attention reads those m rows
-    in place and no row past them, and the returned layout views the tokens'
-    rows. No gradient reaches the keys and values through it, so it serves
-    inference only.
+    (default 0..m-1), the tokens at the last n, and each query reads what its
+    block in ``blocks`` allows (default: all memory, own tokens causally),
+    so one attention per layer serves inference and a pack of the paper's
+    parallel training passes alike. Returns per-token logits and the layout
+    of the unrotated KV the tokens produced. The conditional adapter fires
+    only on compression tokens. ``cache``, in place of ``memory``, is a
+    KVCache whose first ``n_mem`` rows hold the memory: the tokens' keys,
+    values and rotated keys go into the n rows after them, attention reads
+    those m rows in place and no row past them, and the returned layout views
+    the tokens' rows. No gradient reaches the keys and values through it, so
+    it serves inference only.
     """
     cfg = model.config
     n = tokens.shape[0]
@@ -267,7 +267,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
             mem = memory(layer, k, v)
             if mem is not None:
                 k, v = T.concat([mem[0], k], axis=0), T.concat([mem[1], v], axis=0)
-            ctx = attend(q, k, v, cfg, cos, sin, allowed=allowed)
+            ctx = attend(q, k, v, cfg, cos, sin, blocks=blocks)
         lo = gated.lora(layer, "o") if gated else None
         ctx = project_rows(ctx, model.params[p + "wo"], lo, comp_idx)
         x = T.add(x, ctx)

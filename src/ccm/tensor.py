@@ -6,7 +6,8 @@ fused ``attention`` and ``rmsnorm``, one tape node each, over the plain-array
 kernels ``rope``, ``rope_angles``, ``causal_mask`` and ``softmax_rows``) plus
 a cross-entropy head and a finite-difference oracle. Tensors wrap a numpy
 array; when any input of an op requires gradients, the op records a
-backward closure on the tape. Gradients accumulate, never overwrite.
+backward closure on the tape. Gradients accumulate, never overwrite; one
+``backward`` consumes a graph, releasing each node as it sweeps.
 
 Precision follows the wrapped array: float32 for training speed, float64
 when a test or oracle needs tight tolerances.
@@ -61,43 +62,48 @@ class Tensor:
     # -- gradient plumbing ---------------------------------------------------
 
     def accumulate_grad(self, g: Array) -> None:
-        """Add ``g`` into the gradient buffer (allocating it on first use)."""
+        """Add ``g`` into the gradient buffer; the first ``g`` is copied in as
+        the buffer, broadcast to the tensor's shape and in its dtype."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = (g if g.shape == self.data.shape
+                         else np.broadcast_to(g, self.data.shape)).astype(self.data.dtype)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar. Accumulates into ``grad``."""
+        """Reverse-mode sweep from a scalar into the leaves' ``grad``. Each
+        interior node drops its grad, closure and parents once it has run, so
+        memory falls as the sweep goes; a second sweep through it is refused."""
         if self.data.size != 1:
             raise ContractViolation("backward() requires a scalar tensor")
         order = _topo_order(self)
         self.accumulate_grad(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _released, ()
+
+
+def _released(g: Array) -> None:
+    raise ContractViolation("backward through a graph an earlier backward released")
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS: training graphs routinely exceed the recursion limit.
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, int]] = [(root, 0)]
+    order, seen, stack = [], set(), [(root, False)]
     while stack:
-        node, i = stack.pop()
-        if i == 0:
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-        if i < len(node._parents):
-            stack.append((node, i + 1))
-            child = node._parents[i]
-            if id(child) not in seen:
-                stack.append((child, 0))
-        else:
+        node, done = stack.pop()
+        if done:
             order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in reversed(node._parents) if id(p) not in seen)
     return order
 
 
@@ -370,28 +376,49 @@ def softmax_rows(x: Array, mask: Array | None) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+class Blocks:
+    """Sequences packed into one attention: block (lo, hi, keys, mask) lets
+    query rows lo:hi read its key indices where the [hi-lo, keys] mask holds.
+    The blocks partition the queries, in order, and the keys. That is checked
+    once here, not per layer, and lets the backward assign gradient rows."""
+
+    def __init__(self, parts: Sequence[tuple[int, int, Array, Array]]):
+        self.parts = [(slice(lo, hi), np.asarray(keys, dtype=np.intp), mask)
+                      for lo, hi, keys, mask in parts]
+        starts = [0] + [r.stop for r, _, _ in self.parts]
+        keys = np.concatenate([c for _, c, _ in self.parts] + [[]])
+        self.n, self.m = starts[-1], keys.size
+        if not self.parts or not np.array_equal(np.sort(keys), np.arange(self.m)) \
+                or any(r.start != lo or r.stop <= lo or np.shape(mask) != (r.stop - lo, c.size)
+                       for (r, c, mask), lo in zip(self.parts, starts)):
+            raise DimensionError("attention blocks must partition the queries, in order, "
+                                 "and the keys, each with a [queries, keys] mask")
+
+
+_ONE_BLOCK = ((slice(None), slice(None), None),)  # every query row, every key
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Array,
-              rotated: Array | None = None, allowed: Array | None = None) -> Tensor:
+              rotated: Array | None = None, blocks: Blocks | None = None) -> Tensor:
     """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values.
 
     ``cos``/``sin`` hold one angle row per key, [m, d//(2 n_heads)], and the
-    queries are the last n keys, so they take the last n rows. Query i reads
-    key j where the [n, m] bool ``allowed[i, j]`` holds; None allows the
-    first m-n keys (memory) to every query and the last n causally (the
-    cached ``causal_mask``; one query needs no mask). ``rotated`` may give
-    the keys already rotated, as [n_heads, m, d//n_heads], but for the last
-    n, the queries' own: attention rotates those with the queries and writes
-    them into it. The backward is written by hand; a masked weight is 0.
+    queries are the last n keys, so they take the last n rows. Both rotate
+    once; scores, softmax and weighted sum then run per block of ``blocks``
+    in this one tape node. None is one block: the first m-n keys (memory) to
+    every query and the last n causally (the cached ``causal_mask``; one
+    query needs no mask). ``rotated`` may give the keys already rotated, as
+    [n_heads, m, d//n_heads], but for the last n, the queries' own: attention
+    rotates those with the queries and writes them into it. The backward is
+    written by hand; a masked weight is 0.
     """
     (n, d), m = q.shape, k.shape[0]
     dh = d // n_heads
     if k.shape != (m, d) or v.shape != (m, d) or n > m or d % (2 * n_heads) \
             or rotated is not None and rotated.shape != (n_heads, m, dh) \
-            or allowed is not None and allowed.shape != (n, m):
+            or blocks is not None and (blocks.n, blocks.m) != (n, m):
         raise DimensionError(f"attention of q {q.shape} over k {k.shape}, v {v.shape} "
                              f"in {n_heads} heads of even width")
-    if allowed is None and n > 1:
-        allowed = causal_mask(n, m)
     cq, sq = cos[m - n:], sin[m - n:]
     qh = q.data.reshape(n, n_heads, dh).transpose(1, 0, 2)
     kh = k.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
@@ -403,21 +430,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
         kh[:, m - n:] = both[1]
     vh = v.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
-    w = softmax_rows((qh @ kh.swapaxes(1, 2)) * scale, allowed)
-    out_data = (w @ vh).transpose(1, 0, 2).reshape(n, d)
+    if blocks is None:  # one block: memory to every query, own tokens causally
+        parts = _ONE_BLOCK
+        ws = [softmax_rows((qh @ kh.swapaxes(1, 2)) * scale,
+                           causal_mask(n, m) if n > 1 else None)]
+        ctx = ws[0] @ vh
+    else:
+        parts, ctx, ws = blocks.parts, np.empty_like(qh), []
+        for rows, keys, mask in parts:
+            ws.append(softmax_rows((qh[:, rows] @ kh[:, keys].swapaxes(1, 2)) * scale, mask))
+            ctx[:, rows] = ws[-1] @ vh[:, keys]
+    out_data = ctx.transpose(1, 0, 2).reshape(n, d)
 
     def bw(g: Array) -> None:
         gh = g.reshape(n, n_heads, dh).transpose(1, 0, 2)
-        if v.requires_grad:
-            v.accumulate_grad((w.swapaxes(1, 2) @ gh).transpose(1, 0, 2).reshape(m, d))
-        if q.requires_grad or k.requires_grad:
-            gy = (gh @ vh.swapaxes(1, 2)) * w
+        dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
+        for (rows, keys, _), w in zip(parts, ws):  # blocks partition rows and keys
+            gb = gh[:, rows]
+            dv[:, keys] = w.swapaxes(1, 2) @ gb
+            gy = (gb @ vh[:, keys].swapaxes(1, 2)) * w
             gs = (gy - w * gy.sum(axis=-1, keepdims=True)) * scale
+            dq[:, rows] = gs @ kh[:, keys]
+            dk[:, keys] = (qh[:, rows].swapaxes(1, 2) @ gs).swapaxes(1, 2)
+        if v.requires_grad:
+            v.accumulate_grad(dv.transpose(1, 0, 2).reshape(m, d))
         if q.requires_grad:
-            q.accumulate_grad(rope(gs @ kh, cq, -sq).transpose(1, 0, 2).reshape(n, d))
+            q.accumulate_grad(rope(dq, cq, -sq).transpose(1, 0, 2).reshape(n, d))
         if k.requires_grad:
-            dk = rope((qh.swapaxes(1, 2) @ gs).swapaxes(1, 2), cos, -sin)
-            k.accumulate_grad(dk.transpose(1, 0, 2).reshape(m, d))
+            k.accumulate_grad(rope(dk, cos, -sin).transpose(1, 0, 2).reshape(m, d))
 
     return _make(out_data, (q, k, v), bw)
 
@@ -454,10 +494,11 @@ def log_softmax_rows(data: Array) -> Array:
 
 
 def cross_entropy_next_token(logits: Tensor, targets: Array, weights: Array) -> Tensor:
-    """Mean negative log-likelihood over weight-1 positions.
+    """Weighted mean negative log-likelihood, sum(w * nll) / sum(w).
 
     ``logits`` is [n, V]; ``targets`` holds the token id each row should
-    predict; ``weights`` is a 0/1 array selecting which rows count.
+    predict; ``weights`` holds a non-negative real per row. 0/1 selects rows;
+    1/|O_i| on the loss rows O_i of packed sequence i averages their means.
     """
     targets = np.asarray(targets, dtype=np.intp)
     weights = np.asarray(weights, dtype=logits.data.dtype)
@@ -466,8 +507,8 @@ def cross_entropy_next_token(logits: Tensor, targets: Array, weights: Array) -> 
     if targets.shape[0] != logits.shape[0] or weights.shape[0] != logits.shape[0]:
         raise DimensionError("targets/weights must align with logits rows")
     wsum = weights.sum()
-    if wsum <= 0:
-        raise ContractViolation("cross entropy with all-zero weights")
+    if wsum <= 0 or weights.min() < 0:
+        raise ContractViolation("cross entropy with negative or all-zero weights")
 
     logp = log_softmax_rows(logits.data)
     rows = np.arange(logits.shape[0])

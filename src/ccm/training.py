@@ -17,12 +17,17 @@ where ``memory.reads_memory`` says the policy does (not for
 sees its memory in full and its own tokens causally, at the positions of
 its own frame [Mem | own tokens] numbered from zero, which is what makes
 the single-pass logits match the step-by-step oracle to float precision.
+
+A training step packs its batch (``pack_sequences``), at most twice the
+rows of its longest sequence per pack to bound peak memory. A ``Pack`` runs
+as one forward, each sequence under its own mask (``T.Blocks``), and one
+backward at its share of the batch-mean loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,6 +105,28 @@ def build_training_sequence(sample: tuple[Sequence, Sequence, Sequence],
                             io_range, weights, targets)
 
 
+@dataclass
+class Pack:
+    """Sequences run as one forward and one backward, rows concatenated in
+    order, each attending only within itself; ``t`` is their largest t."""
+
+    seqs: list[TrainingSequence]
+    t = property(lambda self: max(q.t for q in self.seqs))
+    n_tokens = property(lambda self: sum(q.n_tokens for q in self.seqs))
+
+
+def pack_sequences(seqs: Sequence[TrainingSequence]) -> list[Pack]:
+    """Longest first, each into the first pack with room: a pack holds at
+    most twice the rows of the longest sequence."""
+    cap, packs = 2 * max(q.n_tokens for q in seqs), []
+    for seq in sorted(seqs, key=lambda q: -q.n_tokens):
+        room = next((p for p in packs if p.n_tokens + seq.n_tokens <= cap), None)
+        if room is None:
+            packs.append(room := Pack([]))
+        room.seqs.append(seq)
+    return packs
+
+
 # ---------------------------------------------------------------------------
 # the parallel mask and memory columns
 
@@ -134,23 +161,23 @@ def build_parallel_mask(seq: TrainingSequence,
     return allowed, positions
 
 
-def parallel_memory_update(comp_k: Tensor, comp_v: Tensor, s: int,
-                           policy: str) -> tuple[Tensor, Tensor]:
-    """The [t*s, d] memory keys and values of one layer from the [t*s, d]
-    compression rows h(1..t).
+def parallel_memory_update(comp_k: Tensor, comp_v: Tensor, s: int, policy: str,
+                           ts: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
+    """The [M, d] memory keys and values of one layer from the [M, d]
+    compression rows h(1..t) of each packed sequence, t in ``ts`` (one by default).
 
-    Appended states are the rows themselves: Mem(j) is the first j*s. A
-    weighted state w_old * Mem(j-1) + w_new * h(j) (``memory.fold_weights``)
-    is a fixed mix of h(1..j), so block j of the columns, Mem(j), comes
-    from one matmul of all rows.
+    Appended states are the rows themselves: Mem(j) is a sequence's first
+    j*s. A weighted state w_old * Mem(j-1) + w_new * h(j)
+    (``memory.fold_weights``) is a fixed mix of h(1..j), so each Mem(j)
+    comes from one matmul of all rows by a block-diagonal mix.
     """
-    t = comp_k.shape[0] // s
-    if t == 1 or fold_weights(policy, 2) is None:
+    steps = np.concatenate([np.arange(t) for t in ts or [comp_k.shape[0] // s]])
+    if not steps.any() or fold_weights(policy, 2) is None:
         return comp_k, comp_v
-    fold = np.eye(t)
-    for j in range(1, t):
-        w_old, w_new = fold_weights(policy, j + 1)
-        fold[j] = w_old * fold[j - 1] + w_new * fold[j]
+    fold = np.eye(steps.size)
+    for r in np.flatnonzero(steps):  # step j > 1 of a sequence folds into Mem(j-1)
+        w_old, w_new = fold_weights(policy, steps[r] + 1)
+        fold[r] = w_old * fold[r - 1] + w_new * fold[r]
     mix = Tensor(np.kron(fold, np.eye(s)).astype(comp_k.dtype))
     return T.matmul(mix, comp_k), T.matmul(mix, comp_v)
 
@@ -159,23 +186,39 @@ def parallel_memory_update(comp_k: Tensor, comp_v: Tensor, s: int,
 # single-pass forward
 
 
-def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence,
+def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence | Pack,
                      policy: str) -> tuple[Tensor, Tensor]:
-    """One forward over the interleaved sequence; loss on O(t) positions.
+    """One forward over a pack (a lone sequence is a pack of one); the loss is
+    the mean over its sequences of their mean loss on O(t) positions.
 
     Gradients reach every token of every step through the memory columns
     the later steps read.
     """
-    allowed, positions = build_parallel_mask(seq, policy)
-    comp = np.concatenate([np.arange(lo, hi) for lo, hi in seq.comp_ranges])
+    seqs = seq.seqs if isinstance(seq, Pack) else [seq]
+    n_mem = sum(q.t * q.s for q in seqs)
+    positions = np.empty(n_mem + sum(q.n_tokens for q in seqs), dtype=np.intp)
+    parts, comp, weights = [], [], []
+    lo = mem_lo = 0
+    for q in seqs:  # keys: [every sequence's memory columns | every token]
+        allowed, positions_q = build_parallel_mask(q, policy)
+        hi, mem_hi = lo + q.n_tokens, mem_lo + q.t * q.s
+        keys = np.r_[mem_lo:mem_hi, n_mem + lo:n_mem + hi]
+        parts.append((lo, hi, keys, allowed))
+        positions[keys] = positions_q
+        comp += [np.arange(lo + a, lo + b) for a, b in q.comp_ranges]
+        weights.append(q.target_weights / q.target_weights.sum())
+        lo, mem_lo = hi, mem_hi
+    comp = np.concatenate(comp)
 
     def memory(layer, k, v):
         return parallel_memory_update(T.take_rows(k, comp), T.take_rows(v, comp),
-                                      seq.s, policy)
+                                      seqs[0].s, policy, [q.t for q in seqs])
 
-    logits, _ = forward_groups(model, seq.tokens, memory, adapters, n_mem=comp.size,
-                               positions=positions, allowed=allowed)
-    loss = T.cross_entropy_next_token(logits, seq.targets, seq.target_weights)
+    logits, _ = forward_groups(model, np.concatenate([q.tokens for q in seqs]), memory,
+                               adapters, n_mem=n_mem, positions=positions,
+                               blocks=T.Blocks(parts))
+    loss = T.cross_entropy_next_token(logits, np.concatenate([q.targets for q in seqs]),
+                                      np.concatenate(weights))
     return loss, logits
 
 
@@ -238,21 +281,21 @@ MetricsRow = dict  # step, loss, lr, wall_ms
 
 
 def _train_steps(params, order: str, recipe: Recipe,
-                 sample_loss: Callable[[np.random.Generator], Tensor]) -> list[MetricsRow]:
-    """Adam over ``params``: per step, the batch-mean loss of ``recipe.batch``
-    draws of ``sample_loss`` from the rng seeded by ``order``."""
+                 step_losses: Callable[[np.random.Generator], Iterator]) -> list[MetricsRow]:
+    """Adam over ``params`` on the batch mean: ``step_losses(rng)``, rng seeded
+    by ``order``, yields (loss, count), the mean loss of ``count`` of a step's
+    draws, each backpropagated at its share of the batch before the next."""
     opt = Adam(params)
     rng = np.random.default_rng(derive_seed(recipe.seed, order))
     rows: list[MetricsRow] = []
     for step in range(recipe.steps):
         lr = cosine_lr(step, recipe.steps, recipe.lr)
         opt.zero_grad()
-        total = 0.0
-        for _ in range(recipe.batch):
-            loss = sample_loss(rng)
-            T.mul(loss, 1.0 / recipe.batch).backward()
-            total += loss.item()
-        mean_loss = total / recipe.batch
+        mean_loss = 0.0
+        for loss, count in step_losses(rng):
+            share = count / recipe.batch
+            T.mul(loss, share).backward()
+            mean_loss += share * loss.item()
         if not np.isfinite(mean_loss):
             raise ContractViolation(
                 f"training diverged at step {step}: loss={mean_loss!r}; "
@@ -271,17 +314,18 @@ def pretrain(model: ToyLM, sampler: Callable[[np.random.Generator], tuple],
     """
     model.thaw()
 
-    def sample_loss(rng):
-        tokens, weights = sampler(rng)
-        tokens = np.asarray(tokens, dtype=np.intp)
-        weights = np.asarray(weights, dtype=np.int8).copy()
-        weights[-1] = 0  # final position has no next token
-        logits, _ = model.forward(tokens, model.empty_layout())
-        targets = np.zeros(tokens.size, dtype=np.intp)
-        targets[:-1] = tokens[1:]
-        return T.cross_entropy_next_token(logits, targets, weights)
+    def step_losses(rng):
+        for _ in range(recipe.batch):
+            tokens, weights = sampler(rng)
+            tokens = np.asarray(tokens, dtype=np.intp)
+            weights = np.asarray(weights, dtype=np.int8).copy()
+            weights[-1] = 0  # final position has no next token
+            logits, _ = model.forward(tokens, model.empty_layout())
+            targets = np.zeros(tokens.size, dtype=np.intp)
+            targets[:-1] = tokens[1:]
+            yield T.cross_entropy_next_token(logits, targets, weights), 1
 
-    return _train_steps(model.parameters(), "pretrain-order", recipe, sample_loss)
+    return _train_steps(model.parameters(), "pretrain-order", recipe, step_losses)
 
 
 def train_compression(model: ToyLM, adapters: AdapterSet,
@@ -291,14 +335,17 @@ def train_compression(model: ToyLM, adapters: AdapterSet,
     """Stage 2: optimize only the adapters and the shared comp embedding.
 
     ``sampler(rng, t)`` returns one (segments, inputs, outputs) triple with
-    at least t segments; t is drawn uniformly from 1..T per sample.
+    at least t segments; t is drawn uniformly from 1..T per sample. A step
+    draws its batch, then runs it as packs.
     """
-    def sample_loss(rng):
-        t = int(rng.integers(1, recipe.T + 1))
-        seq = build_training_sequence(sampler(rng, t), adapters.comp_len, t,
-                                      model.config.comp_token_id)
-        loss, _ = training_forward(model, adapters, seq, recipe.policy)
-        return loss
+    def step_losses(rng):
+        seqs = []
+        for _ in range(recipe.batch):
+            t = int(rng.integers(1, recipe.T + 1))
+            seqs.append(build_training_sequence(sampler(rng, t), adapters.comp_len, t,
+                                                model.config.comp_token_id))
+        for pack in pack_sequences(seqs):
+            yield training_forward(model, adapters, pack, recipe.policy)[0], len(pack.seqs)
 
     return _train_steps(trainable_parameters(model, adapters), "compress-order",
-                        recipe, sample_loss)
+                        recipe, step_losses)

@@ -96,24 +96,40 @@ def composed_rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     return T.mul(T.mul(x, pow_scalar(ms, -0.5)), gain)
 
 
-def composed_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                       cos: np.ndarray, sin: np.ndarray,
-                       allowed: np.ndarray | None = None) -> Tensor:
-    """``T.attention`` as 15 tape ops: n queries are the last n of m keys, at
-    the last n of the keys' angle rows; ``allowed`` [n, m] defaults to causal."""
+def composed_block(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                   angles_q: tuple, angles_k: tuple, allowed: np.ndarray) -> Tensor:
+    """One block of ``T.attention`` as 15 tape ops: [n, d] queries at the
+    angle rows ``angles_q`` over [m, d] keys at ``angles_k``, masked by the
+    [n, m] ``allowed``."""
     n, m = q.shape[0], k.shape[0]
     h, dh = n_heads, q.shape[1] // n_heads
     qh = T.transpose(reshape(q, (n, h, dh)), (1, 0, 2))
     kh = T.transpose(reshape(k, (m, h, dh)), (1, 0, 2))
     vh = T.transpose(reshape(v, (m, h, dh)), (1, 0, 2))
-    qh = tape_rope(qh, cos[m - n:], sin[m - n:])
-    kh = tape_rope(kh, cos, sin)
+    qh = tape_rope(qh, *angles_q)
+    kh = tape_rope(kh, *angles_k)
     scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    if allowed is None:
-        allowed = np.tril(np.ones((n, m), dtype=bool), m - n)
     weights = tape_softmax_rows(scores, np.broadcast_to(allowed, (h, n, m)))
     ctx = T.matmul(weights, vh)
     return reshape(T.transpose(ctx, (1, 0, 2)), (n, h * dh))
+
+
+def composed_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                       cos: np.ndarray, sin: np.ndarray, parts=None) -> Tensor:
+    """``T.attention`` composed block by block: the n queries are the last n
+    of m keys, at the last n of the keys' angle rows; each (lo, hi, keys,
+    mask) block of ``parts`` gathers its queries and keys, attends, and the
+    blocks' outputs are stacked. None is one causal block over every key."""
+    n, m = q.shape[0], k.shape[0]
+    if parts is None:
+        parts = [(0, n, np.arange(m), np.tril(np.ones((n, m), dtype=bool), m - n))]
+    outs = []
+    for lo, hi, keys, allowed in parts:
+        rows = np.arange(lo, hi)
+        outs.append(composed_block(
+            T.take_rows(q, rows), T.take_rows(k, keys), T.take_rows(v, keys), n_heads,
+            (cos[m - n:][rows], sin[m - n:][rows]), (cos[keys], sin[keys]), allowed))
+    return T.concat(outs, axis=0)
 
 
 def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -169,6 +185,47 @@ def test_backward_accumulates_grad():
     sum_all(x).backward()
     sum_all(T.mul(x, 2.0)).backward()
     np.testing.assert_allclose(x.grad, 3.0 * np.ones(3))
+
+
+def test_backward_releases_the_tape_and_keeps_leaf_grads():
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    c = rng.standard_normal((3, 2))
+    h = T.matmul(x, w)
+    y = T.mul(h, c)
+    loss = sum_all(y)
+    loss.backward()
+    np.testing.assert_allclose(x.grad, c @ w.data.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.grad, x.data.T @ c, rtol=0, atol=1e-12)
+    for node in (h, y, loss):  # interior: no grad, parents or closure left
+        assert node.grad is None and node._parents == ()
+        assert node._backward.__closure__ is None
+    grads = x.grad.copy(), w.grad.copy()
+    # a second sweep through the released graph, or a new graph built on a
+    # node of it, would double-count: both are refused, leaves untouched
+    with pytest.raises(ContractViolation):
+        loss.backward()
+    with pytest.raises(ContractViolation):
+        sum_all(T.mul(h, 2.0)).backward()
+    np.testing.assert_array_equal(x.grad, grads[0])
+    np.testing.assert_array_equal(w.grad, grads[1])
+
+
+def test_first_grad_is_a_copy_in_the_tensors_dtype():
+    x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+    x.accumulate_grad(np.arange(6, dtype=np.float64).reshape(2, 3))
+    assert x.grad.dtype == np.float32
+    y = Tensor(np.zeros((2, 3)), requires_grad=True)
+    g = np.arange(6, dtype=np.float64).reshape(2, 3)
+    y.accumulate_grad(g)
+    g[...] = -1.0  # the buffer does not alias the first gradient
+    np.testing.assert_array_equal(y.grad, np.arange(6).reshape(2, 3))
+    y.accumulate_grad(g)
+    np.testing.assert_array_equal(y.grad, np.arange(6).reshape(2, 3) - 1.0)
+    b = Tensor(np.zeros((2, 3)), requires_grad=True)
+    b.accumulate_grad(np.array([1.0, 2.0, 3.0]))  # a broadcast first gradient
+    np.testing.assert_array_equal(b.grad, [[1.0, 2.0, 3.0]] * 2)
 
 
 def test_forward_bit_identical_across_runs():
@@ -321,43 +378,81 @@ def test_fused_attention_equals_composed(n, n_mem, n_heads, half, seed):
 
 
 @st.composite
-def masked_attention_cases(draw):
-    """(n, m, n_heads, half, seed, allowed, positions): a random [n, m] mask
-    with at least one key per row, and key positions drawn with repeats and
-    in any order, as the parallel training pass gives its memory columns."""
-    n, n_mem = draw(st.integers(1, 6)), draw(st.integers(0, 8))
-    m = n + n_mem
+def block_attention_cases(draw):
+    """(m, n_heads, half, seed, parts, positions): n queries in 1..4 blocks of
+    consecutive rows, the m keys dealt out to the blocks in a random order,
+    one random mask per block with at least one key per row, and key
+    positions drawn with repeats and in any order, as a training pack gives."""
+    n_blocks = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n_blocks, max_size=n_blocks))
+    n = sum(sizes)
+    m = n + draw(st.integers(0, 8))
     n_heads, half = draw(st.integers(1, 3)), draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    allowed = rng.random((n, m)) < draw(st.floats(0.05, 1.0))
-    allowed[np.arange(n), rng.integers(0, m, n)] = True
+    owner = np.concatenate([np.arange(n_blocks), rng.integers(0, n_blocks, m - n_blocks)])
+    owner = rng.permutation(owner)  # every block owns at least one key
+    parts, lo = [], 0
+    for b, size in enumerate(sizes):
+        keys = np.flatnonzero(owner == b)
+        allowed = rng.random((size, keys.size)) < draw(st.floats(0.05, 1.0))
+        allowed[np.arange(size), rng.integers(0, keys.size, size)] = True
+        parts.append((lo, lo + size, keys, allowed))
+        lo += size
     positions = np.array(draw(st.lists(st.integers(0, 12), min_size=m, max_size=m)))
-    return n, m, n_heads, half, seed, allowed, positions
+    return m, n_heads, half, seed, parts, positions
 
 
 @settings(max_examples=80, deadline=None)
-@given(masked_attention_cases())
+@given(block_attention_cases())
 def test_masked_attention_equals_composed(case):
-    n, m, n_heads, half, seed, allowed, positions = case
+    # the fused op runs every block in one tape node; composed runs each
+    # block on its own, as separate sequences would
+    m, n_heads, half, seed, parts, positions = case
+    n = parts[-1][1]
     rng = np.random.default_rng(seed)
-    q, k, v, cos, sin = attention_inputs(rng, n, m - n, n_heads, 2 * half)
+    q, k, v, _, _ = attention_inputs(rng, n, m - n, n_heads, 2 * half)
     cos, sin = (a[positions] for a in T.rope_angles(13, 2 * half, 10000.0, np.float64))
     w = rng.standard_normal(q.shape)
-    fused = output_and_grads(lambda: T.attention(q, k, v, n_heads, cos, sin,
-                                                 allowed=allowed), [q, k, v], w)
+    fused = output_and_grads(
+        lambda: T.attention(q, k, v, n_heads, cos, sin, blocks=T.Blocks(parts)), [q, k, v], w)
     composed = output_and_grads(
-        lambda: composed_attention(q, k, v, n_heads, cos, sin, allowed), [q, k, v], w)
+        lambda: composed_attention(q, k, v, n_heads, cos, sin, parts), [q, k, v], w)
     for got, want in zip(fused, composed):  # output, dq, dk, dv
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3, 6), (2, 7), (3, 7, 1), (7,)])
 def test_attention_rejects_a_mask_of_another_shape(shape):
+    with pytest.raises(DimensionError):
+        T.Blocks([(0, 3, np.arange(7), np.ones(shape, dtype=bool))])
+
+
+def block(lo, hi, keys):
+    return lo, hi, np.array(keys), np.ones((hi - lo, len(keys)), dtype=bool)
+
+
+@pytest.mark.parametrize("parts", [
+    [],
+    [block(0, 2, [0, 1]), block(2, 3, [1, 2])],       # a key in two blocks
+    [block(0, 2, [0]), block(2, 3, [2])],             # a key in none
+    [block(0, 2, [0, 1]), block(3, 4, [2])],          # a query in none
+    [block(0, 2, [0, 1]), block(1, 3, [2])],          # a query in two blocks
+    [block(2, 3, [2]), block(0, 2, [0, 1])],          # blocks out of order
+    [block(0, 2, [0, 1]), block(2, 2, [2])],          # an empty block
+], ids=["none", "shared-key", "lost-key", "lost-query", "shared-query", "unordered",
+        "empty"])
+def test_blocks_must_partition_queries_and_keys(parts):
+    with pytest.raises(DimensionError):
+        T.Blocks(parts)
+
+
+def test_attention_rejects_blocks_of_another_size():
     rng = np.random.default_rng(8)
     q, k, v, cos, sin = attention_inputs(rng, 3, 4, 2, 4)
-    with pytest.raises(DimensionError):
-        T.attention(q, k, v, 2, cos, sin, allowed=np.ones(shape, dtype=bool))
+    for parts in ([block(0, 3, range(6))], [block(0, 2, range(7))]):
+        with pytest.raises(DimensionError):
+            T.attention(q, k, v, 2, cos, sin, blocks=T.Blocks(parts))
 
 
 def test_attention_over_keys_already_rotated_is_the_same_op():

@@ -3,8 +3,11 @@
 The core claim: one forward over the interleaved sequence, one masked
 attention per layer, produces the same I/O logits as literally compressing
 segment by segment and then inferring on the final memory. Everything else
-about training hangs off that equivalence.
+about training hangs off that equivalence. A pack of sequences in one
+forward must then equal the sequences run one by one.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +19,11 @@ from ccm.errors import DataError
 from ccm.lora import AdapterSet, trainable_parameters
 from ccm.memory import MEMORY_POLICIES, ContextMemory
 from ccm.model import KVLayout, ModelConfig, ToyLM
+from ccm.optim import Adam
+from ccm.seeding import derive_seed
 from ccm.tensor import finite_difference_check
-from ccm.training import (Recipe, build_parallel_mask, build_training_sequence,
-                          parallel_memory_update, pretrain,
+from ccm.training import (Pack, Recipe, build_parallel_mask, build_training_sequence,
+                          pack_sequences, parallel_memory_update, pretrain,
                           recursive_reference_forward, train_compression,
                           training_forward)
 from conftest import TINY, random_sample
@@ -397,6 +402,101 @@ def test_training_forward_tape_does_not_grow_with_t(tiny_model64, monkeypatch):
         nodes.append(0)
         training_forward(tiny_model64, adapters, seq, "concat")
     assert nodes[0] == nodes[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# packs: several sequences in one forward
+
+
+@st.composite
+def pack_cases(draw):
+    """(policy, s, samples): 2..4 samples, each with its own t in 1..4 and
+    segments of 1..6 ids."""
+    policy = draw(st.sampled_from(MEMORY_POLICIES))
+    s = draw(st.integers(1, 3))
+    ids = st.integers(0, TINY.comp_token_id - 1)
+    samples = []
+    for _ in range(draw(st.integers(2, 4))):
+        t = draw(st.integers(1, 4))
+        segments = [np.array(draw(st.lists(ids, min_size=1, max_size=6)))
+                     for _ in range(t)]
+        inputs = np.array(draw(st.lists(ids, min_size=1, max_size=3)))
+        outputs = np.array(draw(st.lists(ids, min_size=1, max_size=3)))
+        samples.append((t, (segments, inputs, outputs)))
+    return policy, s, samples
+
+
+_PACK_MODEL = ToyLM.init(TINY, seed=8, dtype=np.float64)
+_PACK_MODEL.freeze()
+
+
+def loss_logits_grads(adapters, seq, policy):
+    params = adapters.parameters()
+    for p in params:
+        p.tensor.zero_grad()
+    loss, logits = training_forward(_PACK_MODEL, adapters, seq, policy)
+    loss.backward()
+    return loss.item(), logits.data, [p.grad.copy() for p in params]
+
+
+@settings(max_examples=30, deadline=None)
+@given(pack_cases())
+def test_pack_equals_its_sequences_one_by_one(drawn):
+    # each sequence's rows of the packed logits are its own forward's, and
+    # the pack's adapter gradients are the mean of the sequences' gradients
+    policy, s, samples = drawn
+    adapters = make_adapters(_PACK_MODEL, s, seed=len(samples) * 7 + s)
+    seqs = [build_training_sequence(sample, s=s, t=t, comp_token_id=TINY.comp_token_id)
+            for t, sample in samples]
+    alone = [loss_logits_grads(adapters, seq, policy) for seq in seqs]
+    loss, logits, grads = loss_logits_grads(adapters, Pack(seqs), policy)
+    lo = 0
+    for seq, (_, want, _) in zip(seqs, alone):
+        np.testing.assert_allclose(logits[lo:lo + seq.n_tokens], want, rtol=0, atol=1e-12)
+        lo += seq.n_tokens
+    assert loss == pytest.approx(np.mean([a[0] for a in alone]), rel=1e-12)
+    for i, got in enumerate(grads):
+        want = np.mean([a[2][i] for a in alone], axis=0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 80), min_size=1, max_size=12))
+def test_packs_hold_at_most_twice_the_longest_sequence(lengths):
+    seqs = [SimpleNamespace(n_tokens=n) for n in lengths]
+    packs = pack_sequences(seqs)
+    assert sorted(id(q) for p in packs for q in p.seqs) == sorted(map(id, seqs))
+    assert all(p.n_tokens <= 2 * max(lengths) for p in packs)
+
+
+def test_train_step_is_the_batch_mean_over_packs(tiny_model64, monkeypatch):
+    # a step's reported loss and the gradient Adam gets are the means over
+    # the batch of each sequence's own, however the batch was packed
+    tiny_model64.freeze()
+    adapters = make_adapters(tiny_model64, 2, seed=16)
+    sampler = _const_sampler(TINY.comp_token_id, 4)
+    recipe = Recipe(steps=1, batch=5, T=4, s=2, policy="merge", seed=3)
+    rng = np.random.default_rng(derive_seed(recipe.seed, "compress-order"))
+    params = trainable_parameters(tiny_model64, adapters)
+    seqs, losses, grads = [], [], []
+    for _ in range(recipe.batch):  # the step's draws, replayed
+        t = int(rng.integers(1, recipe.T + 1))
+        seqs.append(build_training_sequence(sampler(rng, t), 2, t, TINY.comp_token_id))
+        for p in params:
+            p.tensor.zero_grad()
+        loss, _ = training_forward(tiny_model64, adapters, seqs[-1], recipe.policy)
+        loss.backward()
+        losses.append(loss.item())
+        grads.append([p.grad.copy() for p in params])
+    assert 1 < len(pack_sequences(seqs)) < recipe.batch
+    stepped = []
+    monkeypatch.setattr(Adam, "step",
+                        lambda opt, lr: stepped.append([p.grad.copy() for p in opt.params]))
+    rows = train_compression(tiny_model64, adapters, sampler, recipe)
+    assert rows[0]["loss"] == pytest.approx(np.mean(losses), rel=1e-12)
+    for i, got in enumerate(stepped[0]):
+        np.testing.assert_allclose(got, np.mean([g[i] for g in grads], axis=0),
+                                   rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
