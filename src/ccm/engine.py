@@ -2,8 +2,9 @@
 
 A session folds each context segment it ``ingest``s into its memory
 according to its policy, and answers a query by likelihood:
-``multichoice_scores`` scores each answer choice against
-[memory | prompt | input]. Only ``full`` has a prompt: it re-feeds the
+``multichoice_scores`` scores all answer choices in one packed forward,
+each choice as its own sequence [prompt | input | choice] over its own
+copy of the memory. Only ``full`` has a prompt: it re-feeds the
 raw context and keeps an empty memory, as ``none`` does, which ignores
 context entirely. ``fixed`` recompresses the whole accumulated context
 into a fresh ``independent`` memory every step.
@@ -91,27 +92,26 @@ class Session:
     def context_entries(self) -> int:
         return self.memory.entry_count + sum(seg.size for seg in self._prompt)
 
-    def _inference_inputs(self, inputs: np.ndarray) -> tuple[KVLayout, np.ndarray]:
-        """(layout, tokens) the model sees when answering ``inputs``."""
-        return self.memory.layout(self.model), np.concatenate(self._prompt + [inputs])
-
 
 def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
-    """Mean log-likelihood of each choice's tokens following ``inputs``."""
+    """Mean log-likelihood of each choice's tokens after ``inputs``, all in one forward."""
     choices = [np.asarray(c, dtype=np.intp) for c in choices]
     if len(choices) < 2:
         raise ContractViolation("multichoice needs at least two choices")
     if any(c.size == 0 for c in choices):
         raise ContractViolation("empty answer choice")
-    inputs = np.asarray(inputs, dtype=np.intp)
-    scores = np.empty(len(choices))
-    for i, choice in enumerate(choices):
-        layout, tokens = session._inference_inputs(
-            np.concatenate([inputs, choice]))
-        logits, _ = session.model.forward(tokens, layout, adapters=session.adapters)
-        logp = log_softmax_rows(logits.data)
-        rows = np.arange(tokens.size - choice.size - 1, tokens.size - 1)
-        scores[i] = logp[rows, tokens[rows + 1]].mean()
+    head = np.concatenate(session._prompt + [np.asarray(inputs, dtype=np.intp)])
+    seqs = [np.concatenate([head, choice]) for choice in choices]
+    logits, _ = session.model.forward(np.concatenate(seqs),
+                                      session.memory.layout(session.model),
+                                      adapters=session.adapters,
+                                      lengths=[seq.size for seq in seqs])
+    scores, lo = np.empty(len(seqs)), 0
+    for i, seq in enumerate(seqs):
+        logp = log_softmax_rows(logits.data[lo:lo + seq.size])
+        rows = np.arange(head.size - 1, seq.size - 1)
+        scores[i] = logp[rows, seq[rows + 1]].mean()
+        lo += seq.size
     return scores
 
 

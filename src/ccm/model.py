@@ -16,8 +16,10 @@ place, so no step copies the cache or rotates a key twice.
 The one layer loop, ``forward_groups``, runs one attention per layer over
 [memory columns | tokens]. By default the keys take positions 0..m-1 and
 every token sees all memory and its own tokens causally: the inference
-forward over a layout. Compression training passes key positions and
-``T.Blocks`` instead, a pack of sequences each under the paper's mask.
+forward over a layout. A pack of sequences (``pack_blocks``) passes key
+positions and ``T.Blocks`` instead: compression training, each sequence
+under the paper's mask, and the inference forward given ``lengths``, each
+sequence over its own copy of the layout.
 
 Blocks are pre-norm with RMS normalization, a SiLU-gated feed-forward and
 an untied output head.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -210,6 +212,22 @@ def check_token_ids(tokens: np.ndarray, vocab_size: int) -> None:
         raise DataError(f"token id {bad} outside vocabulary [0, {vocab_size})")
 
 
+def pack_blocks(frames: Sequence[tuple]) -> tuple[np.ndarray, T.Blocks]:
+    """Sequences packed as keys [every sequence's memory columns | every
+    token], each from its frame (allowed [n, w + n], positions [w + n]) over
+    [its w memory columns | its n tokens]: the keys' positions and blocks."""
+    n_mem = sum(a.shape[1] - a.shape[0] for a, _ in frames)
+    positions = np.empty(n_mem + sum(a.shape[0] for a, _ in frames), dtype=np.intp)
+    parts, lo, mem_lo = [], 0, 0
+    for allowed, frame_positions in frames:
+        n, w = allowed.shape[0], allowed.shape[1] - allowed.shape[0]
+        keys = np.r_[mem_lo:mem_lo + w, n_mem + lo:n_mem + lo + n]
+        parts.append((lo, lo + n, keys, allowed))
+        positions[keys] = frame_positions
+        lo, mem_lo = lo + n, mem_lo + w
+    return positions, T.Blocks(parts)
+
+
 def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
                    adapters: AdapterSet | None = None, cache: KVCache | None = None,
                    n_mem: int = 0, positions: np.ndarray | None = None,
@@ -221,15 +239,16 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
     or None when there are none. The m = n_mem + n keys sit at ``positions``
     (default 0..m-1), the tokens at the last n, and each query reads what its
     block in ``blocks`` allows (default: all memory, own tokens causally),
-    so one attention per layer serves inference and a pack of the paper's
-    parallel training passes alike. Returns per-token logits and the layout
-    of the unrotated KV the tokens produced. The conditional adapter fires
-    only on compression tokens. ``cache``, in place of ``memory``, is a
-    KVCache whose first ``n_mem`` rows hold the memory: the tokens' keys,
-    values and rotated keys go into the n rows after them, attention reads
-    those m rows in place and no row past them, and the returned layout views
-    the tokens' rows. No gradient reaches the keys and values through it, so
-    it serves inference only.
+    so one attention per layer serves inference and a pack alike: the
+    paper's parallel training passes, or the sequences ``ToyLM.forward`` is
+    given ``lengths`` of, each over its own copy of the layout. Returns
+    per-token logits and the layout of the unrotated KV the tokens produced.
+    The conditional adapter fires only on compression tokens. ``cache``, in
+    place of ``memory``, is a KVCache whose first ``n_mem`` rows hold the
+    memory: the tokens' keys, values and rotated keys go into the n rows
+    after them, attention reads those m rows in place and no row past them,
+    and the returned layout views the tokens' rows. No gradient reaches the
+    keys and values through it, so it serves inference only.
     """
     cfg = model.config
     n = tokens.shape[0]
@@ -354,6 +373,8 @@ class ToyLM:
         """A model from a checkpoint, frozen: inference records no tape."""
         with read_checkpoint(path, "model") as (arrays, meta):
             config = ModelConfig(**meta["config"])
+        if config.n_layers > len(arrays):  # each layer owns records: no table to build
+            raise DataError(f"{path}: {config.n_layers} layers in {len(arrays)} records")
         shapes = param_shapes(config)
         check_records(path, arrays, shapes)
         params = {name: Parameter(name, Tensor(arrays[name]), trainable=False)
@@ -370,7 +391,8 @@ class ToyLM:
                              f"model's max_layout {self.config.max_layout}")
 
     def forward(self, tokens, layout: KVLayout, adapters: AdapterSet | None = None,
-                cache: KVCache | None = None) -> tuple[Tensor, KVLayout]:
+                cache: KVCache | None = None,
+                lengths: Sequence[int] | None = None) -> tuple[Tensor, KVLayout]:
         """New tokens appended (for attention) after ``layout``.
 
         Returns per-token logits and the layout of the KV entries the tokens
@@ -378,19 +400,33 @@ class ToyLM:
         ``cache`` is None or the caller's KVCache of the model's dtype whose
         first rows hold ``layout``: the tokens' entries go into the rows after
         them, the returned layout views those, and no row past them is read.
+        ``lengths``, without a cache, splits ``tokens`` into sequences run as
+        one pack: each reads ``layout`` and its own tokens alone, as it would
+        in a forward of its own, so ``max_layout`` bounds the layout plus the
+        longest. The logits and returned entries are theirs, in order.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         cfg, n_mem = self.config, layout.n_entries
-        m = n_mem + tokens.size
+        if lengths is not None and (cache is not None or min(lengths, default=0) < 1
+                                    or sum(lengths) != tokens.size):
+            raise DimensionError(f"lengths {list(lengths)} must split {tokens.size} "
+                                 "tokens into sequences, without a cache")
+        m = n_mem + (tokens.size if lengths is None else max(lengths))
         if m > cfg.max_layout:
             raise CapacityError(f"layout would hold {m} entries "
                                 f"> max_layout {cfg.max_layout}")
         if cache is None:
-            def memory(layer, k, v):
-                return ((Tensor(layout.keys[layer]), Tensor(layout.values[layer]))
-                        if n_mem else None)
+            keys, values, positions, blocks = layout.keys, layout.values, None, None
+            if lengths is not None:  # each sequence reads its own copy of the layout
+                keys, values = (np.tile(a, (1, len(lengths), 1)) for a in (keys, values))
+                positions, blocks = pack_blocks(
+                    [(T.causal_mask(n, n_mem + n), np.arange(n_mem + n)) for n in lengths])
 
-            return forward_groups(self, tokens, memory, adapters, n_mem=n_mem)
+            def memory(layer, k, v):
+                return (Tensor(keys[layer]), Tensor(values[layer])) if n_mem else None
+
+            return forward_groups(self, tokens, memory, adapters, n_mem=keys.shape[1],
+                                  positions=positions, blocks=blocks)
         # rows are the next-to-last axis of all three arrays
         for name, want in (("keys", (cfg.n_layers, cfg.d_model)),
                            ("values", (cfg.n_layers, cfg.d_model)),

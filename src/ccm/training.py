@@ -36,7 +36,7 @@ from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
 from .memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
                      compress_segment, fold_weights, reads_memory)
-from .model import ToyLM, forward_groups
+from .model import ToyLM, forward_groups, pack_blocks
 from .optim import Adam, cosine_lr
 from .seeding import derive_seed
 from .tensor import Tensor
@@ -195,19 +195,12 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence |
     the later steps read.
     """
     seqs = seq.seqs if isinstance(seq, Pack) else [seq]
-    n_mem = sum(q.t * q.s for q in seqs)
-    positions = np.empty(n_mem + sum(q.n_tokens for q in seqs), dtype=np.intp)
-    parts, comp, weights = [], [], []
-    lo = mem_lo = 0
-    for q in seqs:  # keys: [every sequence's memory columns | every token]
-        allowed, positions_q = build_parallel_mask(q, policy)
-        hi, mem_hi = lo + q.n_tokens, mem_lo + q.t * q.s
-        keys = np.r_[mem_lo:mem_hi, n_mem + lo:n_mem + hi]
-        parts.append((lo, hi, keys, allowed))
-        positions[keys] = positions_q
+    positions, blocks = pack_blocks([build_parallel_mask(q, policy) for q in seqs])
+    comp, weights, lo = [], [], 0
+    for q in seqs:
         comp += [np.arange(lo + a, lo + b) for a, b in q.comp_ranges]
         weights.append(q.target_weights / q.target_weights.sum())
-        lo, mem_lo = hi, mem_hi
+        lo += q.n_tokens
     comp = np.concatenate(comp)
 
     def memory(layer, k, v):
@@ -215,8 +208,8 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence |
                                       seqs[0].s, policy, [q.t for q in seqs])
 
     logits, _ = forward_groups(model, np.concatenate([q.tokens for q in seqs]), memory,
-                               adapters, n_mem=n_mem, positions=positions,
-                               blocks=T.Blocks(parts))
+                               adapters, n_mem=positions.size - lo, positions=positions,
+                               blocks=blocks)
     loss = T.cross_entropy_next_token(logits, np.concatenate([q.targets for q in seqs]),
                                       np.concatenate(weights))
     return loss, logits

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccm.model
 from ccm.checkpoint import MAGIC, load_arrays
 from ccm.errors import DataError
 from ccm.lora import AdapterSet
@@ -182,3 +183,16 @@ def test_an_adapter_rank_past_the_records_fails_before_allocating():
     header["meta"]["rank"] = 10**12
     with pytest.raises(DataError, match="records missing, unexpected or misshapen"):
         load_blob("adapters", join_blob(header, payload))
+
+
+def test_a_layer_count_past_the_records_fails_before_the_table(monkeypatch):
+    # every layer owns records, so a header claiming more layers than the
+    # file has records is rejected before a table that size is built
+    header, payload = split_blob(BLOBS["model"])
+    header["meta"]["config"]["n_layers"] = 20_000
+    built = []
+    monkeypatch.setattr(ccm.model, "param_shapes",
+                        lambda config: built.append(config) or {})
+    with pytest.raises(DataError, match="20000 layers"):
+        load_blob("model", join_blob(header, payload))
+    assert built == []

@@ -12,7 +12,7 @@ from ccm import engine
 from ccm.engine import (STREAM_POLICIES, Session, StreamCaps, StreamState,
                         evaluate_multichoice, evaluate_perplexity, multichoice_scores,
                         streaming_step)
-from ccm.errors import ContractViolation, DataError, UsageError
+from ccm.errors import CapacityError, ContractViolation, DataError, UsageError
 from ccm.lora import AdapterSet
 from ccm.model import ModelConfig, ToyLM
 from ccm.tensor import log_softmax_rows
@@ -51,14 +51,33 @@ def run_session(model, adapters, policy, segments, inputs):
     return session, steps
 
 
-def record_forwards(monkeypatch) -> list[int]:
-    """Entries every later ``ToyLM.forward`` call holds: layout plus tokens."""
+def prefix_oracle(session, inputs, choices) -> list[float]:
+    """Each choice token's log-prob from its own prefix forward, then the mean."""
+    prompt = np.concatenate(session._prompt + [inputs])
+    layout = session.memory.layout(session.model)
+    want = []
+    for choice in choices:
+        logps = []
+        for j, tok in enumerate(choice):
+            logits, _ = session.model.forward(np.concatenate([prompt, choice[:j]]),
+                                              layout, adapters=session.adapters)
+            logps.append(log_softmax_rows(logits.data)[-1, tok])
+        want.append(np.mean(logps))
+    return want
+
+
+def record_forwards(monkeypatch, calls: list | None = None) -> list[int]:
+    """Entries every sequence of every later ``ToyLM.forward`` call holds:
+    the layout plus its tokens, each of a pack's ``lengths`` on its own.
+    ``calls``, if given, gets one entry per call."""
     held = []
     forward = ToyLM.forward
 
-    def recording(self, tokens, layout, *args, **kwargs):
-        held.append(layout.n_entries + len(tokens))
-        return forward(self, tokens, layout, *args, **kwargs)
+    def recording(self, tokens, layout, *args, lengths=None, **kwargs):
+        held.extend(layout.n_entries + n for n in lengths or [len(tokens)])
+        if calls is not None:
+            calls.append(lengths)
+        return forward(self, tokens, layout, *args, lengths=lengths, **kwargs)
 
     monkeypatch.setattr(ToyLM, "forward", recording)
     return held
@@ -85,14 +104,16 @@ def test_session_growth_laws(model, adapters):
 
 
 def test_measured_counts_match_analytic(monkeypatch, model, adapters):
-    # every scoring forward of a one-token choice holds l_i = inputs + 1
+    # scoring is one forward, and its every sequence [inputs | one-token
+    # choice] holds the layout plus l_i = inputs + 1
     from ccm.complexity import ComplexityParams, kv_entries
     rng = np.random.default_rng(2)
     l_c, n_in = 5, 2
     segments = [rng.integers(0, 20, size=l_c) for _ in range(3)]
     inputs = rng.integers(0, 20, size=n_in)
     s = adapters.comp_len
-    held = record_forwards(monkeypatch)
+    calls = []
+    held = record_forwards(monkeypatch, calls)
 
     method_for = {"concat": "ccm_concat", "merge": "ccm_merge",
                   "full": "full", "fixed": "fixed_comp"}
@@ -101,7 +122,9 @@ def test_measured_counts_match_analytic(monkeypatch, model, adapters):
         for t, seg in enumerate(segments, start=1):
             comp_peak = session.ingest(seg)
             held.clear()
+            calls.clear()
             multichoice_scores(session, inputs, CHOICES)
+            assert len(calls) == 1, (policy, t)
             params = ComplexityParams(t=t, l_c=l_c, l_i=n_in + 1, s=s,
                                       n_layers=TINY.n_layers, d_model=TINY.d_model)
             assert comp_peak == kv_entries(params, method, "compression"), (policy, t)
@@ -218,7 +241,7 @@ def test_multichoice_scores_are_the_oracle_log_probs(model, adapters):
        lengths=st.lists(st.integers(1, 3), min_size=2, max_size=3),
        seed=st.integers(0, 99))
 def test_multichoice_scores_property(policy, t, lengths, seed):
-    # each choice token's log-prob from its own prefix forward, then the mean
+    # the packed scores against the per-token prefix oracle, under every policy
     adapters = AdapterSet.init(_PROPERTY_MODEL, rank=2, alpha=4.0, comp_len=2,
                                seed=seed)
     rng = np.random.default_rng(seed)
@@ -227,18 +250,24 @@ def test_multichoice_scores_property(policy, t, lengths, seed):
         session.ingest(rng.integers(0, 20, size=3))
     inputs = rng.integers(0, 20, size=2)
     choices = [rng.integers(0, 20, size=n) for n in lengths]
-    prompt = np.concatenate(session._prompt + [inputs])
-    layout = session.memory.layout(_PROPERTY_MODEL)
-    want = []
-    for choice in choices:
-        logps = []
-        for j, tok in enumerate(choice):
-            logits, _ = _PROPERTY_MODEL.forward(np.concatenate([prompt, choice[:j]]),
-                                                layout, adapters=adapters)
-            logps.append(log_softmax_rows(logits.data)[-1, tok])
-        want.append(np.mean(logps))
-    np.testing.assert_allclose(multichoice_scores(session, inputs, choices), want,
-                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(multichoice_scores(session, inputs, choices),
+                               prefix_oracle(session, inputs, choices), rtol=0, atol=1e-10)
+
+
+def test_a_pack_may_pass_max_layout_but_no_sequence():
+    # under full every choice re-reads the raw context: the pack's rows pass
+    # max_layout while each sequence fits, and each still scores as its own
+    model = ToyLM.init(replace(TINY, max_layout=16), seed=7, dtype=np.float64)
+    rng = np.random.default_rng(8)
+    session = Session(model, None, "full")
+    session.ingest(rng.integers(0, 20, size=8))
+    inputs = rng.integers(0, 20, size=3)
+    choices = [rng.integers(0, 20, size=n) for n in (2, 1, 5)]
+    assert sum(11 + len(c) for c in choices) > 16
+    np.testing.assert_allclose(multichoice_scores(session, inputs, choices),
+                               prefix_oracle(session, inputs, choices), rtol=0, atol=1e-10)
+    with pytest.raises(CapacityError):  # 11 + 6 entries in one sequence
+        multichoice_scores(session, inputs, [[6], [7] * 6])
 
 
 def test_multichoice_contracts(model, adapters):

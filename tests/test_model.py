@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ccm.errors import CapacityError, DataError, DimensionError
-from ccm.model import KVLayout, ModelConfig, ToyLM
+from ccm.model import KVCache, KVLayout, ModelConfig, ToyLM
 from conftest import TINY
 
 
@@ -140,6 +140,15 @@ def test_layout_capacity_error():
     model = ToyLM.init(cfg, seed=0, dtype=np.float64)
     with pytest.raises(CapacityError):
         model.forward([1, 2, 3, 4, 5], model.empty_layout())
+
+
+@pytest.mark.parametrize("lengths, cached", [([], False), ([2, 1], False),
+                                             ([3, 0, 1], False), ([4], True)])
+def test_lengths_must_split_the_tokens_without_a_cache(tiny_model64, lengths, cached):
+    layout = tiny_model64.empty_layout()
+    cache = KVCache.holding(layout, 4, tiny_model64.config) if cached else None
+    with pytest.raises(DimensionError):
+        tiny_model64.forward([1, 2, 3, 4], layout, cache=cache, lengths=lengths)
 
 
 @pytest.mark.parametrize("bad", [-1, TINY.vocab_size])
