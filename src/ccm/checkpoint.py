@@ -5,7 +5,7 @@ header, raw little-endian payload. The header carries a format-version
 integer, the payload's ``zlib.crc32`` (checked when present), an arbitrary
 ``meta`` dict (model config, adapter hyperparams, ...) and one record per
 array: name, dtype, shape and byte offset into the payload. Arrays are
-stored row-major.
+stored row-major; a NaN or inf in one is a data error at load.
 """
 
 from __future__ import annotations
@@ -102,6 +102,8 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if lo + nbytes > len(payload):
             raise DataError(f"{path}: record {name!r} overruns payload")
         raw = np.frombuffer(payload[lo:lo + nbytes], dtype=dtype)
+        if not np.isfinite(raw).all():
+            raise DataError(f"{path}: record {name!r} holds NaN or inf")
         arrays[name] = raw.reshape(shape).copy()
     return arrays, header["meta"]
 

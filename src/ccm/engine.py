@@ -101,6 +101,8 @@ def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
     if any(c.size == 0 for c in choices):
         raise ContractViolation("empty answer choice")
     head = np.concatenate(session._prompt + [np.asarray(inputs, dtype=np.intp)])
+    if head.size == 0:
+        raise ContractViolation("multichoice needs a prompt or input to score after")
     seqs = [np.concatenate([head, choice]) for choice in choices]
     logits, _ = session.model.forward(np.concatenate(seqs),
                                       session.memory.layout(session.model),

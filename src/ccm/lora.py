@@ -1,11 +1,12 @@
 """Conditional low-rank adapters gated on compression tokens.
 
-A LoRA pair (A, B) adds a rank-k update (alpha/k) * A^T B to one of the
-attention projections, but only for tokens whose id equals the reserved
-compression token. Ordinary tokens pass through the frozen base weights
-bit-exactly, so attaching fresh adapters never changes model behaviour on
-compression-free input. The compression-token embedding row is trained
-jointly with the adapters and shared across all time steps.
+A LoRA pair of [r, d] parameters (A, B) adds a rank-r update
+(alpha/r) * A^T B to one of the attention projections, but only for
+tokens whose id equals the reserved compression token. Ordinary tokens
+pass through the frozen base weights bit-exactly, so attaching fresh
+adapters never changes model behaviour on compression-free input. The
+compression-token embedding row is trained jointly with the adapters and
+shared across all time steps.
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ TARGETS = ("q", "k", "v", "o")
 
 @dataclass
 class LoRAPair:
-    """One low-rank update: effective delta-W = (alpha/rank) * A^T B."""
+    """One low-rank update: effective delta-W = (alpha/r) * A^T B."""
 
-    a: Parameter  # [rank, d]
-    b: Parameter  # [rank, d]
+    a: Parameter  # [r, d]
+    b: Parameter  # [r, d]
     alpha: float
-    rank: int
 
     def delta(self, x: Tensor) -> Tensor:
-        """Apply the low-rank update to row vectors: (x B^T) A * alpha/rank."""
-        down = T.matmul(x, T.transpose(self.b.tensor, (1, 0)))
-        return T.mul(T.matmul(down, self.a.tensor), self.alpha / self.rank)
+        """Apply the low-rank update to row vectors: (x B^T) A * alpha/r."""
+        down = T.matmul(x, T.transpose(self.b, (1, 0)))
+        return T.mul(T.matmul(down, self.a), self.alpha / self.a.shape[0])
 
 
 def adapter_shapes(config, rank: int) -> dict[str, tuple[int, ...]]:
@@ -86,9 +86,9 @@ class AdapterSet:
                 data = np.zeros(shape)
             else:  # the compression row starts as the model's
                 data = model.params["embed"].data[cfg.comp_token_id].reshape(shape)
-            params.append(Parameter(name, Tensor(data.astype(model.dtype))))
+            params.append(Parameter(name, data.astype(model.dtype)))
         *ab, comp_embedding = params
-        pairs = {key: LoRAPair(a, b, alpha, rank) for key, a, b in zip(
+        pairs = {key: LoRAPair(a, b, alpha) for key, a, b in zip(
             product(range(cfg.n_layers), TARGETS), ab[::2], ab[1::2])}
         return cls(pairs, comp_embedding, rank, alpha, comp_len)
 
@@ -121,7 +121,7 @@ class AdapterSet:
                                 comp_len=int(meta["comp_len"]))
         for p in adapters.parameters():
             p.data[...] = arrays[p.name].astype(p.data.dtype)
-            p.freeze()
+            p.requires_grad = False
         return adapters
 
 
@@ -130,10 +130,10 @@ def trainable_parameters(model, adapters: AdapterSet) -> list[Parameter]:
 
     The base model must already be frozen; the adapter parameters are thawed.
     """
-    thawed = [p.name for p in model.parameters() if p.trainable]
+    thawed = [p.name for p in model.parameters() if p.requires_grad]
     if thawed:
         raise ContractViolation(f"base model not frozen: {thawed[:3]}...")
     params = adapters.parameters()
     for p in params:
-        p.thaw()
+        p.requires_grad = True
     return params

@@ -168,12 +168,12 @@ class KVCache:
 # building blocks of one layer
 
 def rmsnorm(x: Tensor, gain: Parameter) -> Tensor:
-    return T.rmsnorm(x, gain.tensor)
+    return T.rmsnorm(x, gain)
 
 
 def project_rows(x: Tensor, w: Parameter, lora, comp_idx: np.ndarray) -> Tensor:
     """y = x @ w, plus the conditional low-rank delta on compression rows."""
-    out = T.matmul(x, w.tensor)
+    out = T.matmul(x, w)
     if lora is not None and comp_idx.size:
         delta = lora.delta(T.take_rows(x, comp_idx))
         out = T.add_rows(out, comp_idx, delta)
@@ -190,16 +190,16 @@ def attend(q: Tensor, k: Tensor, v: Tensor, config: ModelConfig, cos: np.ndarray
 
 
 def mlp(x: Tensor, w_gate: Parameter, w_up: Parameter, w_down: Parameter) -> Tensor:
-    gated = T.mul(T.silu(T.matmul(x, w_gate.tensor)), T.matmul(x, w_up.tensor))
-    return T.matmul(gated, w_down.tensor)
+    gated = T.mul(T.silu(T.matmul(x, w_gate)), T.matmul(x, w_up))
+    return T.matmul(gated, w_down)
 
 
 def embed_tokens(model: "ToyLM", tokens: np.ndarray,
                  adapters: AdapterSet | None, comp_idx: np.ndarray) -> Tensor:
     """Token embeddings, with compression rows taken from the adapter's row."""
-    x = T.take_rows(model.params["embed"].tensor, tokens)
+    x = T.take_rows(model.params["embed"], tokens)
     if adapters is not None and comp_idx.size:
-        rows = T.take_rows(adapters.comp_embedding.tensor,
+        rows = T.take_rows(adapters.comp_embedding,
                            np.zeros(comp_idx.size, dtype=np.intp))
         x = T.set_rows(x, comp_idx, rows)
     return x
@@ -294,7 +294,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
         x = T.add(x, mlp(xf, model.params[p + "w_gate"], model.params[p + "w_up"],
                          model.params[p + "w_down"]))
     xo = rmsnorm(x, model.params["final_norm"])
-    logits = T.matmul(xo, model.params["head"].tensor)
+    logits = T.matmul(xo, model.params["head"])
     return logits, KVLayout(new_k, new_v)
 
 
@@ -336,7 +336,7 @@ class ToyLM:
             if name == "embed":  # keep the reserved compression row in-distribution
                 others = np.delete(arr, config.comp_token_id, axis=0)
                 arr[config.comp_token_id] = others.mean(axis=0)
-            params[name] = Parameter(name, Tensor(arr))
+            params[name] = Parameter(name, arr)
         return cls(config, params)
 
     @property
@@ -348,19 +348,14 @@ class ToyLM:
 
     def freeze(self) -> None:
         for p in self.parameters():
-            p.freeze()
+            p.requires_grad = False
 
     def thaw(self) -> None:
         for p in self.parameters():
-            p.thaw()
+            p.requires_grad = True
 
     def empty_layout(self) -> KVLayout:
         return KVLayout.empty(self.config.n_layers, self.config.d_model, self.dtype)
-
-    def astype(self, dtype) -> "ToyLM":
-        params = {name: Parameter(name, Tensor(p.data.astype(dtype)), p.trainable)
-                  for name, p in self.params.items()}
-        return ToyLM(self.config, params)
 
     # -- persistence -------------------------------------------------------------
 
@@ -377,7 +372,7 @@ class ToyLM:
             raise DataError(f"{path}: {config.n_layers} layers in {len(arrays)} records")
         shapes = param_shapes(config)
         check_records(path, arrays, shapes)
-        params = {name: Parameter(name, Tensor(arrays[name]), trainable=False)
+        params = {name: Parameter(name, arrays[name], requires_grad=False)
                   for name in shapes}
         return cls(config, params)
 

@@ -28,13 +28,13 @@ class Adam:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.tensor.zero_grad()
+            p.zero_grad()
 
     def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = BETA1, BETA2
         for p in self.params:
-            if not p.trainable or p.grad is None:
+            if not p.requires_grad or p.grad is None:
                 continue
             m = self._m.setdefault(p.name, np.zeros_like(p.data))
             v = self._v.setdefault(p.name, np.zeros_like(p.data))

@@ -7,7 +7,9 @@ kernels ``rope``, ``rope_angles``, ``causal_mask`` and ``softmax_rows``) plus
 a cross-entropy head and a finite-difference oracle. Tensors wrap a numpy
 array; when any input of an op requires gradients, the op records a
 backward closure on the tape. Gradients accumulate, never overwrite; one
-``backward`` consumes a graph, releasing each node as it sweeps.
+``backward`` consumes a graph, releasing each node as it sweeps. A
+``Parameter`` is a tensor with a name, a weight that trains while it
+requires gradients.
 
 Precision follows the wrapped array: float32 for training speed, float64
 when a test or oracle needs tight tolerances.
@@ -107,36 +109,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-class Parameter:
-    """A named tensor; it trains while its tensor requires gradients."""
+class Parameter(Tensor):
+    """A named tensor: one model or adapter weight."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, tensor: Tensor, trainable: bool = True):
+    def __init__(self, name: str, data, requires_grad: bool = True):
+        super().__init__(data, requires_grad)
         self.name = name
-        self.tensor = tensor
-        self.tensor.requires_grad = bool(trainable)
-
-    def freeze(self) -> None:
-        self.tensor.requires_grad = False
-
-    def thaw(self) -> None:
-        self.tensor.requires_grad = True
-
-    @property
-    def trainable(self) -> bool:
-        return self.tensor.requires_grad
-
-    @property
-    def data(self) -> Array:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> Array | None:
-        return self.tensor.grad
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape}, trainable={self.trainable})"
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +517,12 @@ def finite_difference_check(f: Callable[[], Tensor], params: Iterable[Parameter]
     parameter values. Coordinates are sampled across all trainable
     parameters. Run this in float64; float32 cannot support eps=1e-5.
     """
-    params = [p for p in params if p.trainable]
+    params = [p for p in params if p.requires_grad]
     if not params:
         raise ContractViolation("finite_difference_check needs trainable parameters")
 
     for p in params:
-        p.tensor.zero_grad()
+        p.zero_grad()
     loss = f()
     loss.backward()
     analytic = {p.name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())

@@ -2,9 +2,11 @@
 
 The online compress-update-infer loop is unrolled into one forward pass
 over the interleaved sequence [c(1), comps, ..., c(t), comps, I(t), O(t)]
-(paper section 3.3). Every layer runs one attention over [t*s memory
-columns | tokens] under the paper's mask (``build_parallel_mask``), in
-which each step reads the memory it would read in the recursive execution:
+(paper section 3.3), a ``TrainingSequence``: its tokens and the t+2 bounds
+of its steps. Every layer runs one attention over [t*s memory columns |
+tokens] under the paper's mask (``build_parallel_mask``), built from the
+bounds alone, in which each step reads the memory it would read in the
+recursive execution:
 
 * step j = [c(j) | compression block j] reads Mem(j-1) (none for j = 1);
 * the last step [I(t) | O(t)] reads Mem(t).
@@ -27,6 +29,7 @@ backward at its share of the batch-mean loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -44,26 +47,21 @@ from .tensor import Tensor
 
 @dataclass
 class TrainingSequence:
-    """Interleaved tokens with their step ranges and loss positions."""
+    """[c(1), s comps, ..., c(t), s comps, I(t), O(t)] and its step bounds.
+
+    ``bounds`` holds the start of each of the t+1 steps, then N: step j is
+    tokens[bounds[j-1]:bounds[j]], a compression step ends in its s comp
+    tokens, and the last step is I(t) followed by the ``n_out`` tokens of
+    O(t), the only ones the loss scores.
+    """
 
     tokens: np.ndarray          # [N] token ids
-    t: int
     s: int
-    ctx_ranges: list[tuple[int, int]]
-    comp_ranges: list[tuple[int, int]]
-    io_range: tuple[int, int]
-    target_weights: np.ndarray  # [N] 1 on positions predicting O(t) tokens
-    targets: np.ndarray         # [N] next-token ids (last entry unused)
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def groups(self) -> list[tuple[int, int]]:
-        """Token ranges of the t+1 steps: [c(j) | comps j], then [I | O]."""
-        return ([(c[0], comp[1]) for c, comp in zip(self.ctx_ranges, self.comp_ranges)]
-                + [self.io_range])
+    bounds: tuple[int, ...]     # t + 2 entries
+    n_out: int
+    t = property(lambda self: len(self.bounds) - 2)
+    n_tokens = property(lambda self: self.bounds[-1])
+    io_range = property(lambda self: self.bounds[-2:])
 
 
 def build_training_sequence(sample: tuple[Sequence, Sequence, Sequence],
@@ -81,28 +79,11 @@ def build_training_sequence(sample: tuple[Sequence, Sequence, Sequence],
         raise DataError("empty context segment")
     if inputs.size == 0 or outputs.size == 0:
         raise DataError("empty input or output")
-
-    parts = []
-    ctx_ranges, comp_ranges = [], []
-    pos = 0
-    for seg in segments:
-        ctx_ranges.append((pos, pos + seg.size))
-        parts.append(seg)
-        pos += seg.size
-        comp_ranges.append((pos, pos + s))
-        parts.append(np.full(s, comp_token_id, dtype=np.intp))
-        pos += s
-    io_range = (pos, pos + inputs.size + outputs.size)
-    parts.extend([inputs, outputs])
-
-    tokens = np.concatenate(parts)
-    n = tokens.shape[0]
-    weights = np.zeros(n, dtype=np.int8)
-    weights[n - outputs.size - 1:n - 1] = 1  # the positions predicting O(t)
-    targets = np.zeros(n, dtype=np.intp)
-    targets[:-1] = tokens[1:]
-    return TrainingSequence(tokens, t, s, ctx_ranges, comp_ranges,
-                            io_range, weights, targets)
+    comps = np.full(s, comp_token_id, dtype=np.intp)
+    tokens = np.concatenate([x for seg in segments for x in (seg, comps)]
+                            + [inputs, outputs])
+    steps = [seg.size + s for seg in segments] + [inputs.size + outputs.size]
+    return TrainingSequence(tokens, s, tuple(accumulate(steps, initial=0)), outputs.size)
 
 
 @dataclass
@@ -149,7 +130,7 @@ def build_parallel_mask(seq: TrainingSequence,
     allowed = np.zeros((n, m + n), dtype=bool)
     positions = np.empty(m + n, dtype=np.intp)
     positions[:m] = np.arange(m) if grows else np.tile(np.arange(s), t)
-    for j, (lo, hi) in enumerate(seq.groups):
+    for j, (lo, hi) in enumerate(zip(seq.bounds, seq.bounds[1:])):
         # step j + 1 reads Mem(j), whose columns end at j*s: Mem(0) is empty,
         # and a compression step reads memory only if the policy does
         width = 0
@@ -196,22 +177,22 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence |
     """
     seqs = seq.seqs if isinstance(seq, Pack) else [seq]
     positions, blocks = pack_blocks([build_parallel_mask(q, policy) for q in seqs])
-    comp, weights, lo = [], [], 0
-    for q in seqs:
-        comp += [np.arange(lo + a, lo + b) for a, b in q.comp_ranges]
-        weights.append(q.target_weights / q.target_weights.sum())
+    tokens = np.concatenate([q.tokens for q in seqs])
+    comp, weights, lo = [], np.zeros(tokens.size), 0
+    for q in seqs:  # a compression step's last s rows; the rows predicting O(t)
+        comp += [np.arange(lo + end - q.s, lo + end) for end in q.bounds[1:-1]]
         lo += q.n_tokens
+        weights[lo - q.n_out - 1:lo - 1] = 1 / q.n_out
     comp = np.concatenate(comp)
 
     def memory(layer, k, v):
         return parallel_memory_update(T.take_rows(k, comp), T.take_rows(v, comp),
                                       seqs[0].s, policy, [q.t for q in seqs])
 
-    logits, _ = forward_groups(model, np.concatenate([q.tokens for q in seqs]), memory,
-                               adapters, n_mem=positions.size - lo, positions=positions,
-                               blocks=blocks)
-    loss = T.cross_entropy_next_token(logits, np.concatenate([q.targets for q in seqs]),
-                                      np.concatenate(weights))
+    logits, _ = forward_groups(model, tokens, memory, adapters, n_mem=positions.size - lo,
+                               positions=positions, blocks=blocks)
+    # a sequence's last row has weight 0, so its target may be the next one's
+    loss = T.cross_entropy_next_token(logits, np.append(tokens[1:], 0), weights)
     return loss, logits
 
 

@@ -35,6 +35,21 @@ def test_tracer_installs_and_uninstalls():
     assert ccm.model.attend is attend
 
 
+def test_traced_parameter_is_one_tensor_object():
+    # the tracer's Tensor.__init__ takes (data, requires_grad, _parents,
+    # _backward); a Parameter is built through it as one object, no tape node
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install(ccm)
+        before = tracer.counts.copy()
+        p = ccm.Parameter("w", np.ones((2, 3)))
+    finally:
+        tracer.uninstall()
+    assert p.name == "w" and p.requires_grad and p.shape == (2, 3)
+    assert tracer.counts["tensor.objects"] == before["tensor.objects"] + 1
+    assert tracer.counts["tensor.tape_nodes"] == before["tensor.tape_nodes"]
+
+
 def test_traced_spans_record_calls(tiny_model64):
     # one session step and one training step reach every traced phase
     tiny_model64.freeze()

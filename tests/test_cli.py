@@ -425,6 +425,27 @@ def test_bad_checkpoint_metadata_is_data_error(stream_model, stream_data, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "stream", "train-compress"])
+def test_non_finite_weight_is_data_error_before_any_forward(request, tmp_path, capsys,
+                                                            monkeypatch, command):
+    # a NaN weight loaded fine: eval exited 0 on argmax over NaN scores
+    if command == "stream":
+        data, model = (request.getfixturevalue(f) for f in ("stream_data", "stream_model"))
+        extra = ["--policy", "full", "--length", "20"]
+    else:
+        data, model, _ = request.getfixturevalue("tiny_pipeline")
+        extra = (["--policy", "full", "--max-eval", "2"] if command == "eval"
+                 else ["--steps", "1", "--batch", "1", "--slots", "1"])
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint(model, bad, lambda a, m: a["layers.0.wq"].__setitem__(0, np.nan))
+    monkeypatch.setattr(ccm.model, "attend", lambda *a, **k: pytest.fail("forward ran"))
+    out = tmp_path / "out"
+    assert run(command, "--data", data, "--model", bad, "--out", out, *extra) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {bad}: record 'layers.0.wq' holds NaN or inf")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rope_base", [0.0, -1.0, float("nan"), float("inf"), "x"])
 def test_checkpoint_rope_base_must_be_finite_and_positive(tiny_pipeline, tmp_path,
                                                           capsys, rope_base):

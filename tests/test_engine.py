@@ -276,6 +276,15 @@ def test_multichoice_contracts(model, adapters):
         evaluate_multichoice(session, [1], [[2]])
     with pytest.raises(ContractViolation):
         evaluate_multichoice(session, [1], [[2], []])
+    # with no prompt or input, a choice's first token has no row to be
+    # scored from; under full the raw context is that prompt
+    with pytest.raises(ContractViolation):
+        multichoice_scores(session, [], [[3], [4]])
+    full = Session(model, None, "full")
+    full.ingest([1, 2, 3])
+    np.testing.assert_allclose(multichoice_scores(full, [], [[3], [4]]),
+                               prefix_oracle(full, np.zeros(0, dtype=np.intp), [[3], [4]]),
+                               rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

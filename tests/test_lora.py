@@ -13,10 +13,9 @@ from ccm.training import Recipe, build_training_sequence, train_compression, tra
 from conftest import TINY, random_sample
 
 
-def make_pair(a, b, alpha, rank):
-    return LoRAPair(Parameter("a", Tensor(np.asarray(a, dtype=np.float64))),
-                    Parameter("b", Tensor(np.asarray(b, dtype=np.float64))),
-                    alpha, rank)
+def make_pair(a, b, alpha):
+    return LoRAPair(Parameter("a", np.asarray(a, dtype=np.float64)),
+                    Parameter("b", np.asarray(b, dtype=np.float64)), alpha)
 
 
 def conditional_project(w: Tensor, lora: LoRAPair | None, row: Tensor, m: bool) -> Tensor:
@@ -31,7 +30,7 @@ def conditional_project(w: Tensor, lora: LoRAPair | None, row: Tensor, m: bool) 
 def test_gate_closed_is_base_projection():
     rng = np.random.default_rng(0)
     w = Tensor(rng.standard_normal((4, 4)))
-    pair = make_pair(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), 16, 2)
+    pair = make_pair(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), 16)
     x = Tensor(rng.standard_normal((1, 4)))
     out = conditional_project(w, pair, x, m=False)
     np.testing.assert_array_equal(out.data, x.data @ w.data)
@@ -40,7 +39,7 @@ def test_gate_closed_is_base_projection():
 def test_zero_init_b_is_identity():
     rng = np.random.default_rng(1)
     w = Tensor(rng.standard_normal((4, 4)))
-    pair = make_pair(rng.standard_normal((2, 4)), np.zeros((2, 4)), 16, 2)
+    pair = make_pair(rng.standard_normal((2, 4)), np.zeros((2, 4)), 16)
     x = Tensor(rng.standard_normal((1, 4)))
     out = conditional_project(w, pair, x, m=True)
     np.testing.assert_array_equal(out.data, x.data @ w.data)
@@ -48,7 +47,7 @@ def test_zero_init_b_is_identity():
 
 def test_rank_one_hand_arithmetic():
     # k=1, A=[[1,0]], B=[[0,1]], alpha=k, W=I, x=[2,3] -> [5,3]
-    pair = make_pair([[1.0, 0.0]], [[0.0, 1.0]], alpha=1, rank=1)
+    pair = make_pair([[1.0, 0.0]], [[0.0, 1.0]], alpha=1)
     w = Tensor(np.eye(2))
     out = conditional_project(w, pair, Tensor(np.array([[2.0, 3.0]])), m=True)
     np.testing.assert_allclose(out.data, [[5.0, 3.0]])
@@ -56,13 +55,13 @@ def test_rank_one_hand_arithmetic():
 
 def test_project_rows_matches_single_vector_oracle():
     rng = np.random.default_rng(2)
-    w = Parameter("w", Tensor(rng.standard_normal((4, 4))))
-    pair = make_pair(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), 16, 2)
+    w = Parameter("w", rng.standard_normal((4, 4)))
+    pair = make_pair(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), 16)
     x = Tensor(rng.standard_normal((6, 4)))
     gates = np.array([True, False, False, True, True, False])
     out = project_rows(x, w, pair, np.flatnonzero(gates))
     for i, m in enumerate(gates):
-        row = conditional_project(w.tensor, pair, Tensor(x.data[i:i + 1]), m=bool(m))
+        row = conditional_project(w, pair, Tensor(x.data[i:i + 1]), m=bool(m))
         np.testing.assert_allclose(out.data[i], row.data[0], rtol=1e-12, atol=1e-12)
 
 

@@ -105,14 +105,13 @@ def test_layouts_are_read_only(tiny_model64):
                 arr[:, :1] = 0.0
 
 
-def test_extended_joins_parts_in_order(tiny_model64):
+def test_extended_joins_parts_in_order(tiny_model64, tiny_model32):
     parts = [_random_layout(tiny_model64, n, seed=n) for n in (2, 0, 3)]
     joined = tiny_model64.empty_layout().extended(*parts)
     assert joined.n_entries == 5
     np.testing.assert_array_equal(joined.keys[:, 2:], parts[2].keys)
     np.testing.assert_array_equal(joined.entries(0, 2).values, parts[0].values)
-    assert tiny_model64.astype(np.float32).empty_layout().extended(
-        parts[0]).keys.dtype == np.float32
+    assert tiny_model32.empty_layout().extended(parts[0]).keys.dtype == np.float32
     bad = KVLayout(parts[0].keys[:, :, :4], parts[0].values[:, :, :4])
     with pytest.raises(DimensionError):
         joined.extended(bad)

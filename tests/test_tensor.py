@@ -497,8 +497,8 @@ def test_fused_attention_grads_reach_only_inputs_that_require_them():
 
 def test_attention_passes_finite_difference_check():
     rng = np.random.default_rng(1)
-    q, k, v, cos, sin = attention_inputs(rng, 3, 4, 2, 4)
-    params = [Parameter(name, t) for name, t in zip("qkv", (q, k, v))]
+    *qkv, cos, sin = attention_inputs(rng, 3, 4, 2, 4)
+    q, k, v = params = [Parameter(name, t.data) for name, t in zip("qkv", qkv)]
     w = rng.standard_normal(q.shape)
     err = finite_difference_check(
         lambda: sum_all(T.mul(T.attention(q, k, v, 2, cos, sin), w)), params,
@@ -508,11 +508,11 @@ def test_attention_passes_finite_difference_check():
 
 def test_rmsnorm_passes_finite_difference_check():
     rng = np.random.default_rng(2)
-    x = Parameter("x", Tensor(rng.standard_normal((5, 6))))
-    gain = Parameter("gain", Tensor(rng.standard_normal(6)))
+    x = Parameter("x", rng.standard_normal((5, 6)))
+    gain = Parameter("gain", rng.standard_normal(6))
     w = rng.standard_normal((5, 6))
     err = finite_difference_check(
-        lambda: sum_all(T.mul(T.rmsnorm(x.tensor, gain.tensor), w)), [x, gain],
+        lambda: sum_all(T.mul(T.rmsnorm(x, gain), w)), [x, gain],
         n_samples=60)
     assert err < 1e-5
 
@@ -683,20 +683,20 @@ def test_cross_entropy_gradient_only_on_weighted_rows():
 
 
 def test_frozen_parameter_unchanged():
-    p = Parameter("w", Tensor(np.array([1.0])), trainable=False)
-    p.tensor.grad = np.array([5.0])
+    p = Parameter("w", np.array([1.0]), requires_grad=False)
+    p.grad = np.array([5.0])
     Adam([p]).step(0.1)
     assert p.data[0] == 1.0
 
 
-def test_trainable_is_the_tensors_requires_grad():
-    # one flag: freezing a parameter or its tensor is the same act
-    p = Parameter("w", Tensor(np.array([1.0])), trainable=False)
-    assert not p.trainable and not p.tensor.requires_grad
-    p.tensor.requires_grad = True
-    assert p.trainable
-    p.freeze()
-    assert not p.tensor.requires_grad
+def test_parameter_is_a_named_tensor():
+    # one flag: a frozen parameter requires no gradient, so ops on it record
+    # no tape; thawed, they do
+    p = Parameter("w", np.array([1.0]), requires_grad=False)
+    assert isinstance(p, Tensor) and p.name == "w"
+    assert T.mul(p, 2.0)._backward is None
+    p.requires_grad = True
+    assert T.mul(p, 2.0)._backward is not None
 
 
 def test_adam_single_step_matches_hand_formula():
@@ -709,8 +709,8 @@ def test_adam_single_step_matches_hand_formula():
     v_hat = v / (1 - b2)
     expected = w0 - lr * m_hat / (np.sqrt(v_hat) + eps)
 
-    p = Parameter("w", Tensor(np.array([w0])))
-    p.tensor.grad = np.array([g])
+    p = Parameter("w", np.array([w0]))
+    p.grad = np.array([g])
     Adam([p]).step(lr)
     assert abs(p.data[0] - expected) < 1e-12
 
@@ -726,10 +726,10 @@ def test_cosine_schedule_endpoints():
 
 
 def test_fd_check_quadratic():
-    p = Parameter("w", Tensor(np.array([3.0])))
+    p = Parameter("w", np.array([3.0]))
 
     def f():
-        return sum_all(T.mul(p.tensor, p.tensor))
+        return sum_all(T.mul(p, p))
 
     # analytic gradient 2w = 6
     err = finite_difference_check(f, [p], n_samples=3, seed=0)
@@ -737,9 +737,9 @@ def test_fd_check_quadratic():
 
 
 def test_fd_check_constant_function():
-    p = Parameter("w", Tensor(np.array([3.0])))
+    p = Parameter("w", np.array([3.0]))
 
     def f():
-        return sum_all(T.mul(p.tensor, 0.0))
+        return sum_all(T.mul(p, 0.0))
 
     assert finite_difference_check(f, [p], n_samples=3) == 0.0

@@ -46,15 +46,8 @@ def test_sequence_layout_t1():
     seq = build_training_sequence(([[10, 11]], [12], [13]), s=1, t=1,
                                   comp_token_id=99)
     np.testing.assert_array_equal(seq.tokens, [10, 11, 99, 12, 13])
-    assert seq.ctx_ranges == [(0, 2)] and seq.comp_ranges == [(2, 3)]
-    assert seq.io_range == (3, 5)
-    # only the position predicting the output token carries loss weight
-    np.testing.assert_array_equal(seq.target_weights, [0, 0, 0, 1, 0])
-    assert seq.targets[3] == 13
-    # with |O| = 2 both positions predicting O(t) carry weight
-    seq2 = build_training_sequence(([[10]], [12, 13], [14, 15]), s=1, t=1,
-                                   comp_token_id=99)
-    np.testing.assert_array_equal(seq2.target_weights, [0, 0, 0, 1, 1, 0])
+    assert seq.bounds == (0, 3, 5) and seq.n_out == 1
+    assert seq.t == 1 and seq.io_range == (3, 5)
 
 
 def test_sequence_total_length():
@@ -101,7 +94,7 @@ def group_plan(seq, policy):
 
     plan = []
     for j in range(1, seq.t + 1):
-        lo, hi = seq.ctx_ranges[j - 1][0], seq.comp_ranges[j - 1][1]
+        lo, hi = seq.bounds[j - 1], seq.bounds[j]
         hidden = j == 1 or policy == "independent"
         plan.append((lo, hi, [] if hidden else mem_cols(j - 1)))
     plan.append((*seq.io_range, mem_cols(seq.t)))
@@ -306,7 +299,7 @@ def test_time_locality(tiny_model64):
     seq2 = build_training_sequence((altered, inputs, outputs), s=s, t=t,
                                    comp_token_id=TINY.comp_token_id)
     _, logits2 = training_forward(tiny_model64, adapters, seq2, "concat")
-    upto = seq.comp_ranges[1][1]  # end of step-2 block
+    upto = seq.bounds[2]  # end of step-2 block
     assert np.array_equal(logits.data[:upto], logits2.data[:upto])
     assert not np.allclose(logits.data[seq.io_range[0]:], logits2.data[seq2.io_range[0]:])
 
@@ -433,7 +426,7 @@ _PACK_MODEL.freeze()
 def loss_logits_grads(adapters, seq, policy):
     params = adapters.parameters()
     for p in params:
-        p.tensor.zero_grad()
+        p.zero_grad()
     loss, logits = training_forward(_PACK_MODEL, adapters, seq, policy)
     loss.backward()
     return loss.item(), logits.data, [p.grad.copy() for p in params]
@@ -460,6 +453,44 @@ def test_pack_equals_its_sequences_one_by_one(drawn):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
+def mean_output_nll(logits, tokens, n_out):
+    """Mean NLL of the last ``n_out`` tokens, each read from the row before it."""
+    rows = np.arange(tokens.size - n_out - 1, tokens.size - 1)
+    z = logits[rows] - logits[rows].max(axis=1, keepdims=True)
+    return np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(n_out), tokens[rows + 1]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(pack_cases())
+def test_sequence_bounds_and_its_loss_over_o(drawn):
+    # a sequence is its tokens and step bounds: each compression step ends in
+    # s comp ids and the last step is I then O; the loss is the mean NLL of
+    # O's tokens, alone and averaged over the sequences of a pack
+    policy, s, samples = drawn
+    comp = TINY.comp_token_id
+    adapters = make_adapters(_PACK_MODEL, s, seed=s)
+    seqs = [build_training_sequence(sample, s=s, t=t, comp_token_id=comp)
+            for t, sample in samples]
+    for seq, (t, (segments, inputs, outputs)) in zip(seqs, samples):
+        b = seq.bounds
+        assert seq.t == t and len(b) == t + 2 and b[0] == 0
+        assert b[-1] == seq.n_tokens == seq.tokens.size and seq.n_out == outputs.size
+        for j, seg in enumerate(segments):
+            np.testing.assert_array_equal(seq.tokens[b[j]:b[j + 1]], np.r_[seg, [comp] * s])
+        np.testing.assert_array_equal(seq.tokens[b[t]:], np.r_[inputs, outputs])
+        assert seq.io_range == tuple(b[-2:])
+        loss, logits = training_forward(_PACK_MODEL, adapters, seq, policy)
+        assert loss.item() == pytest.approx(
+            mean_output_nll(logits.data, seq.tokens, outputs.size), rel=1e-12)
+    loss, logits = training_forward(_PACK_MODEL, adapters, Pack(seqs), policy)
+    want, lo = [], 0
+    for seq, (_, (_, _, outputs)) in zip(seqs, samples):
+        want.append(mean_output_nll(logits.data[lo:lo + seq.n_tokens], seq.tokens,
+                                    outputs.size))
+        lo += seq.n_tokens
+    assert loss.item() == pytest.approx(np.mean(want), rel=1e-12)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 80), min_size=1, max_size=12))
 def test_packs_hold_at_most_twice_the_longest_sequence(lengths):
@@ -483,7 +514,7 @@ def test_train_step_is_the_batch_mean_over_packs(tiny_model64, monkeypatch):
         t = int(rng.integers(1, recipe.T + 1))
         seqs.append(build_training_sequence(sampler(rng, t), 2, t, TINY.comp_token_id))
         for p in params:
-            p.tensor.zero_grad()
+            p.zero_grad()
         loss, _ = training_forward(tiny_model64, adapters, seqs[-1], recipe.policy)
         loss.backward()
         losses.append(loss.item())
@@ -538,7 +569,7 @@ def test_train_compression_updates_loaded_adapters(tmp_path, tiny_model64):
     fresh = make_adapters(tiny_model64, s=1, seed=3)
     fresh.save(tmp_path / "adapters.ckpt")
     loaded = AdapterSet.load(tmp_path / "adapters.ckpt", tiny_model64)
-    assert not any(p.tensor.requires_grad for p in loaded.parameters())
+    assert not any(p.requires_grad for p in loaded.parameters())
     before = {p.name: p.data.copy() for p in loaded.parameters()}
     recipe = Recipe(steps=1, batch=2, lr=1e-2, T=2, s=1, policy="concat", seed=4)
     for adapters in (fresh, loaded):
