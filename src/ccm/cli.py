@@ -17,7 +17,8 @@ data kind decides the sample flags: on stream data
 ``pretrain`` takes ``--window`` and ``train-compress`` takes ``--chunk``
 and ``--io-len``; on ICL data, whose samples are its time steps, they take
 none of them. Trained adapters carry their slot count: ``--slots`` sizes
-fresh adapters in ``train-compress`` and the sweep in ``complexity``.
+fresh adapters in ``train-compress`` and the sweep in ``complexity``;
+``--rank`` and ``--alpha`` left out keep ``AdapterSet.init``'s defaults.
 ``complexity --llama7b`` fixes the model, so it takes no ``--layers`` or
 ``--d-model``. ``eval`` accepts every session policy and ``stream`` every
 streaming policy, with only the flags that policy reads: ``concat`` takes
@@ -202,9 +203,9 @@ def cmd_train_compress(args) -> int:
         _require_vocab(model, vocab)
         sampler = stream_compression_sampler(streams,
                                              **_given(args, ["chunk", "io_len"]))
-    adapters = AdapterSet.init(model, rank=args.rank, alpha=args.alpha,
-                               comp_len=recipe.s,
-                               seed=derive_seed(recipe.seed, "adapter-init"))
+    adapters = AdapterSet.init(model, comp_len=recipe.s,
+                               seed=derive_seed(recipe.seed, "adapter-init"),
+                               **_given(args, ["rank", "alpha"]))
     rows = train_compression(model, adapters, sampler, recipe)
     adapters.save(args.out)
     if args.metrics:
@@ -377,8 +378,8 @@ def build_parser() -> _Parser:
     c.add_argument("--model", required=True)
     c.add_argument("--policy", default=None)
     c.add_argument("--slots", type=int, default=None)
-    c.add_argument("--rank", type=int, default=8)
-    c.add_argument("--alpha", type=float, default=16.0)
+    c.add_argument("--rank", type=int, default=None)
+    c.add_argument("--alpha", type=float, default=None)
     c.add_argument("--chunk", type=int, default=None)
     c.add_argument("--io-len", type=int, default=None, dest="io_len")
 

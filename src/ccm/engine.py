@@ -114,6 +114,8 @@ def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
         rows = np.arange(head.size - 1, seq.size - 1)
         scores[i] = logp[rows, seq[rows + 1]].mean()
         lo += seq.size
+    if not np.isfinite(scores).all():
+        raise ContractViolation(f"non-finite choice scores {scores}")
     return scores
 
 
@@ -270,6 +272,9 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
         events.append(int(event))
 
     nll = np.asarray(nll)
+    if not np.isfinite(nll).all():
+        raise ContractViolation(f"non-finite NLL at stream position "
+                                f"{np.flatnonzero(~np.isfinite(nll))[0] + 1}")
     return StreamResult(nll, np.asarray(totals, dtype=np.intp),
                         np.asarray(events, dtype=np.intp),
                         float(np.exp(nll.mean())))

@@ -54,17 +54,16 @@ def comp_flags(tokens: np.ndarray, comp_token_id: int) -> np.ndarray:
 class AdapterSet:
     """All LoRA pairs for a model plus the trainable compression embedding.
 
-    ``comp_len`` records how many compression tokens one segment is
-    condensed into (the slot count s of every compressed memory entry).
+    Every pair holds the set's alpha, and its rank as A's row count; the
+    layer loop reads ``pairs`` itself. ``comp_len`` records how many
+    compression tokens one segment is condensed into (the slot count s of
+    every compressed memory entry).
     """
 
     def __init__(self, pairs: dict[tuple[int, str], LoRAPair],
-                 comp_embedding: Parameter, rank: int, alpha: float,
-                 comp_len: int):
+                 comp_embedding: Parameter, comp_len: int):
         self.pairs = pairs
         self.comp_embedding = comp_embedding  # [1, d]
-        self.rank = rank
-        self.alpha = alpha
         self.comp_len = comp_len
 
     @classmethod
@@ -90,10 +89,7 @@ class AdapterSet:
         *ab, comp_embedding = params
         pairs = {key: LoRAPair(a, b, alpha) for key, a, b in zip(
             product(range(cfg.n_layers), TARGETS), ab[::2], ab[1::2])}
-        return cls(pairs, comp_embedding, rank, alpha, comp_len)
-
-    def lora(self, layer: int, target: str) -> LoRAPair | None:
-        return self.pairs.get((layer, target))
+        return cls(pairs, comp_embedding, comp_len)
 
     def parameters(self) -> list[Parameter]:
         out: list[Parameter] = []
@@ -107,8 +103,9 @@ class AdapterSet:
 
     def save(self, path) -> None:
         arrays = {p.name: p.data for p in self.parameters()}
+        pair = next(iter(self.pairs.values()))
         save_arrays(path, arrays, meta={
-            "kind": "adapters", "rank": self.rank, "alpha": self.alpha,
+            "kind": "adapters", "rank": pair.a.shape[0], "alpha": pair.alpha,
             "comp_len": self.comp_len,
         })
 

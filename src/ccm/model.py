@@ -14,7 +14,9 @@ once into the rows after the layout, and attention reads the cache in
 place, so no step copies the cache or rotates a key twice.
 
 The one layer loop, ``forward_groups``, runs one attention per layer over
-[memory columns | tokens]. By default the keys take positions 0..m-1 and
+[memory columns | tokens], calling ``T.rmsnorm`` and ``T.attention`` (as
+``attend``) directly and reading each projection's LoRA pair from
+``AdapterSet.pairs``. By default the keys take positions 0..m-1 and
 every token sees all memory and its own tokens causally: the inference
 forward over a layout. A pack of sequences (``pack_blocks``) passes key
 positions and ``T.Blocks`` instead: compression training, each sequence
@@ -37,7 +39,7 @@ from . import tensor as T
 from .checkpoint import check_records, read_checkpoint, save_arrays
 from .errors import CapacityError, DataError, DimensionError, UsageError
 from .lora import AdapterSet, comp_flags
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, rmsnorm
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,6 @@ class KVLayout:
             view.flags.writeable = False
             object.__setattr__(self, name, view)
 
-    @classmethod
-    def empty(cls, n_layers: int, d_model: int, dtype) -> "KVLayout":
-        z = np.zeros((n_layers, 0, d_model), dtype=dtype)
-        return cls(z, z)
-
     @property
     def n_entries(self) -> int:
         return self.keys.shape[1]
@@ -165,10 +162,10 @@ class KVCache:
 
 
 # ---------------------------------------------------------------------------
-# building blocks of one layer
+# building blocks of one layer; ``rmsnorm`` and ``attend`` are the tensor ops
+# themselves, under the names benchmarks/tracer.py wraps
 
-def rmsnorm(x: Tensor, gain: Parameter) -> Tensor:
-    return T.rmsnorm(x, gain)
+attend = T.attention
 
 
 def project_rows(x: Tensor, w: Parameter, lora, comp_idx: np.ndarray) -> Tensor:
@@ -178,15 +175,6 @@ def project_rows(x: Tensor, w: Parameter, lora, comp_idx: np.ndarray) -> Tensor:
         delta = lora.delta(T.take_rows(x, comp_idx))
         out = T.add_rows(out, comp_idx, delta)
     return out
-
-
-def attend(q: Tensor, k: Tensor, v: Tensor, config: ModelConfig, cos: np.ndarray,
-           sin: np.ndarray, rotated: np.ndarray | None = None,
-           blocks: T.Blocks | None = None) -> Tensor:
-    """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values
-    at the keys' angle rows ``cos``/``sin``; ``rotated`` and ``blocks`` as
-    in T.attention."""
-    return T.attention(q, k, v, config.n_heads, cos, sin, rotated, blocks)
 
 
 def mlp(x: Tensor, w_gate: Parameter, w_up: Parameter, w_down: Parameter) -> Tensor:
@@ -256,7 +244,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
     comp_idx = np.flatnonzero(comp_flags(tokens, cfg.comp_token_id))
 
     x = embed_tokens(model, tokens, adapters, comp_idx)
-    gated = adapters if comp_idx.size else None  # LoRA acts on compression rows only
+    pairs = adapters.pairs if adapters and comp_idx.size else {}  # compression rows only
     m = n_mem + n
     if positions is None:
         cos, sin = T.rope_angles(m, cfg.head_dim, cfg.rope_base, model.dtype)
@@ -271,24 +259,20 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
     for layer in range(cfg.n_layers):
         p = f"layers.{layer}."
         xa = rmsnorm(x, model.params[p + "attn_norm"])
-        lq = gated.lora(layer, "q") if gated else None
-        lk = gated.lora(layer, "k") if gated else None
-        lv = gated.lora(layer, "v") if gated else None
-        q = project_rows(xa, model.params[p + "wq"], lq, comp_idx)
-        k = project_rows(xa, model.params[p + "wk"], lk, comp_idx)
-        v = project_rows(xa, model.params[p + "wv"], lv, comp_idx)
+        q = project_rows(xa, model.params[p + "wq"], pairs.get((layer, "q")), comp_idx)
+        k = project_rows(xa, model.params[p + "wk"], pairs.get((layer, "k")), comp_idx)
+        v = project_rows(xa, model.params[p + "wv"], pairs.get((layer, "v")), comp_idx)
         new_k[layer] = k.data
         new_v[layer] = v.data
         if cache is not None:  # attention rotates only the tokens' own keys
             ctx = attend(q, Tensor(cache.keys[layer, :m]), Tensor(cache.values[layer, :m]),
-                         cfg, cos, sin, cache.rotated[layer, :, :m])
+                         cfg.n_heads, cos, sin, cache.rotated[layer, :, :m])
         else:
             mem = memory(layer, k, v)
             if mem is not None:
                 k, v = T.concat([mem[0], k], axis=0), T.concat([mem[1], v], axis=0)
-            ctx = attend(q, k, v, cfg, cos, sin, blocks=blocks)
-        lo = gated.lora(layer, "o") if gated else None
-        ctx = project_rows(ctx, model.params[p + "wo"], lo, comp_idx)
+            ctx = attend(q, k, v, cfg.n_heads, cos, sin, blocks=blocks)
+        ctx = project_rows(ctx, model.params[p + "wo"], pairs.get((layer, "o")), comp_idx)
         x = T.add(x, ctx)
         xf = rmsnorm(x, model.params[p + "ffn_norm"])
         x = T.add(x, mlp(xf, model.params[p + "w_gate"], model.params[p + "w_up"],
@@ -355,7 +339,8 @@ class ToyLM:
             p.requires_grad = True
 
     def empty_layout(self) -> KVLayout:
-        return KVLayout.empty(self.config.n_layers, self.config.d_model, self.dtype)
+        z = np.zeros((self.config.n_layers, 0, self.config.d_model), dtype=self.dtype)
+        return KVLayout(z, z)
 
     # -- persistence -------------------------------------------------------------
 

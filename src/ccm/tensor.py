@@ -3,7 +3,9 @@
 Small by design: exactly the primitives a decoder-only transformer needs
 (matmul, SiLU, row scatter/gather for embeddings and conditional adapters;
 fused ``attention`` and ``rmsnorm``, one tape node each, over the plain-array
-kernels ``rope``, ``rope_angles``, ``causal_mask`` and ``softmax_rows``) plus
+kernels ``rope``, ``rope_angles``, ``causal_mask`` and ``softmax_rows``;
+``attention`` runs one loop over its blocks of queries and keys, one block
+by default, and the model's layer calls both ops directly) plus
 a cross-entropy head and a finite-difference oracle. Tensors wrap a numpy
 array; when any input of an op requires gradients, the op records a
 backward closure on the tape. Gradients accumulate, never overwrite; one
@@ -375,19 +377,17 @@ class Blocks:
                                  "and the keys, each with a [queries, keys] mask")
 
 
-_ONE_BLOCK = ((slice(None), slice(None), None),)  # every query row, every key
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Array,
               rotated: Array | None = None, blocks: Blocks | None = None) -> Tensor:
     """Multi-head attention of [n, d] queries over [m, d] unrotated keys/values.
 
     ``cos``/``sin`` hold one angle row per key, [m, d//(2 n_heads)], and the
     queries are the last n keys, so they take the last n rows. Both rotate
-    once; scores, softmax and weighted sum then run per block of ``blocks``
-    in this one tape node. None is one block: the first m-n keys (memory) to
-    every query and the last n causally (the cached ``causal_mask``; one
-    query needs no mask). ``rotated`` may give the keys already rotated, as
+    once; scores, softmax and weighted sum then run in one loop over the
+    blocks of ``blocks``, in this one tape node, and the backward runs the
+    same loop. None is one block: the first m-n keys (memory) to every query
+    and the last n causally (the cached ``causal_mask``; one query needs no
+    mask). ``rotated`` may give the keys already rotated, as
     [n_heads, m, d//n_heads], but for the last n, the queries' own: attention
     rotates those with the queries and writes them into it. The backward is
     written by hand; a masked weight is 0.
@@ -410,16 +410,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
         kh[:, m - n:] = both[1]
     vh = v.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
-    if blocks is None:  # one block: memory to every query, own tokens causally
-        parts = _ONE_BLOCK
-        ws = [softmax_rows((qh @ kh.swapaxes(1, 2)) * scale,
-                           causal_mask(n, m) if n > 1 else None)]
-        ctx = ws[0] @ vh
-    else:
-        parts, ctx, ws = blocks.parts, np.empty_like(qh), []
-        for rows, keys, mask in parts:
-            ws.append(softmax_rows((qh[:, rows] @ kh[:, keys].swapaxes(1, 2)) * scale, mask))
-            ctx[:, rows] = ws[-1] @ vh[:, keys]
+    parts = blocks.parts if blocks is not None else [
+        (slice(None), slice(None), causal_mask(n, m) if n > 1 else None)]
+    ctx, ws = np.empty_like(qh), []
+    for rows, keys, mask in parts:
+        ws.append(softmax_rows((qh[:, rows] @ kh[:, keys].swapaxes(1, 2)) * scale, mask))
+        ctx[:, rows] = ws[-1] @ vh[:, keys]
     out_data = ctx.transpose(1, 0, 2).reshape(n, d)
 
     def bw(g: Array) -> None:

@@ -143,16 +143,16 @@ def build_parallel_mask(seq: TrainingSequence,
 
 
 def parallel_memory_update(comp_k: Tensor, comp_v: Tensor, s: int, policy: str,
-                           ts: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
+                           ts: Sequence[int]) -> tuple[Tensor, Tensor]:
     """The [M, d] memory keys and values of one layer from the [M, d]
-    compression rows h(1..t) of each packed sequence, t in ``ts`` (one by default).
+    compression rows h(1..t) of each packed sequence, t in ``ts``.
 
     Appended states are the rows themselves: Mem(j) is a sequence's first
     j*s. A weighted state w_old * Mem(j-1) + w_new * h(j)
     (``memory.fold_weights``) is a fixed mix of h(1..j), so each Mem(j)
     comes from one matmul of all rows by a block-diagonal mix.
     """
-    steps = np.concatenate([np.arange(t) for t in ts or [comp_k.shape[0] // s]])
+    steps = np.concatenate([np.arange(t) for t in ts])
     if not steps.any() or fold_weights(policy, 2) is None:
         return comp_k, comp_v
     fold = np.eye(steps.size)

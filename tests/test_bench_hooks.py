@@ -99,7 +99,8 @@ def test_traced_stream_reaches_the_per_layer_names(tiny_model64, monkeypatch):
     assert result.events.sum() > 0  # the pass compressed, so it ran both kinds of forward
     calls = {name: row["calls"] for name, row in tracer.span_table().items()}
     for name in ("tensor.rope", "tensor.rope_angles", "tensor.softmax_rows",
-                 "model.attend", "model.rmsnorm"):
+                 "model.attend", "model.rmsnorm", "model.mlp", "model.embed_tokens",
+                 "model.project_rows.qkv", "model.project_rows.wo", "lora.delta"):
         assert calls.get(name, 0) > 0, name
     # every forward reads its layout and its own tokens at every layer
     assert tracer.counts["model.attend.key_rows"] == \

@@ -1,6 +1,7 @@
 """CLI contracts: artifacts exist, reruns are byte-identical, exit codes map."""
 
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -444,6 +445,36 @@ def test_non_finite_weight_is_data_error_before_any_forward(request, tmp_path, c
     assert capsys.readouterr().err.startswith(
         f"data error: {bad}: record 'layers.0.wq' holds NaN or inf")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "stream"])
+def test_non_finite_result_is_contract_violation(request, tmp_path, capsys, command):
+    # a finite head this large overflows the logits: eval picked choice 0 by
+    # argmax over NaN scores, and stream wrote ppl nan
+    if command == "stream":
+        data, model = (request.getfixturevalue(f) for f in ("stream_data", "stream_model"))
+        extra = ["--policy", "full", "--length", "20"]
+    else:
+        data, model, _ = request.getfixturevalue("tiny_pipeline")
+        extra = ["--policy", "full", "--max-eval", "2"]
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint(model, bad, lambda a, m: a["head"].fill(3e38))
+    out = tmp_path / "out.csv"
+    with np.errstate(all="ignore"):
+        assert run(command, "--data", data, "--model", bad, "--out", out, *extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric contract violation: non-finite") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_adapters_without_rank_or_alpha_flags_take_the_init_defaults(tiny_pipeline):
+    # train-compress passes only the flags given, so AdapterSet.init alone
+    # owns these defaults
+    _, _, adapters = tiny_pipeline
+    _, meta = load_arrays(adapters)
+    defaults = inspect.signature(AdapterSet.init).parameters
+    assert (meta["rank"], meta["alpha"]) == (defaults["rank"].default,
+                                             defaults["alpha"].default)
 
 
 @pytest.mark.parametrize("rope_base", [0.0, -1.0, float("nan"), float("inf"), "x"])

@@ -185,7 +185,7 @@ def test_mask_no_raw_cross_segment_attention():
 
 def test_parallel_update_merge_cumulative_means():
     h = T.Tensor(np.array([[3.0], [6.0], [9.0]]))
-    keys, values = parallel_memory_update(h, h, 1, "merge")
+    keys, values = parallel_memory_update(h, h, 1, "merge", [3])
     assert keys.data[:, 0] == pytest.approx([3.0, 4.5, 6.0])
     assert values.data[:, 0] == pytest.approx([3.0, 4.5, 6.0])
 
@@ -196,10 +196,10 @@ def test_parallel_update_concat_widths():
     rng = np.random.default_rng(3)
     k, v = (T.Tensor(rng.standard_normal((6, 4))) for _ in range(2))
     for policy in ("concat", "independent"):
-        keys, values = parallel_memory_update(k, v, 2, policy)
+        keys, values = parallel_memory_update(k, v, 2, policy, [3])
         assert keys is k and values is v
     for policy in ("merge", "ema"):
-        keys, values = parallel_memory_update(k, v, 2, policy)
+        keys, values = parallel_memory_update(k, v, 2, policy, [3])
         assert keys.shape == values.shape == (6, 4)
 
 
@@ -214,7 +214,7 @@ def test_parallel_update_matches_online(policy):
            for _ in range(t)]
     keys, values = parallel_memory_update(
         T.Tensor(np.concatenate([k[0] for k, _ in raw])),
-        T.Tensor(np.concatenate([v[0] for _, v in raw])), s, policy)
+        T.Tensor(np.concatenate([v[0] for _, v in raw])), s, policy, [t])
 
     assert keys.shape == values.shape == (t * s, d)
     grows = policy in ("concat", "independent")
@@ -346,10 +346,7 @@ def test_loss_positive_and_zero_init_identity(tiny_model64):
     class NoAdapters:
         comp_len = s
         comp_embedding = fresh.comp_embedding
-
-        @staticmethod
-        def lora(layer, target):
-            return None
+        pairs = {}
 
     loss2, _ = training_forward(tiny_model64, NoAdapters(), seq, "concat")
     assert loss.item() == pytest.approx(loss2.item(), abs=1e-12)
