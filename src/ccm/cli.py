@@ -426,7 +426,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # results are checked where they leave: exit 3
+            return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -9,16 +9,16 @@ raw context and keeps an empty memory, as ``none`` does, which ignores
 context entirely. ``fixed`` recompresses the whole accumulated context
 into a fresh ``independent`` memory every step.
 
-Streaming processes tokens one at a time inside a hard entry budget
+Streaming runs a known stream inside a hard entry budget
 [sink | compressed region | sliding window], held as one KVLayout; when
 the window fills, the oldest chunk of raw KV is compressed into slots
 appended to the compressed region (whose own oldest slot group is evicted
-at capacity). Position ids are reassigned sequentially over the layout at
-every step. The stream owns the layout's storage, a KVCache: each step's
-forward writes its token's key, value and rotated key into the next row
-and the layout becomes a view of one more row, so no step copies the
-cache. A compression event, the only shift, writes the kept layout into
-fresh cache arrays, leaving every earlier layout's rows as they were.
+at capacity), and position ids are reassigned sequentially over the
+layout. Between two such events the layout only grows, so each step runs
+a span of tokens as one causal forward. The stream owns the layout's
+storage, a KVCache: the forward writes its tokens' keys, values and
+rotated keys into the next rows, so no step copies the cache. An event
+writes the kept layout into fresh arrays, leaving earlier layouts' rows.
 Setting the compressed region's capacity to zero turns the stream
 into the plain attention-sink + sliding-window baseline with the same
 budget; a window as long as the stream is the unbounded ``full`` cache, and
@@ -27,6 +27,7 @@ a one-token window the no-context ``none`` baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .tensor import log_softmax_rows
 SESSION_POLICIES = MEMORY_POLICIES + ("none", "full", "fixed")
 STREAM_POLICIES = ("concat", "sliding", "full", "none")
 _MEMORY_POLICY = {"full": "none", "fixed": "independent"}  # session -> memory
+SPAN_SCORES = 8192  # most score entries per head one streaming forward makes
 
 
 class Session:
@@ -206,23 +208,30 @@ class StreamState:
                                                        self.layout.entries(rest)))
 
 
-def streaming_step(state: StreamState, token: int) -> tuple[np.ndarray, int, bool]:
-    """Process one token: returns (next-token logits, kv_total used, event?).
+def streaming_step(state: StreamState, tokens) -> tuple[np.ndarray, int, bool]:
+    """Process the longest run of ``tokens`` that needs no compression event
+    inside it, as one cached forward: returns (its k tokens' [k, vocab]
+    next-token logits, kv_total used after it, event?).
 
-    The token attends [sink | compressed region | window] with fresh
-    sequential positions; its KV lands in the sink until the sink is full,
-    then in the window. The window triggers chunk compression when full.
+    A full window first gives up its oldest chunk (the event). The run then
+    attends [sink | compressed region | window] and its own earlier tokens,
+    with fresh sequential positions; its KV lands in the sink until the sink
+    is full, then in the window. The run stops where the window fills, or
+    before its scores pass SPAN_SCORES entries per head.
     """
-    event = False
-    if state.window_entries >= state.caps.window:
+    tokens = np.asarray(tokens, dtype=np.intp).reshape(-1)
+    event = state.window_entries >= state.caps.window
+    if event:
         state._compress_oldest_chunk()
-        event = True
-    logits, _ = state.model.forward(np.array([token], dtype=np.intp), state.layout,
+    caps, n_mem = state.caps, state.layout.n_entries
+    fits = (math.isqrt(n_mem * n_mem + 4 * SPAN_SCORES) - n_mem) // 2  # max k(n_mem + k)
+    k = min(tokens.size, caps.n_sink - state.n_sink + caps.window - state.window_entries,
+            max(fits, 1))
+    logits, _ = state.model.forward(tokens[:k], state.layout,
                                     adapters=state.adapters, cache=state.cache)
-    state.layout = state.cache.layout(state.layout.n_entries + 1)
-    if state.n_sink < state.caps.n_sink:
-        state.n_sink += 1
-    return logits.data[0], state.layout.n_entries, event
+    state.layout = state.cache.layout(n_mem + k)
+    state.n_sink = min(state.n_sink + k, caps.n_sink)
+    return logits.data, state.layout.n_entries, event
 
 
 @dataclass
@@ -239,7 +248,9 @@ class StreamResult:
 
 def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
                         stream, caps: StreamCaps | None = None) -> StreamResult:
-    """Per-token perplexity of a stream under a KV constraint.
+    """Per-token perplexity of a stream under a KV constraint, one
+    ``streaming_step`` per span between compression events: each token's NLL
+    reads the row of the token before it, as a one-token step would give it.
 
     Policies: ``concat`` (compressed streaming), ``sliding`` (equal-budget
     attention-sink window), ``full`` (unbounded cache: a window as long as
@@ -262,19 +273,16 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
     model.check_fits(min(stream.size, caps.total),
                      f"policy {policy!r} on a {stream.size}-token stream")
     state = StreamState(model, adapters, caps)
-    nll, totals, events = [], [], []
-    last = None
-    for tok in stream:
-        if last is not None:
-            nll.append(-log_softmax_rows(last[None, :])[0, tok])
-        last, kv_total, event = streaming_step(state, int(tok))
-        totals.append(kv_total)
-        events.append(int(event))
-
-    nll = np.asarray(nll)
+    nll, lo = np.empty(stream.size - 1, dtype=model.dtype), 0
+    totals, events = np.empty_like(stream), np.zeros_like(stream)
+    while lo < stream.size:
+        logits, kv_total, events[lo] = streaming_step(state, stream[lo:])
+        hi = lo + logits.shape[0]
+        targets = stream[lo + 1:hi + 1]  # the last span's last row predicts none
+        nll[lo:hi] = -log_softmax_rows(logits)[np.arange(targets.size), targets]
+        totals[lo:hi] = np.arange(kv_total + lo - hi + 1, kv_total + 1)
+        lo = hi
     if not np.isfinite(nll).all():
         raise ContractViolation(f"non-finite NLL at stream position "
                                 f"{np.flatnonzero(~np.isfinite(nll))[0] + 1}")
-    return StreamResult(nll, np.asarray(totals, dtype=np.intp),
-                        np.asarray(events, dtype=np.intp),
-                        float(np.exp(nll.mean())))
+    return StreamResult(nll, totals, events, float(np.exp(nll.mean())))

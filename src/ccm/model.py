@@ -7,11 +7,12 @@ rotary position encoding is applied at attention time with sequential
 position ids 0..m-1 assigned over [memory entries | current tokens]. This
 makes memory entries position-free: averaging them stays well defined, and
 a shift of positions changes no stored key. A caller whose layout only
-grows (the stream) owns a KVCache, storage holding the layout in its first
-rows with each key also kept rotated at its position, and hands it to
-``forward``: the new tokens' keys, values and rotated keys are written
-once into the rows after the layout, and attention reads the cache in
-place, so no step copies the cache or rotates a key twice.
+grows (the stream, a span of tokens per forward) owns a KVCache, storage
+holding the layout in its first rows with each key also kept rotated at
+its position, and hands it to ``forward``: the span's keys, values and
+rotated keys are written once into the rows after the layout, and
+attention reads the cache in place, so no span copies the cache or
+rotates a key twice.
 
 The one layer loop, ``forward_groups``, runs one attention per layer over
 [memory columns | tokens], calling ``T.rmsnorm`` and ``T.attention`` (as

@@ -386,11 +386,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
     once; scores, softmax and weighted sum then run in one loop over the
     blocks of ``blocks``, in this one tape node, and the backward runs the
     same loop. None is one block: the first m-n keys (memory) to every query
-    and the last n causally (the cached ``causal_mask``; one query needs no
-    mask). ``rotated`` may give the keys already rotated, as
-    [n_heads, m, d//n_heads], but for the last n, the queries' own: attention
-    rotates those with the queries and writes them into it. The backward is
-    written by hand; a masked weight is 0.
+    and the last n causally, scores above their diagonal set to -inf through
+    the cached n-by-n ``causal_mask`` (no m-wide mask). ``rotated`` may give
+    the keys already rotated, as [n_heads, m, d//n_heads], but for the last
+    n, the queries' own: attention rotates those with the queries and writes
+    them into it. The backward is written by hand; a masked weight is 0.
     """
     (n, d), m = q.shape, k.shape[0]
     dh = d // n_heads
@@ -410,11 +410,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
         kh[:, m - n:] = both[1]
     vh = v.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
-    parts = blocks.parts if blocks is not None else [
-        (slice(None), slice(None), causal_mask(n, m) if n > 1 else None)]
+    parts = blocks.parts if blocks is not None else [(slice(None), slice(None), None)]
     ctx, ws = np.empty_like(qh), []
     for rows, keys, mask in parts:
-        ws.append(softmax_rows((qh[:, rows] @ kh[:, keys].swapaxes(1, 2)) * scale, mask))
+        ws.append((qh[:, rows] @ kh[:, keys].swapaxes(1, 2)) * scale)
+        if blocks is None and n > 1:  # no query reads a later one of its own keys
+            np.copyto(ws[-1][:, :, m - n:], -np.inf, where=~causal_mask(n, n))
+        ws[-1] = softmax_rows(ws[-1], mask)
         ctx[:, rows] = ws[-1] @ vh[:, keys]
     out_data = ctx.transpose(1, 0, 2).reshape(n, d)
 

@@ -460,10 +460,12 @@ def test_non_finite_result_is_contract_violation(request, tmp_path, capsys, comm
     bad = tmp_path / "bad.ckpt"
     rewrite_checkpoint(model, bad, lambda a, m: a["head"].fill(3e38))
     out = tmp_path / "out.csv"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:  # numpy's warnings, too
+        warnings.simplefilter("always")
         assert run(command, "--data", data, "--model", bad, "--out", out, *extra) == 3
+    assert not caught
     err = capsys.readouterr().err
-    assert err.startswith("numeric contract violation: non-finite") and "Traceback" not in err
+    assert err.startswith("numeric contract violation: non-finite") and err.count("\n") == 1
     assert not out.exists()
 
 

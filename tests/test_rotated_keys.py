@@ -18,11 +18,18 @@ from ccm.lora import AdapterSet
 from ccm.model import KVCache, KVLayout, ModelConfig, ToyLM
 from conftest import TINY
 
-_MODEL = ToyLM.init(TINY, seed=7, dtype=np.float64)
-_ADAPTERS = AdapterSet.init(_MODEL, rank=2, alpha=4.0, comp_len=2, seed=3)
-_RNG = np.random.default_rng(4)
-for _pair in _ADAPTERS.pairs.values():  # B starts at 0: give the adapters an effect
-    _pair.b.data[...] = 0.05 * _RNG.standard_normal(_pair.b.data.shape)
+
+def _model_and_adapters(dtype) -> tuple[ToyLM, AdapterSet]:
+    model = ToyLM.init(TINY, seed=7, dtype=dtype)
+    adapters = AdapterSet.init(model, rank=2, alpha=4.0, comp_len=2, seed=3)
+    rng = np.random.default_rng(4)
+    for pair in adapters.pairs.values():  # B starts at 0: give the adapters an effect
+        pair.b.data[...] = 0.05 * rng.standard_normal(pair.b.data.shape)
+    return model, adapters
+
+
+_PAIRS = {dtype: _model_and_adapters(dtype) for dtype in (np.float64, np.float32)}
+_MODEL, _ADAPTERS = _PAIRS[np.float64]
 
 
 def fresh_rotation(keys: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -56,7 +63,7 @@ def test_rotated_copy_stays_a_fresh_rotation(n_sink, ccm_entries, window, chunk,
                                       fresh_rotation(after.keys, TINY))
         prior = KVLayout(after.keys[:, :-1], after.values[:, :-1])
         want, want_kv = model.forward([tok], prior, adapters=state.adapters)
-        np.testing.assert_array_equal(logits, want.data[0])
+        np.testing.assert_array_equal(logits, want.data)
         np.testing.assert_array_equal(after.keys[:, -1:], want_kv.keys)
         np.testing.assert_array_equal(after.values[:, -1:], want_kv.values)
 
@@ -67,24 +74,81 @@ def test_rotated_copy_stays_a_fresh_rotation(n_sink, ccm_entries, window, chunk,
        chunk=st.integers(1, 8), seed=st.integers(0, 99), n_tokens=st.integers(2, 30))
 def test_every_layout_a_stream_hands_out_stays_a_value(policy, n_sink, ccm_entries,
                                                        window, chunk, seed, n_tokens):
-    # later steps and compression events write no row an earlier layout views
+    # later spans and compression events write no row an earlier layout views
     caps = StreamCaps(n_sink, ccm_entries, window, min(chunk, window))
     held, step = [], streaming_step
 
-    def holding(state, token):
-        out = step(state, token)
+    def holding(state, tokens):
+        out = step(state, tokens)
         layout = state.layout
-        held.append((layout, layout.keys.copy(), layout.values.copy()))
+        held.append((out[0].shape[0], layout, layout.keys.copy(), layout.values.copy()))
         return out
 
     stream = np.random.default_rng(seed).integers(0, 40, size=n_tokens)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "streaming_step", holding)
         evaluate_perplexity(_MODEL, _ADAPTERS, policy, stream, caps)
-    assert len(held) == n_tokens
-    for layout, keys, values in held:
+    assert sum(k for k, *_ in held) == n_tokens
+    for _, layout, keys, values in held:
         np.testing.assert_array_equal(layout.keys, keys)
         np.testing.assert_array_equal(layout.values, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=st.sampled_from(STREAM_POLICIES), n_sink=st.integers(0, 2),
+       ccm_entries=st.sampled_from([0, 2, 4]), window=st.integers(1, 8),
+       chunk=st.integers(1, 8), seed=st.integers(0, 99), n_tokens=st.integers(2, 60),
+       span_scores=st.integers(1, 120), dtype=st.sampled_from([np.float64, np.float32]))
+def test_a_stream_of_spans_equals_one_token_steps(policy, n_sink, ccm_entries, window,
+                                                  chunk, seed, n_tokens, span_scores,
+                                                  dtype):
+    # each span is one forward over the tokens up to the next event, its
+    # scores capped; a loop of one-token steps under the same caps is the oracle
+    model, adapters = _PAIRS[dtype]
+    caps = StreamCaps(n_sink, ccm_entries, window, min(chunk, window))
+    stream = np.random.default_rng(seed).integers(0, 40, size=n_tokens)
+    states, step = [], streaming_step
+
+    def checked(state, tokens):
+        out = step(state, tokens)
+        n, k = state.layout.n_entries, out[0].shape[0]
+        assert k == 1 or k * n <= span_scores
+        np.testing.assert_array_equal(state.cache.rotated[:, :, :n],
+                                      fresh_rotation(state.layout.keys, TINY))
+        states.append(state)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SPAN_SCORES", span_scores)
+        mp.setattr(engine, "streaming_step", checked)
+        res = evaluate_perplexity(model, adapters, policy, stream, caps)
+    oracle = StreamState(model, states[0].adapters, states[0].caps)
+    steps = [step(oracle, [tok]) for tok in stream]
+    np.testing.assert_array_equal(res.kv_totals, [total for _, total, _ in steps])
+    np.testing.assert_array_equal(res.events, [event for _, _, event in steps])
+    nll = [-T.log_softmax_rows(logits)[0, tok] for (logits, _, _), tok in
+           zip(steps, stream[1:])]
+    np.testing.assert_allclose(res.nll, nll, rtol=0,
+                               atol=1e-10 if dtype == np.float64 else 1e-5)
+
+
+@pytest.mark.parametrize("policy,n,caps,forwards,widest", [
+    # spans of 90, 56, 43 and 11 tokens: each the most whose scores fit
+    ("full", 200, None, 4, 90),
+    # a span of 25 (sink and window), then 12 after each of 7 events, then
+    # 3; each event is one more forward, the compression's
+    ("concat", 100, StreamCaps(n_sink=1, ccm_entries=4, window=24, chunk=12), 8 + 7, 25)])
+def test_stream_pass_makes_a_pinned_count_of_forwards(monkeypatch, policy, n, caps,
+                                                      forwards, widest):
+    # a guard that needs no timing: one forward per token would make n + events;
+    # and the causal triangle is a span wide, never the layout
+    calls = _calls(monkeypatch, ToyLM, "forward")
+    widths, causal = [], T.causal_mask
+    monkeypatch.setattr(T, "causal_mask",
+                        lambda rows, m: widths.append(m) or causal(rows, m))
+    stream = np.random.default_rng(n).integers(0, 40, n)
+    evaluate_perplexity(_MODEL, _ADAPTERS, policy, stream, caps)
+    assert calls[0] == forwards and max(widths) == widest
 
 
 _H, _DH, _D, _L = TINY.n_heads, TINY.head_dim, TINY.d_model, TINY.n_layers

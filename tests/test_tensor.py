@@ -377,6 +377,28 @@ def test_fused_attention_equals_composed(n, n_mem, n_heads, half, seed):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), n_mem=st.integers(1, 40), n_heads=st.integers(1, 4),
+       half=st.integers(1, 8), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_default_block_equals_an_explicit_tril_mask_bit_for_bit(n, n_mem, n_heads, half,
+                                                               dtype, seed):
+    # the default block masks its queries' own later keys with -inf scores
+    # and no m-wide mask: outputs and gradients are the masked softmax's
+    rng = np.random.default_rng(seed)
+    m, d = n_mem + n, n_heads * 2 * half
+    q, k, v = (Tensor(rng.standard_normal((rows, d)).astype(dtype), requires_grad=True)
+               for rows in (n, m, m))
+    cos, sin = T.rope_angles(m, 2 * half, 10000.0, dtype)
+    w = rng.standard_normal(q.shape).astype(dtype)
+    tril = T.Blocks([(0, n, np.arange(m), np.tril(np.ones((n, m), dtype=bool), m - n))])
+    got = output_and_grads(lambda: T.attention(q, k, v, n_heads, cos, sin), [q, k, v], w)
+    want = output_and_grads(lambda: T.attention(q, k, v, n_heads, cos, sin, blocks=tril),
+                            [q, k, v], w)
+    for a, b in zip(got, want):  # output, dq, dk, dv
+        assert a.dtype == dtype and np.array_equal(a, b)
+
+
 @st.composite
 def block_attention_cases(draw):
     """(m, n_heads, half, seed, parts, positions): n queries in 1..4 blocks of
