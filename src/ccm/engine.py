@@ -4,10 +4,11 @@ A session folds each context segment it ``ingest``s into its memory
 according to its policy, and answers a query by likelihood:
 ``multichoice_scores`` scores all answer choices in one packed forward,
 each choice as its own sequence [prompt | input | choice] over its own
-copy of the memory. Only ``full`` has a prompt: it re-feeds the
-raw context and keeps an empty memory, as ``none`` does, which ignores
-context entirely. ``fixed`` recompresses the whole accumulated context
-into a fresh ``independent`` memory every step.
+copy of the memory; the segment ingested before it is compressed in that
+same forward (the paper's parallel pass over one step). Only ``full`` has
+a prompt: it re-feeds the raw context and keeps an empty memory, as
+``none`` does, which ignores context entirely. ``fixed`` recompresses the
+whole accumulated context into a fresh ``independent`` memory every step.
 
 Streaming runs a known stream inside a hard entry budget
 [sink | compressed region | sliding window], held as one KVLayout; when
@@ -57,7 +58,8 @@ class Session:
         self.model = model
         self.adapters = adapters
         self.policy = policy
-        self.memory = ContextMemory(_MEMORY_POLICY.get(policy, policy))
+        self._memory = ContextMemory(_MEMORY_POLICY.get(policy, policy))
+        self.pending: np.ndarray | None = None     # compressed by the next forward
         self.raw_segments: list[np.ndarray] = []   # full / fixed
 
     # -- context ingestion -------------------------------------------------------
@@ -76,14 +78,27 @@ class Session:
             # recompress the entire accumulated context into a fresh memory
             self.raw_segments.append(segment)
             segment = np.concatenate(self.raw_segments)
-            self.memory = ContextMemory("independent")
-        read = self.memory.entry_count if reads_memory(self.memory.policy) else 0
-        peak = read + segment.size + self.adapters.comp_len
-        h = compress_segment(self.model, self.adapters, self.memory, segment)
-        self.memory = self.memory.updated(h)
-        return peak
+            self._memory, self.pending = ContextMemory("independent"), None
+        mem = self.memory
+        read = mem.entry_count if reads_memory(mem.policy) else 0
+        self.pending = segment
+        return read + segment.size + self.adapters.comp_len
+
+    def _compress(self, queries: list[np.ndarray] | None = None):
+        """Fold the pending segment into the memory; ``queries``' logits, if any."""
+        out = compress_segment(self.model, self.adapters, self._memory, self.pending, queries)
+        h, logits = (out, None) if queries is None else out
+        self._memory, self.pending = self._memory.updated(h), None
+        return logits
 
     # -- views --------------------------------------------------------------------
+
+    @property
+    def memory(self) -> ContextMemory:
+        """Mem(t), a pending segment compressed into it first."""
+        if self.pending is not None:
+            self._compress()
+        return self._memory
 
     @property
     def _prompt(self) -> list[np.ndarray]:
@@ -92,11 +107,15 @@ class Session:
 
     @property
     def context_entries(self) -> int:
-        return self.memory.entry_count + sum(seg.size for seg in self._prompt)
+        """Entries a query reads, a pending segment counted without a forward."""
+        held = self._memory.entry_count if self.pending is None \
+            else self._memory.entry_count_after(self.adapters.comp_len)
+        return held + sum(seg.size for seg in self._prompt)
 
 
 def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
-    """Mean log-likelihood of each choice's tokens after ``inputs``, all in one forward."""
+    """Mean log-likelihood of each choice's tokens after ``inputs``, all in one
+    forward, which compresses a pending segment first in the same pack."""
     choices = [np.asarray(c, dtype=np.intp) for c in choices]
     if len(choices) < 2:
         raise ContractViolation("multichoice needs at least two choices")
@@ -106,13 +125,16 @@ def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
     if head.size == 0:
         raise ContractViolation("multichoice needs a prompt or input to score after")
     seqs = [np.concatenate([head, choice]) for choice in choices]
-    logits, _ = session.model.forward(np.concatenate(seqs),
-                                      session.memory.layout(session.model),
-                                      adapters=session.adapters,
-                                      lengths=[seq.size for seq in seqs])
+    if session.pending is not None:
+        logits = session._compress(seqs)
+    else:
+        logits = session.model.forward(np.concatenate(seqs),
+                                       session.memory.layout(session.model),
+                                       adapters=session.adapters,
+                                       lengths=[seq.size for seq in seqs])[0].data
     scores, lo = np.empty(len(seqs)), 0
     for i, seq in enumerate(seqs):
-        logp = log_softmax_rows(logits.data[lo:lo + seq.size])
+        logp = log_softmax_rows(logits[lo:lo + seq.size])
         rows = np.arange(head.size - 1, seq.size - 1)
         scores[i] = logp[rows, seq[rows + 1]].mean()
         lo += seq.size

@@ -69,6 +69,10 @@ class ContextMemory:
     def entry_count(self) -> int:
         return 0 if self.entries is None else self.entries.n_entries
 
+    def entry_count_after(self, n: int) -> int:
+        """Entries ``updated`` gives from an h of ``n`` entries, without running it."""
+        return n + self.entry_count * (fold_weights(self.policy, self.count + 1) is None)
+
     def layout(self, model: ToyLM) -> KVLayout:
         """Memory entries as a KV layout fragment, chronological order."""
         return model.empty_layout() if self.entries is None else self.entries
@@ -109,11 +113,14 @@ def reads_memory(policy: str) -> bool:
 
 
 def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
-                     segment) -> KVLayout:
-    """Condense one segment into the compression tokens' unrotated KV.
+                     segment, queries: list[np.ndarray] | None = None):
+    """Condense one segment into the compression tokens' unrotated KV h.
 
     The forward runs over [memory entries | segment | s comp tokens], the
     memory left out where the policy does not read it (``reads_memory``).
+    ``queries`` join that forward (the paper's parallel pass over one step),
+    each over Mem(t) = ``mem.updated(h)`` as every layer folds it from its
+    slot rows: then h and the queries' logits rows are returned.
     """
     segment = np.asarray(segment, dtype=np.intp)
     if segment.size == 0:
@@ -122,7 +129,19 @@ def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
     cfg = model.config
     layout = mem.layout(model) if reads_memory(mem.policy) else model.empty_layout()
     tokens = np.concatenate([segment, np.full(s, cfg.comp_token_id, dtype=np.intp)])
-    return model.forward(tokens, layout, adapters=adapters)[1].entries(segment.size)
+    if queries is None:
+        return model.forward(tokens, layout, adapters=adapters)[1].entries(segment.size)
+
+    def fold(layer, k, v):  # Mem(t) at one layer, by the one update rule
+        e, one = mem.entries, slice(layer, layer + 1)
+        prev = replace(mem, entries=e and KVLayout(e.keys[one], e.values[one]))
+        new = prev.updated(KVLayout(k[None, segment.size:], v[None, segment.size:]))
+        return new.entries.keys[0], new.entries.values[0]
+
+    logits, kv = model.forward(np.concatenate([tokens, *queries]), layout, adapters=adapters,
+                               lengths=[tokens.size] + [q.size for q in queries],
+                               fold=(mem.entry_count_after(s), fold))
+    return kv.entries(segment.size, tokens.size), logits.data[tokens.size:]
 
 
 def compress_from_kv(model: ToyLM, adapters: AdapterSet, context: KVLayout) -> KVLayout:

@@ -17,12 +17,12 @@ rotates a key twice.
 The one layer loop, ``forward_groups``, runs one attention per layer over
 [memory columns | tokens], calling ``T.rmsnorm`` and ``T.attention`` (as
 ``attend``) directly and reading each projection's LoRA pair from
-``AdapterSet.pairs``. By default the keys take positions 0..m-1 and
-every token sees all memory and its own tokens causally: the inference
-forward over a layout. A pack of sequences (``pack_blocks``) passes key
-positions and ``T.Blocks`` instead: compression training, each sequence
-under the paper's mask, and the inference forward given ``lengths``, each
-sequence over its own copy of the layout.
+``AdapterSet.pairs``. By default the keys take positions 0..m-1 and every
+token sees all memory and its own tokens causally: the inference forward
+over a layout. A pack (``pack_blocks``) passes key positions and
+``T.Blocks``, which batches blocks of one shape: compression training under
+the paper's mask, and ``forward`` given ``lengths``, each sequence over its
+own copy of the layout or, given ``fold``, of what the first one's slots make.
 
 Blocks are pre-norm with RMS normalization, a SiLU-gated feed-forward and
 an untied output head.
@@ -372,8 +372,8 @@ class ToyLM:
                              f"model's max_layout {self.config.max_layout}")
 
     def forward(self, tokens, layout: KVLayout, adapters: AdapterSet | None = None,
-                cache: KVCache | None = None,
-                lengths: Sequence[int] | None = None) -> tuple[Tensor, KVLayout]:
+                cache: KVCache | None = None, lengths: Sequence[int] | None = None,
+                fold: tuple[int, Callable] | None = None) -> tuple[Tensor, KVLayout]:
         """New tokens appended (for attention) after ``layout``.
 
         Returns per-token logits and the layout of the KV entries the tokens
@@ -385,28 +385,39 @@ class ToyLM:
         one pack: each reads ``layout`` and its own tokens alone, as it would
         in a forward of its own, so ``max_layout`` bounds the layout plus the
         longest. The logits and returned entries are theirs, in order.
+        ``fold`` = (w, f) gives the later sequences, at every layer, the w
+        memory entries f(layer, k, v) makes of the first one's keys and values
+        there: a compression and the queries reading its result in one pack.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         cfg, n_mem = self.config, layout.n_entries
-        if lengths is not None and (cache is not None or min(lengths, default=0) < 1
-                                    or sum(lengths) != tokens.size):
-            raise DimensionError(f"lengths {list(lengths)} must split {tokens.size} "
+        if (lengths is not None or fold is not None) and (
+                cache is not None or lengths is None or min(lengths, default=0) < 1
+                or sum(lengths) != tokens.size):
+            raise DimensionError(f"lengths {lengths} must split {tokens.size} "
                                  "tokens into sequences, without a cache")
-        m = n_mem + (tokens.size if lengths is None else max(lengths))
+        sizes = [tokens.size] if lengths is None else list(lengths)
+        widths = [n_mem] + [n_mem if fold is None else fold[0]] * (len(sizes) - 1)
+        m = max(w + n for w, n in zip(widths, sizes))
         if m > cfg.max_layout:
             raise CapacityError(f"layout would hold {m} entries "
                                 f"> max_layout {cfg.max_layout}")
         if cache is None:
-            keys, values, positions, blocks = layout.keys, layout.values, None, None
-            if lengths is not None:  # each sequence reads its own copy of the layout
-                keys, values = (np.tile(a, (1, len(lengths), 1)) for a in (keys, values))
-                positions, blocks = pack_blocks(
-                    [(T.causal_mask(n, n_mem + n), np.arange(n_mem + n)) for n in lengths])
+            positions, blocks = None, None
+            if lengths is not None:  # each sequence reads its own copy of its memory
+                positions, blocks = pack_blocks([(T.causal_mask(n, w + n), np.arange(w + n))
+                                                 for w, n in zip(widths, sizes)])
 
             def memory(layer, k, v):
-                return (Tensor(keys[layer]), Tensor(values[layer])) if n_mem else None
+                first = layout.keys[layer], layout.values[layer]
+                if not sum(widths) or len(sizes) == 1:
+                    return tuple(map(Tensor, first)) if n_mem else None
+                later = first if fold is None else fold[1](layer, k.data[:sizes[0]],
+                                                           v.data[:sizes[0]])
+                return tuple(Tensor(np.concatenate([a] + [b] * (len(sizes) - 1)))
+                             for a, b in zip(first, later))
 
-            return forward_groups(self, tokens, memory, adapters, n_mem=keys.shape[1],
+            return forward_groups(self, tokens, memory, adapters, n_mem=sum(widths),
                                   positions=positions, blocks=blocks)
         # rows are the next-to-last axis of all three arrays
         for name, want in (("keys", (cfg.n_layers, cfg.d_model)),

@@ -4,8 +4,8 @@ Small by design: exactly the primitives a decoder-only transformer needs
 (matmul, SiLU, row scatter/gather for embeddings and conditional adapters;
 fused ``attention`` and ``rmsnorm``, one tape node each, over the plain-array
 kernels ``rope``, ``rope_angles``, ``causal_mask`` and ``softmax_rows``;
-``attention`` runs one loop over its blocks of queries and keys, one block
-by default, and the model's layer calls both ops directly) plus
+``attention`` runs one loop over its groups of equal-shape blocks, one
+block by default, and the model's layer calls both ops directly) plus
 a cross-entropy head and a finite-difference oracle. Tensors wrap a numpy
 array; when any input of an op requires gradients, the op records a
 backward closure on the tape. Gradients accumulate, never overwrite; one
@@ -362,19 +362,26 @@ class Blocks:
     """Sequences packed into one attention: block (lo, hi, keys, mask) lets
     query rows lo:hi read its key indices where the [hi-lo, keys] mask holds.
     The blocks partition the queries, in order, and the keys. That is checked
-    once here, not per layer, and lets the backward assign gradient rows."""
+    once here, not per layer, and lets the backward assign gradient rows.
+    ``groups`` batches the blocks of each mask shape: rows, keys and masks
+    stacked [G, n], [G, m], [G, n, m]; a lone block stays (slice, [m], [n, m])."""
 
     def __init__(self, parts: Sequence[tuple[int, int, Array, Array]]):
-        self.parts = [(slice(lo, hi), np.asarray(keys, dtype=np.intp), mask)
-                      for lo, hi, keys, mask in parts]
-        starts = [0] + [r.stop for r, _, _ in self.parts]
-        keys = np.concatenate([c for _, c, _ in self.parts] + [[]])
+        parts = [(slice(lo, hi), np.asarray(keys, dtype=np.intp), mask)
+                 for lo, hi, keys, mask in parts]
+        starts = [0] + [r.stop for r, _, _ in parts]
+        keys = np.concatenate([c for _, c, _ in parts] + [[]])
         self.n, self.m = starts[-1], keys.size
-        if not self.parts or not np.array_equal(np.sort(keys), np.arange(self.m)) \
+        if not parts or not np.array_equal(np.sort(keys), np.arange(self.m)) \
                 or any(r.start != lo or r.stop <= lo or np.shape(mask) != (r.stop - lo, c.size)
-                       for (r, c, mask), lo in zip(self.parts, starts)):
+                       for (r, c, mask), lo in zip(parts, starts)):
             raise DimensionError("attention blocks must partition the queries, in order, "
                                  "and the keys, each with a [queries, keys] mask")
+        shapes: dict[tuple, list] = {}
+        for part in parts:
+            shapes.setdefault(np.shape(part[2]), []).append(part)
+        self.groups = [g[0] if len(g) == 1 else tuple(np.stack(a) for a in zip(
+            *((np.r_[rows], keys, mask) for rows, keys, mask in g))) for g in shapes.values()]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Array,
@@ -384,13 +391,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
     ``cos``/``sin`` hold one angle row per key, [m, d//(2 n_heads)], and the
     queries are the last n keys, so they take the last n rows. Both rotate
     once; scores, softmax and weighted sum then run in one loop over the
-    blocks of ``blocks``, in this one tape node, and the backward runs the
-    same loop. None is one block: the first m-n keys (memory) to every query
-    and the last n causally, scores above their diagonal set to -inf through
-    the cached n-by-n ``causal_mask`` (no m-wide mask). ``rotated`` may give
-    the keys already rotated, as [n_heads, m, d//n_heads], but for the last
-    n, the queries' own: attention rotates those with the queries and writes
-    them into it. The backward is written by hand; a masked weight is 0.
+    block groups of ``blocks``, a group one batch after the head axis, in
+    this one tape node, and the backward runs the same loop. None is one
+    block: the first m-n keys (memory) to every query and the last n
+    causally, scores above their diagonal set to -inf through the cached
+    n-by-n ``causal_mask`` (no m-wide mask). ``rotated`` may give the keys
+    already rotated, as [n_heads, m, d//n_heads], but for the last n, the
+    queries' own: attention rotates those with the queries and writes them
+    into it. The backward is written by hand; a masked weight is 0.
     """
     (n, d), m = q.shape, k.shape[0]
     dh = d // n_heads
@@ -410,10 +418,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
         kh[:, m - n:] = both[1]
     vh = v.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
-    parts = blocks.parts if blocks is not None else [(slice(None), slice(None), None)]
+    groups = blocks.groups if blocks is not None else [(slice(None), slice(None), None)]
     ctx, ws = np.empty_like(qh), []
-    for rows, keys, mask in parts:
-        ws.append((qh[:, rows] @ kh[:, keys].swapaxes(1, 2)) * scale)
+    for rows, keys, mask in groups:  # a group's arrays are [heads, (G,) rows, keys]
+        ws.append((qh[:, rows] @ kh[:, keys].swapaxes(-1, -2)) * scale)
         if blocks is None and n > 1:  # no query reads a later one of its own keys
             np.copyto(ws[-1][:, :, m - n:], -np.inf, where=~causal_mask(n, n))
         ws[-1] = softmax_rows(ws[-1], mask)
@@ -423,13 +431,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
     def bw(g: Array) -> None:
         gh = g.reshape(n, n_heads, dh).transpose(1, 0, 2)
         dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
-        for (rows, keys, _), w in zip(parts, ws):  # blocks partition rows and keys
+        for (rows, keys, _), w in zip(groups, ws):  # blocks partition rows and keys
             gb = gh[:, rows]
-            dv[:, keys] = w.swapaxes(1, 2) @ gb
-            gy = (gb @ vh[:, keys].swapaxes(1, 2)) * w
+            dv[:, keys] = w.swapaxes(-1, -2) @ gb
+            gy = (gb @ vh[:, keys].swapaxes(-1, -2)) * w
             gs = (gy - w * gy.sum(axis=-1, keepdims=True)) * scale
             dq[:, rows] = gs @ kh[:, keys]
-            dk[:, keys] = (qh[:, rows].swapaxes(1, 2) @ gs).swapaxes(1, 2)
+            dk[:, keys] = (qh[:, rows].swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
         if v.requires_grad:
             v.accumulate_grad(dv.transpose(1, 0, 2).reshape(m, d))
         if q.requires_grad:

@@ -1,16 +1,21 @@
 """CLI contracts: artifacts exist, reruns are byte-identical, exit codes map."""
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccm
 from ccm import cli, engine
@@ -857,3 +862,119 @@ def test_flag_table():
              for name, p in commands.items()}
     assert flags == FLAGS
     assert sum(map(len, flags.values())) == 62
+
+
+# ---------------------------------------------------------------------------
+# every command under drawn flags and input files
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Per data kind, a valid dataset, tiny model and adapters; and under
+    "broken", every variant of them the dataset editors and checkpoint
+    fuzzers above make, plus a missing file of each."""
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {"broken": {"--data": [d / "missing.jsonl"], "--model": [d / "missing.ckpt"],
+                        "--adapters": [d / "missing.ckpt"]}}
+    for kind, sizes, extra in (("icl", ["--identities", "12", "--t-max", "3", "--classes", "4"],
+                                []),
+                               ("stream", ["--length", "400", "--streams", "1"],
+                                ["--chunk", "16", "--io-len", "8"])):
+        data, model, adapters = (d / f"{kind}.{ext}" for ext in ("jsonl", "model", "adapters"))
+        assert run("gen-data", "--kind", kind, *sizes, "--out", data, "--seed", "3") == 0
+        assert run("pretrain", "--data", data, "--out", model, "--steps", "1", "--batch", "1",
+                   "--layers", "1", "--d-model", "16", "--heads", "2", "--d-ff", "16",
+                   *(["--window", "16"] if extra else [])) == 0
+        assert run("train-compress", "--data", data, "--model", model, "--out", adapters,
+                   "--steps", "1", "--batch", "1", "--slots", "1", *extra) == 0
+        files[kind] = {"--data": data, "--model": model, "--adapters": adapters}
+    for case, (kind, edit, _) in BAD_RECORDS.items():
+        lines = files[kind]["--data"].read_text().splitlines()
+        header, rec = edit(json.loads(lines[0]), json.loads(lines[-1]))
+        bad = d / f"{case}.jsonl"
+        bad.write_text("\n".join([json.dumps(header), *lines[1:-1], json.dumps(rec)]) + "\n")
+        files["broken"]["--data"].append(bad)
+    edits = {**BAD_CHECKPOINTS,
+             "nan-weight": ("model", lambda a, m: a["layers.0.wq"].__setitem__(0, np.nan)),
+             "huge-head": ("model", lambda a, m: a["head"].fill(3e38))}
+    for case, (kind, edit) in edits.items():
+        for data_kind in ("icl", "stream"):
+            bad = d / f"{case}-{data_kind}.ckpt"
+            rewrite_checkpoint(files[data_kind][f"--{kind}"], bad, edit)
+            files["broken"][f"--{kind}"].append(bad)
+    return files
+
+
+# small values, mostly valid, then the kinds of wrong one each flag must reject
+FUZZ_VALUES = ["1", "2", "3"] * 3 + ["0", "-1", "0.5", "x", "nan", "inf", ""]
+FUZZ_POLICIES = {"eval": list(engine.SESSION_POLICIES), "stream": list(engine.STREAM_POLICIES),
+                 "train-compress": ["concat", "merge", "ema", "independent", "none"]}
+COMPRESSING = {"concat", "merge", "ema", "independent", "fixed"}
+
+
+def fuzz_base(command: str, kind: str) -> list:
+    """Flags that keep a run of ``command`` on ``kind`` data short; the drawn
+    flags come after them, so theirs win."""
+    stream = kind != "icl"
+    return {"gen-data": ["--length", "40", "--streams", "1"] if stream
+            else ["--identities", "6", "--t-max", "2"],
+            "pretrain": ["--steps", "1", "--batch", "1", "--layers", "1", "--d-model", "8",
+                         "--heads", "2", "--d-ff", "8", *(["--window", "16"] * stream)],
+            "train-compress": ["--steps", "1", "--batch", "1",
+                               *(["--chunk", "16", "--io-len", "8"] * stream)],
+            "eval": ["--max-eval", "2"], "stream": ["--length", "40"],
+            "complexity": []}[command]
+
+
+def finite_csv(path: Path) -> bool:
+    """Whether every cell of a CSV that reads as a number is a finite one."""
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not np.isfinite(value):
+                return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(draw=st.data())
+def test_every_command_exits_with_its_code_and_no_traceback(fuzz_files, draw):
+    # flags from the table, input files valid or broken: every run ends in an
+    # exit code, never a traceback, and a run that succeeds writes finite CSVs
+    pick = lambda options: draw.draw(st.sampled_from(options))  # noqa: E731
+    command = pick(sorted(FLAGS))
+    kind = pick({"gen-data": ["icl", "stream", "stream-iid", "bogus"],
+                 "eval": ["icl"] * 3 + ["stream"],  # mostly the kind the command reads
+                 "stream": ["stream"] * 3 + ["icl"]}.get(command, ["icl", "stream"]))
+    values = dict(fuzz_files.get(kind, {}))
+    broken = pick([None, None, None, "--data", "--model", "--adapters"])
+    if broken:
+        values[broken] = pick(fuzz_files["broken"][broken])
+    values["--kind"] = kind
+    values["--policy"] = pick(FUZZ_POLICIES.get(command, ["concat"]) * 2 + ["bogus"])
+    given = {"--data", "--model", "--policy", "--kind"} & FLAGS[command]
+    if command in ("eval", "stream") and (values["--policy"] in COMPRESSING) == pick(
+            [True, True, True, False]):
+        given.add("--adapters")  # mostly where the policy needs adapters
+    given |= set(draw.draw(st.lists(st.sampled_from(sorted(FLAGS[command] - values.keys()
+                                                          - {"--out"})),
+                                    unique=True, max_size=2)))
+    with contextlib.ExitStack() as stack:
+        out_dir = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        values["--metrics"] = out_dir / "metrics.csv"
+        argv = [command, *fuzz_base(command, kind)]
+        for flag in sorted(given):
+            argv += [flag] if flag == "--llama7b" else [flag, values.get(flag) or
+                                                        pick(FUZZ_VALUES)]
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        code = run(*argv, "--out", out_dir / "out")
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 0:
+            csvs = [out_dir / "metrics.csv"] * ("--metrics" in given) \
+                + [out_dir / "out"] * (command in ("eval", "stream", "complexity"))
+            assert all(finite_csv(p) for p in csvs), argv

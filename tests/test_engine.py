@@ -68,16 +68,21 @@ def prefix_oracle(session, inputs, choices) -> list[float]:
 
 def record_forwards(monkeypatch, calls: list | None = None) -> list[int]:
     """Entries every sequence of every later ``ToyLM.forward`` call holds:
-    the layout plus its tokens, each of a pack's ``lengths`` on its own.
-    ``calls``, if given, gets one entry per call."""
+    its memory plus its tokens, each of a pack's ``lengths`` on its own. The
+    memory is the layout, or, for the sequences after the first of a fused
+    pack, the w entries of its ``fold`` = (w, f). ``calls``, if given, gets
+    one entry per call."""
     held = []
     forward = ToyLM.forward
 
-    def recording(self, tokens, layout, *args, lengths=None, **kwargs):
-        held.extend(layout.n_entries + n for n in lengths or [len(tokens)])
+    def recording(self, tokens, layout, *args, lengths=None, fold=None, **kwargs):
+        sizes = lengths or [len(tokens)]
+        later = layout.n_entries if fold is None else fold[0]
+        held.extend(w + n for w, n in zip([layout.n_entries] + [later] * (len(sizes) - 1),
+                                          sizes))
         if calls is not None:
             calls.append(lengths)
-        return forward(self, tokens, layout, *args, lengths=lengths, **kwargs)
+        return forward(self, tokens, layout, *args, lengths=lengths, fold=fold, **kwargs)
 
     monkeypatch.setattr(ToyLM, "forward", recording)
     return held
@@ -104,8 +109,10 @@ def test_session_growth_laws(model, adapters):
 
 
 def test_measured_counts_match_analytic(monkeypatch, model, adapters):
-    # scoring is one forward, and its every sequence [inputs | one-token
-    # choice] holds the layout plus l_i = inputs + 1
+    # a step's compression and scoring are one forward: its first sequence
+    # [memory read | segment | slots] holds the ingest peak, and its every
+    # choice sequence [inputs | one-token choice] holds Mem(t) plus l_i =
+    # inputs + 1; full compresses nothing and re-reads its raw context
     from ccm.complexity import ComplexityParams, kv_entries
     rng = np.random.default_rng(2)
     l_c, n_in = 5, 2
@@ -128,21 +135,40 @@ def test_measured_counts_match_analytic(monkeypatch, model, adapters):
             params = ComplexityParams(t=t, l_c=l_c, l_i=n_in + 1, s=s,
                                       n_layers=TINY.n_layers, d_model=TINY.d_model)
             assert comp_peak == kv_entries(params, method, "compression"), (policy, t)
-            assert held == [kv_entries(params, method, "inference")] * len(CHOICES), \
-                (policy, t)
+            assert held == [comp_peak] * (policy != "full") \
+                + [kv_entries(params, method, "inference")] * len(CHOICES), (policy, t)
 
 
 @pytest.mark.parametrize("policy", engine.SESSION_POLICIES)
 def test_ingest_peak_is_what_its_forwards_hold(monkeypatch, model, adapters, policy):
     # the reported compression peak counts only the entries a forward reads:
-    # an independent compressor does not read the memory
+    # an independent compressor does not read the memory. The segment is
+    # compressed by the next forward: as the first sequence of the scoring
+    # pack, on a read of the memory, or first thing in the next ingest
+    # (fixed drops it there instead, as it recompresses the whole context)
     held = record_forwards(monkeypatch)
     rng = np.random.default_rng(6)
     session = Session(model, adapters, policy)
-    for _ in range(4):
-        held.clear()
+    compresses = policy not in ("none", "full")
+
+    def ingest():
         peak = session.ingest(rng.integers(0, 20, size=5))
-        assert peak == max(held, default=0)
+        held.clear()
+        return peak
+
+    for _ in range(2):
+        peak = ingest()
+        multichoice_scores(session, [1, 2], CHOICES)
+        assert held[:compresses] == [peak] * compresses
+        peak = ingest()
+        session.memory  # a read compresses the pending segment
+        assert max(held, default=0) == peak
+        peak = ingest()
+        second = session.ingest(rng.integers(0, 20, size=5))
+        assert max(held, default=0) == peak * (policy != "fixed")
+        held.clear()
+        session.memory
+        assert max(held, default=0) == second
 
 
 def test_none_policy_ignores_context(model, adapters):
@@ -194,9 +220,10 @@ def test_inference_from_checkpoints_records_no_tape(tmp_path, monkeypatch,
         session.ingest(seg)
         evaluate_multichoice(session, [6, 7], [[8], [9]])
     evaluate_perplexity(model, loaded, "concat", np.arange(40) % 20, SMALL_CAPS)
-    # the session's 2 compressions and 2 scorings; the stream's spans of 22
-    # (sink and window), 8, 8 and 2 tokens, a compression before each of the last 3
-    assert len(logits) == 4 + 4 + 3
+    # the session's 2 steps, each one forward that compresses and scores; the
+    # stream's spans of 22 (sink and window), 8, 8 and 2 tokens, a compression
+    # before each of the last 3
+    assert len(logits) == 2 + 4 + 3
     assert not any(x.requires_grad or x._backward for x in logits)
 
 
@@ -254,6 +281,113 @@ def test_multichoice_scores_property(policy, t, lengths, seed):
     choices = [rng.integers(0, 20, size=n) for n in lengths]
     np.testing.assert_allclose(multichoice_scores(session, inputs, choices),
                                prefix_oracle(session, inputs, choices), rtol=0, atol=1e-10)
+
+
+_PROPERTY_MODEL32 = ToyLM.init(TINY, seed=7, dtype=np.float32)
+COMPRESSING = ("concat", "merge", "ema", "independent", "fixed")
+
+
+def oracle_scores(model, adapters, policy, segments, inputs, choices):
+    """Mean choice log-probs and Mem(t) from ``recursive_reference_forward``,
+    one oracle run per choice; fixed compresses the whole context at once."""
+    if policy == "fixed":
+        policy, segments = "independent", [np.concatenate(segments)]
+    scores = []
+    for choice in choices:
+        ref = recursive_reference_forward(model, adapters, (segments, inputs, choice),
+                                          policy, len(segments))
+        seq = np.concatenate([inputs, choice])
+        rows = np.arange(inputs.size - 1, seq.size - 1)
+        scores.append(log_softmax_rows(ref.io_logits)[rows, seq[rows + 1]].mean())
+    return scores, ref.memory
+
+
+@settings(max_examples=25, deadline=None)
+@given(policy=st.sampled_from(COMPRESSING), dtype=st.sampled_from([np.float64, np.float32]),
+       seg_lens=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       n_in=st.integers(1, 3), choice_lens=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+       s=st.integers(1, 3), seed=st.integers(0, 99))
+def test_one_forward_step_is_the_flush_path_and_the_oracle(policy, dtype, seg_lens, n_in,
+                                                           choice_lens, s, seed):
+    # a step's one forward compresses the pending segment and scores every
+    # choice over the Mem(t) it folds at each layer: scores and memory are
+    # bit for bit those of a compression forward (a read of the memory) then
+    # a scoring forward, and the recursive oracle's to float precision
+    model = _PROPERTY_MODEL if dtype == np.float64 else _PROPERTY_MODEL32
+    tol = 1e-10 if dtype == np.float64 else 1e-5
+    adapters = AdapterSet.init(model, rank=2, alpha=4.0, comp_len=s, seed=seed)
+    rng = np.random.default_rng(seed)
+    for pair in adapters.pairs.values():
+        pair.b.data[...] = 0.05 * rng.standard_normal(pair.b.data.shape)
+    segments = [rng.integers(0, 20, size=n) for n in seg_lens]
+    inputs = rng.integers(0, 20, size=n_in)
+    choices = [rng.integers(0, 20, size=n) for n in choice_lens]
+    fused, flushed = Session(model, adapters, policy), Session(model, adapters, policy)
+    for t, seg in enumerate(segments, start=1):
+        fused.ingest(seg)
+        flushed.ingest(seg)
+        flushed.memory  # compressed on its own, before the scoring forward
+        got = multichoice_scores(fused, inputs, choices)
+        assert fused.pending is None
+        np.testing.assert_array_equal(got, multichoice_scores(flushed, inputs, choices))
+        np.testing.assert_array_equal(fused.memory.entries.keys, flushed.memory.entries.keys)
+        np.testing.assert_array_equal(fused.memory.entries.values,
+                                      flushed.memory.entries.values)
+        want, ref_memory = oracle_scores(model, adapters, policy, segments[:t], inputs,
+                                         choices)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        np.testing.assert_allclose(fused.memory.entries.keys, ref_memory.entries.keys,
+                                   rtol=0, atol=tol)
+
+
+def test_empty_segment_is_rejected_where_it_enters(model, adapters):
+    # the pending segment stays as it was, and no forward runs
+    session = Session(model, adapters, "concat")
+    session.ingest([1, 2, 3])
+    pending = session.pending
+    with pytest.raises(ContractViolation, match="non-empty segment"):
+        session.ingest([])
+    assert session.pending is pending and session.memory.count == 1
+
+
+def test_bad_choices_leave_the_pending_segment(model, adapters):
+    # every bad query raises before the step's forward takes the segment,
+    # so the session scores as if it had never been asked
+    rng = np.random.default_rng(15)
+    segments = [rng.integers(0, 20, size=4) for _ in range(2)]
+    inputs = rng.integers(0, 20, size=2)
+    session, fresh = Session(model, adapters, "merge"), Session(model, adapters, "merge")
+    for seg in segments:
+        session.ingest(seg)
+        fresh.ingest(seg)
+        pending = session.pending
+        for bad_inputs, bad_choices, error in (
+                (inputs, [[6]], ContractViolation),
+                (inputs, [[6], []], ContractViolation),
+                ([], [[6], [7]], ContractViolation),
+                (inputs, [[6], [TINY.vocab_size]], DataError),
+                (inputs, [[6], [7] * TINY.max_layout], CapacityError)):
+            with pytest.raises(error):
+                multichoice_scores(session, bad_inputs, bad_choices)
+            assert session.pending is pending
+        np.testing.assert_array_equal(multichoice_scores(session, inputs, CHOICES),
+                                      multichoice_scores(fresh, inputs, CHOICES))
+
+
+@pytest.mark.parametrize("policy", COMPRESSING)
+def test_context_entries_count_a_pending_segment_without_a_forward(monkeypatch, model,
+                                                                   adapters, policy):
+    rng = np.random.default_rng(16)
+    session = Session(model, adapters, policy)
+    session.ingest(rng.integers(0, 20, size=3))
+    multichoice_scores(session, [1, 2], CHOICES)
+    forward = ToyLM.forward
+    monkeypatch.setattr(ToyLM, "forward", lambda *a, **k: pytest.fail("forward ran"))
+    session.ingest(rng.integers(0, 20, size=3))  # the step before was scored
+    pending = session.context_entries
+    monkeypatch.setattr(ToyLM, "forward", forward)
+    assert session.pending is not None
+    assert pending == session.memory.entry_count == session.context_entries
 
 
 def test_a_pack_may_pass_max_layout_but_no_sequence():

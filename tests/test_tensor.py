@@ -444,6 +444,60 @@ def test_masked_attention_equals_composed(case):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@st.composite
+def grouped_pack_cases(draw):
+    """(dtype, n_heads, half, seed, parts, positions): 1..7 blocks laid out as
+    ``model.pack_blocks`` lays out a pack, keys [every block's w memory
+    columns | every block's n queries], each block's own queries its last n
+    keys, with (n, w) drawn from few shapes so that groups of several blocks
+    and of one arise. Masks are random, but every query reads its own key."""
+    shapes = draw(st.lists(st.sampled_from([(1, 0), (1, 2), (2, 1), (3, 2)]),
+                           min_size=1, max_size=7))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n_heads, half = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_mem = sum(w for _, w in shapes)
+    parts, lo, mem_lo = [], 0, 0
+    for n, w in shapes:
+        allowed = rng.random((n, w + n)) < 0.6
+        allowed[np.arange(n), w + np.arange(n)] = True
+        parts.append((lo, lo + n, np.r_[mem_lo:mem_lo + w, n_mem + lo:n_mem + lo + n],
+                      allowed))
+        lo, mem_lo = lo + n, mem_lo + w
+    positions = rng.integers(0, 9, n_mem + lo)
+    return dtype, n_heads, half, seed, parts, positions
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_pack_cases())
+def test_grouped_blocks_are_each_block_alone_bit_for_bit(case):
+    # blocks of one mask shape run as one batch: output and gradients equal
+    # those of one attention per block over its own queries and keys
+    dtype, n_heads, half, seed, parts, positions = case
+    rng = np.random.default_rng(seed)
+    n, m, d = parts[-1][1], positions.size, n_heads * 2 * half
+    q, k, v = (Tensor(rng.standard_normal((rows, d)).astype(dtype), requires_grad=True)
+               for rows in (n, m, m))
+    cos, sin = (a[positions] for a in T.rope_angles(9, 2 * half, 10000.0, dtype))
+    w = rng.standard_normal(q.shape).astype(dtype)
+    blocks = T.Blocks(parts)
+    assert len(blocks.groups) == len({mask.shape for *_, mask in parts})
+
+    def one_at_a_time():
+        return T.concat([T.attention(
+            T.take_rows(q, np.arange(lo, hi)), T.take_rows(k, keys), T.take_rows(v, keys),
+            n_heads, cos[keys], sin[keys],
+            blocks=T.Blocks([(0, hi - lo, np.arange(keys.size), mask)]))
+            for lo, hi, keys, mask in parts])
+
+    grouped = output_and_grads(
+        lambda: T.attention(q, k, v, n_heads, cos, sin, blocks=blocks), [q, k, v], w)
+    alone = output_and_grads(one_at_a_time, [q, k, v], w)
+    for got, want in zip(grouped, alone):  # output, dq, dk, dv
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("shape", [(3, 6), (2, 7), (3, 7, 1), (7,)])
 def test_attention_rejects_a_mask_of_another_shape(shape):
     with pytest.raises(DimensionError):

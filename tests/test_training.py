@@ -371,6 +371,33 @@ def test_adapter_gradient_vs_finite_differences(tiny_model64):
         assert err < 1e-3, policy
 
 
+def test_grouped_pack_gradient_vs_finite_differences(tiny_model64, monkeypatch):
+    # sequences of one t and segment lengths share a mask shape, so their
+    # attention blocks run as one batch; the third sequence stays a group of one
+    s = 2
+    tiny_model64.freeze()
+    adapters = make_adapters(tiny_model64, s, seed=16)
+    rng = np.random.default_rng(16)
+    seqs = [build_training_sequence(random_sample(rng, t, TINY.comp_token_id, seg_lens=(3, 4)),
+                                    s=s, t=t, comp_token_id=TINY.comp_token_id)
+            for t in (2, 2, 3)]
+    made = []
+    blocks = T.Blocks
+
+    def recording(parts):
+        made.append(blocks(parts))
+        return made[-1]
+
+    monkeypatch.setattr(T, "Blocks", recording)
+    params = trainable_parameters(tiny_model64, adapters)
+    for policy in MEMORY_POLICIES:
+        err = finite_difference_check(
+            lambda: training_forward(tiny_model64, adapters, Pack(seqs), policy)[0],
+            params, n_samples=24, eps=1e-5, seed=1)
+        assert err < 1e-3, policy
+    assert made and all(len(b.groups) == 2 for b in made)
+
+
 def test_training_forward_tape_does_not_grow_with_t(tiny_model64, monkeypatch):
     # one masked attention per layer: the tape of a concat forward has the
     # same node count at t=2 and t=12 when every segment is equally long
