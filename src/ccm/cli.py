@@ -108,7 +108,7 @@ def _require_stream(data):
 def _require_vocab(model: ToyLM, vocab) -> None:
     """The model must have been built for the dataset's vocabulary."""
     want = vocab.model_config()
-    for key in ("vocab_size", "comp_token_id", "pad_token_id"):
+    for key in ("vocab_size", "comp_token_id"):
         have, need = getattr(model.config, key), getattr(want, key)
         if have != need:
             raise DataError(f"model {key} {have} != dataset vocabulary's {need}")
@@ -201,7 +201,7 @@ def cmd_train_compress(args) -> int:
     else:
         streams, vocab, _ = data
         _require_vocab(model, vocab)
-        sampler = stream_compression_sampler(streams,
+        sampler = stream_compression_sampler(streams, recipe.T,
                                              **_given(args, ["chunk", "io_len"]))
     adapters = AdapterSet.init(model, comp_len=recipe.s,
                                seed=derive_seed(recipe.seed, "adapter-init"),

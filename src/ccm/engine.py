@@ -5,7 +5,8 @@ according to its policy, and answers a query by likelihood:
 ``multichoice_scores`` scores all answer choices in one packed forward,
 each choice as its own sequence [prompt | input | choice] over its own
 copy of the memory; the segment ingested before it is compressed in that
-same forward (the paper's parallel pass over one step). Only ``full`` has
+same forward (the paper's parallel pass over one step); reading the memory
+first flushes it through the same pack with no queries. Only ``full`` has
 a prompt: it re-feeds the raw context and keeps an empty memory, as
 ``none`` does, which ignores context entirely. ``fixed`` recompresses the
 whole accumulated context into a fresh ``independent`` memory every step.
@@ -84,10 +85,10 @@ class Session:
         self.pending = segment
         return read + segment.size + self.adapters.comp_len
 
-    def _compress(self, queries: list[np.ndarray] | None = None):
-        """Fold the pending segment into the memory; ``queries``' logits, if any."""
-        out = compress_segment(self.model, self.adapters, self._memory, self.pending, queries)
-        h, logits = (out, None) if queries is None else out
+    def _compress(self, queries: list[np.ndarray]):
+        """Fold the pending segment into the memory; the ``queries``' logits."""
+        h, logits = compress_segment(self.model, self.adapters, self._memory, self.pending,
+                                     queries)
         self._memory, self.pending = self._memory.updated(h), None
         return logits
 
@@ -97,7 +98,7 @@ class Session:
     def memory(self) -> ContextMemory:
         """Mem(t), a pending segment compressed into it first."""
         if self.pending is not None:
-            self._compress()
+            self._compress([])  # a flush: the step's pack without queries
         return self._memory
 
     @property

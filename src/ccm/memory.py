@@ -27,10 +27,11 @@ it could change, and reading the layout copies nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, UsageError
+from .errors import ContractViolation, DimensionError, UsageError
 from .lora import AdapterSet
 from .model import KVLayout, ToyLM
 
@@ -58,6 +59,9 @@ class ContextMemory:
         prev, w = self.entries, fold_weights(self.policy, self.count + 1)
         if w is None:
             entries = h if prev is None else prev.extended(h)
+        elif (h.keys.shape, h.values.shape) != (prev.keys.shape, prev.values.shape):
+            raise DimensionError(f"{self.policy} memory of shape {prev.keys.shape} folds "
+                                 f"no h of shape {h.keys.shape}")
         else:
             entries = KVLayout(w[0] * prev.keys + w[1] * h.keys,
                                w[0] * prev.values + w[1] * h.values)
@@ -113,24 +117,21 @@ def reads_memory(policy: str) -> bool:
 
 
 def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
-                     segment, queries: list[np.ndarray] | None = None):
-    """Condense one segment into the compression tokens' unrotated KV h.
+                     segment, queries: Sequence[np.ndarray] = ()):
+    """Condense one segment into the compression tokens' unrotated KV h, and
+    return h with the logits rows of ``queries`` (none for a flush).
 
-    The forward runs over [memory entries | segment | s comp tokens], the
-    memory left out where the policy does not read it (``reads_memory``).
-    ``queries`` join that forward (the paper's parallel pass over one step),
-    each over Mem(t) = ``mem.updated(h)`` as every layer folds it from its
-    slot rows: then h and the queries' logits rows are returned.
+    One pack runs both (the paper's parallel pass over one step): first
+    [memory entries | segment | s comp tokens], the memory left out where the
+    policy does not read it (``reads_memory``), then each query over
+    Mem(t) = ``mem.updated(h)`` as every layer folds it from its slot rows.
     """
     segment = np.asarray(segment, dtype=np.intp)
     if segment.size == 0:
         raise ContractViolation("cannot compress an empty segment")
     s = adapters.comp_len
-    cfg = model.config
     layout = mem.layout(model) if reads_memory(mem.policy) else model.empty_layout()
-    tokens = np.concatenate([segment, np.full(s, cfg.comp_token_id, dtype=np.intp)])
-    if queries is None:
-        return model.forward(tokens, layout, adapters=adapters)[1].entries(segment.size)
+    tokens = np.concatenate([segment, np.full(s, model.config.comp_token_id, dtype=np.intp)])
 
     def fold(layer, k, v):  # Mem(t) at one layer, by the one update rule
         e, one = mem.entries, slice(layer, layer + 1)

@@ -45,15 +45,14 @@ from .tensor import Parameter, Tensor, rmsnorm
 
 @dataclass(frozen=True)
 class ModelConfig:
-    n_layers: int = 4
-    d_model: int = 128
+    n_layers: int = 3
+    d_model: int = 64
     n_heads: int = 4
-    d_ff: int = 512
+    d_ff: int = 256
     vocab_size: int = 512
     rope_base: float = 10000.0
     max_layout: int = 1024
-    comp_token_id: int = -1  # -1: second-to-last vocab id
-    pad_token_id: int = -1   # -1: last vocab id
+    comp_token_id: int = -1  # -1: the last vocab id
 
     def __post_init__(self):
         if not all(isinstance(getattr(self, f.name), int) for f in fields(self)
@@ -70,14 +69,9 @@ class ModelConfig:
         if self.d_model % (2 * self.n_heads) != 0:
             raise DimensionError("d_model must split into n_heads heads of even width")
         if self.comp_token_id == -1:
-            object.__setattr__(self, "comp_token_id", self.vocab_size - 2)
-        if self.pad_token_id == -1:
-            object.__setattr__(self, "pad_token_id", self.vocab_size - 1)
-        for tid in (self.comp_token_id, self.pad_token_id):
-            if not 0 <= tid < self.vocab_size:
-                raise DimensionError(f"reserved token id {tid} outside vocabulary")
-        if self.comp_token_id == self.pad_token_id:
-            raise DimensionError("comp and pad token ids must differ")
+            object.__setattr__(self, "comp_token_id", self.vocab_size - 1)
+        if not 0 <= self.comp_token_id < self.vocab_size:
+            raise DimensionError(f"comp token id {self.comp_token_id} outside vocabulary")
 
     @property
     def head_dim(self) -> int:
@@ -387,7 +381,8 @@ class ToyLM:
         longest. The logits and returned entries are theirs, in order.
         ``fold`` = (w, f) gives the later sequences, at every layer, the w
         memory entries f(layer, k, v) makes of the first one's keys and values
-        there: a compression and the queries reading its result in one pack.
+        there: a compression and the queries reading its result in one pack,
+        or, with no later sequence, a compression alone (f is not called).
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         cfg, n_mem = self.config, layout.n_entries

@@ -13,7 +13,7 @@ straddle a sliding window's reach, so retained memory measurably lowers
 perplexity; an i.i.d. control stream is available where memory cannot help.
 
 A dataset file is JSONL: a header, then one object per record. Header sizes
-are ints >= 1, and a data id lies in [0, n_plain), below the comp and pad ids.
+are ints >= 1, and a data id lies in [0, n_plain), below the comp id.
 - icl header: format_version, kind, seed, vocab {n_pattern, n_labels},
   n_classes <= n_labels, T, pattern_len; n_plain = n_pattern + n_labels + 1
   (the separator). Record: identity (int), split ("train" or "test"),
@@ -53,7 +53,7 @@ def _check_sizes(**sizes) -> None:
 
 
 class VocabLayout:
-    """Ids [0, n_plain) for data, then comp and pad; subclasses define n_plain."""
+    """Ids [0, n_plain) for data, then the comp id; subclasses define n_plain."""
 
     max_layout = 1024  # the layout cap of the models built for this data
 
@@ -65,24 +65,18 @@ class VocabLayout:
         return self.n_plain
 
     @property
-    def pad_id(self) -> int:
+    def size(self) -> int:
         return self.n_plain + 1
 
-    @property
-    def size(self) -> int:
-        return self.n_plain + 2
-
     def model_config(self, **overrides) -> ModelConfig:
-        defaults = dict(n_layers=3, d_model=64, n_heads=4, d_ff=256,
-                        vocab_size=self.size, max_layout=self.max_layout,
-                        comp_token_id=self.comp_id, pad_token_id=self.pad_id)
-        defaults.update(overrides)
-        return ModelConfig(**defaults)
+        """This vocabulary's fields, ``ModelConfig``'s sizes unless overridden."""
+        return ModelConfig(**{"vocab_size": self.size, "max_layout": self.max_layout,
+                              "comp_token_id": self.comp_id, **overrides})
 
 
 @dataclass(frozen=True)
 class VocabSpec(VocabLayout):
-    """ICL vocabulary regions: patterns, labels, then sep/comp/pad."""
+    """ICL vocabulary regions: patterns, labels, then sep/comp."""
 
     n_pattern: int = 32
     n_labels: int = 8
@@ -333,16 +327,21 @@ def stream_pretrain_sampler(streams: list[StreamSample], window: int):
     return sampler
 
 
-def stream_compression_sampler(streams: list[StreamSample], chunk: int = 64,
+def stream_compression_sampler(streams: list[StreamSample], T: int, chunk: int = 64,
                                io_len: int = 16):
-    """(C(t), I, O) built from consecutive chunks of a stream."""
+    """(C(t), I, O) built from consecutive chunks of a stream, t <= T: every
+    stream must hold T chunks and the I and O after them."""
+    _check_sizes(chunk=chunk, io_len=io_len)
     _require_samples(streams)
+    short, need = min(len(s.tokens) for s in streams), T * chunk + 2 * io_len
+    if short < need:
+        raise DataError(f"a {short}-token stream holds no {T} chunks of {chunk} tokens "
+                        f"and {io_len} input and {io_len} output tokens ({need})")
 
     def sampler(rng: np.random.Generator, t: int):
         stream = streams[int(rng.integers(len(streams)))]
         tokens = np.asarray(stream.tokens, dtype=np.intp)
-        need = t * chunk + 2 * io_len
-        lo = int(rng.integers(0, max(1, tokens.size - need)))
+        lo = int(rng.integers(0, max(1, tokens.size - t * chunk - 2 * io_len)))
         segments = [tokens[lo + j * chunk: lo + (j + 1) * chunk].tolist()
                     for j in range(t)]
         base = lo + t * chunk

@@ -37,8 +37,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
-from .memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
-                     compress_segment, fold_weights, reads_memory)
+from .memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory, fold_weights,
+                     reads_memory)
 from .model import ToyLM, forward_groups, pack_blocks
 from .optim import Adam, cosine_lr
 from .seeding import derive_seed
@@ -214,8 +214,10 @@ def recursive_reference_forward(model: ToyLM, adapters: AdapterSet,
         raise UsageError(f"unknown policy {policy!r}")
     segments, inputs, outputs = sample
     mem = ContextMemory(policy)
-    for seg in segments[:t]:
-        mem = mem.updated(compress_segment(model, adapters, mem, seg))
+    for seg in segments[:t]:  # a forward over [c(j) | s comps] on what the policy reads
+        tokens = np.append(seg, np.full(adapters.comp_len, model.config.comp_token_id))
+        layout = mem.layout(model) if reads_memory(policy) else model.empty_layout()
+        mem = mem.updated(model.forward(tokens, layout, adapters=adapters)[1].entries(len(seg)))
     tokens = np.concatenate([np.asarray(inputs, dtype=np.intp),
                              np.asarray(outputs, dtype=np.intp)])
     logits, _ = model.forward(tokens, mem.layout(model), adapters=adapters)

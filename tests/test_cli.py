@@ -365,6 +365,13 @@ STREAM_RUN = ["stream", "--data", "{stream}", "--model", "{stream_model}",
     (["gen-data", "--kind", "stream", "--length", "1"], "--length 1 must be at least 2"),
     (["gen-data", "--kind", "stream-iid", "--length", "1"],
      "--length 1 must be at least 2"),
+    # stream sample sizes that failed mid-run as "empty context segment"
+    (["train-compress", "--data", "{stream}", "--model", "{stream_model}", "--chunk", "0"],
+     "sizes {'chunk': 0, 'io_len': 16} must be integers >= 1"),
+    (["train-compress", "--data", "{stream}", "--model", "{stream_model}", "--io-len", "0"],
+     "sizes {'chunk': 64, 'io_len': 0} must be integers >= 1"),
+    (["train-compress", "--data", "{stream}", "--model", "{stream_model}", "--chunk", "-2"],
+     "sizes {'chunk': -2, 'io_len': 16} must be integers >= 1"),
 ])
 def test_bad_or_ignored_flag_is_usage_error(tiny_pipeline, stream_data, stream_model,
                                             tmp_path, capsys, argv, says):
@@ -387,6 +394,22 @@ def test_model_size_below_one_is_rejected(icl_data, tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: model size") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("chunk,io_len,code", [("46", "16", 0), ("46", "17", 2),
+                                               ("48", None, 2), ("72", "8", 2)])
+def test_stream_shorter_than_a_compression_sample_is_data_error(
+        stream_data, stream_model, tmp_path, capsys, chunk, io_len, code):
+    # T=8 chunks and 2 x io_len tokens must fit in every 400-token stream; a
+    # shorter one cut samples short or failed mid-run
+    out = tmp_path / "adapters.ckpt"
+    io = [] if io_len is None else ["--io-len", io_len]
+    assert run("train-compress", "--data", stream_data, "--model", stream_model, "--out", out,
+               "--steps", "1", "--batch", "1", "--slots", "1", "--chunk", chunk, *io) == code
+    if code:
+        assert "data error: a 400-token stream holds no 8 chunks of " \
+            f"{chunk} tokens" in capsys.readouterr().err
+    assert out.exists() == (code == 0)
 
 
 def rewrite_checkpoint(src, dst, edit):
@@ -428,6 +451,19 @@ def test_bad_checkpoint_metadata_is_data_error(stream_model, stream_data, tmp_pa
                "--adapters", files["adapters"], "--policy", "concat",
                "--length", "20", "--out", out) == 2
     assert f"data error: {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_that_names_a_pad_id_is_data_error(stream_model, stream_data, tmp_path,
+                                                      capsys):
+    # the vocabulary reserves no pad id any more; a model saved with one is refused
+    old = tmp_path / "old.ckpt"
+    rewrite_checkpoint(stream_model, old, lambda a, m: m["config"].update(pad_token_id=-1))
+    out = tmp_path / "stream.csv"
+    assert run("stream", "--data", stream_data, "--model", old, "--policy", "full",
+               "--length", "20", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {old}" in err and "pad_token_id" in err
     assert not out.exists()
 
 

@@ -311,8 +311,9 @@ def test_one_forward_step_is_the_flush_path_and_the_oracle(policy, dtype, seg_le
                                                            choice_lens, s, seed):
     # a step's one forward compresses the pending segment and scores every
     # choice over the Mem(t) it folds at each layer: scores and memory are
-    # bit for bit those of a compression forward (a read of the memory) then
-    # a scoring forward, and the recursive oracle's to float precision
+    # bit for bit those of a flush (a read of the memory) then a scoring
+    # forward, Mem(t) bit for bit the recursive oracle's, whose compressions
+    # are plain forwards, and the scores the oracle's to float precision
     model = _PROPERTY_MODEL if dtype == np.float64 else _PROPERTY_MODEL32
     tol = 1e-10 if dtype == np.float64 else 1e-5
     adapters = AdapterSet.init(model, rank=2, alpha=4.0, comp_len=s, seed=seed)
@@ -336,8 +337,8 @@ def test_one_forward_step_is_the_flush_path_and_the_oracle(policy, dtype, seg_le
         want, ref_memory = oracle_scores(model, adapters, policy, segments[:t], inputs,
                                          choices)
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-        np.testing.assert_allclose(fused.memory.entries.keys, ref_memory.entries.keys,
-                                   rtol=0, atol=tol)
+        np.testing.assert_array_equal(fused.memory.entries.keys, ref_memory.entries.keys)
+        np.testing.assert_array_equal(fused.memory.entries.values, ref_memory.entries.values)
 
 
 def test_empty_segment_is_rejected_where_it_enters(model, adapters):

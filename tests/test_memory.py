@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccm.errors import ContractViolation
+from ccm.errors import ContractViolation, DimensionError
 from ccm.lora import AdapterSet
 from ccm.memory import (EMA_A, GROWING_POLICIES, MEMORY_POLICIES, ContextMemory,
                         compress_segment)
@@ -183,6 +183,20 @@ def test_memory_is_a_value(policy, n, seed):
                                       np.concatenate([h.values for h in hs], 1))
 
 
+@pytest.mark.parametrize("policy", ["merge", "ema"])
+def test_weighted_fold_rejects_h_of_another_shape(policy):
+    # a 1-entry h broadcast into a 2-entry memory, and a 3-entry h grew a
+    # 1-entry memory to 3
+    rng = np.random.default_rng(11)
+    mem = ContextMemory(policy).updated(slots(rng, s=2))
+    for bad in (slots(rng, s=1), slots(rng, s=3), slots(rng, L=3, s=2), slots(rng, s=2, d=2)):
+        with pytest.raises(DimensionError, match=f"{policy} memory"):
+            mem.updated(bad)
+    with pytest.raises(DimensionError, match=f"{policy} memory"):
+        ContextMemory(policy).updated(slots(rng, s=1)).updated(slots(rng, s=3))
+    assert mem.updated(slots(rng, s=2)).entry_count == 2
+
+
 def test_none_policy_layout_empty(tiny_model64):
     mem = ContextMemory("none")
     assert mem.layout(tiny_model64).n_entries == 0
@@ -196,8 +210,9 @@ def test_none_policy_layout_empty(tiny_model64):
 def test_compress_segment_shape(tiny_model64):
     adapters = AdapterSet.init(tiny_model64, comp_len=1, seed=0)
     mem = ContextMemory("concat")
-    h = compress_segment(tiny_model64, adapters, mem, [1, 2, 3])
-    # one slot of 2 x L x d numbers
+    h, logits = compress_segment(tiny_model64, adapters, mem, [1, 2, 3])
+    # one slot of 2 x L x d numbers, and no logits rows without queries
+    assert logits.shape == (0, TINY.vocab_size)
     assert h.keys.shape == (TINY.n_layers, 1, TINY.d_model)
     assert h.values.shape == (TINY.n_layers, 1, TINY.d_model)
     assert h.keys.size + h.values.size == 2 * TINY.n_layers * TINY.d_model
@@ -206,10 +221,13 @@ def test_compress_segment_shape(tiny_model64):
 def test_compress_segment_deterministic(tiny_model64):
     adapters = AdapterSet.init(tiny_model64, comp_len=2, seed=1)
     mem = ContextMemory("merge")
-    a = compress_segment(tiny_model64, adapters, mem, [4, 5])
-    b = compress_segment(tiny_model64, adapters, mem, [4, 5])
+    (a, a_logits), (b, b_logits) = (compress_segment(tiny_model64, adapters, mem, [4, 5],
+                                                     [np.array([6, 7]), np.array([8])])
+                                    for _ in range(2))
+    assert a_logits.shape == (3, TINY.vocab_size)
     np.testing.assert_array_equal(a.keys, b.keys)
     np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a_logits, b_logits)
 
 
 def test_compress_segment_rejects_empty(tiny_model64):
@@ -226,8 +244,8 @@ def test_compression_is_memory_conditioned(tiny_model64):
         slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
     mem2 = ContextMemory("concat").updated(
         slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
-    h1 = compress_segment(tiny_model64, adapters, mem1, [1, 2, 3])
-    h2 = compress_segment(tiny_model64, adapters, mem2, [1, 2, 3])
+    h1, _ = compress_segment(tiny_model64, adapters, mem1, [1, 2, 3])
+    h2, _ = compress_segment(tiny_model64, adapters, mem2, [1, 2, 3])
     assert not np.allclose(h1.keys, h2.keys)
 
 
@@ -237,6 +255,6 @@ def test_independent_policy_ignores_memory(tiny_model64):
     empty = ContextMemory("independent")
     filled = ContextMemory("independent").updated(
         slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
-    h1 = compress_segment(tiny_model64, adapters, empty, [1, 2, 3])
-    h2 = compress_segment(tiny_model64, adapters, filled, [1, 2, 3])
+    h1, _ = compress_segment(tiny_model64, adapters, empty, [1, 2, 3])
+    h2, _ = compress_segment(tiny_model64, adapters, filled, [1, 2, 3])
     np.testing.assert_array_equal(h1.keys, h2.keys)

@@ -152,7 +152,7 @@ def test_lengths_must_split_the_tokens_without_a_cache(tiny_model64, lengths, ca
 
 @pytest.mark.parametrize("bad", [-1, TINY.vocab_size])
 def test_token_ids_outside_vocabulary_rejected(tiny_model64, bad):
-    # -1 would otherwise read the pad row; vocab_size would index past the table
+    # -1 would otherwise read the comp row, the last; vocab_size would index past it
     with pytest.raises(DataError):
         tiny_model64.forward([1, bad, 2], tiny_model64.empty_layout())
 

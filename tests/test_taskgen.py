@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccm.errors import DataError, UsageError
+from ccm.model import ModelConfig
 from ccm.taskgen import (ICLDataset, OnlineSample, StreamVocab, VocabSpec,
                          gen_icl_dataset, gen_iid_stream, gen_stream,
-                         read_dataset, write_icl_dataset, write_stream_dataset)
+                         read_dataset, stream_compression_sampler, write_icl_dataset,
+                         write_stream_dataset)
 
 
 def test_icl_deterministic_under_seed():
@@ -270,9 +272,9 @@ def test_edited_dataset_file_reads_only_when_valid(fuzz_path, data):
         v = StreamVocab()
         write_stream_dataset(fuzz_path, FUZZ_STREAMS, v, seed=13)
         fields, ok = ["tokens", "motif_positions"], lambda r: stream_record_ok(r, v)
-    # reserved, out-of-range (1000 also past every stream's end), float and
-    # bool ids, and valid ones
-    ids = [v.comp_id, v.pad_id, v.size, 1000, -1, 2.5, 3.0, True, 0, v.n_plain - 1,
+    # the reserved comp id, out-of-range (1000 also past every stream's end),
+    # float and bool ids, and valid ones
+    ids = [v.comp_id, v.size, 1000, -1, 2.5, 3.0, True, 0, v.n_plain - 1,
            getattr(v, "n_pattern", 1)]
     lines = fuzz_path.read_text().splitlines()
     at = data.draw(st.integers(1, len(lines) - 1))
@@ -297,8 +299,35 @@ def test_edited_dataset_file_reads_only_when_valid(fuzz_path, data):
 
 
 def test_vocab_reserved_ids():
-    v = VocabSpec(n_pattern=32, n_labels=8)
-    cfg = v.model_config()
-    assert cfg.comp_token_id == v.comp_id
-    assert cfg.vocab_size == v.size
-    assert v.comp_id != v.pad_id != v.sep_id
+    # the comp id is the one reserved id, the last of the vocabulary
+    for v in (VocabSpec(n_pattern=32, n_labels=8), StreamVocab()):
+        cfg = v.model_config()
+        assert (cfg.vocab_size, cfg.comp_token_id) == (v.size, v.comp_id)
+        assert v.comp_id == v.n_plain == v.size - 1
+        assert ModelConfig(vocab_size=v.size).comp_token_id == v.comp_id  # -1: the last
+    assert VocabSpec().sep_id == VocabSpec().comp_id - 1
+
+
+def test_one_default_model_size():
+    # the sizes ModelConfig defaults to are the ones every dataset's model gets
+    sizes = ("n_layers", "d_model", "n_heads", "d_ff")
+    assert [getattr(ModelConfig(), f) for f in sizes] \
+        == [getattr(VocabSpec().model_config(), f) for f in sizes] == [3, 64, 4, 256]
+
+
+def test_stream_compression_sampler_fills_every_step_or_refuses_the_stream():
+    # every stream holds T chunks and the I/O after them, so no sample is cut short
+    streams = [gen_stream(3 * 5 + 2 * 4, seed=2), gen_stream(40, seed=3, identity=1)]
+    sampler = stream_compression_sampler(streams, T=3, chunk=5, io_len=4)
+    rng = np.random.default_rng(0)
+    for t in (1, 2, 3, 3, 2, 1):
+        segments, inputs, outputs = sampler(rng, t)
+        assert [len(c) for c in segments] == [5] * t and len(inputs) == len(outputs) == 4
+        drawn = sum(segments, []) + inputs + outputs
+        assert any(s.tokens[lo:lo + len(drawn)] == drawn for s in streams
+                   for lo in range(len(s.tokens)))
+    with pytest.raises(DataError, match="a 23-token stream holds no 4 chunks of 5 tokens"):
+        stream_compression_sampler(streams, T=4, chunk=5, io_len=4)
+    for chunk, io_len in ((0, 4), (5, -1)):
+        with pytest.raises(UsageError, match=f"'chunk': {chunk}, 'io_len': {io_len}"):
+            stream_compression_sampler(streams, T=3, chunk=chunk, io_len=io_len)
