@@ -20,7 +20,8 @@ layout. Between two such events the layout only grows, so each step runs
 a span of tokens as one causal forward. The stream owns the layout's
 storage, a KVCache: the forward writes its tokens' keys, values and
 rotated keys into the next rows, so no step copies the cache. An event
-writes the kept layout into fresh arrays, leaving earlier layouts' rows.
+writes the kept layout once into fresh arrays, leaving earlier layouts'
+rows, and rows for its new slots, which the span's forward after it fills.
 Setting the compressed region's capacity to zero turns the stream
 into the plain attention-sink + sliding-window baseline with the same
 budget; a window as long as the stream is the unbounded ``full`` cache, and
@@ -44,7 +45,15 @@ from .tensor import log_softmax_rows
 SESSION_POLICIES = MEMORY_POLICIES + ("none", "full", "fixed")
 STREAM_POLICIES = ("concat", "sliding", "full", "none")
 _MEMORY_POLICY = {"full": "none", "fixed": "independent"}  # session -> memory
-SPAN_SCORES = 8192  # most score entries per head one streaming forward makes
+# Most score entries per head one streaming forward makes, k(layout + k). It
+# bounds the working set of the span's score matrix, and must be at least
+# chunk x budget at the default caps (64 x 160), so that a refill after an
+# event is one span. Swept untraced on the benchmark's model (2-CPU Xeon, 2 MB
+# L2 per core; seed 1, median tok/s of stream / stream_full): 8,192 16.0k /
+# 11.2k, 16,384 19.4k / 15.2k, 32,768 20.4k / 16.9k (peak RSS +1.8%), 65,536
+# 19.9k / 9.9k, a cache cliff. The rule's power of two keeps two doublings
+# of margin below the cliff.
+SPAN_SCORES = 16384
 
 
 class Session:
@@ -185,7 +194,8 @@ class StreamState:
     ``layout`` is [sink | compressed region | window]: the first ``n_sink``
     entries are the sink, the next ``ccm_entry_count`` the compressed
     region, and the rest the window. The adapters set the slot group size.
-    ``cache`` owns the storage: ``layout`` is a view of its first rows.
+    ``cache`` owns the storage: ``layout`` is a view of its first rows, and
+    an event's [sink | kept region | s slot rows | rest of window] a new one.
     """
 
     def __init__(self, model: ToyLM, adapters: AdapterSet | None, caps: StreamCaps):
@@ -198,7 +208,7 @@ class StreamState:
         self.model = model
         self.adapters = adapters
         self.caps = caps
-        self._hold(model.empty_layout())
+        self._hold([model.empty_layout()])
         self.n_sink = 0
         self.ccm_entry_count = 0
 
@@ -206,29 +216,30 @@ class StreamState:
     def window_entries(self) -> int:
         return self.layout.n_entries - self.n_sink - self.ccm_entry_count
 
-    def _hold(self, layout: KVLayout) -> None:
-        """``layout``, written into fresh cache arrays, as the stream's layout."""
+    def _hold(self, parts: list) -> None:
+        """``parts``, written once into fresh cache arrays, as the stream's layout."""
         rows = min(self.caps.total, self.model.config.max_layout)  # no forward holds more
-        self.cache = KVCache.holding(layout, rows, self.model.config)
-        self.layout = self.cache.layout(layout.n_entries)
+        self.cache = KVCache.holding(parts, rows, self.model.config)
+        self.layout = self.cache.layout(sum(getattr(p, "n_entries", p) for p in parts))
 
-    def _compress_oldest_chunk(self) -> None:
+    def _drop_oldest_chunk(self) -> tuple[KVLayout, int] | None:
+        """Give up the window's oldest chunk; returns the compression event,
+        (what the new slot group reads, its first row), or None if no region."""
         lo = self.n_sink
         hi = lo + self.ccm_entry_count
         rest = hi + self.caps.chunk
-        region = []
+        parts, event = [self.layout.entries(0, lo)], None
         if self.caps.ccm_entries > 0:
             # the new slot group sees the whole region, then the oldest go
-            slots = compress_from_kv(self.model, self.adapters,
-                                     self.layout.entries(lo, rest))
-            n = self.ccm_entry_count + slots.n_entries
+            s = self.adapters.comp_len
+            n = self.ccm_entry_count + s
             while n > self.caps.ccm_entries:
-                n -= slots.n_entries  # emit the oldest compressed slot group
-            if n:
-                region = [self.layout.entries(hi - n + slots.n_entries, hi), slots]
+                n -= s  # emit the oldest compressed slot group
+            event = self.layout.entries(lo, rest), lo + n - s
+            parts += [self.layout.entries(hi - n + s, hi), s]
             self.ccm_entry_count = n
-        self._hold(self.layout.entries(0, lo).extended(*region,
-                                                       self.layout.entries(rest)))
+        self._hold(parts + [self.layout.entries(rest)])
+        return event
 
 
 def streaming_step(state: StreamState, tokens) -> tuple[np.ndarray, int, bool]:
@@ -236,25 +247,29 @@ def streaming_step(state: StreamState, tokens) -> tuple[np.ndarray, int, bool]:
     inside it, as one cached forward: returns (its k tokens' [k, vocab]
     next-token logits, kv_total used after it, event?).
 
-    A full window first gives up its oldest chunk (the event). The run then
-    attends [sink | compressed region | window] and its own earlier tokens,
-    with fresh sequential positions; its KV lands in the sink until the sink
-    is full, then in the window. The run stops where the window fills, or
-    before its scores pass SPAN_SCORES entries per head.
+    A full window first gives up its oldest chunk (the event), compressed in
+    the run's forward (``compress_from_kv``). The run then attends [sink |
+    compressed region | window] and its own earlier tokens, with fresh
+    sequential positions; its KV lands in the sink until the sink is full,
+    then in the window. The run stops where the window fills, or before its
+    scores pass SPAN_SCORES entries per head.
     """
     tokens = np.asarray(tokens, dtype=np.intp).reshape(-1)
     event = state.window_entries >= state.caps.window
-    if event:
-        state._compress_oldest_chunk()
+    compression = state._drop_oldest_chunk() if event else None
     caps, n_mem = state.caps, state.layout.n_entries
     fits = (math.isqrt(n_mem * n_mem + 4 * SPAN_SCORES) - n_mem) // 2  # max k(n_mem + k)
     k = min(tokens.size, caps.n_sink - state.n_sink + caps.window - state.window_entries,
             max(fits, 1))
-    logits, _ = state.model.forward(tokens[:k], state.layout,
-                                    adapters=state.adapters, cache=state.cache)
+    if compression is None:
+        logits = state.model.forward(tokens[:k], state.layout, adapters=state.adapters,
+                                     cache=state.cache)[0].data
+    else:
+        logits = compress_from_kv(state.model, state.adapters, *compression, tokens[:k],
+                                  state.layout, state.cache)
     state.layout = state.cache.layout(n_mem + k)
     state.n_sink = min(state.n_sink + k, caps.n_sink)
-    return logits.data, state.layout.n_entries, event
+    return logits, state.layout.n_entries, event
 
 
 @dataclass

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ContractViolation, DimensionError, UsageError
 from .lora import AdapterSet
-from .model import KVLayout, ToyLM
+from .model import KVCache, KVLayout, ToyLM
 
 MEMORY_POLICIES = ("concat", "merge", "ema", "independent")
 GROWING_POLICIES = ("concat", "independent")
@@ -145,11 +145,16 @@ def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
     return kv.entries(segment.size, tokens.size), logits.data[tokens.size:]
 
 
-def compress_from_kv(model: ToyLM, adapters: AdapterSet, context: KVLayout) -> KVLayout:
-    """Compress a KV-resident chunk (streaming path; no raw tokens survive).
+def compress_from_kv(model: ToyLM, adapters: AdapterSet, context: KVLayout, at: int,
+                     tokens, layout: KVLayout, cache: KVCache) -> np.ndarray:
+    """Compress a KV-resident chunk (streaming path; no raw tokens survive)
+    in the forward of the span ``tokens`` after it; returns their logits.
 
     ``context`` is [current compressed region | chunk KV]; the compression
-    tokens attend all of it plus causally among themselves.
+    tokens attend all of it plus causally among themselves, and their KV
+    fills ``layout``'s rows at..at+s-1 in ``cache`` before the span reads.
     """
-    tokens = np.full(adapters.comp_len, model.config.comp_token_id, dtype=np.intp)
-    return model.forward(tokens, context, adapters=adapters)[1]
+    comp = np.full(adapters.comp_len, model.config.comp_token_id, dtype=np.intp)
+    logits, _ = model.forward(np.concatenate([comp, tokens]), layout, adapters=adapters,
+                              cache=cache, event=(context, at))
+    return logits.data[comp.size:]

@@ -12,7 +12,8 @@ holding the layout in its first rows with each key also kept rotated at
 its position, and hands it to ``forward``: the span's keys, values and
 rotated keys are written once into the rows after the layout, and
 attention reads the cache in place, so no span copies the cache or
-rotates a key twice.
+rotates a key twice. A compression event runs in the forward of the span
+after it, its slots filling the rows the layout left them (``event``).
 
 The one layer loop, ``forward_groups``, runs one attention per layer over
 [memory columns | tokens], calling ``T.rmsnorm`` and ``T.attention`` (as
@@ -127,8 +128,8 @@ class KVCache:
     ``keys`` and ``values`` are [n_layers, rows, d_model] and ``rotated``
     [n_layers, n_heads, rows, head_dim], all writable: row i holds layout
     entry i, its key also rotated at position i. ``forward`` writes the new
-    tokens' rows after the layout's and never rewrites a row below, so the
-    layouts viewing the cache stay values.
+    tokens' rows after the layout's (and an event's slots) and never
+    rewrites a row below, so the layouts viewing the cache stay values.
     """
 
     keys: np.ndarray
@@ -136,19 +137,25 @@ class KVCache:
     rotated: np.ndarray
 
     @classmethod
-    def holding(cls, layout: KVLayout, rows: int, config: ModelConfig) -> "KVCache":
-        """Fresh arrays of ``rows`` rows whose first rows hold ``layout``."""
-        n_layers, n, d_model = layout.keys.shape
-        dtype = layout.keys.dtype
-        cache = cls(np.empty((n_layers, rows, d_model), dtype=dtype),
-                    np.empty((n_layers, rows, d_model), dtype=dtype),
-                    np.empty((n_layers, config.n_heads, rows, config.head_dim),
+    def holding(cls, parts: Sequence, rows: int, config: ModelConfig) -> "KVCache":
+        """Fresh arrays of ``rows`` rows whose first rows hold ``parts`` in
+        order, the first a layout: each layout's entries written once, its
+        keys rotated where they land; an int leaves that many rows unwritten."""
+        dtype = parts[0].keys.dtype
+        cache = cls(np.empty((config.n_layers, rows, config.d_model), dtype=dtype),
+                    np.empty((config.n_layers, rows, config.d_model), dtype=dtype),
+                    np.empty((config.n_layers, config.n_heads, rows, config.head_dim),
                              dtype=dtype))
-        cache.keys[:, :n] = layout.keys
-        cache.values[:, :n] = layout.values
-        cos, sin = T.rope_angles(n, config.head_dim, config.rope_base, dtype)
-        heads = layout.keys.reshape(n_layers, n, config.n_heads, config.head_dim)
-        cache.rotated[:, :, :n] = T.rope(heads.swapaxes(1, 2), cos, sin)
+        lo = 0
+        for part in parts:
+            n = getattr(part, "n_entries", part)
+            if isinstance(part, KVLayout):
+                cache.keys[:, lo:lo + n], cache.values[:, lo:lo + n] = part.keys, part.values
+                cos, sin = T.rope_angles(lo + n, config.head_dim, config.rope_base, dtype)
+                heads = part.keys.reshape(config.n_layers, n, config.n_heads, config.head_dim)
+                cache.rotated[:, :, lo:lo + n] = T.rope(heads.swapaxes(1, 2),
+                                                        cos[lo:], sin[lo:])
+            lo += n
         return cache
 
     def layout(self, n: int) -> KVLayout:
@@ -214,7 +221,8 @@ def pack_blocks(frames: Sequence[tuple]) -> tuple[np.ndarray, T.Blocks]:
 def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
                    adapters: AdapterSet | None = None, cache: KVCache | None = None,
                    n_mem: int = 0, positions: np.ndarray | None = None,
-                   blocks: T.Blocks | None = None) -> tuple[Tensor, KVLayout]:
+                   blocks: T.Blocks | None = None,
+                   event: tuple[KVLayout, int] | None = None) -> tuple[Tensor, KVLayout]:
     """The layer loop: ``tokens`` attend over [n_mem memory columns | tokens].
 
     At every layer, ``memory(layer, k, v)`` gets that layer's keys and values
@@ -231,7 +239,9 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
     memory: the tokens' keys, values and rotated keys go into the n rows
     after them, attention reads those m rows in place and no row past them,
     and the returned layout views the tokens' rows. No gradient reaches the
-    keys and values through it, so it serves inference only.
+    keys and values through it, so it serves inference only. With it,
+    ``event`` runs a compression event's s comp tokens first (``ToyLM.forward``):
+    at every layer their slots fill rows at..at+s-1 before the span reads.
     """
     cfg = model.config
     n = tokens.shape[0]
@@ -240,9 +250,10 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
 
     x = embed_tokens(model, tokens, adapters, comp_idx)
     pairs = adapters.pairs if adapters and comp_idx.size else {}  # compression rows only
-    m = n_mem + n
+    s, (context, at) = (0, (None, 0)) if event is None else (adapters.comp_len, event)
+    m, w = n_mem + n - s, (context.n_entries + s if s else 0)  # the span's keys, the event's
     if positions is None:
-        cos, sin = T.rope_angles(m, cfg.head_dim, cfg.rope_base, model.dtype)
+        cos, sin = T.rope_angles(max(m, w), cfg.head_dim, cfg.rope_base, model.dtype)
     else:
         cos, sin = (a[positions] for a in T.rope_angles(
             int(positions.max()) + 1, cfg.head_dim, cfg.rope_base, model.dtype))
@@ -257,11 +268,20 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
         q = project_rows(xa, model.params[p + "wq"], pairs.get((layer, "q")), comp_idx)
         k = project_rows(xa, model.params[p + "wk"], pairs.get((layer, "k")), comp_idx)
         v = project_rows(xa, model.params[p + "wv"], pairs.get((layer, "v")), comp_idx)
-        new_k[layer] = k.data
-        new_v[layer] = v.data
+        new_k[layer], new_v[layer] = k.data[s:], v.data[s:]
         if cache is not None:  # attention rotates only the tokens' own keys
+            if s:  # the comp rows over [context | themselves]; their slots land first
+                kv = [Tensor(np.concatenate([c[layer], a.data[:s]]))
+                      for c, a in ((context.keys, k), (context.values, v))]
+                head = attend(Tensor(q.data[:s]), *kv, cfg.n_heads, cos[:w], sin[:w])
+                rows = slice(at, at + s)
+                cache.keys[layer, rows], cache.values[layer, rows] = k.data[:s], v.data[:s]
+                heads = k.data[:s].reshape(s, cfg.n_heads, cfg.head_dim).swapaxes(0, 1)
+                cache.rotated[layer, :, rows] = T.rope(heads, cos[rows], sin[rows])
+                q = Tensor(q.data[s:])
             ctx = attend(q, Tensor(cache.keys[layer, :m]), Tensor(cache.values[layer, :m]),
-                         cfg.n_heads, cos, sin, cache.rotated[layer, :, :m])
+                         cfg.n_heads, cos[:m], sin[:m], cache.rotated[layer, :, :m])
+            ctx = Tensor(np.concatenate([head.data, ctx.data])) if s else ctx
         else:
             mem = memory(layer, k, v)
             if mem is not None:
@@ -367,7 +387,8 @@ class ToyLM:
 
     def forward(self, tokens, layout: KVLayout, adapters: AdapterSet | None = None,
                 cache: KVCache | None = None, lengths: Sequence[int] | None = None,
-                fold: tuple[int, Callable] | None = None) -> tuple[Tensor, KVLayout]:
+                fold: tuple[int, Callable] | None = None,
+                event: tuple[KVLayout, int] | None = None) -> tuple[Tensor, KVLayout]:
         """New tokens appended (for attention) after ``layout``.
 
         Returns per-token logits and the layout of the KV entries the tokens
@@ -383,6 +404,10 @@ class ToyLM:
         memory entries f(layer, k, v) makes of the first one's keys and values
         there: a compression and the queries reading its result in one pack,
         or, with no later sequence, a compression alone (f is not called).
+        ``event`` = (context, at), with a cache: the first s =
+        ``adapters.comp_len`` tokens are comp tokens reading ``context`` and
+        themselves at 0.., as in a forward of their own; at every layer their
+        entries fill rows at..at+s-1 of ``layout`` before the span reads.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         cfg, n_mem = self.config, layout.n_entries
@@ -393,6 +418,12 @@ class ToyLM:
                                  "tokens into sequences, without a cache")
         sizes = [tokens.size] if lengths is None else list(lengths)
         widths = [n_mem] + [n_mem if fold is None else fold[0]] * (len(sizes) - 1)
+        if event is not None:  # the comp tokens over the context, then the span
+            s = adapters.comp_len if adapters else tokens.size
+            sizes, widths = [s, tokens.size - s], [event[0].n_entries, n_mem]
+            if cache is None or sizes[1] < 1 or not 0 <= event[1] <= n_mem - s:
+                raise DimensionError(f"an event at row {event[1]} needs adapters, a cache "
+                                     "and a span")
         m = max(w + n for w, n in zip(widths, sizes))
         if m > cfg.max_layout:
             raise CapacityError(f"layout would hold {m} entries "
@@ -420,7 +451,7 @@ class ToyLM:
                            ("rotated", (cfg.n_layers, cfg.n_heads, cfg.head_dim))):
             arr = getattr(cache, name)
             if arr.dtype != self.dtype or arr.shape[:-2] + arr.shape[-1:] != want \
-                    or arr.shape[-2] < m:
-                raise DimensionError(f"KV cache {name} {arr.shape} {arr.dtype} holds "
-                                     f"no {m} entries of this {self.dtype} model")
-        return forward_groups(self, tokens, None, adapters, cache, n_mem)
+                    or arr.shape[-2] < n_mem + sizes[-1]:
+                raise DimensionError(f"KV cache {name} {arr.shape} {arr.dtype} holds no "
+                                     f"{n_mem + sizes[-1]} entries of this {self.dtype} model")
+        return forward_groups(self, tokens, None, adapters, cache, n_mem, event=event)

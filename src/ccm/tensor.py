@@ -197,12 +197,11 @@ def silu(a: Tensor) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
     out_data = a.data.transpose(axes)
 
     def bw(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g.transpose(inv))
+        if a.requires_grad:  # the inverse permutation, built only when a gradient needs it
+            a.accumulate_grad(g.transpose([axes.index(i) for i in range(len(axes))]))
 
     return _make(out_data, (a,), bw)
 

@@ -84,7 +84,11 @@ def test_traced_stream_reaches_the_per_layer_names(tiny_model64, monkeypatch):
     forward = ccm.model.ToyLM.forward
 
     def counted_forward(self, tokens, layout, *args, **kwargs):
-        entries_read.append(layout.n_entries + len(tokens))
+        # a span reads its layout and its own tokens; an event's s comp tokens
+        # in its forward read [context | themselves] in an attention of their own
+        event = kwargs.get("event")
+        entries_read.append(layout.n_entries + len(tokens)
+                            + (0 if event is None else event[0].n_entries))
         return forward(self, tokens, layout, *args, **kwargs)
 
     monkeypatch.setattr(ccm.model.ToyLM, "forward", counted_forward)
@@ -102,7 +106,7 @@ def test_traced_stream_reaches_the_per_layer_names(tiny_model64, monkeypatch):
                  "model.attend", "model.rmsnorm", "model.mlp", "model.embed_tokens",
                  "model.project_rows.qkv", "model.project_rows.wo", "lora.delta"):
         assert calls.get(name, 0) > 0, name
-    # every forward reads its layout and its own tokens at every layer
+    # every attention's key rows, at every layer
     assert tracer.counts["model.attend.key_rows"] == \
         sum(entries_read) * tiny_model64.config.n_layers
 

@@ -221,9 +221,10 @@ def test_inference_from_checkpoints_records_no_tape(tmp_path, monkeypatch,
         evaluate_multichoice(session, [6, 7], [[8], [9]])
     evaluate_perplexity(model, loaded, "concat", np.arange(40) % 20, SMALL_CAPS)
     # the session's 2 steps, each one forward that compresses and scores; the
-    # stream's spans of 22 (sink and window), 8, 8 and 2 tokens, a compression
-    # before each of the last 3
-    assert len(logits) == 2 + 4 + 3
+    # stream's spans of 22 (sink and window), 8, 8 and 2 tokens, each of the
+    # last 3 one forward with the compression before it
+    assert len(logits) == 2 + 4
+    assert [x.shape[0] for x in logits[2:]] == [22, 2 + 8, 2 + 8, 2 + 2]
     assert not any(x.requires_grad or x._backward for x in logits)
 
 
@@ -443,16 +444,16 @@ def test_stream_caps_reject_chunk_over_window():
 
 class RecordCompressions:
     """Collects the context and the slot group of every ``compress_from_kv``
-    call the engine makes."""
+    call the engine makes: the slot rows its forward fills in the layout."""
 
     def __enter__(self):
         self.contexts, self.groups = [], []
         self.orig = engine.compress_from_kv
 
-        def recording(model, adapters, context):
-            out = self.orig(model, adapters, context)
+        def recording(model, adapters, context, at, tokens, layout, cache):
+            out = self.orig(model, adapters, context, at, tokens, layout, cache)
             self.contexts.append(context)
-            self.groups.append(out)
+            self.groups.append(layout.entries(at, at + adapters.comp_len))
             return out
 
         engine.compress_from_kv = recording
@@ -467,7 +468,7 @@ def stream_checked(model, adapters, caps, tokens) -> tuple[StreamState, int]:
     returns the state and the number of compression events.
 
     The sink holds the first ``n_sink`` tokens' KV, the compressed region the
-    newest whole slot groups ``compress_from_kv`` returned (as many as fit),
+    newest whole slot groups ``compress_from_kv`` wrote (as many as fit),
     and the window the newest tokens' KV; the total stays within the budget.
     Each compression reads [compressed region | oldest window chunk].
     """

@@ -145,7 +145,7 @@ def test_layout_capacity_error():
                                              ([3, 0, 1], False), ([4], True)])
 def test_lengths_must_split_the_tokens_without_a_cache(tiny_model64, lengths, cached):
     layout = tiny_model64.empty_layout()
-    cache = KVCache.holding(layout, 4, tiny_model64.config) if cached else None
+    cache = KVCache.holding([layout], 4, tiny_model64.config) if cached else None
     with pytest.raises(DimensionError):
         tiny_model64.forward([1, 2, 3, 4], layout, cache=cache, lengths=lengths)
 

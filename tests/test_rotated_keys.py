@@ -19,9 +19,9 @@ from ccm.model import KVCache, KVLayout, ModelConfig, ToyLM
 from conftest import TINY
 
 
-def _model_and_adapters(dtype) -> tuple[ToyLM, AdapterSet]:
+def _model_and_adapters(dtype, s: int = 2) -> tuple[ToyLM, AdapterSet]:
     model = ToyLM.init(TINY, seed=7, dtype=dtype)
-    adapters = AdapterSet.init(model, rank=2, alpha=4.0, comp_len=2, seed=3)
+    adapters = AdapterSet.init(model, rank=2, alpha=4.0, comp_len=s, seed=3)
     rng = np.random.default_rng(4)
     for pair in adapters.pairs.values():  # B starts at 0: give the adapters an effect
         pair.b.data[...] = 0.05 * rng.standard_normal(pair.b.data.shape)
@@ -49,13 +49,15 @@ def fresh_rotation(keys: np.ndarray, config: ModelConfig) -> np.ndarray:
 def test_rotated_copy_stays_a_fresh_rotation(n_sink, ccm_entries, window, chunk, seed,
                                              n_tokens):
     # after every step, events included, the layout views the cache, whose
-    # rotated keys are the layout's keys freshly rotated, and the step's
-    # logits and KV are those of a forward over the bare layout, bit for bit
+    # rotated keys are the layout's keys freshly rotated, bit for bit, and the
+    # step's logits and KV are those of a forward over the bare layout: bit
+    # for bit, but for rounding on an event step, whose token shares its
+    # forward's matmuls with the comp rows
     model = _MODEL
     caps = StreamCaps(n_sink, ccm_entries, window, min(chunk, window))
     state = StreamState(model, _ADAPTERS if ccm_entries else None, caps)
     for tok in np.random.default_rng(seed).integers(0, 40, size=n_tokens):
-        logits, _, _ = streaming_step(state, int(tok))
+        logits, _, event = streaming_step(state, int(tok))
         after, n = state.layout, state.layout.n_entries
         assert np.shares_memory(after.keys, state.cache.keys)
         assert np.shares_memory(after.values, state.cache.values)
@@ -63,9 +65,45 @@ def test_rotated_copy_stays_a_fresh_rotation(n_sink, ccm_entries, window, chunk,
                                       fresh_rotation(after.keys, TINY))
         prior = KVLayout(after.keys[:, :-1], after.values[:, :-1])
         want, want_kv = model.forward([tok], prior, adapters=state.adapters)
-        np.testing.assert_array_equal(logits, want.data)
-        np.testing.assert_array_equal(after.keys[:, -1:], want_kv.keys)
-        np.testing.assert_array_equal(after.values[:, -1:], want_kv.values)
+        atol = 1e-15 if event and ccm_entries else 0
+        for got, ref in ((logits, want.data), (after.keys[:, -1:], want_kv.keys),
+                         (after.values[:, -1:], want_kv.values)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_sink=st.integers(0, 2), s=st.integers(1, 3), groups=st.integers(1, 3),
+       window=st.integers(1, 12), chunk=st.integers(1, 12), seed=st.integers(0, 99),
+       n_tokens=st.integers(2, 60), span_scores=st.integers(1, 400),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_an_event_in_its_span_forward_equals_the_event_then_the_span(
+        n_sink, s, groups, window, chunk, seed, n_tokens, span_scores, dtype):
+    # the slots an event's forward writes are a forward of the s comp tokens
+    # over [region | oldest chunk] alone, and the span's logits are those of
+    # a forward over the layout those slots make, up to rounding
+    model, adapters = _model_and_adapters(dtype, s)
+    caps = StreamCaps(n_sink, groups * s, window, min(chunk, window))
+    tol = 1e-10 if dtype == np.float64 else 1e-6
+    checked, fused = [], engine.compress_from_kv
+
+    def against_the_pair(model, adapters, context, at, tokens, layout, cache):
+        comp = np.full(s, model.config.comp_token_id)
+        want = model.forward(comp, context, adapters=adapters)[1]
+        logits = fused(model, adapters, context, at, tokens, layout, cache)
+        got = layout.entries(at, at + s)
+        pair = layout.entries(0, at).extended(want, layout.entries(at + s))
+        for a, b in ((got.keys, want.keys), (got.values, want.values),
+                     (logits, model.forward(tokens, pair, adapters=adapters)[0].data)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=tol)
+        checked.append(at)
+        return logits
+
+    stream = np.random.default_rng(seed).integers(0, 40, size=n_tokens)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SPAN_SCORES", span_scores)
+        mp.setattr(engine, "compress_from_kv", against_the_pair)
+        res = evaluate_perplexity(model, adapters, "concat", stream, caps)
+    assert len(checked) == res.events.sum()
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,15 +171,19 @@ def test_a_stream_of_spans_equals_one_token_steps(policy, n_sink, ccm_entries, w
 
 
 @pytest.mark.parametrize("policy,n,caps,forwards,widest", [
-    # spans of 90, 56, 43 and 11 tokens: each the most whose scores fit
-    ("full", 200, None, 4, 90),
+    # spans of 128, 79, 61 and 32 tokens: each the most whose scores fit
+    ("full", 300, None, 4, 128),
     # a span of 25 (sink and window), then 12 after each of 7 events, then
-    # 3; each event is one more forward, the compression's
-    ("concat", 100, StreamCaps(n_sink=1, ccm_entries=4, window=24, chunk=12), 8 + 7, 25)])
+    # 3; each event runs in the forward of the span after it
+    ("concat", 100, StreamCaps(n_sink=1, ccm_entries=4, window=24, chunk=12), 8, 25),
+    # the benchmark's pass: spans of 128 and 24 fill sink and window, then
+    # each of 30 events and its refill of up to 64 tokens is one forward
+    ("concat", 2048, StreamCaps(), 2 + 30, 128)])
 def test_stream_pass_makes_a_pinned_count_of_forwards(monkeypatch, policy, n, caps,
                                                       forwards, widest):
-    # a guard that needs no timing: one forward per token would make n + events;
-    # and the causal triangle is a span wide, never the layout
+    # a guard that needs no timing: one forward per token would make n, and a
+    # forward per event n + events; the causal triangle is a span wide, never
+    # the layout
     calls = _calls(monkeypatch, ToyLM, "forward")
     widths, causal = [], T.causal_mask
     monkeypatch.setattr(T, "causal_mask",
@@ -163,7 +205,7 @@ _H, _DH, _D, _L = TINY.n_heads, TINY.head_dim, TINY.d_model, TINY.n_layers
     ((_L, _H, 5, _DH), np.float32)])      # not the model's dtype
 def test_forward_rejects_a_rotated_buffer_that_does_not_fit(shape, dtype):
     _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
-    cache = replace(KVCache.holding(layout, 5, TINY), rotated=np.zeros(shape, dtype))
+    cache = replace(KVCache.holding([layout], 5, TINY), rotated=np.zeros(shape, dtype))
     with pytest.raises(DimensionError, match="KV cache rotated "):
         _MODEL.forward([4, 5], layout, cache=cache)
 
@@ -176,14 +218,29 @@ def test_forward_rejects_a_rotated_buffer_that_does_not_fit(shape, dtype):
     ((_L, 5, _D), np.float32)])      # not the model's dtype
 def test_forward_rejects_keys_or_values_that_do_not_fit(name, shape, dtype):
     _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
-    cache = replace(KVCache.holding(layout, 5, TINY), **{name: np.zeros(shape, dtype)})
+    cache = replace(KVCache.holding([layout], 5, TINY), **{name: np.zeros(shape, dtype)})
     with pytest.raises(DimensionError, match=f"KV cache {name} "):
         _MODEL.forward([4, 5], layout, cache=cache)
 
 
+def test_forward_rejects_an_event_without_adapters_a_cache_a_span_or_slot_rows():
+    _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
+    cache = KVCache.holding([layout, 2], 8, TINY)  # two slot rows after the layout
+    comp, held = [TINY.comp_token_id] * 2, cache.layout(5)
+    for tokens, kwargs in ((comp + [4], {"adapters": _ADAPTERS, "event": (layout, 3)}),
+                           (comp + [4], {"cache": cache, "event": (layout, 3)}),
+                           (comp, {"adapters": _ADAPTERS, "cache": cache,
+                                   "event": (layout, 3)}),
+                           (comp + [4], {"adapters": _ADAPTERS, "cache": cache,
+                                         "event": (layout, 4)})):
+        with pytest.raises(DimensionError, match="needs adapters, a cache and a span"):
+            _MODEL.forward(tokens, held, **kwargs)
+    _MODEL.forward(comp + [4], held, adapters=_ADAPTERS, cache=cache, event=(layout, 3))
+
+
 def test_forward_writes_only_the_rows_after_the_layout():
     _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
-    cache = KVCache.holding(layout, 8, TINY)
+    cache = KVCache.holding([layout], 8, TINY)
     arrays = (cache.keys, cache.values, cache.rotated)
     for arr in arrays:  # rows are the next-to-last axis
         arr[..., 3:, :] = 7.0
@@ -224,11 +281,14 @@ def test_full_stream_step_copies_no_kv(monkeypatch, n):
 
 
 def test_concat_stream_copies_kv_once_per_event(monkeypatch):
+    # an event writes its kept parts straight into one fresh cache, the
+    # stream's first cache aside: no ``extended`` join is made first
     caps = StreamCaps(n_sink=1, ccm_entries=4, window=24, chunk=12)
     extends = _calls(monkeypatch, KVLayout, "extended")
+    holds = _calls(monkeypatch, KVCache, "holding")
     stream = np.random.default_rng(5).integers(0, 40, 100)
     res = evaluate_perplexity(_MODEL, _ADAPTERS, "concat", stream, caps)
-    assert res.events.sum() > 0 and extends[0] == res.events.sum()
+    assert res.events.sum() > 0 and holds[0] == res.events.sum() + 1 and extends[0] == 0
 
 
 def test_one_token_cached_forward_makes_a_pinned_count_of_tensors_and_rotations(
@@ -238,7 +298,7 @@ def test_one_token_cached_forward_makes_a_pinned_count_of_tensors_and_rotations(
     # two residual adds and five MLP ops, plus the embedding, final norm and
     # head; per layer one rope call rotates the query and the new key together
     _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
-    cache = KVCache.holding(layout, 8, TINY)
+    cache = KVCache.holding([layout], 8, TINY)
     tensors = _calls(monkeypatch, T.Tensor, "__init__")
     ropes = _calls(monkeypatch, T, "rope")
     _MODEL.forward([4], layout, adapters=_ADAPTERS, cache=cache)

@@ -316,6 +316,9 @@ def test_primitive_gradients(instance):
                   seed=instance)
     check_op_grad(lambda: reshape(a, (6, 4)), [a], seed=instance)
     check_op_grad(lambda: T.transpose(a, (1, 0)), [a], seed=instance)
+    # a cycle is not its own inverse: (2, 0, 1) comes back through (1, 2, 0)
+    check_op_grad(lambda: T.transpose(reshape(a, (2, 3, 4)), (2, 0, 1)), [a],
+                  seed=instance)
     check_op_grad(lambda: T.concat([a, b], axis=0), [a, b], seed=instance)
     check_op_grad(lambda: T.take_rows(a, np.array([0, 2, 2, 1])), [a], seed=instance)
 
