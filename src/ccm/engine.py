@@ -2,14 +2,14 @@
 
 A session folds each context segment it ``ingest``s into its memory
 according to its policy, and answers a query by likelihood:
-``multichoice_scores`` scores all answer choices in one packed forward,
-each choice as its own sequence [prompt | input | choice] over its own
-copy of the memory; the segment ingested before it is compressed in that
-same forward (the paper's parallel pass over one step); reading the memory
-first flushes it through the same pack with no queries. Only ``full`` has
-a prompt: it re-feeds the raw context and keeps an empty memory, as
-``none`` does, which ignores context entirely. ``fixed`` recompresses the
-whole accumulated context into a fresh ``independent`` memory every step.
+``multichoice_scores`` scores all answer choices in one packed forward, each
+choice a frame [prompt | input | choice] over its own copy of the memory;
+the segment ingested before it is compressed in the same forward's first
+frame (the paper's parallel pass over one step); reading the memory first
+flushes it through the same pack with no queries. Only ``full`` has a
+prompt: it re-feeds the raw context and keeps an empty memory, as ``none``
+does, which ignores context entirely. ``fixed`` recompresses the whole
+accumulated context into a fresh ``independent`` memory every step.
 
 Streaming runs a known stream inside a hard entry budget
 [sink | compressed region | sliding window], held as one KVLayout; when
@@ -21,7 +21,7 @@ a span of tokens as one causal forward. The stream owns the layout's
 storage, a KVCache: the forward writes its tokens' keys, values and
 rotated keys into the next rows, so no step copies the cache. An event
 writes the kept layout once into fresh arrays, leaving earlier layouts'
-rows, and rows for its new slots, which the span's forward after it fills.
+rows, and slot rows its comp tokens fill as the next forward's first frame.
 Setting the compressed region's capacity to zero turns the stream
 into the plain attention-sink + sliding-window baseline with the same
 budget; a window as long as the stream is the unbounded ``full`` cache, and
@@ -39,7 +39,7 @@ from .errors import ContractViolation, UsageError
 from .lora import AdapterSet
 from .memory import (MEMORY_POLICIES, ContextMemory, compress_from_kv,
                      compress_segment, reads_memory)
-from .model import KVCache, KVLayout, ToyLM, check_token_ids
+from .model import Frame, KVCache, KVLayout, ToyLM, check_token_ids
 from .tensor import log_softmax_rows
 
 SESSION_POLICIES = MEMORY_POLICIES + ("none", "full", "fixed")
@@ -137,11 +137,11 @@ def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
     seqs = [np.concatenate([head, choice]) for choice in choices]
     if session.pending is not None:
         logits = session._compress(seqs)
-    else:
-        logits = session.model.forward(np.concatenate(seqs),
-                                       session.memory.layout(session.model),
-                                       adapters=session.adapters,
-                                       lengths=[seq.size for seq in seqs])[0].data
+    else:  # one frame per choice, each over its own copy of Mem(t)
+        layout = session.memory.layout(session.model)
+        frames = [Frame(seq.size, layout.n_entries) for seq in seqs]
+        logits = session.model.forward(np.concatenate(seqs), layout, session.adapters,
+                                       frames=frames)[0].data
     scores, lo = np.empty(len(seqs)), 0
     for i, seq in enumerate(seqs):
         logp = log_softmax_rows(logits[lo:lo + seq.size])
@@ -280,8 +280,8 @@ class StreamResult:
     perplexity: float
 
     def cumulative_perplexity(self) -> np.ndarray:
-        c = np.cumsum(self.nll) / np.arange(1, self.nll.size + 1)
-        return np.exp(c)
+        """exp of the running mean NLL, summed in float64 whatever the model's dtype."""
+        return np.exp(np.cumsum(self.nll, dtype=np.float64) / np.arange(1, self.nll.size + 1))
 
 
 def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
@@ -323,4 +323,4 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
     if not np.isfinite(nll).all():
         raise ContractViolation(f"non-finite NLL at stream position "
                                 f"{np.flatnonzero(~np.isfinite(nll))[0] + 1}")
-    return StreamResult(nll, totals, events, float(np.exp(nll.mean())))
+    return StreamResult(nll, totals, events, float(np.exp(nll.mean(dtype=np.float64))))

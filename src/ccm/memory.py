@@ -21,7 +21,8 @@ pass (``training.parallel_memory_update``) and the sessions.
   all (the no-context baseline).
 
 Since layouts are immutable, a memory is a value: an update shares nothing
-it could change, and reading the layout copies nothing.
+it could change, and reading the layout copies nothing. A compression runs
+as the first ``model.Frame`` of the forward that reads its result.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 
 from .errors import ContractViolation, DimensionError, UsageError
 from .lora import AdapterSet
-from .model import KVCache, KVLayout, ToyLM
+from .model import Frame, KVCache, KVLayout, ToyLM
+from .tensor import Tensor
 
 MEMORY_POLICIES = ("concat", "merge", "ema", "independent")
 GROWING_POLICIES = ("concat", "independent")
@@ -121,10 +123,11 @@ def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
     """Condense one segment into the compression tokens' unrotated KV h, and
     return h with the logits rows of ``queries`` (none for a flush).
 
-    One pack runs both (the paper's parallel pass over one step): first
-    [memory entries | segment | s comp tokens], the memory left out where the
-    policy does not read it (``reads_memory``), then each query over
-    Mem(t) = ``mem.updated(h)`` as every layer folds it from its slot rows.
+    One pack runs both (the paper's parallel pass over one step): first the
+    compression frame [memory entries | segment | s comp tokens], the
+    memory left out where the policy does not read it (``reads_memory``),
+    then one frame per query over Mem(t) = ``mem.updated(h)``, which every
+    layer folds from the comp rows there by the one update rule.
     """
     segment = np.asarray(segment, dtype=np.intp)
     if segment.size == 0:
@@ -132,16 +135,18 @@ def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
     s = adapters.comp_len
     layout = mem.layout(model) if reads_memory(mem.policy) else model.empty_layout()
     tokens = np.concatenate([segment, np.full(s, model.config.comp_token_id, dtype=np.intp)])
+    frames = [Frame(tokens.size, layout.n_entries)] + [
+        Frame(q.size, mem.entry_count_after(s)) for q in queries]
 
-    def fold(layer, k, v):  # Mem(t) at one layer, by the one update rule
-        e, one = mem.entries, slice(layer, layer + 1)
+    def memory(layer, k, v):  # the layout, then Mem(t) at this layer once per query
+        e, one, slots = mem.entries, slice(layer, layer + 1), slice(segment.size, tokens.size)
         prev = replace(mem, entries=e and KVLayout(e.keys[one], e.values[one]))
-        new = prev.updated(KVLayout(k[None, segment.size:], v[None, segment.size:]))
-        return new.entries.keys[0], new.entries.values[0]
+        new = prev.updated(KVLayout(k.data[None, slots], v.data[None, slots])).entries
+        return tuple(Tensor(np.concatenate([a[layer]] + [b[0]] * len(queries)))
+                     for a, b in ((layout.keys, new.keys), (layout.values, new.values)))
 
-    logits, kv = model.forward(np.concatenate([tokens, *queries]), layout, adapters=adapters,
-                               lengths=[tokens.size] + [q.size for q in queries],
-                               fold=(mem.entry_count_after(s), fold))
+    logits, kv = model.forward(np.concatenate([tokens, *queries]),
+                               memory if queries else layout, adapters, frames=frames)
     return kv.entries(segment.size, tokens.size), logits.data[tokens.size:]
 
 
@@ -150,11 +155,21 @@ def compress_from_kv(model: ToyLM, adapters: AdapterSet, context: KVLayout, at: 
     """Compress a KV-resident chunk (streaming path; no raw tokens survive)
     in the forward of the span ``tokens`` after it; returns their logits.
 
-    ``context`` is [current compressed region | chunk KV]; the compression
-    tokens attend all of it plus causally among themselves, and their KV
-    fills ``layout``'s rows at..at+s-1 in ``cache`` before the span reads.
+    ``context`` is [current compressed region | chunk KV]. The s comp tokens
+    read it and themselves in a frame of their own, and at every layer their
+    KV fills ``layout``'s rows at..at+s-1 before the span's frame reads
+    ``layout`` in place in ``cache``.
     """
-    comp = np.full(adapters.comp_len, model.config.comp_token_id, dtype=np.intp)
-    logits, _ = model.forward(np.concatenate([comp, tokens]), layout, adapters=adapters,
-                              cache=cache, event=(context, at))
-    return logits.data[comp.size:]
+    s = adapters.comp_len
+    if not 0 <= at <= layout.n_entries - s:
+        raise DimensionError(f"slot rows {at}..{at + s - 1} lie outside the "
+                             f"{layout.n_entries}-entry layout")
+
+    def memory(layer, k, v):  # the slots fill their rows; the comp rows read the context
+        cache.write(at, k.data[:s], v.data[:s], model.config, layer)
+        return context.keys[layer], context.values[layer]
+
+    frames = [Frame(s, context.n_entries), Frame(len(tokens), layout.n_entries)]
+    logits, _ = model.forward(np.concatenate([np.full(s, model.config.comp_token_id), tokens]),
+                              memory, adapters, cache, frames=frames)
+    return logits.data[s:]

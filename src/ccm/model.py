@@ -12,18 +12,17 @@ holding the layout in its first rows with each key also kept rotated at
 its position, and hands it to ``forward``: the span's keys, values and
 rotated keys are written once into the rows after the layout, and
 attention reads the cache in place, so no span copies the cache or
-rotates a key twice. A compression event runs in the forward of the span
-after it, its slots filling the rows the layout left them (``event``).
+rotates a key twice.
 
-The one layer loop, ``forward_groups``, runs one attention per layer over
-[memory columns | tokens], calling ``T.rmsnorm`` and ``T.attention`` (as
+The one layer loop, ``forward_groups``, runs a pack of ``Frame``s, each n
+tokens after w memory columns, as one masked attention per layer
+(``pack_blocks``), calling ``T.rmsnorm`` and ``T.attention`` (as
 ``attend``) directly and reading each projection's LoRA pair from
-``AdapterSet.pairs``. By default the keys take positions 0..m-1 and every
-token sees all memory and its own tokens causally: the inference forward
-over a layout. A pack (``pack_blocks``) passes key positions and
-``T.Blocks``, which batches blocks of one shape: compression training under
-the paper's mask, and ``forward`` given ``lengths``, each sequence over its
-own copy of the layout or, given ``fold``, of what the first one's slots make.
+``AdapterSet.pairs``. At every layer a callback gives the frames' memory
+columns: a layout's entries, or what an earlier frame's comp rows make
+there. So one loop runs the forward over a layout, the paper's parallel
+training pass, a session step's compression with the queries reading its
+result, and a stream event's compression with the span after it.
 
 Blocks are pre-norm with RMS normalization, a SiLU-gated feed-forward and
 an untied output head.
@@ -127,9 +126,9 @@ class KVCache:
 
     ``keys`` and ``values`` are [n_layers, rows, d_model] and ``rotated``
     [n_layers, n_heads, rows, head_dim], all writable: row i holds layout
-    entry i, its key also rotated at position i. ``forward`` writes the new
-    tokens' rows after the layout's (and an event's slots) and never
-    rewrites a row below, so the layouts viewing the cache stay values.
+    entry i, its key also rotated at position i (``write``). ``forward``
+    writes its last frame's rows after the layout's (an event its slots
+    first) and never rewrites a row below, so views of it stay values.
     """
 
     keys: np.ndarray
@@ -139,8 +138,8 @@ class KVCache:
     @classmethod
     def holding(cls, parts: Sequence, rows: int, config: ModelConfig) -> "KVCache":
         """Fresh arrays of ``rows`` rows whose first rows hold ``parts`` in
-        order, the first a layout: each layout's entries written once, its
-        keys rotated where they land; an int leaves that many rows unwritten."""
+        order, the first a layout: each layout's entries written once
+        (``write``); an int leaves that many rows unwritten."""
         dtype = parts[0].keys.dtype
         cache = cls(np.empty((config.n_layers, rows, config.d_model), dtype=dtype),
                     np.empty((config.n_layers, rows, config.d_model), dtype=dtype),
@@ -148,15 +147,20 @@ class KVCache:
                              dtype=dtype))
         lo = 0
         for part in parts:
-            n = getattr(part, "n_entries", part)
             if isinstance(part, KVLayout):
-                cache.keys[:, lo:lo + n], cache.values[:, lo:lo + n] = part.keys, part.values
-                cos, sin = T.rope_angles(lo + n, config.head_dim, config.rope_base, dtype)
-                heads = part.keys.reshape(config.n_layers, n, config.n_heads, config.head_dim)
-                cache.rotated[:, :, lo:lo + n] = T.rope(heads.swapaxes(1, 2),
-                                                        cos[lo:], sin[lo:])
-            lo += n
+                cache.write(lo, part.keys, part.values, config)
+            lo += getattr(part, "n_entries", part)
         return cache
+
+    def write(self, lo: int, keys: np.ndarray, values: np.ndarray, config: ModelConfig,
+              layer=slice(None)) -> None:
+        """Rows lo.. of ``layer`` (default: every layer) hold ``keys`` and
+        ``values`` [..., n, d_model], each key also rotated at its row."""
+        rows = slice(lo, lo + keys.shape[-2])
+        self.keys[layer, rows], self.values[layer, rows] = keys, values
+        cos, sin = T.rope_angles(rows.stop, config.head_dim, config.rope_base, keys.dtype)
+        heads = keys.reshape(keys.shape[:-1] + (config.n_heads, config.head_dim))
+        self.rotated[layer, :, rows] = T.rope(heads.swapaxes(-3, -2), cos[lo:], sin[lo:])
 
     def layout(self, n: int) -> KVLayout:
         """The first ``n`` rows as a layout (a view, no copy)."""
@@ -202,46 +206,53 @@ def check_token_ids(tokens: np.ndarray, vocab_size: int) -> None:
         raise DataError(f"token id {bad} outside vocabulary [0, {vocab_size})")
 
 
-def pack_blocks(frames: Sequence[tuple]) -> tuple[np.ndarray, T.Blocks]:
-    """Sequences packed as keys [every sequence's memory columns | every
-    token], each from its frame (allowed [n, w + n], positions [w + n]) over
-    [its w memory columns | its n tokens]: the keys' positions and blocks."""
-    n_mem = sum(a.shape[1] - a.shape[0] for a, _ in frames)
-    positions = np.empty(n_mem + sum(a.shape[0] for a, _ in frames), dtype=np.intp)
+@dataclass(frozen=True)
+class Frame:
+    """One packed sequence: ``n`` tokens after ``w`` memory columns, which
+    of those each token reads (``allowed`` [n, w + n]) and their rope
+    ``positions`` [w + n]. None for either is what a forward of its own
+    does: all the memory and its own tokens causally, at 0..w+n-1."""
+
+    n: int
+    w: int
+    allowed: np.ndarray | None = None
+    positions: np.ndarray | None = None
+
+
+def pack_blocks(frames: Sequence[Frame]) -> tuple[np.ndarray, T.Blocks]:
+    """Frames packed as keys [every frame's memory columns | every token]:
+    the keys' positions and blocks."""
+    n_mem = sum(f.w for f in frames)
+    positions = np.empty(n_mem + sum(f.n for f in frames), dtype=np.intp)
     parts, lo, mem_lo = [], 0, 0
-    for allowed, frame_positions in frames:
-        n, w = allowed.shape[0], allowed.shape[1] - allowed.shape[0]
-        keys = np.r_[mem_lo:mem_lo + w, n_mem + lo:n_mem + lo + n]
-        parts.append((lo, lo + n, keys, allowed))
-        positions[keys] = frame_positions
-        lo, mem_lo = lo + n, mem_lo + w
+    for f in frames:
+        keys = np.r_[mem_lo:mem_lo + f.w, n_mem + lo:n_mem + lo + f.n]
+        parts.append((lo, lo + f.n, keys, T.causal_mask(f.n, f.w + f.n)
+                      if f.allowed is None else f.allowed))
+        positions[keys] = np.arange(f.w + f.n) if f.positions is None else f.positions
+        lo, mem_lo = lo + f.n, mem_lo + f.w
     return positions, T.Blocks(parts)
 
 
-def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
-                   adapters: AdapterSet | None = None, cache: KVCache | None = None,
-                   n_mem: int = 0, positions: np.ndarray | None = None,
-                   blocks: T.Blocks | None = None,
-                   event: tuple[KVLayout, int] | None = None) -> tuple[Tensor, KVLayout]:
-    """The layer loop: ``tokens`` attend over [n_mem memory columns | tokens].
+def forward_groups(model: "ToyLM", tokens: np.ndarray, frames: Sequence[Frame],
+                   memory: Callable, adapters: AdapterSet | None = None,
+                   cache: KVCache | None = None) -> tuple[Tensor, KVLayout]:
+    """The layer loop: ``tokens``, split into ``frames`` in order, each
+    reading [its memory columns | its own tokens] as its frame says.
 
-    At every layer, ``memory(layer, k, v)`` gets that layer's keys and values
-    of all tokens and returns the (keys, values) of the n_mem memory columns,
-    or None when there are none. The m = n_mem + n keys sit at ``positions``
-    (default 0..m-1), the tokens at the last n, and each query reads what its
-    block in ``blocks`` allows (default: all memory, own tokens causally),
-    so one attention per layer serves inference and a pack alike: the
-    paper's parallel training passes, or the sequences ``ToyLM.forward`` is
-    given ``lengths`` of, each over its own copy of the layout. Returns
-    per-token logits and the layout of the unrotated KV the tokens produced.
-    The conditional adapter fires only on compression tokens. ``cache``, in
-    place of ``memory``, is a KVCache whose first ``n_mem`` rows hold the
-    memory: the tokens' keys, values and rotated keys go into the n rows
-    after them, attention reads those m rows in place and no row past them,
-    and the returned layout views the tokens' rows. No gradient reaches the
-    keys and values through it, so it serves inference only. With it,
-    ``event`` runs a compression event's s comp tokens first (``ToyLM.forward``):
-    at every layer their slots fill rows at..at+s-1 before the span reads.
+    At every layer ``memory(layer, k, v)`` gets that layer's key and value
+    Tensors of all tokens and returns the (keys, values) of the frames' memory
+    columns in frame order, or None when there are none; one attention serves
+    the pack, as ``pack_blocks`` lays it out (a lone frame of its own takes the
+    default block). Returns per-token logits and the layout of the unrotated KV
+    the tokens produced. The conditional adapter fires only on compression
+    tokens. With ``cache``, a KVCache whose first w rows hold the last frame's
+    memory, that frame, one of its own, reads the cache in place: its keys,
+    values and rotated keys go into the n rows after the w, attention reads
+    those w + n rows and no row past them, and the returned layout views its
+    rows. ``memory`` then gives the earlier frames' columns as arrays, after
+    writing any cache rows the last frame reads (an event's slots). No gradient
+    reaches the keys and values through the cache: inference only.
     """
     cfg = model.config
     n = tokens.shape[0]
@@ -250,43 +261,44 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, memory: Callable | None,
 
     x = embed_tokens(model, tokens, adapters, comp_idx)
     pairs = adapters.pairs if adapters and comp_idx.size else {}  # compression rows only
-    s, (context, at) = (0, (None, 0)) if event is None else (adapters.comp_len, event)
-    m, w = n_mem + n - s, (context.n_entries + s if s else 0)  # the span's keys, the event's
-    if positions is None:
-        cos, sin = T.rope_angles(max(m, w), cfg.head_dim, cfg.rope_base, model.dtype)
-    else:
-        cos, sin = (a[positions] for a in T.rope_angles(
-            int(positions.max()) + 1, cfg.head_dim, cfg.rope_base, model.dtype))
+    packed, lo = (frames, 0) if cache is None else (frames[:-1], n - frames[-1].n)
+    cos, sin = T.rope_angles(max(f.w + f.n if f.positions is None else
+                                 int(f.positions.max()) + 1 for f in frames),
+                             cfg.head_dim, cfg.rope_base, model.dtype)
+    blocks, m = None, sum(f.w + f.n for f in packed)  # keys of the frames memory serves
+    if len(packed) == 1 and packed[0].allowed is None and packed[0].positions is None:
+        cos_p, sin_p = cos[:m], sin[:m]  # a forward of its own: attention's default block
+    elif packed:
+        positions, blocks = pack_blocks(packed)
+        cos_p, sin_p = cos[positions], sin[positions]
     if cache is None:
         new_k = np.empty((cfg.n_layers, n, cfg.d_model), dtype=model.dtype)
         new_v = np.empty_like(new_k)
     else:
-        new_k, new_v = cache.keys[:, n_mem:m], cache.values[:, n_mem:m]
+        w, m = frames[-1].w, frames[-1].w + frames[-1].n
+        new_k, new_v = cache.keys[:, w:m], cache.values[:, w:m]
     for layer in range(cfg.n_layers):
         p = f"layers.{layer}."
         xa = rmsnorm(x, model.params[p + "attn_norm"])
         q = project_rows(xa, model.params[p + "wq"], pairs.get((layer, "q")), comp_idx)
         k = project_rows(xa, model.params[p + "wk"], pairs.get((layer, "k")), comp_idx)
         v = project_rows(xa, model.params[p + "wv"], pairs.get((layer, "v")), comp_idx)
-        new_k[layer], new_v[layer] = k.data[s:], v.data[s:]
-        if cache is not None:  # attention rotates only the tokens' own keys
-            if s:  # the comp rows over [context | themselves]; their slots land first
-                kv = [Tensor(np.concatenate([c[layer], a.data[:s]]))
-                      for c, a in ((context.keys, k), (context.values, v))]
-                head = attend(Tensor(q.data[:s]), *kv, cfg.n_heads, cos[:w], sin[:w])
-                rows = slice(at, at + s)
-                cache.keys[layer, rows], cache.values[layer, rows] = k.data[:s], v.data[:s]
-                heads = k.data[:s].reshape(s, cfg.n_heads, cfg.head_dim).swapaxes(0, 1)
-                cache.rotated[layer, :, rows] = T.rope(heads, cos[rows], sin[rows])
-                q = Tensor(q.data[s:])
-            ctx = attend(q, Tensor(cache.keys[layer, :m]), Tensor(cache.values[layer, :m]),
-                         cfg.n_heads, cos[:m], sin[:m], cache.rotated[layer, :, :m])
-            ctx = Tensor(np.concatenate([head.data, ctx.data])) if s else ctx
-        else:
+        new_k[layer], new_v[layer] = k.data[lo:], v.data[lo:]
+        if cache is None:
             mem = memory(layer, k, v)
             if mem is not None:
                 k, v = T.concat([mem[0], k], axis=0), T.concat([mem[1], v], axis=0)
-            ctx = attend(q, k, v, cfg.n_heads, cos, sin, blocks=blocks)
+            ctx = attend(q, k, v, cfg.n_heads, cos_p, sin_p, blocks=blocks)
+        else:  # attention rotates only the last frame's own keys
+            if lo:  # the earlier frames, once memory has written its rows
+                kv = [Tensor(np.concatenate([c, a.data[:lo]]))
+                      for c, a in zip(memory(layer, k, v), (k, v))]
+                head = attend(Tensor(q.data[:lo]), *kv, cfg.n_heads, cos_p, sin_p,
+                              blocks=blocks)
+                q = Tensor(q.data[lo:])
+            ctx = attend(q, Tensor(cache.keys[layer, :m]), Tensor(cache.values[layer, :m]),
+                         cfg.n_heads, cos[:m], sin[:m], cache.rotated[layer, :, :m])
+            ctx = Tensor(np.concatenate([head.data, ctx.data])) if lo else ctx
         ctx = project_rows(ctx, model.params[p + "wo"], pairs.get((layer, "o")), comp_idx)
         x = T.add(x, ctx)
         xf = rmsnorm(x, model.params[p + "ffn_norm"])
@@ -385,73 +397,45 @@ class ToyLM:
             raise UsageError(f"{what} holds up to {entries} entries, above the "
                              f"model's max_layout {self.config.max_layout}")
 
-    def forward(self, tokens, layout: KVLayout, adapters: AdapterSet | None = None,
-                cache: KVCache | None = None, lengths: Sequence[int] | None = None,
-                fold: tuple[int, Callable] | None = None,
-                event: tuple[KVLayout, int] | None = None) -> tuple[Tensor, KVLayout]:
-        """New tokens appended (for attention) after ``layout``.
+    def forward(self, tokens, memory: KVLayout | Callable, adapters: AdapterSet | None = None,
+                cache: KVCache | None = None,
+                frames: Sequence[Frame] | None = None) -> tuple[Tensor, KVLayout]:
+        """New tokens run after their memory (``forward_groups``).
 
-        Returns per-token logits and the layout of the KV entries the tokens
-        produced, to extend ``layout`` with. ``layout`` is not mutated.
-        ``cache`` is None or the caller's KVCache of the model's dtype whose
-        first rows hold ``layout``: the tokens' entries go into the rows after
-        them, the returned layout views those, and no row past them is read.
-        ``lengths``, without a cache, splits ``tokens`` into sequences run as
-        one pack: each reads ``layout`` and its own tokens alone, as it would
-        in a forward of its own, so ``max_layout`` bounds the layout plus the
-        longest. The logits and returned entries are theirs, in order.
-        ``fold`` = (w, f) gives the later sequences, at every layer, the w
-        memory entries f(layer, k, v) makes of the first one's keys and values
-        there: a compression and the queries reading its result in one pack,
-        or, with no later sequence, a compression alone (f is not called).
-        ``event`` = (context, at), with a cache: the first s =
-        ``adapters.comp_len`` tokens are comp tokens reading ``context`` and
-        themselves at 0.., as in a forward of their own; at every layer their
-        entries fill rows at..at+s-1 of ``layout`` before the span reads.
+        ``frames`` split the tokens in order. ``memory`` is a layout, which
+        each frame reads its own copy of (by default one frame of its own;
+        with a cache, the one frame reads it there), or a per-layer function
+        giving the frames' memory columns. Returns per-token logits and the
+        layout of the KV entries the tokens produced. Nothing passed in is
+        mutated but ``cache``: None, or the caller's KVCache of the model's
+        dtype whose first w rows hold the last frame's memory, its tokens'
+        entries written after them. ``max_layout`` bounds each w + n.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
-        cfg, n_mem = self.config, layout.n_entries
-        if (lengths is not None or fold is not None) and (
-                cache is not None or lengths is None or min(lengths, default=0) < 1
-                or sum(lengths) != tokens.size):
-            raise DimensionError(f"lengths {lengths} must split {tokens.size} "
-                                 "tokens into sequences, without a cache")
-        sizes = [tokens.size] if lengths is None else list(lengths)
-        widths = [n_mem] + [n_mem if fold is None else fold[0]] * (len(sizes) - 1)
-        if event is not None:  # the comp tokens over the context, then the span
-            s = adapters.comp_len if adapters else tokens.size
-            sizes, widths = [s, tokens.size - s], [event[0].n_entries, n_mem]
-            if cache is None or sizes[1] < 1 or not 0 <= event[1] <= n_mem - s:
-                raise DimensionError(f"an event at row {event[1]} needs adapters, a cache "
-                                     "and a span")
-        m = max(w + n for w, n in zip(widths, sizes))
+        cfg = self.config
+        if isinstance(memory, KVLayout):  # each frame reads its own copy of the layout
+            layout, frames = memory, frames or [Frame(tokens.size, memory.n_entries)]
+
+            def memory(layer, k, v):
+                return tuple(Tensor(np.concatenate([a[layer]] * len(frames)))
+                             for a in (layout.keys, layout.values)) if layout.n_entries else None
+        last = frames[-1]
+        if min(f.n for f in frames) < 1 or sum(f.n for f in frames) != tokens.size or cache \
+                is not None and (last.allowed is not None or last.positions is not None):
+            raise DimensionError(f"frames of {[f.n for f in frames]} tokens must split "
+                                 f"{tokens.size}, the last of its own with a cache")
+        m = max(f.w + f.n for f in frames)
         if m > cfg.max_layout:
             raise CapacityError(f"layout would hold {m} entries "
                                 f"> max_layout {cfg.max_layout}")
-        if cache is None:
-            positions, blocks = None, None
-            if lengths is not None:  # each sequence reads its own copy of its memory
-                positions, blocks = pack_blocks([(T.causal_mask(n, w + n), np.arange(w + n))
-                                                 for w, n in zip(widths, sizes)])
-
-            def memory(layer, k, v):
-                first = layout.keys[layer], layout.values[layer]
-                if not sum(widths) or len(sizes) == 1:
-                    return tuple(map(Tensor, first)) if n_mem else None
-                later = first if fold is None else fold[1](layer, k.data[:sizes[0]],
-                                                           v.data[:sizes[0]])
-                return tuple(Tensor(np.concatenate([a] + [b] * (len(sizes) - 1)))
-                             for a, b in zip(first, later))
-
-            return forward_groups(self, tokens, memory, adapters, n_mem=sum(widths),
-                                  positions=positions, blocks=blocks)
-        # rows are the next-to-last axis of all three arrays
-        for name, want in (("keys", (cfg.n_layers, cfg.d_model)),
-                           ("values", (cfg.n_layers, cfg.d_model)),
-                           ("rotated", (cfg.n_layers, cfg.n_heads, cfg.head_dim))):
-            arr = getattr(cache, name)
-            if arr.dtype != self.dtype or arr.shape[:-2] + arr.shape[-1:] != want \
-                    or arr.shape[-2] < n_mem + sizes[-1]:
-                raise DimensionError(f"KV cache {name} {arr.shape} {arr.dtype} holds no "
-                                     f"{n_mem + sizes[-1]} entries of this {self.dtype} model")
-        return forward_groups(self, tokens, None, adapters, cache, n_mem, event=event)
+        if cache is not None:  # rows are the next-to-last axis of all three arrays
+            for name, want in (("keys", (cfg.n_layers, cfg.d_model)),
+                               ("values", (cfg.n_layers, cfg.d_model)),
+                               ("rotated", (cfg.n_layers, cfg.n_heads, cfg.head_dim))):
+                arr = getattr(cache, name)
+                if arr.dtype != self.dtype or arr.shape[:-2] + arr.shape[-1:] != want \
+                        or arr.shape[-2] < last.w + last.n:
+                    raise DimensionError(
+                        f"KV cache {name} {arr.shape} {arr.dtype} holds no "
+                        f"{last.w + last.n} entries of this {self.dtype} model")
+        return forward_groups(self, tokens, frames, memory, adapters, cache)

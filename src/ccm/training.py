@@ -3,8 +3,8 @@
 The online compress-update-infer loop is unrolled into one forward pass
 over the interleaved sequence [c(1), comps, ..., c(t), comps, I(t), O(t)]
 (paper section 3.3), a ``TrainingSequence``: its tokens and the t+2 bounds
-of its steps. Every layer runs one attention over [t*s memory columns |
-tokens] under the paper's mask (``build_parallel_mask``), built from the
+of its steps. It runs as one ``model.Frame``: n tokens after t*s memory
+columns, under the paper's mask (``build_parallel_mask``), built from the
 bounds alone, in which each step reads the memory it would read in the
 recursive execution:
 
@@ -22,8 +22,8 @@ the single-pass logits match the step-by-step oracle to float precision.
 
 A training step packs its batch (``pack_sequences``), at most twice the
 rows of its longest sequence per pack to bound peak memory. A ``Pack`` runs
-as one forward, each sequence under its own mask (``T.Blocks``), and one
-backward at its share of the batch-mean loss.
+as one forward of its sequences' frames with one ``parallel_memory_update``
+per layer, and one backward at its share of the batch-mean loss.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
 from .memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory, fold_weights,
                      reads_memory)
-from .model import ToyLM, forward_groups, pack_blocks
+from .model import Frame, ToyLM, forward_groups
 from .optim import Adam, cosine_lr
 from .seeding import derive_seed
 from .tensor import Tensor
@@ -176,7 +176,7 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence |
     the later steps read.
     """
     seqs = seq.seqs if isinstance(seq, Pack) else [seq]
-    positions, blocks = pack_blocks([build_parallel_mask(q, policy) for q in seqs])
+    frames = [Frame(q.n_tokens, q.t * q.s, *build_parallel_mask(q, policy)) for q in seqs]
     tokens = np.concatenate([q.tokens for q in seqs])
     comp, weights, lo = [], np.zeros(tokens.size), 0
     for q in seqs:  # a compression step's last s rows; the rows predicting O(t)
@@ -189,8 +189,7 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence |
         return parallel_memory_update(T.take_rows(k, comp), T.take_rows(v, comp),
                                       seqs[0].s, policy, [q.t for q in seqs])
 
-    logits, _ = forward_groups(model, tokens, memory, adapters, n_mem=positions.size - lo,
-                               positions=positions, blocks=blocks)
+    logits, _ = forward_groups(model, tokens, frames, memory, adapters)
     # a sequence's last row has weight 0, so its target may be the next one's
     loss = T.cross_entropy_next_token(logits, np.append(tokens[1:], 0), weights)
     return loss, logits

@@ -83,13 +83,12 @@ def test_traced_stream_reaches_the_per_layer_names(tiny_model64, monkeypatch):
     entries_read = []
     forward = ccm.model.ToyLM.forward
 
-    def counted_forward(self, tokens, layout, *args, **kwargs):
-        # a span reads its layout and its own tokens; an event's s comp tokens
-        # in its forward read [context | themselves] in an attention of their own
-        event = kwargs.get("event")
-        entries_read.append(layout.n_entries + len(tokens)
-                            + (0 if event is None else event[0].n_entries))
-        return forward(self, tokens, layout, *args, **kwargs)
+    def counted_forward(self, tokens, memory, *args, frames=None, **kwargs):
+        # a span reads its layout and its own tokens; an event's forward reads
+        # its s comp tokens' frame [context | themselves], then the span's
+        entries_read.append(memory.n_entries + len(tokens) if frames is None
+                            else sum(f.w + f.n for f in frames))
+        return forward(self, tokens, memory, *args, frames=frames, **kwargs)
 
     monkeypatch.setattr(ccm.model.ToyLM, "forward", counted_forward)
     caps = ccm.engine.StreamCaps(n_sink=1, ccm_entries=2, window=6, chunk=3)

@@ -67,22 +67,18 @@ def prefix_oracle(session, inputs, choices) -> list[float]:
 
 
 def record_forwards(monkeypatch, calls: list | None = None) -> list[int]:
-    """Entries every sequence of every later ``ToyLM.forward`` call holds:
-    its memory plus its tokens, each of a pack's ``lengths`` on its own. The
-    memory is the layout, or, for the sequences after the first of a fused
-    pack, the w entries of its ``fold`` = (w, f). ``calls``, if given, gets
-    one entry per call."""
+    """Entries every frame of every later ``ToyLM.forward`` call holds: its
+    w memory columns plus its n tokens, a layout's one frame its entries
+    plus the tokens. ``calls``, if given, gets one entry per call."""
     held = []
     forward = ToyLM.forward
 
-    def recording(self, tokens, layout, *args, lengths=None, fold=None, **kwargs):
-        sizes = lengths or [len(tokens)]
-        later = layout.n_entries if fold is None else fold[0]
-        held.extend(w + n for w, n in zip([layout.n_entries] + [later] * (len(sizes) - 1),
-                                          sizes))
+    def recording(self, tokens, memory, *args, frames=None, **kwargs):
+        held.extend([memory.n_entries + len(tokens)] if frames is None
+                    else [f.w + f.n for f in frames])
         if calls is not None:
-            calls.append(lengths)
-        return forward(self, tokens, layout, *args, lengths=lengths, fold=fold, **kwargs)
+            calls.append(frames)
+        return forward(self, tokens, memory, *args, frames=frames, **kwargs)
 
     monkeypatch.setattr(ToyLM, "forward", recording)
     return held
@@ -614,6 +610,20 @@ def test_full_stream_matches_one_shot_forward(tiny_model64, tiny_model32):
         want = -log_softmax_rows(logits.data)[np.arange(59), stream[1:]]
         nll = evaluate_perplexity(model, None, "full", stream).nll
         np.testing.assert_allclose(nll, want, rtol=0, atol=tol)
+
+
+def test_stream_perplexity_accumulates_a_float32_nll_in_float64(tiny_model32):
+    # a float32 running sum over 2,048 tokens drifts by about 3e-6 relative,
+    # far past the 6 decimals ``ccm stream`` prints
+    nll = np.random.default_rng(3).uniform(0, 8, 2048).astype(np.float32)
+    want = np.exp(np.cumsum(nll, dtype=np.float64) / np.arange(1, nll.size + 1))
+    result = engine.StreamResult(nll, np.ones(nll.size), np.zeros(nll.size), 0.0)
+    np.testing.assert_allclose(result.cumulative_perplexity(), want, rtol=1e-12, atol=0)
+    stream = np.random.default_rng(13).integers(0, 20, size=300)
+    result = evaluate_perplexity(tiny_model32, None, "full", stream)
+    assert result.nll.dtype == np.float32
+    assert result.perplexity == pytest.approx(np.exp(result.nll.mean(dtype=np.float64)),
+                                              rel=1e-12, abs=0)
 
 
 def test_uniform_model_perplexity_is_vocab_size():

@@ -1,11 +1,19 @@
 """Model contracts: layout-based forward, token-id checks, positions, and
 equivalence with an independent plain-numpy transformer reference."""
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccm import tensor as T
 from ccm.errors import CapacityError, DataError, DimensionError
-from ccm.model import KVCache, KVLayout, ModelConfig, ToyLM
+from ccm.lora import AdapterSet
+from ccm.memory import compress_from_kv, compress_segment
+from ccm.model import Frame, KVCache, KVLayout, ModelConfig, ToyLM, forward_groups
+from ccm.tensor import Tensor
 from conftest import TINY
 
 
@@ -141,13 +149,92 @@ def test_layout_capacity_error():
         model.forward([1, 2, 3, 4, 5], model.empty_layout())
 
 
-@pytest.mark.parametrize("lengths, cached", [([], False), ([2, 1], False),
-                                             ([3, 0, 1], False), ([4], True)])
-def test_lengths_must_split_the_tokens_without_a_cache(tiny_model64, lengths, cached):
-    layout = tiny_model64.empty_layout()
-    cache = KVCache.holding([layout], 4, tiny_model64.config) if cached else None
-    with pytest.raises(DimensionError):
-        tiny_model64.forward([1, 2, 3, 4], layout, cache=cache, lengths=lengths)
+def _frame_models() -> dict:
+    """Per dtype, the tiny model and adapters whose B matrices have an effect."""
+    pairs = {}
+    for dtype in (np.float64, np.float32):
+        model = ToyLM.init(TINY, seed=7, dtype=dtype)
+        adapters = AdapterSet.init(model, rank=2, alpha=4.0, comp_len=2, seed=3)
+        rng = np.random.default_rng(4)
+        for pair in adapters.pairs.values():
+            pair.b.data[...] = 0.05 * rng.standard_normal(pair.b.data.shape)
+        pairs[dtype] = model, adapters
+    return pairs
+
+
+_FRAME_MODELS = _frame_models()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 6), st.booleans()),
+                       min_size=1, max_size=4),
+       dtype=st.sampled_from([np.float64, np.float32]), comp=st.booleans(),
+       with_adapters=st.booleans(), cached=st.booleans(), seed=st.integers(0, 99))
+def test_a_pack_of_frames_equals_each_frames_own_forward(shapes, dtype, comp,
+                                                         with_adapters, cached, seed):
+    # each frame (n tokens, w memory columns, its mask and positions given or
+    # left to the default) reads only its own memory and tokens, so the pack's
+    # logits and KV are each frame's own forward over its own layout; with a
+    # cache the last frame reads it in place and the memory gives the others'
+    # columns as arrays. Frames that do not split the tokens, an empty frame
+    # and a last frame past its cache's rows are dimension errors
+    model, adapters = _FRAME_MODELS[dtype]
+    adapters = adapters if with_adapters else None
+    cfg, rng = model.config, np.random.default_rng(seed)
+    shapes[-1] = shapes[-1][:2] + (shapes[-1][2] and not cached,)
+    seqs = [np.where(rng.random(n) < 0.4 * comp, cfg.comp_token_id,
+                     rng.integers(0, cfg.vocab_size - 1, n)) for n, _, _ in shapes]
+    layouts = [KVLayout(*rng.standard_normal((2, cfg.n_layers, w, cfg.d_model)).astype(dtype))
+               for _, w, _ in shapes]
+    frames = [Frame(n, w, T.causal_mask(n, w + n), np.arange(w + n)) if given else Frame(n, w)
+              for n, w, given in shapes]
+    want = [model.forward(seq, layout, adapters) for seq, layout in zip(seqs, layouts)]
+    read = layouts[:-1] if cached else layouts
+
+    def memory(layer, k, v):
+        keys, values = (np.concatenate([getattr(a, name)[layer] for a in read])
+                        for name in ("keys", "values"))
+        if cached:
+            return keys, values
+        return (Tensor(keys), Tensor(values)) if keys.size else None
+
+    last = shapes[-1][0] + shapes[-1][1]
+    cache = KVCache.holding([layouts[-1]], last, cfg) if cached else None
+    logits, kv = model.forward(np.concatenate(seqs), memory, adapters, cache, frames)
+    tol = 1e-10 if dtype == np.float64 else 1e-5
+    np.testing.assert_allclose(logits.data, np.concatenate([g.data for g, _ in want]),
+                               rtol=tol, atol=tol)
+    for name in ("keys", "values"):
+        np.testing.assert_allclose(getattr(kv, name), np.concatenate(
+            [getattr(e, name) for _, e in want[-1 if cached else 0:]], axis=1),
+            rtol=tol, atol=tol)
+    tokens = np.concatenate(seqs)
+    for bad in (tokens[:-1], np.append(tokens, 1)):
+        with pytest.raises(DimensionError, match="must split"):
+            model.forward(bad, memory, adapters, cache, frames)
+    with pytest.raises(DimensionError, match="must split"):  # an empty frame
+        model.forward(tokens, memory, adapters, cache, [Frame(0, 0)] + frames)
+    if cached:
+        short = KVCache.holding([layouts[-1]], last - 1, cfg)
+        with pytest.raises(DimensionError, match="KV cache keys"):
+            model.forward(tokens, memory, adapters, short, frames)
+
+
+# the forward path's parameters: adding or removing one is an edit to this table
+FORWARD_PARAMETERS = {
+    ToyLM.forward: ("tokens", "memory", "adapters", "cache", "frames"),
+    forward_groups: ("model", "tokens", "frames", "memory", "adapters", "cache"),
+    Frame: ("n", "w", "allowed", "positions"),
+    compress_segment: ("model", "adapters", "mem", "segment", "queries"),
+    compress_from_kv: ("model", "adapters", "context", "at", "tokens", "layout", "cache"),
+}
+
+
+def test_forward_parameter_table():
+    params = {fn: tuple(name for name in inspect.signature(fn).parameters if name != "self")
+              for fn in FORWARD_PARAMETERS}
+    assert params == FORWARD_PARAMETERS
+    assert sum(map(len, params.values())) == 27
 
 
 @pytest.mark.parametrize("bad", [-1, TINY.vocab_size])

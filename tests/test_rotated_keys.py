@@ -15,6 +15,7 @@ from ccm.engine import (STREAM_POLICIES, StreamCaps, StreamState, evaluate_perpl
                         streaming_step)
 from ccm.errors import DimensionError
 from ccm.lora import AdapterSet
+from ccm.memory import compress_from_kv
 from ccm.model import KVCache, KVLayout, ModelConfig, ToyLM
 from conftest import TINY
 
@@ -223,19 +224,19 @@ def test_forward_rejects_keys_or_values_that_do_not_fit(name, shape, dtype):
         _MODEL.forward([4, 5], layout, cache=cache)
 
 
-def test_forward_rejects_an_event_without_adapters_a_cache_a_span_or_slot_rows():
+def test_an_event_without_a_span_or_slot_rows_is_rejected_before_a_row_is_written():
     _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
     cache = KVCache.holding([layout, 2], 8, TINY)  # two slot rows after the layout
-    comp, held = [TINY.comp_token_id] * 2, cache.layout(5)
-    for tokens, kwargs in ((comp + [4], {"adapters": _ADAPTERS, "event": (layout, 3)}),
-                           (comp + [4], {"cache": cache, "event": (layout, 3)}),
-                           (comp, {"adapters": _ADAPTERS, "cache": cache,
-                                   "event": (layout, 3)}),
-                           (comp + [4], {"adapters": _ADAPTERS, "cache": cache,
-                                         "event": (layout, 4)})):
-        with pytest.raises(DimensionError, match="needs adapters, a cache and a span"):
-            _MODEL.forward(tokens, held, **kwargs)
-    _MODEL.forward(comp + [4], held, adapters=_ADAPTERS, cache=cache, event=(layout, 3))
+    arrays = (cache.keys, cache.values, cache.rotated)
+    for arr in arrays:  # rows are the next-to-last axis
+        arr[..., 3:, :] = 7.0
+    before, held = [arr.copy() for arr in arrays], cache.layout(5)
+    for tokens, at in (([], 3), ([4], 4), ([4], -1)):
+        with pytest.raises(DimensionError, match="lie outside|must split"):
+            compress_from_kv(_MODEL, _ADAPTERS, layout, at, tokens, held, cache)
+        for arr, old in zip(arrays, before):
+            np.testing.assert_array_equal(arr, old)
+    compress_from_kv(_MODEL, _ADAPTERS, layout, 3, [4], held, cache)
 
 
 def test_forward_writes_only_the_rows_after_the_layout():
