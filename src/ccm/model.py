@@ -414,14 +414,15 @@ class ToyLM:
         tokens = np.asarray(tokens, dtype=np.intp)
         cfg = self.config
         if isinstance(memory, KVLayout):  # each frame reads its own copy of the layout
-            layout, frames = memory, frames or [Frame(tokens.size, memory.n_entries)]
+            layout = memory
+            frames = [Frame(tokens.size, memory.n_entries)] if frames is None else frames
 
             def memory(layer, k, v):
                 return tuple(Tensor(np.concatenate([a[layer]] * len(frames)))
                              for a in (layout.keys, layout.values)) if layout.n_entries else None
-        last = frames[-1]
-        if min(f.n for f in frames) < 1 or sum(f.n for f in frames) != tokens.size or cache \
-                is not None and (last.allowed is not None or last.positions is not None):
+        last = frames[-1] if frames else None
+        if last is None or min(f.n for f in frames) < 1 or sum(f.n for f in frames) != tokens.size \
+                or cache is not None and (last.allowed is not None or last.positions is not None):
             raise DimensionError(f"frames of {[f.n for f in frames]} tokens must split "
                                  f"{tokens.size}, the last of its own with a cache")
         m = max(f.w + f.n for f in frames)
