@@ -13,7 +13,7 @@ pass under the paper's mask, verified against a step-by-step oracle.
 
 from .errors import (CapacityError, CcmError, ContractViolation, DataError,
                      DimensionError, UsageError)
-from .lora import AdapterSet, LoRAPair, comp_flags, trainable_parameters
+from .lora import AdapterSet, LoRAPair, trainable_parameters
 from .memory import ContextMemory, compress_segment
 from .model import KVCache, KVLayout, ModelConfig, ToyLM
 from .optim import Adam, cosine_lr
@@ -28,7 +28,7 @@ __all__ = [
     "ContractViolation", "DataError", "DimensionError", "KVCache", "KVLayout",
     "LoRAPair", "ModelConfig", "Parameter", "Recipe", "Tensor", "ToyLM",
     "TrainingSequence", "UsageError", "build_parallel_mask",
-    "build_training_sequence", "comp_flags", "compress_segment", "cosine_lr",
+    "build_training_sequence", "compress_segment", "cosine_lr",
     "finite_difference_check", "parallel_memory_update", "pretrain",
     "recursive_reference_forward", "train_compression", "trainable_parameters",
     "training_forward",

@@ -107,11 +107,9 @@ def _require_stream(data):
 
 def _require_vocab(model: ToyLM, vocab) -> None:
     """The model must have been built for the dataset's vocabulary."""
-    want = vocab.model_config()
-    for key in ("vocab_size", "comp_token_id"):
-        have, need = getattr(model.config, key), getattr(want, key)
-        if have != need:
-            raise DataError(f"model {key} {have} != dataset vocabulary's {need}")
+    if model.config.vocab_size != vocab.size:
+        raise DataError(f"model vocab_size {model.config.vocab_size} != dataset "
+                        f"vocabulary's {vocab.size}")
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,9 @@ def attn_flops(params: ComplexityParams, method: str, phase: str) -> float:
     return unit * _phase_queries(params, method, phase) * kv_entries(params, method, phase)
 
 
-def kv_bytes(entries: int, n_layers: int, d_model: int, bytes_per_value: int) -> int:
-    """Entries are per-layer sequence positions: each holds 2*L*d numbers."""
-    return entries * 2 * n_layers * d_model * bytes_per_value
+def kv_bytes(entries: int, n_layers: int, d_model: int) -> int:
+    """fp16 bytes of per-layer sequence positions: each holds 2*L*d numbers."""
+    return entries * 2 * n_layers * d_model * 2
 
 
 def report_rows(params: ComplexityParams) -> list[dict]:
@@ -96,7 +96,7 @@ def report_rows(params: ComplexityParams) -> list[dict]:
                 "t": params.t,
                 "s": params.s,
                 "kv_entries": entries,
-                "kv_bytes_fp16": kv_bytes(entries, params.n_layers, params.d_model, 2),
+                "kv_bytes_fp16": kv_bytes(entries, params.n_layers, params.d_model),
                 "attn_flops": attn_flops(params, method, phase),
             })
     return rows

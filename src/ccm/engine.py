@@ -191,9 +191,10 @@ class StreamCaps:
 class StreamState:
     """KV bookkeeping for one token stream under a fixed budget.
 
-    ``layout`` is [sink | compressed region | window]: the first ``n_sink``
-    entries are the sink, the next ``ccm_entry_count`` the compressed
-    region, and the rest the window. The adapters set the slot group size.
+    ``layout`` is [sink | compressed region | window]. The sink fills first,
+    so its ``n_sink`` entries are the first min(caps.n_sink, entries held);
+    the next ``ccm_entry_count`` are the compressed region, and the rest the
+    window. The adapters set the slot group size.
     ``cache`` owns the storage: ``layout`` is a view of its first rows, and
     an event's [sink | kept region | s slot rows | rest of window] a new one.
     """
@@ -209,8 +210,11 @@ class StreamState:
         self.adapters = adapters
         self.caps = caps
         self._hold([model.empty_layout()])
-        self.n_sink = 0
         self.ccm_entry_count = 0
+
+    @property
+    def n_sink(self) -> int:
+        return min(self.caps.n_sink, self.layout.n_entries)
 
     @property
     def window_entries(self) -> int:
@@ -268,16 +272,20 @@ def streaming_step(state: StreamState, tokens) -> tuple[np.ndarray, int, bool]:
         logits = compress_from_kv(state.model, state.adapters, *compression, tokens[:k],
                                   state.layout, state.cache)
     state.layout = state.cache.layout(n_mem + k)
-    state.n_sink = min(state.n_sink + k, caps.n_sink)
     return logits, state.layout.n_entries, event
 
 
 @dataclass
 class StreamResult:
+    """A stream pass's per-token arrays; its perplexities follow from ``nll``."""
+
     nll: np.ndarray          # negative log-likelihood per predicted token
     kv_totals: np.ndarray    # layout entries used at each step
     events: np.ndarray       # 1 where a compression was triggered
-    perplexity: float
+
+    @property
+    def perplexity(self) -> float:
+        return float(np.exp(self.nll.mean(dtype=np.float64)))
 
     def cumulative_perplexity(self) -> np.ndarray:
         """exp of the running mean NLL, summed in float64 whatever the model's dtype."""
@@ -323,4 +331,4 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
     if not np.isfinite(nll).all():
         raise ContractViolation(f"non-finite NLL at stream position "
                                 f"{np.flatnonzero(~np.isfinite(nll))[0] + 1}")
-    return StreamResult(nll, totals, events, float(np.exp(nll.mean(dtype=np.float64))))
+    return StreamResult(nll, totals, events)

@@ -46,11 +46,6 @@ def adapter_shapes(config, rank: int) -> dict[str, tuple[int, ...]]:
             "adapter/comp_embedding": (1, config.d_model)}
 
 
-def comp_flags(tokens: np.ndarray, comp_token_id: int) -> np.ndarray:
-    """Per-token gate m (spec: m = 1 iff the token is the compression token)."""
-    return np.asarray(tokens) == comp_token_id
-
-
 class AdapterSet:
     """All LoRA pairs for a model plus the trainable compression embedding.
 

@@ -3,16 +3,16 @@
 The attention cache is explicit: callers hand ``forward`` a KVLayout, the
 library's one KV type, whose entries may come from anywhere (raw tokens,
 compressed memory slots, a streaming window). Keys are stored UNROTATED;
-rotary position encoding is applied at attention time with sequential
-position ids 0..m-1 assigned over [memory entries | current tokens]. This
-makes memory entries position-free: averaging them stays well defined, and
-a shift of positions changes no stored key. A caller whose layout only
-grows (the stream, a span of tokens per forward) owns a KVCache, storage
-holding the layout in its first rows with each key also kept rotated at
-its position, and hands it to ``forward``: the span's keys, values and
-rotated keys are written once into the rows after the layout, and
-attention reads the cache in place, so no span copies the cache or
-rotates a key twice.
+rotary position encoding (base ``T.ROPE_BASE``) is applied at attention
+time with sequential position ids 0..m-1 assigned over [memory entries |
+current tokens]. This makes memory entries position-free: averaging them
+stays well defined, and a shift of positions changes no stored key. A
+caller whose layout only grows (the stream, a span of tokens per forward)
+owns a KVCache, storage holding the layout in its first rows with each key
+also kept rotated at its position, and hands it to ``forward``: the span's
+keys, values and rotated keys are written once into the rows after the
+layout, and attention reads the cache in place, so no span copies the
+cache or rotates a key twice.
 
 The one layer loop, ``forward_groups``, runs a pack of ``Frame``s, each n
 tokens after w memory columns, as one masked attention per layer
@@ -30,7 +30,6 @@ an untied output head.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
@@ -39,43 +38,38 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import check_records, read_checkpoint, save_arrays
 from .errors import CapacityError, DataError, DimensionError, UsageError
-from .lora import AdapterSet, comp_flags
+from .lora import AdapterSet
 from .tensor import Parameter, Tensor, rmsnorm
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model sizes, each set by a CLI flag or a dataset's vocabulary. The
+    compression token is the last vocabulary id, not a setting."""
+
     n_layers: int = 3
     d_model: int = 64
     n_heads: int = 4
     d_ff: int = 256
     vocab_size: int = 512
-    rope_base: float = 10000.0
     max_layout: int = 1024
-    comp_token_id: int = -1  # -1: the last vocab id
 
     def __post_init__(self):
-        if not all(isinstance(getattr(self, f.name), int) for f in fields(self)
-                   if f.type == "int"):
-            raise DimensionError(f"model sizes and token ids must be integers: {self}")
-        for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size",
-                     "max_layout"):
-            if getattr(self, name) < 1:
-                raise DimensionError(f"model size {name}={getattr(self, name)} "
-                                     "must be at least 1")
-        if not isinstance(self.rope_base, (int, float)) \
-                or not 0 < self.rope_base < math.inf:
-            raise DimensionError(f"rope_base {self.rope_base!r} must be finite and > 0")
+        for f in fields(self):
+            size = getattr(self, f.name)
+            if not isinstance(size, int) or size < 1:
+                raise DimensionError(f"model size {f.name}={size!r} must be an integer >= 1")
         if self.d_model % (2 * self.n_heads) != 0:
             raise DimensionError("d_model must split into n_heads heads of even width")
-        if self.comp_token_id == -1:
-            object.__setattr__(self, "comp_token_id", self.vocab_size - 1)
-        if not 0 <= self.comp_token_id < self.vocab_size:
-            raise DimensionError(f"comp token id {self.comp_token_id} outside vocabulary")
 
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
+
+    @property
+    def comp_token_id(self) -> int:
+        """The reserved compression token: the last vocabulary id."""
+        return self.vocab_size - 1
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ class KVCache:
         ``values`` [..., n, d_model], each key also rotated at its row."""
         rows = slice(lo, lo + keys.shape[-2])
         self.keys[layer, rows], self.values[layer, rows] = keys, values
-        cos, sin = T.rope_angles(rows.stop, config.head_dim, config.rope_base, keys.dtype)
+        cos, sin = T.rope_angles(rows.stop, config.head_dim, keys.dtype)
         heads = keys.reshape(keys.shape[:-1] + (config.n_heads, config.head_dim))
         self.rotated[layer, :, rows] = T.rope(heads.swapaxes(-3, -2), cos[lo:], sin[lo:])
 
@@ -257,14 +251,14 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, frames: Sequence[Frame],
     cfg = model.config
     n = tokens.shape[0]
     check_token_ids(tokens, cfg.vocab_size)
-    comp_idx = np.flatnonzero(comp_flags(tokens, cfg.comp_token_id))
+    comp_idx = np.flatnonzero(tokens == cfg.comp_token_id)
 
     x = embed_tokens(model, tokens, adapters, comp_idx)
     pairs = adapters.pairs if adapters and comp_idx.size else {}  # compression rows only
     packed, lo = (frames, 0) if cache is None else (frames[:-1], n - frames[-1].n)
     cos, sin = T.rope_angles(max(f.w + f.n if f.positions is None else
                                  int(f.positions.max()) + 1 for f in frames),
-                             cfg.head_dim, cfg.rope_base, model.dtype)
+                             cfg.head_dim, model.dtype)
     blocks, m = None, sum(f.w + f.n for f in packed)  # keys of the frames memory serves
     if len(packed) == 1 and packed[0].allowed is None and packed[0].positions is None:
         cos_p, sin_p = cos[:m], sin[:m]  # a forward of its own: attention's default block
@@ -287,7 +281,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, frames: Sequence[Frame],
         if cache is None:
             mem = memory(layer, k, v)
             if mem is not None:
-                k, v = T.concat([mem[0], k], axis=0), T.concat([mem[1], v], axis=0)
+                k, v = T.concat([mem[0], k]), T.concat([mem[1], v])
             ctx = attend(q, k, v, cfg.n_heads, cos_p, sin_p, blocks=blocks)
         else:  # attention rotates only the last frame's own keys
             if lo:  # the earlier frames, once memory has written its rows

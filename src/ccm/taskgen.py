@@ -13,7 +13,8 @@ straddle a sliding window's reach, so retained memory measurably lowers
 perplexity; an i.i.d. control stream is available where memory cannot help.
 
 A dataset file is JSONL: a header, then one object per record. Header sizes
-are ints >= 1, and a data id lies in [0, n_plain), below the comp id.
+are ints >= 1, and a data id lies in [0, n_plain); the one id after them,
+the vocabulary's last, is the model's comp token.
 - icl header: format_version, kind, seed, vocab {n_pattern, n_labels},
   n_classes <= n_labels, T, pattern_len; n_plain = n_pattern + n_labels + 1
   (the separator). Record: identity (int), split ("train" or "test"),
@@ -53,16 +54,12 @@ def _check_sizes(**sizes) -> None:
 
 
 class VocabLayout:
-    """Ids [0, n_plain) for data, then the comp id; subclasses define n_plain."""
+    """Ids [0, n_plain) for data (subclasses define n_plain), then the comp token."""
 
     max_layout = 1024  # the layout cap of the models built for this data
 
     def __post_init__(self):
         _check_sizes(**asdict(self))
-
-    @property
-    def comp_id(self) -> int:
-        return self.n_plain
 
     @property
     def size(self) -> int:
@@ -71,7 +68,7 @@ class VocabLayout:
     def model_config(self, **overrides) -> ModelConfig:
         """This vocabulary's fields, ``ModelConfig``'s sizes unless overridden."""
         return ModelConfig(**{"vocab_size": self.size, "max_layout": self.max_layout,
-                              "comp_token_id": self.comp_id, **overrides})
+                              **overrides})
 
 
 @dataclass(frozen=True)

@@ -206,20 +206,18 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """``parts`` joined along their rows (axis 0)."""
     parts = list(parts)
     if not parts:
         raise DimensionError("concat of zero tensors")
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    out_data = np.concatenate([p.data for p in parts])
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def bw(g: Array) -> None:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                p.accumulate_grad(g[tuple(idx)])
+                p.accumulate_grad(g[lo:hi])
 
     return _make(out_data, tuple(parts), bw)
 
@@ -313,17 +311,18 @@ def rope(x: Array, cos: Array, sin: Array) -> Array:
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-_ROPE_TABLES: dict[tuple, tuple[Array, Array]] = {}  # (head_dim, base, dtype) -> cos, sin
+ROPE_BASE = 10000.0  # the rotary frequency base
+_ROPE_TABLES: dict[tuple, tuple[Array, Array]] = {}  # (head_dim, dtype) -> cos, sin
 
 
-def rope_angles(m: int, head_dim: int, base: float, dtype) -> tuple[Array, Array]:
+def rope_angles(m: int, head_dim: int, dtype) -> tuple[Array, Array]:
     """Read-only cos/sin [m, head_dim//2] of positions 0..m-1: slices of one
     cached table, each entry equal to a fresh build's bit for bit."""
-    key = (head_dim, base, np.dtype(dtype))
+    key = (head_dim, np.dtype(dtype))
     table = _ROPE_TABLES.get(key)
     if table is None or table[0].shape[0] < m:
         half = head_dim // 2
-        inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
+        inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) / half)
         size = max(m, 2 * table[0].shape[0]) if table else m  # grow by doubling
         ang = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
         table = _ROPE_TABLES[key] = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from ccm import cli, engine
 from ccm.checkpoint import load_arrays, save_arrays
 from ccm.cli import main
 from ccm.lora import AdapterSet
-from ccm.model import ToyLM
-from ccm.taskgen import StreamVocab, read_dataset
+from ccm.model import ModelConfig, ToyLM
+from ccm.taskgen import StreamVocab, VocabSpec, read_dataset
 from ccm.training import Recipe
 
 
@@ -454,16 +455,27 @@ def test_bad_checkpoint_metadata_is_data_error(stream_model, stream_data, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("pad_token_id", -1), ("comp_token_id", StreamVocab().size - 1), ("rope_base", 10000.0),
+    ("rope_base", 0.0), ("rope_base", -1.0), ("rope_base", float("nan")),
+    ("rope_base", float("inf")), ("rope_base", "x")])
 def test_checkpoint_that_names_a_pad_id_is_data_error(stream_model, stream_data, tmp_path,
-                                                      capsys):
-    # the vocabulary reserves no pad id any more; a model saved with one is refused
+                                                      capsys, key, value):
+    # the config holds no pad id, comp id or rope base any more, so a model
+    # saved with one is refused, even at the value now derived; a rope base
+    # of 0 or -1 once ran with numpy RuntimeWarnings and exited 0 with a
+    # wrong CSV, and "x" ended in a TypeError traceback
     old = tmp_path / "old.ckpt"
-    rewrite_checkpoint(stream_model, old, lambda a, m: m["config"].update(pad_token_id=-1))
+    rewrite_checkpoint(stream_model, old, lambda a, m: m["config"].update({key: value}))
     out = tmp_path / "stream.csv"
-    assert run("stream", "--data", stream_data, "--model", old, "--policy", "full",
-               "--length", "20", "--out", out) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("stream", "--data", stream_data, "--model", old, "--policy", "full",
+                   "--length", "20", "--out", out)
     err = capsys.readouterr().err
-    assert f"data error: {old}" in err and "pad_token_id" in err
+    assert code == 2 and f"data error: {old}" in err and key in err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
@@ -518,26 +530,6 @@ def test_adapters_without_rank_or_alpha_flags_take_the_init_defaults(tiny_pipeli
     defaults = inspect.signature(AdapterSet.init).parameters
     assert (meta["rank"], meta["alpha"]) == (defaults["rank"].default,
                                              defaults["alpha"].default)
-
-
-@pytest.mark.parametrize("rope_base", [0.0, -1.0, float("nan"), float("inf"), "x"])
-def test_checkpoint_rope_base_must_be_finite_and_positive(tiny_pipeline, tmp_path,
-                                                          capsys, rope_base):
-    # 0 and -1 ran with numpy RuntimeWarnings and exited 0 with a wrong CSV;
-    # "x" ended in a TypeError traceback
-    icl_data, model, _ = tiny_pipeline
-    bad = tmp_path / "bad.ckpt"
-    rewrite_checkpoint(model, bad, lambda a, m: m["config"].update(rope_base=rope_base))
-    out = tmp_path / "eval.csv"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run("eval", "--data", icl_data, "--model", bad, "--policy", "full",
-                   "--out", out, "--max-eval", "2")
-    err = capsys.readouterr().err
-    assert code == 2 and f"data error: {bad}" in err and "rope_base" in err
-    assert "Traceback" not in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,model_data", [
@@ -714,7 +706,7 @@ BAD_RECORDS = {
                           "segments"),
     "stream-motifs-int": ("stream", _set("motif_positions", 5), "motif_positions"),
     "stream-record-list": ("stream", lambda h, r: (h, [r]), "a record"),
-    "stream-comp-token": ("stream", lambda h, r: (h, {**r, "tokens": [StreamVocab().comp_id,
+    "stream-comp-token": ("stream", lambda h, r: (h, {**r, "tokens": [StreamVocab().size - 1,
                                                                       *r["tokens"]]}),
                           "stream tokens"),
     "stream-identity-text": ("stream", _set("identity", "x"), "identity"),
@@ -889,6 +881,14 @@ FLAGS = {
     "complexity": {"--out", "--t-max", "--lc", "--li", "--slots", "--llama7b",
                    "--layers", "--d-model"},
 }
+
+
+def test_every_model_config_field_has_a_setter():
+    # a field no flag sets and no dataset kind moves off its default is a
+    # constant, not a setting
+    by_data = {f.name for vocab in (VocabSpec(), StreamVocab()) for f in fields(ModelConfig)
+               if replace(vocab.model_config(), **{f.name: f.default}) != vocab.model_config()}
+    assert set(cli._SIZES.values()) | by_data == {f.name for f in fields(ModelConfig)}
 
 
 def test_flag_table():

@@ -73,7 +73,7 @@ def test_flops_self_consistency():
 
 def test_bytes_model():
     # entries x 2 (K and V) x L x d x width
-    assert kv_bytes(8, 32, 4096, 2) == 8 * 2 * 32 * 4096 * 2
+    assert kv_bytes(8, 32, 4096) == 8 * 2 * 32 * 4096 * 2
 
 
 def test_report_and_sweep_shape():

@@ -617,7 +617,7 @@ def test_stream_perplexity_accumulates_a_float32_nll_in_float64(tiny_model32):
     # far past the 6 decimals ``ccm stream`` prints
     nll = np.random.default_rng(3).uniform(0, 8, 2048).astype(np.float32)
     want = np.exp(np.cumsum(nll, dtype=np.float64) / np.arange(1, nll.size + 1))
-    result = engine.StreamResult(nll, np.ones(nll.size), np.zeros(nll.size), 0.0)
+    result = engine.StreamResult(nll, np.ones(nll.size), np.zeros(nll.size))
     np.testing.assert_allclose(result.cumulative_perplexity(), want, rtol=1e-12, atol=0)
     stream = np.random.default_rng(13).integers(0, 20, size=300)
     result = evaluate_perplexity(tiny_model32, None, "full", stream)

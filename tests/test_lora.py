@@ -5,7 +5,7 @@ import pytest
 
 import ccm.tensor as T
 from ccm.errors import ContractViolation, UsageError
-from ccm.lora import AdapterSet, LoRAPair, comp_flags, trainable_parameters
+from ccm.lora import AdapterSet, LoRAPair, trainable_parameters
 from ccm.model import ModelConfig, ToyLM, project_rows
 from ccm.optim import Adam
 from ccm.tensor import Parameter, Tensor
@@ -63,11 +63,6 @@ def test_project_rows_matches_single_vector_oracle():
     for i, m in enumerate(gates):
         row = conditional_project(w, pair, Tensor(x.data[i:i + 1]), m=bool(m))
         np.testing.assert_allclose(out.data[i], row.data[0], rtol=1e-12, atol=1e-12)
-
-
-def test_comp_flags_derived_from_ids():
-    flags = comp_flags(np.array([1, 9, 1]), comp_token_id=9)
-    np.testing.assert_array_equal(flags, [False, True, False])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def reference_forward(model: ToyLM, tokens: np.ndarray) -> np.ndarray:
     n = len(tokens)
     h, dh = cfg.n_heads, cfg.head_dim
     half = dh // 2
-    inv_freq = cfg.rope_base ** (-np.arange(half) / half)
+    inv_freq = T.ROPE_BASE ** (-np.arange(half) / half)
     ang = np.arange(n)[:, None] * inv_freq[None, :]
     cos, sin = np.cos(ang), np.sin(ang)
 

@@ -37,7 +37,7 @@ def fresh_rotation(keys: np.ndarray, config: ModelConfig) -> np.ndarray:
     """[n_layers, n, d] keys as [n_layers, n_heads, n, head_dim], each head
     rotated as attention rotates them, at 0..n-1."""
     n_layers, n, _ = keys.shape
-    cos, sin = T.rope_angles(n, config.head_dim, config.rope_base, keys.dtype)
+    cos, sin = T.rope_angles(n, config.head_dim, keys.dtype)
     return np.stack([
         T.rope(keys[layer].reshape(n, config.n_heads, config.head_dim).transpose(1, 0, 2),
                cos, sin) for layer in range(n_layers)])

@@ -2,6 +2,7 @@
 motif recurrence statistics, and lossless serialization."""
 
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ def test_edited_dataset_file_reads_only_when_valid(fuzz_path, data):
         fields, ok = ["tokens", "motif_positions"], lambda r: stream_record_ok(r, v)
     # the reserved comp id, out-of-range (1000 also past every stream's end),
     # float and bool ids, and valid ones
-    ids = [v.comp_id, v.size, 1000, -1, 2.5, 3.0, True, 0, v.n_plain - 1,
+    ids = [v.size - 1, v.size, 1000, -1, 2.5, 3.0, True, 0, v.n_plain - 1,
            getattr(v, "n_pattern", 1)]
     lines = fuzz_path.read_text().splitlines()
     at = data.draw(st.integers(1, len(lines) - 1))
@@ -299,13 +300,19 @@ def test_edited_dataset_file_reads_only_when_valid(fuzz_path, data):
 
 
 def test_vocab_reserved_ids():
-    # the comp id is the one reserved id, the last of the vocabulary
+    # the comp id is the one reserved id, the last of the vocabulary, and
+    # every data id lies below it
     for v in (VocabSpec(n_pattern=32, n_labels=8), StreamVocab()):
         cfg = v.model_config()
-        assert (cfg.vocab_size, cfg.comp_token_id) == (v.size, v.comp_id)
-        assert v.comp_id == v.n_plain == v.size - 1
-        assert ModelConfig(vocab_size=v.size).comp_token_id == v.comp_id  # -1: the last
-    assert VocabSpec().sep_id == VocabSpec().comp_id - 1
+        assert cfg.vocab_size == v.size
+        assert cfg.comp_token_id == v.n_plain == v.size - 1
+        assert ModelConfig(vocab_size=v.size).comp_token_id == v.size - 1
+    assert VocabSpec().sep_id == VocabSpec().model_config().comp_token_id - 1
+    ds = gen_icl_dataset(20, T=4, n_classes=4, seed=11)
+    icl_ids = [i for s in ds.train + ds.test for i in chain(*s.segments, *s.inputs, *s.outputs)]
+    assert max(icl_ids) < ds.vocab.model_config().comp_token_id
+    for stream in (gen_stream(500, seed=1), gen_iid_stream(500, seed=1)):
+        assert max(stream.tokens) < StreamVocab().model_config().comp_token_id
 
 
 def test_one_default_model_size():

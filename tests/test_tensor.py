@@ -129,7 +129,7 @@ def composed_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         outs.append(composed_block(
             T.take_rows(q, rows), T.take_rows(k, keys), T.take_rows(v, keys), n_heads,
             (cos[m - n:][rows], sin[m - n:][rows]), (cos[keys], sin[keys]), allowed))
-    return T.concat(outs, axis=0)
+    return T.concat(outs)
 
 
 def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -319,7 +319,7 @@ def test_primitive_gradients(instance):
     # a cycle is not its own inverse: (2, 0, 1) comes back through (1, 2, 0)
     check_op_grad(lambda: T.transpose(reshape(a, (2, 3, 4)), (2, 0, 1)), [a],
                   seed=instance)
-    check_op_grad(lambda: T.concat([a, b], axis=0), [a, b], seed=instance)
+    check_op_grad(lambda: T.concat([a, b]), [a, b], seed=instance)
     check_op_grad(lambda: T.take_rows(a, np.array([0, 2, 2, 1])), [a], seed=instance)
 
 
@@ -334,7 +334,7 @@ def test_structured_op_gradients(instance):
     check_op_grad(lambda: T.set_rows(base, idx, rows), [base, rows], seed=instance)
 
     x = Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True)
-    cos, sin = T.rope_angles(4, 8, 10000.0, np.float64)
+    cos, sin = T.rope_angles(4, 8, np.float64)
     check_op_grad(lambda: tape_rope(x, cos, sin), [x], seed=instance)
 
     logits = Tensor(rng.standard_normal((3, 7)), requires_grad=True)
@@ -352,7 +352,7 @@ def attention_inputs(rng, n, n_mem, n_heads, head_dim):
     m, d = n_mem + n, n_heads * head_dim
     q, k, v = (Tensor(rng.standard_normal((rows, d)), requires_grad=True)
                for rows in (n, m, m))
-    cos, sin = T.rope_angles(m, head_dim, 10000.0, np.float64)
+    cos, sin = T.rope_angles(m, head_dim, np.float64)
     return q, k, v, cos, sin
 
 
@@ -392,7 +392,7 @@ def test_default_block_equals_an_explicit_tril_mask_bit_for_bit(n, n_mem, n_head
     m, d = n_mem + n, n_heads * 2 * half
     q, k, v = (Tensor(rng.standard_normal((rows, d)).astype(dtype), requires_grad=True)
                for rows in (n, m, m))
-    cos, sin = T.rope_angles(m, 2 * half, 10000.0, dtype)
+    cos, sin = T.rope_angles(m, 2 * half, dtype)
     w = rng.standard_normal(q.shape).astype(dtype)
     tril = T.Blocks([(0, n, np.arange(m), np.tril(np.ones((n, m), dtype=bool), m - n))])
     got = output_and_grads(lambda: T.attention(q, k, v, n_heads, cos, sin), [q, k, v], w)
@@ -437,7 +437,7 @@ def test_masked_attention_equals_composed(case):
     n = parts[-1][1]
     rng = np.random.default_rng(seed)
     q, k, v, _, _ = attention_inputs(rng, n, m - n, n_heads, 2 * half)
-    cos, sin = (a[positions] for a in T.rope_angles(13, 2 * half, 10000.0, np.float64))
+    cos, sin = (a[positions] for a in T.rope_angles(13, 2 * half, np.float64))
     w = rng.standard_normal(q.shape)
     fused = output_and_grads(
         lambda: T.attention(q, k, v, n_heads, cos, sin, blocks=T.Blocks(parts)), [q, k, v], w)
@@ -482,7 +482,7 @@ def test_grouped_blocks_are_each_block_alone_bit_for_bit(case):
     n, m, d = parts[-1][1], positions.size, n_heads * 2 * half
     q, k, v = (Tensor(rng.standard_normal((rows, d)).astype(dtype), requires_grad=True)
                for rows in (n, m, m))
-    cos, sin = (a[positions] for a in T.rope_angles(9, 2 * half, 10000.0, dtype))
+    cos, sin = (a[positions] for a in T.rope_angles(9, 2 * half, dtype))
     w = rng.standard_normal(q.shape).astype(dtype)
     blocks = T.Blocks(parts)
     assert len(blocks.groups) == len({mask.shape for *_, mask in parts})
@@ -604,7 +604,7 @@ def test_rmsnorm_passes_finite_difference_check():
 def test_attention_rejects_bad_shapes(q_rows, kv_rows, width, n_heads):
     q = Tensor(np.zeros((q_rows, width)))
     kv = Tensor(np.zeros((kv_rows, width)))
-    cos, sin = T.rope_angles(kv_rows, max(2, width // n_heads), 10000.0, np.float64)
+    cos, sin = T.rope_angles(kv_rows, max(2, width // n_heads), np.float64)
     with pytest.raises(DimensionError):
         T.attention(q, kv, kv, n_heads, cos, sin)
 
@@ -612,7 +612,7 @@ def test_attention_rejects_bad_shapes(q_rows, kv_rows, width, n_heads):
 def test_rope_kernel_inverse_is_negative_sine():
     rng = np.random.default_rng(6)
     x, g = rng.standard_normal((2, 3, 5, 8))
-    cos, sin = T.rope_angles(5, 8, 10000.0, np.float64)
+    cos, sin = T.rope_angles(5, 8, np.float64)
     np.testing.assert_array_equal(T.rope(x, cos, sin), tape_rope(Tensor(x), cos, sin).data)
     # a rotation's transpose is its inverse
     np.testing.assert_allclose(T.rope(T.rope(x, cos, sin), cos, -sin), x, atol=1e-12)
@@ -620,23 +620,27 @@ def test_rope_kernel_inverse_is_negative_sine():
 
 
 def test_rope_angles_slices_equal_a_fresh_build():
-    def fresh(m, head_dim, base, dtype):
+    def fresh(m, head_dim, dtype):
         half = head_dim // 2
-        inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
+        inv_freq = T.ROPE_BASE ** (-np.arange(half, dtype=np.float64) / half)
         ang = np.arange(m).astype(np.float64)[:, None] * inv_freq[None, :]
         return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
     for dtype in (np.float32, np.float64):
-        # a base no other test uses: the first call sizes the table, later
-        # calls ask below and above it
+        # a head width no other test uses: the first call sizes the table,
+        # later calls ask below and above it
         for m in (5, 3, 5, 6, 40, 1, 11):
-            cos, sin = T.rope_angles(m, 6, 777.0, dtype)
-            want_cos, want_sin = fresh(m, 6, 777.0, dtype)
-            assert cos.dtype == want_cos.dtype and cos.shape == (m, 3)
+            cos, sin = T.rope_angles(m, 22, dtype)
+            want_cos, want_sin = fresh(m, 22, dtype)
+            assert cos.dtype == want_cos.dtype and cos.shape == (m, 11)
             assert np.array_equal(cos, want_cos) and np.array_equal(sin, want_sin)
             assert not cos.flags.writeable and not sin.flags.writeable
         with pytest.raises(ValueError):
             cos[0, 0] = 0.0
+    # the base is the usual 10,000: a width-4 head turns position 1 by 1 and
+    # by 10000 ** -0.5 radians
+    cos, sin = T.rope_angles(2, 4, np.float64)
+    np.testing.assert_allclose(np.arctan2(sin[1], cos[1]), [1.0, 0.01], rtol=1e-12)
 
 
 def test_causal_mask_equals_a_fresh_tril_and_is_read_only():
