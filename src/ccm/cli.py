@@ -33,13 +33,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import accumulate, count
 from pathlib import Path
 
 import numpy as np
 
 from .complexity import ComplexityParams, llama_7b_params, sweep_rows
-from .engine import (SESSION_POLICIES, STREAM_POLICIES, Session, StreamCaps,
-                     evaluate_multichoice, evaluate_perplexity)
+from .engine import (COMPRESSING, REREADING, SESSION_POLICIES, STREAM_POLICIES, Session,
+                     StreamCaps, evaluate_multichoice, evaluate_perplexity)
 from .errors import CcmError, ContractViolation, DataError, UsageError
 from .lora import AdapterSet
 from .model import ModelConfig, ToyLM
@@ -196,11 +197,18 @@ def cmd_train_compress(args) -> int:
         _require_vocab(model, data.vocab)
         recipe = replace(recipe, T=data.T)
         sampler = icl_compression_sampler(data.train)
+        steps = [(t, n, len(i) + len(o)) for q in data.train for t, n, i, o in
+                 zip(count(1), accumulate(map(len, q.segments)), q.inputs, q.outputs)]
     else:
         streams, vocab, _ = data
         _require_vocab(model, vocab)
         sampler = stream_compression_sampler(streams, recipe.T,
                                              **_given(args, ["chunk", "io_len"]))
+        c, i, o = sampler(np.random.default_rng(0), recipe.T)  # every draw at T is as long
+        steps = [(recipe.T, sum(map(len, c)), len(i) + len(o))]
+    # step t's frame: t*s memory columns, then [c(1), s comps, ..., c(t), s comps, I, O]
+    model.check_fits(max(2 * t * recipe.s + n + io for t, n, io in steps),
+                     "the longest training frame")
     adapters = AdapterSet.init(model, comp_len=recipe.s,
                                seed=derive_seed(recipe.seed, "adapter-init"),
                                **_given(args, ["rank", "alpha"]))
@@ -221,12 +229,12 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
         raise UsageError("nothing to evaluate: empty test split or --max-eval < 1")
     label_ids = [ds.vocab.label_id(i) for i in range(ds.n_classes)]
     choices = [[lid] for lid in label_ids]
-    if policy in ("full", "fixed"):
-        # both re-read the raw context c(1..t), followed by the input and one
-        # choice token (full) or by the slots (fixed): check the longest now
+    if policy in REREADING:
+        # the raw context c(1..t) is re-read, followed by the slots (fixed) or
+        # by the input and one choice token (full): check the longest now
         slots = adapters.comp_len if adapters else 0
         longest = max(sum(map(len, s.segments[:t]))
-                      + (len(s.inputs[t - 1]) + 1 if policy == "full" else slots)
+                      + (slots if policy in COMPRESSING else len(s.inputs[t - 1]) + 1)
                       for s in samples for t in range(1, ds.T + 1))
         model.check_fits(longest, f"policy {policy!r} over {ds.T} steps")
 
@@ -257,7 +265,7 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
 
 def cmd_eval(args) -> int:
     _check_policy(args.policy, SESSION_POLICIES)
-    if args.policy in ("full", "none"):  # no compression for adapters to run
+    if args.policy not in COMPRESSING:  # no compression for adapters to run
         _refuse(args, ["adapters"], f"--policy {args.policy}")
     ds = _require_icl(read_dataset(args.data))
     model = ToyLM.load(args.model)

@@ -6,10 +6,10 @@ according to its policy, and answers a query by likelihood:
 choice a frame [prompt | input | choice] over its own copy of the memory;
 the segment ingested before it is compressed in the same forward's first
 frame (the paper's parallel pass over one step); reading the memory first
-flushes it through the same pack with no queries. Only ``full`` has a
-prompt: it re-feeds the raw context and keeps an empty memory, as ``none``
-does, which ignores context entirely. ``fixed`` recompresses the whole
-accumulated context into a fresh ``independent`` memory every step.
+flushes it through the same pack with no queries. ``COMPRESSING`` sessions
+run adapters. ``fixed`` recompresses the raw context into a fresh, empty
+``independent`` memory each step; ``full`` and ``none`` fold nothing into
+theirs. ``REREADING`` sessions keep the raw context; ``full`` re-feeds it.
 
 Streaming runs a known stream inside a hard entry budget
 [sink | compressed region | sliding window], held as one KVLayout; when
@@ -43,8 +43,9 @@ from .model import Frame, KVCache, KVLayout, ToyLM, check_token_ids
 from .tensor import log_softmax_rows
 
 SESSION_POLICIES = MEMORY_POLICIES + ("none", "full", "fixed")
+COMPRESSING = MEMORY_POLICIES + ("fixed",)  # sessions that run adapters
+REREADING = ("full", "fixed")  # sessions that keep the raw context
 STREAM_POLICIES = ("concat", "sliding", "full", "none")
-_MEMORY_POLICY = {"full": "none", "fixed": "independent"}  # session -> memory
 # Most score entries per head one streaming forward makes, k(layout + k). It
 # bounds the working set of the span's score matrix, and must be at least
 # chunk x budget at the default caps (64 x 160), so that a refill after an
@@ -62,15 +63,14 @@ class Session:
     def __init__(self, model: ToyLM, adapters: AdapterSet | None, policy: str):
         if policy not in SESSION_POLICIES:
             raise UsageError(f"unknown session policy {policy!r}")
-        if policy in MEMORY_POLICIES or policy == "fixed":
-            if adapters is None:
-                raise UsageError(f"policy {policy!r} needs trained adapters")
+        if policy in COMPRESSING and adapters is None:
+            raise UsageError(f"policy {policy!r} needs trained adapters")
         self.model = model
         self.adapters = adapters
         self.policy = policy
-        self._memory = ContextMemory(_MEMORY_POLICY.get(policy, policy))
+        self._memory = ContextMemory(policy if policy in MEMORY_POLICIES else "independent")
         self.pending: np.ndarray | None = None     # compressed by the next forward
-        self.raw_segments: list[np.ndarray] = []   # full / fixed
+        self.raw_segments: list[np.ndarray] = []   # REREADING only
 
     # -- context ingestion -------------------------------------------------------
 
@@ -79,14 +79,11 @@ class Session:
         segment = np.asarray(segment, dtype=np.intp)
         if segment.size == 0:
             raise ContractViolation("session step needs a non-empty segment")
-        if self.policy == "none":
-            return 0
-        if self.policy == "full":
+        if self.policy in REREADING:
             self.raw_segments.append(segment)
+        if self.policy not in COMPRESSING:
             return 0
-        if self.policy == "fixed":
-            # recompress the entire accumulated context into a fresh memory
-            self.raw_segments.append(segment)
+        if self.policy in REREADING:  # recompress it all into a fresh memory
             segment = np.concatenate(self.raw_segments)
             self._memory, self.pending = ContextMemory("independent"), None
         mem = self.memory
@@ -112,8 +109,8 @@ class Session:
 
     @property
     def _prompt(self) -> list[np.ndarray]:
-        """Raw context fed ahead of the inputs: only ``full`` re-feeds it."""
-        return self.raw_segments if self.policy == "full" else []
+        """Raw context fed ahead of the inputs, by a session that compresses none."""
+        return [] if self.policy in COMPRESSING else self.raw_segments
 
     @property
     def context_entries(self) -> int:

@@ -25,5 +25,5 @@ class ContractViolation(CcmError):
     """A numeric contract was broken (fully masked row, NaN loss, ...)."""
 
 
-class CapacityError(ContractViolation):
-    """A KV layout or cache exceeded its configured capacity."""
+class CapacityError(UsageError):
+    """Input too long for a KV layout's configured capacity: a usage error."""

@@ -16,9 +16,9 @@ pass (``training.parallel_memory_update``) and the sessions.
 
   Under every policy Mem(1) = h(1).
 * ``reads_memory`` says whether a compression reads the memory built so
-  far. ``independent`` compresses each segment without it (the online
-  variant of fixed-context compression), and ``none`` keeps no memory at
-  all (the no-context baseline).
+  far: all but ``independent`` (the online variant of fixed-context
+  compression) do. ``fold_weights`` rejects any unlisted policy for every
+  caller; the baselines that fold nothing are sessions (``engine``).
 
 Since layouts are immutable, a memory is a value: an update shares nothing
 it could change, and reading the layout copies nothing. A compression runs
@@ -51,8 +51,7 @@ class ContextMemory:
     count: int = 0
 
     def __post_init__(self):
-        if self.policy != "none":  # an unknown policy raises
-            fold_weights(self.policy, 1)
+        fold_weights(self.policy, 1)  # an unknown policy raises
 
     # -- update ----------------------------------------------------------------
 
@@ -111,7 +110,7 @@ def fold_weights(policy: str, t: int) -> tuple[float, float] | None:
 
 def reads_memory(policy: str) -> bool:
     """Whether a compression under ``policy`` reads the memory built so far."""
-    return policy not in ("independent", "none")
+    return policy != "independent"
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def reads_memory(policy: str) -> bool:
 def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
                      segment, queries: Sequence[np.ndarray] = ()):
     """Condense one segment into the compression tokens' unrotated KV h, and
-    return h with the logits rows of ``queries`` (none for a flush).
+    return h with the logits rows of ``queries`` (no rows for a flush).
 
     One pack runs both (the paper's parallel pass over one step): first the
     compression frame [memory entries | segment | s comp tokens], the

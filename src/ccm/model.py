@@ -386,7 +386,8 @@ class ToyLM:
 
     def check_fits(self, entries: int, what: str) -> None:
         """Input that would overflow the layout is a usage error before any
-        forward runs; ``forward``'s CapacityError stays the backstop."""
+        forward runs; ``forward``'s CapacityError, a UsageError too, stays
+        the backstop."""
         if entries > self.config.max_layout:
             raise UsageError(f"{what} holds up to {entries} entries, above the "
                              f"model's max_layout {self.config.max_layout}")

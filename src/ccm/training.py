@@ -37,8 +37,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
-from .memory import (GROWING_POLICIES, MEMORY_POLICIES, ContextMemory, fold_weights,
-                     reads_memory)
+from .memory import ContextMemory, fold_weights, reads_memory
 from .model import Frame, ToyLM, forward_groups
 from .optim import Adam, cosine_lr
 from .seeding import derive_seed
@@ -122,11 +121,9 @@ def build_parallel_mask(seq: TrainingSequence,
     merge / ema column block j is Mem(j), at positions 0..s-1. A step's own
     tokens sit after the memory it reads, at |Mem| + offset.
     """
-    if policy not in MEMORY_POLICIES:
-        raise UsageError(f"unknown training policy {policy!r}")
     n, t, s = seq.n_tokens, seq.t, seq.s
     m = t * s
-    grows = policy in GROWING_POLICIES
+    grows = fold_weights(policy, 2) is None  # an unknown policy raises
     allowed = np.zeros((n, m + n), dtype=bool)
     positions = np.empty(m + n, dtype=np.intp)
     positions[:m] = np.arange(m) if grows else np.tile(np.arange(s), t)
@@ -209,10 +206,8 @@ def recursive_reference_forward(model: ToyLM, adapters: AdapterSet,
                                 sample: tuple[Sequence, Sequence, Sequence],
                                 policy: str, t: int) -> RecursiveResult:
     """Literal sequential execution: compress, update, then infer on Mem(t)."""
-    if policy not in MEMORY_POLICIES:
-        raise UsageError(f"unknown policy {policy!r}")
     segments, inputs, outputs = sample
-    mem = ContextMemory(policy)
+    mem = ContextMemory(policy)  # an unknown policy raises
     for seg in segments[:t]:  # a forward over [c(j) | s comps] on what the policy reads
         tokens = np.append(seg, np.full(adapters.comp_len, model.config.comp_token_id))
         layout = mem.layout(model) if reads_memory(policy) else model.empty_layout()

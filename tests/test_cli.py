@@ -241,6 +241,47 @@ def test_stream_longer_than_the_model_layout_is_usage_error(stream_data, tmp_pat
     assert not out.exists()
 
 
+def test_eval_step_longer_than_the_model_layout_is_usage_error(icl_data, tmp_path, capsys):
+    # under concat the memory grows by s a step: with s=2 and the 6-token
+    # segments of icl_data, step t's forwards hold 2t + 6 entries, so a
+    # 12-entry layout fits steps 1 to 3 and overflows at step 4. Such a run
+    # used to exit 3, a numeric contract code, at its overflowing step
+    ds = read_dataset(icl_data)
+    model, adapters, out = tmp_path / "m.ckpt", tmp_path / "a.ckpt", tmp_path / "eval.csv"
+    lm = ToyLM.init(ds.vocab.model_config(n_layers=1, d_model=16, n_heads=2, d_ff=32,
+                                          max_layout=12))
+    lm.save(model)
+    AdapterSet.init(lm, comp_len=2).save(adapters)
+    assert run("eval", "--data", icl_data, "--model", model, "--adapters", adapters,
+               "--policy", "concat", "--out", out) == 1
+    assert "usage error: layout would hold 14 entries > max_layout 12" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,flags,extra,entries", [
+    # T=4 steps of 6 tokens, I of 5 and O of 1 token, s=2: 4*2 + 4*8 + 6
+    ("icl", ["--identities", "12", "--classes", "4", "--t-max", "4"], [], 46),
+    # T=8 chunks of 250 tokens, I and O of 16, s=2: 8*2 + 8*252 + 32
+    ("stream", ["--length", "2100", "--streams", "1"],
+     ["--chunk", "250", "--io-len", "16"], 2064)])
+def test_training_frame_longer_than_the_model_layout_is_usage_error(
+        tmp_path, capsys, kind, flags, extra, entries):
+    # train-compress runs its frames through forward_groups, which has no
+    # capacity check: such a run used to train and exit 0
+    data, model, out = tmp_path / "data.jsonl", tmp_path / "m.ckpt", tmp_path / "a.ckpt"
+    assert run("gen-data", "--kind", kind, *flags, "--out", data) == 0
+    vocab = read_dataset(data).vocab if kind == "icl" else read_dataset(data)[1]
+    limit = {"icl": 45, "stream": 2048}[kind]
+    ToyLM.init(vocab.model_config(n_layers=1, d_model=8, n_heads=2, d_ff=8,
+                                  max_layout=limit)).save(model)
+    assert run("train-compress", "--data", data, "--model", model, *extra, "--slots", "2",
+               "--steps", "1", "--batch", "1", "--out", out) == 1
+    assert f"usage error: the longest training frame holds up to {entries} entries, " \
+        f"above the model's max_layout {limit}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,flags,entries", [
     ("icl", ["--identities", "12", "--classes", "4", "--t-max", "200"], 1206),
     ("stream", ["--length", "3100", "--streams", "1"], 3000)])

@@ -197,12 +197,6 @@ def test_weighted_fold_rejects_h_of_another_shape(policy):
     assert mem.updated(slots(rng, s=2)).entry_count == 2
 
 
-def test_none_policy_layout_empty(tiny_model64):
-    mem = ContextMemory("none")
-    assert mem.layout(tiny_model64).n_entries == 0
-    assert mem.entry_count == 0
-
-
 # ---------------------------------------------------------------------------
 # compression
 

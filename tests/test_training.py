@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccm.tensor as T
-from ccm.errors import DataError
+from ccm.errors import DataError, UsageError
 from ccm.lora import AdapterSet, trainable_parameters
 from ccm.memory import MEMORY_POLICIES, ContextMemory
 from ccm.model import KVLayout, ModelConfig, ToyLM
@@ -183,6 +183,25 @@ def test_mask_no_raw_cross_segment_attention():
 # parallel memory update
 
 
+@pytest.mark.parametrize("policy", ["none", "lru"])
+@pytest.mark.parametrize("entry", ["ContextMemory", "Recipe", "build_parallel_mask",
+                                   "recursive_reference_forward", "training_forward"])
+def test_a_policy_without_a_fold_rule_gets_one_message_everywhere(tiny_model64, entry,
+                                                                  policy):
+    # a baseline that folds nothing is a session, not a memory policy
+    sample = random_sample(np.random.default_rng(5), 2, TINY.comp_token_id)
+    seq = build_training_sequence(sample, s=1, t=2, comp_token_id=TINY.comp_token_id)
+    adapters = make_adapters(tiny_model64, 1)
+    run = {"ContextMemory": lambda: ContextMemory(policy),
+           "Recipe": lambda: Recipe(policy=policy),
+           "build_parallel_mask": lambda: build_parallel_mask(seq, policy),
+           "recursive_reference_forward":
+               lambda: recursive_reference_forward(tiny_model64, adapters, sample, policy, 2),
+           "training_forward": lambda: training_forward(tiny_model64, adapters, seq, policy)}
+    with pytest.raises(UsageError, match=f"^policy '{policy}' has no memory update rule$"):
+        run[entry]()
+
+
 def test_parallel_update_merge_cumulative_means():
     h = T.Tensor(np.array([[3.0], [6.0], [9.0]]))
     keys, values = parallel_memory_update(h, h, 1, "merge", [3])
@@ -324,9 +343,8 @@ def test_context_reaches_logits_only_via_memory(tiny_model64):
 
     # independent policy without memory at I/O: route the check through the
     # recursive path with a no-context inference
-    from ccm.memory import ContextMemory
     tokens = np.concatenate([inputs, outputs])
-    empty = ContextMemory("none").layout(tiny_model64)
+    empty = tiny_model64.empty_layout()
     base, _ = tiny_model64.forward(tokens, empty, adapters=adapters)
     base2, _ = tiny_model64.forward(tokens, empty, adapters=adapters)
     assert np.array_equal(base.data, base2.data)
