@@ -43,6 +43,7 @@ from .engine import (COMPRESSING, REREADING, SESSION_POLICIES, STREAM_POLICIES, 
                      StreamCaps, evaluate_multichoice, evaluate_perplexity)
 from .errors import CcmError, ContractViolation, DataError, UsageError
 from .lora import AdapterSet
+from .memory import fold_weights, reads_memory
 from .model import ModelConfig, ToyLM
 from .seeding import derive_seed
 from .taskgen import (ICLDataset, VocabSpec, gen_icl_dataset, gen_iid_stream,
@@ -229,14 +230,21 @@ def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
         raise UsageError("nothing to evaluate: empty test split or --max-eval < 1")
     label_ids = [ds.vocab.label_id(i) for i in range(ds.n_classes)]
     choices = [[lid] for lid in label_ids]
-    if policy in REREADING:
-        # the raw context c(1..t) is re-read, followed by the slots (fixed) or
-        # by the input and one choice token (full): check the longest now
-        slots = adapters.comp_len if adapters else 0
-        longest = max(sum(map(len, s.segments[:t]))
-                      + (slots if policy in COMPRESSING else len(s.inputs[t - 1]) + 1)
-                      for s in samples for t in range(1, ds.T + 1))
-        model.check_fits(longest, f"policy {policy!r} over {ds.T} steps")
+    # every step's frames, before any forward: a compression [Mem(t-1) where read |
+    # context | s slots], a choice [Mem(t) or the re-read context | input | choice]
+    fold = Session(model, adapters, policy).memory.policy  # the rule Mem(t) grows by
+    s, frames = adapters.comp_len if adapters else 0, []
+    for sample in samples:
+        held = 0  # Mem(t-1)'s entries
+        for t in range(1, ds.T + 1):
+            context = sum(map(len, sample.segments[:t] if policy in REREADING
+                              else sample.segments[t - 1:t]))
+            if policy in COMPRESSING:  # fixed compresses c(1..t) into a fresh memory
+                held *= policy not in REREADING
+                frames.append(held * reads_memory(fold) + context + s)
+                held, context = s + held * (fold_weights(fold, t) is None), 0
+            frames.append(held + context * (policy in REREADING) + len(sample.inputs[t - 1]) + 1)
+    model.check_fits(max(frames, default=0), f"policy {policy!r} over {ds.T} steps")
 
     def run_identity(sample):
         session = Session(model, adapters, policy)

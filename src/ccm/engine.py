@@ -47,14 +47,14 @@ COMPRESSING = MEMORY_POLICIES + ("fixed",)  # sessions that run adapters
 REREADING = ("full", "fixed")  # sessions that keep the raw context
 STREAM_POLICIES = ("concat", "sliding", "full", "none")
 # Most score entries per head one streaming forward makes, k(layout + k). It
-# bounds the working set of the span's score matrix, and must be at least
-# chunk x budget at the default caps (64 x 160), so that a refill after an
-# event is one span. Swept untraced on the benchmark's model (2-CPU Xeon, 2 MB
-# L2 per core; seed 1, median tok/s of stream / stream_full): 8,192 16.0k /
-# 11.2k, 16,384 19.4k / 15.2k, 32,768 20.4k / 16.9k (peak RSS +1.8%), 65,536
-# 19.9k / 9.9k, a cache cliff. The rule's power of two keeps two doublings
-# of margin below the cliff.
-SPAN_SCORES = 16384
+# must be at least chunk x budget at the default caps (64 x 160), so that a
+# refill after an event is one span; fewer, larger spans run faster. Swept
+# untraced (2-CPU Xeon; seed 2, median stream_full tok/s, peak RSS against
+# 16,384): 16,384 17.8k, 32,768 21.8k, 65,536 23.1k (+1.1%), 131,072 22.0k
+# (+4.4%), 262,144 19.7k (+11.7%). The cliff 65,536 once showed (11.8k) was
+# no cache effect: a softmax that made three score-sized temporaries cost a
+# pass 19.8k minor page faults and 30 ms of system time; it now makes none.
+SPAN_SCORES = 65536
 
 
 class Session:

@@ -345,15 +345,15 @@ def causal_mask(n: int, m: int) -> Array:
 
 def softmax_rows(x: Array, mask: Array | None) -> Array:
     """Softmax over the last axis where the broadcast ``mask`` is True, exactly
-    0 elsewhere. Every row must allow at least one entry. A None mask allows
-    every entry, as an all-True one would, bit for bit."""
-    if mask is None:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-    else:
-        shifted = np.where(mask, x, np.array(-np.inf, dtype=x.dtype))
-        shifted -= shifted.max(axis=-1, keepdims=True)
-        e = np.exp(shifted, where=mask, out=np.zeros_like(x))
-    return e / e.sum(axis=-1, keepdims=True)
+    0 elsewhere, written over the scores ``x`` and returned: no score-sized
+    temporary is made. Every row must allow at least one entry. A None mask
+    allows every entry, as an all-True one would, bit for bit."""
+    if mask is not None:  # exp(-inf) is exactly 0
+        np.copyto(x, -np.inf, where=~mask)
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 class Blocks:
@@ -390,7 +390,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
     queries are the last n keys, so they take the last n rows. Both rotate
     once; scores, softmax and weighted sum then run in one loop over the
     block groups of ``blocks``, a group one batch after the head axis, in
-    this one tape node, and the backward runs the same loop. None is one
+    this one tape node, and the backward runs the same loop. The softmax
+    overwrites a group's scores, kept as the backward's weights. None is one
     block: the first m-n keys (memory) to every query and the last n
     causally, scores above their diagonal set to -inf through the cached
     n-by-n ``causal_mask`` (no m-wide mask). ``rotated`` may give the keys

@@ -241,22 +241,26 @@ def test_stream_longer_than_the_model_layout_is_usage_error(stream_data, tmp_pat
     assert not out.exists()
 
 
-def test_eval_step_longer_than_the_model_layout_is_usage_error(icl_data, tmp_path, capsys):
-    # under concat the memory grows by s a step: with s=2 and the 6-token
-    # segments of icl_data, step t's forwards hold 2t + 6 entries, so a
-    # 12-entry layout fits steps 1 to 3 and overflows at step 4. Such a run
-    # used to exit 3, a numeric contract code, at its overflowing step
+def test_eval_step_longer_than_the_model_layout_is_usage_error(icl_data, tmp_path, capsys,
+                                                               monkeypatch):
+    # under concat and independent the memory grows by s a step: with s=2 and
+    # the 6-token segments and inputs of icl_data, step t's choice frames hold
+    # 2t + 6 entries, so a 12-entry layout fits steps 1 to 3 and overflows at
+    # step 4. The run stops before its first forward, not at step 4 once
+    # steps 1 to 3 have run for every identity
     ds = read_dataset(icl_data)
     model, adapters, out = tmp_path / "m.ckpt", tmp_path / "a.ckpt", tmp_path / "eval.csv"
     lm = ToyLM.init(ds.vocab.model_config(n_layers=1, d_model=16, n_heads=2, d_ff=32,
                                           max_layout=12))
     lm.save(model)
     AdapterSet.init(lm, comp_len=2).save(adapters)
-    assert run("eval", "--data", icl_data, "--model", model, "--adapters", adapters,
-               "--policy", "concat", "--out", out) == 1
-    assert "usage error: layout would hold 14 entries > max_layout 12" in \
-        capsys.readouterr().err
-    assert not out.exists()
+    monkeypatch.setattr(ToyLM, "forward", lambda *a, **k: pytest.fail("forward ran"))
+    for policy in ("concat", "independent"):
+        assert run("eval", "--data", icl_data, "--model", model, "--adapters", adapters,
+                   "--policy", policy, "--out", out) == 1
+        assert f"usage error: policy {policy!r} over 4 steps holds up to 14 entries, " \
+            "above the model's max_layout 12" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("kind,flags,extra,entries", [

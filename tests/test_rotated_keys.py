@@ -171,15 +171,38 @@ def test_a_stream_of_spans_equals_one_token_steps(policy, n_sink, ccm_entries, w
                                atol=1e-10 if dtype == np.float64 else 1e-5)
 
 
+def test_a_full_stream_at_the_real_span_cap_equals_one_token_steps():
+    # SPAN_SCORES unpatched: a 300-token full stream runs a 256-token span,
+    # then 44, and each NLL is a one-token step's, in float64
+    model, stream = _PAIRS[np.float64][0], np.random.default_rng(300).integers(0, 40, 300)
+    spans, step = [], streaming_step
+
+    def sized(state, tokens):
+        out = step(state, tokens)
+        spans.append(out[0].shape[0])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "streaming_step", sized)
+        res = evaluate_perplexity(model, None, "full", stream)
+    assert spans == [256, 44]
+    oracle = StreamState(model, None, StreamCaps(n_sink=0, ccm_entries=0, window=300,
+                                                 chunk=1))
+    nll = [-T.log_softmax_rows(step(oracle, [tok])[0])[0, nxt]
+           for tok, nxt in zip(stream, stream[1:])]
+    np.testing.assert_allclose(res.nll, nll, rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("policy,n,caps,forwards,widest", [
-    # spans of 128, 79, 61 and 32 tokens: each the most whose scores fit
-    ("full", 300, None, 4, 128),
+    # spans of 256 and 44 tokens: 256 x 256 scores fill SPAN_SCORES, and the
+    # 44 left fit beside the 256-entry layout
+    ("full", 300, None, 2, 256),
     # a span of 25 (sink and window), then 12 after each of 7 events, then
     # 3; each event runs in the forward of the span after it
     ("concat", 100, StreamCaps(n_sink=1, ccm_entries=4, window=24, chunk=12), 8, 25),
-    # the benchmark's pass: spans of 128 and 24 fill sink and window, then
-    # each of 30 events and its refill of up to 64 tokens is one forward
-    ("concat", 2048, StreamCaps(), 2 + 30, 128)])
+    # the benchmark's pass: one span of 152 fills sink and window, then each
+    # of 30 events and its refill of up to 64 tokens is one forward
+    ("concat", 2048, StreamCaps(), 1 + 30, 152)])
 def test_stream_pass_makes_a_pinned_count_of_forwards(monkeypatch, policy, n, caps,
                                                       forwards, widest):
     # a guard that needs no timing: one forward per token would make n, and a

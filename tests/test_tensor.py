@@ -3,6 +3,8 @@ softmax semantics, the fused attention and RMSNorm against their composed
 forms, the cached rotary table, the cross-entropy head, and optimizer
 behaviour."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,10 +80,11 @@ def tape_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 
 
 def tape_softmax_rows(x: Tensor, mask: np.ndarray) -> Tensor:
-    """``T.softmax_rows`` on the tape; a row that allows nothing is rejected."""
+    """``T.softmax_rows`` on the tape, over a copy of ``x``'s data, which it
+    would otherwise overwrite; a row that allows nothing is rejected."""
     if not np.asarray(mask).any(axis=-1).all():
         raise ContractViolation("softmax row with all entries masked")
-    out_data = T.softmax_rows(x.data, mask)
+    out_data = T.softmax_rows(x.data.copy(), mask)
 
     def bw(g):
         if x.requires_grad:
@@ -549,6 +552,35 @@ def test_attention_over_keys_already_rotated_is_the_same_op():
         T.attention(q, k, v, 2, cos, sin, kh[:, 1:])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,parts", [
+    # the default block, a streaming span's shape: 64 queries over 1,024 keys
+    (64, None),
+    # a pack of two blocks of two mask shapes, so two block groups
+    (128, [(0, 64, np.arange(384), np.tri(64, 384, 320, dtype=bool)),
+           (64, 128, np.arange(384, 1024), np.tri(64, 640, 576, dtype=bool))])],
+    ids=["default-block", "two-group-pack"])
+def test_attention_allocates_under_two_score_buffers(dtype, n, parts):
+    # a guard on memory that needs no timing: the softmax normalizes the
+    # scores where the matmul left them, so one call's traced peak is its
+    # score matrices and the rotated keys, not three score-sized temporaries
+    # on top (3.3 score buffers before)
+    m, n_heads, d = 1024, 4, 64
+    rng = np.random.default_rng(3)
+    q, k, v = (Tensor(rng.standard_normal((rows, d)).astype(dtype)) for rows in (n, m, m))
+    cos, sin = T.rope_angles(m, d // n_heads, np.dtype(dtype))
+    blocks = None if parts is None else T.Blocks(parts)
+    T.attention(q, k, v, n_heads, cos, sin, blocks=blocks)  # sizes the cached tables
+    tracemalloc.start()
+    try:
+        T.attention(q, k, v, n_heads, cos, sin, blocks=blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scores = n_heads * (n * m if parts is None else sum(mask.size for *_, mask in parts))
+    assert peak < 2 * scores * np.dtype(dtype).itemsize
+
+
 @settings(max_examples=50, deadline=None)
 @given(rows=st.integers(1, 6), d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
 def test_fused_rmsnorm_equals_composed(rows, d, seed):
@@ -665,12 +697,38 @@ def test_causal_mask_equals_a_fresh_tril_and_is_read_only():
        seed=st.integers(0, 2**32 - 1))
 def test_softmax_rows_without_a_mask_equals_an_all_true_mask(dtype, lead, width, scale,
                                                             seed):
-    # a one-query attention passes no mask: it must change no bit
+    # a one-query attention passes no mask: it must change no bit. Each call
+    # overwrites its input, so each gets a copy of its own
     x = (np.random.default_rng(seed).standard_normal((*lead, width)) * scale).astype(dtype)
-    got = T.softmax_rows(x, None)
-    want = T.softmax_rows(x, np.ones((*lead, width), dtype=bool))
+    got = T.softmax_rows(x.copy(), None)
+    want = T.softmax_rows(x.copy(), np.ones((*lead, width), dtype=bool))
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       width=st.integers(1, 9), scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+       masked=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_softmax_rows_in_place_equals_the_out_of_place_formula(dtype, lead, width, scale,
+                                                               masked, seed):
+    # the scores are normalized where they lie, and every bit is that of a
+    # formula that writes fresh arrays: max-shift where allowed, exp where
+    # allowed (exactly 0 elsewhere), then divide by the row sum
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((*lead, width)) * scale).astype(dtype)
+    mask = rng.random((*lead, width)) < 0.6 if masked else np.ones(x.shape, dtype=bool)
+    mask[..., rng.integers(width)] = True  # every row allows an entry
+    shifted = np.where(mask, x, np.array(-np.inf, dtype=dtype))
+    e = np.exp(shifted - shifted.max(axis=-1, keepdims=True), where=mask,
+               out=np.zeros_like(x))
+    want = e / e.sum(axis=-1, keepdims=True)
+    scores = x.copy()
+    got = T.softmax_rows(scores, mask if masked else None)
+    assert got is scores and got.dtype == dtype
+    assert np.array_equal(got, want)
+    assert (got[~mask] == 0.0).all()
 
 
 def test_softmax_symmetry():
