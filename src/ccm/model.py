@@ -30,6 +30,7 @@ an untied output head.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
@@ -215,17 +216,29 @@ class Frame:
 
 def pack_blocks(frames: Sequence[Frame]) -> tuple[np.ndarray, T.Blocks]:
     """Frames packed as keys [every frame's memory columns | every token]:
-    the keys' positions and blocks."""
+    the keys' positions and blocks. When no frame has ``allowed`` or
+    ``positions``, one plan per (n, w) tuple is built and shared, read-only."""
+    if all(f.allowed is None and f.positions is None for f in frames):
+        return _plain_plan(tuple((f.n, f.w) for f in frames))
     n_mem = sum(f.w for f in frames)
     positions = np.empty(n_mem + sum(f.n for f in frames), dtype=np.intp)
     parts, lo, mem_lo = [], 0, 0
     for f in frames:
-        keys = np.r_[mem_lo:mem_lo + f.w, n_mem + lo:n_mem + lo + f.n]
+        keys = np.concatenate((np.arange(mem_lo, mem_lo + f.w),
+                               np.arange(n_mem + lo, n_mem + lo + f.n)))
         parts.append((lo, lo + f.n, keys, T.causal_mask(f.n, f.w + f.n)
                       if f.allowed is None else f.allowed))
         positions[keys] = np.arange(f.w + f.n) if f.positions is None else f.positions
         lo, mem_lo = lo + f.n, mem_lo + f.w
     return positions, T.Blocks(parts)
+
+
+@functools.lru_cache(maxsize=256)
+def _plain_plan(shapes: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, T.Blocks]:
+    plan = pack_blocks([Frame(n, w, T.causal_mask(n, w + n)) for n, w in shapes])
+    for a in (plan[0], *(a for g in plan[1].groups for a in g if isinstance(a, np.ndarray))):
+        a.flags.writeable = False
+    return plan
 
 
 def forward_groups(model: "ToyLM", tokens: np.ndarray, frames: Sequence[Frame],

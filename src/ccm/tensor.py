@@ -305,10 +305,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def rope(x: Array, cos: Array, sin: Array) -> Array:
     """Rotate the last axis of [..., n, d] ``x`` by [n, d//2] angles, pairing
-    dimension i with i + d//2; ``rope(g, cos, -sin)`` is the transpose."""
+    dimension i with i + d//2; ``rope(g, cos, -sin)`` is the transpose. Two passes
+    into a fresh C-ordered array, x [cos|cos] + [x2|x1] [-sin|sin], bit for bit."""
     half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    out = np.multiply(x, np.concatenate((cos, cos), axis=-1), order="C")
+    buf = np.empty_like(out)
+    buf[..., :half], buf[..., half:] = x[..., half:], x[..., :half]
+    buf *= np.concatenate((-sin, sin), axis=-1)
+    return np.add(out, buf, out=out)
 
 
 ROPE_BASE = 10000.0  # the rotary frequency base
@@ -359,10 +363,11 @@ def softmax_rows(x: Array, mask: Array | None) -> Array:
 class Blocks:
     """Sequences packed into one attention: block (lo, hi, keys, mask) lets
     query rows lo:hi read its key indices where the [hi-lo, keys] mask holds.
-    The blocks partition the queries, in order, and the keys. That is checked
-    once here, not per layer, and lets the backward assign gradient rows.
-    ``groups`` batches the blocks of each mask shape: rows, keys and masks
-    stacked [G, n], [G, m], [G, n, m]; a lone block stays (slice, [m], [n, m])."""
+    The blocks partition the queries, in order, and the keys, and each mask
+    row allows a key (else its softmax is NaN). That is checked once here, not
+    per layer, and lets the backward assign gradient rows. ``groups`` batches
+    the blocks of each mask shape: rows, keys and masks stacked [G, n], [G, m],
+    [G, n, m]; a lone block stays (slice, [m], [n, m])."""
 
     def __init__(self, parts: Sequence[tuple[int, int, Array, Array]]):
         parts = [(slice(lo, hi), np.asarray(keys, dtype=np.intp), mask)
@@ -375,6 +380,8 @@ class Blocks:
                        for (r, c, mask), lo in zip(parts, starts)):
             raise DimensionError("attention blocks must partition the queries, in order, "
                                  "and the keys, each with a [queries, keys] mask")
+        if not all(np.all(np.any(mask, axis=-1)) for _, _, mask in parts):
+            raise DimensionError("an attention mask row allows no key")
         shapes: dict[tuple, list] = {}
         for part in parts:
             shapes.setdefault(np.shape(part[2]), []).append(part)
@@ -390,8 +397,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
     queries are the last n keys, so they take the last n rows. Both rotate
     once; scores, softmax and weighted sum then run in one loop over the
     block groups of ``blocks``, a group one batch after the head axis, in
-    this one tape node, and the backward runs the same loop. The softmax
-    overwrites a group's scores, kept as the backward's weights. None is one
+    this one tape node, and the backward runs the same loop. The queries take
+    the scale, not the scores (bit for bit alike when dh is a power of 4). The
+    softmax writes a group's weights over its scores; the backward reads and
+    then overwrites them. None is one
     block: the first m-n keys (memory) to every query and the last n
     causally, scores above their diagonal set to -inf through the cached
     n-by-n ``causal_mask`` (no m-wide mask). ``rotated`` may give the keys
@@ -420,7 +429,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
     groups = blocks.groups if blocks is not None else [(slice(None), slice(None), None)]
     ctx, ws = np.empty_like(qh), []
     for rows, keys, mask in groups:  # a group's arrays are [heads, (G,) rows, keys]
-        ws.append((qh[:, rows] @ kh[:, keys].swapaxes(-1, -2)) * scale)
+        ws.append((qh[:, rows] * scale) @ kh[:, keys].swapaxes(-1, -2))
         if blocks is None and n > 1:  # no query reads a later one of its own keys
             np.copyto(ws[-1][:, :, m - n:], -np.inf, where=~causal_mask(n, n))
         ws[-1] = softmax_rows(ws[-1], mask)
@@ -433,8 +442,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
         for (rows, keys, _), w in zip(groups, ws):  # blocks partition rows and keys
             gb = gh[:, rows]
             dv[:, keys] = w.swapaxes(-1, -2) @ gb
-            gy = (gb @ vh[:, keys].swapaxes(-1, -2)) * w
-            gs = (gy - w * gy.sum(axis=-1, keepdims=True)) * scale
+            gs = gb @ vh[:, keys].swapaxes(-1, -2)  # the kept weights become scratch
+            gs *= w
+            w *= gs.sum(axis=-1, keepdims=True)
+            gs -= w
+            gs *= scale
             dq[:, rows] = gs @ kh[:, keys]
             dk[:, keys] = (qh[:, rows].swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
         if v.requires_grad:

@@ -12,7 +12,8 @@ from ccm import tensor as T
 from ccm.errors import CapacityError, DataError, DimensionError
 from ccm.lora import AdapterSet
 from ccm.memory import compress_from_kv, compress_segment
-from ccm.model import Frame, KVCache, KVLayout, ModelConfig, ToyLM, forward_groups
+from ccm.model import (Frame, KVCache, KVLayout, ModelConfig, ToyLM, _plain_plan,
+                       forward_groups, pack_blocks)
 from ccm.tensor import Tensor
 from conftest import TINY
 
@@ -218,6 +219,33 @@ def test_a_pack_of_frames_equals_each_frames_own_forward(shapes, dtype, comp,
         short = KVCache.holding([layouts[-1]], last - 1, cfg)
         with pytest.raises(DimensionError, match="KV cache keys"):
             model.forward(tokens, memory, adapters, short, frames)
+
+
+def test_plain_frames_share_one_read_only_plan():
+    # frames with neither a mask nor positions are planned from their (n, w)
+    # alone: equal shapes get the one plan, whose arrays no caller may write;
+    # a frame with its own mask or positions is planned afresh every time
+    shapes = [(2, 3), (1, 3), (1, 3), (4, 0)]
+    plan = pack_blocks([Frame(n, w) for n, w in shapes])
+    assert pack_blocks([Frame(n, w) for n, w in shapes]) is plan
+    positions, blocks = plan
+    arrays = [positions] + [a for g in blocks.groups for a in g if isinstance(a, np.ndarray)]
+    assert len(arrays) == 1 + 2 * 2 + 3  # positions, two lone blocks, one group of two
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+    own = [[Frame(n, w, T.causal_mask(n, w + n)) if i == 1 else Frame(n, w)
+            for i, (n, w) in enumerate(shapes)],
+           [Frame(n, w, None, np.arange(w + n)) if i == 3 else Frame(n, w)
+            for i, (n, w) in enumerate(shapes)]]
+    for frames in own:
+        fresh = pack_blocks(frames)
+        assert fresh is not pack_blocks(frames) and fresh[0].flags.writeable
+        np.testing.assert_array_equal(fresh[0], positions)
+    # the cache holds a bounded number of plans
+    for w in range(_plain_plan.cache_info().maxsize + 5):
+        pack_blocks([Frame(1, w), Frame(1, w)])
+    assert _plain_plan.cache_info().currsize == _plain_plan.cache_info().maxsize
 
 
 # the forward path's parameters: adding or removing one is an edit to this table

@@ -451,7 +451,7 @@ def test_masked_attention_equals_composed(case):
 
 
 @st.composite
-def grouped_pack_cases(draw):
+def grouped_pack_cases(draw, halves=st.integers(1, 4)):
     """(dtype, n_heads, half, seed, parts, positions): 1..7 blocks laid out as
     ``model.pack_blocks`` lays out a pack, keys [every block's w memory
     columns | every block's n queries], each block's own queries its last n
@@ -460,7 +460,7 @@ def grouped_pack_cases(draw):
     shapes = draw(st.lists(st.sampled_from([(1, 0), (1, 2), (2, 1), (3, 2)]),
                            min_size=1, max_size=7))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    n_heads, half = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n_heads, half = draw(st.integers(1, 3)), draw(halves)
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n_mem = sum(w for _, w in shapes)
@@ -504,6 +504,107 @@ def test_grouped_blocks_are_each_block_alone_bit_for_bit(case):
         assert got.dtype == dtype and np.array_equal(got, want)
 
 
+def four_product_rope(x, cos, sin):
+    """The rotation as one concatenate of four products, as it was written
+    before ``T.rope`` ran in two passes."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+
+def scaled_scores_attention(q, k, v, n_heads, cos, sin, parts, g):
+    """``T.attention``'s output and (dq, dk, dv) under the upstream gradient
+    ``g``, block by block, in the formulas it had before the queries took
+    the scale and the backward ran in place: the scale on the scores, and
+    the backward over fresh temporaries."""
+    (n, d), m = q.shape, k.shape[0]
+    dh = d // n_heads
+    cq, sq = cos[m - n:], sin[m - n:]
+
+    def heads(a):
+        return a.reshape(a.shape[0], n_heads, dh).transpose(1, 0, 2)
+
+    qh, kh, vh, gh = (four_product_rope(heads(q), cq, sq), four_product_rope(heads(k), cos, sin),
+                      heads(v), heads(g))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
+    out, dq, dk, dv = (np.empty_like(a) for a in (qh, qh, kh, vh))
+    for lo, hi, keys, mask in parts:
+        s = np.where(mask, (qh[:, lo:hi] @ kh[:, keys].swapaxes(-1, -2)) * scale, -np.inf)
+        s = np.exp(s - s.max(axis=-1, keepdims=True))
+        w = s / s.sum(axis=-1, keepdims=True)
+        out[:, lo:hi] = w @ vh[:, keys]
+        gb = gh[:, lo:hi]
+        dv[:, keys] = w.swapaxes(-1, -2) @ gb
+        gy = (gb @ vh[:, keys].swapaxes(-1, -2)) * w
+        gs = (gy - w * gy.sum(axis=-1, keepdims=True)) * scale
+        dq[:, lo:hi] = gs @ kh[:, keys]
+        dk[:, keys] = (qh[:, lo:hi].swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+
+    def rows(a):
+        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
+
+    return (rows(out), rows(four_product_rope(dq, cq, -sq)),
+            rows(four_product_rope(dk, cos, -sin)), rows(dv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(heads=st.integers(1, 4), n=st.integers(1, 9), half=st.integers(1, 8),
+       dtype=st.sampled_from([np.float32, np.float64]), transposed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_rope_equals_the_concatenated_formula_bit_for_bit(heads, n, half, dtype,
+                                                           transposed, seed):
+    # on C-ordered heads and on the transposed head views attention passes,
+    # rotation and transpose equal the four-product formula in every bit
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, heads, 2 * half)).astype(dtype).transpose(1, 0, 2)
+    x = x if transposed else np.ascontiguousarray(x)
+    ang = rng.uniform(-np.pi, np.pi, (n, half))
+    cos, sin = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    for s in (sin, -sin):
+        got = T.rope(x, cos, s)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert np.array_equal(got, four_product_rope(x, cos, s))
+
+
+def attention_and_the_earlier_form(case, default):
+    """(got, want): output and q/k/v grads of ``T.attention`` over the
+    ``grouped_pack_cases`` pack, or over its n queries as the default block,
+    and of ``scaled_scores_attention`` over the same blocks."""
+    dtype, n_heads, half, seed, parts, positions = case
+    rng = np.random.default_rng(seed)
+    n, m, d = parts[-1][1], positions.size, n_heads * 2 * half
+    q, k, v = (Tensor(rng.standard_normal((rows, d)).astype(dtype), requires_grad=True)
+               for rows in (n, m, m))
+    cos, sin = (a[positions] for a in T.rope_angles(9, 2 * half, dtype))
+    w = rng.standard_normal(q.shape).astype(dtype)
+    if default:
+        parts = [(0, n, np.arange(m), T.causal_mask(n, m))]
+    blocks = None if default else T.Blocks(parts)
+    got = output_and_grads(lambda: T.attention(q, k, v, n_heads, cos, sin, blocks=blocks),
+                           [q, k, v], w)
+    return got, scaled_scores_attention(q.data, k.data, v.data, n_heads, cos, sin, parts, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_pack_cases(halves=st.sampled_from([2, 8])), st.booleans())
+def test_attention_equals_the_earlier_formulas_bit_for_bit(case, default):
+    # at dh 4 and 16, 1/sqrt(dh) is a power of two, so scaling the queries
+    # rounds as scaling the scores does; the in-place backward runs the same
+    # operations in the same order
+    got, want = attention_and_the_earlier_form(case, default)
+    for a, b in zip(got, want):  # output, dq, dk, dv
+        assert a.dtype == case[0] and np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grouped_pack_cases(halves=st.just(6)), st.booleans())
+def test_attention_at_an_odd_scale_is_the_earlier_formulas_within_rounding(case, default):
+    # at dh 12 the scaled queries round differently from the scaled scores
+    got, want = attention_and_the_earlier_form(case, default)
+    for a, b in zip(got, want):  # output, dq, dk, dv
+        assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max()
+
+
 @pytest.mark.parametrize("shape", [(3, 6), (2, 7), (3, 7, 1), (7,)])
 def test_attention_rejects_a_mask_of_another_shape(shape):
     with pytest.raises(DimensionError):
@@ -512,6 +613,15 @@ def test_attention_rejects_a_mask_of_another_shape(shape):
 
 def block(lo, hi, keys):
     return lo, hi, np.array(keys), np.ones((hi - lo, len(keys)), dtype=bool)
+
+
+@pytest.mark.parametrize("row", [0, 2])
+def test_blocks_reject_a_mask_row_that_allows_no_key(row):
+    # its softmax would divide 0 by 0: NaN weights, not an error
+    lo, hi, keys, mask = block(0, 3, range(4))
+    mask[row] = False
+    with pytest.raises(DimensionError, match="allows no key"):
+        T.Blocks([(lo, hi, keys, mask), block(3, 5, range(4, 6))])
 
 
 @pytest.mark.parametrize("parts", [
@@ -553,32 +663,45 @@ def test_attention_over_keys_already_rotated_is_the_same_op():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n,parts", [
+@pytest.mark.parametrize("n,m,parts", [
     # the default block, a streaming span's shape: 64 queries over 1,024 keys
-    (64, None),
+    (64, 1024, None),
     # a pack of two blocks of two mask shapes, so two block groups
-    (128, [(0, 64, np.arange(384), np.tri(64, 384, 320, dtype=bool)),
-           (64, 128, np.arange(384, 1024), np.tri(64, 640, 576, dtype=bool))])],
-    ids=["default-block", "two-group-pack"])
-def test_attention_allocates_under_two_score_buffers(dtype, n, parts):
+    (128, 1024, [(0, 64, np.arange(384), np.tri(64, 384, 320, dtype=bool)),
+                 (64, 128, np.arange(384, 1024), np.tri(64, 640, 576, dtype=bool))]),
+    # the default block of a long training sequence, 512 queries over
+    # themselves, forward and backward
+    (512, 512, None)],
+    ids=["default-block", "two-group-pack", "square-block"])
+def test_attention_allocates_under_two_score_buffers(dtype, n, m, parts):
     # a guard on memory that needs no timing: the softmax normalizes the
     # scores where the matmul left them, so one call's traced peak is its
     # score matrices and the rotated keys, not three score-sized temporaries
-    # on top (3.3 score buffers before)
-    m, n_heads, d = 1024, 4, 64
+    # on top (3.3 score buffers before). The backward overwrites the weights
+    # the forward kept, so at n = m its peak above them is one score-sized
+    # buffer and the gradients (3.09 score buffers before, in float32); at
+    # n << m the [m, d] gradients outweigh the scores, so it is not bounded
+    n_heads, d = 4, 64
     rng = np.random.default_rng(3)
-    q, k, v = (Tensor(rng.standard_normal((rows, d)).astype(dtype)) for rows in (n, m, m))
+    q, k, v = (Tensor(rng.standard_normal((rows, d)).astype(dtype), requires_grad=True)
+               for rows in (n, m, m))
+    g = rng.standard_normal((n, d)).astype(dtype)
     cos, sin = T.rope_angles(m, d // n_heads, np.dtype(dtype))
     blocks = None if parts is None else T.Blocks(parts)
-    T.attention(q, k, v, n_heads, cos, sin, blocks=blocks)  # sizes the cached tables
+    T.attention(q, k, v, n_heads, cos, sin, blocks=blocks)._backward(g)  # sizes the tables
     tracemalloc.start()
     try:
-        T.attention(q, k, v, n_heads, cos, sin, blocks=blocks)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = T.attention(q, k, v, n_heads, cos, sin, blocks=blocks)
+        forward = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kept = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        backward = tracemalloc.get_traced_memory()[1] - kept
     finally:
         tracemalloc.stop()
     scores = n_heads * (n * m if parts is None else sum(mask.size for *_, mask in parts))
-    assert peak < 2 * scores * np.dtype(dtype).itemsize
+    assert forward < 2 * scores * np.dtype(dtype).itemsize
+    assert n < m or backward < 2 * scores * np.dtype(dtype).itemsize
 
 
 @settings(max_examples=50, deadline=None)
