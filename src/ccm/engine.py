@@ -17,11 +17,11 @@ the window fills, the oldest chunk of raw KV is compressed into slots
 appended to the compressed region (whose own oldest slot group is evicted
 at capacity), and position ids are reassigned sequentially over the
 layout. Between two such events the layout only grows, so each step runs
-a span of tokens as one causal forward. The stream owns the layout's
-storage, a KVCache: the forward writes its tokens' keys, values and
-rotated keys into the next rows, so no step copies the cache. An event
-writes the kept layout once into fresh arrays, leaving earlier layouts'
-rows, and slot rows its comp tokens fill as the next forward's first frame.
+a span of tokens as one causal forward, whose one memory is the stream's
+KVCache: its ``write`` puts the span's keys, values and rotated keys into
+the next rows, so no step copies the cache. An event writes the kept
+layout once into fresh arrays, leaving earlier layouts' rows, and slot
+rows its comp tokens fill as the next forward's first frame.
 Setting the compressed region's capacity to zero turns the stream
 into the plain attention-sink + sliding-window baseline with the same
 budget; a window as long as the stream is the unbounded ``full`` cache, and
@@ -263,8 +263,8 @@ def streaming_step(state: StreamState, tokens) -> tuple[np.ndarray, int, bool]:
     k = min(tokens.size, caps.n_sink - state.n_sink + caps.window - state.window_entries,
             max(fits, 1))
     if compression is None:
-        logits = state.model.forward(tokens[:k], state.layout, adapters=state.adapters,
-                                     cache=state.cache)[0].data
+        logits = state.model.forward(tokens[:k], None, state.adapters, state.cache,
+                                     frames=[Frame(k, n_mem)])[0].data
     else:
         logits = compress_from_kv(state.model, state.adapters, *compression, tokens[:k],
                                   state.layout, state.cache)

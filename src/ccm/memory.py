@@ -155,9 +155,9 @@ def compress_from_kv(model: ToyLM, adapters: AdapterSet, context: KVLayout, at: 
     in the forward of the span ``tokens`` after it; returns their logits.
 
     ``context`` is [current compressed region | chunk KV]. The s comp tokens
-    read it and themselves in a frame of their own, and at every layer their
-    KV fills ``layout``'s rows at..at+s-1 before the span's frame reads
-    ``layout`` in place in ``cache``.
+    read it and themselves in a frame of their own, and at every layer
+    ``KVCache.write`` puts their KV in ``layout``'s rows at..at+s-1 before
+    the span's frame reads ``layout`` in place in ``cache``, its only memory.
     """
     s = adapters.comp_len
     if not 0 <= at <= layout.n_entries - s:

@@ -9,10 +9,10 @@ current tokens]. This makes memory entries position-free: averaging them
 stays well defined, and a shift of positions changes no stored key. A
 caller whose layout only grows (the stream, a span of tokens per forward)
 owns a KVCache, storage holding the layout in its first rows with each key
-also kept rotated at its position, and hands it to ``forward``: the span's
-keys, values and rotated keys are written once into the rows after the
-layout, and attention reads the cache in place, so no span copies the
-cache or rotates a key twice.
+also kept rotated at its position, and hands ``forward`` that, not a layout:
+``KVCache.write``, the one writer of its rows, puts the span's keys, values
+and rotated keys once into the rows after the layout, and attention only
+reads the cache, so no span copies the cache or rotates a key twice.
 
 The one layer loop, ``forward_groups``, runs a pack of ``Frame``s, each n
 tokens after w memory columns, as one masked attention per layer
@@ -120,10 +120,10 @@ class KVCache:
     """Storage a caller owns for a layout that only grows.
 
     ``keys`` and ``values`` are [n_layers, rows, d_model] and ``rotated``
-    [n_layers, n_heads, rows, head_dim], all writable: row i holds layout
-    entry i, its key also rotated at position i (``write``). ``forward``
-    writes its last frame's rows after the layout's (an event its slots
-    first) and never rewrites a row below, so views of it stay values.
+    [n_layers, n_heads, rows, head_dim]: row i holds layout entry i, its key
+    also rotated at position i. ``write`` alone writes rows: the kept parts
+    (``holding``), then a cached forward's last frame after the layout (an
+    event's slots first); no row below is rewritten, so views stay values.
     """
 
     keys: np.ndarray
@@ -254,9 +254,9 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, frames: Sequence[Frame],
     default block). Returns per-token logits and the layout of the unrotated KV
     the tokens produced. The conditional adapter fires only on compression
     tokens. With ``cache``, a KVCache whose first w rows hold the last frame's
-    memory, that frame, one of its own, reads the cache in place: its keys,
-    values and rotated keys go into the n rows after the w, attention reads
-    those w + n rows and no row past them, and the returned layout views its
+    memory, that frame, one of its own, reads the cache in place: ``write``
+    puts its keys, values and rotated keys into the n rows after the w,
+    attention only reads those w + n rows, and the returned layout views its
     rows. ``memory`` then gives the earlier frames' columns as arrays, after
     writing any cache rows the last frame reads (an event's slots). No gradient
     reaches the keys and values through the cache: inference only.
@@ -279,24 +279,23 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, frames: Sequence[Frame],
         positions, blocks = pack_blocks(packed)
         cos_p, sin_p = cos[positions], sin[positions]
     if cache is None:
-        new_k = np.empty((cfg.n_layers, n, cfg.d_model), dtype=model.dtype)
-        new_v = np.empty_like(new_k)
+        new_k, new_v = np.empty((2, cfg.n_layers, n, cfg.d_model), dtype=model.dtype)
     else:
         w, m = frames[-1].w, frames[-1].w + frames[-1].n
-        new_k, new_v = cache.keys[:, w:m], cache.values[:, w:m]
     for layer in range(cfg.n_layers):
         p = f"layers.{layer}."
         xa = rmsnorm(x, model.params[p + "attn_norm"])
         q = project_rows(xa, model.params[p + "wq"], pairs.get((layer, "q")), comp_idx)
         k = project_rows(xa, model.params[p + "wk"], pairs.get((layer, "k")), comp_idx)
         v = project_rows(xa, model.params[p + "wv"], pairs.get((layer, "v")), comp_idx)
-        new_k[layer], new_v[layer] = k.data[lo:], v.data[lo:]
         if cache is None:
+            new_k[layer], new_v[layer] = k.data, v.data
             mem = memory(layer, k, v)
             if mem is not None:
                 k, v = T.concat([mem[0], k]), T.concat([mem[1], v])
             ctx = attend(q, k, v, cfg.n_heads, cos_p, sin_p, blocks=blocks)
-        else:  # attention rotates only the last frame's own keys
+        else:  # the last frame's rows, then attention over them in place
+            cache.write(w, k.data[lo:], v.data[lo:], cfg, layer)
             if lo:  # the earlier frames, once memory has written its rows
                 kv = [Tensor(np.concatenate([c, a.data[:lo]]))
                       for c, a in zip(memory(layer, k, v), (k, v))]
@@ -313,7 +312,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, frames: Sequence[Frame],
                          model.params[p + "w_down"]))
     xo = rmsnorm(x, model.params["final_norm"])
     logits = T.matmul(xo, model.params["head"])
-    return logits, KVLayout(new_k, new_v)
+    return logits, KVLayout(new_k, new_v) if cache is None else cache.layout(m).entries(w)
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +404,25 @@ class ToyLM:
             raise UsageError(f"{what} holds up to {entries} entries, above the "
                              f"model's max_layout {self.config.max_layout}")
 
-    def forward(self, tokens, memory: KVLayout | Callable, adapters: AdapterSet | None = None,
-                cache: KVCache | None = None,
+    def forward(self, tokens, memory: KVLayout | Callable | None,
+                adapters: AdapterSet | None = None, cache: KVCache | None = None,
                 frames: Sequence[Frame] | None = None) -> tuple[Tensor, KVLayout]:
         """New tokens run after their memory (``forward_groups``).
 
         ``frames`` split the tokens in order. ``memory`` is a layout, which
-        each frame reads its own copy of (by default one frame of its own;
-        with a cache, the one frame reads it there), or a per-layer function
-        giving the frames' memory columns. Returns per-token logits and the
-        layout of the KV entries the tokens produced. Nothing passed in is
-        mutated but ``cache``: None, or the caller's KVCache of the model's
-        dtype whose first w rows hold the last frame's memory, its tokens'
-        entries written after them. ``max_layout`` bounds each w + n.
+        each frame reads its own copy of (by default one frame of its own),
+        or a per-layer function giving the frames' memory columns. Returns
+        per-token logits and the layout of the KV entries the tokens
+        produced. Nothing passed in is mutated but ``cache``: None, or the
+        caller's KVCache of the model's dtype, whose first w rows are the last
+        frame's only memory, its tokens' entries written after them; ``memory``
+        is then no layout, but a function for earlier frames or None.
+        ``max_layout`` bounds each w + n.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         cfg = self.config
+        if cache is not None and isinstance(memory, KVLayout):
+            raise DimensionError("a cached forward reads its memory from its cache alone")
         if isinstance(memory, KVLayout):  # each frame reads its own copy of the layout
             layout = memory
             frames = [Frame(tokens.size, memory.n_entries)] if frames is None else frames
@@ -431,8 +433,10 @@ class ToyLM:
         last = frames[-1] if frames else None
         if last is None or min(f.n for f in frames) < 1 or sum(f.n for f in frames) != tokens.size \
                 or cache is not None and (last.allowed is not None or last.positions is not None):
-            raise DimensionError(f"frames of {[f.n for f in frames]} tokens must split "
+            raise DimensionError(f"frames of {[f.n for f in frames or ()]} tokens must split "
                                  f"{tokens.size}, the last of its own with a cache")
+        if memory is None and (cache is None or len(frames) > 1):
+            raise DimensionError("only a cached forward of one frame runs without memory")
         m = max(f.w + f.n for f in frames)
         if m > cfg.max_layout:
             raise CapacityError(f"layout would hold {m} entries "

@@ -403,10 +403,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
     then overwrites them. None is one
     block: the first m-n keys (memory) to every query and the last n
     causally, scores above their diagonal set to -inf through the cached
-    n-by-n ``causal_mask`` (no m-wide mask). ``rotated`` may give the keys
-    already rotated, as [n_heads, m, d//n_heads], but for the last n, the
-    queries' own: attention rotates those with the queries and writes them
-    into it. The backward is written by hand; a masked weight is 0.
+    n-by-n ``causal_mask`` (no m-wide mask). ``rotated`` may give all m keys
+    already rotated, as [n_heads, m, d//n_heads]; then only the queries
+    rotate. Attention writes none of its inputs. The backward is written by
+    hand; a masked weight is 0.
     """
     (n, d), m = q.shape, k.shape[0]
     dh = d // n_heads
@@ -416,14 +416,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: Array, sin: Ar
         raise DimensionError(f"attention of q {q.shape} over k {k.shape}, v {v.shape} "
                              f"in {n_heads} heads of even width")
     cq, sq = cos[m - n:], sin[m - n:]
-    qh = q.data.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    kh = k.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
-    if rotated is None:
-        qh, kh = rope(qh, cq, sq), rope(kh, cos, sin)
-    else:  # the queries' own keys rotate with them, in one call
-        both = rope(np.concatenate((qh[None], kh[None, :, m - n:])), cq, sq)
-        qh, kh = both[0], rotated
-        kh[:, m - n:] = both[1]
+    qh = rope(q.data.reshape(n, n_heads, dh).transpose(1, 0, 2), cq, sq)
+    kh = rope(k.data.reshape(m, n_heads, dh).transpose(1, 0, 2), cos, sin) \
+        if rotated is None else rotated
     vh = v.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.data.dtype)
     groups = blocks.groups if blocks is not None else [(slice(None), slice(None), None)]

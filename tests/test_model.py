@@ -266,15 +266,18 @@ def test_forward_parameter_table():
 
 
 @pytest.mark.parametrize("lengths, cached", [([], False), ([2, 1], False),
-                                             ([3, 0, 1], False), ([4], True)])
+                                             ([3, 0, 1], False), ([4], True),
+                                             (None, True)])
 def test_lengths_must_split_the_tokens_without_a_cache(tiny_model64, lengths, cached):
-    # no frames, frames short of the tokens, an empty frame, and a last frame
-    # with its own mask and positions under a cache
+    # no frames, frames short of the tokens, an empty frame, a last frame
+    # with its own mask and positions under a cache, and a cached forward
+    # given no frames, where no layout gives the default one
     layout = tiny_model64.empty_layout()
     cache = KVCache.holding([layout], 4, tiny_model64.config) if cached else None
-    frames = [Frame(n, 0, T.causal_mask(n, n), np.arange(n)) for n in lengths]
+    frames = lengths and [Frame(n, 0, T.causal_mask(n, n), np.arange(n)) for n in lengths]
     with pytest.raises(DimensionError, match="must split"):
-        tiny_model64.forward([1, 2, 3, 4], layout, cache=cache, frames=frames)
+        tiny_model64.forward([1, 2, 3, 4], None if cached else layout, cache=cache,
+                             frames=frames)
 
 
 @pytest.mark.parametrize("bad", [-1, TINY.vocab_size])

@@ -16,7 +16,7 @@ from ccm.engine import (STREAM_POLICIES, StreamCaps, StreamState, evaluate_perpl
 from ccm.errors import DimensionError
 from ccm.lora import AdapterSet
 from ccm.memory import compress_from_kv
-from ccm.model import KVCache, KVLayout, ModelConfig, ToyLM
+from ccm.model import Frame, KVCache, KVLayout, ModelConfig, ToyLM
 from conftest import TINY
 
 
@@ -231,7 +231,7 @@ def test_forward_rejects_a_rotated_buffer_that_does_not_fit(shape, dtype):
     _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
     cache = replace(KVCache.holding([layout], 5, TINY), rotated=np.zeros(shape, dtype))
     with pytest.raises(DimensionError, match="KV cache rotated "):
-        _MODEL.forward([4, 5], layout, cache=cache)
+        _MODEL.forward([4, 5], None, cache=cache, frames=[Frame(2, 3)])
 
 
 @pytest.mark.parametrize("name", ["keys", "values"])
@@ -244,7 +244,7 @@ def test_forward_rejects_keys_or_values_that_do_not_fit(name, shape, dtype):
     _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
     cache = replace(KVCache.holding([layout], 5, TINY), **{name: np.zeros(shape, dtype)})
     with pytest.raises(DimensionError, match=f"KV cache {name} "):
-        _MODEL.forward([4, 5], layout, cache=cache)
+        _MODEL.forward([4, 5], None, cache=cache, frames=[Frame(2, 3)])
 
 
 def test_an_event_without_a_span_or_slot_rows_is_rejected_before_a_row_is_written():
@@ -269,7 +269,7 @@ def test_forward_writes_only_the_rows_after_the_layout():
     for arr in arrays:  # rows are the next-to-last axis
         arr[..., 3:, :] = 7.0
     before = [arr.copy() for arr in arrays]
-    logits, kv = _MODEL.forward([4, 5], layout, cache=cache)
+    logits, kv = _MODEL.forward([4, 5], None, cache=cache, frames=[Frame(2, 3)])
     want, want_kv = _MODEL.forward([4, 5], layout)
     np.testing.assert_array_equal(logits.data, want.data)
     assert np.shares_memory(kv.keys, cache.keys) and np.shares_memory(kv.values,
@@ -281,6 +281,60 @@ def test_forward_writes_only_the_rows_after_the_layout():
     for arr, old in zip(arrays, before):
         np.testing.assert_array_equal(np.delete(arr, [3, 4], axis=-2),
                                       np.delete(old, [3, 4], axis=-2))
+
+
+def test_only_kvcache_write_writes_a_cache_row(monkeypatch):
+    # the cache's arrays are read-only but inside ``KVCache.write``: a plain
+    # cached span and an event's forward still run, and equal their runs on
+    # an unlocked cache bit for bit
+    write = KVCache.write
+
+    def unlocked(cache, *args, **kwargs):
+        arrays = (cache.keys, cache.values, cache.rotated)
+        for arr in arrays:
+            arr.flags.writeable = True
+        try:
+            write(cache, *args, **kwargs)
+        finally:
+            for arr in arrays:
+                arr.flags.writeable = False
+
+    _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
+
+    def run(locked: bool):
+        if locked:
+            monkeypatch.setattr(KVCache, "write", unlocked)
+        plain, event = KVCache.holding([layout], 8, TINY), KVCache.holding([layout, 2], 8, TINY)
+        span = _MODEL.forward([4, 5], None, cache=plain, frames=[Frame(2, 3)])[0].data
+        fused = compress_from_kv(_MODEL, _ADAPTERS, layout, 3, [4, 5], event.layout(5), event)
+        monkeypatch.undo()
+        return span, fused, plain.rotated[:, :, :5], event.rotated[:, :, :7]
+
+    for got, want in zip(run(True), run(False)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_a_cached_forward_rejects_a_layout_beside_its_cache():
+    # the cache alone is the last frame's memory: a layout B passed beside a
+    # cache holding A is refused before a row is written, so no forward over
+    # B can answer from A
+    _, a = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
+    _, b = _MODEL.forward([7, 8, 9], _MODEL.empty_layout())
+    cache = KVCache.holding([a], 8, TINY)
+    arrays = (cache.keys, cache.values, cache.rotated)
+    for arr in arrays:  # rows are the next-to-last axis
+        arr[..., 3:, :] = 7.0
+    before = [arr.copy() for arr in arrays]
+    for frames in (None, [Frame(2, 3)]):
+        with pytest.raises(DimensionError, match="from its cache alone"):
+            _MODEL.forward([4, 5], b, cache=cache, frames=frames)
+    for arr, old in zip(arrays, before):
+        np.testing.assert_array_equal(arr, old)
+    with pytest.raises(DimensionError, match="without memory"):  # two frames need memory
+        _MODEL.forward([4, 5], None, cache=cache, frames=[Frame(1, 0), Frame(1, 3)])
+    got = _MODEL.forward([4, 5], None, cache=cache, frames=[Frame(2, 3)])[0].data
+    np.testing.assert_array_equal(got, _MODEL.forward([4, 5], a)[0].data)
+    assert not np.array_equal(got, _MODEL.forward([4, 5], b)[0].data)
 
 
 def _calls(monkeypatch, owner, name: str) -> list[int]:
@@ -320,13 +374,14 @@ def test_one_token_cached_forward_makes_a_pinned_count_of_tensors_and_rotations(
     # a guard on the decode step that needs no timing: per layer one Tensor
     # each for the two norms, four projections, two cache views, attention,
     # two residual adds and five MLP ops, plus the embedding, final norm and
-    # head; per layer one rope call rotates the query and the new key together
+    # head; per layer two rope calls: ``KVCache.write`` rotates the new key
+    # into the cache, and attention rotates the query
     _, layout = _MODEL.forward([1, 2, 3], _MODEL.empty_layout())
     cache = KVCache.holding([layout], 8, TINY)
     tensors = _calls(monkeypatch, T.Tensor, "__init__")
     ropes = _calls(monkeypatch, T, "rope")
-    _MODEL.forward([4], layout, adapters=_ADAPTERS, cache=cache)
-    assert (tensors[0], ropes[0]) == (16 * TINY.n_layers + 3, TINY.n_layers)
+    _MODEL.forward([4], None, adapters=_ADAPTERS, cache=cache, frames=[Frame(1, 3)])
+    assert (tensors[0], ropes[0]) == (16 * TINY.n_layers + 3, 2 * TINY.n_layers)
 
 
 def _rotated_rows(monkeypatch) -> list[int]:

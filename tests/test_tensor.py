@@ -662,6 +662,50 @@ def test_attention_over_keys_already_rotated_is_the_same_op():
         T.attention(q, k, v, 2, cos, sin, kh[:, 1:])
 
 
+def read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("form", ["default-block", "two-group-pack", "rotated-keys"])
+def test_attention_writes_none_of_its_inputs(form, dtype):
+    # with q, k, v, the angles, the blocks' arrays, the rotated keys and the
+    # upstream gradient all read-only, forward and backward run, and the
+    # output and the q/k/v gradients are the earlier formulas' bit for bit
+    rng = np.random.default_rng(12)
+    n_heads, dh = 2, 16
+    if form == "two-group-pack":  # blocks of (n, w) = (2, 1), (2, 1), (1, 2)
+        parts = [(0, 2, np.array([0, 4, 5]), rng.random((2, 3)) < 0.6),
+                 (2, 4, np.array([1, 6, 7]), rng.random((2, 3)) < 0.6),
+                 (4, 5, np.array([2, 3, 8]), rng.random((1, 3)) < 0.6)]
+        for (lo, hi, _, mask), w in zip(parts, (1, 1, 2)):
+            mask[np.arange(hi - lo), w + np.arange(hi - lo)] = True
+        positions = rng.integers(0, 9, 9)
+    else:
+        parts, positions = [(0, 5, np.arange(9), T.causal_mask(5, 9))], np.arange(9)
+    n, m, d = parts[-1][1], positions.size, n_heads * dh
+    q, k, v = (Tensor(rng.standard_normal((rows, d)).astype(dtype), requires_grad=True)
+               for rows in (n, m, m))
+    g = rng.standard_normal((n, d)).astype(dtype)
+    cos, sin = (a[positions] for a in T.rope_angles(9, dh, dtype))
+    blocks = T.Blocks(parts) if form == "two-group-pack" else None
+    if blocks is not None:
+        assert len(blocks.groups) == 2
+        read_only(*(a for grp in blocks.groups for a in grp if isinstance(a, np.ndarray)))
+    rotated = T.rope(k.data.reshape(m, n_heads, dh).transpose(1, 0, 2), cos, sin) \
+        if form == "rotated-keys" else None
+    read_only(q.data, k.data, v.data, g, cos, sin,
+              *(a for *_, keys, mask in parts for a in (keys, mask)),
+              *(() if rotated is None else (rotated,)))
+    out = T.attention(q, k, v, n_heads, cos, sin, rotated, blocks)
+    out._backward(g)
+    want = scaled_scores_attention(q.data, k.data, v.data, n_heads, cos, sin, parts, g)
+    for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+        assert got.dtype == dtype and np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n,m,parts", [
     # the default block, a streaming span's shape: 64 queries over 1,024 keys
