@@ -73,14 +73,14 @@ def _write_metrics(path, rows: list[dict]) -> None:
                 for r in rows])
 
 
-def _recipe(**flags) -> Recipe:
-    """The recipe the given flags set; Recipe owns the default of the rest."""
-    return Recipe(**{k: v for k, v in flags.items() if v is not None})
-
-
 def _given(args, flags) -> dict:
     """The named flags the command line set (each defaults to None)."""
     return {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+
+
+def _settings(args, table: dict) -> dict:
+    """Field -> value for each flag of ``table`` (flag -> field) the command line set."""
+    return {table[f]: v for f, v in _given(args, table).items()}
 
 
 def _refuse(args, flags, reader: str) -> None:
@@ -155,16 +155,18 @@ _SIZES = {"layers": "n_layers", "d_model": "d_model", "heads": "n_heads",
 
 
 def _model_from_flags(args, vocab, seed: int) -> ToyLM:
-    config = vocab.model_config(**{_SIZES[f]: v for f, v in _given(args, _SIZES).items()})
+    config = vocab.model_config(**_settings(args, _SIZES))
     return ToyLM.init(config, seed=derive_seed(seed, "model-init"),
                       dtype=np.float32)
 
 
 _PRETRAIN_WINDOW = 192  # tokens per stream pretraining sample
+# recipe flag -> the Recipe field it sets; Recipe owns the defaults
+_RECIPE = {"seed": "seed", "steps": "steps", "batch": "batch", "lr": "lr"}
 
 
 def cmd_pretrain(args) -> int:
-    recipe = _recipe(steps=args.steps, batch=args.batch, lr=args.lr, seed=args.seed)
+    recipe = Recipe(**_settings(args, _RECIPE))
     data = read_dataset(args.data)
     if isinstance(data, ICLDataset):
         _refuse(args, ["window"], "an ICL dataset")
@@ -189,8 +191,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train_compress(args) -> int:
-    recipe = _recipe(steps=args.steps, batch=args.batch, lr=args.lr, seed=args.seed,
-                     policy=args.policy, s=args.slots)
+    recipe = Recipe(**_settings(args, {**_RECIPE, "policy": "policy", "slots": "s"}))
     data = read_dataset(args.data)
     model = ToyLM.load(args.model)
     if isinstance(data, ICLDataset):
@@ -299,7 +300,7 @@ def cmd_stream(args) -> int:
     _check_policy(args.policy, STREAM_POLICIES)
     _refuse(args, {"adapters", *_CAPS} - _STREAM_FLAGS[args.policy],
             f"--policy {args.policy}")
-    caps = StreamCaps(**{_CAPS[f]: v for f, v in _given(args, _CAPS).items()})
+    caps = StreamCaps(**_settings(args, _CAPS))
     if args.length is not None and args.length < 2:
         raise UsageError(f"--length {args.length} must be at least 2")
     if args.stream_index < 0:
@@ -357,36 +358,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ccm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def flags(p, table, owner=None):  # --name each, None while unset, of the type
+        for name, v in table.items():  # of its default: v, or owner's field named v
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None,
+                           type=type(v if owner is None else getattr(owner, v)))
+
     def command(name, help, recipe=False):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", required=True)
-        if recipe:  # the training recipe's flags; Recipe owns their defaults
+        if recipe:  # the training recipe's flags
             p.add_argument("--data", required=True)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--steps", type=int, default=None)
-            p.add_argument("--batch", type=int, default=None)
-            p.add_argument("--lr", type=float, default=None)
+            flags(p, _RECIPE, Recipe)
             p.add_argument("--metrics", default=None)
         return p
 
     g = command("gen-data", "generate a synthetic dataset")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--kind", choices=("icl", "stream", "stream-iid"), default="icl")
-    g.add_argument("--identities", type=int, default=None)
-    g.add_argument("--t-max", type=int, default=None, dest="t_max")
-    g.add_argument("--classes", type=int, default=None)
-    g.add_argument("--pattern-len", type=int, default=None, dest="pattern_len")
-    g.add_argument("--pattern-tokens", type=int, default=None, dest="pattern_tokens")
-    g.add_argument("--test-fraction", type=float, default=None, dest="test_fraction")
-    g.add_argument("--length", type=int, default=None)
-    g.add_argument("--streams", type=int, default=None)
+    flags(g, {**_ICL_GEN, **_STREAM_GEN})
 
     p = command("pretrain", "stage 1: train the base model", recipe=True)
     p.add_argument("--window", type=int, default=None, help="stream sample length")
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--d-model", type=int, default=None, dest="d_model")
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--d-ff", type=int, default=None, dest="d_ff")
+    flags(p, _SIZES, ModelConfig)
 
     c = command("train-compress", "stage 2: train the adapters", recipe=True)
     c.add_argument("--model", required=True)
@@ -409,10 +402,7 @@ def build_parser() -> _Parser:
     s.add_argument("--model", required=True)
     s.add_argument("--adapters", default=None)
     s.add_argument("--policy", required=True)
-    s.add_argument("--sink", type=int, default=None)
-    s.add_argument("--ccm-entries", type=int, default=None, dest="ccm_entries")
-    s.add_argument("--window", type=int, default=None)
-    s.add_argument("--chunk", type=int, default=None)
+    flags(s, _CAPS, StreamCaps)
     s.add_argument("--stream-index", type=int, default=0, dest="stream_index")
     s.add_argument("--length", type=int, default=None)
 
@@ -422,8 +412,7 @@ def build_parser() -> _Parser:
     x.add_argument("--li", type=int, default=10)
     x.add_argument("--slots", type=_int_list, default="1,2,4,8")
     x.add_argument("--llama7b", action="store_true")
-    x.add_argument("--layers", type=int, default=None)
-    x.add_argument("--d-model", type=int, default=None, dest="d_model")
+    flags(x, {f: _SIZES[f] for f in ("layers", "d_model")}, ModelConfig)
     return parser
 
 

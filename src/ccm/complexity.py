@@ -31,10 +31,9 @@ class ComplexityParams:
             raise UsageError("segment length l_c must be >= slot length s")
 
 
-def llama_7b_params(t: int = 16, l_c: int = 50, l_i: int = 10, s: int = 1,
-                    ) -> ComplexityParams:
-    """Dimensions of a 7B-parameter decoder (32 layers, width 4096)."""
-    return ComplexityParams(t=t, l_c=l_c, l_i=l_i, s=s, n_layers=32, d_model=4096)
+def llama_7b_params(l_c: int = 50, l_i: int = 10) -> ComplexityParams:
+    """Dimensions of a 7B-parameter decoder (32 layers, width 4096) at t = 16, s = 1."""
+    return ComplexityParams(t=16, l_c=l_c, l_i=l_i, s=1, n_layers=32, d_model=4096)
 
 
 def kv_entries(params: ComplexityParams, method: str, phase: str) -> int:

@@ -79,6 +79,7 @@ class Session:
         segment = np.asarray(segment, dtype=np.intp)
         if segment.size == 0:
             raise ContractViolation("session step needs a non-empty segment")
+        check_token_ids(segment, self.model.config.comp_token_id)
         if self.policy in REREADING:
             self.raw_segments.append(segment)
         if self.policy not in COMPRESSING:
@@ -131,6 +132,7 @@ def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
     head = np.concatenate(session._prompt + [np.asarray(inputs, dtype=np.intp)])
     if head.size == 0:
         raise ContractViolation("multichoice needs a prompt or input to score after")
+    check_token_ids(np.concatenate([head, *choices]), session.model.config.comp_token_id)
     seqs = [np.concatenate([head, choice]) for choice in choices]
     if session.pending is not None:
         logits = session._compress(seqs)
@@ -305,7 +307,7 @@ def evaluate_perplexity(model: ToyLM, adapters: AdapterSet | None, policy: str,
         raise ContractViolation("stream too short to evaluate")
     if policy not in STREAM_POLICIES:
         raise UsageError(f"unknown streaming policy {policy!r}")
-    check_token_ids(stream, model.config.vocab_size)
+    check_token_ids(stream, model.config.comp_token_id)
     if policy in ("full", "none"):
         caps = StreamCaps(n_sink=0, ccm_entries=0, chunk=1,
                           window=stream.size if policy == "full" else 1)

@@ -165,7 +165,7 @@ def compress_from_kv(model: ToyLM, adapters: AdapterSet, context: KVLayout, at: 
                              f"{layout.n_entries}-entry layout")
 
     def memory(layer, k, v):  # the slots fill their rows; the comp rows read the context
-        cache.write(at, k.data[:s], v.data[:s], model.config, layer)
+        cache.write(at, k.data[:s], v.data[:s], layer)
         return context.keys[layer], context.values[layer]
 
     frames = [Frame(s, context.n_entries), Frame(len(tokens), layout.n_entries)]

@@ -102,17 +102,13 @@ class KVLayout:
         """Entries [start, stop) as a view (no copy)."""
         return KVLayout(self.keys[:, start:stop], self.values[:, start:stop])
 
-    def extended(self, *parts: "KVLayout") -> "KVLayout":
-        """Self followed by ``parts``, made in one copy in self's dtype."""
-        for part in parts:
-            if part.keys.shape != part.values.shape \
-                    or part.keys.shape[::2] != self.keys.shape[::2]:
-                raise DimensionError("layout extension shape mismatch")
-        dtype = self.keys.dtype
-        return KVLayout(
-            np.concatenate([self.keys] + [p.keys for p in parts], axis=1, dtype=dtype),
-            np.concatenate([self.values] + [p.values for p in parts], axis=1,
-                           dtype=dtype))
+    def extended(self, part: "KVLayout") -> "KVLayout":
+        """Self followed by ``part``, made in one copy in self's dtype."""
+        if part.keys.shape != part.values.shape \
+                or part.keys.shape[::2] != self.keys.shape[::2]:
+            raise DimensionError("layout extension shape mismatch")
+        return KVLayout(*(np.concatenate([a, b], axis=1, dtype=self.keys.dtype)
+                          for a, b in ((self.keys, part.keys), (self.values, part.values))))
 
 
 @dataclass(frozen=True)
@@ -143,18 +139,18 @@ class KVCache:
         lo = 0
         for part in parts:
             if isinstance(part, KVLayout):
-                cache.write(lo, part.keys, part.values, config)
+                cache.write(lo, part.keys, part.values)
             lo += getattr(part, "n_entries", part)
         return cache
 
-    def write(self, lo: int, keys: np.ndarray, values: np.ndarray, config: ModelConfig,
-              layer=slice(None)) -> None:
+    def write(self, lo: int, keys: np.ndarray, values: np.ndarray, layer=slice(None)) -> None:
         """Rows lo.. of ``layer`` (default: every layer) hold ``keys`` and
         ``values`` [..., n, d_model], each key also rotated at its row."""
+        _, n_heads, _, head_dim = self.rotated.shape
         rows = slice(lo, lo + keys.shape[-2])
         self.keys[layer, rows], self.values[layer, rows] = keys, values
-        cos, sin = T.rope_angles(rows.stop, config.head_dim, keys.dtype)
-        heads = keys.reshape(keys.shape[:-1] + (config.n_heads, config.head_dim))
+        cos, sin = T.rope_angles(rows.stop, head_dim, keys.dtype)
+        heads = keys.reshape(keys.shape[:-1] + (n_heads, head_dim))
         self.rotated[layer, :, rows] = T.rope(heads.swapaxes(-3, -2), cos[lo:], sin[lo:])
 
     def layout(self, n: int) -> KVLayout:
@@ -194,11 +190,13 @@ def embed_tokens(model: "ToyLM", tokens: np.ndarray,
     return x
 
 
-def check_token_ids(tokens: np.ndarray, vocab_size: int) -> None:
-    """A token id outside [0, vocab_size) is a data error."""
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
-        bad = tokens[(tokens < 0) | (tokens >= vocab_size)][0]
-        raise DataError(f"token id {bad} outside vocabulary [0, {vocab_size})")
+def check_token_ids(tokens: np.ndarray, limit: int) -> None:
+    """A token id outside [0, limit) is a data error. A forward's limit is the
+    vocabulary size; data's is the reserved comp id, which data never holds."""
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= limit):
+        bad = tokens[(tokens < 0) | (tokens >= limit)][0]
+        raise DataError(f"token id {bad} outside vocabulary [0, {limit}); data ids lie "
+                        "below the reserved comp id, the vocabulary's last")
 
 
 @dataclass(frozen=True)
@@ -295,7 +293,7 @@ def forward_groups(model: "ToyLM", tokens: np.ndarray, frames: Sequence[Frame],
                 k, v = T.concat([mem[0], k]), T.concat([mem[1], v])
             ctx = attend(q, k, v, cfg.n_heads, cos_p, sin_p, blocks=blocks)
         else:  # the last frame's rows, then attention over them in place
-            cache.write(w, k.data[lo:], v.data[lo:], cfg, layer)
+            cache.write(w, k.data[lo:], v.data[lo:], layer)
             if lo:  # the earlier frames, once memory has written its rows
                 kv = [Tensor(np.concatenate([c, a.data[:lo]]))
                       for c, a in zip(memory(layer, k, v), (k, v))]

@@ -38,7 +38,7 @@ from . import tensor as T
 from .errors import ContractViolation, DataError, UsageError
 from .lora import AdapterSet, trainable_parameters
 from .memory import ContextMemory, fold_weights, reads_memory
-from .model import Frame, ToyLM, forward_groups
+from .model import Frame, ToyLM, check_token_ids, forward_groups
 from .optim import Adam, cosine_lr
 from .seeding import derive_seed
 from .tensor import Tensor
@@ -78,6 +78,7 @@ def build_training_sequence(sample: tuple[Sequence, Sequence, Sequence],
         raise DataError("empty context segment")
     if inputs.size == 0 or outputs.size == 0:
         raise DataError("empty input or output")
+    check_token_ids(np.concatenate(segments + [inputs, outputs]), comp_token_id)
     comps = np.full(s, comp_token_id, dtype=np.intp)
     tokens = np.concatenate([x for seg in segments for x in (seg, comps)]
                             + [inputs, outputs])
@@ -175,12 +176,11 @@ def training_forward(model: ToyLM, adapters: AdapterSet, seq: TrainingSequence |
     seqs = seq.seqs if isinstance(seq, Pack) else [seq]
     frames = [Frame(q.n_tokens, q.t * q.s, *build_parallel_mask(q, policy)) for q in seqs]
     tokens = np.concatenate([q.tokens for q in seqs])
-    comp, weights, lo = [], np.zeros(tokens.size), 0
-    for q in seqs:  # a compression step's last s rows; the rows predicting O(t)
-        comp += [np.arange(lo + end - q.s, lo + end) for end in q.bounds[1:-1]]
+    comp = np.flatnonzero(tokens == model.config.comp_token_id)  # as the adapters gate
+    weights, lo = np.zeros(tokens.size), 0
+    for q in seqs:  # the rows predicting O(t)
         lo += q.n_tokens
         weights[lo - q.n_out - 1:lo - 1] = 1 / q.n_out
-    comp = np.concatenate(comp)
 
     def memory(layer, k, v):
         return parallel_memory_update(T.take_rows(k, comp), T.take_rows(v, comp),

@@ -2,6 +2,7 @@
 and break-even thresholds."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -59,13 +60,13 @@ def test_compression_factors_match_reported_values():
 
 def test_break_even_thresholds_within_band():
     # 7B-scale dims must land within +-15% of the reported 504 / 4706
-    assert abs(break_even_tokens(llama_7b_params(s=1)) - 504) <= 0.15 * 504
-    assert abs(break_even_tokens(llama_7b_params(s=8)) - 4706) <= 0.15 * 4706
+    assert abs(break_even_tokens(replace(llama_7b_params(), s=1)) - 504) <= 0.15 * 504
+    assert abs(break_even_tokens(replace(llama_7b_params(), s=8)) - 4706) <= 0.15 * 4706
 
 
 def test_flops_self_consistency():
     # doubling s doubles overhead and strictly raises the threshold
-    t1, t2, t4 = (break_even_tokens(llama_7b_params(s=s)) for s in (1, 2, 4))
+    t1, t2, t4 = (break_even_tokens(replace(llama_7b_params(), s=s)) for s in (1, 2, 4))
     assert t1 < t2 < t4
     overhead = lambda s: 2.0 * 6.7e9 * s
     assert overhead(2) == 2 * overhead(1)

@@ -185,12 +185,13 @@ def test_session_matches_recursive_oracle(model, adapters):
     session = Session(model, adapters, "concat")
     for seg in segments:
         session.ingest(seg)
-    pred = evaluate_multichoice(session, inputs, [[c] for c in range(TINY.vocab_size)])
+    # every data id is a choice; the comp id is none
+    pred = evaluate_multichoice(session, inputs, [[c] for c in range(TINY.comp_token_id)])
 
     rec = recursive_reference_forward(model, adapters, (segments, inputs, outputs),
                                       "concat", 3)
     # the oracle's row for the last input token predicts the first output token
-    assert int(rec.io_logits[len(inputs) - 1].argmax()) == pred
+    assert int(rec.io_logits[len(inputs) - 1, :TINY.comp_token_id].argmax()) == pred
     # and the session memory equals the oracle memory exactly
     np.testing.assert_array_equal(session.memory.layout(model).keys,
                                   rec.memory.layout(model).keys)
@@ -599,6 +600,37 @@ def test_stream_token_outside_the_vocabulary_is_rejected_up_front(monkeypatch, b
         with pytest.raises(DataError, match=f"token id {bad} outside vocabulary"):
             evaluate_perplexity(model, None, policy, stream, SMALL_CAPS)
     assert forwards == []
+
+
+def test_stream_holding_the_comp_id_is_rejected_up_front(monkeypatch, model):
+    # it was scored, the adapters firing on it and its embedding replaced
+    stream = np.array([1, 2, TINY.comp_token_id, 3, 4])
+    monkeypatch.setattr(ToyLM, "forward", lambda *a, **k: pytest.fail("a forward ran"))
+    for policy in STREAM_POLICIES:
+        with pytest.raises(DataError, match=f"token id {TINY.comp_token_id} outside "
+                                            f"vocabulary.*reserved comp id"):
+            evaluate_perplexity(model, None, policy, stream, SMALL_CAPS)
+
+
+def test_session_rejects_the_comp_id_in_a_segment(model, adapters):
+    for policy in ("concat", "full"):
+        session = Session(model, adapters, policy)
+        with pytest.raises(DataError, match="reserved comp id"):
+            session.ingest([1, TINY.comp_token_id, 3])
+        assert session.pending is None and session.raw_segments == []
+
+
+@pytest.mark.parametrize("inputs, choices", [([4, TINY.comp_token_id], [[5], [6]]),
+                                             ([4, 7], [[5], [TINY.comp_token_id]]),
+                                             ([4, -1], [[5], [6]])])
+def test_multichoice_rejects_the_comp_id_in_inputs_or_choices(monkeypatch, model, adapters,
+                                                              inputs, choices):
+    session = Session(model, adapters, "concat")
+    session.ingest([1, 2, 3])
+    monkeypatch.setattr(ToyLM, "forward", lambda *a, **k: pytest.fail("a forward ran"))
+    with pytest.raises(DataError, match="outside vocabulary.*reserved comp id"):
+        multichoice_scores(session, inputs, choices)
+    assert session.pending is not None  # nothing compressed
 
 
 def test_full_stream_matches_one_shot_forward(tiny_model64, tiny_model32):

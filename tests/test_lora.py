@@ -9,7 +9,7 @@ from ccm.lora import AdapterSet, LoRAPair, trainable_parameters
 from ccm.model import ModelConfig, ToyLM, project_rows
 from ccm.optim import Adam
 from ccm.tensor import Parameter, Tensor
-from ccm.training import Recipe, build_training_sequence, train_compression, training_forward
+from ccm.training import build_training_sequence, training_forward
 from conftest import TINY, random_sample
 
 

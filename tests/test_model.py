@@ -116,7 +116,9 @@ def test_layouts_are_read_only(tiny_model64):
 
 def test_extended_joins_parts_in_order(tiny_model64, tiny_model32):
     parts = [_random_layout(tiny_model64, n, seed=n) for n in (2, 0, 3)]
-    joined = tiny_model64.empty_layout().extended(*parts)
+    joined = tiny_model64.empty_layout()
+    for part in parts:
+        joined = joined.extended(part)
     assert joined.n_entries == 5
     np.testing.assert_array_equal(joined.keys[:, 2:], parts[2].keys)
     np.testing.assert_array_equal(joined.entries(0, 2).values, parts[0].values)

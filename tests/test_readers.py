@@ -1,6 +1,7 @@
 """Nothing without a reader: every function, class and method that `ccm`
 defines is read by the library, the benchmark or a demo, not only by the
-tests."""
+tests; and every name a module of the library, the tests or the demos
+imports is read in that module."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,41 @@ def test_every_definition_has_a_reader():
               for name in definitions(ast.parse(p.read_text()))
               if name.split(".")[-1] not in read | TEST_ORACLES]
     assert unread == []
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names a module reads as a name (``Recipe``, ``T`` in ``T.add``) or in a
+    string annotation (``-> "KVLayout"``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for hint in (getattr(node, "returns", None), getattr(node, "annotation", None)):
+            if isinstance(hint, ast.Constant) and isinstance(hint.value, str):
+                names |= names_read(ast.parse(hint.value, mode="eval"))
+    return names
+
+
+def unread_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never reads, but for side-effect imports
+    marked ``# noqa: F401``."""
+    source = path.read_text()
+    tree, lines = ast.parse(source), source.splitlines()
+    read = names_read(tree)
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__" \
+                and "noqa: F401" not in lines[node.lineno - 1]:
+            bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+            unread += [name for name in bound if name not in read]
+    return unread
+
+
+def test_every_import_has_a_reader():
+    # an __init__.py imports to re-export
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    unread = {p.relative_to(ROOT).as_posix(): names for p in modules
+              if (names := unread_imports(p))}
+    assert unread == {}

@@ -92,7 +92,7 @@ def test_an_event_in_its_span_forward_equals_the_event_then_the_span(
         want = model.forward(comp, context, adapters=adapters)[1]
         logits = fused(model, adapters, context, at, tokens, layout, cache)
         got = layout.entries(at, at + s)
-        pair = layout.entries(0, at).extended(want, layout.entries(at + s))
+        pair = layout.entries(0, at).extended(want).extended(layout.entries(at + s))
         for a, b in ((got.keys, want.keys), (got.values, want.values),
                      (logits, model.forward(tokens, pair, adapters=adapters)[0].data)):
             np.testing.assert_allclose(a, b, rtol=0, atol=tol)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ccm.errors import DataError, UsageError
 from ccm.model import ModelConfig
-from ccm.taskgen import (ICLDataset, OnlineSample, StreamVocab, VocabSpec,
+from ccm.taskgen import (ICLDataset, StreamVocab, VocabSpec,
                          gen_icl_dataset, gen_iid_stream, gen_stream,
                          read_dataset, stream_compression_sampler, write_icl_dataset,
                          write_stream_dataset)

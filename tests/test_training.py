@@ -61,6 +61,14 @@ def test_sequence_rejects_empty_segment():
         build_training_sequence(([[]], [1], [2]), s=1, t=1, comp_token_id=99)
 
 
+@pytest.mark.parametrize("sample", [([[1, 99]], [2], [3]), ([[1, 2]], [99], [3]),
+                                    ([[1, 2]], [2], [100]), ([[1, -1]], [2], [3])])
+def test_sequence_rejects_the_comp_id_and_ids_past_it(sample):
+    # [[1, comp]] once built [1, comp, comp, 2, 3]: a data id run as a comp token
+    with pytest.raises(DataError, match="reserved comp id"):
+        build_training_sequence(sample, s=1, t=1, comp_token_id=99)
+
+
 @st.composite
 def training_cases(draw):
     """(policy, t, s, sample): t in 1..5, s in 1..3, segments of 1..6 ids."""
