@@ -39,11 +39,10 @@ from pathlib import Path
 import numpy as np
 
 from .complexity import ComplexityParams, llama_7b_params, sweep_rows
-from .engine import (COMPRESSING, REREADING, SESSION_POLICIES, STREAM_POLICIES, Session,
-                     StreamCaps, evaluate_multichoice, evaluate_perplexity)
+from .engine import (COMPRESSING, SESSION_POLICIES, STREAM_POLICIES, StreamCaps,
+                     evaluate_perplexity, identity_layout, identity_scores)
 from .errors import CcmError, ContractViolation, DataError, UsageError
 from .lora import AdapterSet
-from .memory import fold_weights, reads_memory
 from .model import ModelConfig, ToyLM
 from .seeding import derive_seed
 from .taskgen import (ICLDataset, VocabSpec, gen_icl_dataset, gen_iid_stream,
@@ -225,51 +224,25 @@ def cmd_train_compress(args) -> int:
 
 def eval_rows(model: ToyLM, adapters: AdapterSet | None, ds: ICLDataset,
               policy: str, max_eval: int | None = None) -> list[list]:
-    """One row per t = 1..T: accuracy and measured KV counts."""
+    """One row per t = 1..T: accuracy and measured KV counts. Every identity
+    is laid out (``engine.identity_layout``), and its largest frame checked
+    against ``max_layout``, before any forward runs; each then runs as one
+    compression forward and a few scoring forwards. A step's frame sizes give
+    its context and peak entries."""
     samples = ds.test if max_eval is None else ds.test[:max(max_eval, 0)]
     if not samples:
         raise UsageError("nothing to evaluate: empty test split or --max-eval < 1")
-    label_ids = [ds.vocab.label_id(i) for i in range(ds.n_classes)]
-    choices = [[lid] for lid in label_ids]
-    # every step's frames, before any forward: a compression [Mem(t-1) where read |
-    # context | s slots], a choice [Mem(t) or the re-read context | input | choice]
-    fold = Session(model, adapters, policy).memory.policy  # the rule Mem(t) grows by
-    s, frames = adapters.comp_len if adapters else 0, []
-    for sample in samples:
-        held = 0  # Mem(t-1)'s entries
-        for t in range(1, ds.T + 1):
-            context = sum(map(len, sample.segments[:t] if policy in REREADING
-                              else sample.segments[t - 1:t]))
-            if policy in COMPRESSING:  # fixed compresses c(1..t) into a fresh memory
-                held *= policy not in REREADING
-                frames.append(held * reads_memory(fold) + context + s)
-                held, context = s + held * (fold_weights(fold, t) is None), 0
-            frames.append(held + context * (policy in REREADING) + len(sample.inputs[t - 1]) + 1)
-    model.check_fits(max(frames, default=0), f"policy {policy!r} over {ds.T} steps")
-
-    def run_identity(sample):
-        session = Session(model, adapters, policy)
-        per_t = []
-        for t in range(1, ds.T + 1):
-            comp_peak = session.ingest(sample.segments[t - 1])
-            idx = evaluate_multichoice(session, sample.inputs[t - 1], choices)
-            correct = label_ids[idx] == sample.outputs[t - 1][0]
-            infer_peak = (session.context_entries
-                          + len(sample.inputs[t - 1]) + 1)
-            per_t.append((correct, session.context_entries,
-                          max(comp_peak, infer_peak)))
-        return per_t
-
-    results = [run_identity(s) for s in samples]
-
-    rows = []
-    for t in range(1, ds.T + 1):
-        at_t = [r[t - 1] for r in results]
-        acc = float(np.mean([x[0] for x in at_t]))
-        ctx = float(np.mean([x[1] for x in at_t]))
-        peak = float(np.mean([x[2] for x in at_t]))
-        rows.append([policy, t, f"{acc:.6f}", f"{ctx:.2f}", f"{peak:.2f}"])
-    return rows
+    label_ids = np.array([ds.vocab.label_id(i) for i in range(ds.n_classes)])
+    layouts = [identity_layout(model, adapters, policy, s.segments, s.inputs, label_ids[:, None])
+               for s in samples]
+    model.check_fits(max(max(lay.peaks) for lay in layouts),
+                     f"policy {policy!r} over {ds.T} steps")
+    correct = [label_ids[identity_scores(model, adapters, lay).argmax(axis=1)]
+               == [o[0] for o in s.outputs] for s, lay in zip(samples, layouts)]
+    means = (np.mean(x, axis=0) for x in (correct, [lay.context for lay in layouts],
+                                          [lay.peaks for lay in layouts]))
+    return [[policy, t, f"{acc:.6f}", f"{ctx:.2f}", f"{peak:.2f}"]
+            for t, (acc, ctx, peak) in enumerate(zip(*means), start=1)]
 
 
 def cmd_eval(args) -> int:

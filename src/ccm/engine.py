@@ -10,6 +10,10 @@ flushes it through the same pack with no queries. ``COMPRESSING`` sessions
 run adapters. ``fixed`` recompresses the raw context into a fresh, empty
 ``independent`` memory each step; ``full`` and ``none`` fold nothing into
 theirs. ``REREADING`` sessions keep the raw context; ``full`` re-feeds it.
+A test identity, all of whose steps are known, needs no session:
+``identity_layout`` lays out the frames its steps build, and
+``identity_scores`` runs every compression frame as one forward (the
+paper's parallel pass, §3.3), then the choice frames in a few forwards.
 
 Streaming runs a known stream inside a hard entry budget
 [sink | compressed region | sliding window], held as one KVLayout; when
@@ -38,9 +42,9 @@ import numpy as np
 from .errors import ContractViolation, UsageError
 from .lora import AdapterSet
 from .memory import (MEMORY_POLICIES, ContextMemory, compress_from_kv,
-                     compress_segment, reads_memory)
+                     compress_segment, fold_weights, reads_memory)
 from .model import Frame, KVCache, KVLayout, ToyLM, check_token_ids
-from .tensor import log_softmax_rows
+from .tensor import Tensor, log_softmax_rows
 
 SESSION_POLICIES = MEMORY_POLICIES + ("none", "full", "fixed")
 COMPRESSING = MEMORY_POLICIES + ("fixed",)  # sessions that run adapters
@@ -155,6 +159,101 @@ def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
 def evaluate_multichoice(session: Session, inputs, choices) -> int:
     """The choice with the highest score; ties break toward the lowest index."""
     return int(np.argmax(multichoice_scores(session, inputs, choices)))
+
+
+# Rows per scoring forward of ``identity_scores``: its choice frames, whole,
+# split into ceil(rows / SCORING_ROWS) forwards of near-equal rows. Swept on
+# icl_eval (2-CPU Xeon; seed 2, identities/s; 24.0 by Session steps): 128 36.3,
+# 192 37.9, 256 39.1, 384 35.3, all in one forward 32.4 (peak RSS +9%).
+SCORING_ROWS = 256
+
+
+@dataclass(frozen=True)
+class IdentityLayout:
+    """A test identity's frames, each the frame a ``Session`` step builds,
+    reading its own copy of Mem(i) where its w > 0. Step t's compression
+    frame (i, tokens, frame) is [Mem(i) | c(t) (fixed: c(1..t)) | s comps],
+    and Mem(i) folded with its comp rows is Mem(t); a choice frame (t, tokens,
+    frame, head size) is [Mem(t) or the re-read context | I(t) | choice]."""
+
+    memory: ContextMemory  # Mem(0)
+    comp: list
+    choices: list
+    context: list  # per step, the entries its queries read
+    peaks: list  # per step, the entries its largest frame holds
+
+
+def identity_layout(model: ToyLM, adapters: AdapterSet | None, policy: str,
+                    segments, inputs, choices) -> IdentityLayout:
+    """The frames of a session that ingests c(t), then scores ``choices`` after
+    I(t), for t = 1..T, laid out before any forward runs."""
+    mem = Session(model, adapters, policy).memory
+    segments, inputs, choices = ([np.asarray(x, dtype=np.intp) for x in xs]
+                                 for xs in (segments, inputs, choices))
+    check_token_ids(np.concatenate(segments + inputs + choices), model.config.comp_token_id)
+    lay, held = IdentityLayout(mem, [], [], [], []), 0  # held: Mem(t-1)'s entries
+    for t, inp in enumerate(inputs, start=1):
+        raw, peak = segments[:t] if policy in REREADING else [], 0
+        if policy in COMPRESSING:
+            s, held = adapters.comp_len, held * (policy not in REREADING)
+            comp = np.concatenate([*(raw or segments[t - 1:t]),
+                                   np.full(s, model.config.comp_token_id, dtype=np.intp)])
+            lay.comp.append(((t - 1) * (policy not in REREADING), comp,
+                             Frame(comp.size, held * reads_memory(mem.policy))))
+            raw, peak = [], lay.comp[-1][2].w + comp.size
+            held = s + held * (fold_weights(mem.policy, t) is None)
+        head = np.concatenate(raw + [inp])
+        lay.choices.extend((t, q, Frame(q.size, held), head.size)
+                           for q in (np.concatenate([head, c]) for c in choices))
+        lay.context.append(held + head.size - inp.size)
+        lay.peaks.append(max(peak, held + head.size + max(map(len, choices))))
+    if len(choices) < 2 or 0 in [*map(len, segments + choices), *(c[3] for c in lay.choices)]:
+        raise ContractViolation("an identity needs two choices or more, and no empty "
+                                "segment, choice or head to score after")
+    return lay
+
+
+def identity_scores(model: ToyLM, adapters: AdapterSet | None,
+                    lay: IdentityLayout) -> np.ndarray:
+    """[T, choices] scores, each as ``multichoice_scores`` scores it: every
+    compression frame in one forward, whose memory function folds each
+    layer's comp rows into Mem(1..T) there by ``ContextMemory.updated``,
+    then the choice frames in forwards of about SCORING_ROWS rows."""
+    mems = []  # per layer, Mem(0..T) there
+
+    def forward(entries, s=0):  # frames over the Mem(i) their entries name
+        reads, seqs, frames = list(zip(*entries))[:3]
+
+        def memory(layer, k, v):
+            if s:  # a compression forward: Mem(1..T) at this layer, from its comp rows
+                mems.append([lay.memory])
+                for i, hi in zip(reads, np.cumsum([f.n for f in frames])):
+                    mems[-1].append(mems[-1][i].updated(
+                        KVLayout(k.data[None, hi - s:hi], v.data[None, hi - s:hi])))
+            cols = [mems[layer][i].entries for i, f in zip(reads, frames) if f.w]
+            return tuple(Tensor(np.concatenate([getattr(e, a)[0] for e in cols]))
+                         for a in ("keys", "values")) if cols else None
+
+        return model.forward(np.concatenate(seqs), memory, adapters, frames=frames)[0].data
+
+    if lay.comp:
+        forward(lay.comp, adapters.comp_len)
+    starts = np.cumsum([0] + [c[2].n for c in lay.choices])  # k packs of near-equal rows,
+    packs = starts[:-1] * -(-starts[-1] // SCORING_ROWS) // starts[-1]  # a frame's by its start
+    cuts, scores = [0, *np.flatnonzero(np.diff(packs)) + 1, len(lay.choices)], []
+    for pack in (lay.choices[i:j] for i, j in zip(cuts, cuts[1:])):
+        logits, lo, picks = forward(pack), 0, []
+        for _, seq, _, head in pack:
+            picks.append((np.arange(lo + head - 1, lo + seq.size - 1), seq[head:]))
+            lo += seq.size
+        rows, tokens = map(np.concatenate, zip(*picks))
+        logp = log_softmax_rows(logits[rows])[np.arange(rows.size), tokens]
+        scores += [x.mean() for x in np.split(logp, np.cumsum([t.size for _, t in picks])[:-1])]
+    scores = np.array(scores, dtype=np.float64).reshape(len(lay.peaks), -1)
+    if not np.isfinite(scores).all():
+        t = np.flatnonzero(~np.isfinite(scores).all(axis=1))[0]
+        raise ContractViolation(f"non-finite choice scores {scores[t].tolist()} at step {t + 1}")
+    return scores
 
 
 # ---------------------------------------------------------------------------

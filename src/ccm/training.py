@@ -288,6 +288,7 @@ def pretrain(model: ToyLM, sampler: Callable[[np.random.Generator], tuple],
         for _ in range(recipe.batch):
             tokens, weights = sampler(rng)
             tokens = np.asarray(tokens, dtype=np.intp)
+            check_token_ids(tokens, model.config.comp_token_id)  # data holds no comp id
             weights = np.asarray(weights, dtype=np.int8).copy()
             weights[-1] = 0  # final position has no next token
             logits, _ = model.forward(tokens, model.empty_layout())

@@ -2,6 +2,7 @@
 budget caps, and the equal-budget sliding baseline."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccm import engine
+from ccm.cli import eval_rows
+from ccm.complexity import ComplexityParams, kv_entries
 from ccm.engine import (STREAM_POLICIES, Session, StreamCaps, StreamState,
-                        evaluate_multichoice, evaluate_perplexity, multichoice_scores,
-                        streaming_step)
+                        evaluate_multichoice, evaluate_perplexity, identity_layout,
+                        identity_scores, multichoice_scores, streaming_step)
 from ccm.errors import CapacityError, ContractViolation, DataError, UsageError
 from ccm.lora import AdapterSet
 from ccm.model import ModelConfig, ToyLM
+from ccm.taskgen import VocabSpec, gen_icl_dataset
 from ccm.tensor import log_softmax_rows
 from ccm.training import recursive_reference_forward
 from conftest import TINY, random_sample
@@ -337,6 +341,106 @@ def test_one_forward_step_is_the_flush_path_and_the_oracle(policy, dtype, seg_le
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
         np.testing.assert_array_equal(fused.memory.entries.keys, ref_memory.entries.keys)
         np.testing.assert_array_equal(fused.memory.entries.values, ref_memory.entries.values)
+
+
+def run_identity(model, adapters, policy, segments, inputs, choices):
+    """The online loop an identity layout stands for: per step, the Session's
+    scores, context entries and peak, its compression frame or its largest
+    choice frame."""
+    session, steps = Session(model, adapters, policy), []
+    for segment, inp in zip(segments, inputs):
+        comp_peak = session.ingest(segment)
+        scores = multichoice_scores(session, inp, choices)
+        context = session.context_entries
+        steps.append((scores, context,
+                      max(comp_peak, context + len(inp) + max(map(len, choices)))))
+    return steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(policy=st.sampled_from(engine.SESSION_POLICIES),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       lengths=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1,
+                        max_size=5),
+       choice_lens=st.lists(st.integers(1, 3), min_size=2, max_size=4), s=st.integers(1, 2),
+       rows=st.sampled_from([1, 6, 20, engine.SCORING_ROWS]), seed=st.integers(0, 99))
+def test_identity_layout_scores_as_the_session_steps(policy, dtype, lengths, choice_lens, s,
+                                                     rows, seed):
+    # every frame of the layout is the frame a Session step builds: the
+    # context and peak entries are the Session's, and so are the scores, also
+    # when the choice rows overflow SCORING_ROWS. The policies that compress
+    # agree to float precision: a forward runs the comp rows of every step
+    # through one LoRA matmul, where a Session step runs its own s rows, and
+    # BLAS may round a row differently as the row count changes
+    model = _PROPERTY_MODEL if dtype == np.float64 else _PROPERTY_MODEL32
+    adapters = AdapterSet.init(model, rank=2, alpha=4.0, comp_len=s, seed=seed)
+    rng = np.random.default_rng(seed)
+    for pair in adapters.pairs.values():
+        pair.b.data[...] = 0.05 * rng.standard_normal(pair.b.data.shape)
+    segments = [rng.integers(0, 20, size=n) for n, _ in lengths]
+    inputs = [rng.integers(0, 20, size=n) for _, n in lengths]
+    choices = [rng.integers(0, 20, size=n) for n in choice_lens]
+    lay = identity_layout(model, adapters, policy, segments, inputs, choices)
+    with mock.patch.object(engine, "SCORING_ROWS", rows):
+        got = identity_scores(model, adapters, lay)
+    want, context, peaks = map(list, zip(*run_identity(model, adapters, policy, segments,
+                                                        inputs, choices)))
+    assert (lay.context, lay.peaks) == (context, peaks)
+    if policy in engine.COMPRESSING:
+        tol = 1e-10 if dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("policy", engine.SESSION_POLICIES)
+def test_eval_rows_runs_one_compression_forward_then_few_scoring_forwards(monkeypatch,
+                                                                          policy):
+    # one identity of T=3 steps, 4 one-token choices, 5-token segments and
+    # 4-token inputs: one forward compresses every step (none under full and
+    # none), then the choice frames, whole and in order, split into
+    # k = ceil(choice rows / SCORING_ROWS) forwards of near-equal rows; fewer
+    # when a frame is longer than choice rows / k (full's re-read context,
+    # against the smallest caps). Each frame holds complexity's per-step entries
+    vocab = VocabSpec(n_pattern=16, n_labels=8)
+    ds = gen_icl_dataset(2, T=3, n_classes=4, seed=1, pattern_len=3, vocab=vocab,
+                         test_fraction=0.5)
+    ds, (sample,) = replace(ds, test=ds.test[:1]), ds.test[:1]
+    model = ToyLM.init(vocab.model_config(n_layers=1, d_model=16, n_heads=2, d_ff=32),
+                       seed=0, dtype=np.float64)
+    adapters = AdapterSet.init(model, comp_len=2, seed=0)
+    l_c, l_i = len(sample.segments[0]), len(sample.inputs[0]) + 1
+    assert {len(c) for c in sample.segments} == {l_c}
+    calls = []
+    record_forwards(monkeypatch, calls)
+    method = {"concat": "ccm_concat", "merge": "ccm_merge", "fixed": "fixed_comp",
+              "full": "full"}.get(policy)
+    compresses = policy in engine.COMPRESSING
+    for cap in (l_i, 3 * l_i + 1, 4 * l_i, engine.SCORING_ROWS):
+        monkeypatch.setattr(engine, "SCORING_ROWS", cap)
+        calls.clear()
+        eval_rows(model, adapters, ds, policy)
+        comp, scoring = calls[:compresses], calls[compresses:]
+        assert [len(frames) for frames in comp] == [ds.T] * compresses
+        sizes = [[f.n for f in frames] for frames in scoring]
+        rows = sum(map(sum, sizes))
+        k = -(-rows // cap)
+        assert sum(map(len, sizes)) == ds.T * ds.n_classes
+        assert all(sum(ns) < rows / k + max(ns) for ns in sizes), (cap, sizes)
+        if max(map(max, sizes)) <= rows / k:
+            assert len(scoring) == k, (cap, sizes)
+        else:
+            assert policy == "full" and len(scoring) < k, (cap, sizes)
+        if method is None:
+            continue
+        comp_frames = comp[0] if comp else ()
+        choice_frames = [f for frames in scoring for f in frames]
+        for t in range(1, ds.T + 1):
+            p = ComplexityParams(t=t, l_c=l_c, l_i=l_i, s=2, n_layers=1, d_model=16)
+            assert [f.w + f.n for f in comp_frames[t - 1:t]] == \
+                [kv_entries(p, method, "compression")] * compresses
+            assert [f.w + f.n for f in choice_frames[(t - 1) * ds.n_classes:t * ds.n_classes]] \
+                == [kv_entries(p, method, "inference")] * ds.n_classes
 
 
 def test_empty_segment_is_rejected_where_it_enters(model, adapters):

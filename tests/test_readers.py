@@ -9,8 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ccm"
 
-# the gradient oracle the tests compare hand-written backwards against
-TEST_ORACLES = {"finite_difference_check"}
+# the gradient oracle the tests compare hand-written backwards against, and
+# the online session's context count that an identity layout's is checked against
+TEST_ORACLES = {"finite_difference_check", "context_entries"}
 
 
 def definitions(tree: ast.Module) -> list[str]:

@@ -645,3 +645,20 @@ def test_pretrain_runs_and_improves():
     recipe = Recipe(steps=40, batch=2, lr=3e-3, seed=6)
     rows = pretrain(model, sampler, recipe)
     assert rows[-1]["loss"] < rows[0]["loss"] * 0.7
+
+
+def test_pretrain_rejects_the_comp_id_before_any_step():
+    # a sampler's sequence holding the reserved comp id used to train it as
+    # data, moving the comp id's embedding row
+    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32, vocab_size=24,
+                      max_layout=64)
+    model = ToyLM.init(cfg, seed=2, dtype=np.float32)
+    before = {p.name: p.data.copy() for p in model.parameters()}
+
+    def sampler(rng):
+        return [1, 23, 2, 23, 3], np.ones(5)
+
+    with pytest.raises(DataError, match="reserved comp id"):
+        pretrain(model, sampler, Recipe(steps=3, batch=1, seed=6))
+    for p in model.parameters():
+        np.testing.assert_array_equal(p.data, before[p.name])
