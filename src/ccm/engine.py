@@ -1,13 +1,11 @@
 """Online sessions and token streaming under a fixed KV budget.
 
-A session folds each context segment it ``ingest``s into its memory
-according to its policy, and answers a query by likelihood:
-``multichoice_scores`` scores all answer choices in one packed forward, each
-choice a frame [prompt | input | choice] over its own copy of the memory;
-the segment ingested before it is compressed in the same forward's first
-frame (the paper's parallel pass over one step); reading the memory first
-flushes it through the same pack with no queries. ``COMPRESSING`` sessions
-run adapters. ``fixed`` recompresses the raw context into a fresh, empty
+A session is the paper's online loop: each context segment it ``ingest``s
+is compressed at once and folded into its memory according to its policy,
+and a query is answered by likelihood: ``multichoice_scores`` scores all
+answer choices in one packed forward, each choice a frame [prompt | input |
+choice] over its own copy of the memory. ``COMPRESSING`` sessions run
+adapters. ``fixed`` recompresses the raw context into a fresh, empty
 ``independent`` memory each step; ``full`` and ``none`` fold nothing into
 theirs. ``REREADING`` sessions keep the raw context; ``full`` re-feeds it.
 A test identity, all of whose steps are known, needs no session:
@@ -72,8 +70,7 @@ class Session:
         self.model = model
         self.adapters = adapters
         self.policy = policy
-        self._memory = ContextMemory(policy if policy in MEMORY_POLICIES else "independent")
-        self.pending: np.ndarray | None = None     # compressed by the next forward
+        self.memory = ContextMemory(policy if policy in MEMORY_POLICIES else "independent")
         self.raw_segments: list[np.ndarray] = []   # REREADING only
 
     # -- context ingestion -------------------------------------------------------
@@ -89,28 +86,12 @@ class Session:
         if self.policy not in COMPRESSING:
             return 0
         if self.policy in REREADING:  # recompress it all into a fresh memory
-            segment = np.concatenate(self.raw_segments)
-            self._memory, self.pending = ContextMemory("independent"), None
+            segment, self.memory = np.concatenate(self.raw_segments), ContextMemory("independent")
         mem = self.memory
-        read = mem.entry_count if reads_memory(mem.policy) else 0
-        self.pending = segment
-        return read + segment.size + self.adapters.comp_len
-
-    def _compress(self, queries: list[np.ndarray]):
-        """Fold the pending segment into the memory; the ``queries``' logits."""
-        h, logits = compress_segment(self.model, self.adapters, self._memory, self.pending,
-                                     queries)
-        self._memory, self.pending = self._memory.updated(h), None
-        return logits
+        self.memory = mem.updated(compress_segment(self.model, self.adapters, mem, segment))
+        return mem.entry_count * reads_memory(mem.policy) + segment.size + self.adapters.comp_len
 
     # -- views --------------------------------------------------------------------
-
-    @property
-    def memory(self) -> ContextMemory:
-        """Mem(t), a pending segment compressed into it first."""
-        if self.pending is not None:
-            self._compress([])  # a flush: the step's pack without queries
-        return self._memory
 
     @property
     def _prompt(self) -> list[np.ndarray]:
@@ -119,15 +100,13 @@ class Session:
 
     @property
     def context_entries(self) -> int:
-        """Entries a query reads, a pending segment counted without a forward."""
-        held = self._memory.entry_count if self.pending is None \
-            else self._memory.entry_count_after(self.adapters.comp_len)
-        return held + sum(seg.size for seg in self._prompt)
+        """Entries a query reads."""
+        return self.memory.entry_count + sum(seg.size for seg in self._prompt)
 
 
 def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
     """Mean log-likelihood of each choice's tokens after ``inputs``, all in one
-    forward, which compresses a pending segment first in the same pack."""
+    forward: one frame per choice, each over its own copy of Mem(t)."""
     choices = [np.asarray(c, dtype=np.intp) for c in choices]
     if len(choices) < 2:
         raise ContractViolation("multichoice needs at least two choices")
@@ -138,13 +117,10 @@ def multichoice_scores(session: Session, inputs, choices) -> np.ndarray:
         raise ContractViolation("multichoice needs a prompt or input to score after")
     check_token_ids(np.concatenate([head, *choices]), session.model.config.comp_token_id)
     seqs = [np.concatenate([head, choice]) for choice in choices]
-    if session.pending is not None:
-        logits = session._compress(seqs)
-    else:  # one frame per choice, each over its own copy of Mem(t)
-        layout = session.memory.layout(session.model)
-        frames = [Frame(seq.size, layout.n_entries) for seq in seqs]
-        logits = session.model.forward(np.concatenate(seqs), layout, session.adapters,
-                                       frames=frames)[0].data
+    layout = session.memory.layout(session.model)
+    frames = [Frame(seq.size, layout.n_entries) for seq in seqs]
+    logits = session.model.forward(np.concatenate(seqs), layout, session.adapters,
+                                   frames=frames)[0].data
     scores, lo = np.empty(len(seqs)), 0
     for i, seq in enumerate(seqs):
         logp = log_softmax_rows(logits[lo:lo + seq.size])
@@ -190,6 +166,11 @@ def identity_layout(model: ToyLM, adapters: AdapterSet | None, policy: str,
     mem = Session(model, adapters, policy).memory
     segments, inputs, choices = ([np.asarray(x, dtype=np.intp) for x in xs]
                                  for xs in (segments, inputs, choices))
+    # a step's head is I(t), with the raw context ahead of it under full alone
+    if len(choices) < 2 or len(segments) != len(inputs) \
+            or 0 in map(len, segments + choices + inputs * (policy != "full")):
+        raise ContractViolation("an identity needs a segment per input, two choices or "
+                                "more, and no empty segment, choice or head to score after")
     check_token_ids(np.concatenate(segments + inputs + choices), model.config.comp_token_id)
     lay, held = IdentityLayout(mem, [], [], [], []), 0  # held: Mem(t-1)'s entries
     for t, inp in enumerate(inputs, start=1):
@@ -207,9 +188,6 @@ def identity_layout(model: ToyLM, adapters: AdapterSet | None, policy: str,
                            for q in (np.concatenate([head, c]) for c in choices))
         lay.context.append(held + head.size - inp.size)
         lay.peaks.append(max(peak, held + head.size + max(map(len, choices))))
-    if len(choices) < 2 or 0 in [*map(len, segments + choices), *(c[3] for c in lay.choices)]:
-        raise ContractViolation("an identity needs two choices or more, and no empty "
-                                "segment, choice or head to score after")
     return lay
 
 
@@ -248,8 +226,12 @@ def identity_scores(model: ToyLM, adapters: AdapterSet | None,
             lo += seq.size
         rows, tokens = map(np.concatenate, zip(*picks))
         logp = log_softmax_rows(logits[rows])[np.arange(rows.size), tokens]
-        scores += [x.mean() for x in np.split(logp, np.cumsum([t.size for _, t in picks])[:-1])]
-    scores = np.array(scores, dtype=np.float64).reshape(len(lay.peaks), -1)
+        sizes = np.array([t.size for _, t in picks])
+        means, starts = np.empty_like(logp, shape=sizes.shape), np.cumsum(sizes) - sizes
+        for n in np.unique(sizes):  # one length's picks as rows, each mean as ndarray.mean's
+            means[sizes == n] = logp[starts[sizes == n, None] + np.arange(n)].mean(axis=1)
+        scores.append(means)
+    scores = np.concatenate(scores, dtype=np.float64).reshape(len(lay.peaks), -1)
     if not np.isfinite(scores).all():
         t = np.flatnonzero(~np.isfinite(scores).all(axis=1))[0]
         raise ContractViolation(f"non-finite choice scores {scores[t].tolist()} at step {t + 1}")

@@ -21,21 +21,18 @@ pass (``training.parallel_memory_update``) and the sessions.
   caller; the baselines that fold nothing are sessions (``engine``).
 
 Since layouts are immutable, a memory is a value: an update shares nothing
-it could change, and reading the layout copies nothing. A compression runs
-as the first ``model.Frame`` of the forward that reads its result.
+it could change, and reading the layout copies nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, DimensionError, UsageError
 from .lora import AdapterSet
 from .model import Frame, KVCache, KVLayout, ToyLM
-from .tensor import Tensor
 
 MEMORY_POLICIES = ("concat", "merge", "ema", "independent")
 GROWING_POLICIES = ("concat", "independent")
@@ -73,10 +70,6 @@ class ContextMemory:
     @property
     def entry_count(self) -> int:
         return 0 if self.entries is None else self.entries.n_entries
-
-    def entry_count_after(self, n: int) -> int:
-        """Entries ``updated`` gives from an h of ``n`` entries, without running it."""
-        return n + self.entry_count * (fold_weights(self.policy, self.count + 1) is None)
 
     def layout(self, model: ToyLM) -> KVLayout:
         """Memory entries as a KV layout fragment, chronological order."""
@@ -118,35 +111,17 @@ def reads_memory(policy: str) -> bool:
 
 
 def compress_segment(model: ToyLM, adapters: AdapterSet, mem: ContextMemory,
-                     segment, queries: Sequence[np.ndarray] = ()):
-    """Condense one segment into the compression tokens' unrotated KV h, and
-    return h with the logits rows of ``queries`` (no rows for a flush).
-
-    One pack runs both (the paper's parallel pass over one step): first the
-    compression frame [memory entries | segment | s comp tokens], the
-    memory left out where the policy does not read it (``reads_memory``),
-    then one frame per query over Mem(t) = ``mem.updated(h)``, which every
-    layer folds from the comp rows there by the one update rule.
-    """
+                     segment) -> KVLayout:
+    """Condense one segment into the compression tokens' unrotated KV h, by
+    one forward over [memory entries | segment | s comp tokens], the memory
+    left out where the policy does not read it (``reads_memory``)."""
     segment = np.asarray(segment, dtype=np.intp)
     if segment.size == 0:
         raise ContractViolation("cannot compress an empty segment")
-    s = adapters.comp_len
     layout = mem.layout(model) if reads_memory(mem.policy) else model.empty_layout()
-    tokens = np.concatenate([segment, np.full(s, model.config.comp_token_id, dtype=np.intp)])
-    frames = [Frame(tokens.size, layout.n_entries)] + [
-        Frame(q.size, mem.entry_count_after(s)) for q in queries]
-
-    def memory(layer, k, v):  # the layout, then Mem(t) at this layer once per query
-        e, one, slots = mem.entries, slice(layer, layer + 1), slice(segment.size, tokens.size)
-        prev = replace(mem, entries=e and KVLayout(e.keys[one], e.values[one]))
-        new = prev.updated(KVLayout(k.data[None, slots], v.data[None, slots])).entries
-        return tuple(Tensor(np.concatenate([a[layer]] + [b[0]] * len(queries)))
-                     for a, b in ((layout.keys, new.keys), (layout.values, new.values)))
-
-    logits, kv = model.forward(np.concatenate([tokens, *queries]),
-                               memory if queries else layout, adapters, frames=frames)
-    return kv.entries(segment.size, tokens.size), logits.data[tokens.size:]
+    tokens = np.concatenate([segment, np.full(adapters.comp_len, model.config.comp_token_id,
+                                              dtype=np.intp)])
+    return model.forward(tokens, layout, adapters)[1].entries(segment.size, tokens.size)
 
 
 def compress_from_kv(model: ToyLM, adapters: AdapterSet, context: KVLayout, at: int,

@@ -21,8 +21,8 @@ tokens after w memory columns, as one masked attention per layer
 ``AdapterSet.pairs``. At every layer a callback gives the frames' memory
 columns: a layout's entries, or what an earlier frame's comp rows make
 there. So one loop runs the forward over a layout, the paper's parallel
-training pass, a session step's compression with the queries reading its
-result, and a stream event's compression with the span after it.
+training pass, a test identity's compressions in one pass, and a stream
+event's compression with the span after it.
 
 Blocks are pre-norm with RMS normalization, a SiLU-gated feed-forward and
 an untied output head.

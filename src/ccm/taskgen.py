@@ -16,7 +16,7 @@ A dataset file is JSONL: a header, then one object per record. Header sizes
 are ints >= 1, and a data id lies in [0, n_plain); the one id after them,
 the vocabulary's last, is the model's comp token.
 - icl header: format_version, kind, seed, vocab {n_pattern, n_labels},
-  n_classes <= n_labels, T, pattern_len; n_plain = n_pattern + n_labels + 1
+  2 <= n_classes <= n_labels, T, pattern_len; n_plain = n_pattern + n_labels + 1
   (the separator). Record: identity (int), split ("train" or "test"),
   segments and inputs (T non-empty lists of data ids), outputs (T lists of
   one label id in [n_pattern, n_pattern + n_classes)).
@@ -119,6 +119,8 @@ class ICLDataset:
         if self.n_classes > self.vocab.n_labels:
             raise UsageError(f"n_classes {self.n_classes} exceeds n_labels "
                              f"{self.vocab.n_labels}")
+        if self.n_classes < 2:
+            raise UsageError(f"n_classes {self.n_classes}: a query needs two choices or more")
 
 
 def _identity_patterns(rng: np.random.Generator, vocab: VocabSpec, n_classes: int,
@@ -149,7 +151,7 @@ def _gen_identity(identity: int, root_seed: int, vocab: VocabSpec, n_classes: in
     segments, inputs, outputs = [], [], []
     seen: list[int] = []
     for t in range(T):
-        if t < min(2, n_classes):
+        if t < 2:
             c = first_cycle[t]
         elif rng.random() < 0.6 and seen:
             c = int(seen[rng.integers(len(seen))])

@@ -99,7 +99,7 @@ def test_gen_data_parses(icl_data):
 @pytest.mark.parametrize("flags", [
     ["--classes", "0"], ["--identities", "1"], ["--pattern-len", "0"],
     ["--pattern-tokens", "2", "--pattern-len", "1", "--classes", "8"],
-    *(["--test-fraction", f] for f in ("nan", "inf", "-0.5", "0", "1"))])
+    *(["--test-fraction", f] for f in ("nan", "inf", "-0.5", "0", "1")), ["--classes", "1"]])
 def test_gen_data_without_distinct_patterns_or_a_split_is_usage_error(tmp_path, flags):
     # the last two looped forever drawing distinct patterns: run in a child
     # process, so a regression fails here instead of hanging the suite
@@ -747,6 +747,9 @@ BAD_RECORDS = {
     "icl-split-tset": ("icl", _set("split", "tset"), "split"),
     "icl-classes-past-labels": ("icl", lambda h, r: ({**h, "n_classes": 10}, r),
                                 "malformed icl header (UsageError('n_classes 10 exceeds n_labels 8')"),
+    "icl-one-class": ("icl", lambda h, r: ({**h, "n_classes": 1}, r),
+                      "malformed icl header (UsageError('n_classes 1: a query needs two "
+                      "choices or more')"),
     "icl-empty-segment": ("icl", _first_step("segments", lambda ids: []),
                           "segments"),
     "stream-motifs-int": ("stream", _set("motif_positions", 5), "motif_positions"),

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccm import engine
@@ -109,10 +109,10 @@ def test_session_growth_laws(model, adapters):
 
 
 def test_measured_counts_match_analytic(monkeypatch, model, adapters):
-    # a step's compression and scoring are one forward: its first sequence
-    # [memory read | segment | slots] holds the ingest peak, and its every
-    # choice sequence [inputs | one-token choice] holds Mem(t) plus l_i =
-    # inputs + 1; full compresses nothing and re-reads its raw context
+    # a step is an ingest forward, whose one frame [memory read | segment |
+    # slots] holds the ingest peak, then a scoring forward, whose every choice
+    # frame [inputs | one-token choice] holds Mem(t) plus l_i = inputs + 1;
+    # full compresses nothing and re-reads its raw context
     from ccm.complexity import ComplexityParams, kv_entries
     rng = np.random.default_rng(2)
     l_c, n_in = 5, 2
@@ -127,48 +127,40 @@ def test_measured_counts_match_analytic(monkeypatch, model, adapters):
     for policy, method in method_for.items():
         session = Session(model, adapters, policy)
         for t, seg in enumerate(segments, start=1):
+            params = ComplexityParams(t=t, l_c=l_c, l_i=n_in + 1, s=s,
+                                      n_layers=TINY.n_layers, d_model=TINY.d_model)
+            held.clear()
+            calls.clear()
             comp_peak = session.ingest(seg)
+            assert comp_peak == kv_entries(params, method, "compression"), (policy, t)
+            assert len(calls) == (policy != "full"), (policy, t)
+            assert held == [comp_peak] * (policy != "full"), (policy, t)
             held.clear()
             calls.clear()
             multichoice_scores(session, inputs, CHOICES)
             assert len(calls) == 1, (policy, t)
-            params = ComplexityParams(t=t, l_c=l_c, l_i=n_in + 1, s=s,
-                                      n_layers=TINY.n_layers, d_model=TINY.d_model)
-            assert comp_peak == kv_entries(params, method, "compression"), (policy, t)
-            assert held == [comp_peak] * (policy != "full") \
-                + [kv_entries(params, method, "inference")] * len(CHOICES), (policy, t)
+            assert held == [kv_entries(params, method, "inference")] * len(CHOICES), (policy, t)
 
 
 @pytest.mark.parametrize("policy", engine.SESSION_POLICIES)
 def test_ingest_peak_is_what_its_forwards_hold(monkeypatch, model, adapters, policy):
     # the reported compression peak counts only the entries a forward reads:
-    # an independent compressor does not read the memory. The segment is
-    # compressed by the next forward: as the first sequence of the scoring
-    # pack, on a read of the memory, or first thing in the next ingest
-    # (fixed drops it there instead, as it recompresses the whole context)
-    held = record_forwards(monkeypatch)
+    # an independent compressor does not read the memory. ``ingest`` runs
+    # its one compression forward at once (none under full and none), and
+    # scoring runs one forward more
+    calls = []
+    held = record_forwards(monkeypatch, calls)
     rng = np.random.default_rng(6)
     session = Session(model, adapters, policy)
-    compresses = policy not in ("none", "full")
-
-    def ingest():
+    compresses = policy in engine.COMPRESSING
+    for _ in range(3):
+        held.clear()
+        calls.clear()
         peak = session.ingest(rng.integers(0, 20, size=5))
-        held.clear()
-        return peak
-
-    for _ in range(2):
-        peak = ingest()
+        assert (len(calls), held) == (compresses, [peak] * compresses)
+        calls.clear()
         multichoice_scores(session, [1, 2], CHOICES)
-        assert held[:compresses] == [peak] * compresses
-        peak = ingest()
-        session.memory  # a read compresses the pending segment
-        assert max(held, default=0) == peak
-        peak = ingest()
-        second = session.ingest(rng.integers(0, 20, size=5))
-        assert max(held, default=0) == peak * (policy != "fixed")
-        held.clear()
-        session.memory
-        assert max(held, default=0) == second
+        assert len(calls) == 1
 
 
 def test_none_policy_ignores_context(model, adapters):
@@ -221,11 +213,11 @@ def test_inference_from_checkpoints_records_no_tape(tmp_path, monkeypatch,
         session.ingest(seg)
         evaluate_multichoice(session, [6, 7], [[8], [9]])
     evaluate_perplexity(model, loaded, "concat", np.arange(40) % 20, SMALL_CAPS)
-    # the session's 2 steps, each one forward that compresses and scores; the
-    # stream's spans of 22 (sink and window), 8, 8 and 2 tokens, each of the
-    # last 3 one forward with the compression before it
-    assert len(logits) == 2 + 4
-    assert [x.shape[0] for x in logits[2:]] == [22, 2 + 8, 2 + 8, 2 + 2]
+    # the session's 2 steps, each a compression forward and a scoring forward;
+    # the stream's spans of 22 (sink and window), 8, 8 and 2 tokens, each of
+    # the last 3 one forward with the compression before it
+    assert len(logits) == 2 * 2 + 4
+    assert [x.shape[0] for x in logits[4:]] == [22, 2 + 8, 2 + 8, 2 + 2]
     assert not any(x.requires_grad or x._backward for x in logits)
 
 
@@ -309,13 +301,10 @@ def oracle_scores(model, adapters, policy, segments, inputs, choices):
        seg_lens=st.lists(st.integers(1, 6), min_size=1, max_size=3),
        n_in=st.integers(1, 3), choice_lens=st.lists(st.integers(1, 3), min_size=2, max_size=4),
        s=st.integers(1, 3), seed=st.integers(0, 99))
-def test_one_forward_step_is_the_flush_path_and_the_oracle(policy, dtype, seg_lens, n_in,
-                                                           choice_lens, s, seed):
-    # a step's one forward compresses the pending segment and scores every
-    # choice over the Mem(t) it folds at each layer: scores and memory are
-    # bit for bit those of a flush (a read of the memory) then a scoring
-    # forward, Mem(t) bit for bit the recursive oracle's, whose compressions
-    # are plain forwards, and the scores the oracle's to float precision
+def test_session_step_is_the_oracle(policy, dtype, seg_lens, n_in, choice_lens, s, seed):
+    # each ingest is one compression forward, after which Mem(t) is bit for
+    # bit the recursive oracle's, and each scoring is one forward more, whose
+    # scores are the oracle's to float precision
     model = _PROPERTY_MODEL if dtype == np.float64 else _PROPERTY_MODEL32
     tol = 1e-10 if dtype == np.float64 else 1e-5
     adapters = AdapterSet.init(model, rank=2, alpha=4.0, comp_len=s, seed=seed)
@@ -325,22 +314,20 @@ def test_one_forward_step_is_the_flush_path_and_the_oracle(policy, dtype, seg_le
     segments = [rng.integers(0, 20, size=n) for n in seg_lens]
     inputs = rng.integers(0, 20, size=n_in)
     choices = [rng.integers(0, 20, size=n) for n in choice_lens]
-    fused, flushed = Session(model, adapters, policy), Session(model, adapters, policy)
+    session = Session(model, adapters, policy)
     for t, seg in enumerate(segments, start=1):
-        fused.ingest(seg)
-        flushed.ingest(seg)
-        flushed.memory  # compressed on its own, before the scoring forward
-        got = multichoice_scores(fused, inputs, choices)
-        assert fused.pending is None
-        np.testing.assert_array_equal(got, multichoice_scores(flushed, inputs, choices))
-        np.testing.assert_array_equal(fused.memory.entries.keys, flushed.memory.entries.keys)
-        np.testing.assert_array_equal(fused.memory.entries.values,
-                                      flushed.memory.entries.values)
         want, ref_memory = oracle_scores(model, adapters, policy, segments[:t], inputs,
                                          choices)
+        with mock.patch.object(ToyLM, "forward", autospec=True,
+                               side_effect=ToyLM.forward) as forward:
+            session.ingest(seg)
+            assert forward.call_count == 1
+            np.testing.assert_array_equal(session.memory.entries.keys, ref_memory.entries.keys)
+            np.testing.assert_array_equal(session.memory.entries.values,
+                                          ref_memory.entries.values)
+            got = multichoice_scores(session, inputs, choices)
+            assert forward.call_count == 2
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-        np.testing.assert_array_equal(fused.memory.entries.keys, ref_memory.entries.keys)
-        np.testing.assert_array_equal(fused.memory.entries.values, ref_memory.entries.values)
 
 
 def run_identity(model, adapters, policy, segments, inputs, choices):
@@ -364,6 +351,8 @@ def run_identity(model, adapters, policy, segments, inputs, choices):
                         max_size=5),
        choice_lens=st.lists(st.integers(1, 3), min_size=2, max_size=4), s=st.integers(1, 2),
        rows=st.sampled_from([1, 6, 20, engine.SCORING_ROWS]), seed=st.integers(0, 99))
+@example(policy="none", dtype=np.float32, lengths=[(1, 1)], choice_lens=[1, 3], s=1, rows=1,
+         seed=58)  # a 3-token choice whose mean np.add.reduceat rounds apart
 def test_identity_layout_scores_as_the_session_steps(policy, dtype, lengths, choice_lens, s,
                                                      rows, seed):
     # every frame of the layout is the frame a Session step builds: the
@@ -443,19 +432,30 @@ def test_eval_rows_runs_one_compression_forward_then_few_scoring_forwards(monkey
                 == [kv_entries(p, method, "inference")] * ds.n_classes
 
 
-def test_empty_segment_is_rejected_where_it_enters(model, adapters):
-    # the pending segment stays as it was, and no forward runs
-    session = Session(model, adapters, "concat")
-    session.ingest([1, 2, 3])
-    pending = session.pending
-    with pytest.raises(ContractViolation, match="non-empty segment"):
-        session.ingest([])
-    assert session.pending is pending and session.memory.count == 1
+def held_state(session) -> tuple:
+    """Copies of what a session holds: its memory's count and arrays, and
+    its raw segments."""
+    e = session.memory.entries
+    return (session.memory.count, [] if e is None else [e.keys.copy(), e.values.copy()],
+            [seg.copy() for seg in session.raw_segments])
+
+
+def test_empty_segment_is_rejected_where_it_enters(monkeypatch, model, adapters):
+    # the memory and raw context stay as they were, and no forward runs
+    for policy in ("concat", "fixed"):
+        session = Session(model, adapters, policy)
+        session.ingest([1, 2, 3])
+        state = held_state(session)
+        with monkeypatch.context() as m:
+            m.setattr(ToyLM, "forward", lambda *a, **k: pytest.fail("a forward ran"))
+            with pytest.raises(ContractViolation, match="non-empty segment"):
+                session.ingest([])
+        np.testing.assert_equal(held_state(session), state)
 
 
 def test_bad_choices_leave_the_pending_segment(model, adapters):
-    # every bad query raises before the step's forward takes the segment,
-    # so the session scores as if it had never been asked
+    # every bad query raises and leaves the session's memory as it was, so
+    # the session scores as if it had never been asked
     rng = np.random.default_rng(15)
     segments = [rng.integers(0, 20, size=4) for _ in range(2)]
     inputs = rng.integers(0, 20, size=2)
@@ -463,7 +463,7 @@ def test_bad_choices_leave_the_pending_segment(model, adapters):
     for seg in segments:
         session.ingest(seg)
         fresh.ingest(seg)
-        pending = session.pending
+        state = held_state(session)
         for bad_inputs, bad_choices, error in (
                 (inputs, [[6]], ContractViolation),
                 (inputs, [[6], []], ContractViolation),
@@ -472,25 +472,9 @@ def test_bad_choices_leave_the_pending_segment(model, adapters):
                 (inputs, [[6], [7] * TINY.max_layout], CapacityError)):
             with pytest.raises(error):
                 multichoice_scores(session, bad_inputs, bad_choices)
-            assert session.pending is pending
+            np.testing.assert_equal(held_state(session), state)
         np.testing.assert_array_equal(multichoice_scores(session, inputs, CHOICES),
                                       multichoice_scores(fresh, inputs, CHOICES))
-
-
-@pytest.mark.parametrize("policy", COMPRESSING)
-def test_context_entries_count_a_pending_segment_without_a_forward(monkeypatch, model,
-                                                                   adapters, policy):
-    rng = np.random.default_rng(16)
-    session = Session(model, adapters, policy)
-    session.ingest(rng.integers(0, 20, size=3))
-    multichoice_scores(session, [1, 2], CHOICES)
-    forward = ToyLM.forward
-    monkeypatch.setattr(ToyLM, "forward", lambda *a, **k: pytest.fail("forward ran"))
-    session.ingest(rng.integers(0, 20, size=3))  # the step before was scored
-    pending = session.context_entries
-    monkeypatch.setattr(ToyLM, "forward", forward)
-    assert session.pending is not None
-    assert pending == session.memory.entry_count == session.context_entries
 
 
 def test_a_pack_may_pass_max_layout_but_no_sequence():
@@ -515,6 +499,13 @@ def test_multichoice_contracts(model, adapters):
         evaluate_multichoice(session, [1], [[2]])
     with pytest.raises(ContractViolation):
         evaluate_multichoice(session, [1], [[2], []])
+    # an identity's layout checks the same choices, and none at all, and
+    # that each step has a segment and an input (step 2 compressed none)
+    for segments, inputs, choices in (([[1, 2]], [[3]], [[2]]), ([[1, 2]], [[3]], [[2], []]),
+                                      ([[1, 2]], [[3]], []), ([[1, 2]], [[3], [4]], [[2], [5]]),
+                                      ([[1, 2], [4]], [[3]], [[2], [5]])):
+        with pytest.raises(ContractViolation, match="an identity needs a segment per input"):
+            identity_layout(model, adapters, "concat", segments, inputs, choices)
     # with no prompt or input, a choice's first token has no row to be
     # scored from; under full the raw context is that prompt
     with pytest.raises(ContractViolation):
@@ -721,7 +712,7 @@ def test_session_rejects_the_comp_id_in_a_segment(model, adapters):
         session = Session(model, adapters, policy)
         with pytest.raises(DataError, match="reserved comp id"):
             session.ingest([1, TINY.comp_token_id, 3])
-        assert session.pending is None and session.raw_segments == []
+        np.testing.assert_equal(held_state(session), (0, [], []))
 
 
 @pytest.mark.parametrize("inputs, choices", [([4, TINY.comp_token_id], [[5], [6]]),
@@ -731,10 +722,11 @@ def test_multichoice_rejects_the_comp_id_in_inputs_or_choices(monkeypatch, model
                                                               inputs, choices):
     session = Session(model, adapters, "concat")
     session.ingest([1, 2, 3])
+    state = held_state(session)
     monkeypatch.setattr(ToyLM, "forward", lambda *a, **k: pytest.fail("a forward ran"))
     with pytest.raises(DataError, match="outside vocabulary.*reserved comp id"):
         multichoice_scores(session, inputs, choices)
-    assert session.pending is not None  # nothing compressed
+    np.testing.assert_equal(held_state(session), state)
 
 
 def test_full_stream_matches_one_shot_forward(tiny_model64, tiny_model32):

@@ -204,9 +204,8 @@ def test_weighted_fold_rejects_h_of_another_shape(policy):
 def test_compress_segment_shape(tiny_model64):
     adapters = AdapterSet.init(tiny_model64, comp_len=1, seed=0)
     mem = ContextMemory("concat")
-    h, logits = compress_segment(tiny_model64, adapters, mem, [1, 2, 3])
-    # one slot of 2 x L x d numbers, and no logits rows without queries
-    assert logits.shape == (0, TINY.vocab_size)
+    h = compress_segment(tiny_model64, adapters, mem, [1, 2, 3])
+    # one slot of 2 x L x d numbers
     assert h.keys.shape == (TINY.n_layers, 1, TINY.d_model)
     assert h.values.shape == (TINY.n_layers, 1, TINY.d_model)
     assert h.keys.size + h.values.size == 2 * TINY.n_layers * TINY.d_model
@@ -215,13 +214,9 @@ def test_compress_segment_shape(tiny_model64):
 def test_compress_segment_deterministic(tiny_model64):
     adapters = AdapterSet.init(tiny_model64, comp_len=2, seed=1)
     mem = ContextMemory("merge")
-    (a, a_logits), (b, b_logits) = (compress_segment(tiny_model64, adapters, mem, [4, 5],
-                                                     [np.array([6, 7]), np.array([8])])
-                                    for _ in range(2))
-    assert a_logits.shape == (3, TINY.vocab_size)
+    a, b = (compress_segment(tiny_model64, adapters, mem, [4, 5]) for _ in range(2))
     np.testing.assert_array_equal(a.keys, b.keys)
     np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(a_logits, b_logits)
 
 
 def test_compress_segment_rejects_empty(tiny_model64):
@@ -238,8 +233,8 @@ def test_compression_is_memory_conditioned(tiny_model64):
         slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
     mem2 = ContextMemory("concat").updated(
         slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
-    h1, _ = compress_segment(tiny_model64, adapters, mem1, [1, 2, 3])
-    h2, _ = compress_segment(tiny_model64, adapters, mem2, [1, 2, 3])
+    h1 = compress_segment(tiny_model64, adapters, mem1, [1, 2, 3])
+    h2 = compress_segment(tiny_model64, adapters, mem2, [1, 2, 3])
     assert not np.allclose(h1.keys, h2.keys)
 
 
@@ -249,6 +244,6 @@ def test_independent_policy_ignores_memory(tiny_model64):
     empty = ContextMemory("independent")
     filled = ContextMemory("independent").updated(
         slots(rng, L=TINY.n_layers, s=1, d=TINY.d_model))
-    h1, _ = compress_segment(tiny_model64, adapters, empty, [1, 2, 3])
-    h2, _ = compress_segment(tiny_model64, adapters, filled, [1, 2, 3])
+    h1 = compress_segment(tiny_model64, adapters, empty, [1, 2, 3])
+    h2 = compress_segment(tiny_model64, adapters, filled, [1, 2, 3])
     np.testing.assert_array_equal(h1.keys, h2.keys)

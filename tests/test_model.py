@@ -255,7 +255,7 @@ FORWARD_PARAMETERS = {
     ToyLM.forward: ("tokens", "memory", "adapters", "cache", "frames"),
     forward_groups: ("model", "tokens", "frames", "memory", "adapters", "cache"),
     Frame: ("n", "w", "allowed", "positions"),
-    compress_segment: ("model", "adapters", "mem", "segment", "queries"),
+    compress_segment: ("model", "adapters", "mem", "segment"),
     compress_from_kv: ("model", "adapters", "context", "at", "tokens", "layout", "cache"),
 }
 
@@ -264,7 +264,7 @@ def test_forward_parameter_table():
     params = {fn: tuple(name for name in inspect.signature(fn).parameters if name != "self")
               for fn in FORWARD_PARAMETERS}
     assert params == FORWARD_PARAMETERS
-    assert sum(map(len, params.values())) == 27
+    assert sum(map(len, params.values())) == 26
 
 
 @pytest.mark.parametrize("lengths, cached", [([], False), ([2, 1], False),
